@@ -7,7 +7,13 @@
 //                           this stays flat in N; the binary-heap
 //                           reference below it grows as log N)
 //   BM_BinaryHeapPushPop/N  the std::priority_queue baseline the
-//                           calendar replaced, same workload
+//                           calendar replaced, same workload (the small
+//                           N are the hagerup simulator's old worker
+//                           queue at P = N)
+//   BM_WorkerTreeHold/P     the same hold workload on hagerup's
+//                           tournament tree over P workers (fixed
+//                           leaf-to-root replay, no data-dependent
+//                           branches)
 //   BM_EngineSpawnReset     spawn P actors / run / reset() cycling --
 //                           the per-replica engine-reuse path
 //   BM_RouteLookup          Platform::comm_time on a star route (the
@@ -16,6 +22,9 @@
 //   BM_ReplicaE2E/P         one full master-worker replica at P
 //                           workers, RunContext reused across
 //                           iterations (the BatchRunner inner loop)
+//   BM_HagerupReplica/P     one direct-simulator (hagerup) SS replica,
+//                           n = 65536, RunContext reused: one tree
+//                           update per task
 //
 // Record a baseline:
 //   bench_simx_core --benchmark_format=json > raw.json
@@ -28,6 +37,8 @@
 #include <queue>
 #include <vector>
 
+#include "hagerup/simulator.hpp"
+#include "hagerup/worker_tree.hpp"
 #include "mw/config.hpp"
 #include "mw/simulation.hpp"
 #include "simx/engine.hpp"
@@ -100,7 +111,28 @@ void BM_BinaryHeapPushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["pending"] = static_cast<double>(pending);
 }
-BENCHMARK(BM_BinaryHeapPushPop)->Arg(1024)->Arg(10240)->Arg(102400);
+BENCHMARK(BM_BinaryHeapPushPop)
+    ->Arg(2)->Arg(8)->Arg(64)->Arg(256)->Arg(1024)->Arg(10240)->Arg(102400);
+
+/// The hold workload on the hagerup worker tree: pop the earliest-free
+/// worker and hand it a new next-free time, P workers always live.
+void BM_WorkerTreeHold(benchmark::State& state) {
+  const std::size_t workers = static_cast<std::size_t>(state.range(0));
+  hagerup::WorkerTree tree;
+  tree.reset(workers);
+  std::uint64_t rng = 0x0123456789abcdefull;
+  for (std::size_t w = 0; w < workers; ++w) {
+    tree.replace_top(static_cast<double>(mix(rng) >> 40) * 1e-4);
+  }
+  for (auto _ : state) {
+    const double delay = 1.0 + static_cast<double>(mix(rng) >> 52);
+    tree.replace_top(tree.top_time() + delay);
+  }
+  benchmark::DoNotOptimize(tree.top_time());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["workers"] = static_cast<double>(workers);
+}
+BENCHMARK(BM_WorkerTreeHold)->Arg(2)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
 /// Engine reuse across replicas: spawn P trivial actors, run, reset.
 /// In steady state this allocates nothing (controls, contexts and the
@@ -196,6 +228,31 @@ void BM_ReplicaE2E(benchmark::State& state) {
   state.counters["workers"] = static_cast<double>(workers);
 }
 BENCHMARK(BM_ReplicaE2E)->Unit(benchmark::kMillisecond)->Arg(64)->Arg(512)->Arg(4096);
+
+/// One hagerup SS replica per iteration on a reused RunContext (the
+/// exec::BatchRunner inner loop for the direct simulator): 65536
+/// one-task chunks, so the worker tree is updated once per task.
+void BM_HagerupReplica(benchmark::State& state) {
+  hagerup::Config cfg;
+  cfg.technique = dls::Kind::kSS;
+  cfg.pes = static_cast<std::size_t>(state.range(0));
+  cfg.tasks = 65536;
+  cfg.workload = workload::exponential(1.0);
+  cfg.params.mu = 1.0;
+  cfg.params.sigma = 1.0;
+  cfg.params.h = 0.5;
+  cfg.seed = 20170529;
+  hagerup::RunContext context;
+  double sum = 0.0;
+  for (auto _ : state) {
+    const hagerup::RunResult result = hagerup::run(cfg, context);
+    sum += result.makespan;
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cfg.tasks));
+  state.counters["workers"] = static_cast<double>(cfg.pes);
+}
+BENCHMARK(BM_HagerupReplica)->Unit(benchmark::kMillisecond)->Arg(2)->Arg(64)->Arg(1024);
 
 }  // namespace
 

@@ -14,7 +14,6 @@ namespace check {
 using BackendRun = exec::BackendRun;
 using exec::from_hagerup;
 using exec::from_mw;
-using exec::from_runtime;
 
 /// Scenario-level conveniences over exec::make_backend():
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "mw/simulation.hpp"
+#include "runtime/dls_loop.hpp"
 
 namespace exec {
 namespace {
@@ -312,30 +313,6 @@ BackendRun from_hagerup(const hagerup::Config& config, const hagerup::RunResult&
     run.chunk_log.push_back(mw::ChunkLogEntry{entry.pe, entry.first, entry.size,
                                               entry.issued_at, entry.work_seconds});
     run.worker_stats[entry.pe].tasks += entry.size;
-  }
-  return run;
-}
-
-BackendRun from_runtime(std::size_t n, unsigned threads, const runtime::LoopStats& stats) {
-  BackendRun run;
-  run.backend = "runtime";
-  run.tasks = n;
-  run.timesteps = 1;
-  run.workers = threads;
-  run.makespan = stats.wall_seconds;
-  run.chunk_count = stats.chunks;
-  run.virtual_time = false;
-  run.worker_stats.resize(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    run.worker_stats[t].compute_time = stats.busy_seconds_per_thread[t];
-    run.worker_stats[t].tasks = stats.tasks_per_thread[t];
-    run.worker_stats[t].chunks = stats.chunks_per_thread[t];
-  }
-  run.chunk_log.reserve(stats.chunk_log.size());
-  run.range_log.reserve(stats.chunk_log.size());
-  for (const runtime::LoopChunk& chunk : stats.chunk_log) {
-    run.range_log.push_back(mw::ServedRangeEntry{run.chunk_log.size(), chunk.first, chunk.size});
-    run.chunk_log.push_back(mw::ChunkLogEntry{chunk.thread, chunk.first, chunk.size, 0.0, 0.0});
   }
   return run;
 }

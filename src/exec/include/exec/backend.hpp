@@ -10,7 +10,6 @@
 #include "mw/config.hpp"
 #include "mw/metrics.hpp"
 #include "mw/result.hpp"
-#include "runtime/dls_loop.hpp"
 
 namespace exec {
 
@@ -119,7 +118,5 @@ struct BackendOptions {
 [[nodiscard]] BackendRun from_mw(const mw::Config& config, mw::RunResult result);
 [[nodiscard]] BackendRun from_hagerup(const hagerup::Config& config,
                                       const hagerup::RunResult& result);
-[[nodiscard]] BackendRun from_runtime(std::size_t n, unsigned threads,
-                                      const runtime::LoopStats& stats);
 
 }  // namespace exec

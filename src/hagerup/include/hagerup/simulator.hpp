@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dls/params.hpp"
+#include "hagerup/worker_tree.hpp"
 #include "workload/task_times.hpp"
 
 namespace hagerup {
@@ -13,9 +14,10 @@ namespace hagerup {
 /// (Hagerup 1997), which produced the "values from original publication"
 /// side of the paper's Figures 5-8.
 ///
-/// The simulator is direct (no message passing): each of the p workers
-/// is a (next-free-time) entry in a priority queue; when a worker
-/// becomes free the master immediately computes the next chunk with the
+/// The simulator is direct (no message passing): the p workers' next-free
+/// times sit in a tournament tree (WorkerTree), which hands out the
+/// earliest-free worker, lowest index on ties; when a worker becomes
+/// free the master immediately computes the next chunk with the
 /// configured DLS technique and the worker executes it.  Task execution
 /// times are drawn with the replicated erand48/nrand48 generator family
 /// ("Task execution times are generated with the aid of the random
@@ -67,13 +69,17 @@ struct RunResult {
   std::vector<ChunkLogEntry> chunk_log;  ///< filled if Config::record_chunk_log
 };
 
-/// Reusable scratch buffers for run(): the task-time buffer (the
-/// dominant allocation of a replica at large n) is filled in place via
-/// workload generate_into instead of reallocated per run.  Not
-/// thread-safe; use one context per thread (exec::BatchRunner keeps one
-/// inside each pooled hagerup backend).
+/// Reusable scratch state for run(): the task-time buffer (the dominant
+/// allocation of a replica at large n) is filled in place via workload
+/// generate_into instead of reallocated per run, and the worker tree and
+/// the per-worker last-chunk arrays keep their capacity across replicas.
+/// Not thread-safe; use one context per thread (exec::BatchRunner keeps
+/// one inside each pooled hagerup backend).
 struct RunContext {
   std::vector<double> task_times;
+  WorkerTree workers;
+  std::vector<std::size_t> done_size;  ///< per worker: size of the chunk just finished
+  std::vector<double> done_exec;       ///< per worker: its aggregate task time [s]
 };
 
 /// Run one simulation.  Deterministic in Config (including seed).

@@ -1,29 +1,12 @@
 #include "hagerup/simulator.hpp"
 
-#include <queue>
+#include <algorithm>
 #include <stdexcept>
 
 #include "dls/technique.hpp"
 #include "workload/random_source.hpp"
 
 namespace hagerup {
-namespace {
-
-struct FreeEvent {
-  double time = 0.0;
-  std::size_t worker = 0;
-  std::size_t done_size = 0;   ///< chunk just finished (0 on first request)
-  double done_exec = 0.0;
-};
-
-struct Later {
-  bool operator()(const FreeEvent& a, const FreeEvent& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.worker > b.worker;  // deterministic tie-break
-  }
-};
-
-}  // namespace
 
 RunResult run(const Config& config) {
   RunContext context;
@@ -54,32 +37,40 @@ RunResult run(const Config& config, RunContext& context) {
   result.chunks.assign(config.pes, 0);
   for (double t : task_times) result.total_work += t;
 
-  std::priority_queue<FreeEvent, std::vector<FreeEvent>, Later> queue;
-  for (std::size_t w = 0; w < config.pes; ++w) queue.push(FreeEvent{0.0, w, 0, 0.0});
+  WorkerTree& workers = context.workers;
+  workers.reset(config.pes);
+  // The chunk each worker just finished (0 before its first request).
+  context.done_size.assign(config.pes, 0);
+  context.done_exec.assign(config.pes, 0.0);
+  const double overhead = config.charge_overhead_inline ? config.params.h : 0.0;
 
   std::size_t next_task = 0;
   double makespan = 0.0;
-  while (!queue.empty()) {
-    const FreeEvent ev = queue.top();
-    queue.pop();
-    makespan = std::max(makespan, ev.time);
-    if (ev.done_size > 0) {
-      technique->on_chunk_complete(
-          dls::ChunkFeedback{ev.worker, ev.done_size, ev.done_exec, ev.time});
+  while (!workers.empty()) {
+    const std::size_t worker = workers.top();
+    const double now = workers.top_time();
+    makespan = std::max(makespan, now);
+    if (context.done_size[worker] > 0) {
+      technique->on_chunk_complete(dls::ChunkFeedback{worker, context.done_size[worker],
+                                                      context.done_exec[worker], now});
     }
-    const std::size_t chunk = technique->next_chunk(dls::Request{ev.worker, ev.time});
-    if (chunk == 0) continue;  // worker retires
+    const std::size_t chunk = technique->next_chunk(dls::Request{worker, now});
+    if (chunk == 0) {
+      workers.retire_top();
+      continue;
+    }
     double exec = 0.0;
     for (std::size_t i = next_task; i < next_task + chunk; ++i) exec += task_times[i];
     if (config.record_chunk_log) {
-      result.chunk_log.push_back(ChunkLogEntry{ev.worker, next_task, chunk, ev.time, exec});
+      result.chunk_log.push_back(ChunkLogEntry{worker, next_task, chunk, now, exec});
     }
     next_task += chunk;
     ++result.chunk_count;
-    ++result.chunks[ev.worker];
-    result.compute_time[ev.worker] += exec;
-    const double overhead = config.charge_overhead_inline ? config.params.h : 0.0;
-    queue.push(FreeEvent{ev.time + overhead + exec, ev.worker, chunk, exec});
+    ++result.chunks[worker];
+    result.compute_time[worker] += exec;
+    context.done_size[worker] = chunk;
+    context.done_exec[worker] = exec;
+    workers.replace_top(now + overhead + exec);
   }
 
   result.makespan = makespan;

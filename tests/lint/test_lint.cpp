@@ -231,6 +231,18 @@ TEST(Lint, NodeMapInEventCoreHotPath) {
   EXPECT_NE(r.output.find("[map-in-hot-path]"), std::string::npos);
 }
 
+TEST(Lint, NodeMapInDirectSimulatorHotPath) {
+  const TempDir dir;
+  const std::string file = write_file(dir.path(), "src/hagerup/free_list.cpp",
+                                      "#include <map>\n"
+                                      "std::multimap<double, unsigned> g_free_at;\n");
+  const LintResult r = run_lint(file);
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find(file + ":2:6: error: 'std::multimap' in event-core code"),
+            std::string::npos);
+  EXPECT_NE(r.output.find("[map-in-hot-path]"), std::string::npos);
+}
+
 TEST(Lint, NodeMapFineOutsideEventCore) {
   // The identical container in a cold layer (experiment parsing) and a
   // non-std map type in the hot layer are both fine.

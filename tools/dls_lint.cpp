@@ -11,8 +11,9 @@
 //   unbounded-sleep       protocol threads wait on deadlines, not naps
 //   bare-mutex            threaded subsystems use the annotated
 //                         support::Mutex wrappers, not std primitives
-//   map-in-hot-path       event-core code (simx/mw) uses the indexed
-//                         platform tables, not node-based std maps
+//   map-in-hot-path       event-core and direct-simulator code
+//                         (simx/mw/hagerup) uses the indexed platform
+//                         tables and flat vectors, not node-based std maps
 //
 // Escape hatch: a `// dls-lint: allow(<rule>[, <rule>])` comment
 // suppresses those rules on its own line, and on the next line when
@@ -72,8 +73,9 @@ const std::map<std::string, std::string>& rule_catalog() {
        "threaded subsystems use support::Mutex/LockGuard (thread-safety annotated), "
        "not bare std primitives"},
       {"map-in-hot-path",
-       "event-core code (simx/mw) must not walk node-based maps or hash strings per "
-       "lookup in steady state; use the indexed platform tables and flat vectors"},
+       "event-core and direct-simulator code (simx/mw/hagerup) must not walk node-based "
+       "maps or hash strings per lookup in steady state; use the indexed platform tables "
+       "and flat vectors"},
   };
   return rules;
 }
@@ -101,7 +103,7 @@ Scope classify(const std::string& path) {
   scope.sleep = has("src/dist/") || has("src/net/") || has("src/pool/");
   scope.bare_mutex =
       has("src/pool/") || has("src/dist/") || has("src/net/") || has("src/sweep/");
-  scope.hot_map = has("src/simx/") || has("src/mw/");
+  scope.hot_map = has("src/simx/") || has("src/mw/") || has("src/hagerup/");
   return scope;
 }
 
