@@ -12,9 +12,9 @@
 
 #include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
+#include "pool/executor.hpp"
 #include "stats/summary.hpp"
 #include "support/flags.hpp"
-#include "support/parallel_for.hpp"
 #include "support/table.hpp"
 #include "workload/task_times.hpp"
 
@@ -23,7 +23,7 @@ namespace {
 double mean_wasted(dls::Kind kind, double latency, double bandwidth, std::size_t runs,
                    unsigned threads) {
   std::vector<double> values(runs);
-  support::parallel_for(
+  pool::Executor::shared().parallel_for(
       runs,
       [&](std::size_t i) {
         mw::Config cfg;

@@ -11,9 +11,9 @@
 #include <iostream>
 
 #include "hagerup/simulator.hpp"
+#include "pool/executor.hpp"
 #include "stats/summary.hpp"
 #include "support/flags.hpp"
-#include "support/parallel_for.hpp"
 #include "support/table.hpp"
 #include "workload/task_times.hpp"
 
@@ -22,7 +22,7 @@ namespace {
 double mean_wasted(dls::Kind kind, std::size_t tasks, bool inline_overhead, std::size_t runs,
                    unsigned threads) {
   std::vector<double> values(runs);
-  support::parallel_for(
+  pool::Executor::shared().parallel_for(
       runs,
       [&](std::size_t i) {
         hagerup::Config cfg;

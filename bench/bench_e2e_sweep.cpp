@@ -9,13 +9,9 @@
 // benchmark argument: 1/2/4 threads) so the committed artifact records
 // the batch-scaling trajectory, not a single opaque "parallel" number.
 //
-// Record a baseline with either pipeline:
+// Record a baseline:
 //   bench_e2e_sweep --benchmark_format=json > raw.json
 //   bench_to_json raw.json BENCH_e2e_sweep.json
-// or, in one command, without google-benchmark:
-//   dls_sweep bench bench/specs/e2e_sweep.sweep
-//       --name BM_E2ESweep --group tasks --json BENCH_e2e_sweep.json
-//   (one command; wrapped here for width)
 
 #include <benchmark/benchmark.h>
 
@@ -98,8 +94,7 @@ BENCHMARK(BM_E2ESweepParallel)
     ->ArgsProduct({{65536, 131072}, {1, 2, 4}})
     // Work happens on pool threads: rates must come from wall clock,
     // not the benchmark thread's CPU time (which shrinks with width
-    // and would fake a speedup), matching the dls_sweep bench
-    // pipeline's runs-per-real-second.
+    // and would fake a speedup).
     ->UseRealTime();
 
 }  // namespace

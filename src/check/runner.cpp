@@ -6,7 +6,7 @@
 #include <ostream>
 
 #include "check/backend.hpp"
-#include "support/parallel_for.hpp"
+#include "pool/executor.hpp"
 #include "workload/task_times.hpp"
 
 namespace check {
@@ -181,7 +181,7 @@ CheckReport run_checks(const CheckOptions& options) {
   report.scenarios = options.runs;
   std::vector<std::vector<Violation>> per_scenario(options.runs);
 
-  support::parallel_for(
+  pool::Executor::shared().parallel_for(
       options.runs,
       [&](std::size_t index) {
         const Scenario scenario = generate_scenario(options.seed, index, options.scenario);

@@ -220,7 +220,7 @@ class MailboxBase {
 
 /// Discrete-event simulation engine: virtual clock + calendar event
 /// queue + coroutine actors.  Single-threaded by design; experiments
-/// run many engines concurrently (one per run) via support::parallel_for.
+/// run many engines concurrently (one per run) on pool::Executor.
 class Engine {
  public:
   explicit Engine(Platform platform) : platform_(std::move(platform)) {}

@@ -91,6 +91,14 @@ class RecordRenderer {
 /// line is not a complete record.
 [[nodiscard]] std::optional<std::string> record_experiment(std::string_view line);
 
+/// The `field` (e.g. "mean") of the summary object `summary` (e.g.
+/// "avg_wasted_time") of a record line -- the exact double the record
+/// was rendered from, non-finite values included; nullopt if the line
+/// is not a complete record or has no such field.
+[[nodiscard]] std::optional<double> record_summary_field(std::string_view line,
+                                                         std::string_view summary,
+                                                         std::string_view field);
+
 /// The experiment echo a record of (full) cell `index` must carry (the
 /// serialized cell spec with the derived seed and backend applied --
 /// what render_record embeds).

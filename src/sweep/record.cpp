@@ -1,6 +1,7 @@
 #include "sweep/record.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <istream>
@@ -268,6 +269,29 @@ std::optional<std::string> record_experiment(std::string_view line) {
     }
   }
   return std::nullopt;  // unterminated string
+}
+
+std::optional<double> record_summary_field(std::string_view line, std::string_view summary,
+                                           std::string_view field) {
+  if (!looks_complete(line)) return std::nullopt;
+  const std::string object = "\"" + std::string(summary) + "\":{";
+  const auto open = line.find(object);
+  if (open == std::string_view::npos) return std::nullopt;
+  const std::size_t begin = open + object.size();
+  const std::string_view body = line.substr(begin, line.find('}', begin) - begin);
+  const std::string key = "\"" + std::string(field) + "\":";
+  const auto pos = body.find(key);
+  if (pos == std::string_view::npos) return std::nullopt;
+  std::string_view value = body.substr(pos + key.size());
+  value = value.substr(0, value.find(','));
+  // json_number quotes the non-finite values ("nan", "inf", "-inf").
+  if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
+    value = value.substr(1, value.size() - 2);
+  }
+  double out = 0.0;
+  const auto [end, error] = std::from_chars(value.data(), value.data() + value.size(), out);
+  if (error != std::errc{} || end != value.data() + value.size()) return std::nullopt;
+  return out;
 }
 
 void validate_records_for_grid(const Grid& grid, const std::vector<std::string>& lines) {

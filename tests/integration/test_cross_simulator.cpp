@@ -10,8 +10,8 @@
 #include "hagerup/simulator.hpp"
 #include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
+#include "pool/executor.hpp"
 #include "stats/summary.hpp"
-#include "support/parallel_for.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -20,7 +20,7 @@ using dls::Kind;
 
 double mean_hagerup_wasted(Kind kind, std::size_t pes, std::size_t tasks, std::size_t runs) {
   std::vector<double> values(runs);
-  support::parallel_for(runs, [&](std::size_t i) {
+  pool::Executor::shared().parallel_for(runs, [&](std::size_t i) {
     hagerup::Config cfg;
     cfg.technique = kind;
     cfg.pes = pes;
@@ -37,7 +37,7 @@ double mean_hagerup_wasted(Kind kind, std::size_t pes, std::size_t tasks, std::s
 
 double mean_mw_wasted(Kind kind, std::size_t pes, std::size_t tasks, std::size_t runs) {
   std::vector<double> values(runs);
-  support::parallel_for(runs, [&](std::size_t i) {
+  pool::Executor::shared().parallel_for(runs, [&](std::size_t i) {
     mw::Config cfg;
     cfg.technique = kind;
     cfg.workers = pes;

@@ -1,0 +1,239 @@
+// The figure reducer behind `dls_sweep report` (sweep/report.hpp), on
+// reduced copies of the committed Figure 5 and 8 spec pairs: n = 256,
+// PEs 2 4, SS FAC2 BOLD, 12 replicas.  Both sides run in process
+// through SweepRunner; reduce_figure pairs their records by cell.
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "exec/batch.hpp"
+#include "stats/summary.hpp"
+#include "sweep/grid.hpp"
+#include "sweep/record.hpp"
+#include "sweep/report.hpp"
+#include "sweep/runner.hpp"
+
+namespace {
+
+using Overrides = std::vector<std::pair<std::string, std::string>>;
+
+/// Committed spec `name` with every line that starts with an override's
+/// key replaced by that override's line.
+std::string committed_spec(const std::string& name, const Overrides& overrides) {
+  const std::string path = std::string(DLS_SWEEP_SPEC_DIR) + "/" + name + ".sweep";
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "cannot open " << path;
+  std::string text, line;
+  while (std::getline(in, line)) {
+    for (const auto& [key, replacement] : overrides) {
+      if (line.starts_with(key + " ")) line = replacement;
+    }
+    text += line + "\n";
+  }
+  return text;
+}
+
+/// The reduced grid of one side of a committed pair.
+std::string reduced(const std::string& name, const std::string& techniques = "SS FAC2 BOLD",
+                    const std::string& replicas = "12") {
+  return committed_spec(name, {{"tasks", "tasks 256"},
+                               {"replicas", "replicas " + replicas},
+                               {"sweep technique", "sweep technique " + techniques},
+                               {"sweep workers", "sweep workers 2 4"}});
+}
+
+std::vector<std::string> run_records(const std::string& spec, unsigned threads) {
+  sweep::SweepRunner::Options options;
+  options.threads = threads;
+  std::ostringstream out;
+  (void)sweep::SweepRunner(options).run(sweep::parse_grid(spec), {}, out);
+  std::vector<std::string> lines;
+  std::istringstream in(out.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+struct Sides {
+  std::vector<std::string> original;
+  std::vector<std::string> simulation;
+};
+
+Sides run_fig5(unsigned threads) {
+  return {run_records(reduced("fig5_original"), threads),
+          run_records(reduced("fig5_simulation"), threads)};
+}
+
+const Sides& fig5_records() {
+  static const Sides sides = run_fig5(4);
+  return sides;
+}
+
+sweep::FigureReport fig5_report() {
+  return sweep::reduce_figure(fig5_records().original, fig5_records().simulation);
+}
+
+void expect_rejected(const std::vector<std::string>& original,
+                     const std::vector<std::string>& simulation, const std::string& needle) {
+  try {
+    (void)sweep::reduce_figure(original, simulation);
+    ADD_FAILURE() << "accepted; expected an error mentioning '" << needle << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(FigureReport, ProducesCompleteCellGrid) {
+  const sweep::FigureReport report = fig5_report();
+  EXPECT_EQ(report.tasks, 256u);
+  EXPECT_EQ(report.replicas, 12u);
+  EXPECT_EQ(report.original_backend, "hagerup");
+  EXPECT_EQ(report.simulation_backend, "mw");
+  EXPECT_EQ(report.techniques,
+            (std::vector<dls::Kind>{dls::Kind::kSS, dls::Kind::kFAC2, dls::Kind::kBOLD}));
+  EXPECT_EQ(report.workers, (std::vector<std::size_t>{2, 4}));
+  ASSERT_EQ(report.cells.size(), 3u * 2u);
+  for (const sweep::FigureCell& c : report.cells) {
+    EXPECT_GT(c.original, 0.0);
+    EXPECT_GT(c.simulation, 0.0);
+    EXPECT_TRUE(std::isfinite(c.relative_percent));
+  }
+}
+
+TEST(FigureReport, TwoSidesAgreeWithinReason) {
+  // The whole point of the paper: the master-worker simulation must
+  // land near the replicated original simulator.  With only 12 runs we
+  // allow a loose 35% band (the paper reports <= 15% at 1000 runs).
+  for (const sweep::FigureCell& c : fig5_report().cells) {
+    EXPECT_LT(std::abs(c.relative_percent), 35.0)
+        << dls::to_string(c.technique) << " p=" << c.workers << " orig=" << c.original
+        << " sim=" << c.simulation;
+  }
+}
+
+TEST(FigureReport, SsWastedTimeScalesWithTasksOverPes) {
+  // SS's average wasted time is dominated by h*n/p on both sides.
+  for (const sweep::FigureCell& c : fig5_report().cells) {
+    if (c.technique != dls::Kind::kSS) continue;
+    const double expected = 0.5 * 256.0 / static_cast<double>(c.workers);
+    EXPECT_NEAR(c.original, expected, expected * 0.25) << "p=" << c.workers;
+    EXPECT_NEAR(c.simulation, expected, expected * 0.25) << "p=" << c.workers;
+  }
+}
+
+TEST(FigureReport, TablesAreWellFormed) {
+  const sweep::FigureReport report = fig5_report();
+  const support::Table values = sweep::figure_table(report, &sweep::FigureCell::original);
+  EXPECT_EQ(values.rows(), 2u);
+  EXPECT_EQ(values.cols(), 3u + 1u);
+  const support::Table rel = sweep::figure_table(report, &sweep::FigureCell::relative_percent);
+  EXPECT_EQ(rel.rows(), 2u);
+  EXPECT_NE(values.to_csv().find("PEs,SS,FAC2,BOLD"), std::string::npos);
+
+  const std::string text = sweep::render_figure_report(report, /*csv=*/false);
+  for (const char* title : {"paper Table III", "(a) values from the original side (hagerup)",
+                            "(b) values from the simulation side (mw)", "(c) discrepancy",
+                            "(d) relative discrepancy", "summary: max |discrepancy|"}) {
+    EXPECT_NE(text.find(title), std::string::npos) << title;
+  }
+  EXPECT_NE(text.find("| 256 "), std::string::npos);  // Table III row: n, PEs, runs
+  EXPECT_NE(text.find("2; 4"), std::string::npos);
+  EXPECT_NE(sweep::render_figure_report(report, /*csv=*/true).find("PEs,SS,FAC2,BOLD\n"),
+            std::string::npos);
+}
+
+TEST(FigureReport, ReportBytesIdenticalAtOneAndFourThreads) {
+  const Sides serial = run_fig5(1);
+  EXPECT_EQ(serial.original, fig5_records().original);
+  EXPECT_EQ(serial.simulation, fig5_records().simulation);
+  EXPECT_EQ(sweep::render_figure_report(
+                sweep::reduce_figure(serial.original, serial.simulation), false),
+            sweep::render_figure_report(fig5_report(), false));
+}
+
+TEST(FigureReport, PairsRecordsByCellNotByFileOrder) {
+  std::vector<std::string> shuffled = fig5_records().simulation;
+  std::swap(shuffled.front(), shuffled.back());
+  EXPECT_EQ(sweep::render_figure_report(
+                sweep::reduce_figure(fig5_records().original, shuffled), false),
+            sweep::render_figure_report(fig5_report(), false));
+}
+
+TEST(FigureReport, RejectsAMissingPartnerCell) {
+  std::vector<std::string> simulation = fig5_records().simulation;
+  simulation.erase(simulation.begin() + 3);
+  expect_rejected(fig5_records().original, simulation, "cell 3 of 6: no simulation record");
+}
+
+TEST(FigureReport, RejectsMismatchedTasks) {
+  const std::vector<std::string> other_n = run_records(
+      committed_spec("fig5_simulation", {{"tasks", "tasks 512"},
+                                         {"replicas", "replicas 12"},
+                                         {"sweep technique", "sweep technique SS FAC2 BOLD"},
+                                         {"sweep workers", "sweep workers 2 4"}}),
+      1);
+  expect_rejected(fig5_records().original, other_n, "'tasks 256' vs 'tasks 512'");
+}
+
+TEST(FigureReport, RejectsABackendSweep) {
+  std::vector<std::string> both = fig5_records().simulation;
+  both.push_back(fig5_records().original.front());
+  expect_rejected(fig5_records().original, both, "more than one record for cell 0");
+}
+
+TEST(FigureReport, RejectsACellOutsideTheGrid) {
+  std::vector<std::string> simulation = fig5_records().simulation;
+  ASSERT_TRUE(simulation.back().starts_with("{\"cell\":5,\"of\":6,"));
+  simulation.back().replace(0, 9, "{\"cell\":9");
+  expect_rejected(fig5_records().original, simulation, "record for cell 9 of a 6-cell grid");
+}
+
+TEST(FigureReport, RejectsZeroReplicas) {
+  EXPECT_THROW((void)sweep::parse_grid(reduced("fig5_simulation", "SS FAC2 BOLD", "0")),
+               std::invalid_argument);
+}
+
+TEST(FigureReport, Figure9SeriesSummarizesToTheRecordMean) {
+  // bench_fig9_fac_outliers re-runs the FAC/p=2 cell of the Figure 8
+  // simulation side with keep_values: its series must be exactly the
+  // runs behind that cell's record.
+  const std::string spec = reduced("fig8_simulation", "FAC", "20");
+  const sweep::Grid grid = sweep::parse_grid(spec);
+  const std::vector<std::string> records = run_records(spec, 4);
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < grid.cells(); ++i) {
+    const sweep::Cell c = sweep::cell(grid, i);
+    if (c.spec.config.workers != 2) continue;
+    exec::BatchRunner::Options options;
+    options.keep_values = true;
+    const std::vector<double> series =
+        exec::BatchRunner(options).run_one(sweep::batch_job(grid, c)).wasted_values;
+    ASSERT_EQ(series.size(), 20u);
+    for (const double v : series) EXPECT_GT(v, 0.0);
+    const std::optional<double> record_mean =
+        sweep::record_summary_field(records.at(i), "avg_wasted_time", "mean");
+    ASSERT_TRUE(record_mean.has_value());
+    EXPECT_EQ(stats::summarize(series).mean, *record_mean);  // bit-for-bit
+    ++checked;
+  }
+  EXPECT_EQ(checked, 1u);
+}
+
+TEST(RecordSummaryField, ReadsEveryFieldAndRejectsPartialLines) {
+  const std::string& line = fig5_records().simulation.front();
+  EXPECT_EQ(sweep::record_summary_field(line, "chunks", "count"), 12.0);
+  EXPECT_TRUE(sweep::record_summary_field(line, "makespan", "ci95_hi").has_value());
+  EXPECT_FALSE(sweep::record_summary_field(line, "makespan", "nope").has_value());
+  EXPECT_FALSE(sweep::record_summary_field(line, "nope", "mean").has_value());
+  EXPECT_FALSE(
+      sweep::record_summary_field(line.substr(0, line.size() - 1), "makespan", "mean"));
+}
+
+}  // namespace

@@ -20,8 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "support/bench_json.hpp"
-
 namespace {
 
 struct BenchEntry {
@@ -100,8 +98,8 @@ std::vector<BenchEntry> parse_benchmarks(std::istream& in) {
       current = BenchEntry{};
       current->name = *name;
       // UseRealTime() benches carry a "/real_time" name suffix; strip
-      // it so both BENCH pipelines (this one and `dls_sweep bench`)
-      // emit the same entry names for the same measurement.
+      // it so the committed entry names stay stable whether or not a
+      // bench measures wall-clock time.
       constexpr std::string_view kRealTimeSuffix = "/real_time";
       if (current->name.ends_with(kRealTimeSuffix)) {
         current->name.resize(current->name.size() - kRealTimeSuffix.size());
@@ -161,12 +159,11 @@ int main(int argc, char** argv) {
     return EXIT_FAILURE;
   }
 
-  std::vector<support::BenchJsonEntry> normalized;
-  normalized.reserve(entries.size());
+  std::vector<double> real_time_ms;
+  real_time_ms.reserve(entries.size());
   try {
     for (const BenchEntry& e : entries) {
-      normalized.push_back(
-          {e.name, to_milliseconds(e.real_time, e.time_unit), e.items_per_second});
+      real_time_ms.push_back(to_milliseconds(e.real_time, e.time_unit));
     }
   } catch (const std::exception& e) {
     std::cerr << "bench_to_json: " << e.what() << "\n";
@@ -178,7 +175,16 @@ int main(int argc, char** argv) {
     std::cerr << "bench_to_json: cannot write " << output_path << "\n";
     return EXIT_FAILURE;
   }
-  support::write_bench_json(output, normalized);
+  // The dls-bench-v1 schema of the committed BENCH_*.json files.
+  output << "{\n  \"schema\": \"dls-bench-v1\",\n  \"benchmarks\": [\n";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    output << "    {\"name\": \"" << entries[i].name << "\", \"real_time_ms\": " << real_time_ms[i];
+    if (entries[i].items_per_second) {
+      output << ", \"items_per_second\": " << *entries[i].items_per_second;
+    }
+    output << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
+  }
+  output << "  ]\n}\n";
   std::cout << "bench_to_json: wrote " << entries.size() << " entries to " << output_path
             << "\n";
   return EXIT_SUCCESS;
