@@ -60,6 +60,20 @@ struct Config {
   std::shared_ptr<const workload::TaskTimeGenerator> workload;
   MachineModel machine;
   std::uint64_t seed = 42;
+  /// Record the full per-chunk log in the result (exec::Backend::run
+  /// needs it for the check catalog; the measured-value path does not).
+  bool record_chunk_log = false;
+};
+
+/// One entry of the optional chunk log, in dispatch order.  The shared
+/// loop index hands out tasks sequentially, so `first` is its value at
+/// dispatch time.
+struct ChunkLogEntry {
+  std::size_t pe = 0;
+  std::size_t first = 0;
+  std::size_t size = 0;
+  double issued_at = 0.0;     ///< virtual time the dispatch completed
+  double work_seconds = 0.0;  ///< inflated execution time of the chunk [s]
 };
 
 /// Tzen-Ni measurements (their equations (11)-(13)): X is computing,
@@ -73,6 +87,7 @@ struct RunResult {
   double speedup = 0.0;                ///< r      = L*P / sum(X+O+W)
   double overhead_degree = 0.0;        ///< Theta  = O*P / sum(X+O+W)
   double imbalance_degree = 0.0;       ///< Lambda = W*P / sum(X+O+W)
+  std::vector<ChunkLogEntry> chunk_log;  ///< filled if Config::record_chunk_log
 };
 
 [[nodiscard]] RunResult run(const Config& config);

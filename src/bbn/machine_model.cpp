@@ -76,6 +76,9 @@ RunResult run(const Config& config) {
     double exec = 0.0;
     for (std::size_t i = next_task; i < next_task + chunk; ++i) exec += task_times[i];
     exec *= inflation;
+    if (config.record_chunk_log) {
+      result.chunk_log.push_back(ChunkLogEntry{ev.pe, next_task, chunk, dispatch_end, exec});
+    }
     next_task += chunk;
     ++result.chunk_count;
     result.compute_time[ev.pe] += exec;

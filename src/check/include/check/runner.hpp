@@ -9,8 +9,14 @@
 
 #include "check/invariants.hpp"
 #include "check/scenario.hpp"
+#include "exec/backend.hpp"
 
 namespace check {
+
+/// The runtime backend's caps for fuzz runs: real threads and real
+/// loops, so at most 2048 iterations on at most 8 threads keep a
+/// scenario fast.
+extern const exec::BackendOptions kRuntimeFuzzOptions;
 
 /// Knobs of one conformance run (the dls_check CLI mirrors these).
 struct CheckOptions {

@@ -23,7 +23,7 @@ bool close(double a, double b, double rel = kRelTol) {
 
 std::string fmt(double v) { return support::fmt_shortest(v); }
 
-bool any_failure(const BackendRun& run) {
+bool any_failure(const exec::BackendRun& run) {
   if (run.tasks_reclaimed > 0) return true;
   for (const mw::WorkerStats& w : run.worker_stats) {
     if (w.failed) return true;
@@ -41,7 +41,7 @@ std::unique_ptr<workload::RandomSource> make_rng(const mw::Config& cfg) {
 
 /// Ranges of chunk `c`, pulled from the (chunk-ordered) range log.
 /// `cursor` advances across calls in chunk order.
-void ranges_of_chunk(const BackendRun& run, std::size_t c, std::size_t& cursor,
+void ranges_of_chunk(const exec::BackendRun& run, std::size_t c, std::size_t& cursor,
                      std::vector<mw::ServedRangeEntry>& out) {
   out.clear();
   while (cursor < run.range_log.size() && run.range_log[cursor].chunk == c) {
@@ -52,7 +52,7 @@ void ranges_of_chunk(const BackendRun& run, std::size_t c, std::size_t& cursor,
 
 }  // namespace
 
-std::optional<std::string> check_chunk_bounds(const BackendRun& run) {
+std::optional<std::string> check_chunk_bounds(const exec::BackendRun& run) {
   if (run.chunk_count != run.chunk_log.size()) {
     return "chunk_count " + std::to_string(run.chunk_count) + " != chunk log length " +
            std::to_string(run.chunk_log.size());
@@ -93,7 +93,7 @@ std::optional<std::string> check_chunk_bounds(const BackendRun& run) {
   return std::nullopt;
 }
 
-std::optional<std::string> check_coverage(const BackendRun& run) {
+std::optional<std::string> check_coverage(const exec::BackendRun& run) {
   if (any_failure(run)) return std::nullopt;  // exact cover needs failure-free runs
   std::size_t cursor = 0;
   std::vector<mw::ServedRangeEntry> chunk_ranges;
@@ -138,7 +138,7 @@ std::optional<std::string> check_coverage(const BackendRun& run) {
   return std::nullopt;
 }
 
-std::optional<std::string> check_conservation(const BackendRun& run) {
+std::optional<std::string> check_conservation(const exec::BackendRun& run) {
   const std::size_t expected = run.tasks * run.timesteps;
   std::size_t completed = 0;
   std::size_t chunks = 0;
@@ -163,7 +163,8 @@ std::optional<std::string> check_conservation(const BackendRun& run) {
   return std::nullopt;
 }
 
-std::optional<std::string> check_work_seconds(const Scenario& scenario, const BackendRun& run) {
+std::optional<std::string> check_work_seconds(const Scenario& scenario,
+                                              const exec::BackendRun& run) {
   if (!run.virtual_time || any_failure(run)) return std::nullopt;
   const mw::Config& cfg = scenario.config;
   const auto rng = make_rng(cfg);
@@ -202,7 +203,7 @@ std::optional<std::string> check_work_seconds(const Scenario& scenario, const Ba
 }
 
 std::optional<std::string> check_makespan_bounds(const Scenario& scenario,
-                                                const BackendRun& run) {
+                                                const exec::BackendRun& run) {
   if (!run.virtual_time) return std::nullopt;
   const mw::Config& cfg = scenario.config;
   if (!cfg.worker_speed_profiles.empty()) return std::nullopt;  // time-varying capacity
@@ -237,7 +238,7 @@ std::optional<std::string> check_makespan_bounds(const Scenario& scenario,
 }
 
 std::optional<std::string> check_metrics_identity(const Scenario& scenario,
-                                                  const BackendRun& run) {
+                                                  const exec::BackendRun& run) {
   if (!run.metrics.has_value()) return std::nullopt;
   const mw::Metrics& m = *run.metrics;
   const mw::Config& cfg = scenario.config;
@@ -302,8 +303,8 @@ std::optional<std::string> check_metrics_identity(const Scenario& scenario,
 }
 
 std::optional<std::string> check_cross_backend(const Scenario& scenario,
-                                               const BackendRun& mw_run,
-                                               const BackendRun& hagerup_run) {
+                                               const exec::BackendRun& mw_run,
+                                               const exec::BackendRun& hagerup_run) {
   // Strict agreement is only a theorem for the hagerup_identical class:
   // timing-sensitive techniques (AWF*, AF, BOLD) react to sub-ulp
   // execution-time differences between the two accumulations, and
@@ -331,14 +332,14 @@ std::optional<std::string> check_cross_backend(const Scenario& scenario,
 }
 
 std::optional<std::string> check_mw_determinism(const Scenario& scenario,
-                                                const BackendRun& mw_run) {
+                                                const exec::BackendRun& mw_run) {
   mw::Config config = scenario.config;
   config.record_chunk_log = true;
   mw::RunContext context;
   // Prime the context with a run, then re-run reusing its cached
   // engine/buffers: both must reproduce `mw_run` bitwise.
   (void)mw::run_simulation(config, context);
-  const BackendRun reused = from_mw(config, mw::run_simulation(config, context));
+  const exec::BackendRun reused = exec::from_mw(config, mw::run_simulation(config, context));
   if (reused.makespan != mw_run.makespan) {
     return "makespan differs across RunContext reuse: " + fmt(mw_run.makespan) + " vs " +
            fmt(reused.makespan);
@@ -435,7 +436,7 @@ std::optional<std::string> check_worker_monotonicity(const Scenario& scenario) {
   return std::nullopt;
 }
 
-std::vector<Failure> check_run(const Scenario& scenario, const BackendRun& run) {
+std::vector<Failure> check_run(const Scenario& scenario, const exec::BackendRun& run) {
   std::vector<Failure> failures;
   auto apply = [&](const char* name, std::optional<std::string> result) {
     if (result.has_value()) {

@@ -5,11 +5,15 @@
 #include <limits>
 #include <ostream>
 
-#include "check/backend.hpp"
+#include "exec/backend.hpp"
 #include "pool/executor.hpp"
 #include "workload/task_times.hpp"
 
 namespace check {
+
+const exec::BackendOptions kRuntimeFuzzOptions{.runtime_task_cap = 2048,
+                                               .runtime_max_threads = 8};
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -118,11 +122,11 @@ constexpr Transform kTransforms[] = {
 std::vector<Failure> check_scenario(const Scenario& scenario, bool expensive,
                                     bool check_runtime) {
   std::vector<Failure> failures;
-  const BackendRun mw_run = run_mw(scenario);
+  const exec::BackendRun mw_run = exec::make_backend("mw")->run(scenario.config);
   for (Failure& f : check_run(scenario, mw_run)) failures.push_back(std::move(f));
 
   if (scenario.hagerup_comparable()) {
-    const BackendRun hagerup_run = run_hagerup(scenario);
+    const exec::BackendRun hagerup_run = exec::make_backend("hagerup")->run(scenario.config);
     for (Failure& f : check_run(scenario, hagerup_run)) failures.push_back(std::move(f));
     if (auto violation = check_cross_backend(scenario, mw_run, hagerup_run)) {
       failures.push_back(Failure{"cross_backend", *violation});
@@ -130,7 +134,8 @@ std::vector<Failure> check_scenario(const Scenario& scenario, bool expensive,
   }
 
   if (check_runtime) {
-    const BackendRun runtime_run = run_runtime(scenario);
+    const exec::BackendRun runtime_run =
+        exec::make_backend("runtime", kRuntimeFuzzOptions)->run(scenario.config);
     for (Failure& f : check_run(scenario, runtime_run)) failures.push_back(std::move(f));
   }
 

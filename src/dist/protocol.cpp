@@ -5,7 +5,7 @@
 #include <charconv>
 #include <stdexcept>
 
-#include "mw/batch.hpp"
+#include "sweep/grid.hpp"
 
 namespace dist {
 namespace {
@@ -316,11 +316,11 @@ std::vector<ChaosKill> derive_chaos(std::uint64_t seed, std::size_t kills, std::
     ChaosKill kill;
     // Distinct workers: probe the splitmix64 stream until a free slot.
     do {
-      stream = mw::splitmix64(stream);
+      stream = sweep::splitmix64(stream);
       kill.worker = static_cast<std::size_t>(stream % workers);
     } while (used[kill.worker]);
     used[kill.worker] = true;
-    stream = mw::splitmix64(stream);
+    stream = sweep::splitmix64(stream);
     kill.after_cells = 1 + static_cast<std::size_t>(stream % max_after);
     // Alternate the two death shapes so every seeded run exercises
     // both the clean-kill and the torn-record reclaim paths.

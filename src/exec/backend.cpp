@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "bbn/machine_model.hpp"
 #include "mw/simulation.hpp"
 #include "runtime/dls_loop.hpp"
 
@@ -15,6 +16,51 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 [[noreturn]] void reject(const char* backend, const std::string& what) {
   throw std::invalid_argument(std::string(backend) + " backend cannot run this config: " + what);
+}
+
+/// The space a direct simulator (hagerup, bbn) cannot express: more
+/// than one timestep, heterogeneous or perturbed workers, fail-stop
+/// failures, simulated overhead, and real networks.
+void reject_beyond_direct_model(const char* backend, const mw::Config& config) {
+  if (config.timesteps > 1) {
+    reject(backend, "timesteps " + std::to_string(config.timesteps) +
+                        " (the direct simulator is single-timestep)");
+  }
+  if (!config.worker_speed_factors.empty()) reject(backend, "per-worker speed factors");
+  if (!config.worker_speed_profiles.empty()) reject(backend, "worker speed profiles");
+  for (const double t : config.worker_failure_times) {
+    if (t < kInf) reject(backend, "fail-stop failure times");
+  }
+  if (config.overhead_mode == mw::OverheadMode::kSimulated) {
+    reject(backend, "simulated overhead mode (inline master service has no equivalent "
+                    "in the analytic direct simulator)");
+  }
+  // A direct simulator has no network model.  Accept the null and
+  // near-null regimes (the BOLD study's "very low latency / very high
+  // bandwidth" setup, mw::Config's defaults) but refuse real networks:
+  // silently dropping a modeled network would present two different
+  // experiments as a cross-backend comparison.
+  const double per_message_delay =
+      config.latency +
+      static_cast<double>(config.request_bytes + config.reply_bytes) / config.bandwidth;
+  if (!(per_message_delay <= 1e-9)) {
+    reject(backend, "a non-null network (per-message delay " + std::to_string(per_message_delay) +
+                        " s; the direct simulator has no network model)");
+  }
+}
+
+/// Appends a direct simulator's chunk log to `run`: one served range
+/// per chunk, and each chunk's tasks credited to its worker.
+template <class Entry>
+void append_chunk_log(BackendRun& run, const std::vector<Entry>& log) {
+  run.chunk_log.reserve(log.size());
+  run.range_log.reserve(log.size());
+  for (const Entry& entry : log) {
+    run.range_log.push_back(mw::ServedRangeEntry{run.chunk_log.size(), entry.first, entry.size});
+    run.chunk_log.push_back(
+        mw::ChunkLogEntry{entry.pe, entry.first, entry.size, entry.issued_at, entry.work_seconds});
+    run.worker_stats[entry.pe].tasks += entry.size;
+  }
 }
 
 /// Field-wise equality of the Table I parameters (dls::Params has no
@@ -71,32 +117,7 @@ class HagerupBackend final : public Backend {
   [[nodiscard]] bool deterministic() const override { return true; }
 
   void validate(const mw::Config& config) const override {
-    if (config.timesteps > 1) {
-      reject("hagerup", "timesteps " + std::to_string(config.timesteps) +
-                            " (the direct simulator is single-timestep)");
-    }
-    if (!config.worker_speed_factors.empty()) reject("hagerup", "per-worker speed factors");
-    if (!config.worker_speed_profiles.empty()) reject("hagerup", "worker speed profiles");
-    for (const double t : config.worker_failure_times) {
-      if (t < kInf) reject("hagerup", "fail-stop failure times");
-    }
-    if (config.overhead_mode == mw::OverheadMode::kSimulated) {
-      reject("hagerup", "simulated overhead mode (inline master service has no equivalent "
-                        "in the analytic direct simulator)");
-    }
-    // The direct simulator has no network model.  Accept the null and
-    // near-null regimes (the BOLD study's "very low latency / very
-    // high bandwidth" setup, mw::Config's defaults) but refuse real
-    // networks: silently dropping a modeled network would present two
-    // different experiments as a cross-backend comparison.
-    const double per_message_delay =
-        config.latency +
-        static_cast<double>(config.request_bytes + config.reply_bytes) / config.bandwidth;
-    if (!(per_message_delay <= 1e-9)) {
-      reject("hagerup",
-             "a non-null network (per-message delay " + std::to_string(per_message_delay) +
-                 " s; the direct simulator has no network model)");
-    }
+    reject_beyond_direct_model("hagerup", config);
   }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
@@ -134,6 +155,76 @@ class HagerupBackend final : public Backend {
   }
 
   hagerup::RunContext context_;
+};
+
+// ---------------------------------------------------------------------------
+// bbn: the machine model of the TSS publication's BBN GP-1000, the
+// original side of paper Figures 3-4.  It expresses what hagerup does,
+// minus rand48: its task times come from xoshiro.  The machine
+// constants are the published ones (bbn::MachineModel's defaults).
+// ---------------------------------------------------------------------------
+
+class BbnBackend final : public Backend {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "bbn"; }
+  [[nodiscard]] bool virtual_time() const override { return true; }
+  [[nodiscard]] bool deterministic() const override { return true; }
+
+  void validate(const mw::Config& config) const override {
+    reject_beyond_direct_model("bbn", config);
+    if (config.use_rand48) {
+      reject("bbn", "rand48 task times (the machine model draws from xoshiro)");
+    }
+  }
+
+  [[nodiscard]] BackendRun run(const mw::Config& config) override {
+    bbn::Config cfg = convert(config);
+    cfg.record_chunk_log = true;
+    const bbn::RunResult result = bbn::run(cfg);
+    BackendRun run;
+    run.backend = "bbn";
+    run.tasks = cfg.tasks;
+    run.workers = cfg.pes;
+    run.makespan = result.makespan;
+    run.total_nominal_work = result.total_work;  // inflated by remote references
+    run.chunk_count = result.chunk_count;
+    run.worker_stats.resize(cfg.pes);
+    for (std::size_t pe = 0; pe < cfg.pes; ++pe) {
+      run.worker_stats[pe].compute_time = result.compute_time[pe];
+    }
+    for (const bbn::ChunkLogEntry& entry : result.chunk_log) ++run.worker_stats[entry.pe].chunks;
+    append_chunk_log(run, result.chunk_log);
+    return run;
+  }
+
+  [[nodiscard]] Measured measure(const mw::Config& config) override {
+    const bbn::Config cfg = convert(config);
+    const bbn::RunResult result = bbn::run(cfg);
+    Measured m;
+    m.makespan = result.makespan;
+    // Mean over PEs of makespan - compute time: scheduling plus waiting.
+    double wasted = 0.0;
+    for (const double x : result.compute_time) wasted += result.makespan - x;
+    m.avg_wasted_time = wasted / static_cast<double>(cfg.pes);
+    // Tzen-Ni's r exactly as the model computes it: recomputing it as
+    // total_work / makespan would differ in the last bits.
+    m.speedup = result.speedup;
+    m.chunks = static_cast<double>(result.chunk_count);
+    return m;
+  }
+
+ private:
+  [[nodiscard]] bbn::Config convert(const mw::Config& mc) const {
+    validate(mc);
+    bbn::Config config;
+    config.technique = mc.technique;
+    config.params = mc.params;
+    config.pes = mc.workers;
+    config.tasks = mc.tasks;
+    config.workload = mc.workload;
+    config.seed = mc.seed;
+    return config;
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -246,7 +337,7 @@ class RuntimeBackend final : public Backend {
 }  // namespace
 
 const std::vector<std::string>& backend_names() {
-  static const std::vector<std::string> kNames = {"hagerup", "mw", "runtime"};
+  static const std::vector<std::string> kNames = {"bbn", "hagerup", "mw", "runtime"};
   return kNames;
 }
 
@@ -259,6 +350,7 @@ bool is_backend_name(std::string_view name) {
 
 std::unique_ptr<Backend> make_backend(std::string_view name, const BackendOptions& options) {
   if (name == "mw") return std::make_unique<MwBackend>();
+  if (name == "bbn") return std::make_unique<BbnBackend>();
   if (name == "hagerup") return std::make_unique<HagerupBackend>();
   if (name == "runtime") return std::make_unique<RuntimeBackend>(options);
   std::string known;
@@ -305,15 +397,7 @@ BackendRun from_hagerup(const hagerup::Config& config, const hagerup::RunResult&
     run.worker_stats[w].compute_time = result.compute_time[w];
     run.worker_stats[w].chunks = result.chunks[w];
   }
-  run.chunk_log.reserve(result.chunk_log.size());
-  run.range_log.reserve(result.chunk_log.size());
-  for (const hagerup::ChunkLogEntry& entry : result.chunk_log) {
-    run.range_log.push_back(
-        mw::ServedRangeEntry{run.chunk_log.size(), entry.first, entry.size});
-    run.chunk_log.push_back(mw::ChunkLogEntry{entry.pe, entry.first, entry.size,
-                                              entry.issued_at, entry.work_seconds});
-    run.worker_stats[entry.pe].tasks += entry.size;
-  }
+  append_chunk_log(run, result.chunk_log);
   return run;
 }
 

@@ -16,10 +16,10 @@ namespace exec {
 /// Uniform view of one run of any execution vehicle -- the shared
 /// currency of the check invariant catalog and the cross-backend
 /// experiment grids.  Chunk/range logs reuse the mw log types;
-/// backends without fragmentation (hagerup, runtime) emit one range
-/// per chunk.
+/// backends without fragmentation (bbn, hagerup, runtime) emit one
+/// range per chunk.
 struct BackendRun {
-  std::string backend;  ///< "mw" | "hagerup" | "runtime"
+  std::string backend;  ///< one of backend_names()
   std::size_t tasks = 0;
   std::size_t timesteps = 1;
   std::size_t workers = 0;
@@ -96,7 +96,7 @@ struct BackendOptions {
 };
 
 /// The known backend names, in canonical (lexicographic) order:
-/// "hagerup", "mw", "runtime".
+/// "bbn", "hagerup", "mw", "runtime".
 [[nodiscard]] const std::vector<std::string>& backend_names();
 [[nodiscard]] bool is_backend_name(std::string_view name);
 

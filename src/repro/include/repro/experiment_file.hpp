@@ -32,7 +32,7 @@ namespace repro {
 ///   replicas  1               # > 1 batches independent seeds (exec::BatchRunner)
 ///   seed_stride 1             # replica r runs with seed + seed_stride * r
 ///   threads   0               # pool width for the replicas (0 = hardware)
-///   backend   mw              # execution vehicle: mw | hagerup | runtime
+///   backend   mw              # execution vehicle: one of exec::backend_names()
 ///
 /// A `sweep <key> <v1> <v2> ...` line is a grid directive, not an
 /// experiment key: sweep::parse_grid expands the cartesian product of

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "mw/batch.hpp"
-
 namespace sweep {
 namespace {
 
@@ -195,6 +193,20 @@ std::string_view cell_backend(const Grid& grid, std::size_t index) {
   return grid.fixed_backend;
 }
 
+std::uint64_t splitmix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t derive_cell_seed(std::uint64_t base_seed, std::uint64_t cell_index) {
+  // The (cell_index + 1)-th state of the splitmix64 counter stream
+  // starting at base_seed, passed through the output mix.  Bijective in
+  // cell_index for a fixed base seed, so cells never collide.
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  return splitmix64(base_seed + (cell_index + 1) * kGolden);
+}
+
 exec::BatchJob batch_job(const Grid& grid, const Cell& cell) {
   exec::BatchJob job;
   job.config = cell.spec.config;
@@ -204,10 +216,10 @@ exec::BatchJob batch_job(const Grid& grid, const Cell& cell) {
   if (grid.science_axes() > 0) {
     // Decorrelate the cells: with a shared base seed and the default
     // stride of 1, every cell would otherwise replay the same replica
-    // seed sequence (see mw::derive_cell_seed).  The scientific index
+    // seed sequence (see derive_cell_seed).  The scientific index
     // drives the derivation, so every backend of a cell replays the
     // cell on identical seeds -- the paper's cross-vehicle comparison.
-    job.config.seed = mw::derive_cell_seed(cell.spec.config.seed, cell.science_index);
+    job.config.seed = derive_cell_seed(cell.spec.config.seed, cell.science_index);
   }
   return job;
 }

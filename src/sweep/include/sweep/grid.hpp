@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -107,9 +108,27 @@ struct Cell {
 /// (the sharded runner's skip path must not pay a parse per skip).
 [[nodiscard]] std::string_view cell_backend(const Grid& grid, std::size_t index);
 
+/// The splitmix64 output function (Steele/Lea/Flood mix of a
+/// golden-ratio-incremented counter).  A bijective avalanche mix: every
+/// input bit affects every output bit.
+[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x);
+
+/// Decorrelated per-cell base seed for cell `cell_index` of a grid
+/// whose experiment declares `base_seed`: the cell_index-th output of a
+/// splitmix64 stream seeded with base_seed.
+///
+/// With a shared base seed and the default seed_stride of 1, every
+/// cell would otherwise replay the exact same replica seed sequence,
+/// silently correlating all cells of the grid (their "independent"
+/// noise would be identical draws).  Single jobs run directly through
+/// exec::BatchRunner are unaffected -- replica seeding stays
+/// `config.seed + seed_stride * r`.  Pinned: published sweep records
+/// replay only while this stream stays fixed.
+[[nodiscard]] std::uint64_t derive_cell_seed(std::uint64_t base_seed, std::uint64_t cell_index);
+
 /// The exec::BatchJob of a cell.  For a grid with at least one
 /// *scientific* axis the cell's base seed is decorrelated through
-/// mw::derive_cell_seed (splitmix64 over the scientific cell index, so
+/// derive_cell_seed (splitmix64 over the scientific cell index, so
 /// all backends of a cell share seeds); a plain experiment file without
 /// scientific sweep directives keeps its seed verbatim, so dls_sweep
 /// and dls_sim agree on single experiments.

@@ -8,13 +8,13 @@
 
 #include <limits>
 
-#include "check/backend.hpp"
 #include "check/invariants.hpp"
+#include "check/runner.hpp"
+#include "exec/backend.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
 
-using check::BackendRun;
 using check::Scenario;
 using dls::Kind;
 
@@ -45,8 +45,8 @@ TEST_P(IdenticalSequences, MwAndHagerupChunkSequencesAreBitwiseIdentical) {
     for (std::uint64_t seed : {7ull, 1234ull}) {
       const Scenario s = null_network_scenario(GetParam(), 8, 1024, workload, seed);
       ASSERT_TRUE(s.hagerup_identical());
-      const BackendRun mw_run = check::run_mw(s);
-      const BackendRun hagerup_run = check::run_hagerup(s);
+      const exec::BackendRun mw_run = exec::make_backend("mw")->run(s.config);
+      const exec::BackendRun hagerup_run = exec::make_backend("hagerup")->run(s.config);
       ASSERT_EQ(mw_run.chunk_log.size(), hagerup_run.chunk_log.size())
           << workload << " seed " << seed;
       for (std::size_t c = 0; c < mw_run.chunk_log.size(); ++c) {
@@ -74,15 +74,15 @@ INSTANTIATE_TEST_SUITE_P(NonAdaptiveKinds, IdenticalSequences,
 
 TEST(Conformance, CrossBackendCheckCatchesDivergence) {
   const Scenario s = null_network_scenario(Kind::kGSS, 4, 256, "exponential:1", 42);
-  const BackendRun mw_run = check::run_mw(s);
-  BackendRun hagerup_run = check::run_hagerup(s);
+  const exec::BackendRun mw_run = exec::make_backend("mw")->run(s.config);
+  exec::BackendRun hagerup_run = exec::make_backend("hagerup")->run(s.config);
   hagerup_run.chunk_log[2].size += 1;  // inject a divergence
   EXPECT_NE(check::check_cross_backend(s, mw_run, hagerup_run), std::nullopt);
 }
 
 TEST(Conformance, MwDeterminismHoldsAcrossContextReuse) {
   const Scenario s = null_network_scenario(Kind::kFAC2, 6, 512, "exponential:1", 99);
-  const BackendRun run = check::run_mw(s);
+  const exec::BackendRun run = exec::make_backend("mw")->run(s.config);
   EXPECT_EQ(check::check_mw_determinism(s, run), std::nullopt);
 }
 
@@ -102,7 +102,8 @@ TEST(Conformance, MoreWorkersNeverWorsenConstantWorkloads) {
 TEST(Conformance, RuntimeBackendSatisfiesStructuralInvariants) {
   for (Kind kind : {Kind::kSS, Kind::kGSS, Kind::kFAC2, Kind::kAWFB, Kind::kAF}) {
     const Scenario s = null_network_scenario(kind, 8, 2000, "constant:1", 3);
-    const BackendRun run = check::run_runtime(s);
+    const exec::BackendRun run =
+        exec::make_backend("runtime", check::kRuntimeFuzzOptions)->run(s.config);
     EXPECT_EQ(check::check_chunk_bounds(run), std::nullopt) << dls::to_string(kind);
     EXPECT_EQ(check::check_coverage(run), std::nullopt) << dls::to_string(kind);
     EXPECT_EQ(check::check_conservation(run), std::nullopt) << dls::to_string(kind);

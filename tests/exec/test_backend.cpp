@@ -8,6 +8,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "bbn/machine_model.hpp"
+#include "check/invariants.hpp"
 #include "exec/backend.hpp"
 #include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
@@ -33,9 +35,9 @@ mw::Config comparable_config(Kind kind, std::size_t workers, std::size_t tasks,
   return cfg;
 }
 
-TEST(BackendFactory, KnowsExactlyTheThreeVehicles) {
+TEST(BackendFactory, KnowsExactlyTheFourVehicles) {
   EXPECT_EQ(exec::backend_names(),
-            (std::vector<std::string>{"hagerup", "mw", "runtime"}));
+            (std::vector<std::string>{"bbn", "hagerup", "mw", "runtime"}));
   for (const std::string& name : exec::backend_names()) {
     EXPECT_TRUE(exec::is_backend_name(name));
     EXPECT_EQ(exec::make_backend(name)->name(), name);
@@ -135,6 +137,91 @@ TEST(HagerupBackend, RejectsWhatTheDirectSimulatorCannotExpress) {
   near_null.latency = 1e-12;  // mw::Config's defaults
   near_null.bandwidth = 1e21;
   EXPECT_NO_THROW(backend->validate(near_null));
+}
+
+/// A Figure 3 cell: constant 110 us tasks on the BBN machine model.
+mw::Config bbn_config(Kind kind, std::size_t workers) {
+  mw::Config cfg;
+  cfg.technique = kind;
+  cfg.workers = workers;
+  cfg.tasks = 5000;
+  cfg.workload = workload::constant(110e-6);
+  cfg.params.gss_min_chunk = kind == Kind::kGSS ? 80 : 1;
+  return cfg;
+}
+
+TEST(BbnBackend, MeasureEqualsTheMachineModelFieldForField) {
+  for (Kind kind : {Kind::kSS, Kind::kCSS, Kind::kGSS, Kind::kTSS}) {
+    const mw::Config cfg = bbn_config(kind, 24);
+    const exec::Measured m = exec::make_backend("bbn")->measure(cfg);
+    bbn::Config direct;
+    direct.technique = kind;
+    direct.params = cfg.params;
+    direct.pes = cfg.workers;
+    direct.tasks = cfg.tasks;
+    direct.workload = cfg.workload;
+    direct.seed = cfg.seed;
+    const bbn::RunResult result = bbn::run(direct);
+    EXPECT_EQ(m.makespan, result.makespan) << dls::to_string(kind);
+    EXPECT_EQ(m.speedup, result.speedup) << dls::to_string(kind);  // as computed
+    EXPECT_EQ(m.chunks, static_cast<double>(result.chunk_count)) << dls::to_string(kind);
+    double wasted = 0.0;
+    for (const double x : result.compute_time) wasted += result.makespan - x;
+    EXPECT_EQ(m.avg_wasted_time, wasted / 24.0) << dls::to_string(kind);
+  }
+}
+
+TEST(BbnBackend, RunPassesTheStructuralInvariants) {
+  const auto backend = exec::make_backend("bbn");
+  for (Kind kind : {Kind::kSS, Kind::kCSS, Kind::kGSS, Kind::kTSS}) {
+    const mw::Config cfg = bbn_config(kind, 8);
+    const exec::BackendRun run = backend->run(cfg);
+    EXPECT_EQ(run.backend, "bbn");
+    EXPECT_EQ(run.chunk_log.size(), run.chunk_count) << dls::to_string(kind);
+    EXPECT_EQ(check::check_coverage(run), std::nullopt) << dls::to_string(kind);
+    EXPECT_EQ(check::check_conservation(run), std::nullopt) << dls::to_string(kind);
+    EXPECT_EQ(check::check_chunk_bounds(run), std::nullopt) << dls::to_string(kind);
+    // The full record path measures the same run.
+    EXPECT_EQ(run.makespan, backend->measure(cfg).makespan) << dls::to_string(kind);
+  }
+}
+
+TEST(BbnBackend, RejectsWhatTheMachineModelCannotExpress) {
+  const auto backend = exec::make_backend("bbn");
+  const mw::Config cfg = bbn_config(Kind::kSS, 2);
+  EXPECT_NO_THROW(backend->validate(cfg));
+
+  mw::Config timesteps = cfg;
+  timesteps.timesteps = 3;
+  EXPECT_THROW(backend->validate(timesteps), std::invalid_argument);
+
+  mw::Config heterogeneous = cfg;
+  heterogeneous.worker_speed_factors = {1.0, 0.5};
+  EXPECT_THROW(backend->validate(heterogeneous), std::invalid_argument);
+
+  mw::Config profiled = cfg;
+  profiled.worker_speed_profiles = {simx::SpeedProfile{{0.0}, {1e9}},
+                                    simx::SpeedProfile{{0.0}, {1e9}}};
+  EXPECT_THROW(backend->validate(profiled), std::invalid_argument);
+
+  mw::Config failures = cfg;
+  failures.worker_failure_times = {std::numeric_limits<double>::infinity(), 3.0};
+  EXPECT_THROW(backend->validate(failures), std::invalid_argument);
+
+  mw::Config simulated = cfg;
+  simulated.overhead_mode = mw::OverheadMode::kSimulated;
+  EXPECT_THROW(backend->validate(simulated), std::invalid_argument);
+
+  mw::Config networked = cfg;
+  networked.latency = 2e-6;
+  networked.bandwidth = 1e8;
+  EXPECT_THROW(backend->validate(networked), std::invalid_argument);
+
+  // Its task times come from xoshiro only.
+  mw::Config rand48 = cfg;
+  rand48.use_rand48 = true;
+  EXPECT_THROW(backend->validate(rand48), std::invalid_argument);
+  EXPECT_THROW((void)backend->measure(rand48), std::invalid_argument);
 }
 
 TEST(RuntimeBackend, CapsTasksAndThreadsPerOptions) {

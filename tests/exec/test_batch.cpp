@@ -5,7 +5,7 @@
 // mw backend) or hagerup::run (for the hagerup backend), and the
 // backend field routes each job to its execution vehicle.
 // Plus the grid seeding contract: BatchJob replica seeding is exactly
-// seed + stride * r (unchanged), and mw::derive_cell_seed gives grid
+// seed + stride * r (unchanged), and sweep::derive_cell_seed gives grid
 // layers decorrelated, collision-free per-cell seeds.
 
 #include <gtest/gtest.h>
@@ -18,9 +18,9 @@
 #include "exec/batch.hpp"
 #include "pool/executor.hpp"
 #include "hagerup/simulator.hpp"
-#include "mw/batch.hpp"
 #include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
+#include "sweep/grid.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -137,12 +137,12 @@ TEST(BatchSeeding, SameSeedCellsReplayIdenticalReplicaSequences) {
 TEST(BatchSeeding, DeriveCellSeedIsDeterministicAndPinned) {
   // splitmix64 stream over the cell index, seeded by the base seed.
   // Pinned so the published sweep records stay replayable forever.
-  EXPECT_EQ(mw::derive_cell_seed(42, 0), 0xbdd732262feb6e95ULL);
-  EXPECT_EQ(mw::derive_cell_seed(42, 1), 0x28efe333b266f103ULL);
-  EXPECT_EQ(mw::derive_cell_seed(42, 2), 0x47526757130f9f52ULL);
-  EXPECT_EQ(mw::derive_cell_seed(1000003, 0), 0x5a0052b913b21d24ULL);
+  EXPECT_EQ(sweep::derive_cell_seed(42, 0), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(sweep::derive_cell_seed(42, 1), 0x28efe333b266f103ULL);
+  EXPECT_EQ(sweep::derive_cell_seed(42, 2), 0x47526757130f9f52ULL);
+  EXPECT_EQ(sweep::derive_cell_seed(1000003, 0), 0x5a0052b913b21d24ULL);
   // Deterministic: same inputs, same seed.
-  EXPECT_EQ(mw::derive_cell_seed(42, 1), mw::derive_cell_seed(42, 1));
+  EXPECT_EQ(sweep::derive_cell_seed(42, 1), sweep::derive_cell_seed(42, 1));
 }
 
 TEST(BatchSeeding, DerivedSeedsAreCollisionFreeAcrossAGrid) {
@@ -152,7 +152,7 @@ TEST(BatchSeeding, DerivedSeedsAreCollisionFreeAcrossAGrid) {
   constexpr std::size_t kCells = 10000;
   constexpr std::uint64_t kReplicaWindow = 1000;
   std::set<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < kCells; ++i) seeds.insert(mw::derive_cell_seed(42, i));
+  for (std::size_t i = 0; i < kCells; ++i) seeds.insert(sweep::derive_cell_seed(42, i));
   ASSERT_EQ(seeds.size(), kCells);
   std::uint64_t prev = 0;
   bool first = true;

@@ -1,0 +1,102 @@
+// dls_sweep's numeric flags, through the real binary (DLS_SWEEP_BIN):
+// a malformed shard or a negative count is a usage error (exit 2) that
+// names the flag, never a run on a misread value.  Run-mode cases pass
+// --list, so a flag that slipped through would print cells and exit 0
+// instead of sweeping.
+
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
+namespace {
+
+struct Outcome {
+  int exit_code = -1;
+  std::string output;  ///< stdout and stderr
+};
+
+Outcome run_tool(const std::string& args) {
+  const std::string command = std::string(DLS_SWEEP_BIN) + " " + args + " 2>&1";
+  Outcome outcome;
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return outcome;
+  char buffer[4096];
+  while (const std::size_t n = std::fread(buffer, 1, sizeof buffer, pipe)) {
+    outcome.output.append(buffer, n);
+  }
+  const int status = ::pclose(pipe);
+  outcome.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return outcome;
+}
+
+const std::string kSpec = std::string(DLS_SWEEP_SPEC_DIR) + "/fig5_simulation.sweep";
+
+/// (arguments, the flag the error must name)
+using Case = std::pair<std::string, std::string>;
+
+void expect_usage_errors(const std::vector<Case>& cases) {
+  for (const auto& [args, flag] : cases) {
+    const Outcome outcome = run_tool(args);
+    EXPECT_EQ(outcome.exit_code, 2) << args << "\n" << outcome.output;
+    EXPECT_NE(outcome.output.find(flag), std::string::npos) << args << "\n" << outcome.output;
+  }
+}
+
+TEST(SweepCli, RejectsMalformedShards) {
+  expect_usage_errors({{kSpec + " --list --shard 0/4x", "--shard"},
+                       {kSpec + " --list --shard 1/2/3", "--shard"},
+                       {kSpec + " --list --shard 0/-2", "--shard"},
+                       {kSpec + " --list --shard -1/2", "--shard"},
+                       {kSpec + " --list --shard 3", "--shard"},
+                       {kSpec + " --list --shard /2", "--shard"},
+                       {kSpec + " --list --shard 2/2", "--shard"}});
+  // The well-formed shard still lists its cells.
+  const Outcome ok = run_tool(kSpec + " --list --shard 1/4");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_EQ(ok.output.rfind("cell 1 ", 0), 0u) << ok.output;
+}
+
+TEST(SweepCli, RejectsNegativeCountsInRunMode) {
+  expect_usage_errors({{kSpec + " --list --threads -1", "--threads"},
+                       {kSpec + " --list --max-cells -1", "--max-cells"},
+                       {kSpec + " --list --threads x", "--threads"},
+                       {kSpec + " --list --threads 99999999999", "--threads"}});
+}
+
+TEST(SweepCli, RejectsNegativeCountsInCoordinateAndServe) {
+  const std::string coordinate =
+      "coordinate " + kSpec + " --out cli_never.jsonl --workdir cli_never_wd";
+  const std::string serve = "serve " + kSpec +
+                            " --listen 127.0.0.1:0 --out cli_never.jsonl --workdir cli_never_wd";
+  std::vector<Case> cases;
+  for (const char* flag : {"--workers", "--stripes", "--max-attempts", "--chaos-kills",
+                           "--threads", "--heartbeat-ms", "--deadline-ms", "--backoff-ms",
+                           "--backoff-cap-ms"}) {
+    cases.emplace_back(coordinate + " " + flag + " -1", flag);
+  }
+  cases.emplace_back(serve + " --accept-grace-ms -1", "--accept-grace-ms");
+  cases.emplace_back(serve + " --workers -1", "--workers");
+  expect_usage_errors(cases);
+}
+
+TEST(SweepCli, RejectsNegativeCountsInWorkMode) {
+  const std::string work = "work " + kSpec + " --dir cli_never_wd";
+  std::vector<Case> cases;
+  for (const char* flag : {"--threads", "--heartbeat-ms", "--idle-ms", "--connect-attempts",
+                           "--connect-backoff-ms", "--chaos-after"}) {
+    cases.emplace_back(work + " " + flag + " -1", flag);
+  }
+  expect_usage_errors(cases);
+}
+
+TEST(SweepCli, ReportNeedsFilePairs) {
+  expect_usage_errors({{"report", "pairs"},
+                       {"report only_one.jsonl", "pairs"},
+                       {"report a.jsonl b.jsonl c.jsonl", "pairs"}});
+}
+
+}  // namespace

@@ -8,7 +8,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "mw/batch.hpp"
 #include "sweep/grid.hpp"
 
 namespace {
@@ -63,7 +62,7 @@ TEST(SweepGrid, CellsGetDecorrelatedDerivedSeeds) {
     const exec::BatchJob job = sweep::batch_job(grid, c);
     // The spec seed is the base; the job seed is the derivation.
     EXPECT_EQ(c.spec.config.seed, 42u);
-    EXPECT_EQ(job.config.seed, mw::derive_cell_seed(42, i));
+    EXPECT_EQ(job.config.seed, sweep::derive_cell_seed(42, i));
     seeds.insert(job.config.seed);
   }
   EXPECT_EQ(seeds.size(), grid.cells());  // collision-free
@@ -175,7 +174,7 @@ TEST(SweepGridBackend, BackendVariantsOfACellShareTheDerivedSeed) {
     EXPECT_EQ(mw_job.backend, "mw");
     EXPECT_EQ(hagerup_job.config.seed, mw_job.config.seed) << "cell " << science;
     EXPECT_EQ(mw_job.config.seed, plain_job.config.seed) << "cell " << science;
-    EXPECT_EQ(mw_job.config.seed, mw::derive_cell_seed(42, science));
+    EXPECT_EQ(mw_job.config.seed, sweep::derive_cell_seed(42, science));
   }
 }
 

@@ -1,7 +1,8 @@
 // The figure reducer behind `dls_sweep report` (sweep/report.hpp), on
 // reduced copies of the committed Figure 5 and 8 spec pairs: n = 256,
 // PEs 2 4, SS FAC2 BOLD, 12 replicas.  Both sides run in process
-// through SweepRunner; reduce_figure pairs their records by cell.
+// through SweepRunner; reduce_figure pairs their records by cell.  The
+// Figure 3-4 pairs are covered in tests/repro/test_tss_experiment.cpp.
 
 #include <gtest/gtest.h>
 
@@ -77,13 +78,13 @@ const Sides& fig5_records() {
 }
 
 sweep::FigureReport fig5_report() {
-  return sweep::reduce_figure(fig5_records().original, fig5_records().simulation);
+  return sweep::reduce_figure({fig5_records().original, fig5_records().simulation});
 }
 
 void expect_rejected(const std::vector<std::string>& original,
                      const std::vector<std::string>& simulation, const std::string& needle) {
   try {
-    (void)sweep::reduce_figure(original, simulation);
+    (void)sweep::reduce_figure({original, simulation});
     ADD_FAILURE() << "accepted; expected an error mentioning '" << needle << "'";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
@@ -96,8 +97,8 @@ TEST(FigureReport, ProducesCompleteCellGrid) {
   EXPECT_EQ(report.replicas, 12u);
   EXPECT_EQ(report.original_backend, "hagerup");
   EXPECT_EQ(report.simulation_backend, "mw");
-  EXPECT_EQ(report.techniques,
-            (std::vector<dls::Kind>{dls::Kind::kSS, dls::Kind::kFAC2, dls::Kind::kBOLD}));
+  EXPECT_EQ(report.curves, (std::vector<std::string>{"SS", "FAC2", "BOLD"}));
+  EXPECT_FALSE(report.speedup);
   EXPECT_EQ(report.workers, (std::vector<std::size_t>{2, 4}));
   ASSERT_EQ(report.cells.size(), 3u * 2u);
   for (const sweep::FigureCell& c : report.cells) {
@@ -154,7 +155,7 @@ TEST(FigureReport, ReportBytesIdenticalAtOneAndFourThreads) {
   EXPECT_EQ(serial.original, fig5_records().original);
   EXPECT_EQ(serial.simulation, fig5_records().simulation);
   EXPECT_EQ(sweep::render_figure_report(
-                sweep::reduce_figure(serial.original, serial.simulation), false),
+                sweep::reduce_figure({serial.original, serial.simulation}), false),
             sweep::render_figure_report(fig5_report(), false));
 }
 
@@ -162,7 +163,7 @@ TEST(FigureReport, PairsRecordsByCellNotByFileOrder) {
   std::vector<std::string> shuffled = fig5_records().simulation;
   std::swap(shuffled.front(), shuffled.back());
   EXPECT_EQ(sweep::render_figure_report(
-                sweep::reduce_figure(fig5_records().original, shuffled), false),
+                sweep::reduce_figure({fig5_records().original, shuffled}), false),
             sweep::render_figure_report(fig5_report(), false));
 }
 
@@ -234,6 +235,22 @@ TEST(RecordSummaryField, ReadsEveryFieldAndRejectsPartialLines) {
   EXPECT_FALSE(sweep::record_summary_field(line, "nope", "mean").has_value());
   EXPECT_FALSE(
       sweep::record_summary_field(line.substr(0, line.size() - 1), "makespan", "mean"));
+}
+
+TEST(FigureReport, RejectsAnOddNumberOfFiles) {
+  const std::vector<std::string>& o = fig5_records().original;
+  const std::vector<std::string>& s = fig5_records().simulation;
+  EXPECT_THROW((void)sweep::reduce_figure({}), std::invalid_argument);
+  EXPECT_THROW((void)sweep::reduce_figure({o}), std::invalid_argument);
+  EXPECT_THROW((void)sweep::reduce_figure({o, s, o}), std::invalid_argument);
+}
+
+TEST(FigureReport, NetworkKeysStayFixedAgainstNonBbnOriginals) {
+  // The wider set of keys the sides may differ in applies only to a
+  // bbn original: a Figure 5 simulation side with a network is refused.
+  const std::vector<std::string> networked =
+      run_records(reduced("fig5_simulation") + "latency 1e-3\n", 4);
+  expect_rejected(fig5_records().original, networked, "'latency 0.001'");
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 // the committed Figure 5-8 and adaptive-extension spec pairs
 // (bench/specs/*_{original,simulation}.sweep) must sweep paper
 // Table III's grid and differ only in the keys that make the two sides
-// independent simulators, and repro::tss_sim_spec_text must mirror
-// the TSS driver's hand-built grid -- otherwise `dls_sweep` would
-// silently run a different experiment than the figure it regenerates.
+// independent simulators -- otherwise `dls_sweep` would silently run a
+// different experiment than the figure it regenerates.  (The Figure
+// 3-4 pairs are checked by sweep_test_report.)
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "repro/tss_experiment.hpp"
 #include "sweep/grid.hpp"
 
 namespace {
@@ -109,34 +108,6 @@ TEST(SpecText, PairsDifferOnlyInSeedSeedStrideBackendAndRand48) {
       EXPECT_EQ(s.spec.config.seed, 2000003u);
       EXPECT_EQ(s.spec.seed_stride, 104729u);
     }
-  }
-}
-
-TEST(SpecText, TssSeriesSpecExpandsToThePeAxis) {
-  const repro::TssOptions options = repro::tss_experiment1();
-  // GSS(80): the series whose coupled gss_min knob forced the
-  // one-grid-per-series design.
-  const repro::TssSeries* gss80 = nullptr;
-  for (const repro::TssSeries& s : options.series) {
-    if (s.label == "GSS(80)") gss80 = &s;
-  }
-  ASSERT_NE(gss80, nullptr);
-
-  const sweep::Grid grid = sweep::parse_grid(repro::tss_sim_spec_text(options, *gss80));
-  ASSERT_EQ(grid.axes.size(), 1u);
-  EXPECT_EQ(grid.axes[0].key, "workers");
-  ASSERT_EQ(grid.cells(), options.pes.size());
-  for (std::size_t i = 0; i < grid.cells(); ++i) {
-    const sweep::Cell c = sweep::cell(grid, i);
-    EXPECT_EQ(c.spec.config.technique, dls::Kind::kGSS);
-    EXPECT_EQ(c.spec.config.workers, options.pes[i]);
-    EXPECT_EQ(c.spec.config.tasks, options.tasks);
-    EXPECT_EQ(c.spec.config.params.gss_min_chunk, 80u);
-    EXPECT_DOUBLE_EQ(c.spec.config.workload->mean(), options.task_seconds);
-    EXPECT_DOUBLE_EQ(c.spec.config.params.h, options.sim_overhead_h);
-    EXPECT_DOUBLE_EQ(c.spec.config.latency, options.sim_latency);
-    EXPECT_DOUBLE_EQ(c.spec.config.bandwidth, options.sim_bandwidth);
-    EXPECT_EQ(c.spec.config.overhead_mode, mw::OverheadMode::kSimulated);
   }
 }
 

@@ -41,8 +41,11 @@ void print_usage(std::ostream& out) {
          "Runs the experiment described by the file (or stdin with '-')\n"
          "and prints the measured values.  See repro/experiment_file.hpp\n"
          "for the 'key value' format; 'replicas N' batches N seeds.\n"
-         "--backend overrides the spec's execution vehicle\n"
-         "(mw | hagerup | runtime; also an experiment key: 'backend hagerup').\n";
+         "--backend overrides the spec's execution vehicle\n(";
+  for (const std::string& name : exec::backend_names()) {
+    out << (name == exec::backend_names().front() ? "" : " | ") << name;
+  }
+  out << "; also an experiment key: 'backend hagerup').\n";
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 //   dls_sweep merge --out all.jsonl s0.jsonl s1.jsonl s2.jsonl
 //   dls_sweep grid.sweep --list                          # show the cells, don't run
 //   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # fixed execution backend
-//   dls_sweep report original.jsonl simulation.jsonl   # a figure's tables from two sweeps
+//   dls_sweep report original.jsonl simulation.jsonl   # a figure's tables from its sweep pairs
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
 //   dls_sweep work grid.sweep --dir wd        # one worker (normally exec'd by coordinate)
 //
@@ -30,7 +30,7 @@
 // comparable), and the mw records are bitwise identical to a run of
 // the same spec without the axis.
 //
-// Every cell gets a decorrelated base seed (mw::derive_cell_seed,
+// Every cell gets a decorrelated base seed (sweep::derive_cell_seed,
 // splitmix64 over the cell index), so cells sharing the spec's base
 // seed do not replay the same replica seed sequence.  Records are
 // deterministic for a given spec: resuming, sharding, and merging all
@@ -41,12 +41,15 @@
 // usage error (parse errors name the offending line).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <map>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -57,6 +60,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
+#include "exec/backend.hpp"
 #include "net/socket.hpp"
 #include "support/flags.hpp"
 #include "sweep/record.hpp"
@@ -73,7 +77,7 @@ constexpr int kExitUsageError = 2;
 void print_usage(std::ostream& out, const support::Flags& flags) {
   out << "usage: dls_sweep <spec-file | -> [options]        run a grid\n"
          "       dls_sweep merge --out <file> <shard>...    merge shard outputs\n"
-         "       dls_sweep report <original.jsonl> <simulation.jsonl> [--csv]\n"
+         "       dls_sweep report (<original.jsonl> <simulation.jsonl>)... [--csv]\n"
          "       dls_sweep coordinate <spec-file> --out <file> --workdir <dir> [options]\n"
          "       dls_sweep serve <spec-file> --listen host:port --out <file> --workdir <dir>\n"
          "       dls_sweep work <spec-file> --dir <dir>     one worker process (stdio)\n"
@@ -99,13 +103,36 @@ std::string read_input(const std::string& path) {
   return buffer.str();
 }
 
-void parse_shard(const std::string& text, sweep::SweepRunner::Options& options) {
-  const auto slash = text.find('/');
-  if (slash == std::string::npos) {
-    throw std::invalid_argument("--shard must be <index>/<count>, e.g. 0/4; got: " + text);
+/// A count or duration flag: a non-negative integer that fits `T`.
+template <class T>
+T get_count(const support::Flags& flags, std::string_view name) {
+  const std::int64_t value = flags.get_int(name);
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (value < 0 || static_cast<std::uint64_t>(value) > kMax) {
+    throw std::invalid_argument("flag --" + std::string(name) + " must be a count from 0 to " +
+                                std::to_string(kMax) + ": " + std::to_string(value));
   }
-  options.shard_index = static_cast<std::size_t>(std::stoull(text.substr(0, slash)));
-  options.shard_count = static_cast<std::size_t>(std::stoull(text.substr(slash + 1)));
+  return static_cast<T>(value);
+}
+
+std::chrono::milliseconds get_ms(const support::Flags& flags, std::string_view name) {
+  return std::chrono::milliseconds(get_count<std::int64_t>(flags, name));
+}
+
+void parse_shard(const std::string& text, sweep::SweepRunner::Options& options) {
+  // Each number spans its whole token: "0/4x", "1/2/3" and "0/-2" are
+  // errors, not 0/4, 1/2 and a wrapped count.
+  const auto number = [&](std::size_t begin, std::size_t end) {
+    std::size_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data() + begin, text.data() + end, value);
+    if (begin == end || ec != std::errc{} || ptr != text.data() + end) {
+      throw std::invalid_argument("--shard must be <index>/<count>, e.g. 0/4; got: " + text);
+    }
+    return value;
+  };
+  const std::size_t slash = std::min(text.find('/'), text.size());
+  options.shard_index = number(0, slash);
+  options.shard_count = number(std::min(slash + 1, text.size()), text.size());
   if (options.shard_count == 0 || options.shard_index >= options.shard_count) {
     throw std::invalid_argument("--shard index out of range: " + text);
   }
@@ -128,9 +155,9 @@ int run_mode(const support::Flags& flags) {
   }
 
   sweep::SweepRunner::Options options;
-  options.threads = static_cast<unsigned>(flags.get_int("threads"));
-  options.max_cells = static_cast<std::size_t>(flags.get_int("max-cells"));
   try {
+    options.threads = get_count<unsigned>(flags, "threads");
+    options.max_cells = get_count<std::size_t>(flags, "max-cells");
     parse_shard(flags.get("shard"), options);
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep: " << e.what() << "\n";
@@ -337,29 +364,29 @@ int merge_mode(const support::Flags& flags) {
   return EXIT_SUCCESS;
 }
 
-// `dls_sweep report`: the reducer of a figure's two sweeps (see
+// `dls_sweep report`: the reducer of a figure's sweep pairs (see
 // sweep/report.hpp).  Unreadable, incomplete or mismatched record
 // files are usage errors, like the other modes' input errors.
 int report_mode(const support::Flags& flags) {
   const std::vector<std::string>& positional = flags.positional();
-  if (positional.size() != 3) {
-    std::cerr << "dls_sweep: report needs <original.jsonl> <simulation.jsonl>\n";
+  if (positional.size() < 3 || positional.size() % 2 == 0) {
+    std::cerr << "dls_sweep: report needs <original.jsonl> <simulation.jsonl> pairs\n";
     return kExitUsageError;
   }
   std::string text;
   try {
-    const auto read_records = [](const std::string& path) {
-      std::ifstream in(path);
-      if (!in) throw std::invalid_argument("cannot open " + path);
+    std::vector<std::vector<std::string>> sides;
+    for (std::size_t i = 1; i < positional.size(); ++i) {
+      std::ifstream in(positional[i]);
+      if (!in) throw std::invalid_argument("cannot open " + positional[i]);
       sweep::ScanResult scanned = sweep::scan_records(in);
       if (scanned.dropped_partial_tail) {
-        throw std::invalid_argument(path + " ends in a truncated record; resume that sweep first");
+        throw std::invalid_argument(positional[i] +
+                                    " ends in a truncated record; resume that sweep first");
       }
-      return std::move(scanned.lines);
-    };
-    const sweep::FigureReport report =
-        sweep::reduce_figure(read_records(positional[1]), read_records(positional[2]));
-    text = sweep::render_figure_report(report, flags.get_bool("csv"));
+      sides.push_back(std::move(scanned.lines));
+    }
+    text = sweep::render_figure_report(sweep::reduce_figure(sides), flags.get_bool("csv"));
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep: report: " << e.what() << "\n";
     return kExitUsageError;
@@ -426,21 +453,21 @@ int coordinate_mode(int argc, char** argv, bool serve) {
       if (options.listen.empty()) throw std::invalid_argument("serve needs --listen host:port");
       (void)net::parse_host_port(options.listen);  // fail early on a bad address
       options.token = flags.get("token");
-      options.accept_grace = std::chrono::milliseconds(flags.get_int("accept-grace-ms"));
+      options.accept_grace = get_ms(flags, "accept-grace-ms");
       port_file = flags.get("port-file");
     }
-    options.workers = static_cast<std::size_t>(flags.get_int("workers"));
+    options.workers = get_count<std::size_t>(flags, "workers");
     if (options.workers == 0) throw std::invalid_argument("--workers must be >= 1");
-    options.stripes = static_cast<std::size_t>(flags.get_int("stripes"));
-    options.worker_threads = static_cast<unsigned>(flags.get_int("threads"));
-    options.heartbeat_interval = std::chrono::milliseconds(flags.get_int("heartbeat-ms"));
-    options.lease_deadline = std::chrono::milliseconds(flags.get_int("deadline-ms"));
-    options.max_attempts = static_cast<std::size_t>(flags.get_int("max-attempts"));
+    options.stripes = get_count<std::size_t>(flags, "stripes");
+    options.worker_threads = get_count<unsigned>(flags, "threads");
+    options.heartbeat_interval = get_ms(flags, "heartbeat-ms");
+    options.lease_deadline = get_ms(flags, "deadline-ms");
+    options.max_attempts = get_count<std::size_t>(flags, "max-attempts");
     if (options.max_attempts == 0) throw std::invalid_argument("--max-attempts must be >= 1");
-    options.backoff_base = std::chrono::milliseconds(flags.get_int("backoff-ms"));
-    options.backoff_cap = std::chrono::milliseconds(flags.get_int("backoff-cap-ms"));
+    options.backoff_base = get_ms(flags, "backoff-ms");
+    options.backoff_cap = get_ms(flags, "backoff-cap-ms");
     const std::string chaos_list = flags.get("chaos");
-    const auto chaos_kills = static_cast<std::size_t>(flags.get_int("chaos-kills"));
+    const auto chaos_kills = get_count<std::size_t>(flags, "chaos-kills");
     if (serve && (!chaos_list.empty() || chaos_kills > 0)) {
       // Serve mode never spawns, so directives keyed by worker index
       // would silently do nothing; chaos rides the workers' own
@@ -560,13 +587,13 @@ int work_mode(int argc, char** argv) {
     }
     options.workdir = flags.get("dir");
     if (options.workdir.empty()) throw std::invalid_argument("work needs --dir");
-    options.threads = static_cast<unsigned>(flags.get_int("threads"));
-    options.heartbeat_interval = std::chrono::milliseconds(flags.get_int("heartbeat-ms"));
+    options.threads = get_count<unsigned>(flags, "threads");
+    options.heartbeat_interval = get_ms(flags, "heartbeat-ms");
     options.token = flags.get("token");
-    options.idle_timeout = std::chrono::milliseconds(flags.get_int("idle-ms"));
-    options.connect_attempts = static_cast<std::size_t>(flags.get_int("connect-attempts"));
-    options.connect_backoff = std::chrono::milliseconds(flags.get_int("connect-backoff-ms"));
-    if (const auto after = static_cast<std::size_t>(flags.get_int("chaos-after")); after > 0) {
+    options.idle_timeout = get_ms(flags, "idle-ms");
+    options.connect_attempts = get_count<std::size_t>(flags, "connect-attempts");
+    options.connect_backoff = get_ms(flags, "connect-backoff-ms");
+    if (const auto after = get_count<std::size_t>(flags, "chaos-after"); after > 0) {
       options.chaos =
           dist::ChaosKill{0, after, dist::parse_chaos_mode(flags.get("chaos-mode"))};
     }
@@ -604,7 +631,12 @@ int main(int argc, char** argv) {
   flags.define("list", "false", "print the expanded cells (of this --shard) and exit");
   flags.define("quiet", "false", "suppress per-cell progress on stderr");
   flags.define("progress", "false", "stderr progress line per cell (computed/skipped/owned)");
-  flags.define("backend", "", "fixed execution backend (mw | hagerup | runtime); a 'sweep backend ...' axis overrides");
+  std::string backends;
+  for (const std::string& name : exec::backend_names()) {
+    backends += (backends.empty() ? "" : " | ") + name;
+  }
+  flags.define("backend", "",
+               "fixed execution backend (" + backends + "); a 'sweep backend ...' axis overrides");
   flags.define("csv", "false", "[report] emit the tables as CSV");
 
   for (int i = 1; i < argc; ++i) {
