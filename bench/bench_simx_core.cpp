@@ -18,7 +18,10 @@
 //                           the per-replica engine-reuse path
 //   BM_RouteLookup          Platform::comm_time on a star route (the
 //                           per-message network cost model)
-//   BM_IndexedName          the interned "<prefix><index>" lookup
+//   BM_PlatformBuild/P      make_star_platform at P workers: the
+//                           one-off build a run pays before its first
+//                           event (linear in P: hosts, links and routes
+//                           append by index)
 //   BM_ReplicaE2E/P         one full master-worker replica at P
 //                           workers, RunContext reused across
 //                           iterations (the BatchRunner inner loop)
@@ -144,14 +147,13 @@ void BM_EngineSpawnReset(benchmark::State& state) {
   std::vector<simx::Host*> hosts;
   hosts.reserve(actors);
   for (std::size_t i = 0; i < actors; ++i) {
-    hosts.push_back(&engine.platform().host(simx::indexed_name("w", i)));
+    hosts.push_back(&engine.platform().host_at(i + 1));
   }
   for (auto _ : state) {
     for (std::size_t i = 0; i < actors; ++i) {
-      engine.spawn(simx::indexed_name("w", i), *hosts[i],
-                   [](simx::Context& ctx) -> simx::Actor {
-                     co_await ctx.sleep_for(1.0);
-                   });
+      engine.spawn(*hosts[i], [](simx::Context& ctx) -> simx::Actor {
+        co_await ctx.sleep_for(1.0);
+      });
     }
     const simx::SimTime end = engine.run();
     benchmark::DoNotOptimize(end);
@@ -168,11 +170,11 @@ BENCHMARK(BM_EngineSpawnReset);
 void BM_RouteLookup(benchmark::State& state) {
   const std::size_t workers = 1024;
   const simx::Platform platform = simx::make_star_platform(workers, 1e9, 1e8, 2e-6);
-  const simx::Host& master = platform.host("master");
+  const simx::Host& master = platform.host_at(0);
   std::vector<const simx::Host*> hosts;
   hosts.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    hosts.push_back(&platform.host(simx::indexed_name("w", i)));
+    hosts.push_back(&platform.host_at(i + 1));
   }
   std::size_t i = 0;
   double sum = 0.0;
@@ -185,19 +187,24 @@ void BM_RouteLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteLookup);
 
-/// The interned numbered-name lookup used for every generated host,
-/// link and mailbox name.
-void BM_IndexedName(benchmark::State& state) {
-  std::size_t i = 0;
-  const std::string* last = nullptr;
+/// Star platform construction at P workers (the build mw::run_simulation
+/// pays once per RunContext shape).  Hosts, links and routes append by
+/// index, so the time per worker is the number to watch as P grows.
+void BM_PlatformBuild(benchmark::State& state) {
+  const std::size_t workers = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    last = &simx::indexed_name("w", i & 1023);
-    ++i;
+    const simx::Platform platform = simx::make_star_platform(workers, 1e9, 1e8, 2e-6);
+    benchmark::DoNotOptimize(platform.host_count());
   }
-  benchmark::DoNotOptimize(last);
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(workers));
+  state.counters["workers"] = static_cast<double>(workers);
 }
-BENCHMARK(BM_IndexedName);
+BENCHMARK(BM_PlatformBuild)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000);
 
 /// One full simulated replica per iteration with a reused RunContext --
 /// the exec::BatchRunner inner loop.  GSS keeps the chunk count (and so

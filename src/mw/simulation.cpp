@@ -461,24 +461,9 @@ RunResult run_simulation(const Config& config, RunContext& context) {
     buf.worker_box_ptrs.clear();
     buf.engine.reset();
 
-    simx::Platform platform;
-    const simx::Host& master = platform.add_host("master", config.host_speed);
-    for (std::size_t i = 0; i < p; ++i) {
-      const double factor =
-          config.worker_speed_factors.empty() ? 1.0 : config.worker_speed_factors[i];
-      simx::Host& worker_host =
-          platform.add_host(simx::indexed_name("w", i), config.host_speed * factor);
-      if (!config.worker_speed_profiles.empty()) {
-        worker_host.set_speed_profile(config.worker_speed_profiles[i]);
-      }
-      const simx::Link& link =
-          platform.add_link(simx::indexed_name("l", i), config.bandwidth, config.latency);
-      // Index-based route registration: construction does no name
-      // lookups (the add_host/add_link duplicate checks are the only
-      // string comparisons left on this path).
-      platform.add_route(master, worker_host, link);
-    }
-    buf.engine.emplace(std::move(platform));
+    buf.engine.emplace(simx::make_star_platform(p, config.host_speed, config.bandwidth,
+                                                config.latency, config.worker_speed_factors,
+                                                config.worker_speed_profiles));
     buf.shape = PlatformShape{p,
                               config.host_speed,
                               config.bandwidth,
@@ -492,12 +477,12 @@ RunResult run_simulation(const Config& config, RunContext& context) {
   simx::Platform& plat = engine.platform();
   simx::Host& master_host = plat.host_at(0);
 
-  if (!buf.master_box.has_value()) buf.master_box.emplace(engine, "master", master_host);
+  if (!buf.master_box.has_value()) buf.master_box.emplace(engine, master_host);
   if (buf.worker_boxes.size() != p) {
     buf.worker_boxes.clear();
     buf.worker_box_ptrs.clear();
     for (std::size_t i = 0; i < p; ++i) {
-      buf.worker_boxes.emplace_back(engine, simx::indexed_name("w", i), plat.host_at(i + 1));
+      buf.worker_boxes.emplace_back(engine, plat.host_at(i + 1));
       buf.worker_box_ptrs.push_back(&buf.worker_boxes.back());
     }
   }
@@ -557,19 +542,21 @@ RunResult run_simulation(const Config& config, RunContext& context) {
   }
 
   engine.reserve_events(2 * p + 16);
-  engine.spawn("master", master_host,
-               [&shared](simx::Context& ctx) { return master_actor(ctx, shared); });
+  // Spawn index 0 is the master, spawn index i + 1 is worker i.
+  engine.spawn(master_host, [&shared](simx::Context& ctx) { return master_actor(ctx, shared); });
   for (std::size_t i = 0; i < p; ++i) {
-    engine.spawn(simx::indexed_name("worker", i), plat.host_at(i + 1),
-                 [&buf, i](simx::Context& ctx) {
-                   return worker_actor(ctx, buf.worker_states[i]);
-                 });
+    engine.spawn(plat.host_at(i + 1), [&buf, i](simx::Context& ctx) {
+      return worker_actor(ctx, buf.worker_states[i]);
+    });
   }
 
   const simx::SimTime makespan = engine.run();
   if (!engine.all_finished()) {
+    const std::size_t stuck = engine.unfinished_actors().front();
     throw std::runtime_error("simulation deadlock: actor '" +
-                             engine.unfinished_actors().front() + "' never finished");
+                             (stuck == 0 ? std::string("master")
+                                         : "worker" + std::to_string(stuck - 1)) +
+                             "' never finished");
   }
 
   RunResult result;
@@ -582,7 +569,7 @@ RunResult run_simulation(const Config& config, RunContext& context) {
   result.master_busy_time = engine.actor_times(0).computing;
   result.workers.resize(p);
   for (std::size_t i = 0; i < p; ++i) {
-    const simx::ActorTimes acc = engine.actor_times(i + 1);  // spawn order: master first
+    const simx::ActorTimes acc = engine.actor_times(i + 1);
     WorkerStats& w = result.workers[i];
     w.compute_time = acc.computing;
     w.wait_time = acc.waiting + (makespan - acc.finished_at);  // idle after finalization too

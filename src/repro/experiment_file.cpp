@@ -182,8 +182,13 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       else parse_error(line, "overhead must be 'analytic' or 'simulated'");
     } else if (key == "latency") {
       cfg.latency = to_double(value, line);
+      if (!(cfg.latency >= 0.0) || !std::isfinite(cfg.latency)) {
+        parse_error(line, "latency must be finite and >= 0");
+      }
     } else if (key == "bandwidth") {
+      // +inf is legal: transfers then cost only the latency.
       cfg.bandwidth = to_double(value, line);
+      if (!(cfg.bandwidth > 0.0)) parse_error(line, "bandwidth must be > 0");
     } else if (key == "css_chunk") {
       cfg.params.css_chunk = to_size(value, line);
     } else if (key == "gss_min") {
@@ -192,13 +197,20 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       cfg.use_rand48 = to_bool(value, line);
     } else if (key == "host_speed") {
       cfg.host_speed = to_double(value, line);
-      if (!(cfg.host_speed > 0.0)) parse_error(line, "host_speed must be > 0");
+      if (!(cfg.host_speed > 0.0) || !std::isfinite(cfg.host_speed)) {
+        parse_error(line, "host_speed must be finite and > 0");
+      }
     } else if (key == "request_bytes") {
       cfg.request_bytes = to_size(value, line);
     } else if (key == "reply_bytes") {
       cfg.reply_bytes = to_size(value, line);
     } else if (key == "speeds") {
       cfg.worker_speed_factors = to_double_list(value, line);
+      for (const double factor : cfg.worker_speed_factors) {
+        if (!(factor > 0.0) || !std::isfinite(factor)) {
+          parse_error(line, "speeds entries must be finite and > 0");
+        }
+      }
     } else if (key == "weights") {
       cfg.params.weights = to_double_list(value, line);
     } else if (key == "failures") {

@@ -11,7 +11,7 @@ namespace repro {
 
 /// Textual experiment description -- the "Application Information" +
 /// "Execution Information" side of paper Figure 2, complementing the
-/// platform/deployment files of simx.  Format (one `key value` pair per
+/// platform file of simx (simx::parse_platform).  Format (one `key value` pair per
 /// line, '#' comments):
 ///
 ///   technique FAC2            # STAT SS CSS FSC GSS TSS FAC FAC2 BOLD ...
@@ -24,8 +24,8 @@ namespace repro {
 ///   timesteps 1
 ///   seed      42
 ///   overhead  analytic        # or: simulated
-///   latency   1e-12
-///   bandwidth 1e21
+///   latency   1e-12           # finite, >= 0
+///   bandwidth 1e21            # > 0; inf means transfers cost only latency
 ///   css_chunk 0
 ///   gss_min   1
 ///   rand48    false
@@ -43,7 +43,7 @@ namespace repro {
 /// System-information extensions (the heterogeneity/resilience side of
 /// the Config space; all optional):
 ///
-///   host_speed    1e9             # reference PE speed [flops/s]
+///   host_speed    1e9             # reference PE speed [flops/s]; finite, > 0
 ///   request_bytes 64
 ///   reply_bytes   64
 ///   speeds        1,0.5,2         # per-worker relative speed factors
@@ -51,10 +51,11 @@ namespace repro {
 ///   failures      inf,3.5,inf     # per-worker fail-stop times [s]
 ///   profile1      0:1e9,5:0,10:1e9  # piecewise speed of worker 1 (t:flops,...)
 ///
-/// `speeds`/`failures` need one comma-separated entry per worker.  A
-/// `profile<i>` line gives worker i a piecewise-constant absolute speed
-/// (simx::SpeedProfile); workers without a profile line keep their
-/// constant speed host_speed * factor.
+/// `speeds`/`failures` need one comma-separated entry per worker; every
+/// `speeds` entry must be finite and > 0.  A `profile<i>` line gives
+/// worker i a piecewise-constant absolute speed (simx::SpeedProfile);
+/// workers without a profile line keep their constant speed
+/// host_speed * factor.
 ///
 /// A parsed experiment: the simulation Config plus the execution
 /// dimensions that live outside a single run.

@@ -26,7 +26,7 @@ Engine::~Engine() {
   }
 }
 
-std::unique_ptr<detail::ActorControl> Engine::acquire_control(std::string name, Host& host) {
+std::unique_ptr<detail::ActorControl> Engine::acquire_control(Host& host) {
   std::unique_ptr<detail::ActorControl> control;
   if (!spare_controls_.empty()) {
     control = std::move(spare_controls_.back());
@@ -42,7 +42,6 @@ std::unique_ptr<detail::ActorControl> Engine::acquire_control(std::string name, 
     control->engine = this;
     control->context = std::make_unique<Context>(*this, *control);
   }
-  control->name = std::move(name);
   control->host = &host;
   control->last_transition = now_;
   return control;
@@ -88,9 +87,9 @@ void Engine::reset() {
       control->handle.destroy();
       control->handle = {};
     }
-    // Recycle the bookkeeping: the next run's spawns reuse the control,
-    // its Context, and the name string's capacity instead of paying
-    // two allocations per actor per replica.
+    // Recycle the bookkeeping: the next run's spawns reuse the control
+    // and its Context instead of paying two allocations per actor per
+    // replica.
     spare_controls_.push_back(std::move(control));
   }
   actors_.clear();
@@ -125,34 +124,12 @@ bool Engine::all_finished() const {
   return true;
 }
 
-std::vector<std::string> Engine::unfinished_actors() const {
-  std::vector<std::string> names;
-  for (const auto& control : actors_) {
-    if (!control->finished) names.push_back(control->name);
+std::vector<std::size_t> Engine::unfinished_actors() const {
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < actors_.size(); ++i) {
+    if (!actors_[i]->finished) indices.push_back(i);
   }
-  return names;
-}
-
-std::vector<ActorAccounting> Engine::accounting() const {
-  std::vector<ActorAccounting> out;
-  out.reserve(actors_.size());
-  for (const auto& control : actors_) {
-    ActorAccounting& acc = out.emplace_back();
-    acc.name = control->name;
-    acc.host = control->host->name();
-    acc.finished = control->finished;
-    acc.finished_at = control->finished_at;
-    auto time_in = [&](ActorState s) {
-      double t = control->time_in(s);
-      if (control->state == s) t += now_ - control->last_transition;
-      return t;
-    };
-    acc.computing = time_in(ActorState::kComputing);
-    acc.communicating = time_in(ActorState::kCommunicating);
-    acc.sleeping = time_in(ActorState::kSleeping);
-    acc.waiting = time_in(ActorState::kWaitingRecv);
-  }
-  return out;
+  return indices;
 }
 
 }  // namespace simx

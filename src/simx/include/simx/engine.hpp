@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -63,7 +62,6 @@ namespace detail {
 
 /// Engine-side bookkeeping for one actor.
 struct ActorControl {
-  std::string name;
   Host* host = nullptr;
   Actor::Handle handle;
   std::unique_ptr<Context> context;
@@ -106,21 +104,8 @@ struct Actor::promise_type {
   }
 };
 
-/// Per-actor accounting snapshot (see Engine::accounting()).
-struct ActorAccounting {
-  std::string name;
-  std::string host;
-  bool finished = false;
-  SimTime finished_at = 0.0;
-  double computing = 0.0;
-  double communicating = 0.0;
-  double sleeping = 0.0;
-  double waiting = 0.0;
-};
-
-/// Allocation-free accounting for one actor (see Engine::actor_times):
-/// the numeric part of ActorAccounting without the name/host strings,
-/// for callers that read accounting once per run on a hot path.
+/// Accounting for one actor (see Engine::actor_times): whether and
+/// when it finished, and the virtual time it spent in each state.
 struct ActorTimes {
   bool finished = false;
   SimTime finished_at = 0.0;
@@ -179,7 +164,6 @@ class Context {
 
   [[nodiscard]] SimTime now() const;
   [[nodiscard]] Host& host() const { return *control_->host; }
-  [[nodiscard]] const std::string& name() const { return control_->name; }
   [[nodiscard]] Engine& engine() const { return *engine_; }
 
   /// Execute `flops` of work on this actor's host (MSG_task_execute).
@@ -233,6 +217,8 @@ class Engine {
 
   /// Create an actor on `host`; its body starts when run() is called
   /// (or immediately at the current virtual time if spawned mid-run).
+  /// Actors are known by their spawn index (0, 1, ... since the last
+  /// reset()), which actor_times() and unfinished_actors() use.
   ///
   /// Templated on the callable: the hot batch paths spawn 1 + P actors
   /// per replica, and going through std::function cost a type-erasure
@@ -240,10 +226,10 @@ class Engine {
   /// + Context) comes from an arena recycled across reset(), so a
   /// reused engine's spawns allocate nothing in steady state.
   template <typename Body>
-  Context& spawn(std::string name, Host& host, Body&& body) {
+  Context& spawn(Host& host, Body&& body) {
     static_assert(std::is_invocable_r_v<Actor, Body&, Context&>,
                   "an actor body is callable as Actor(Context&)");
-    std::unique_ptr<detail::ActorControl> control = acquire_control(std::move(name), host);
+    std::unique_ptr<detail::ActorControl> control = acquire_control(host);
     Actor actor = body(*control->context);
     return register_actor(std::move(control), actor.release());
   }
@@ -263,17 +249,15 @@ class Engine {
   /// events per in-flight worker; reserving avoids regrowth mid-run).
   void reserve_events(std::size_t count);
 
-  /// Actors that have not finished (e.g. blocked in recv forever).
-  [[nodiscard]] std::vector<std::string> unfinished_actors() const;
+  /// Spawn indices of the actors that have not finished (e.g. blocked
+  /// in recv forever), ascending.
+  [[nodiscard]] std::vector<std::size_t> unfinished_actors() const;
   /// Allocation-free "did every actor finish" check (the happy path of
   /// the post-run deadlock test).
   [[nodiscard]] bool all_finished() const;
-  /// Per-actor accounting, in spawn order.  Unfinished actors accrue
-  /// their current state up to now().
-  [[nodiscard]] std::vector<ActorAccounting> accounting() const;
   [[nodiscard]] std::size_t actor_count() const { return actors_.size(); }
-  /// Numeric accounting of the actor at `index` (spawn order) without
-  /// materializing name strings; same accrual rule as accounting().
+  /// Accounting of the actor with spawn index `index`.  An unfinished
+  /// actor accrues its current state up to now().
   [[nodiscard]] ActorTimes actor_times(std::size_t index) const;
 
   /// --- engine-internal API used by awaitables and mailboxes ---
@@ -306,8 +290,7 @@ class Engine {
   /// Arena-backed control acquisition (pops spare_controls_ or
   /// allocates) and spawn completion -- the non-template halves of
   /// spawn(), so the template stays a two-liner.
-  [[nodiscard]] std::unique_ptr<detail::ActorControl> acquire_control(std::string name,
-                                                                      Host& host);
+  [[nodiscard]] std::unique_ptr<detail::ActorControl> acquire_control(Host& host);
   Context& register_actor(std::unique_ptr<detail::ActorControl> control,
                           Actor::Handle handle);
 
@@ -316,9 +299,9 @@ class Engine {
   std::uint64_t sequence_ = 0;
   CalendarQueue events_;
   std::vector<std::unique_ptr<detail::ActorControl>> actors_;
-  /// Controls recycled by reset(): per-actor bookkeeping (control,
-  /// context, name capacity) is allocated once per engine lifetime,
-  /// not once per replica, when engines are reused across a batch.
+  /// Controls recycled by reset(): per-actor bookkeeping (control and
+  /// context) is allocated once per engine lifetime, not once per
+  /// replica, when engines are reused across a batch.
   std::vector<std::unique_ptr<detail::ActorControl>> spare_controls_;
   bool running_ = false;
 };

@@ -39,11 +39,10 @@ template <typename T>
 class Mailbox final : public MailboxBase {
  public:
   /// Creates a mailbox owned by the caller; `location` determines the
-  /// receive-side host for route cost computations.
-  Mailbox(Engine& engine, std::string name, Host& location)
-      : engine_(&engine), name_(std::move(name)), location_(&location) {}
+  /// receive-side host for route cost computations.  A mailbox is known
+  /// by its location's host index (errors name it that way).
+  Mailbox(Engine& engine, Host& location) : engine_(&engine), location_(&location) {}
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Host& location() const { return *location_; }
 
   /// Fire-and-forget send of `bytes` from host `src`; the message is
@@ -226,16 +225,19 @@ class Mailbox final : public MailboxBase {
         control.set_state(ActorState::kReady, mailbox->engine_->now());
       }
       if (!have) {
-        throw std::logic_error("Mailbox '" + mailbox->name_ +
-                               "': waiter woken without a message");
+        throw std::logic_error(mailbox->describe() + ": waiter woken without a message");
       }
       return std::move(value);
     }
   };
 
+  [[nodiscard]] std::string describe() const {
+    return "mailbox on host " + std::to_string(location_->index());
+  }
+
   void on_deliver() override {
     if (in_flight_head_ == in_flight_.size()) {
-      throw std::logic_error("Mailbox '" + name_ + "': delivery event without message");
+      throw std::logic_error(describe() + ": delivery event without message");
     }
     // The engine delivers in global (time, seq) order and the live
     // range is sorted by the same key, so the front *is* the delivered
@@ -267,7 +269,6 @@ class Mailbox final : public MailboxBase {
   }
 
   Engine* engine_;
-  std::string name_;
   Host* location_;
   std::vector<InFlight> in_flight_;  ///< live range [head, end) sorted by (at, seq)
   std::size_t in_flight_head_ = 0;

@@ -2,7 +2,7 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -26,21 +26,15 @@ struct SpeedProfile {
   [[nodiscard]] bool operator==(const SpeedProfile&) const = default;
 };
 
-/// Process-wide interned "<prefix><index>" name ("w0", "l17", ...).
-/// The returned reference stays valid for the process lifetime.  Star
-/// platforms and mailboxes are rebuilt for every simulated run; the
-/// numbered name strings are shared across all of them instead of being
-/// re-concatenated per run.  Thread-safe.
-[[nodiscard]] const std::string& indexed_name(std::string_view prefix, std::size_t index);
-
 /// A processing element of the simulated platform (paper Figure 2:
 /// "Hosts: Speed, Number of Cores").  A PE in this work is a single
-/// computing core (paper Section II).
+/// computing core (paper Section II).  A host is known by its index:
+/// its position in the order the platform added it.
 class Host {
  public:
-  Host(std::string name, double speed_flops, std::size_t index);
+  /// Throws std::invalid_argument unless speed_flops is finite and > 0.
+  Host(double speed_flops, std::size_t index);
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   /// Nominal speed in flops/s (the first profile segment).
   [[nodiscard]] double speed() const;
   [[nodiscard]] std::size_t index() const { return index_; }
@@ -70,22 +64,14 @@ class Host {
  private:
   [[nodiscard]] SimTime finish_time_profiled(SimTime start, double flops) const;
 
-  std::string name_;
   std::size_t index_;
   SpeedProfile profile_;
 };
 
-/// A network link with a latency/bandwidth cost model (paper Figure 2:
-/// "Network: Bandwidth, Latency, Topology").
-struct Link {
-  std::string name;
-  double bandwidth = 0.0;  ///< bytes/s
-  SimTime latency = 0.0;   ///< seconds
-};
-
-/// The simulated system: hosts, links and routes.  This is the in-memory
-/// form of the paper's "SimGrid-MSG platform file"; parse_platform()
-/// reads the textual form.
+/// The simulated system: hosts, links and routes, all addressed by
+/// index (insertion order).  This is the in-memory form of the paper's
+/// "SimGrid-MSG platform file"; parse_platform() reads the textual form
+/// and is the only place that knows host and link names.
 ///
 /// Message cost model: a transfer of b bytes along a route traverses all
 /// its links store-free, costing sum(latencies) + b / min(bandwidths).
@@ -101,31 +87,33 @@ class Platform {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
-  Host& add_host(const std::string& name, double speed_flops);
-  Link& add_link(const std::string& name, double bandwidth, SimTime latency);
-  /// Register a bidirectional route between two hosts over the named
-  /// links.  Re-registering a pair overwrites the previous route.
-  void add_route(const std::string& host_a, const std::string& host_b,
-                 const std::vector<std::string>& link_names);
-  /// Index-based single-link route registration: the construction fast
-  /// path for generated topologies (star builders, the mw serve loop),
-  /// which already hold the Host&/Link& returned by add_host/add_link
-  /// and should not re-resolve them by name.
-  void add_route(const Host& host_a, const Host& host_b, const Link& link);
+  /// Append a host; its index is the previous host_count().  The
+  /// reference stays valid for the platform's lifetime, also across a
+  /// move of the platform (into an Engine).
+  Host& add_host(double speed_flops);
+  /// Append a network link (paper Figure 2: "Network: Bandwidth,
+  /// Latency, Topology") and return its index.  Bandwidth is in bytes/s
+  /// and must be > 0; +inf makes transfers cost only the latency.
+  /// Latency is in seconds and must be finite and >= 0.  Throws
+  /// std::invalid_argument otherwise.
+  std::size_t add_link(double bandwidth, SimTime latency);
+  /// Register a bidirectional route between hosts `host_a` and `host_b`
+  /// over the given links (at least one).  Re-registering a pair
+  /// overwrites the previous route.  Throws std::invalid_argument on an
+  /// index out of range.
+  void add_route(std::size_t host_a, std::size_t host_b, std::span<const std::size_t> links);
 
-  [[nodiscard]] Host& host(std::string_view name);
-  [[nodiscard]] const Host& host(std::string_view name) const;
-  [[nodiscard]] bool has_host(std::string_view name) const;
-  [[nodiscard]] Link& link(std::string_view name);
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
   [[nodiscard]] Host& host_at(std::size_t index) { return *hosts_.at(index); }
+  [[nodiscard]] const Host& host_at(std::size_t index) const { return *hosts_.at(index); }
 
   /// Time to move `bytes` from `src` to `dst`.  Same-host transfers are
   /// free.  Throws std::runtime_error if no route is registered.
   [[nodiscard]] SimTime comm_time(const Host& src, const Host& dst, std::size_t bytes) const;
 
  private:
+  /// The cost of one link, or of a whole route over several links.
   struct RouteCost {
     SimTime latency = 0.0;
     double bandwidth = 0.0;  ///< > 0 for a registered route (add_link validates)
@@ -142,49 +130,35 @@ class Platform {
 
   void set_route_cost(std::size_t from, std::size_t to, RouteCost cost);
 
-  std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<std::unique_ptr<Link>> links_;
-  /// Host/link indices kept sorted by name: flat binary-search lookup
-  /// replaces the node-based std::map (construction-time only paths).
-  std::vector<std::size_t> hosts_by_name_;
-  std::vector<std::size_t> links_by_name_;
+  std::vector<std::unique_ptr<Host>> hosts_;  ///< boxed: Host& outlives a Platform move
+  std::vector<RouteCost> links_;
   std::vector<RouteRow> routes_;  ///< indexed by host index
 };
 
-/// Convenience constructors for the topologies used by the experiments.
-
-/// Star platform of paper Figure 1: one "master" host plus `workers`
-/// hosts "w0".."w<n-1>", each connected to the master by a private link
-/// with the given bandwidth/latency.  All hosts run at `speed` flops/s.
+/// Star platform of paper Figure 1, the one topology the experiments
+/// build: host 0 is the master, host i + 1 is worker i, and link i
+/// joins worker i to the master with the given bandwidth/latency.  The
+/// master runs at `speed`; worker i runs at speed * speed_factors[i]
+/// (or `speed` when speed_factors is empty) and, when speed_profiles is
+/// non-empty, follows speed_profiles[i] instead.  Each non-empty list
+/// must have one entry per worker.
 [[nodiscard]] Platform make_star_platform(std::size_t workers, double speed, double bandwidth,
-                                          SimTime latency);
-
-/// The BOLD-reproduction platform: a star whose network is effectively
-/// free ("setting the network parameters bandwidth to a very high value
-/// and the latency to a very low value.  This simulates no costs for
-/// communication", paper Section III-B).
-[[nodiscard]] Platform make_null_network_platform(std::size_t workers, double speed = 1e9);
+                                          SimTime latency,
+                                          std::span<const double> speed_factors = {},
+                                          std::span<const SpeedProfile> speed_profiles = {});
 
 /// Parse the textual platform description (the analog of the paper's
-/// SimGrid platform file):
+/// SimGrid platform file).  Hosts and links take indices in file order;
+/// names are resolved here and not kept:
 ///
 ///   # comment
 ///   host <name> speed=<flops> [profile=<t0>:<s0>,<t1>:<s1>,...]
 ///   link <name> bandwidth=<bytes/s> latency=<s>
 ///   route <hostA> <hostB> <link> [<link>...]
 ///
-/// Throws std::invalid_argument with a line number on malformed input.
+/// A route may only name hosts and links declared on earlier lines.
+/// Throws std::invalid_argument with a line number on malformed input,
+/// a duplicate host or link name, or a route over an unknown name.
 [[nodiscard]] Platform parse_platform(std::string_view text);
-
-/// A deployment maps actor functions to hosts with string arguments
-/// (the analog of the paper's SimGrid-MSG deployment file):
-///
-///   actor <host> <function> [arg...]
-struct DeploymentEntry {
-  std::string host;
-  std::string function;
-  std::vector<std::string> args;
-};
-[[nodiscard]] std::vector<DeploymentEntry> parse_deployment(std::string_view text);
 
 }  // namespace simx

@@ -1,112 +1,15 @@
 #include "simx/platform.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace simx {
-
-namespace {
-
-/// Lock-free interner storage for one prefix: geometrically sized
-/// blocks of eagerly built "<prefix><i>" strings.  Block b holds
-/// 64 << b entries starting at index (2^b - 1) * 64; blocks are never
-/// moved or freed while the process lives, so returned references are
-/// stable.  Readers take no lock at all: `published` is stored with
-/// release order after a whole block of strings is constructed, and an
-/// acquire load of it makes those strings (and the block pointer)
-/// visible.  Writers serialize on `grow_mutex`.
-struct PrefixTable {
-  static constexpr std::size_t kBlockShift = 6;  // block 0 holds 64 strings
-  static constexpr std::size_t kBlocks = 48;
-
-  std::atomic<std::size_t> published{0};
-  std::array<std::atomic<std::string*>, kBlocks> blocks{};
-  std::mutex grow_mutex;
-  std::string prefix;
-
-  static std::pair<std::size_t, std::size_t> locate(std::size_t index) {
-    const std::size_t slot = (index >> kBlockShift) + 1;
-    const std::size_t block = static_cast<std::size_t>(std::bit_width(slot)) - 1;
-    const std::size_t block_start = ((std::size_t{1} << block) - 1) << kBlockShift;
-    return {block, index - block_start};
-  }
-
-  const std::string& get(std::size_t index) {
-    if (index >= published.load(std::memory_order_acquire)) grow_to(index);
-    const auto [block, offset] = locate(index);
-    return blocks[block].load(std::memory_order_relaxed)[offset];
-  }
-
-  void grow_to(std::size_t index) {
-    std::lock_guard<std::mutex> lock(grow_mutex);
-    std::size_t count = published.load(std::memory_order_relaxed);
-    while (count <= index) {
-      const auto [block, offset] = locate(count);
-      static_cast<void>(offset);
-      const std::size_t block_size = std::size_t{1} << (kBlockShift + block);
-      std::string* strings = new std::string[block_size];
-      for (std::size_t i = 0; i < block_size; ++i) {
-        strings[i] = prefix + std::to_string(count + i);
-      }
-      blocks[block].store(strings, std::memory_order_relaxed);
-      count += block_size;
-    }
-    // Publish whole blocks at once; the release pairs with the acquire
-    // in get() to make the block pointers and string contents visible.
-    published.store(count, std::memory_order_release);
-  }
-
-  ~PrefixTable() {
-    for (std::atomic<std::string*>& block : blocks) {
-      delete[] block.load(std::memory_order_relaxed);
-    }
-  }
-};
-
-PrefixTable& prefix_table(std::string_view prefix) {
-  // Thread-local cache of resolved prefixes: the steady-state lookup
-  // ("w", "l", "worker") is a short linear scan with zero shared state.
-  struct CacheEntry {
-    std::string prefix;
-    PrefixTable* table;
-  };
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& entry : cache) {
-    if (entry.prefix == prefix) return *entry.table;
-  }
-  static std::mutex registry_mutex;
-  static std::vector<std::unique_ptr<PrefixTable>>* registry =
-      new std::vector<std::unique_ptr<PrefixTable>>();  // leaked: references outlive statics
-  std::lock_guard<std::mutex> lock(registry_mutex);
-  PrefixTable* table = nullptr;
-  for (const std::unique_ptr<PrefixTable>& t : *registry) {
-    if (t->prefix == prefix) {
-      table = t.get();
-      break;
-    }
-  }
-  if (table == nullptr) {
-    registry->push_back(std::make_unique<PrefixTable>());
-    table = registry->back().get();
-    table->prefix = std::string(prefix);
-  }
-  cache.push_back(CacheEntry{std::string(prefix), table});
-  return *table;
-}
-
-}  // namespace
-
-const std::string& indexed_name(std::string_view prefix, std::size_t index) {
-  return prefix_table(prefix).get(index);
-}
 
 void SpeedProfile::validate() const {
   if (time_points.empty() || time_points.size() != speeds.size()) {
@@ -127,9 +30,10 @@ void SpeedProfile::validate() const {
   }
 }
 
-Host::Host(std::string name, double speed_flops, std::size_t index)
-    : name_(std::move(name)), index_(index) {
-  if (!(speed_flops > 0.0)) throw std::invalid_argument("Host: speed must be > 0");
+Host::Host(double speed_flops, std::size_t index) : index_(index) {
+  if (!(speed_flops > 0.0) || !std::isfinite(speed_flops)) {
+    throw std::invalid_argument("Host: speed must be finite and > 0");
+  }
   profile_.time_points = {0.0};
   profile_.speeds = {speed_flops};
 }
@@ -159,56 +63,27 @@ SimTime Host::finish_time_profiled(SimTime start, double flops) const {
       remaining -= speed * (seg_end - t);
     }
     if (last) {
-      throw std::runtime_error("Host '" + name_ +
-                               "': work cannot finish (zero speed to infinity)");
+      throw std::runtime_error("host " + std::to_string(index_) +
+                               ": work cannot finish (zero speed to infinity)");
     }
     t = seg_end;
     ++seg;
   }
 }
 
-namespace {
-
-const std::string& item_name(const Host& h) { return h.name(); }
-const std::string& item_name(const Link& l) { return l.name; }
-
-/// Binary search in an index vector kept sorted by element name.
-/// Returns the insertion position; *found tells whether the name is
-/// already present there.
-template <typename Owned>
-std::size_t name_position(const std::vector<std::size_t>& sorted,
-                          const std::vector<std::unique_ptr<Owned>>& items,
-                          std::string_view name, bool* found) {
-  const auto it = std::lower_bound(
-      sorted.begin(), sorted.end(), name,
-      [&](std::size_t index, std::string_view key) { return item_name(*items[index]) < key; });
-  *found = it != sorted.end() && item_name(*items[*it]) == name;
-  return static_cast<std::size_t>(it - sorted.begin());
-}
-
-}  // namespace
-
-Host& Platform::add_host(const std::string& name, double speed_flops) {
-  bool found = false;
-  const std::size_t pos = name_position(hosts_by_name_, hosts_, name, &found);
-  if (found) throw std::invalid_argument("duplicate host: " + name);
-  hosts_.push_back(std::make_unique<Host>(name, speed_flops, hosts_.size()));
-  hosts_by_name_.insert(hosts_by_name_.begin() + static_cast<std::ptrdiff_t>(pos),
-                        hosts_.size() - 1);
+Host& Platform::add_host(double speed_flops) {
+  hosts_.push_back(std::make_unique<Host>(speed_flops, hosts_.size()));
   routes_.emplace_back();
   return *hosts_.back();
 }
 
-Link& Platform::add_link(const std::string& name, double bandwidth, SimTime latency) {
-  bool found = false;
-  const std::size_t pos = name_position(links_by_name_, links_, name, &found);
-  if (found) throw std::invalid_argument("duplicate link: " + name);
+std::size_t Platform::add_link(double bandwidth, SimTime latency) {
   if (!(bandwidth > 0.0)) throw std::invalid_argument("link bandwidth must be > 0");
-  if (latency < 0.0) throw std::invalid_argument("link latency must be >= 0");
-  links_.push_back(std::make_unique<Link>(Link{name, bandwidth, latency}));
-  links_by_name_.insert(links_by_name_.begin() + static_cast<std::ptrdiff_t>(pos),
-                        links_.size() - 1);
-  return *links_.back();
+  if (!(latency >= 0.0) || !std::isfinite(latency)) {
+    throw std::invalid_argument("link latency must be finite and >= 0");
+  }
+  links_.push_back(RouteCost{latency, bandwidth});
+  return links_.size() - 1;
 }
 
 void Platform::set_route_cost(std::size_t from, std::size_t to, RouteCost cost) {
@@ -227,53 +102,22 @@ void Platform::set_route_cost(std::size_t from, std::size_t to, RouteCost cost) 
   row.costs[to - row.base] = cost;
 }
 
-void Platform::add_route(const std::string& host_a, const std::string& host_b,
-                         const std::vector<std::string>& link_names) {
-  if (link_names.empty()) throw std::invalid_argument("route needs at least one link");
-  RouteCost cost;
-  cost.bandwidth = std::numeric_limits<double>::infinity();
-  for (const std::string& ln : link_names) {
-    const Link& l = link(ln);
-    cost.latency += l.latency;
-    cost.bandwidth = std::min(cost.bandwidth, l.bandwidth);
+void Platform::add_route(std::size_t host_a, std::size_t host_b,
+                         std::span<const std::size_t> links) {
+  if (links.empty()) throw std::invalid_argument("route needs at least one link");
+  if (host_a >= hosts_.size() || host_b >= hosts_.size()) {
+    throw std::invalid_argument("route names a host index out of range");
   }
-  const std::size_t a = host(host_a).index();
-  const std::size_t b = host(host_b).index();
-  set_route_cost(a, b, cost);
-  set_route_cost(b, a, cost);
-}
-
-void Platform::add_route(const Host& host_a, const Host& host_b, const Link& link) {
-  const RouteCost cost{link.latency, link.bandwidth};
-  set_route_cost(host_a.index(), host_b.index(), cost);
-  set_route_cost(host_b.index(), host_a.index(), cost);
-}
-
-Host& Platform::host(std::string_view name) {
-  bool found = false;
-  const std::size_t pos = name_position(hosts_by_name_, hosts_, name, &found);
-  if (!found) throw std::invalid_argument("unknown host: " + std::string(name));
-  return *hosts_[hosts_by_name_[pos]];
-}
-
-const Host& Platform::host(std::string_view name) const {
-  bool found = false;
-  const std::size_t pos = name_position(hosts_by_name_, hosts_, name, &found);
-  if (!found) throw std::invalid_argument("unknown host: " + std::string(name));
-  return *hosts_[hosts_by_name_[pos]];
-}
-
-bool Platform::has_host(std::string_view name) const {
-  bool found = false;
-  static_cast<void>(name_position(hosts_by_name_, hosts_, name, &found));
-  return found;
-}
-
-Link& Platform::link(std::string_view name) {
-  bool found = false;
-  const std::size_t pos = name_position(links_by_name_, links_, name, &found);
-  if (!found) throw std::invalid_argument("unknown link: " + std::string(name));
-  return *links_[links_by_name_[pos]];
+  RouteCost cost{0.0, std::numeric_limits<double>::infinity()};
+  for (const std::size_t index : links) {
+    if (index >= links_.size()) {
+      throw std::invalid_argument("route names a link index out of range");
+    }
+    cost.latency += links_[index].latency;
+    cost.bandwidth = std::min(cost.bandwidth, links_[index].bandwidth);
+  }
+  set_route_cost(host_a, host_b, cost);
+  set_route_cost(host_b, host_a, cost);
 }
 
 SimTime Platform::comm_time(const Host& src, const Host& dst, std::size_t bytes) const {
@@ -282,29 +126,29 @@ SimTime Platform::comm_time(const Host& src, const Host& dst, std::size_t bytes)
   const std::size_t peer = dst.index();
   if (peer < row.base || peer - row.base >= row.costs.size() ||
       !(row.costs[peer - row.base].bandwidth > 0.0)) {
-    throw std::runtime_error("no route between '" + src.name() + "' and '" + dst.name() + "'");
+    throw std::runtime_error("no route between hosts " + std::to_string(src.index()) + " and " +
+                             std::to_string(peer));
   }
   const RouteCost& cost = row.costs[peer - row.base];
   return cost.latency + static_cast<double>(bytes) / cost.bandwidth;
 }
 
 Platform make_star_platform(std::size_t workers, double speed, double bandwidth,
-                            SimTime latency) {
+                            SimTime latency, std::span<const double> speed_factors,
+                            std::span<const SpeedProfile> speed_profiles) {
+  if ((!speed_factors.empty() && speed_factors.size() != workers) ||
+      (!speed_profiles.empty() && speed_profiles.size() != workers)) {
+    throw std::invalid_argument("star platform: per-worker lists need one entry per worker");
+  }
   Platform p;
-  const Host& master = p.add_host("master", speed);
+  p.add_host(speed);
   for (std::size_t i = 0; i < workers; ++i) {
-    const Host& host = p.add_host(indexed_name("w", i), speed);
-    const Link& link = p.add_link(indexed_name("l", i), bandwidth, latency);
-    p.add_route(master, host, link);
+    Host& host = p.add_host(speed_factors.empty() ? speed : speed * speed_factors[i]);
+    if (!speed_profiles.empty()) host.set_speed_profile(speed_profiles[i]);
+    const std::size_t link = p.add_link(bandwidth, latency);
+    p.add_route(0, host.index(), {&link, 1});
   }
   return p;
-}
-
-Platform make_null_network_platform(std::size_t workers, double speed) {
-  // "Very high" bandwidth and "very low" latency per paper Section III-B;
-  // the values below make every message cost ~1e-12 s, far below any
-  // task or overhead time scale in the reproduced experiments.
-  return make_star_platform(workers, speed, /*bandwidth=*/1e21, /*latency=*/1e-12);
 }
 
 namespace {
@@ -353,17 +197,63 @@ SpeedProfile parse_profile(const std::string& text, std::size_t line_no) {
   return profile;
 }
 
+/// A name declared on a host or link line.  The parser resolves route
+/// names against a table of these sorted once by (name, line): a flat
+/// binary search, built in O(n log n) however many hosts the file has.
+struct Declared {
+  std::string name;
+  std::size_t index = 0;  ///< host or link index
+  std::size_t line = 0;
+};
+
+/// Sort `table` and reject the earliest line that re-declares a name.
+void sort_declared(std::vector<Declared>& table, const char* kind) {
+  std::sort(table.begin(), table.end(), [](const Declared& a, const Declared& b) {
+    return a.name != b.name ? a.name < b.name : a.line < b.line;
+  });
+  const Declared* duplicate = nullptr;
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    if (table[i].name == table[i - 1].name &&
+        (duplicate == nullptr || table[i].line < duplicate->line)) {
+      duplicate = &table[i];
+    }
+  }
+  if (duplicate != nullptr) {
+    parse_error(duplicate->line, std::string("duplicate ") + kind + ": " + duplicate->name);
+  }
+}
+
+/// Index of `name` as declared on a line before `line_no`.
+std::size_t resolve(const std::vector<Declared>& table, const std::string& name,
+                    std::size_t line_no, const char* kind) {
+  const auto it = std::lower_bound(
+      table.begin(), table.end(), name,
+      [](const Declared& d, const std::string& key) { return d.name < key; });
+  if (it == table.end() || it->name != name || it->line > line_no) {
+    parse_error(line_no, std::string("unknown ") + kind + ": " + name);
+  }
+  return it->index;
+}
+
+struct RouteLine {
+  std::vector<std::string> tokens;  ///< "route" <hostA> <hostB> <link>...
+  std::size_t line = 0;
+};
+
 }  // namespace
 
 Platform parse_platform(std::string_view text) {
   Platform platform;
+  std::vector<Declared> hosts;
+  std::vector<Declared> links;
+  std::vector<RouteLine> routes;
   std::istringstream is{std::string(text)};
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-    const std::vector<std::string> tok = tokenize(line);
+    std::vector<std::string> tok = tokenize(line);
     if (tok.empty()) continue;
     if (tok[0] == "host") {
       if (tok.size() < 3) parse_error(line_no, "host needs: host <name> speed=<flops>");
@@ -375,8 +265,16 @@ Platform parse_platform(std::string_view text) {
         else parse_error(line_no, "unknown host attribute: " + tok[i]);
       }
       if (!speed) parse_error(line_no, "host is missing speed=");
-      Host& h = platform.add_host(tok[1], parse_double(*speed, line_no));
-      if (profile) h.set_speed_profile(parse_profile(*profile, line_no));
+      const double flops = parse_double(*speed, line_no);
+      std::optional<SpeedProfile> segments;
+      if (profile) segments = parse_profile(*profile, line_no);
+      try {
+        Host& h = platform.add_host(flops);
+        if (segments) h.set_speed_profile(std::move(*segments));
+        hosts.push_back(Declared{std::move(tok[1]), h.index(), line_no});
+      } catch (const std::invalid_argument& e) {
+        parse_error(line_no, e.what());
+      }
     } else if (tok[0] == "link") {
       if (tok.size() != 4) {
         parse_error(line_no, "link needs: link <name> bandwidth=<bytes/s> latency=<s>");
@@ -389,37 +287,35 @@ Platform parse_platform(std::string_view text) {
         else parse_error(line_no, "unknown link attribute: " + tok[i]);
       }
       if (!bw || !lat) parse_error(line_no, "link needs bandwidth= and latency=");
-      platform.add_link(tok[1], parse_double(*bw, line_no), parse_double(*lat, line_no));
-    } else if (tok[0] == "route") {
-      if (tok.size() < 4) parse_error(line_no, "route needs: route <hostA> <hostB> <link>...");
+      const double bandwidth = parse_double(*bw, line_no);
+      const double latency = parse_double(*lat, line_no);
       try {
-        platform.add_route(tok[1], tok[2], {tok.begin() + 3, tok.end()});
-      } catch (const std::exception& e) {
+        const std::size_t index = platform.add_link(bandwidth, latency);
+        links.push_back(Declared{std::move(tok[1]), index, line_no});
+      } catch (const std::invalid_argument& e) {
         parse_error(line_no, e.what());
       }
+    } else if (tok[0] == "route") {
+      if (tok.size() < 4) parse_error(line_no, "route needs: route <hostA> <hostB> <link>...");
+      routes.push_back(RouteLine{std::move(tok), line_no});
     } else {
       parse_error(line_no, "unknown directive: " + tok[0]);
     }
   }
-  return platform;
-}
 
-std::vector<DeploymentEntry> parse_deployment(std::string_view text) {
-  std::vector<DeploymentEntry> entries;
-  std::istringstream is{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-    const std::vector<std::string> tok = tokenize(line);
-    if (tok.empty()) continue;
-    if (tok[0] != "actor" || tok.size() < 3) {
-      parse_error(line_no, "deployment lines are: actor <host> <function> [arg...]");
+  sort_declared(hosts, "host");
+  sort_declared(links, "link");
+  std::vector<std::size_t> route_links;
+  for (const RouteLine& route : routes) {
+    route_links.clear();
+    for (std::size_t i = 3; i < route.tokens.size(); ++i) {
+      route_links.push_back(resolve(links, route.tokens[i], route.line, "link"));
     }
-    entries.push_back(DeploymentEntry{tok[1], tok[2], {tok.begin() + 3, tok.end()}});
+    const std::size_t a = resolve(hosts, route.tokens[1], route.line, "host");
+    const std::size_t b = resolve(hosts, route.tokens[2], route.line, "host");
+    platform.add_route(a, b, route_links);
   }
-  return entries;
+  return platform;
 }
 
 }  // namespace simx

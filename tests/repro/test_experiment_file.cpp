@@ -231,6 +231,21 @@ TEST(ExperimentFile, ExtensionsValidatePerWorkerSizes) {
                std::invalid_argument);  // profile must start at t = 0
   EXPECT_THROW((void)repro::parse_experiment(std::string(base) + "profileX 0:1e9\n"),
                std::invalid_argument);
+  // Non-finite or non-positive network and speed values are rejected
+  // on their own line, not left to produce a NaN makespan.
+  for (const char* line :
+       {"latency nan\n", "latency inf\n", "latency -1\n", "bandwidth nan\n", "bandwidth 0\n",
+        "bandwidth -1\n", "host_speed inf\n", "host_speed nan\n", "speeds 1,inf,1\n",
+        "speeds 1,nan,1\n", "speeds 1,0,1\n", "speeds 1,-2,1\n"}) {
+    try {
+      (void)repro::parse_experiment(std::string(base) + line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos) << e.what();
+    }
+  }
+  // An infinite bandwidth is legal: transfers then cost only latency.
+  EXPECT_TRUE(std::isinf(repro::parse_experiment(std::string(base) + "bandwidth inf\n").bandwidth));
 }
 
 TEST(ExperimentFile, ParseErrorsNameTheOffendingLine) {

@@ -7,16 +7,18 @@
 
 namespace {
 
-using simx::ActorAccounting;
+using simx::ActorTimes;
 using simx::Context;
 using simx::Engine;
 using simx::Platform;
 
 Platform one_host() {
   Platform p;
-  p.add_host("h", 1e9);
+  p.add_host(1e9);
   return p;
 }
+
+simx::Host& the_host(Engine& engine) { return engine.platform().host_at(0); }
 
 // ----------------------------- actor bodies (free coroutine functions)
 
@@ -61,8 +63,7 @@ simx::Actor thrower(Context& ctx, SleepState& st) {
 TEST(Engine, SleepAdvancesVirtualClock) {
   Engine engine(one_host());
   SleepState st{2.5, -1.0};
-  engine.spawn("s", engine.platform().host("h"),
-               [&st](Context& ctx) { return sleeper(ctx, st); });
+  engine.spawn(the_host(engine), [&st](Context& ctx) { return sleeper(ctx, st); });
   const double makespan = engine.run();
   EXPECT_DOUBLE_EQ(makespan, 2.5);
   EXPECT_DOUBLE_EQ(st.woke_at, 2.5);
@@ -71,8 +72,7 @@ TEST(Engine, SleepAdvancesVirtualClock) {
 TEST(Engine, ExecuteUsesHostSpeed) {
   Engine engine(one_host());  // 1e9 flops/s
   ExecState st{3e9, -1.0};
-  engine.spawn("e", engine.platform().host("h"),
-               [&st](Context& ctx) { return executor(ctx, st); });
+  engine.spawn(the_host(engine), [&st](Context& ctx) { return executor(ctx, st); });
   engine.run();
   EXPECT_DOUBLE_EQ(st.finished_at, 3.0);
 }
@@ -80,15 +80,14 @@ TEST(Engine, ExecuteUsesHostSpeed) {
 TEST(Engine, ExecuteAccountsComputingTime) {
   Engine engine(one_host());
   ExecState st{2e9, -1.0};
-  engine.spawn("e", engine.platform().host("h"),
-               [&st](Context& ctx) { return executor(ctx, st); });
+  engine.spawn(the_host(engine), [&st](Context& ctx) { return executor(ctx, st); });
   engine.run();
-  const std::vector<ActorAccounting> acc = engine.accounting();
-  ASSERT_EQ(acc.size(), 1u);
-  EXPECT_DOUBLE_EQ(acc[0].computing, 2.0);
-  EXPECT_DOUBLE_EQ(acc[0].waiting, 0.0);
-  EXPECT_TRUE(acc[0].finished);
-  EXPECT_DOUBLE_EQ(acc[0].finished_at, 2.0);
+  ASSERT_EQ(engine.actor_count(), 1u);
+  const ActorTimes acc = engine.actor_times(0);
+  EXPECT_DOUBLE_EQ(acc.computing, 2.0);
+  EXPECT_DOUBLE_EQ(acc.waiting, 0.0);
+  EXPECT_TRUE(acc.finished);
+  EXPECT_DOUBLE_EQ(acc.finished_at, 2.0);
 }
 
 TEST(Engine, ActorsInterleaveInTimeOrder) {
@@ -96,10 +95,7 @@ TEST(Engine, ActorsInterleaveInTimeOrder) {
   std::vector<int> order;
   TraceState a{3.0, 1, &order}, b{1.0, 2, &order}, c{2.0, 3, &order};
   for (TraceState* st : {&a, &b, &c}) {
-    std::string name = "t";
-    name += std::to_string(st->id);
-    engine.spawn(name, engine.platform().host("h"),
-                 [st](Context& ctx) { return tracer(ctx, *st); });
+    engine.spawn(the_host(engine), [st](Context& ctx) { return tracer(ctx, *st); });
   }
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
@@ -110,10 +106,7 @@ TEST(Engine, SimultaneousEventsFireInSpawnOrder) {
   std::vector<int> order;
   TraceState a{1.0, 1, &order}, b{1.0, 2, &order}, c{1.0, 3, &order};
   for (TraceState* st : {&a, &b, &c}) {
-    std::string name = "t";
-    name += std::to_string(st->id);
-    engine.spawn(name, engine.platform().host("h"),
-                 [st](Context& ctx) { return tracer(ctx, *st); });
+    engine.spawn(the_host(engine), [st](Context& ctx) { return tracer(ctx, *st); });
   }
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -129,8 +122,7 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
       states.push_back(TraceState{static_cast<double>((i * 7) % 5), i, &order});
     }
     for (auto& st : states) {
-      engine.spawn("t", engine.platform().host("h"),
-                   [&st](Context& ctx) { return tracer(ctx, st); });
+      engine.spawn(the_host(engine), [&st](Context& ctx) { return tracer(ctx, st); });
     }
     engine.run();
     return order;
@@ -141,15 +133,14 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
 TEST(Engine, ActorExceptionPropagatesFromRun) {
   Engine engine(one_host());
   SleepState st{1.0, -1.0};
-  engine.spawn("boom", engine.platform().host("h"),
-               [&st](Context& ctx) { return thrower(ctx, st); });
+  engine.spawn(the_host(engine), [&st](Context& ctx) { return thrower(ctx, st); });
   EXPECT_THROW(engine.run(), std::runtime_error);
 }
 
 TEST(Engine, UnfinishedActorsAreReported) {
   Platform p = one_host();
   Engine engine(std::move(p));
-  simx::Mailbox<int> mb(engine, "mb", engine.platform().host("h"));
+  simx::Mailbox<int> mb(engine, the_host(engine));
   struct WaitState {
     simx::Mailbox<int>* mb;
   } wst{&mb};
@@ -158,24 +149,22 @@ TEST(Engine, UnfinishedActorsAreReported) {
       (void)co_await st.mb->recv(ctx);
     }
   };
-  engine.spawn("stuck", engine.platform().host("h"),
-               [&wst](Context& ctx) { return Body::wait_forever(ctx, wst); });
+  engine.spawn(the_host(engine), [&wst](Context& ctx) { return Body::wait_forever(ctx, wst); });
   engine.run();  // no events: returns immediately at t=0... the initial
                  // resume runs the actor into recv, then nothing wakes it
   const auto stuck = engine.unfinished_actors();
   ASSERT_EQ(stuck.size(), 1u);
-  EXPECT_EQ(stuck[0], "stuck");
+  EXPECT_EQ(stuck[0], 0u);  // the spawn index
 }
 
 TEST(Engine, ZeroDurationActivitiesCostNothing) {
   Engine engine(one_host());
   ExecState st{0.0, -1.0};
-  engine.spawn("z", engine.platform().host("h"),
-               [&st](Context& ctx) { return executor(ctx, st); });
+  engine.spawn(the_host(engine), [&st](Context& ctx) { return executor(ctx, st); });
   const double makespan = engine.run();
   EXPECT_DOUBLE_EQ(makespan, 0.0);
   EXPECT_DOUBLE_EQ(st.finished_at, 0.0);
-  EXPECT_DOUBLE_EQ(engine.accounting()[0].computing, 0.0);
+  EXPECT_DOUBLE_EQ(engine.actor_times(0).computing, 0.0);
 }
 
 TEST(Engine, NegativeDurationsRejected) {
@@ -185,8 +174,7 @@ TEST(Engine, NegativeDurationsRejected) {
       co_await ctx.sleep_for(-1.0);
     }
   };
-  engine.spawn("n", engine.platform().host("h"),
-               [](Context& ctx) { return Body::negative_sleep(ctx); });
+  engine.spawn(the_host(engine), [](Context& ctx) { return Body::negative_sleep(ctx); });
   EXPECT_THROW(engine.run(), std::invalid_argument);
 }
 
@@ -195,7 +183,7 @@ TEST(Engine, AccountedTimesSumToLifetime) {
   // accounted states equals its finish time (kReady consumes none).
   Platform p = one_host();
   Engine engine(std::move(p));
-  simx::Mailbox<int> mb(engine, "mb", engine.platform().host("h"));
+  simx::Mailbox<int> mb(engine, the_host(engine));
   struct St {
     simx::Mailbox<int>* mb;
   } st{&mb};
@@ -206,11 +194,10 @@ TEST(Engine, AccountedTimesSumToLifetime) {
       (void)co_await s.mb->recv(ctx);  // waits 0.5 s
     }
   };
-  engine.spawn("m", engine.platform().host("h"),
-               [&st](Context& ctx) { return Body::mixed(ctx, st); });
+  engine.spawn(the_host(engine), [&st](Context& ctx) { return Body::mixed(ctx, st); });
   mb.put_delayed(7, 4.0);  // visible at t = 4.0
   engine.run();
-  const ActorAccounting acc = engine.accounting()[0];
+  const ActorTimes acc = engine.actor_times(0);
   ASSERT_TRUE(acc.finished);
   EXPECT_DOUBLE_EQ(acc.computing, 2.0);
   EXPECT_DOUBLE_EQ(acc.sleeping, 1.5);
@@ -233,11 +220,10 @@ TEST(Engine, SpawnDuringRunStartsAtCurrentTime) {
     }
     static simx::Actor parent(Context& ctx, St& s) {
       co_await ctx.sleep_for(2.0);
-      s.engine->spawn("child", ctx.host(), [&s](Context& c) { return child(c, s); });
+      s.engine->spawn(ctx.host(), [&s](Context& c) { return child(c, s); });
     }
   };
-  engine.spawn("parent", engine.platform().host("h"),
-               [&st](Context& ctx) { return Body::parent(ctx, st); });
+  engine.spawn(the_host(engine), [&st](Context& ctx) { return Body::parent(ctx, st); });
   const double makespan = engine.run();
   EXPECT_DOUBLE_EQ(st.child_finish, 3.0);  // spawned at 2, sleeps 1
   EXPECT_DOUBLE_EQ(makespan, 3.0);
@@ -246,12 +232,11 @@ TEST(Engine, SpawnDuringRunStartsAtCurrentTime) {
 
 TEST(Engine, ProfiledHostSlowsExecution) {
   Platform p;
-  simx::Host& h = p.add_host("h", 1e9);
+  simx::Host& h = p.add_host(1e9);
   h.set_speed_profile(simx::SpeedProfile{{0.0, 1.0}, {1e9, 5e8}});
   Engine engine(std::move(p));
   ExecState st{2e9, -1.0};
-  engine.spawn("e", engine.platform().host("h"),
-               [&st](Context& ctx) { return executor(ctx, st); });
+  engine.spawn(the_host(engine), [&st](Context& ctx) { return executor(ctx, st); });
   engine.run();
   EXPECT_DOUBLE_EQ(st.finished_at, 3.0);  // 1s full speed + 2s half speed
 }

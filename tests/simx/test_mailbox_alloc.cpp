@@ -92,10 +92,8 @@ simx::Actor ponger(simx::Context& ctx, PingState& st) {
 std::size_t replica(simx::Engine& engine, simx::Mailbox<Message>& ping_box,
                     simx::Mailbox<Message>& pong_box, PingState& a, PingState& b) {
   const std::size_t before = g_allocations.load();
-  engine.spawn("ping", engine.platform().host("ha"),
-               [&](simx::Context& ctx) { return pinger(ctx, a); });
-  engine.spawn("pong", engine.platform().host("hb"),
-               [&](simx::Context& ctx) { return ponger(ctx, b); });
+  engine.spawn(engine.platform().host_at(0), [&](simx::Context& ctx) { return pinger(ctx, a); });
+  engine.spawn(engine.platform().host_at(1), [&](simx::Context& ctx) { return ponger(ctx, b); });
   engine.run();
   engine.reset();
   ping_box.reset();
@@ -105,13 +103,14 @@ std::size_t replica(simx::Engine& engine, simx::Mailbox<Message>& ping_box,
 
 TEST(MailboxAlloc, SteadyStateReplicasDoNotAllocatePerMessage) {
   simx::Platform platform;
-  simx::Host& ha = platform.add_host("ha", 1e9);
-  simx::Host& hb = platform.add_host("hb", 1e9);
-  platform.add_route(ha, hb, simx::Link{"lab", 1e8, 1e-6});
+  simx::Host& ha = platform.add_host(1e9);
+  simx::Host& hb = platform.add_host(1e9);
+  const std::size_t link = platform.add_link(1e8, 1e-6);
+  platform.add_route(ha.index(), hb.index(), {&link, 1});
   simx::Engine engine(std::move(platform));
 
-  simx::Mailbox<Message> ping_box(engine, "ping_box", engine.platform().host("hb"));
-  simx::Mailbox<Message> pong_box(engine, "pong_box", engine.platform().host("ha"));
+  simx::Mailbox<Message> ping_box(engine, hb);
+  simx::Mailbox<Message> pong_box(engine, ha);
   ping_box.reserve(4);
   pong_box.reserve(4);
   PingState a{&ping_box, &pong_box, 0.0};

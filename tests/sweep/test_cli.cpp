@@ -1,6 +1,7 @@
 // dls_sweep's numeric flags, through the real binary (DLS_SWEEP_BIN):
 // a malformed shard or a negative count is a usage error (exit 2) that
-// names the flag, never a run on a misread value.  Run-mode cases pass
+// names the flag, never a run on a misread value.  So is a swept spec
+// value that does not parse, and it leaves no record file behind.  Run-mode cases pass
 // --list, so a flag that slipped through would print cells and exit 0
 // instead of sweeping.
 
@@ -8,6 +9,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,6 +93,23 @@ TEST(SweepCli, RejectsNegativeCountsInWorkMode) {
     cases.emplace_back(work + " " + flag + " -1", flag);
   }
   expect_usage_errors(cases);
+}
+
+TEST(SweepCli, NonFiniteAxisValueIsAUsageError) {
+  const std::string spec = "cli_nan_axis.sweep";
+  const std::string out = "cli_nan_axis.jsonl";
+  std::remove(out.c_str());
+  {
+    std::ofstream file(spec);
+    file << "technique SS\ntasks 64\nworkers 2\nworkload constant:1.0\n"
+            "sweep latency 1e-6 nan\n";
+  }
+  const Outcome outcome = run_tool(spec + " --out " + out);
+  EXPECT_EQ(outcome.exit_code, 2) << outcome.output;
+  EXPECT_NE(outcome.output.find("latency"), std::string::npos) << outcome.output;
+  EXPECT_FALSE(std::ifstream(out).good()) << "a record file was written";
+  std::remove(spec.c_str());
+  std::remove(out.c_str());
 }
 
 TEST(SweepCli, ReportNeedsFilePairs) {
