@@ -53,8 +53,9 @@ struct ScenarioOptions {
 /// after mutating the config, e.g. while minimizing).
 void classify(Scenario& scenario);
 
-/// The scenario as a replayable experiment file (repro format): feed it
-/// to `dls_sim` or repro::parse_experiment_spec to reproduce the run.
+/// The scenario as a replayable experiment file (sweep/experiment.hpp):
+/// feed it to `dls_sim` or sweep::parse_experiment_spec to reproduce
+/// the run.
 [[nodiscard]] std::string to_experiment_text(const Scenario& scenario);
 
 }  // namespace check

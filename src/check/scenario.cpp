@@ -4,7 +4,7 @@
 #include <limits>
 #include <vector>
 
-#include "repro/experiment_file.hpp"
+#include "sweep/experiment.hpp"
 #include "workload/task_times.hpp"
 
 namespace check {
@@ -201,9 +201,9 @@ Scenario generate_scenario(std::uint64_t seed, std::size_t index,
 }
 
 std::string to_experiment_text(const Scenario& scenario) {
-  repro::ExperimentSpec spec;
+  sweep::ExperimentSpec spec;
   spec.config = scenario.config;
-  return repro::serialize_experiment_spec(spec);
+  return sweep::serialize_experiment_spec(spec);
 }
 
 }  // namespace check

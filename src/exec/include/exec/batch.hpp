@@ -44,8 +44,8 @@ struct BatchResult {
   std::vector<double> wasted_values;
 };
 
-/// Batched experiment runner -- the single entry point the repro
-/// experiments, tools and benches route "run this grid of
+/// Batched experiment runner -- the single entry point the sweep
+/// runner, tools and benches route "run this grid of
 /// configurations N times each" through.
 ///
 /// The replicas of all virtual-time jobs are flattened into one index

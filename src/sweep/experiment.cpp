@@ -1,21 +1,17 @@
-#include "repro/experiment_file.hpp"
+#include "sweep/experiment.hpp"
 
 #include <charconv>
 #include <cmath>
 #include <limits>
 #include <map>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "exec/backend.hpp"
-#include "exec/batch.hpp"
-#include "mw/metrics.hpp"
-#include "mw/simulation.hpp"
 #include "support/table.hpp"
 #include "workload/task_times.hpp"
 
-namespace repro {
+namespace sweep {
 namespace {
 
 /// Where a parse error happened: the 1-based line number and the raw
@@ -45,6 +41,16 @@ double to_double(const std::string& v, LineRef line) {
     parse_error(line, "bad number: " + v);
   }
 }
+
+/// A finite, non-negative double (latency, h, mu, sigma): NaN, inf and
+/// negative values would only surface as a NaN or negative result.
+double to_finite_nonnegative(const std::string& key, const std::string& v, LineRef line) {
+  const double out = to_double(v, line);
+  if (!(out >= 0.0) || !std::isfinite(out)) parse_error(line, key + " must be finite and >= 0");
+  return out;
+}
+
+bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
 
 std::size_t to_size(const std::string& v, LineRef line) {
   const double d = to_double(v, line);
@@ -80,14 +86,18 @@ bool to_bool(const std::string& v, LineRef line) {
   parse_error(line, "expected a boolean: " + v);
 }
 
-/// Comma-separated doubles; "inf" is accepted (fail-stop survivors).
-std::vector<double> to_double_list(const std::string& v, LineRef line) {
+/// Comma-separated doubles, each of which must pass `valid`; `rule`
+/// names the limit a failing entry breaks.
+template <typename Valid>
+std::vector<double> to_double_list(const std::string& v, LineRef line, Valid valid,
+                                   const std::string& rule) {
   std::vector<double> out;
   std::stringstream ss(v);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) parse_error(line, "empty list item in: " + v);
     out.push_back(to_double(item, line));
+    if (!valid(out.back())) parse_error(line, rule);
   }
   if (out.empty()) parse_error(line, "expected a comma-separated list, got: " + v);
   return out;
@@ -165,15 +175,16 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
         parse_error(line, e.what());
       }
     } else if (key == "h") {
-      cfg.params.h = to_double(value, line);
+      cfg.params.h = to_finite_nonnegative(key, value, line);
     } else if (key == "mu") {
-      cfg.params.mu = to_double(value, line);
+      cfg.params.mu = to_finite_nonnegative(key, value, line);
       have_mu = true;
     } else if (key == "sigma") {
-      cfg.params.sigma = to_double(value, line);
+      cfg.params.sigma = to_finite_nonnegative(key, value, line);
       have_sigma = true;
     } else if (key == "timesteps") {
       cfg.timesteps = to_size(value, line);
+      if (cfg.timesteps == 0) parse_error(line, "timesteps must be >= 1");
     } else if (key == "seed") {
       cfg.seed = to_uint64(value, line);
     } else if (key == "overhead") {
@@ -181,10 +192,7 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       else if (value == "simulated") cfg.overhead_mode = mw::OverheadMode::kSimulated;
       else parse_error(line, "overhead must be 'analytic' or 'simulated'");
     } else if (key == "latency") {
-      cfg.latency = to_double(value, line);
-      if (!(cfg.latency >= 0.0) || !std::isfinite(cfg.latency)) {
-        parse_error(line, "latency must be finite and >= 0");
-      }
+      cfg.latency = to_finite_nonnegative(key, value, line);
     } else if (key == "bandwidth") {
       // +inf is legal: transfers then cost only the latency.
       cfg.bandwidth = to_double(value, line);
@@ -205,16 +213,15 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
     } else if (key == "reply_bytes") {
       cfg.reply_bytes = to_size(value, line);
     } else if (key == "speeds") {
-      cfg.worker_speed_factors = to_double_list(value, line);
-      for (const double factor : cfg.worker_speed_factors) {
-        if (!(factor > 0.0) || !std::isfinite(factor)) {
-          parse_error(line, "speeds entries must be finite and > 0");
-        }
-      }
+      cfg.worker_speed_factors =
+          to_double_list(value, line, positive_finite, "speeds entries must be finite and > 0");
     } else if (key == "weights") {
-      cfg.params.weights = to_double_list(value, line);
+      cfg.params.weights =
+          to_double_list(value, line, positive_finite, "weights entries must be finite and > 0");
     } else if (key == "failures") {
-      cfg.worker_failure_times = to_double_list(value, line);
+      // +inf is legal: that worker never fails.
+      cfg.worker_failure_times = to_double_list(
+          value, line, [](double t) { return t >= 0.0; }, "failures entries must be >= 0");
     } else if (key.starts_with("profile")) {
       const std::string index_text = key.substr(7);
       std::size_t index = 0;
@@ -232,7 +239,9 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       spec.seed_stride = to_uint64(value, line);
       if (spec.seed_stride == 0) parse_error(line, "seed_stride must be >= 1");
     } else if (key == "threads") {
-      spec.threads = static_cast<unsigned>(to_size(value, line));
+      const std::size_t threads = to_size(value, line);
+      if (threads > std::numeric_limits<unsigned>::max()) parse_error(line, "threads too large");
+      spec.threads = static_cast<unsigned>(threads);
     } else if (key == "backend") {
       if (!exec::is_backend_name(value)) {
         std::string known;
@@ -288,10 +297,6 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
     }
   }
   return spec;
-}
-
-mw::Config parse_experiment(std::string_view text) {
-  return parse_experiment_spec(text).config;
 }
 
 std::string serialize_experiment_spec(const ExperimentSpec& spec) {
@@ -357,85 +362,4 @@ std::string serialize_experiment_spec(const ExperimentSpec& spec) {
   return out.str();
 }
 
-namespace {
-
-void print_single_run(const ExperimentSpec& spec, std::ostream& out) {
-  const mw::Config& cfg = spec.config;
-  support::Table table({"measured value", "result"});
-  table.add_row({"technique", dls::to_string(cfg.technique)});
-  table.add_row({"tasks x timesteps", std::to_string(cfg.tasks) + " x " +
-                                          std::to_string(cfg.timesteps)});
-  table.add_row({"workers", std::to_string(cfg.workers)});
-  table.add_row({"workload", cfg.workload->name()});
-  if (spec.backend == "mw") {
-    const mw::RunResult result = mw::run_simulation(cfg);
-    const mw::Metrics metrics = mw::compute_metrics(result, cfg);
-    table.add_row({"makespan [s]", support::fmt(metrics.makespan, 4)});
-    table.add_row({"scheduling operations", std::to_string(metrics.chunks)});
-    table.add_row({"average wasted time [s]", support::fmt(metrics.avg_wasted_time, 4)});
-    table.add_row({"speedup", support::fmt(metrics.speedup, 3)});
-    table.add_row({"overhead degree", support::fmt(metrics.overhead_degree, 3)});
-    table.add_row({"imbalance degree", support::fmt(metrics.imbalance_degree, 3)});
-  } else {
-    // Non-reference vehicles report the uniform measured values only
-    // (the Tzen-Ni degree metrics are mw-specific).
-    const auto backend = exec::make_backend(spec.backend);
-    const exec::Measured m = backend->measure(cfg);
-    table.add_row({"backend", spec.backend});
-    table.add_row({"makespan [s]", support::fmt(m.makespan, 4)});
-    table.add_row({"scheduling operations", support::fmt(m.chunks, 0)});
-    table.add_row({"average wasted time [s]", support::fmt(m.avg_wasted_time, 4)});
-    table.add_row({"speedup", support::fmt(m.speedup, 3)});
-  }
-  table.print(out);
-}
-
-void print_replica_summary(const ExperimentSpec& spec, std::ostream& out) {
-  exec::BatchJob job;
-  job.config = spec.config;
-  job.replicas = spec.replicas;
-  job.seed_stride = spec.seed_stride;
-  job.backend = spec.backend;
-  exec::BatchRunner::Options options;
-  options.threads = spec.threads;
-  const exec::BatchResult r = exec::BatchRunner(options).run_one(job);
-
-  const mw::Config& cfg = spec.config;
-  out << "technique " << dls::to_string(cfg.technique) << ", " << cfg.tasks << " tasks x "
-      << cfg.timesteps << " timesteps, " << cfg.workers << " workers, "
-      << cfg.workload->name() << ", ";
-  if (spec.backend != "mw") out << spec.backend << " backend, ";
-  out << spec.replicas << " replicas (seeds " << cfg.seed;
-  if (spec.seed_stride == 1) {
-    out << ".." << cfg.seed + spec.replicas - 1;
-  } else {
-    out << " + " << spec.seed_stride << "*r";
-  }
-  out << ")\n";
-  support::Table table({"measured value", "mean", "stddev", "min", "max"});
-  auto row = [&](const char* name, const stats::Summary& s, int digits) {
-    table.add_row({name, support::fmt(s.mean, digits), support::fmt(s.stddev, digits),
-                   support::fmt(s.min, digits), support::fmt(s.max, digits)});
-  };
-  row("makespan [s]", r.makespan, 4);
-  row("average wasted time [s]", r.avg_wasted_time, 4);
-  row("speedup", r.speedup, 3);
-  row("scheduling operations", r.chunks, 1);
-  table.print(out);
-}
-
-}  // namespace
-
-void run_experiment(const ExperimentSpec& spec, std::ostream& out) {
-  if (spec.replicas <= 1) {
-    print_single_run(spec, out);
-  } else {
-    print_replica_summary(spec, out);
-  }
-}
-
-void run_experiment_file(std::string_view text, std::ostream& out) {
-  run_experiment(parse_experiment_spec(text), out);
-}
-
-}  // namespace repro
+}  // namespace sweep

@@ -178,7 +178,7 @@ Cell cell(const Grid& grid, std::size_t index) {
   out.index = index;
   out.science_index = index / grid.backend_count();
   out.assignment = decode_assignment(grid, index);
-  out.spec = repro::parse_experiment_spec(cell_text(grid, index));
+  out.spec = parse_experiment_spec(cell_text(grid, index));
   return out;
 }
 

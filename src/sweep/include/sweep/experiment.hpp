@@ -1,13 +1,13 @@
 #pragma once
 
-#include <iosfwd>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "mw/config.hpp"
-#include "mw/metrics.hpp"
 
-namespace repro {
+namespace sweep {
 
 /// Textual experiment description -- the "Application Information" +
 /// "Execution Information" side of paper Figure 2, complementing the
@@ -18,10 +18,10 @@ namespace repro {
 ///   tasks     8192
 ///   workers   8
 ///   workload  exponential:1.0 # see workload::from_spec
-///   h         0.5
-///   mu        1.0             # defaults to the workload mean
-///   sigma     1.0             # defaults to the workload stddev
-///   timesteps 1
+///   h         0.5             # finite, >= 0
+///   mu        1.0             # finite, >= 0; defaults to the workload mean
+///   sigma     1.0             # finite, >= 0; defaults to the workload stddev
+///   timesteps 1               # >= 1
 ///   seed      42
 ///   overhead  analytic        # or: simulated
 ///   latency   1e-12           # finite, >= 0
@@ -31,14 +31,15 @@ namespace repro {
 ///   rand48    false
 ///   replicas  1               # > 1 batches independent seeds (exec::BatchRunner)
 ///   seed_stride 1             # replica r runs with seed + seed_stride * r
-///   threads   0               # pool width for the replicas (0 = hardware)
+///   threads   0               # pool width for the replicas (0 = hardware); fits unsigned
 ///   backend   mw              # execution vehicle: one of exec::backend_names()
 ///
 /// A `sweep <key> <v1> <v2> ...` line is a grid directive, not an
 /// experiment key: sweep::parse_grid expands the cartesian product of
 /// all sweep lines into one experiment per cell (tools/dls_sweep).
 /// parse_experiment_spec rejects it with a pointer at dls_sweep so a
-/// grid spec fed to dls_sim fails loudly instead of dropping an axis.
+/// grid spec fed to dls_sim (a one-cell dls_sweep) fails loudly instead
+/// of dropping an axis.
 ///
 /// System-information extensions (the heterogeneity/resilience side of
 /// the Config space; all optional):
@@ -51,11 +52,12 @@ namespace repro {
 ///   failures      inf,3.5,inf     # per-worker fail-stop times [s]
 ///   profile1      0:1e9,5:0,10:1e9  # piecewise speed of worker 1 (t:flops,...)
 ///
-/// `speeds`/`failures` need one comma-separated entry per worker; every
-/// `speeds` entry must be finite and > 0.  A `profile<i>` line gives
-/// worker i a piecewise-constant absolute speed (simx::SpeedProfile);
-/// workers without a profile line keep their constant speed
-/// host_speed * factor.
+/// `speeds`/`weights`/`failures` need one comma-separated entry per
+/// worker; every `speeds` and `weights` entry must be finite and > 0,
+/// every `failures` entry >= 0 (`inf` = never fails).  A `profile<i>`
+/// line gives worker i a piecewise-constant absolute speed
+/// (simx::SpeedProfile); workers without a profile line keep their
+/// constant speed host_speed * factor.
 ///
 /// A parsed experiment: the simulation Config plus the execution
 /// dimensions that live outside a single run.
@@ -74,9 +76,6 @@ struct ExperimentSpec {
 /// std::invalid_argument naming the offending line (number and text).
 [[nodiscard]] ExperimentSpec parse_experiment_spec(std::string_view text);
 
-/// Backward-compatible view: the Config of parse_experiment_spec.
-[[nodiscard]] mw::Config parse_experiment(std::string_view text);
-
 /// Render `spec` in the textual format above, such that
 /// parse_experiment_spec(serialize_experiment_spec(spec)) describes the
 /// identical experiment (doubles use shortest round-trip formatting;
@@ -86,15 +85,4 @@ struct ExperimentSpec {
 /// with no from_spec form).
 [[nodiscard]] std::string serialize_experiment_spec(const ExperimentSpec& spec);
 
-/// Run the experiment described by `text` on its declared backend and
-/// render the measured values (paper Figure 2: "Measured Value(s)") to
-/// `out`.  With replicas > 1 the runs are batched through
-/// exec::BatchRunner and the summary statistics of the measured values
-/// are rendered instead.
-void run_experiment_file(std::string_view text, std::ostream& out);
-
-/// Same, for an already-parsed spec (lets callers report parse errors
-/// and run errors distinctly).
-void run_experiment(const ExperimentSpec& spec, std::ostream& out);
-
-}  // namespace repro
+}  // namespace sweep

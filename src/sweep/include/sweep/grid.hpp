@@ -8,13 +8,13 @@
 #include <vector>
 
 #include "exec/batch.hpp"
-#include "repro/experiment_file.hpp"
+#include "sweep/experiment.hpp"
 
 namespace sweep {
 
 /// One swept dimension of a grid: `sweep <key> <v1> <v2> ...` in an
 /// experiment file.  `key` is any key of the experiment-file format
-/// (repro/experiment_file.hpp); the values are its raw value texts.
+/// (sweep/experiment.hpp); the values are its raw value texts.
 struct Axis {
   std::string key;
   std::vector<std::string> values;
@@ -83,7 +83,7 @@ struct Cell {
   std::vector<std::pair<std::string, std::string>> assignment;
   /// The cell's parsed experiment.  The seed is the *base* seed as
   /// written in the spec; batch_job() applies the per-cell derivation.
-  repro::ExperimentSpec spec;
+  ExperimentSpec spec;
 };
 
 /// Parse a grid spec: `sweep` directives become axes, every other line
@@ -97,7 +97,7 @@ struct Cell {
 [[nodiscard]] Grid parse_grid(std::string_view text);
 
 /// The experiment text of cell `index`: base_text plus one override
-/// line per axis.  Parseable by repro::parse_experiment_spec.
+/// line per axis.  Parseable by parse_experiment_spec.
 [[nodiscard]] std::string cell_text(const Grid& grid, std::size_t index);
 
 /// Expand cell `index` (lazily -- a 10k-cell grid never materializes
@@ -130,8 +130,9 @@ struct Cell {
 /// *scientific* axis the cell's base seed is decorrelated through
 /// derive_cell_seed (splitmix64 over the scientific cell index, so
 /// all backends of a cell share seeds); a plain experiment file without
-/// scientific sweep directives keeps its seed verbatim, so dls_sweep
-/// and dls_sim agree on single experiments.
+/// scientific sweep directives keeps its seed verbatim, so a record's
+/// experiment echo replays the same seeds through `dls_sim -` (itself a
+/// one-cell grid).
 [[nodiscard]] exec::BatchJob batch_job(const Grid& grid, const Cell& cell);
 
 }  // namespace sweep

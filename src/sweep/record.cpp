@@ -8,8 +8,8 @@
 #include <map>
 #include <stdexcept>
 
-#include "repro/experiment_file.hpp"
 #include "support/table.hpp"
+#include "sweep/experiment.hpp"
 
 namespace sweep {
 namespace {
@@ -134,12 +134,12 @@ std::string cell_experiment_text(const Grid& grid, std::size_t index) {
   // and backend applied, exactly what batch_job runs.
   const Cell c = cell(grid, index);
   const exec::BatchJob job = batch_job(grid, c);
-  repro::ExperimentSpec echo = c.spec;
+  ExperimentSpec echo = c.spec;
   echo.config.seed = job.config.seed;
   echo.seed_stride = job.seed_stride;
   echo.replicas = job.replicas;
   echo.backend = job.backend;
-  return repro::serialize_experiment_spec(echo);
+  return serialize_experiment_spec(echo);
 }
 
 std::size_t grid_index_of(const Grid& grid, const RecordKey& key) {
@@ -186,12 +186,12 @@ std::string RecordRenderer::render(const Cell& cell, const exec::BatchJob& job,
   out += ",\"seed_stride\":" + std::to_string(job.seed_stride);
   // The replayable echo, from the parsed cell and derived job already
   // in hand (what cell_experiment_text recomputes from scratch).
-  repro::ExperimentSpec echo = cell.spec;
+  ExperimentSpec echo = cell.spec;
   echo.config.seed = job.config.seed;
   echo.seed_stride = job.seed_stride;
   echo.replicas = job.replicas;
   echo.backend = job.backend;
-  out += ",\"experiment\":\"" + json_escape(repro::serialize_experiment_spec(echo)) + '"';
+  out += ",\"experiment\":\"" + json_escape(serialize_experiment_spec(echo)) + '"';
   out += ",\"makespan\":" + summary_json(result.makespan);
   out += ",\"avg_wasted_time\":" + summary_json(result.avg_wasted_time);
   out += ",\"speedup\":" + summary_json(result.speedup);
@@ -353,7 +353,7 @@ ScanResult scan_records(std::istream& in) {
                                   "corrupted)");
     }
     try {
-      (void)repro::parse_experiment_spec(*echo);
+      (void)parse_experiment_spec(*echo);
     } catch (const std::exception& e) {
       throw std::invalid_argument("sweep output line " + std::to_string(line_no) +
                                   ": experiment echo does not re-parse (corrupted record): " +

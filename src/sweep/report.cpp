@@ -7,8 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "repro/experiment_file.hpp"
 #include "stats/summary.hpp"
+#include "sweep/experiment.hpp"
 #include "sweep/record.hpp"
 
 namespace sweep {
@@ -46,7 +46,7 @@ std::map<std::size_t, std::string> records_by_cell(const std::vector<std::string
 /// a bbn original the simulation side's overhead and network keys are
 /// free too: the machine model replaces them with its own dispatch and
 /// remote-memory costs.
-std::string scientific_text(repro::ExperimentSpec spec, bool bbn_original) {
+std::string scientific_text(ExperimentSpec spec, bool bbn_original) {
   spec.config.seed = 0;
   spec.seed_stride = 1;
   spec.backend = "mw";
@@ -58,7 +58,7 @@ std::string scientific_text(repro::ExperimentSpec spec, bool bbn_original) {
     spec.config.latency = defaults.latency;
     spec.config.bandwidth = defaults.bandwidth;
   }
-  return repro::serialize_experiment_spec(spec);
+  return serialize_experiment_spec(spec);
 }
 
 /// A curve's column label: the technique, with its minimal GSS chunk
@@ -73,7 +73,7 @@ std::string curve_label(const mw::Config& config) {
   return label;
 }
 
-std::string cell_name(std::size_t cell, const repro::ExperimentSpec& spec) {
+std::string cell_name(std::size_t cell, const ExperimentSpec& spec) {
   return "cell " + std::to_string(cell) + " (" + curve_label(spec.config) + ", workers " +
          std::to_string(spec.config.workers) + ")";
 }
@@ -99,10 +99,10 @@ double mean_of(const std::string& line, const std::string& field, const std::str
   return *mean;
 }
 
-repro::ExperimentSpec experiment_of(const std::string& line, const std::string& what) {
+ExperimentSpec experiment_of(const std::string& line, const std::string& what) {
   const std::optional<std::string> echo = record_experiment(line);
   if (!echo) throw std::invalid_argument(what + ": record has no experiment echo");
-  return repro::parse_experiment_spec(*echo);
+  return parse_experiment_spec(*echo);
 }
 
 /// One (original, simulation) pair of record files.
@@ -130,8 +130,8 @@ FigureReport reduce_pair(const std::vector<std::string>& original,
           " record (an unfinished or unmerged sweep?)");
     }
     const std::string where = "cell " + std::to_string(cell);
-    const repro::ExperimentSpec o_spec = experiment_of(o->second, "original " + where);
-    const repro::ExperimentSpec s_spec = experiment_of(s->second, "simulation " + where);
+    const ExperimentSpec o_spec = experiment_of(o->second, "original " + where);
+    const ExperimentSpec s_spec = experiment_of(s->second, "simulation " + where);
     const std::string name = cell_name(cell, s_spec);
     const bool bbn_original = o_spec.backend == "bbn";
     if (const std::string o_text = scientific_text(o_spec, bbn_original),

@@ -9,7 +9,7 @@
 #include "check/invariants.hpp"
 #include "check/runner.hpp"
 #include "exec/backend.hpp"
-#include "repro/experiment_file.hpp"
+#include "sweep/experiment.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -148,7 +148,7 @@ TEST(Invariants, ViolationEmitsReplayableExperimentFile) {
   // file that parses and reproduces the scenario.
   const Scenario s = simple_scenario();
   const std::string text = check::to_experiment_text(s);
-  const repro::ExperimentSpec spec = repro::parse_experiment_spec(text);
+  const sweep::ExperimentSpec spec = sweep::parse_experiment_spec(text);
   EXPECT_EQ(spec.config.technique, s.config.technique);
   EXPECT_EQ(spec.config.tasks, s.config.tasks);
   EXPECT_EQ(spec.config.workers, s.config.workers);

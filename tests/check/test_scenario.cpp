@@ -6,7 +6,7 @@
 #include <set>
 
 #include "check/scenario.hpp"
-#include "repro/experiment_file.hpp"
+#include "sweep/experiment.hpp"
 
 namespace {
 
@@ -101,9 +101,9 @@ TEST(Scenario, ExperimentTextRoundTrips) {
   for (std::size_t i = 0; i < 100; ++i) {
     const Scenario s = check::generate_scenario(17, i);
     const std::string text = check::to_experiment_text(s);
-    repro::ExperimentSpec spec;
-    ASSERT_NO_THROW(spec = repro::parse_experiment_spec(text)) << text;
-    EXPECT_EQ(repro::serialize_experiment_spec(spec), text) << "index " << i;
+    sweep::ExperimentSpec spec;
+    ASSERT_NO_THROW(spec = sweep::parse_experiment_spec(text)) << text;
+    EXPECT_EQ(sweep::serialize_experiment_spec(spec), text) << "index " << i;
   }
 }
 

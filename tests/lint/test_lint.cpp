@@ -247,7 +247,7 @@ TEST(Lint, NodeMapFineOutsideEventCore) {
   // The identical container in a cold layer (experiment parsing) and a
   // non-std map type in the hot layer are both fine.
   const TempDir dir;
-  const std::string cold = write_file(dir.path(), "src/repro/layout.cpp",
+  const std::string cold = write_file(dir.path(), "src/sweep/experiment.cpp",
                                       "#include <map>\n"
                                       "std::map<int, int> g_lines;\n");
   EXPECT_EQ(run_lint(cold).exit_code, 0);

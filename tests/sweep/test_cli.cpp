@@ -98,16 +98,18 @@ TEST(SweepCli, RejectsNegativeCountsInWorkMode) {
 TEST(SweepCli, NonFiniteAxisValueIsAUsageError) {
   const std::string spec = "cli_nan_axis.sweep";
   const std::string out = "cli_nan_axis.jsonl";
-  std::remove(out.c_str());
-  {
-    std::ofstream file(spec);
-    file << "technique SS\ntasks 64\nworkers 2\nworkload constant:1.0\n"
-            "sweep latency 1e-6 nan\n";
+  for (const std::string key : {"latency", "h"}) {
+    std::remove(out.c_str());
+    {
+      std::ofstream file(spec);
+      file << "technique SS\ntasks 64\nworkers 2\nworkload constant:1.0\n"
+              "sweep " << key << (key == "h" ? " 0.5" : " 1e-6") << " nan\n";
+    }
+    const Outcome outcome = run_tool(spec + " --out " + out);
+    EXPECT_EQ(outcome.exit_code, 2) << outcome.output;
+    EXPECT_NE(outcome.output.find(key + " must be finite"), std::string::npos) << outcome.output;
+    EXPECT_FALSE(std::ifstream(out).good()) << "a record file was written for " << key;
   }
-  const Outcome outcome = run_tool(spec + " --out " + out);
-  EXPECT_EQ(outcome.exit_code, 2) << outcome.output;
-  EXPECT_NE(outcome.output.find("latency"), std::string::npos) << outcome.output;
-  EXPECT_FALSE(std::ifstream(out).good()) << "a record file was written";
   std::remove(spec.c_str());
   std::remove(out.c_str());
 }

@@ -92,7 +92,7 @@ TEST(SweepGrid, SeedStrideAndReplicasFlowIntoTheJob) {
 TEST(SweepGrid, CellTextIsParseable) {
   const sweep::Grid grid = sweep::parse_grid(kGrid);
   const std::string text = sweep::cell_text(grid, 3);
-  const repro::ExperimentSpec spec = repro::parse_experiment_spec(text);
+  const sweep::ExperimentSpec spec = sweep::parse_experiment_spec(text);
   EXPECT_EQ(spec.config.technique, dls::Kind::kGSS);
   EXPECT_EQ(spec.config.workers, 4u);
 }

@@ -88,7 +88,7 @@ TEST(SweepRecord, ExperimentEchoReplaysTheCell) {
       unescaped += text[i];
     }
   }
-  const repro::ExperimentSpec replay = repro::parse_experiment_spec(unescaped);
+  const sweep::ExperimentSpec replay = sweep::parse_experiment_spec(unescaped);
   EXPECT_EQ(replay.config.seed, job.config.seed);
   EXPECT_EQ(replay.seed_stride, job.seed_stride);
   EXPECT_EQ(replay.replicas, job.replicas);

@@ -29,12 +29,12 @@ sweep::Grid committed_grid(const std::string& name) {
 
 /// A cell's experiment with the keys that may differ between the two
 /// sides of a pair reset.
-std::string scientific_text(repro::ExperimentSpec spec) {
+std::string scientific_text(sweep::ExperimentSpec spec) {
   spec.config.seed = 0;
   spec.seed_stride = 1;
   spec.backend = "mw";
   spec.config.use_rand48 = false;
-  return repro::serialize_experiment_spec(spec);
+  return sweep::serialize_experiment_spec(spec);
 }
 
 const std::vector<std::string> kPairs = {"fig5", "fig6", "fig7", "fig8", "adaptive"};

@@ -1,7 +1,7 @@
 // dls_sweep: sharded, resumable experiment-grid service.
 //
 // Expands `sweep <key> <v1> <v2> ...` directives in an experiment file
-// (see repro/experiment_file.hpp and sweep/grid.hpp) into the cartesian
+// (see sweep/experiment.hpp and sweep/grid.hpp) into the cartesian
 // product of batched experiments, runs each cell through
 // exec::BatchRunner on the cell's execution backend, and streams one
 // JSONL record per completed (cell, backend).
