@@ -20,48 +20,43 @@ using dist::LeaseEvent;
 }  // namespace
 
 std::optional<std::string> check_hello_before_lease(const std::vector<LeaseEvent>& events) {
-  // Per-worker handshake state.  Only workers spawned with detail
-  // "accept" (socket links) owe a HELLO; pipe workers never emit one
-  // and never need one.
-  std::set<std::size_t> accepted;  // socket links awaiting HELLO
+  // Per-worker handshake state: every spawned link -- forked by the
+  // coordinator or accepted from the listener -- owes a HELLO.
+  std::set<std::size_t> spawned;
   std::set<std::size_t> helloed;
   std::size_t last_seq = 0;
   bool first = true;
   for (const LeaseEvent& event : events) {
     if (!first && event.seq <= last_seq) {
       // Coordinator restart: the log is append-mode across runs.
-      accepted.clear();
+      spawned.clear();
       helloed.clear();
     }
     first = false;
     last_seq = event.seq;
 
     if (event.kind == "spawn") {
-      if (event.detail == "accept") {
-        // A reconnecting client reuses no credentials: HELLO again.
-        accepted.insert(event.worker);
-        helloed.erase(event.worker);
-      }
+      // A reconnecting client reuses no credentials: HELLO again.
+      spawned.insert(event.worker);
+      helloed.erase(event.worker);
       continue;
     }
     if (event.kind == "hello") {
-      if (!accepted.contains(event.worker)) {
+      if (!spawned.contains(event.worker)) {
         return "hello_before_lease: " + describe(event) +
-               " -- hello from a worker never accepted on a socket";
+               " -- hello from a worker never spawned";
       }
       helloed.insert(event.worker);
       continue;
     }
     if (event.kind == "dead") {
-      accepted.erase(event.worker);
+      spawned.erase(event.worker);
       helloed.erase(event.worker);
       continue;
     }
-    if (event.kind == "lease") {
-      if (accepted.contains(event.worker) && !helloed.contains(event.worker)) {
-        return "hello_before_lease: " + describe(event) +
-               " -- lease granted to a socket worker before its HELLO";
-      }
+    if (event.kind == "lease" && !helloed.contains(event.worker)) {
+      return "hello_before_lease: " + describe(event) +
+             " -- lease granted to a worker before its HELLO";
     }
   }
   return std::nullopt;
@@ -83,7 +78,7 @@ std::optional<std::string> check_fetch_before_done(const std::vector<LeaseEvent>
     if (event.kind == "done" && event.detail == "fetched") {
       if (!fetches.contains({event.worker, event.stripe, event.attempt})) {
         return "fetch_before_done: " + describe(event) +
-               " -- remote stripe committed without a preceding fetch";
+               " -- stripe committed without a preceding fetch";
       }
     }
   }

@@ -1,8 +1,8 @@
 #include "dist/coordinator.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -36,15 +36,16 @@ constexpr std::size_t npos = LeaseEvent::npos;
   return what + ": " + std::strerror(errno);
 }
 
-/// One supervised worker, local or remote.  Local workers are forked
-/// processes behind a net::PipeTransport (pid > 0); remote workers are
-/// accepted sockets behind a net::SocketTransport (pid == -1).  The lease
-/// logic never looks past `transport`.
+/// One supervised worker: a framed link that must HELLO before
+/// anything else.  Spawned workers also carry their process id
+/// (pid > 0), so a misbehaving one is SIGKILLed and reaped, not only
+/// hung up on; accepted ones have pid == -1.  The lease logic never
+/// looks past `transport`.
 struct WorkerLink {
   pid_t pid = -1;
   std::unique_ptr<net::Transport> transport;
   bool alive = false;
-  bool hello = false;  ///< handshake done (always true for pipe workers)
+  bool hello = false;  ///< handshake done
   bool ready = false;
   std::size_t lease = npos;  ///< stripe currently held
   Clock::time_point last_msg;
@@ -116,12 +117,7 @@ class Run {
   // ---- setup -------------------------------------------------------
 
   void setup() {
-    // SIGPIPE from a dead worker's stdin must be an EPIPE, not a
-    // coordinator death.
-    ::signal(SIGPIPE, SIG_IGN);
-
-    spec_text_ = read_file(options_.spec_path);
-    grid_text_ = spec_text_;
+    grid_text_ = read_file(options_.spec_path);
     if (!options_.backend.empty()) grid_text_ += "\nbackend " + options_.backend + "\n";
     try {
       grid_ = sweep::parse_grid(grid_text_);
@@ -170,27 +166,33 @@ class Run {
     }
   }
 
+  /// Fork/exec `work --dir <workdir> ...` per worker, each on the
+  /// child end of its own socketpair as stdin (stdout goes to stderr).
+  /// The worker speaks the same framed protocol an accepted socket
+  /// does -- HELLO, SPEC, READY, leases, FETCH -- and shares the
+  /// workdir, which is what lets reclaim() resume its partial attempts
+  /// and adopt its published stripes.
   void spawn_workers() {
     std::vector<std::string> command = options_.worker_command;
     if (command.empty()) command = {self_exe()};
 
     for (std::size_t w = 0; w < options_.workers; ++w) {
       std::vector<std::string> argv = command;
-      argv.insert(argv.end(), {"work", options_.spec_path, "--dir", options_.workdir});
+      argv.insert(argv.end(), {"work", "--dir", options_.workdir});
       argv.insert(argv.end(), {"--threads", std::to_string(options_.worker_threads)});
       argv.insert(argv.end(),
                   {"--heartbeat-ms", std::to_string(options_.heartbeat_interval.count())});
-      if (!options_.backend.empty()) argv.insert(argv.end(), {"--backend", options_.backend});
       for (const ChaosKill& kill : options_.chaos) {
         if (kill.worker != w) continue;
         argv.insert(argv.end(), {"--chaos-after", std::to_string(kill.after_cells)});
         argv.insert(argv.end(), {"--chaos-mode", std::string(chaos_mode_name(kill.mode))});
       }
 
-      int to_child[2];    // coordinator writes -> child stdin
-      int from_child[2];  // child stdout -> coordinator reads
-      if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) {
-        throw std::runtime_error(errno_message("pipe"));
+      // Both ends close on exec, so no worker inherits another's link;
+      // dup2 clears the flag on the child's stdin copy.
+      int ends[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
+        throw std::runtime_error(errno_message("socketpair"));
       }
 
       std::vector<char*> c_argv;
@@ -201,36 +203,30 @@ class Run {
       const pid_t pid = ::fork();
       if (pid < 0) throw std::runtime_error(errno_message("fork"));
       if (pid == 0) {
-        // Child: wire the pipes to stdin/stdout and exec the worker.
-        // Only async-signal-safe calls between fork and exec.
-        ::dup2(to_child[0], STDIN_FILENO);
-        ::dup2(from_child[1], STDOUT_FILENO);
-        ::close(to_child[0]);
-        ::close(to_child[1]);
-        ::close(from_child[0]);
-        ::close(from_child[1]);
+        // Child: only async-signal-safe calls between fork and exec.
+        ::dup2(ends[1], STDIN_FILENO);
+        ::dup2(STDERR_FILENO, STDOUT_FILENO);
         ::execv(c_argv[0], c_argv.data());
         ::_exit(127);
       }
-      ::close(to_child[0]);
-      ::close(from_child[1]);
-      // The child ends stay blocking; the coordinator's ends close on
-      // exec so later workers don't inherit them (PipeTransport makes
-      // the read end nonblocking so one chatty worker cannot stall the
-      // loop).
-      ::fcntl(to_child[1], F_SETFD, FD_CLOEXEC);
-      ::fcntl(from_child[0], F_SETFD, FD_CLOEXEC);
-
-      WorkerLink worker;
-      worker.pid = pid;
-      worker.transport = std::make_unique<net::PipeTransport>(from_child[0], to_child[1]);
-      worker.alive = true;
-      worker.hello = true;  // pipes are born trusted -- same machine, same user
-      worker.last_msg = Clock::now();
-      worker.last_ping = worker.last_msg;
-      workers_.push_back(std::move(worker));
-      log({.kind = "spawn", .worker = w});
+      ::close(ends[1]);
+      add_worker(ends[0], pid, "");
     }
+  }
+
+  /// Supervise a new link, which must HELLO before anything else.  The
+  /// write deadline doubles as the half-open guard on sends: a worker
+  /// that stops draining for a whole lease deadline is dead.
+  void add_worker(int fd, pid_t pid, std::string detail) {
+    WorkerLink worker;
+    worker.pid = pid;
+    worker.transport = std::make_unique<net::Transport>(
+        fd, std::max(options_.lease_deadline, std::chrono::milliseconds(1000)));
+    worker.alive = true;
+    worker.last_msg = Clock::now();
+    worker.last_ping = worker.last_msg;
+    workers_.push_back(std::move(worker));
+    log({.kind = "spawn", .worker = workers_.size() - 1, .detail = std::move(detail)});
   }
 
   // ---- supervision loop --------------------------------------------
@@ -279,19 +275,7 @@ class Run {
     for (;;) {
       const int fd = listener_->accept_nonblocking();
       if (fd < 0) return;
-      WorkerLink worker;
-      worker.pid = -1;
-      // The write deadline doubles as the half-open guard on sends: a
-      // remote worker that stops draining for a whole lease deadline
-      // is treated as dead.
-      worker.transport = std::make_unique<net::SocketTransport>(
-          fd, std::max(options_.lease_deadline, std::chrono::milliseconds(1000)));
-      worker.alive = true;
-      worker.hello = false;  // must HELLO before anything else
-      worker.last_msg = Clock::now();
-      worker.last_ping = worker.last_msg;
-      workers_.push_back(std::move(worker));
-      log({.kind = "spawn", .worker = workers_.size() - 1, .detail = "accept"});
+      add_worker(fd, -1, "accept");
     }
   }
 
@@ -333,14 +317,11 @@ class Run {
     lease.attempt = stripe.attempts;
     lease.resume_attempts = stripe.prior_attempts;
     if (!workers_[w].transport->send(encode(CoordinatorMsg(lease)))) {
-      // The link is already broken: the worker is dead but its EOF has
-      // not been read yet.  Let the poll loop reap it; the stripe
-      // stays pending.  (A socket send can also fail by write
-      // deadline -- that link never EOFs, so reap it here.)
-      if (workers_[w].pid < 0) {
-        terminate(workers_[w]);
-        on_worker_death(w, "exit");
-      }
+      // The link is broken (peer gone, or stalled past the write
+      // deadline -- a link that may never EOF): reap it here; the
+      // stripe stays pending.
+      terminate(workers_[w]);
+      on_worker_death(w, "exit");
       return;
     }
     stripe.status = StripeState::Status::leased;
@@ -351,19 +332,21 @@ class Run {
     log({.kind = "lease", .worker = w, .stripe = s, .attempt = lease.attempt});
   }
 
-  /// Keepalive probes, both transports, every heartbeat interval.  On
-  /// pipes these are belt-and-braces; on sockets they are load-bearing
-  /// twice over -- the worker's idle timeout counts on them, and a
-  /// half-open link eventually fails the send (caught here or at the
-  /// next lease grant).
+  /// Keepalive probes to idle workers, every heartbeat interval.  They
+  /// are load-bearing twice over: the worker's idle timeout counts on
+  /// them, and a half-open link eventually fails the send (caught here
+  /// or at the next lease grant).  A worker holding a lease (fetching
+  /// included) is not reading its link, so unread pings would only
+  /// fill the socket buffer until a send fails and a healthy worker is
+  /// killed; its heartbeats and the lease deadline cover liveness.
   void send_pings() {
     const Clock::time_point now = Clock::now();
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       WorkerLink& worker = workers_[w];
-      if (!worker.alive || !worker.hello) continue;
+      if (!worker.alive || !worker.hello || worker.lease != npos) continue;
       if (now - worker.last_ping < options_.heartbeat_interval) continue;
       worker.last_ping = now;
-      if (!worker.transport->send(encode(CoordinatorMsg(PingMsg{}))) && worker.pid < 0) {
+      if (!worker.transport->send(encode(CoordinatorMsg(PingMsg{})))) {
         terminate(worker);
         on_worker_death(w, "exit");
       }
@@ -404,7 +387,9 @@ class Run {
     for (const WorkerLink& worker : workers_) {
       if (!worker.alive) continue;
       next = std::min(next, worker.last_msg + options_.lease_deadline);
-      if (worker.hello) next = std::min(next, worker.last_ping + options_.heartbeat_interval);
+      if (worker.hello && worker.lease == npos) {
+        next = std::min(next, worker.last_ping + options_.heartbeat_interval);
+      }
     }
     for (const StripeState& stripe : stripe_states_) {
       // Only future backoff expiries matter: a stripe that is ready NOW
@@ -452,8 +437,8 @@ class Run {
       return;
     }
     if (!worker.hello) {
-      // A socket link must introduce itself before anything else; a
-      // client speaking leases without credentials is dropped.
+      // A link must introduce itself before anything else; a client
+      // speaking leases without credentials is dropped.
       terminate(worker);
       on_worker_death(w, "protocol");
       return;
@@ -481,7 +466,7 @@ class Run {
 
   void handle_hello(std::size_t w, const HelloMsg& hello) {
     WorkerLink& worker = workers_[w];
-    if (worker.hello) {  // double HELLO, or HELLO on a pipe link
+    if (worker.hello) {  // double HELLO
       terminate(worker);
       on_worker_death(w, "protocol");
       return;
@@ -498,7 +483,7 @@ class Run {
     }
     worker.hello = true;
     log({.kind = "hello", .worker = w});
-    // The worker has no filesystem path to the spec: ship it.
+    // Workers get the grid only over the wire, spawned ones included.
     if (!worker.transport->send(encode(CoordinatorMsg(SpecMsg{grid_text_})))) {
       terminate(worker);
       on_worker_death(w, "exit");
@@ -512,35 +497,20 @@ class Run {
         stripe_states_[done.stripe].holder != w) {
       return;  // stale message for a lease already reclaimed
     }
-    if (worker.pid < 0) {
-      // Remote worker: the published stripe lives on ITS disk.  Start
-      // the fetch; the lease stays held until the stream verifies, so
-      // a death mid-transfer reclaims the stripe automatically.
-      worker.fetching = true;
-      worker.fetch_done = done;
-      worker.fetch_bytes.clear();
-      worker.fetch_total = 0;
-      worker.fetch_checksum = 0;
-      log({.kind = "fetch", .worker = w, .stripe = done.stripe, .attempt = done.attempt});
-      if (!worker.transport->send(
-              encode(CoordinatorMsg(FetchMsg{done.stripe, done.attempt})))) {
-        terminate(worker);
-        on_worker_death(w, "exit");
-      }
-      return;
+    // The published stripe lives on the worker's disk, which may or
+    // may not be ours: fetch it either way.  The lease stays held until
+    // the stream verifies, so a death mid-transfer reclaims the stripe
+    // automatically.
+    worker.fetching = true;
+    worker.fetch_done = done;
+    worker.fetch_bytes.clear();
+    worker.fetch_total = 0;
+    worker.fetch_checksum = 0;
+    log({.kind = "fetch", .worker = w, .stripe = done.stripe, .attempt = done.attempt});
+    if (!worker.transport->send(encode(CoordinatorMsg(FetchMsg{done.stripe, done.attempt})))) {
+      terminate(worker);
+      on_worker_death(w, "exit");
     }
-    worker.lease = npos;
-    StripeState& stripe = stripe_states_[done.stripe];
-    // Trust but verify: DONE means "published", so the stripe file
-    // must exist and cover every owned cell.
-    if (!stripe_file_complete(done.stripe)) {
-      reclaim(done.stripe, w, "invalid");
-      return;
-    }
-    stripe.status = StripeState::Status::done;
-    stripe.holder = npos;
-    report_.computed += done.computed;
-    log({.kind = "done", .worker = w, .stripe = done.stripe, .attempt = done.attempt});
   }
 
   void handle_data(std::size_t w, const DataMsg& data) {
@@ -604,8 +574,8 @@ class Run {
          .detail = "fetched"});
   }
 
-  /// SIGKILL a local worker, hang up on a remote one.  The matching
-  /// waitpid (locals only) happens in on_worker_death.
+  /// Hang up on a worker, and SIGKILL it too if we spawned it.  The
+  /// matching waitpid happens in on_worker_death.
   void terminate(WorkerLink& worker) {
     if (worker.pid > 0) ::kill(worker.pid, SIGKILL);
     worker.transport->shutdown();
@@ -634,26 +604,26 @@ class Run {
     log({.kind = "dead", .worker = w, .detail = reason});
   }
 
-  /// Take back a lease whose holder died or failed: adopt the stripe
-  /// if the dead worker already published it (locals only -- remote
-  /// publishes live on remote disks), otherwise keep its partial
-  /// attempt file as a resume source and schedule a retry behind
+  /// End a lease whose holder died or failed: adopt the stripe if the
+  /// dead worker already published it to our workdir (a worker sharing
+  /// our disk), otherwise reclaim it -- keep its partial attempt file,
+  /// if one is here, as a resume source and schedule a retry behind
   /// capped exponential backoff.
   void reclaim(std::size_t s, std::size_t w, const std::string& reason) {
     StripeState& stripe = stripe_states_[s];
     const std::size_t attempt = stripe.attempts == 0 ? 0 : stripe.attempts - 1;
     stripe.holder = npos;
-    report_.reclaims += 1;
-    log({.kind = "reclaim", .worker = w, .stripe = s, .attempt = attempt, .detail = reason});
-
     if (stripe_file_complete(s)) {
-      // Death between the atomic publish and the DONE message: the
-      // work is all there -- adopt it, never recompute.
+      // Death after the atomic publish, before the commit: the work is
+      // all there -- adopt it, never recompute.  The adopt event ends
+      // the lease in place of a reclaim.
       stripe.status = StripeState::Status::done;
       report_.adopted += 1;
-      log({.kind = "adopt", .worker = w, .stripe = s, .attempt = attempt});
+      log({.kind = "adopt", .worker = w, .stripe = s, .attempt = attempt, .detail = reason});
       return;
     }
+    report_.reclaims += 1;
+    log({.kind = "reclaim", .worker = w, .stripe = s, .attempt = attempt, .detail = reason});
     if (::access(stripe_attempt_path(options_.workdir, s, attempt).c_str(), F_OK) == 0 &&
         std::find(stripe.prior_attempts.begin(), stripe.prior_attempts.end(), attempt) ==
             stripe.prior_attempts.end()) {
@@ -807,7 +777,6 @@ class Run {
 
   const CoordinatorOptions& options_;
   const bool serving_;
-  std::string spec_text_;
   std::string grid_text_;  ///< spec + backend line: what SPEC ships
   sweep::Grid grid_;
   std::size_t stripes_ = 1;

@@ -13,50 +13,52 @@ namespace dist {
 
 /// The coordinator/worker wire protocol of the fault-tolerant sweep.
 ///
-/// Messages are single newline-terminated ASCII lines over a byte
-/// stream -- pipes between processes today, sockets between hosts
-/// tomorrow (nothing below assumes a shared filesystem except the
-/// shard files themselves, which a socket transport would stream
-/// instead).  Control flows over the stream; record data flows through
-/// durable shard files (sweep::ShardWriter): while a stripe is leased,
-/// its records accumulate in a per-(stripe, attempt) temp file, and
-/// completing the stripe publishes the file atomically.  A worker
-/// death at ANY instant therefore leaves either a complete published
-/// stripe or a temp file whose only damage is one truncated final line
-/// -- exactly what sweep::scan_records reclaims.
+/// Messages are ASCII heads with optional binary tails, one per
+/// length-delimited frame (net/frame.hpp), over one stream socket per
+/// worker: the AF_UNIX socketpair `coordinate` spawns a worker on, or
+/// the TCP link a `work --connect` worker dials.  Control flows over
+/// the stream; record data flows through durable shard files
+/// (sweep::ShardWriter): while a stripe is leased, its records
+/// accumulate in a per-(stripe, attempt) temp file, and completing the
+/// stripe publishes the file atomically.  A worker death at ANY
+/// instant therefore leaves either a complete published stripe or a
+/// temp file whose only damage is one truncated final line -- exactly
+/// what sweep::scan_records reclaims, when the coordinator shares the
+/// worker's disk.
+///
+/// A session runs HELLO -> SPEC -> READY -> LEASE ... DONE -> FETCH /
+/// DATA -> verified commit, then the next LEASE, until QUIT.
 ///
 /// Coordinator -> worker:
+///   SPEC <spec bytes...>                     (the reply to HELLO)
 ///   LEASE <stripe> <stripe_count> <attempt> <resume_attempts|->
-///   QUIT
+///   FETCH <stripe> <attempt>                 (the reply to DONE)
 ///   PING                                     (keepalive probe)
-///   SPEC <spec bytes...>                     (socket only)
-///   FETCH <stripe> <attempt>                 (socket only)
+///   QUIT
 /// Worker -> coordinator:
+///   HELLO <version> <token|->                (first message)
 ///   READY
 ///   HB <computed_total>
 ///   DONE <stripe> <attempt> <computed> <skipped>
-///   FAIL <stripe> <attempt> <message...>
-///   HELLO <version> <token|->                (socket only, first msg)
 ///   DATA <stripe> <attempt> <offset> <total> <checksum> <bytes...>
-///                                            (socket only)
+///   FAIL <stripe> <attempt> <message...>
 ///
 /// `resume_attempts` is a comma-separated list of prior attempt
 /// numbers whose temp files the worker must scan and skip past
 /// (`-` = none): the lease carries the reclamation state, so a retry
 /// never recomputes records a dead worker already flushed.
 ///
-/// The socket-only messages close the two gaps a TCP link opens
-/// against local pipes: no shared filesystem (SPEC ships the grid
-/// down; FETCH/DATA stream published stripes back up, verified by
-/// length + FNV-1a checksum before the coordinator commits them) and
-/// no ambient trust (HELLO carries a protocol version and a shared
-/// token; anything else as a link's first message is a protocol
-/// death).  SPEC and DATA carry binary tails -- embedded newlines and
-/// arbitrary record bytes -- which is exactly why sockets use
-/// length-delimited frames (net/frame.hpp) rather than newline
-/// framing.  PING is coordinator->worker keepalive on both transports:
-/// a half-open TCP link never EOFs, so liveness must be probed, not
-/// inferred from the stream state.
+/// Nothing on the wire assumes a shared filesystem: SPEC ships the
+/// grid down and FETCH/DATA stream published stripes back up,
+/// verified by length + FNV-1a checksum before the coordinator commits
+/// them.  Nor does anything assume trust: HELLO carries a protocol
+/// version and a shared token, and anything else as a link's first
+/// message is a protocol death.  SPEC and DATA carry binary tails --
+/// embedded newlines and arbitrary record bytes -- which is why the
+/// wire uses length-delimited frames rather than newline framing.
+/// PING is coordinator->worker keepalive for idle workers: a half-open
+/// TCP link never EOFs, so liveness must be probed, not inferred from
+/// the stream state.
 
 /// Grant of stripe `stripe` of `stripe_count` (the sweep/stripe.hpp
 /// striping -- lease identity IS shard identity) as attempt `attempt`.
@@ -70,7 +72,7 @@ struct LeaseMsg {
 /// Orderly shutdown; the worker exits 0.
 struct QuitMsg {};
 
-/// Wire-format revision of the socket dialect.  Bumped when message
+/// Wire-format revision.  Bumped when message
 /// layout changes incompatibly; HELLO carries it so a version-skewed
 /// worker is turned away at the door instead of failing mid-sweep.
 constexpr std::size_t kProtocolVersion = 1;
@@ -81,16 +83,16 @@ constexpr std::size_t kProtocolVersion = 1;
 /// surfaces as a send failure instead of idling forever.
 struct PingMsg {};
 
-/// The sweep spec, shipped to remote workers that share no filesystem
-/// with the coordinator.  The text is the full grid spec (with the
+/// The sweep spec, the coordinator's reply to a worker's HELLO (the
+/// wire is every worker's only source for the grid).  The text is the full grid spec (with the
 /// backend line already appended), newlines included.
 struct SpecMsg {
   std::string text;
 };
 
 /// Request the published stripe file for `(stripe, attempt)` to be
-/// streamed back as DATA chunks.  Sent after a verified-stale-free
-/// DONE from a remote worker; the stripe stays leased until the last
+/// streamed back as DATA chunks.  Sent after every non-stale DONE;
+/// the stripe stays leased until the last
 /// chunk verifies, so a worker dying mid-stream reclaims like any
 /// other death.
 struct FetchMsg {
@@ -98,7 +100,7 @@ struct FetchMsg {
   std::size_t attempt = 0;
 };
 
-/// First message of a worker: the spec parsed, ready for leases.
+/// A worker's reply to SPEC: the spec parsed, ready for leases.
 struct ReadyMsg {};
 
 /// Liveness beacon, sent every heartbeat interval from a dedicated
@@ -128,7 +130,7 @@ struct FailMsg {
   std::string message;
 };
 
-/// First message on a socket link, before anything else: protocol
+/// First message on a link, before anything else: protocol
 /// version + shared secret ("-" = no token).  The coordinator answers
 /// with SPEC; a wrong token or version gets the link dropped and an
 /// "auth"/"version" death logged.
@@ -185,10 +187,11 @@ using WorkerMsg = std::variant<ReadyMsg, HeartbeatMsg, DoneMsg, FailMsg, HelloMs
 ///             then SIGKILL -- the death-mid-write case
 ///   hang      stop heartbeating and freeze -- the zombie case, which
 ///             only the coordinator's lease deadline can reclaim
-///   fetchcut  (socket workers) complete the stripe, then die after
-///             streaming only the first DATA chunk of the FETCH reply
-///             -- the mid-transfer-death case; the coordinator must
-///             discard the partial stream and retry the stripe
+///   fetchcut  complete the stripe, then die after streaming only the
+///             first DATA chunk of the FETCH reply -- the
+///             mid-transfer-death case; the coordinator must discard
+///             the partial stream, then adopt the published stripe
+///             (shared disk) or retry it (the worker's own disk)
 enum class ChaosMode { kill, truncate, hang, fetchcut };
 
 struct ChaosKill {
@@ -218,22 +221,27 @@ struct ChaosKill {
 /// clocks, so logs are deterministic under test.
 ///
 /// Kinds and their fields:
-///   spawn    worker [detail]     a worker process started (detail
-///                                "accept" = a socket worker connected)
-///   hello    worker              socket handshake verified (version +
+///   spawn    worker [detail]     a worker process spawned (detail
+///                                "accept" = a remote worker connected)
+///   hello    worker              handshake verified (version +
 ///                                token); precedes any lease to that
 ///                                worker -- see check/net.hpp
 ///   ready    worker              its READY arrived
 ///   lease    worker stripe attempt          lease granted
-///   done     worker stripe attempt          DONE verified, stripe complete
-///   adopt    worker stripe attempt          published stripe found complete
-///                                           on reclaim (or coordinator
-///                                           restart: worker = npos)
-///   fetch    worker stripe attempt          FETCH issued for a remote
+///   done     worker stripe attempt detail   stripe fetched, verified and
+///                                           committed (detail "fetched")
+///   adopt    worker stripe attempt detail   published stripe found complete
+///                                           when its holder died or
+///                                           failed: ends the lease in
+///                                           place of a reclaim (detail:
+///                                           as reclaim's); or coordinator
+///                                           restart: worker = npos
+///   fetch    worker stripe attempt          FETCH issued for a DONE
 ///                                           stripe; the matching done
 ///                                           carries detail "fetched"
 ///   reclaim  worker stripe attempt detail   lease taken back (detail:
-///                                           exit|deadline|fail|invalid)
+///                                           the death reason, or
+///                                           fail: <message>)
 ///   retry    stripe attempt backoff_ms      retry scheduled
 ///   dead     worker detail                  worker exited/was killed
 ///                                           (detail adds: protocol|

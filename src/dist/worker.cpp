@@ -1,8 +1,10 @@
 #include "dist/worker.hpp"
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <iostream>
@@ -23,9 +25,8 @@
 namespace dist {
 namespace {
 
-/// DATA chunk size for streamed stripes.  Small enough that a
-/// mid-FETCH death (or fetchcut chaos) reliably leaves a partial
-/// stream, large enough that real stripes move in a handful of frames.
+/// DATA chunk size for streamed stripes: large enough that real
+/// stripes move in a handful of frames.
 constexpr std::size_t kFetchChunk = 64 * 1024;
 
 /// The heartbeat thread: one HB per interval, carrying the lifetime
@@ -87,8 +88,10 @@ class Heartbeat {
 
 /// Stream the published stripe file back as ordered DATA chunks.
 /// `fetchcut` chaos (already armed by the caller) dies after the first
-/// chunk -- the mid-transfer-death case the coordinator must recover
-/// from by discarding the partial stream and re-leasing the stripe.
+/// chunk, which it caps at half the stripe so the stream is cut even
+/// when the stripe would fit one chunk -- the mid-transfer-death case
+/// the coordinator must recover from by discarding the partial stream
+/// and adopting or re-leasing the stripe.
 [[nodiscard]] bool answer_fetch(net::Transport& transport, const WorkerOptions& options,
                                 const FetchMsg& fetch, bool fetchcut_now) {
   std::ifstream in(stripe_final_path(options.workdir, fetch.stripe), std::ios::binary);
@@ -99,6 +102,9 @@ class Heartbeat {
   buffer << in.rdbuf();
   const std::string bytes = std::move(buffer).str();
   const std::uint64_t checksum = net::fnv1a64(bytes);
+  const std::size_t chunk_size =
+      fetchcut_now ? std::min(kFetchChunk, std::max<std::size_t>(1, bytes.size() / 2))
+                   : kFetchChunk;
   std::size_t offset = 0;
   do {
     DataMsg chunk;
@@ -107,7 +113,7 @@ class Heartbeat {
     chunk.offset = offset;
     chunk.total = bytes.size();
     chunk.checksum = checksum;
-    chunk.bytes = bytes.substr(offset, kFetchChunk);
+    chunk.bytes = bytes.substr(offset, chunk_size);
     offset += chunk.bytes.size();
     if (!send_msg(transport, chunk)) return false;
     if (fetchcut_now) ::raise(SIGKILL);
@@ -117,38 +123,27 @@ class Heartbeat {
 
 }  // namespace
 
-int run_worker_on_transport(const WorkerOptions& options, net::Transport& transport,
-                            bool handshake, bool fetch_on_done) {
-  sweep::Grid grid;
-  std::string spec_text = options.spec_text;
-
-  if (handshake) {
-    if (!transport.send(encode(WorkerMsg{HelloMsg{kProtocolVersion, options.token}}))) {
-      std::cerr << "dls_sweep work: coordinator hung up during handshake\n";
-      return 1;
-    }
-    // The SPEC reply supplies the grid -- connected workers share no
-    // filesystem with the coordinator.
-    std::string line;
-    const auto status = transport.recv(line, options.idle_timeout);
-    if (status != net::Transport::RecvStatus::ok) {
-      std::cerr << "dls_sweep work: no SPEC from coordinator ("
-                << (status == net::Transport::RecvStatus::timeout ? "timeout" : "closed") << ")\n";
-      return 1;
-    }
-    try {
-      const CoordinatorMsg msg = parse_coordinator_msg(line);
-      const auto* spec = std::get_if<SpecMsg>(&msg);
-      if (spec == nullptr) throw std::invalid_argument("expected SPEC, got '" + line + "'");
-      spec_text = spec->text;
-    } catch (const std::exception& e) {
-      std::cerr << "dls_sweep work: " << e.what() << "\n";
-      return 1;
-    }
+int run_worker_on_transport(const WorkerOptions& options, net::Transport& transport) {
+  if (!transport.send(encode(WorkerMsg{HelloMsg{kProtocolVersion, options.token}}))) {
+    std::cerr << "dls_sweep work: coordinator hung up during handshake\n";
+    return 1;
   }
-
+  // The SPEC reply supplies the grid: the wire is the worker's only
+  // source for it, whether or not it shares the coordinator's disk.
+  sweep::Grid grid;
+  std::string spec_line;
+  const auto spec_status = transport.recv(spec_line, options.idle_timeout);
+  if (spec_status != net::Transport::RecvStatus::ok) {
+    std::cerr << "dls_sweep work: no SPEC from coordinator ("
+              << (spec_status == net::Transport::RecvStatus::timeout ? "timeout" : "closed")
+              << ")\n";
+    return 1;
+  }
   try {
-    grid = sweep::parse_grid(spec_text);
+    const CoordinatorMsg msg = parse_coordinator_msg(spec_line);
+    const auto* spec = std::get_if<SpecMsg>(&msg);
+    if (spec == nullptr) throw std::invalid_argument("expected SPEC, got '" + spec_line + "'");
+    grid = sweep::parse_grid(spec->text);
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep work: " << e.what() << "\n";
     return 1;
@@ -207,9 +202,9 @@ int run_worker_on_transport(const WorkerOptions& options, net::Transport& transp
       return 0;
     }
     if (status == net::Transport::RecvStatus::timeout) {
-      // Half-open-link guard: the coordinator pings every heartbeat
-      // interval, so a silence this long means the link is wedged even
-      // though the socket never EOF'd.
+      // Half-open-link guard: the coordinator pings an idle worker
+      // every heartbeat interval, so a silence this long means the link
+      // is wedged even though the socket never EOF'd.
       std::cerr << "dls_sweep work: coordinator idle past "
                 << options.idle_timeout.count() << "ms, giving up\n";
       return 1;
@@ -276,10 +271,8 @@ int run_worker_on_transport(const WorkerOptions& options, net::Transport& transp
       writer.commit();
       live_writer = nullptr;
       // Publish-then-report: the rename above is the durable state
-      // change, DONE is only the notification of it.  In fetch mode
-      // the published file stays put -- it is the source the FETCH
-      // reply streams from.
-      (void)fetch_on_done;
+      // change, DONE is only the notification of it.  The published
+      // file stays put -- it is the source the FETCH reply streams from.
       if (!send_msg(transport, DoneMsg{lease.stripe, lease.attempt, computed, skipped})) return 1;
     } catch (const std::exception& e) {
       live_writer = nullptr;
@@ -290,20 +283,20 @@ int run_worker_on_transport(const WorkerOptions& options, net::Transport& transp
 
 int run_worker(const WorkerOptions& options) {
   if (options.connect.empty()) {
-    net::PipeTransport transport(STDIN_FILENO, STDOUT_FILENO);
-    const int code = run_worker_on_transport(options, transport, /*handshake=*/false,
-                                             /*fetch_on_done=*/false);
-    // Leave stdio open for the process exit path; the transport closed
-    // the fds already, which is fine this late.
-    return code;
+    struct stat in {};
+    if (::fstat(STDIN_FILENO, &in) != 0 || !S_ISSOCK(in.st_mode)) {
+      std::cerr << "dls_sweep work: stdin is not a socket; run under `dls_sweep coordinate`, "
+                   "or pass --connect host:port\n";
+      return 2;
+    }
+    net::Transport transport(STDIN_FILENO);
+    return run_worker_on_transport(options, transport);
   }
   try {
     const net::HostPort address = net::parse_host_port(options.connect);
-    const int fd =
-        net::connect_with_retry(address, options.connect_attempts, options.connect_backoff);
-    net::SocketTransport transport(fd);
-    return run_worker_on_transport(options, transport, /*handshake=*/true,
-                                   /*fetch_on_done=*/true);
+    net::Transport transport(
+        net::connect_with_retry(address, options.connect_attempts, options.connect_backoff));
+    return run_worker_on_transport(options, transport);
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep work: " << e.what() << "\n";
     return 1;

@@ -88,21 +88,6 @@ bool FrameDecoder::feed(std::string_view bytes, std::vector<std::string>& out) {
   return true;
 }
 
-void LineDecoder::feed(std::string_view bytes, std::vector<std::string>& out) {
-  std::size_t start = 0;
-  for (;;) {
-    const auto newline = bytes.find('\n', start);
-    if (newline == std::string_view::npos) {
-      buffer_.append(bytes.data() + start, bytes.size() - start);
-      return;
-    }
-    buffer_.append(bytes.data() + start, newline - start);
-    out.push_back(std::move(buffer_));
-    buffer_.clear();
-    start = newline + 1;
-  }
-}
-
 std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t hash = 14695981039346656037ull;
   for (const char c : bytes) {

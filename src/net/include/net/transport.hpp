@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,45 +11,51 @@
 
 namespace net {
 
-/// Transport-agnostic message link between a sweep coordinator and one
-/// worker.  Two implementations: PipeTransport (stdin/stdout pipes to
-/// a forked local worker, newline framing -- PR 6's wire format,
-/// unchanged) and SocketTransport (one TCP fd to a remote worker,
-/// length-delimited frames from net/frame.hpp).  The coordinator and
-/// worker loops only ever see this interface, so lease logic cannot
-/// diverge between local and distributed runs.
+/// The message link between a sweep coordinator and one worker: one
+/// connected stream socket carrying length-delimited frames
+/// (net/frame.hpp).  Every worker link is one -- an accepted TCP
+/// connection from a `work --connect` worker, or the AF_UNIX
+/// socketpair a coordinator hands a worker it spawns -- so the
+/// coordinator and worker loops speak one dialect whatever the peer.
+/// Owns the fd and makes it nonblocking.
 class Transport {
  public:
-  virtual ~Transport() = default;
+  explicit Transport(int fd,
+                     std::chrono::milliseconds write_deadline = std::chrono::seconds(10));
+  ~Transport();
 
-  /// Send one protocol message (no trailing newline; the transport
-  /// frames it).  Thread-safe: the worker's heartbeat thread and main
-  /// loop share one link.  Returns false once the peer is gone --
-  /// callers treat that like a death and let the read side report it.
-  [[nodiscard]] virtual bool send(std::string_view message) = 0;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
+
+  /// Send one protocol message as one frame.  Thread-safe: the
+  /// worker's heartbeat thread and main loop share one link.  Returns
+  /// false once the peer is gone or has stopped reading for the whole
+  /// write deadline -- callers treat that like a death.
+  [[nodiscard]] bool send(std::string_view message) DLS_EXCLUDES(mutex_);
 
   /// The fd to poll for readability (POLLIN) -- the coordinator
   /// multiplexes many links through one poll() set.
-  [[nodiscard]] virtual int poll_fd() const = 0;
+  [[nodiscard]] int poll_fd() const DLS_EXCLUDES(mutex_) {
+    const support::LockGuard lock(mutex_);
+    return fd_;
+  }
 
   /// Nonblocking read: decode everything currently buffered by the
   /// kernel and append complete messages to `out`.  Returns false when
-  /// the peer is finished -- either cleanly (EOF, error() == "") or
-  /// because the byte stream was garbage (error() nonempty).  Messages
-  /// decoded before the failure are still appended.
-  [[nodiscard]] virtual bool drain(std::vector<std::string>& out) = 0;
+  /// the peer is finished -- either cleanly (EOF between frames,
+  /// error() == "") or because the byte stream was garbage or cut
+  /// mid-frame (error() nonempty).  Messages decoded before the
+  /// failure are still appended.
+  [[nodiscard]] bool drain(std::vector<std::string>& out) DLS_EXCLUDES(mutex_);
 
-  /// Tear the link down now (close fds).  Idempotent.  This is the
-  /// socket-side analogue of SIGKILL: a coordinator that would kill a
-  /// misbehaving local worker instead hangs up on a remote one.
-  virtual void shutdown() = 0;
+  /// Tear the link down now (close the fd).  Idempotent.  A
+  /// coordinator hangs up on a misbehaving worker this way (and also
+  /// SIGKILLs it when it spawned it).
+  void shutdown() DLS_EXCLUDES(mutex_);
 
   /// Why drain() returned false: empty for a clean EOF, a framing
   /// diagnostic for a corrupt stream.
-  [[nodiscard]] virtual const std::string& error() const = 0;
-
-  /// Human-readable peer label for logs ("pipe", "tcp:fd=7", ...).
-  [[nodiscard]] virtual std::string describe() const = 0;
+  [[nodiscard]] const std::string& error() const { return error_; }
 
   enum class RecvStatus { ok, timeout, closed };
 
@@ -61,69 +66,19 @@ class Transport {
   /// would strand messages in the internal queue).
   [[nodiscard]] RecvStatus recv(std::string& out, std::chrono::milliseconds timeout);
 
- protected:
-  std::deque<std::string> pending_;  ///< recv() lookahead only
-  bool recv_closed_ = false;
-};
-
-/// The PR 6 wire: newline-terminated ASCII over a pipe pair.  Owns
-/// both fds; the read side is made nonblocking on construction.
-class PipeTransport final : public Transport {
- public:
-  /// `read_fd` carries peer->us bytes, `write_fd` us->peer.
-  PipeTransport(int read_fd, int write_fd);
-  ~PipeTransport() override;
-
-  [[nodiscard]] bool send(std::string_view message) override DLS_EXCLUDES(mutex_);
-  [[nodiscard]] int poll_fd() const override DLS_EXCLUDES(mutex_) {
-    const support::LockGuard lock(mutex_);
-    return read_fd_;
-  }
-  [[nodiscard]] bool drain(std::vector<std::string>& out) override DLS_EXCLUDES(mutex_);
-  void shutdown() override DLS_EXCLUDES(mutex_);
-  [[nodiscard]] const std::string& error() const override { return error_; }
-  [[nodiscard]] std::string describe() const override;
-
  private:
-  /// Guards the fds (send() vs shutdown() cross-thread) and
-  /// serializes whole sends so concurrent messages never interleave
-  /// mid-line.  The decoder state below is NOT under it: drain() and
-  /// error() belong to the single read-side thread by contract.
-  mutable support::Mutex mutex_;
-  int read_fd_ DLS_GUARDED_BY(mutex_);
-  int write_fd_ DLS_GUARDED_BY(mutex_);
-  LineDecoder decoder_;  ///< read-side thread only
-  std::string error_;    ///< read-side thread only
-  bool finished_ = false;  ///< read-side thread only
-};
-
-/// One connected TCP socket carrying length-delimited frames.  Owns
-/// the fd (nonblocking; see net/socket.hpp for how it is minted).
-class SocketTransport final : public Transport {
- public:
-  explicit SocketTransport(int fd,
-                           std::chrono::milliseconds write_deadline = std::chrono::seconds(10));
-  ~SocketTransport() override;
-
-  [[nodiscard]] bool send(std::string_view message) override DLS_EXCLUDES(mutex_);
-  [[nodiscard]] int poll_fd() const override DLS_EXCLUDES(mutex_) {
-    const support::LockGuard lock(mutex_);
-    return fd_;
-  }
-  [[nodiscard]] bool drain(std::vector<std::string>& out) override DLS_EXCLUDES(mutex_);
-  void shutdown() override DLS_EXCLUDES(mutex_);
-  [[nodiscard]] const std::string& error() const override { return error_; }
-  [[nodiscard]] std::string describe() const override DLS_EXCLUDES(mutex_);
-
- private:
-  /// Same split as PipeTransport: mutex_ guards the fd and serializes
-  /// whole frames; decoder state is read-side-thread-only.
+  /// Guards the fd (send() vs shutdown() cross-thread) and serializes
+  /// whole frames so concurrent sends never interleave.  The decoder
+  /// state below is NOT under it: drain(), recv() and error() belong
+  /// to the single read-side thread by contract.
   mutable support::Mutex mutex_;
   int fd_ DLS_GUARDED_BY(mutex_);
   std::chrono::milliseconds write_deadline_;
-  FrameDecoder decoder_;   ///< read-side thread only
-  std::string error_;      ///< read-side thread only
-  bool finished_ = false;  ///< read-side thread only
+  FrameDecoder decoder_;             ///< read-side thread only
+  std::string error_;                ///< read-side thread only
+  bool finished_ = false;            ///< read-side thread only
+  std::deque<std::string> pending_;  ///< recv() lookahead only
+  bool recv_closed_ = false;
 };
 
 }  // namespace net

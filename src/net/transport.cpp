@@ -12,20 +12,17 @@
 namespace net {
 namespace {
 
-/// Write all of `bytes` to a nonblocking fd, waiting for POLLOUT up to
-/// `deadline` when the kernel buffer is full.  Returns false on peer
-/// loss or deadline expiry -- a remote worker that stops reading for
-/// that long is as dead as one that hung up.  `socket` selects
-/// ::send(MSG_NOSIGNAL) so a hung-up TCP peer yields EPIPE instead of
-/// SIGPIPE regardless of the process's signal disposition (pipes have
-/// no such flag; their callers ignore SIGPIPE process-wide).
-bool write_all(int fd, std::string_view bytes, std::chrono::milliseconds deadline, bool socket) {
+/// Write all of `bytes` to a nonblocking socket, waiting for POLLOUT up
+/// to `deadline` when the kernel buffer is full.  Returns false on
+/// peer loss or deadline expiry -- a worker that stops reading for
+/// that long is as dead as one that hung up.  MSG_NOSIGNAL turns a
+/// hung-up peer into EPIPE instead of SIGPIPE, whatever the process's
+/// signal disposition.
+bool write_all(int fd, std::string_view bytes, std::chrono::milliseconds deadline) {
   const auto give_up_at = std::chrono::steady_clock::now() + deadline;
   std::size_t written = 0;
   while (written < bytes.size()) {
-    const ssize_t n =
-        socket ? ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL)
-               : ::write(fd, bytes.data() + written, bytes.size() - written);
+    const ssize_t n = ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
       continue;
@@ -48,50 +45,20 @@ bool write_all(int fd, std::string_view bytes, std::chrono::milliseconds deadlin
 
 }  // namespace
 
-Transport::RecvStatus Transport::recv(std::string& out, std::chrono::milliseconds timeout) {
-  const auto give_up_at = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    if (!pending_.empty()) {
-      out = std::move(pending_.front());
-      pending_.pop_front();
-      return RecvStatus::ok;
-    }
-    if (recv_closed_) return RecvStatus::closed;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= give_up_at) return RecvStatus::timeout;
-    pollfd pfd{poll_fd(), POLLIN, 0};
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(give_up_at - now);
-    const int rc = ::poll(&pfd, 1, static_cast<int>(std::max<long long>(remaining.count(), 1)));
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      recv_closed_ = true;
-      return RecvStatus::closed;
-    }
-    if (rc == 0) return RecvStatus::timeout;
-    std::vector<std::string> messages;
-    const bool open = drain(messages);
-    for (auto& message : messages) pending_.push_back(std::move(message));
-    if (!open) recv_closed_ = true;
-  }
+Transport::Transport(int fd, std::chrono::milliseconds write_deadline)
+    : fd_(fd), write_deadline_(write_deadline) {
+  if (fd >= 0) ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
 }
 
-PipeTransport::PipeTransport(int read_fd, int write_fd) : read_fd_(read_fd), write_fd_(write_fd) {
-  if (read_fd_ >= 0) {
-    ::fcntl(read_fd_, F_SETFL, ::fcntl(read_fd_, F_GETFL, 0) | O_NONBLOCK);
-  }
-}
+Transport::~Transport() { shutdown(); }
 
-PipeTransport::~PipeTransport() { shutdown(); }
-
-bool PipeTransport::send(std::string_view message) {
+bool Transport::send(std::string_view message) {
   const support::LockGuard lock(mutex_);
-  if (write_fd_ < 0) return false;
-  std::string wire(message);
-  wire += '\n';
-  return write_all(write_fd_, wire, std::chrono::seconds(10), /*socket=*/false);
+  if (fd_ < 0) return false;
+  return write_all(fd_, encode_frame(message), write_deadline_);
 }
 
-bool PipeTransport::drain(std::vector<std::string>& out) {
+bool Transport::drain(std::vector<std::string>& out) {
   if (finished_) return false;
   int fd = -1;
   {
@@ -99,53 +66,6 @@ bool PipeTransport::drain(std::vector<std::string>& out) {
     // send() blocked on a full kernel buffer would stall the caller's
     // whole poll loop).  A shutdown() racing the loop turns the read
     // into EBADF, which lands in the EOF/error branch below.
-    const support::LockGuard lock(mutex_);
-    fd = read_fd_;
-  }
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n > 0) {
-      decoder_.feed(std::string_view(buffer, static_cast<std::size_t>(n)), out);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    // EOF or hard error: flush any unterminated final line so a
-    // mid-line death still surfaces the bytes (the parser will reject
-    // a truncated message and the caller records a protocol death).
-    finished_ = true;
-    if (!decoder_.trailing().empty()) out.push_back(decoder_.trailing());
-    return false;
-  }
-}
-
-void PipeTransport::shutdown() {
-  const support::LockGuard lock(mutex_);
-  if (read_fd_ >= 0) ::close(read_fd_);
-  if (write_fd_ >= 0) ::close(write_fd_);
-  read_fd_ = -1;
-  write_fd_ = -1;
-}
-
-std::string PipeTransport::describe() const { return "pipe"; }
-
-SocketTransport::SocketTransport(int fd, std::chrono::milliseconds write_deadline)
-    : fd_(fd), write_deadline_(write_deadline) {}
-
-SocketTransport::~SocketTransport() { shutdown(); }
-
-bool SocketTransport::send(std::string_view message) {
-  const support::LockGuard lock(mutex_);
-  if (fd_ < 0) return false;
-  return write_all(fd_, encode_frame(message), write_deadline_, /*socket=*/true);
-}
-
-bool SocketTransport::drain(std::vector<std::string>& out) {
-  if (finished_) return false;
-  int fd = -1;
-  {
-    // Same fd-snapshot discipline as PipeTransport::drain.
     const support::LockGuard lock(mutex_);
     fd = fd_;
   }
@@ -173,15 +93,37 @@ bool SocketTransport::drain(std::vector<std::string>& out) {
   }
 }
 
-void SocketTransport::shutdown() {
+void Transport::shutdown() {
   const support::LockGuard lock(mutex_);
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
 }
 
-std::string SocketTransport::describe() const {
-  const support::LockGuard lock(mutex_);
-  return "tcp:fd=" + std::to_string(fd_);
+Transport::RecvStatus Transport::recv(std::string& out, std::chrono::milliseconds timeout) {
+  const auto give_up_at = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    if (!pending_.empty()) {
+      out = std::move(pending_.front());
+      pending_.pop_front();
+      return RecvStatus::ok;
+    }
+    if (recv_closed_) return RecvStatus::closed;
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= give_up_at) return RecvStatus::timeout;
+    pollfd pfd{poll_fd(), POLLIN, 0};
+    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(give_up_at - now);
+    const int rc = ::poll(&pfd, 1, static_cast<int>(std::max<long long>(remaining.count(), 1)));
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      recv_closed_ = true;
+      return RecvStatus::closed;
+    }
+    if (rc == 0) return RecvStatus::timeout;
+    std::vector<std::string> messages;
+    const bool open = drain(messages);
+    for (auto& message : messages) pending_.push_back(std::move(message));
+    if (!open) recv_closed_ = true;
+  }
 }
 
 }  // namespace net

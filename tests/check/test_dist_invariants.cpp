@@ -1,7 +1,7 @@
-// check/dist.hpp: the distributed-sweep invariants.  Each check must
-// pass on a clean artifact and name the violation when one is
-// injected -- these are the auditors CI runs over the chaos job's
-// merged output and lease-event log.
+// check/dist.hpp and check/net.hpp: the distributed-sweep invariants.
+// Each check must pass on a clean artifact and name the violation when
+// one is injected -- these are the auditors CI runs over the chaos
+// job's merged output and lease-event log.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "check/dist.hpp"
+#include "check/net.hpp"
 #include "dist/protocol.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
@@ -143,6 +144,36 @@ TEST(LeaseExclusivity, SeqResetMarksACoordinatorRestart) {
       event(0, "spawn", 0), event(1, "adopt"),           // run 2 from scratch
       event(2, "lease", 0, 1, 0), event(3, "done", 0, 1, 0), event(4, "complete"),
   };
+  EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
+}
+
+TEST(HelloBeforeLease, CatchesALeaseToASpawnedWorkerBeforeItsHello) {
+  // A worker the coordinator forked itself (spawn without detail) owes
+  // a HELLO exactly like an accepted one.
+  const std::vector<dist::LeaseEvent> events = {
+      event(0, "spawn", 0), event(1, "ready", 0), event(2, "lease", 0, 0, 0),
+  };
+  const auto violation = check::check_hello_before_lease(events);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_NE(violation->find("before its HELLO"), std::string::npos);
+}
+
+TEST(HelloBeforeLease, CleanCoordinateLogPassesEveryTransportCheck) {
+  // The shape of a `coordinate` log: spawned workers HELLO, READY,
+  // and every DONE is fetched before it is committed.
+  std::vector<dist::LeaseEvent> events = {
+      event(0, "spawn", 0),           event(1, "spawn", 1),
+      event(2, "hello", 0),           event(3, "ready", 0),
+      event(4, "hello", 1),           event(5, "ready", 1),
+      event(6, "lease", 0, 0, 0),     event(7, "lease", 1, 1, 0),
+      event(8, "fetch", 0, 0, 0),     event(9, "done", 0, 0, 0),
+      event(10, "fetch", 1, 1, 0),    event(11, "done", 1, 1, 0),
+      event(12, "complete"),
+  };
+  events[9].detail = "fetched";
+  events[11].detail = "fetched";
+  EXPECT_EQ(check::check_hello_before_lease(events), std::nullopt);
+  EXPECT_EQ(check::check_fetch_before_done(events), std::nullopt);
   EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
 }
 

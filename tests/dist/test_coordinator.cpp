@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -14,6 +20,7 @@
 
 #include "check/dist.hpp"
 #include "dist/protocol.hpp"
+#include "net/transport.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/runner.hpp"
 
@@ -36,9 +43,19 @@ class TempDir {
   std::string path_;
 };
 
-int run_tool(const std::string& args) {
-  const std::string command = std::string(DLS_SWEEP_BIN) + " " + args + " 2>/dev/null";
-  const int status = std::system(command.c_str());
+/// Exit code of `dls_sweep <args>`; its stderr lands in `stderr_text`
+/// when given, and is discarded otherwise (as is its stdout).
+int run_tool(const std::string& args, std::string* stderr_text = nullptr) {
+  const std::string command = std::string(DLS_SWEEP_BIN) + " " + args + " 2>&1 >/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  std::string text;
+  char buffer[4096];
+  for (std::size_t n; (n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0;) {
+    text.append(buffer, n);
+  }
+  const int status = ::pclose(pipe);
+  if (stderr_text != nullptr) *stderr_text = std::move(text);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
@@ -50,16 +67,16 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-std::string serial_reference() {
+std::string serial_reference(const char* spec = kSpec) {
   std::ostringstream out;
-  (void)sweep::SweepRunner().run(sweep::parse_grid(kSpec), {}, out);
+  (void)sweep::SweepRunner().run(sweep::parse_grid(spec), {}, out);
   return out.str();
 }
 
-std::string write_spec(const TempDir& dir) {
+std::string write_spec(const TempDir& dir, const char* spec = kSpec) {
   const std::string path = dir.path() + "/grid.sweep";
   std::ofstream out(path);
-  out << kSpec;
+  out << spec;
   return path;
 }
 
@@ -112,7 +129,7 @@ TEST(CoordinateTool, LosingTwoOfFourWorkersStillMatchesSerial) {
 }
 
 TEST(CoordinateTool, HungWorkerIsReclaimedByDeadline) {
-  // A hung worker (alive, pipes open, heartbeat silenced) is invisible
+  // A hung worker (alive, link open, heartbeat silenced) is invisible
   // to EOF detection -- only the lease deadline can reclaim it.
   const TempDir dir;
   const std::string spec = write_spec(dir);
@@ -166,6 +183,57 @@ TEST(CoordinateTool, RestartedCoordinatorAdoptsAndResumesPriorWork) {
             std::nullopt);
 }
 
+TEST(CoordinateTool, DeathMidFetchAdoptsTheSharedPublishedStripe) {
+  // Worker 0 publishes its first stripe, then dies part-way through
+  // the FETCH reply.  The stripe file is already in the shared workdir,
+  // so the coordinator adopts it -- an adopt event ends that lease in
+  // place of a reclaim -- and the output still matches serial.
+  const TempDir dir;
+  const std::string spec = write_spec(dir);
+  const std::string out = dir.path() + "/merged.jsonl";
+  ASSERT_EQ(run_tool("coordinate " + spec + " --out " + out + " --workdir " + dir.path() +
+                     "/wd --workers 4 --threads 1 --quiet --chaos 0:1:fetchcut"),
+            0);
+  EXPECT_EQ(read_file(out), serial_reference());
+
+  const std::vector<dist::LeaseEvent> events = read_events(dir.path() + "/wd/events.jsonl");
+  EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
+  std::size_t adopted = 0;
+  for (const dist::LeaseEvent& event : events) {
+    if (event.kind == "adopt" && event.worker == 0) ++adopted;
+    EXPECT_FALSE(event.kind == "reclaim" && event.worker == 0);
+  }
+  EXPECT_EQ(adopted, 1u);
+}
+
+TEST(CoordinateTool, FastHeartbeatNeverKillsAWorkerMidLease) {
+  // A leased worker does not read its link until the stripe is done,
+  // so pings queued to it would pile up in the socket buffer until a
+  // send failed and a healthy worker was killed.  At a 1 ms heartbeat a
+  // one-cell stripe of over a second must still finish on its first
+  // lease, with no death and no reclaim.
+  constexpr const char* kSlowSpec =
+      "workload exponential:1.0\ntasks 65536\nh 0.5\nseed 42\ntechnique SS\nworkers 16\n"
+      "replicas 100\n";
+  const TempDir dir;
+  const std::string spec = write_spec(dir, kSlowSpec);
+  const std::string out = dir.path() + "/merged.jsonl";
+  ASSERT_EQ(run_tool("coordinate " + spec + " --out " + out + " --workdir " + dir.path() +
+                     "/wd --workers 2 --threads 1 --quiet --heartbeat-ms 1"),
+            0);
+  EXPECT_EQ(read_file(out), serial_reference(kSlowSpec));
+
+  const std::vector<dist::LeaseEvent> events = read_events(dir.path() + "/wd/events.jsonl");
+  EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
+  std::size_t leases = 0;
+  for (const dist::LeaseEvent& event : events) {
+    EXPECT_NE(event.kind, "dead");
+    EXPECT_NE(event.kind, "reclaim");
+    if (event.kind == "lease") ++leases;
+  }
+  EXPECT_EQ(leases, 1u);
+}
+
 TEST(CoordinateTool, UsageAndSpecErrorsExitTwo) {
   const TempDir dir;
   const std::string spec = write_spec(dir);
@@ -183,6 +251,30 @@ TEST(CoordinateTool, UsageAndSpecErrorsExitTwo) {
   // Conflicting chaos forms.
   EXPECT_EQ(run_tool("coordinate " + spec + " --out o --workdir w --chaos 0:1 --chaos-kills 1"),
             2);
+
+  // Chaos directives that could never fire: a worker past --workers,
+  // and a second directive for one worker.  Each names the directive.
+  std::string err;
+  EXPECT_EQ(
+      run_tool("coordinate " + spec + " --out o --workdir w --workers 2 --chaos 7:1:kill", &err),
+      2);
+  EXPECT_NE(err.find("7:1:kill"), std::string::npos) << err;
+  EXPECT_EQ(run_tool("coordinate " + spec + " --out o --workdir w --chaos 0:1:kill,0:2:hang", &err),
+            2);
+  EXPECT_NE(err.find("0:2:hang"), std::string::npos) << err;
+
+  // Liveness flags that would kill healthy workers: no heartbeat, or
+  // a deadline no longer than one heartbeat interval.
+  for (const std::string& mode : {"coordinate " + spec + " --out o --workdir w",
+                                 "serve " + spec + " --listen 127.0.0.1:0 --out o --workdir w"}) {
+    EXPECT_EQ(run_tool(mode + " --heartbeat-ms 0"), 2) << mode;
+    EXPECT_EQ(run_tool(mode + " --deadline-ms 0"), 2) << mode;
+    EXPECT_EQ(run_tool(mode + " --heartbeat-ms 2000 --deadline-ms 300", &err), 2) << mode;
+    EXPECT_NE(err.find("2000"), std::string::npos) << err;
+    EXPECT_NE(err.find("300"), std::string::npos) << err;
+  }
+  EXPECT_EQ(run_tool("work --dir " + dir.path() + " --heartbeat-ms 0", &err), 2);
+  EXPECT_NE(err.find("--heartbeat-ms"), std::string::npos) << err;
 }
 
 TEST(WorkTool, RejectsMissingDirAndBadSpec) {
@@ -191,26 +283,66 @@ TEST(WorkTool, RejectsMissingDirAndBadSpec) {
   EXPECT_EQ(run_tool("work " + spec + " </dev/null"), 2);
   EXPECT_EQ(run_tool("work " + dir.path() + "/nope.sweep --dir " + dir.path() + " </dev/null"),
             2);
+  // The grid only ever arrives over the wire: no spec positional, and
+  // without --connect stdin must be the link.
+  std::string err;
+  EXPECT_EQ(run_tool("work " + spec + " --dir " + dir.path() + " </dev/null", &err), 2);
+  EXPECT_NE(err.find("no spec file"), std::string::npos) << err;
+  EXPECT_EQ(run_tool("work --dir " + dir.path() + " </dev/null", &err), 2);
+  EXPECT_NE(err.find("not a socket"), std::string::npos) << err;
 }
 
 TEST(WorkTool, ServesALeaseOverStdinAndPublishesTheStripe) {
-  // Drive one worker by hand: LEASE stripe 0 of 2, then QUIT.  The
-  // stripe file must appear (published atomically) and hold exactly
-  // the records of shard 0/2.
+  // Drive one worker by hand on a socketpair as its stdin, the way
+  // `coordinate` spawns it: HELLO, SPEC, READY, LEASE stripe 0 of 2,
+  // DONE, FETCH, QUIT.  The stripe file must appear (published
+  // atomically), hold exactly the records of shard 0/2, and stream
+  // back over DATA byte for byte.
+  using namespace std::chrono_literals;
   const TempDir dir;
-  const std::string spec = write_spec(dir);
   const std::string wd = dir.path() + "/wd";
   ASSERT_EQ(std::system(("mkdir -p " + wd).c_str()), 0);
-  const std::string command = "printf 'LEASE 0 2 0 -\\nQUIT\\n' | " + std::string(DLS_SWEEP_BIN) +
-                              " work " + spec + " --dir " + wd + " --threads 1 >" + dir.path() +
-                              "/proto.txt 2>/dev/null";
-  const int status = std::system(command.c_str());
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(ends[1], STDIN_FILENO);
+    ::execl(DLS_SWEEP_BIN, DLS_SWEEP_BIN, "work", "--dir", wd.c_str(), "--threads", "1",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(ends[1]);
+  net::Transport link(ends[0]);
+  const auto next = [&link] {  // the next message that is not a heartbeat
+    std::string message;
+    do {
+      if (link.recv(message, 10s) != net::Transport::RecvStatus::ok) return std::string("<none>");
+    } while (message.starts_with("HB "));
+    return message;
+  };
+
+  EXPECT_TRUE(next().starts_with("HELLO "));
+  ASSERT_TRUE(link.send(dist::encode(dist::CoordinatorMsg(dist::SpecMsg{kSpec}))));
+  EXPECT_EQ(next(), "READY");
+  ASSERT_TRUE(link.send("LEASE 0 2 0 -"));
+  const std::string done = next();
+  EXPECT_TRUE(done.starts_with("DONE 0 0 ")) << done;
+  ASSERT_TRUE(link.send("FETCH 0 0"));
+  std::string fetched;
+  for (;;) {
+    const std::string message = next();
+    const dist::WorkerMsg msg = dist::parse_worker_msg(message);
+    const auto* data = std::get_if<dist::DataMsg>(&msg);
+    ASSERT_NE(data, nullptr) << message;
+    fetched += data->bytes;
+    if (fetched.size() >= data->total) break;
+  }
+  ASSERT_TRUE(link.send("QUIT"));
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  const std::string proto = read_file(dir.path() + "/proto.txt");
-  EXPECT_EQ(proto.find("READY"), 0u);
-  EXPECT_NE(proto.find("DONE 0 0 "), std::string::npos);
 
   sweep::SweepRunner::Options options;
   options.shard_index = 0;
@@ -218,6 +350,7 @@ TEST(WorkTool, ServesALeaseOverStdinAndPublishesTheStripe) {
   std::ostringstream expected;
   (void)sweep::SweepRunner(options).run(sweep::parse_grid(kSpec), {}, expected);
   EXPECT_EQ(read_file(dist::stripe_final_path(wd, 0)), expected.str());
+  EXPECT_EQ(fetched, expected.str());
 }
 
 }  // namespace

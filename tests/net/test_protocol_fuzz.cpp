@@ -1,9 +1,8 @@
 // Protocol fuzz battery: seeded byte-mangled, truncated, split and
-// reordered framed messages pushed through both decoders and both
+// reordered framed messages pushed through the frame decoder and both
 // message parsers.  The contract under fuzz is narrow and absolute:
 // FrameDecoder::feed returns false (never throws, never over-reads),
-// LineDecoder::feed always succeeds, and the parsers throw
-// std::invalid_argument and nothing else.  Run under ASan+UBSan in CI
+// and the parsers throw std::invalid_argument and nothing else.  Run under ASan+UBSan in CI
 // (the sanitize job builds every test), this is the memory-safety
 // gate on the wire format.
 //
@@ -112,9 +111,7 @@ void parse_both_ways(const std::string& line) {
 // One seeded scenario: build a small wire of framed valid messages,
 // then mangle it (flip / truncate / insert / delete / swap chunks /
 // duplicate), then deliver it to a FrameDecoder in randomly-split
-// slices and parse whatever still decodes.  The same mangled bytes
-// also go through a LineDecoder -- the pipe transport must shrug off
-// arbitrary garbage too.
+// slices and parse whatever still decodes.
 void run_scenario(std::uint64_t seed) {
   Rng rng(seed);
   std::string wire;
@@ -171,11 +168,6 @@ void run_scenario(std::uint64_t seed) {
     EXPECT_FALSE(frames.error().empty());
   }
   for (const std::string& line : decoded) parse_both_ways(line);
-
-  net::LineDecoder lines;
-  std::vector<std::string> split;
-  lines.feed(wire, split);
-  for (const std::string& line : split) parse_both_ways(line);
 }
 
 TEST(ProtocolFuzz, SeededMangleTruncateSplitReorderScenarios) {

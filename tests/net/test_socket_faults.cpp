@@ -239,10 +239,10 @@ class FaultClient {
 
   void hangup() { transport_.shutdown(); }
 
-  [[nodiscard]] net::SocketTransport& transport() { return transport_; }
+  [[nodiscard]] net::Transport& transport() { return transport_; }
 
  private:
-  net::SocketTransport transport_;
+  net::Transport transport_;
 };
 
 TEST(SocketFaults, ConnectionResetMidLeaseReclaimsAndRetries) {
@@ -410,7 +410,7 @@ TEST(SocketFaults, HalfOpenLinkIsReclaimedByDeadlineWithoutAnEof) {
   // The coordinator-side half of the half-open-TCP fix: a client that
   // stays connected (no FIN, no RST -- drain would never report
   // closure) but stops sending after taking a lease must be reclaimed
-  // by the lease deadline, exactly like a hung pipe worker.
+  // by the lease deadline, exactly like a hung spawned worker.
   const TempDir dir;
   ServeFixture serve(dir, /*lease_deadline=*/400ms);
   const std::uint16_t port = serve.port();

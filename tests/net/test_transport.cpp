@@ -1,9 +1,8 @@
-// Transport-layer tests: SocketTransport over a socketpair,
-// PipeTransport over a pipe pair, the clean-EOF vs garbled-stream
-// distinction drain() reports, connector retry exhaustion, and the
-// worker-side idle-timeout regression (a half-open TCP link never
-// EOFs -- the worker must give up on its own clock, not wait for a
-// hangup that never comes).
+// Transport-layer tests: net::Transport over a socketpair, the
+// clean-EOF vs garbled-stream distinction drain() reports, connector
+// retry exhaustion, and the worker-side idle-timeout regression (a
+// half-open TCP link never EOFs -- the worker must give up on its own
+// clock, not wait for a hangup that never comes).
 
 #include <gtest/gtest.h>
 
@@ -31,10 +30,10 @@ std::pair<int, int> socket_pair() {
   return {fds[0], fds[1]};
 }
 
-TEST(SocketTransport, MessagesRoundTripBothWays) {
+TEST(Transport, MessagesRoundTripBothWays) {
   const auto [a, b] = socket_pair();
-  net::SocketTransport left(a);
-  net::SocketTransport right(b);
+  net::Transport left(a);
+  net::Transport right(b);
 
   ASSERT_TRUE(left.send("LEASE 0 4 0 -"));
   ASSERT_TRUE(left.send("PING"));
@@ -49,10 +48,10 @@ TEST(SocketTransport, MessagesRoundTripBothWays) {
   EXPECT_EQ(message, "HB 7");
 }
 
-TEST(SocketTransport, BinaryPayloadsSurviveFraming) {
+TEST(Transport, BinaryPayloadsSurviveFraming) {
   const auto [a, b] = socket_pair();
-  net::SocketTransport left(a);
-  net::SocketTransport right(b);
+  net::Transport left(a);
+  net::Transport right(b);
   const std::string spec = std::string("SPEC tasks 8\nseed 1\n\0#\n", 24);
   ASSERT_TRUE(left.send(spec));
   std::string message;
@@ -60,19 +59,19 @@ TEST(SocketTransport, BinaryPayloadsSurviveFraming) {
   EXPECT_EQ(message, spec);
 }
 
-TEST(SocketTransport, RecvTimesOutOnASilentPeer) {
+TEST(Transport, RecvTimesOutOnASilentPeer) {
   const auto [a, b] = socket_pair();
-  net::SocketTransport left(a);
-  net::SocketTransport right(b);
+  net::Transport left(a);
+  net::Transport right(b);
   std::string message;
   EXPECT_EQ(right.recv(message, 50ms), net::Transport::RecvStatus::timeout);
   (void)left;
 }
 
-TEST(SocketTransport, CleanShutdownDrainsAsEofWithEmptyError) {
+TEST(Transport, CleanShutdownDrainsAsEofWithEmptyError) {
   const auto [a, b] = socket_pair();
-  auto left = std::make_unique<net::SocketTransport>(a);
-  net::SocketTransport right(b);
+  auto left = std::make_unique<net::Transport>(a);
+  net::Transport right(b);
   ASSERT_TRUE(left->send("READY"));
   left.reset();  // closes the fd: FIN between frames = orderly exit
 
@@ -86,9 +85,9 @@ TEST(SocketTransport, CleanShutdownDrainsAsEofWithEmptyError) {
   EXPECT_TRUE(right.error().empty()) << right.error();
 }
 
-TEST(SocketTransport, EofMidFrameIsAnError) {
+TEST(Transport, EofMidFrameIsAnError) {
   const auto [a, b] = socket_pair();
-  net::SocketTransport right(b);
+  net::Transport right(b);
   ASSERT_EQ(::write(a, "#100\npartial", 12), 12);
   ::close(a);
 
@@ -97,9 +96,9 @@ TEST(SocketTransport, EofMidFrameIsAnError) {
   EXPECT_FALSE(right.error().empty());  // died mid-frame, not orderly
 }
 
-TEST(SocketTransport, GarbledStreamIsAProtocolErrorNotAnEof) {
+TEST(Transport, GarbledStreamIsAProtocolErrorNotAnEof) {
   const auto [a, b] = socket_pair();
-  net::SocketTransport right(b);
+  net::Transport right(b);
   ASSERT_EQ(::write(a, "not a frame", 11), 11);
 
   std::string message;
@@ -108,50 +107,15 @@ TEST(SocketTransport, GarbledStreamIsAProtocolErrorNotAnEof) {
   ::close(a);
 }
 
-TEST(SocketTransport, SendFailsOnceThePeerIsGone) {
+TEST(Transport, SendFailsOnceThePeerIsGone) {
   const auto [a, b] = socket_pair();
-  net::SocketTransport left(a);
+  net::Transport left(a);
   ::close(b);
   // The first send may still land in the kernel buffer; hammering a
   // closed peer must turn into failure, never a SIGPIPE crash.
   bool failed = false;
   for (int i = 0; i < 64 && !failed; ++i) failed = !left.send("PING");
   EXPECT_TRUE(failed);
-}
-
-TEST(PipeTransport, LinesRoundTripAndEofIsClean) {
-  int down[2];  // test -> transport
-  ASSERT_EQ(::pipe(down), 0);
-  net::PipeTransport transport(down[0], ::dup(down[0]) /* unused write side */);
-  ASSERT_EQ(::write(down[1], "READY\nHB 3\n", 11), 11);
-  ::close(down[1]);
-
-  std::string message;
-  ASSERT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::ok);
-  EXPECT_EQ(message, "READY");
-  ASSERT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::ok);
-  EXPECT_EQ(message, "HB 3");
-  EXPECT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::closed);
-  EXPECT_TRUE(transport.error().empty());
-}
-
-TEST(PipeTransport, DeathMidLineSurfacesTheTornTailAsAMessage) {
-  // A pipe peer that dies mid-line leaves an unterminated tail.  The
-  // transport surfaces those bytes as a final (truncated) message --
-  // the protocol parser then rejects it and the caller records a
-  // protocol death -- rather than silently swallowing them.
-  int down[2];
-  ASSERT_EQ(::pipe(down), 0);
-  net::PipeTransport transport(down[0], ::dup(down[0]));
-  ASSERT_EQ(::write(down[1], "DONE 0 0 4 0\nHB", 15), 15);
-  ::close(down[1]);  // peer died mid-line
-
-  std::string message;
-  ASSERT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::ok);
-  EXPECT_EQ(message, "DONE 0 0 4 0");
-  ASSERT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::ok);
-  EXPECT_EQ(message, "HB");  // the torn tail, for the parser to reject
-  EXPECT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::closed);
 }
 
 TEST(Connector, RetryExhaustionThrowsNamingTheAddress) {
@@ -190,48 +154,29 @@ TEST(Connector, ReachesAListenerThatComesUpLate) {
   dialer.join();
 }
 
-// The half-open-TCP regression: a Transport that stays open but never
-// delivers anything (packets dropped; no FIN, no RST).  Before the
-// idle-timeout path, the worker's recv loop would block forever on a
-// link like this; now it must give up after options.idle_timeout and
-// exit 1 so the host's slot can be re-fired.
-class BlackholeTransport final : public net::Transport {
- public:
-  BlackholeTransport() {
-    int fds[2] = {-1, -1};
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
-    fd_ = fds[0];
-    hold_open_ = fds[1];  // never written, never closed while we live
-  }
-  ~BlackholeTransport() override {
-    ::close(fd_);
-    ::close(hold_open_);
-  }
+constexpr const char* kWorkerSpec =
+    "workload exponential:1.0\ntasks 8\nh 0.5\nseed 1\nreplicas 1\nworkers 4\n";
 
-  bool send(std::string_view) override { return true; }  // writes vanish
-  int poll_fd() const override { return fd_; }           // never readable
-  bool drain(std::vector<std::string>&) override { return true; }
-  void shutdown() override {}
-  const std::string& error() const override { return error_; }
-  std::string describe() const override { return "blackhole"; }
+std::string spec_message() { return dist::encode(dist::CoordinatorMsg(dist::SpecMsg{kWorkerSpec})); }
 
- private:
-  int fd_ = -1;
-  int hold_open_ = -1;
-  std::string error_;
-};
-
+// The half-open-link regression: a coordinator that answers HELLO
+// with SPEC and then never sends another byte (packets dropped; no
+// FIN, no RST).  Before the idle-timeout path, the worker's recv loop
+// would block forever on a link like this; now it must give up after
+// options.idle_timeout and exit 1 so the host's slot can be re-fired.
 TEST(WorkerIdleTimeout, SilentLinkMakesTheWorkerGiveUpAndExitOne) {
-  BlackholeTransport transport;
+  const auto [a, b] = socket_pair();
+  net::Transport coordinator_side(a);  // held open, never read again
+  net::Transport worker_side(b);
+  ASSERT_TRUE(coordinator_side.send(spec_message()));
+
   dist::WorkerOptions options;
-  options.spec_text = "workload exponential:1.0\ntasks 8\nh 0.5\nseed 1\nreplicas 1\nworkers 4\n";
   options.workdir = "/tmp";
   options.heartbeat_interval = 20ms;
   options.idle_timeout = 150ms;
 
   const auto start = std::chrono::steady_clock::now();
-  const int rc = dist::run_worker_on_transport(options, transport, /*handshake=*/false,
-                                               /*fetch_on_done=*/false);
+  const int rc = dist::run_worker_on_transport(options, worker_side);
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   EXPECT_EQ(rc, 1);              // gave up; the slot is re-firable
@@ -244,11 +189,11 @@ TEST(WorkerIdleTimeout, TrafficKeepsTheWorkerAlivePastTheWindow) {
   // keepalives for 3x its idle window must still be waiting, and then
   // exit 0 on QUIT -- proving the timeout measures silence, not age.
   const auto [a, b] = socket_pair();
-  net::SocketTransport coordinator_side(a);
-  net::SocketTransport worker_side(b);
+  net::Transport coordinator_side(a);
+  net::Transport worker_side(b);
+  ASSERT_TRUE(coordinator_side.send(spec_message()));
 
   dist::WorkerOptions options;
-  options.spec_text = "workload exponential:1.0\ntasks 8\nh 0.5\nseed 1\nreplicas 1\nworkers 4\n";
   options.workdir = "/tmp";
   options.heartbeat_interval = 20ms;
   options.idle_timeout = 200ms;
@@ -260,8 +205,7 @@ TEST(WorkerIdleTimeout, TrafficKeepsTheWorkerAlivePastTheWindow) {
     }
     ASSERT_TRUE(coordinator_side.send("QUIT"));
   });
-  const int rc = dist::run_worker_on_transport(options, worker_side, /*handshake=*/false,
-                                               /*fetch_on_done=*/false);
+  const int rc = dist::run_worker_on_transport(options, worker_side);
   pinger.join();
   EXPECT_EQ(rc, 0);
 }

@@ -86,7 +86,7 @@ TEST(SweepCli, RejectsNegativeCountsInCoordinateAndServe) {
 }
 
 TEST(SweepCli, RejectsNegativeCountsInWorkMode) {
-  const std::string work = "work " + kSpec + " --dir cli_never_wd";
+  const std::string work = "work --dir cli_never_wd";
   std::vector<Case> cases;
   for (const char* flag : {"--threads", "--heartbeat-ms", "--idle-ms", "--connect-attempts",
                            "--connect-backoff-ms", "--chaos-after"}) {

@@ -128,9 +128,9 @@ int records_mode(int argc, char** argv) {
 
 // `dls_check leases`: replay a coordinator lease-event log and check
 // no stripe was ever held by two live workers (check/dist.hpp), plus
-// the socket-transport invariants (check/net.hpp): leases only after
-// HELLO, remote commits only after a FETCH.  The net checks are
-// no-ops on pipe-mode logs, so one command audits both transports.
+// the transport invariants (check/net.hpp): leases only after HELLO,
+// commits only after a FETCH.  One command audits `coordinate` and
+// `serve` logs alike.
 int leases_mode(int argc, char** argv) {
   support::Flags flags;
   flags.define("help", "false", "print this help");

@@ -14,15 +14,18 @@
 //   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # fixed execution backend
 //   dls_sweep report original.jsonl simulation.jsonl   # a figure's tables from its sweep pairs
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
-//   dls_sweep work grid.sweep --dir wd        # one worker (normally exec'd by coordinate)
+//   dls_sweep serve grid.sweep --listen :7070 --out all.jsonl --workdir wd
+//   dls_sweep work --connect host:7070 --dir wd   # one remote worker of `serve`
 //
 // `coordinate` runs the grid fault-tolerantly across worker processes
-// (dist/coordinator.hpp): stripes of the grid are leased to workers,
-// dead or hung workers are detected by heartbeat deadline and their
-// leases reclaimed (resuming past every record the dead worker
-// flushed), retries back off exponentially, and the merged output is
-// bitwise identical to a serial run of the same spec -- even with
-// --chaos fault injection killing workers at seeded points.
+// (dist/coordinator.hpp): it spawns each as `work` on a socketpair,
+// speaking the framed protocol remote `serve` workers speak over TCP.
+// Stripes of the grid are leased to workers, dead or hung workers are
+// detected by heartbeat deadline and their leases reclaimed (resuming
+// past every record the dead worker flushed), retries back off
+// exponentially, and the merged output is bitwise identical to a
+// serial run of the same spec -- even with --chaos fault injection
+// killing workers at seeded points.
 //
 // `backend` is both an experiment key and a sweep axis: a spec line
 // `sweep backend mw hagerup` runs every scientific cell on both
@@ -80,7 +83,6 @@ void print_usage(std::ostream& out, const support::Flags& flags) {
          "       dls_sweep report (<original.jsonl> <simulation.jsonl>)... [--csv]\n"
          "       dls_sweep coordinate <spec-file> --out <file> --workdir <dir> [options]\n"
          "       dls_sweep serve <spec-file> --listen host:port --out <file> --workdir <dir>\n"
-         "       dls_sweep work <spec-file> --dir <dir>     one worker process (stdio)\n"
          "       dls_sweep work --connect host:port --dir <dir>   one remote worker (TCP)\n"
          "\n"
          "Expands 'sweep <key> <v1> <v2> ...' lines of an experiment file into\n"
@@ -398,8 +400,8 @@ int report_mode(const support::Flags& flags) {
 
 // `dls_sweep coordinate` / `dls_sweep serve`: the fault-tolerant
 // multi-worker front ends (dist/coordinator.hpp).  One flag set --
-// coordinate forks local pipe workers, serve listens for remote
-// socket workers (`dls_sweep work --connect`).
+// coordinate spawns its workers on socketpairs, serve listens for
+// remote ones (`dls_sweep work --connect`).
 int coordinate_mode(int argc, char** argv, bool serve) {
   support::Flags flags;
   flags.define("out", "", "merged output file (required; written atomically at the end)");
@@ -423,11 +425,12 @@ int coordinate_mode(int argc, char** argv, bool serve) {
   flags.define("backoff-ms", "250", "retry backoff base (doubles per attempt)");
   flags.define("backoff-cap-ms", "5000", "retry backoff cap");
   flags.define("chaos", "",
-               "fault injection: <worker>:<after_cells>[:<mode>],...  (mode: kill|truncate|hang)");
+               "fault injection: <worker>:<after_cells>[:<mode>],..., at most one per worker "
+               "(mode: kill|truncate|hang|fetchcut)");
   flags.define("chaos-seed", "0", "derive --chaos-kills directives from this seed");
   flags.define("chaos-kills", "0", "number of seeded workers to fault (with --chaos-seed)");
   flags.define("events", "", "lease-event log path (default <workdir>/events.jsonl)");
-  flags.define("backend", "", "fixed execution backend forwarded to the workers");
+  flags.define("backend", "", "fixed execution backend (appended to the spec workers get)");
   flags.define("quiet", "false", "suppress lease-event narration on stderr");
 
   const std::string mode = serve ? "serve" : "coordinate";
@@ -462,6 +465,16 @@ int coordinate_mode(int argc, char** argv, bool serve) {
     options.worker_threads = get_count<unsigned>(flags, "threads");
     options.heartbeat_interval = get_ms(flags, "heartbeat-ms");
     options.lease_deadline = get_ms(flags, "deadline-ms");
+    if (options.heartbeat_interval.count() == 0) {
+      throw std::invalid_argument("--heartbeat-ms must be >= 1");
+    }
+    if (options.lease_deadline <= options.heartbeat_interval) {
+      // A healthy worker is silent for up to one heartbeat interval.
+      throw std::invalid_argument(
+          "--deadline-ms " + std::to_string(options.lease_deadline.count()) +
+          " must exceed --heartbeat-ms " + std::to_string(options.heartbeat_interval.count()) +
+          ", or healthy workers are killed between heartbeats");
+    }
     options.max_attempts = get_count<std::size_t>(flags, "max-attempts");
     if (options.max_attempts == 0) throw std::invalid_argument("--max-attempts must be >= 1");
     options.backoff_base = get_ms(flags, "backoff-ms");
@@ -480,6 +493,21 @@ int coordinate_mode(int argc, char** argv, bool serve) {
     }
     if (!chaos_list.empty()) {
       options.chaos = dist::parse_chaos_list(chaos_list);
+      std::set<std::size_t> victims;
+      for (const dist::ChaosKill& kill : options.chaos) {
+        const std::string directive = std::to_string(kill.worker) + ":" +
+                                      std::to_string(kill.after_cells) + ":" +
+                                      std::string(dist::chaos_mode_name(kill.mode));
+        if (kill.worker >= options.workers) {
+          throw std::invalid_argument("--chaos " + directive + ": no worker " +
+                                      std::to_string(kill.worker) + " among --workers " +
+                                      std::to_string(options.workers));
+        }
+        if (!victims.insert(kill.worker).second) {
+          throw std::invalid_argument("--chaos " + directive + ": a second directive for worker " +
+                                      std::to_string(kill.worker));
+        }
+      }
     } else if (chaos_kills > 0) {
       // Seeded points early in each victim's life (within its first 3
       // computed cells) -- early faults exercise reclamation hardest.
@@ -546,20 +574,20 @@ int coordinate_mode(int argc, char** argv, bool serve) {
   return EXIT_SUCCESS;
 }
 
-// `dls_sweep work`: one worker serving the lease protocol -- on
-// stdin/stdout (normally exec'd by `coordinate`) or over TCP against
-// a `serve` coordinator (`--connect host:port`; the spec ships over
-// the wire and --dir is the worker's own local scratch).
+// `dls_sweep work`: one worker serving the lease protocol -- on the
+// stdin socketpair `coordinate` spawns it on, or over TCP against a
+// `serve` coordinator (`--connect host:port`).  Either way the spec
+// arrives over the wire.
 int work_mode(int argc, char** argv) {
   support::Flags flags;
-  flags.define("dir", "", "shard-file directory (shared with a pipe coordinator; local "
-                          "scratch with --connect) (required)");
+  flags.define("dir", "", "shard-file directory: the coordinator's --workdir when spawned by "
+                          "coordinate, the worker's own scratch with --connect (required)");
   flags.define("threads", "1", "SweepRunner width per lease (0 = spec / hardware)");
   flags.define("heartbeat-ms", "200", "heartbeat interval");
-  flags.define("backend", "", "fixed execution backend (appended to the spec; pipe mode only)");
   flags.define("chaos-after", "0", "fault injection: misbehave after N computed cells (0 = off)");
   flags.define("chaos-mode", "kill", "fault mode: kill | truncate | hang | fetchcut");
-  flags.define("connect", "", "host:port of a `dls_sweep serve` coordinator (empty = stdio)");
+  flags.define("connect", "",
+               "host:port of a `dls_sweep serve` coordinator (empty = stdin, a socket)");
   flags.define("token", "", "HELLO auth token (must match the coordinator's --token)");
   flags.define("idle-ms", "10000", "exit when the coordinator sends nothing for this long");
   flags.define("connect-attempts", "40", "connection attempts before giving up");
@@ -568,27 +596,22 @@ int work_mode(int argc, char** argv) {
   dist::WorkerOptions options;
   try {
     flags.parse(argc, argv);
+    // The spec arrives over the wire (SPEC after HELLO): a spec file
+    // here would be ignored, so treat one as a usage error.
+    if (flags.positional().size() != 1) {
+      throw std::invalid_argument("work takes no spec file (it ships over the wire)");
+    }
     options.connect = flags.get("connect");
-    if (options.connect.empty()) {
-      if (flags.positional().size() != 2) {
-        throw std::invalid_argument("work needs exactly one spec file");
-      }
-      options.spec_text = read_input(flags.positional()[1]);
-      if (const std::string backend = flags.get("backend"); !backend.empty()) {
-        options.spec_text += "\nbackend " + backend + "\n";
-      }
-    } else {
-      // The spec arrives over the wire (SPEC after HELLO): a spec file
-      // here would be ignored, so treat one as a usage error.
-      if (flags.positional().size() != 1) {
-        throw std::invalid_argument("work --connect takes no spec file (it ships over the wire)");
-      }
+    if (!options.connect.empty()) {
       (void)net::parse_host_port(options.connect);  // fail early on a bad address
     }
     options.workdir = flags.get("dir");
     if (options.workdir.empty()) throw std::invalid_argument("work needs --dir");
     options.threads = get_count<unsigned>(flags, "threads");
     options.heartbeat_interval = get_ms(flags, "heartbeat-ms");
+    if (options.heartbeat_interval.count() == 0) {
+      throw std::invalid_argument("--heartbeat-ms must be >= 1");
+    }
     options.token = flags.get("token");
     options.idle_timeout = get_ms(flags, "idle-ms");
     options.connect_attempts = get_count<std::size_t>(flags, "connect-attempts");
