@@ -1,11 +1,9 @@
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
+#include <cstddef>
 
 #include "dls/params.hpp"
-#include "workload/task_times.hpp"
+#include "hagerup/simulator.hpp"
 
 namespace bbn {
 
@@ -17,7 +15,9 @@ namespace bbn {
 /// processors self-dispatch chunks from a shared loop index.  The paper
 /// names three mechanisms, absent from the explicit master-worker
 /// model, as the likely cause of its unsuccessful reproduction
-/// (Sections IV-A and VI); this model implements exactly those:
+/// (Sections IV-A and VI); this model implements exactly those, as
+/// parameters of the one direct simulator (hagerup::run, see
+/// on_machine):
 ///
 ///   1. Dispatch serialization: the shared loop index is one memory
 ///      location; concurrent fetches serialize.  SS, CSS and TSS use
@@ -52,44 +52,24 @@ struct MachineModel {
   [[nodiscard]] double dispatch_hold(dls::Kind technique, std::size_t pes) const;
 };
 
-struct Config {
-  dls::Kind technique = dls::Kind::kSS;
-  dls::Params params;  ///< p/n forced from pes/tasks
-  std::size_t pes = 1;
-  std::size_t tasks = 1;
-  std::shared_ptr<const workload::TaskTimeGenerator> workload;
-  MachineModel machine;
-  std::uint64_t seed = 42;
-  /// Record the full per-chunk log in the result (exec::Backend::run
-  /// needs it for the check catalog; the measured-value path does not).
-  bool record_chunk_log = false;
+/// `config` run on the GP-1000: every dispatch holds the shared
+/// dispatcher for machine.dispatch_hold(technique, pes), executed task
+/// times are inflated by machine.inflation(), task times come from
+/// xoshiro, and h is accounted analytically, not charged to the
+/// workers' timelines.
+[[nodiscard]] hagerup::Config on_machine(hagerup::Config config,
+                                         const MachineModel& machine = {});
+
+/// Tzen-Ni measurements (their equations (11)-(13)) of a run: with X
+/// computing (compute_time), O scheduling (schedule_time: queueing plus
+/// hold), W waiting for synchronization and L the executed work,
+/// sum(X + O + W) = P * makespan.
+struct TzenNi {
+  double speedup = 0.0;           ///< r      = L*P / sum(X+O+W)
+  double overhead_degree = 0.0;   ///< Theta  = O*P / sum(X+O+W)
+  double imbalance_degree = 0.0;  ///< Lambda = W*P / sum(X+O+W)
 };
 
-/// One entry of the optional chunk log, in dispatch order.  The shared
-/// loop index hands out tasks sequentially, so `first` is its value at
-/// dispatch time.
-struct ChunkLogEntry {
-  std::size_t pe = 0;
-  std::size_t first = 0;
-  std::size_t size = 0;
-  double issued_at = 0.0;     ///< virtual time the dispatch completed
-  double work_seconds = 0.0;  ///< inflated execution time of the chunk [s]
-};
-
-/// Tzen-Ni measurements (their equations (11)-(13)): X is computing,
-/// O scheduling, W waiting for synchronization; L the ideal work.
-struct RunResult {
-  double makespan = 0.0;
-  double total_work = 0.0;  ///< sum of inflated task times
-  std::size_t chunk_count = 0;
-  std::vector<double> compute_time;    ///< X per processor
-  std::vector<double> schedule_time;   ///< O per processor (queueing + hold)
-  double speedup = 0.0;                ///< r      = L*P / sum(X+O+W)
-  double overhead_degree = 0.0;        ///< Theta  = O*P / sum(X+O+W)
-  double imbalance_degree = 0.0;       ///< Lambda = W*P / sum(X+O+W)
-  std::vector<ChunkLogEntry> chunk_log;  ///< filled if Config::record_chunk_log
-};
-
-[[nodiscard]] RunResult run(const Config& config);
+[[nodiscard]] TzenNi tzen_ni(const hagerup::RunResult& result);
 
 }  // namespace bbn

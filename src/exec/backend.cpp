@@ -14,14 +14,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-[[noreturn]] void reject(const char* backend, const std::string& what) {
+[[noreturn]] void reject(std::string_view backend, const std::string& what) {
   throw std::invalid_argument(std::string(backend) + " backend cannot run this config: " + what);
 }
 
 /// The space a direct simulator (hagerup, bbn) cannot express: more
 /// than one timestep, heterogeneous or perturbed workers, fail-stop
 /// failures, simulated overhead, and real networks.
-void reject_beyond_direct_model(const char* backend, const mw::Config& config) {
+void reject_beyond_direct_model(std::string_view backend, const mw::Config& config) {
   if (config.timesteps > 1) {
     reject(backend, "timesteps " + std::to_string(config.timesteps) +
                         " (the direct simulator is single-timestep)");
@@ -49,20 +49,6 @@ void reject_beyond_direct_model(const char* backend, const mw::Config& config) {
   }
 }
 
-/// Appends a direct simulator's chunk log to `run`: one served range
-/// per chunk, and each chunk's tasks credited to its worker.
-template <class Entry>
-void append_chunk_log(BackendRun& run, const std::vector<Entry>& log) {
-  run.chunk_log.reserve(log.size());
-  run.range_log.reserve(log.size());
-  for (const Entry& entry : log) {
-    run.range_log.push_back(mw::ServedRangeEntry{run.chunk_log.size(), entry.first, entry.size});
-    run.chunk_log.push_back(
-        mw::ChunkLogEntry{entry.pe, entry.first, entry.size, entry.issued_at, entry.work_seconds});
-    run.worker_stats[entry.pe].tasks += entry.size;
-  }
-}
-
 /// Field-wise equality of the Table I parameters (dls::Params has no
 /// operator==); the runtime executor cache must rebuild whenever any
 /// scheduling knob changes.
@@ -84,7 +70,6 @@ class MwBackend final : public Backend {
   [[nodiscard]] std::string_view name() const override { return "mw"; }
   void validate(const mw::Config&) const override {}  // the full space
   [[nodiscard]] bool virtual_time() const override { return true; }
-  [[nodiscard]] bool deterministic() const override { return true; }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     mw::Config cfg = config;
@@ -104,26 +89,44 @@ class MwBackend final : public Backend {
 };
 
 // ---------------------------------------------------------------------------
-// hagerup: the replicated BOLD-publication direct simulator.  Single
+// hagerup and bbn: the one direct simulator, hagerup::run.  Single
 // timestep, homogeneous, failure-free; network parameters do not exist
-// in its model and are ignored.  Overhead is accounted analytically
+// in its model.  Overhead is accounted analytically
 // (charge_overhead_inline = false), matching mw's OverheadMode::kAnalytic.
+//
+// "hagerup" is the replicated BOLD-publication simulator.  "bbn" runs
+// the same loop on the machine model of the TSS publication's BBN
+// GP-1000, the original side of paper Figures 3-4 (bbn::on_machine,
+// with the published constants of bbn::MachineModel's defaults); it
+// expresses what hagerup does, minus rand48, and reports its own
+// numbers: Tzen-Ni's r as the speedup, the inflated executed work as
+// the nominal work, and the wasted time without an h term.
 // ---------------------------------------------------------------------------
 
-class HagerupBackend final : public Backend {
+class DirectBackend final : public Backend {
  public:
-  [[nodiscard]] std::string_view name() const override { return "hagerup"; }
+  explicit DirectBackend(bool bbn) : bbn_(bbn) {}
+
+  [[nodiscard]] std::string_view name() const override { return bbn_ ? "bbn" : "hagerup"; }
   [[nodiscard]] bool virtual_time() const override { return true; }
-  [[nodiscard]] bool deterministic() const override { return true; }
 
   void validate(const mw::Config& config) const override {
-    reject_beyond_direct_model("hagerup", config);
+    reject_beyond_direct_model(name(), config);
+    if (bbn_ && config.use_rand48) {
+      reject("bbn", "rand48 task times (the machine model draws from xoshiro)");
+    }
   }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     hagerup::Config cfg = convert(config);
     cfg.record_chunk_log = true;
-    return from_hagerup(cfg, hagerup::run(cfg, context_));
+    const hagerup::RunResult result = hagerup::run(cfg, context_);
+    BackendRun run = from_hagerup(cfg, result);
+    if (bbn_) {
+      run.backend = "bbn";
+      run.total_nominal_work = result.executed_work;  // inflated by remote references
+    }
+    return run;
   }
 
   [[nodiscard]] Measured measure(const mw::Config& config) override {
@@ -131,11 +134,22 @@ class HagerupBackend final : public Backend {
     const hagerup::RunResult result = hagerup::run(cfg, context_);
     Measured m;
     m.makespan = result.makespan;
+    m.chunks = static_cast<double>(result.chunk_count);
+    if (bbn_) {
+      // Mean over PEs of makespan - compute time: scheduling plus
+      // waiting, with no analytic h term.
+      double wasted = 0.0;
+      for (const double x : result.compute_time) wasted += result.makespan - x;
+      m.avg_wasted_time = wasted / static_cast<double>(cfg.pes);
+      // Tzen-Ni's r exactly as bbn::tzen_ni computes it: recomputing
+      // it as executed work / makespan would differ in the last bits.
+      m.speedup = bbn::tzen_ni(result).speedup;
+      return m;
+    }
     m.avg_wasted_time = result.avg_wasted_time;
     // Executed task times ARE the nominal times in the direct
     // simulator, so this matches mw's total-nominal-work / makespan.
     if (result.makespan > 0.0) m.speedup = result.total_work / result.makespan;
-    m.chunks = static_cast<double>(result.chunk_count);
     return m;
   }
 
@@ -151,80 +165,11 @@ class HagerupBackend final : public Backend {
     config.seed = mc.seed;
     config.use_rand48 = mc.use_rand48;
     config.charge_overhead_inline = false;  // match mw's analytic accounting
-    return config;
+    return bbn_ ? bbn::on_machine(config) : config;
   }
 
+  bool bbn_;
   hagerup::RunContext context_;
-};
-
-// ---------------------------------------------------------------------------
-// bbn: the machine model of the TSS publication's BBN GP-1000, the
-// original side of paper Figures 3-4.  It expresses what hagerup does,
-// minus rand48: its task times come from xoshiro.  The machine
-// constants are the published ones (bbn::MachineModel's defaults).
-// ---------------------------------------------------------------------------
-
-class BbnBackend final : public Backend {
- public:
-  [[nodiscard]] std::string_view name() const override { return "bbn"; }
-  [[nodiscard]] bool virtual_time() const override { return true; }
-  [[nodiscard]] bool deterministic() const override { return true; }
-
-  void validate(const mw::Config& config) const override {
-    reject_beyond_direct_model("bbn", config);
-    if (config.use_rand48) {
-      reject("bbn", "rand48 task times (the machine model draws from xoshiro)");
-    }
-  }
-
-  [[nodiscard]] BackendRun run(const mw::Config& config) override {
-    bbn::Config cfg = convert(config);
-    cfg.record_chunk_log = true;
-    const bbn::RunResult result = bbn::run(cfg);
-    BackendRun run;
-    run.backend = "bbn";
-    run.tasks = cfg.tasks;
-    run.workers = cfg.pes;
-    run.makespan = result.makespan;
-    run.total_nominal_work = result.total_work;  // inflated by remote references
-    run.chunk_count = result.chunk_count;
-    run.worker_stats.resize(cfg.pes);
-    for (std::size_t pe = 0; pe < cfg.pes; ++pe) {
-      run.worker_stats[pe].compute_time = result.compute_time[pe];
-    }
-    for (const bbn::ChunkLogEntry& entry : result.chunk_log) ++run.worker_stats[entry.pe].chunks;
-    append_chunk_log(run, result.chunk_log);
-    return run;
-  }
-
-  [[nodiscard]] Measured measure(const mw::Config& config) override {
-    const bbn::Config cfg = convert(config);
-    const bbn::RunResult result = bbn::run(cfg);
-    Measured m;
-    m.makespan = result.makespan;
-    // Mean over PEs of makespan - compute time: scheduling plus waiting.
-    double wasted = 0.0;
-    for (const double x : result.compute_time) wasted += result.makespan - x;
-    m.avg_wasted_time = wasted / static_cast<double>(cfg.pes);
-    // Tzen-Ni's r exactly as the model computes it: recomputing it as
-    // total_work / makespan would differ in the last bits.
-    m.speedup = result.speedup;
-    m.chunks = static_cast<double>(result.chunk_count);
-    return m;
-  }
-
- private:
-  [[nodiscard]] bbn::Config convert(const mw::Config& mc) const {
-    validate(mc);
-    bbn::Config config;
-    config.technique = mc.technique;
-    config.params = mc.params;
-    config.pes = mc.workers;
-    config.tasks = mc.tasks;
-    config.workload = mc.workload;
-    config.seed = mc.seed;
-    return config;
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -242,7 +187,6 @@ class RuntimeBackend final : public Backend {
   [[nodiscard]] std::string_view name() const override { return "runtime"; }
   void validate(const mw::Config&) const override {}  // structural subset of everything
   [[nodiscard]] bool virtual_time() const override { return false; }
-  [[nodiscard]] bool deterministic() const override { return false; }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     return execute(config, /*record_chunk_log=*/true);
@@ -350,8 +294,8 @@ bool is_backend_name(std::string_view name) {
 
 std::unique_ptr<Backend> make_backend(std::string_view name, const BackendOptions& options) {
   if (name == "mw") return std::make_unique<MwBackend>();
-  if (name == "bbn") return std::make_unique<BbnBackend>();
-  if (name == "hagerup") return std::make_unique<HagerupBackend>();
+  if (name == "bbn") return std::make_unique<DirectBackend>(/*bbn=*/true);
+  if (name == "hagerup") return std::make_unique<DirectBackend>(/*bbn=*/false);
   if (name == "runtime") return std::make_unique<RuntimeBackend>(options);
   std::string known;
   for (const std::string& n : backend_names()) {
@@ -397,7 +341,16 @@ BackendRun from_hagerup(const hagerup::Config& config, const hagerup::RunResult&
     run.worker_stats[w].compute_time = result.compute_time[w];
     run.worker_stats[w].chunks = result.chunks[w];
   }
-  append_chunk_log(run, result.chunk_log);
+  // One served range per chunk, and each chunk's tasks credited to its
+  // worker.
+  run.chunk_log.reserve(result.chunk_log.size());
+  run.range_log.reserve(result.chunk_log.size());
+  for (const hagerup::ChunkLogEntry& entry : result.chunk_log) {
+    run.range_log.push_back(mw::ServedRangeEntry{run.chunk_log.size(), entry.first, entry.size});
+    run.chunk_log.push_back(
+        mw::ChunkLogEntry{entry.pe, entry.first, entry.size, entry.issued_at, entry.work_seconds});
+    run.worker_stats[entry.pe].tasks += entry.size;
+  }
   return run;
 }
 

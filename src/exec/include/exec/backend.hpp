@@ -75,15 +75,11 @@ class Backend {
   /// run_simulation + compute_metrics on a reused RunContext.
   [[nodiscard]] virtual Measured measure(const mw::Config& config) = 0;
 
-  /// Makespans/chunk times are exact simulated values (false for the
-  /// native runtime, which measures wall clock).
+  /// Makespans/chunk times are exact simulated values, and the same
+  /// config always reproduces bitwise-identical results (false for the
+  /// native runtime, which measures wall clock: it still sweeps and
+  /// resumes correctly, but its records are not byte-reproducible).
   [[nodiscard]] virtual bool virtual_time() const = 0;
-
-  /// The same config always reproduces bitwise-identical results
-  /// (false for the native runtime).  Non-deterministic backends still
-  /// sweep/resume correctly (cells are skipped by identity), but their
-  /// records are not byte-reproducible.
-  [[nodiscard]] virtual bool deterministic() const = 0;
 };
 
 /// Construction knobs that only apply to specific backends.

@@ -60,7 +60,7 @@ struct BatchResult {
 /// excluded from the pool and run one replica at a time -- each replica
 /// spawns its own worker threads and its timings ARE the measurement,
 /// so co-running replicas would measure contention, not run-to-run
-/// noise.  Results are deterministic for deterministic backends: each
+/// noise.  Results are deterministic for virtual-time backends: each
 /// replica is seeded purely by (job, replica index), independent of
 /// thread scheduling.
 ///

@@ -10,18 +10,27 @@
 
 namespace hagerup {
 
-/// Replication of the task-allocation simulator of the BOLD publication
-/// (Hagerup 1997), which produced the "values from original publication"
-/// side of the paper's Figures 5-8.
+/// The direct (no message passing) task-allocation simulator: the
+/// replication of the BOLD publication's simulator (Hagerup 1997), the
+/// "values from original publication" side of the paper's Figures 5-8,
+/// and, as a machine model applied to the same loop (bbn::on_machine),
+/// of the TSS publication's BBN GP-1000, the original side of Figures
+/// 3-4.
 ///
-/// The simulator is direct (no message passing): the p workers' next-free
-/// times sit in a tournament tree (WorkerTree), which hands out the
-/// earliest-free worker, lowest index on ties; when a worker becomes
-/// free the master immediately computes the next chunk with the
-/// configured DLS technique and the worker executes it.  Task execution
-/// times are drawn with the replicated erand48/nrand48 generator family
-/// ("Task execution times are generated with the aid of the random
-/// number generators erand48 and nrand48", paper Section III-B).
+/// The p workers' next-free times sit in a tournament tree
+/// (WorkerTree), which hands out the earliest-free worker, lowest index
+/// on ties.  Each step gives the technique its feedback at the pop
+/// time, then dispatches on the one shared dispatcher: the dispatch
+/// starts once both the worker and the dispatcher are free, holds the
+/// dispatcher for `dispatch_hold`, and ends with next_chunk.  A worker
+/// that gets no chunk retires (its dispatch still counts toward the
+/// makespan); otherwise it executes the chunk's task times times
+/// `work_inflation`.  With the defaults (hold 0, inflation 1) this is
+/// exactly Hagerup's simulator: the master computes the next chunk the
+/// moment a worker becomes free.  Task execution times are drawn with
+/// the replicated erand48/nrand48 generator family ("Task execution
+/// times are generated with the aid of the random number generators
+/// erand48 and nrand48", paper Section III-B).
 ///
 /// Scheduling overhead: "It was assumed that every scheduling operation
 /// takes a fixed amount of time (parameter h).  This scheduling
@@ -43,6 +52,11 @@ struct Config {
   /// Record the full per-chunk log in the result (check::BackendRun
   /// uses it to compare scheduling decisions across simulators).
   bool record_chunk_log = false;
+  /// Machine model (set by bbn::on_machine): the time each dispatch
+  /// holds the shared dispatcher [s], and the factor applied to every
+  /// executed chunk's task time.
+  double dispatch_hold = 0.0;
+  double work_inflation = 1.0;
 };
 
 /// One entry of the optional chunk log, in allocation order.  Tasks are
@@ -52,16 +66,21 @@ struct ChunkLogEntry {
   std::size_t pe = 0;
   std::size_t first = 0;
   std::size_t size = 0;
-  double issued_at = 0.0;      ///< virtual time the chunk was allocated
-  double work_seconds = 0.0;   ///< aggregate task time of the chunk [s]
+  double issued_at = 0.0;      ///< virtual time the chunk's dispatch ended
+  double work_seconds = 0.0;   ///< executed (inflated) time of the chunk [s]
 };
 
 struct RunResult {
   double makespan = 0.0;
-  double total_work = 0.0;            ///< sum of executed task times
+  double total_work = 0.0;            ///< sum of the n task times, in task order
+  /// Executed chunk times (inflated) summed in dispatch order.
+  double executed_work = 0.0;
   std::size_t chunk_count = 0;
   std::vector<double> compute_time;   ///< per worker
   std::vector<std::size_t> chunks;    ///< per worker
+  /// Per worker: time spent waiting for and holding the dispatcher
+  /// (Tzen-Ni's O; all zero without a dispatch hold).
+  std::vector<double> schedule_time;
   /// Average wasted time of the run: mean over workers of
   /// (makespan - compute time), which equals idle + overhead per
   /// worker when overhead is charged inline; plus h*chunks/p otherwise.

@@ -35,6 +35,7 @@ RunResult run(const Config& config, RunContext& context) {
   RunResult result;
   result.compute_time.assign(config.pes, 0.0);
   result.chunks.assign(config.pes, 0);
+  result.schedule_time.assign(config.pes, 0.0);
   for (double t : task_times) result.total_work += t;
 
   WorkerTree& workers = context.workers;
@@ -44,33 +45,39 @@ RunResult run(const Config& config, RunContext& context) {
   context.done_exec.assign(config.pes, 0.0);
   const double overhead = config.charge_overhead_inline ? config.params.h : 0.0;
 
+  double dispatcher_free = 0.0;  // the serialized shared dispatcher
   std::size_t next_task = 0;
   double makespan = 0.0;
   while (!workers.empty()) {
     const std::size_t worker = workers.top();
     const double now = workers.top_time();
-    makespan = std::max(makespan, now);
     if (context.done_size[worker] > 0) {
       technique->on_chunk_complete(dls::ChunkFeedback{worker, context.done_size[worker],
                                                       context.done_exec[worker], now});
     }
-    const std::size_t chunk = technique->next_chunk(dls::Request{worker, now});
+    const double dispatch_end = std::max(now, dispatcher_free) + config.dispatch_hold;
+    dispatcher_free = dispatch_end;
+    result.schedule_time[worker] += dispatch_end - now;
+    makespan = std::max(makespan, dispatch_end);
+    const std::size_t chunk = technique->next_chunk(dls::Request{worker, dispatch_end});
     if (chunk == 0) {
       workers.retire_top();
       continue;
     }
     double exec = 0.0;
     for (std::size_t i = next_task; i < next_task + chunk; ++i) exec += task_times[i];
+    exec *= config.work_inflation;
     if (config.record_chunk_log) {
-      result.chunk_log.push_back(ChunkLogEntry{worker, next_task, chunk, now, exec});
+      result.chunk_log.push_back(ChunkLogEntry{worker, next_task, chunk, dispatch_end, exec});
     }
     next_task += chunk;
     ++result.chunk_count;
     ++result.chunks[worker];
     result.compute_time[worker] += exec;
+    result.executed_work += exec;
     context.done_size[worker] = chunk;
     context.done_exec[worker] = exec;
-    workers.replace_top(now + overhead + exec);
+    workers.replace_top(dispatch_end + overhead + exec);
   }
 
   result.makespan = makespan;

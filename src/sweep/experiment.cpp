@@ -166,8 +166,10 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       }
     } else if (key == "tasks") {
       cfg.tasks = to_size(value, line);
+      if (cfg.tasks == 0) parse_error(line, "tasks must be >= 1");
     } else if (key == "workers") {
       cfg.workers = to_size(value, line);
+      if (cfg.workers == 0) parse_error(line, "workers must be >= 1");
     } else if (key == "workload") {
       try {
         cfg.workload = workload::from_spec(value);

@@ -11,6 +11,7 @@
 #include "bbn/machine_model.hpp"
 #include "check/invariants.hpp"
 #include "exec/backend.hpp"
+#include "hagerup/simulator.hpp"
 #include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "workload/task_times.hpp"
@@ -154,16 +155,16 @@ TEST(BbnBackend, MeasureEqualsTheMachineModelFieldForField) {
   for (Kind kind : {Kind::kSS, Kind::kCSS, Kind::kGSS, Kind::kTSS}) {
     const mw::Config cfg = bbn_config(kind, 24);
     const exec::Measured m = exec::make_backend("bbn")->measure(cfg);
-    bbn::Config direct;
+    hagerup::Config direct;
     direct.technique = kind;
     direct.params = cfg.params;
     direct.pes = cfg.workers;
     direct.tasks = cfg.tasks;
     direct.workload = cfg.workload;
     direct.seed = cfg.seed;
-    const bbn::RunResult result = bbn::run(direct);
+    const hagerup::RunResult result = hagerup::run(bbn::on_machine(direct));
     EXPECT_EQ(m.makespan, result.makespan) << dls::to_string(kind);
-    EXPECT_EQ(m.speedup, result.speedup) << dls::to_string(kind);  // as computed
+    EXPECT_EQ(m.speedup, bbn::tzen_ni(result).speedup) << dls::to_string(kind);  // as computed
     EXPECT_EQ(m.chunks, static_cast<double>(result.chunk_count)) << dls::to_string(kind);
     double wasted = 0.0;
     for (const double x : result.compute_time) wasted += result.makespan - x;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "bbn/machine_model.hpp"
 #include "hagerup/simulator.hpp"
 #include "workload/task_times.hpp"
 
@@ -122,6 +125,59 @@ TEST(HagerupSim, ValidatesConfig) {
   cfg = base_config(Kind::kSS, 2, 10);
   cfg.workload = nullptr;
   EXPECT_THROW((void)hagerup::run(cfg), std::invalid_argument);
+}
+
+TEST(HagerupSim, ZeroMachineModelIsThePlainSimulator) {
+  // A machine with no dispatch cost and no remote references is the
+  // plain simulator with xoshiro task times and analytic overhead, bit
+  // for bit: the hold adds +0.0 and the inflation multiplies by 1.0.
+  const bbn::MachineModel zero{0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  for (Kind kind : {Kind::kSS, Kind::kGSS, Kind::kFAC2, Kind::kBOLD}) {
+    hagerup::Config plain = base_config(kind, 8, 2048);
+    plain.workload = workload::exponential(1.0);
+    plain.params.sigma = 1.0;
+    plain.use_rand48 = false;
+    plain.charge_overhead_inline = false;
+    plain.record_chunk_log = true;
+    hagerup::Config on_zero = base_config(kind, 8, 2048);
+    on_zero.workload = plain.workload;
+    on_zero.params.sigma = 1.0;
+    on_zero.record_chunk_log = true;
+    on_zero = bbn::on_machine(on_zero, zero);
+    EXPECT_EQ(on_zero.dispatch_hold, 0.0);
+    EXPECT_EQ(on_zero.work_inflation, 1.0);
+
+    const hagerup::RunResult a = hagerup::run(plain);
+    const hagerup::RunResult b = hagerup::run(on_zero);
+    SCOPED_TRACE(dls::to_string(kind));
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.avg_wasted_time, b.avg_wasted_time);
+    EXPECT_EQ(a.compute_time, b.compute_time);
+    ASSERT_EQ(a.chunk_log.size(), b.chunk_log.size());
+    for (std::size_t i = 0; i < a.chunk_log.size(); ++i) {
+      EXPECT_EQ(a.chunk_log[i].pe, b.chunk_log[i].pe);
+      EXPECT_EQ(a.chunk_log[i].first, b.chunk_log[i].first);
+      EXPECT_EQ(a.chunk_log[i].size, b.chunk_log[i].size);
+      EXPECT_EQ(a.chunk_log[i].issued_at, b.chunk_log[i].issued_at);
+      EXPECT_EQ(a.chunk_log[i].work_seconds, b.chunk_log[i].work_seconds);
+    }
+    // Without a hold no worker ever waits for the dispatcher.
+    EXPECT_EQ(b.schedule_time, std::vector<double>(8, 0.0));
+  }
+}
+
+TEST(HagerupSim, DispatchHoldSerializesEveryDispatch) {
+  // With a hold at least the task time, SS's n chunk dispatches and P
+  // retiring dispatches queue on the one dispatcher end to end.
+  for (const std::size_t pes : {1u, 4u, 16u}) {
+    hagerup::Config cfg = base_config(Kind::kSS, pes, 200);
+    cfg.dispatch_hold = 1.5;
+    const hagerup::RunResult r = hagerup::run(cfg);
+    EXPECT_GE(r.makespan, static_cast<double>(200 + pes) * cfg.dispatch_hold) << pes;
+    double waited = 0.0;
+    for (double o : r.schedule_time) waited += o;
+    EXPECT_GE(waited, static_cast<double>(200 + pes) * cfg.dispatch_hold) << pes;
+  }
 }
 
 TEST(HagerupSim, BoldBeatsSelfSchedulingOnWastedTime) {

@@ -236,12 +236,15 @@ TEST(ExperimentFile, ExtensionsValidatePerWorkerSizes) {
         "h nan\n", "h -1\n", "h inf\n", "mu nan\n", "mu -1\n", "mu inf\n", "sigma nan\n",
         "sigma -0.5\n", "timesteps 0\n", "threads 4294967297\n", "failures -5,inf,inf\n",
         "failures nan,inf,inf\n", "failures -inf,1,1\n", "weights -1,1,1\n",
-        "weights nan,1,1\n", "weights inf,1,1\n", "weights 0,1,1\n"}) {
+        "weights nan,1,1\n", "weights inf,1,1\n", "weights 0,1,1\n",
+        // A zero count is a bad value on its line, not a missing key.
+        "tasks 0\n", "workers 0\n"}) {
     try {
       (void)sweep::parse_experiment_spec(std::string(base) + line);
       ADD_FAILURE() << "accepted: " << line;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos) << e.what();
+      EXPECT_EQ(std::string(e.what()).find("missing"), std::string::npos) << e.what();
     }
   }
   // The limits themselves are legal: mu = 0 is FAC's run-time error,
@@ -443,7 +446,7 @@ TEST(DlsSim, BadNumericValuesAreUsageErrors) {
   const std::string base = "technique FAC\ntasks 1000\nworkers 2\nworkload constant:1\n";
   for (const std::string line : {"h nan", "h -1", "mu nan", "failures nan,inf", "failures -5,inf",
                                  "threads 4294967297", "timesteps 0", "weights -1,1",
-                                 "weights nan,1"}) {
+                                 "weights nan,1", "tasks 0", "workers 0"}) {
     const Outcome run = run_sim(base + line + "\n");
     EXPECT_EQ(run.exit_code, 2) << line << "\n" << run.output;
     EXPECT_NE(run.output.find("line 5 ('" + line + "')"), std::string::npos) << run.output;

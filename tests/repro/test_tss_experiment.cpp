@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bbn/machine_model.hpp"
+#include "hagerup/simulator.hpp"
 #include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "sweep/grid.hpp"
@@ -172,7 +173,8 @@ TEST(TssFigures, Figure3TendencyMatchesButValuesDiffer) {
 }
 
 TEST(TssFigures, Figure3RecordsEqualDirectModelCalls) {
-  // The records carry each model's speedup bit for bit: bbn::run on the
+  // The records carry each model's speedup bit for bit: hagerup::run on
+  // the BBN machine model (bbn::on_machine + bbn::tzen_ni) on the
   // original side, run_simulation + compute_metrics on the simulation
   // side, with the paper's parameters spelled out by hand.
   const std::shared_ptr<const workload::TaskTimeGenerator> workload = workload::constant(110e-6);
@@ -186,7 +188,7 @@ TEST(TssFigures, Figure3RecordsEqualDirectModelCalls) {
                              Curve{"GSS(80)", dls::Kind::kGSS, 80}}) {
     for (const std::size_t pes : {8u, 72u}) {
       SCOPED_TRACE(curve.label + " p=" + std::to_string(pes));
-      bbn::Config original;
+      hagerup::Config original;
       original.technique = curve.kind;
       original.params.gss_min_chunk = curve.gss_min;
       original.pes = pes;
@@ -205,7 +207,7 @@ TEST(TssFigures, Figure3RecordsEqualDirectModelCalls) {
       simulation.bandwidth = 100e6;
 
       const sweep::FigureCell& c = fig3_cell(curve.label, pes);
-      EXPECT_EQ(c.original, bbn::run(original).speedup);
+      EXPECT_EQ(c.original, bbn::tzen_ni(hagerup::run(bbn::on_machine(original))).speedup);
       EXPECT_EQ(c.simulation,
                 mw::compute_metrics(mw::run_simulation(simulation), simulation).speedup);
     }

@@ -96,19 +96,30 @@ TEST(SweepCli, RejectsNegativeCountsInWorkMode) {
 }
 
 TEST(SweepCli, NonFiniteAxisValueIsAUsageError) {
+  // A zero count is the same kind of bad axis value: it names its rule,
+  // not a missing key.
+  struct BadAxis {
+    std::string key;
+    std::string values;
+    std::string rule;
+  };
   const std::string spec = "cli_nan_axis.sweep";
   const std::string out = "cli_nan_axis.jsonl";
-  for (const std::string key : {"latency", "h"}) {
+  for (const BadAxis& axis : {BadAxis{"latency", "1e-6 nan", "latency must be finite"},
+                              BadAxis{"h", "0.5 nan", "h must be finite"},
+                              BadAxis{"tasks", "4 0", "tasks must be >= 1"},
+                              BadAxis{"workers", "4 0", "workers must be >= 1"}}) {
     std::remove(out.c_str());
     {
       std::ofstream file(spec);
       file << "technique SS\ntasks 64\nworkers 2\nworkload constant:1.0\n"
-              "sweep " << key << (key == "h" ? " 0.5" : " 1e-6") << " nan\n";
+              "sweep " << axis.key << " " << axis.values << "\n";
     }
     const Outcome outcome = run_tool(spec + " --out " + out);
     EXPECT_EQ(outcome.exit_code, 2) << outcome.output;
-    EXPECT_NE(outcome.output.find(key + " must be finite"), std::string::npos) << outcome.output;
-    EXPECT_FALSE(std::ifstream(out).good()) << "a record file was written for " << key;
+    EXPECT_NE(outcome.output.find(axis.rule), std::string::npos) << outcome.output;
+    EXPECT_EQ(outcome.output.find("missing"), std::string::npos) << outcome.output;
+    EXPECT_FALSE(std::ifstream(out).good()) << "a record file was written for " << axis.key;
   }
   std::remove(spec.c_str());
   std::remove(out.c_str());
