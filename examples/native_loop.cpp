@@ -8,7 +8,7 @@
 // crossing the set's boundary cost far more than rows of fast-escaping
 // points -- a classic algorithmic load imbalance.
 //
-// Run: ./build/examples/native_loop [--size 600] [--threads 8]
+// Run: ./build/example_native_loop [--size 600] [--threads 8]
 
 #include <atomic>
 #include <complex>

@@ -20,10 +20,4 @@ std::vector<ChunkRecord> chunk_sequence(Technique& technique, double task_time) 
   return out;
 }
 
-std::vector<std::size_t> chunk_sizes(Technique& technique, double task_time) {
-  std::vector<std::size_t> out;
-  for (const ChunkRecord& rec : chunk_sequence(technique, task_time)) out.push_back(rec.size);
-  return out;
-}
-
 }  // namespace dls

@@ -23,7 +23,4 @@ struct ChunkRecord {
 [[nodiscard]] std::vector<ChunkRecord> chunk_sequence(Technique& technique,
                                                       double task_time = 1.0);
 
-/// Convenience: just the sizes.
-[[nodiscard]] std::vector<std::size_t> chunk_sizes(Technique& technique, double task_time = 1.0);
-
 }  // namespace dls

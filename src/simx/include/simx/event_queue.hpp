@@ -39,11 +39,6 @@ struct EventBefore {
   }
 };
 
-/// The (time, seq) total order.
-[[nodiscard]] inline bool event_before(const Event& a, const Event& b) {
-  return EventBefore{}(a, b);
-}
-
 /// Deterministic two-tier calendar queue for the engine's events.
 ///
 /// The engine's queue is *monotone*: push_event rejects times below the

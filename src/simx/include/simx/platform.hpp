@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace simx {
@@ -70,8 +69,10 @@ class Host {
 
 /// The simulated system: hosts, links and routes, all addressed by
 /// index (insertion order).  This is the in-memory form of the paper's
-/// "SimGrid-MSG platform file"; parse_platform() reads the textual form
-/// and is the only place that knows host and link names.
+/// "SimGrid-MSG platform file"; its one textual form is the system
+/// information of an experiment spec (sweep/experiment.hpp), from which
+/// mw builds the star with make_star_platform.  Hosts and links have
+/// no names.
 ///
 /// Message cost model: a transfer of b bytes along a route traverses all
 /// its links store-free, costing sum(latencies) + b / min(bandwidths).
@@ -146,19 +147,5 @@ class Platform {
                                           SimTime latency,
                                           std::span<const double> speed_factors = {},
                                           std::span<const SpeedProfile> speed_profiles = {});
-
-/// Parse the textual platform description (the analog of the paper's
-/// SimGrid platform file).  Hosts and links take indices in file order;
-/// names are resolved here and not kept:
-///
-///   # comment
-///   host <name> speed=<flops> [profile=<t0>:<s0>,<t1>:<s1>,...]
-///   link <name> bandwidth=<bytes/s> latency=<s>
-///   route <hostA> <hostB> <link> [<link>...]
-///
-/// A route may only name hosts and links declared on earlier lines.
-/// Throws std::invalid_argument with a line number on malformed input,
-/// a duplicate host or link name, or a route over an unknown name.
-[[nodiscard]] Platform parse_platform(std::string_view text);
 
 }  // namespace simx

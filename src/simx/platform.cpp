@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -149,173 +147,6 @@ Platform make_star_platform(std::size_t workers, double speed, double bandwidth,
     p.add_route(0, host.index(), {&link, 1});
   }
   return p;
-}
-
-namespace {
-
-/// Split a line into whitespace-separated tokens.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
-[[noreturn]] void parse_error(std::size_t line_no, const std::string& message) {
-  throw std::invalid_argument("line " + std::to_string(line_no) + ": " + message);
-}
-
-/// Parse "key=value" and return value if key matches, else nullopt.
-std::optional<std::string> key_value(const std::string& token, std::string_view key) {
-  const auto eq = token.find('=');
-  if (eq == std::string::npos || token.substr(0, eq) != key) return std::nullopt;
-  return token.substr(eq + 1);
-}
-
-double parse_double(const std::string& text, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::exception&) {
-    parse_error(line_no, "bad number: " + text);
-  }
-}
-
-SpeedProfile parse_profile(const std::string& text, std::size_t line_no) {
-  SpeedProfile profile;
-  std::istringstream is(text);
-  std::string pair;
-  while (std::getline(is, pair, ',')) {
-    const auto colon = pair.find(':');
-    if (colon == std::string::npos) parse_error(line_no, "profile entry needs t:speed: " + pair);
-    profile.time_points.push_back(parse_double(pair.substr(0, colon), line_no));
-    profile.speeds.push_back(parse_double(pair.substr(colon + 1), line_no));
-  }
-  return profile;
-}
-
-/// A name declared on a host or link line.  The parser resolves route
-/// names against a table of these sorted once by (name, line): a flat
-/// binary search, built in O(n log n) however many hosts the file has.
-struct Declared {
-  std::string name;
-  std::size_t index = 0;  ///< host or link index
-  std::size_t line = 0;
-};
-
-/// Sort `table` and reject the earliest line that re-declares a name.
-void sort_declared(std::vector<Declared>& table, const char* kind) {
-  std::sort(table.begin(), table.end(), [](const Declared& a, const Declared& b) {
-    return a.name != b.name ? a.name < b.name : a.line < b.line;
-  });
-  const Declared* duplicate = nullptr;
-  for (std::size_t i = 1; i < table.size(); ++i) {
-    if (table[i].name == table[i - 1].name &&
-        (duplicate == nullptr || table[i].line < duplicate->line)) {
-      duplicate = &table[i];
-    }
-  }
-  if (duplicate != nullptr) {
-    parse_error(duplicate->line, std::string("duplicate ") + kind + ": " + duplicate->name);
-  }
-}
-
-/// Index of `name` as declared on a line before `line_no`.
-std::size_t resolve(const std::vector<Declared>& table, const std::string& name,
-                    std::size_t line_no, const char* kind) {
-  const auto it = std::lower_bound(
-      table.begin(), table.end(), name,
-      [](const Declared& d, const std::string& key) { return d.name < key; });
-  if (it == table.end() || it->name != name || it->line > line_no) {
-    parse_error(line_no, std::string("unknown ") + kind + ": " + name);
-  }
-  return it->index;
-}
-
-struct RouteLine {
-  std::vector<std::string> tokens;  ///< "route" <hostA> <hostB> <link>...
-  std::size_t line = 0;
-};
-
-}  // namespace
-
-Platform parse_platform(std::string_view text) {
-  Platform platform;
-  std::vector<Declared> hosts;
-  std::vector<Declared> links;
-  std::vector<RouteLine> routes;
-  std::istringstream is{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-    std::vector<std::string> tok = tokenize(line);
-    if (tok.empty()) continue;
-    if (tok[0] == "host") {
-      if (tok.size() < 3) parse_error(line_no, "host needs: host <name> speed=<flops>");
-      std::optional<std::string> speed;
-      std::optional<std::string> profile;
-      for (std::size_t i = 2; i < tok.size(); ++i) {
-        if (auto v = key_value(tok[i], "speed")) speed = v;
-        else if (auto pv = key_value(tok[i], "profile")) profile = pv;
-        else parse_error(line_no, "unknown host attribute: " + tok[i]);
-      }
-      if (!speed) parse_error(line_no, "host is missing speed=");
-      const double flops = parse_double(*speed, line_no);
-      std::optional<SpeedProfile> segments;
-      if (profile) segments = parse_profile(*profile, line_no);
-      try {
-        Host& h = platform.add_host(flops);
-        if (segments) h.set_speed_profile(std::move(*segments));
-        hosts.push_back(Declared{std::move(tok[1]), h.index(), line_no});
-      } catch (const std::invalid_argument& e) {
-        parse_error(line_no, e.what());
-      }
-    } else if (tok[0] == "link") {
-      if (tok.size() != 4) {
-        parse_error(line_no, "link needs: link <name> bandwidth=<bytes/s> latency=<s>");
-      }
-      std::optional<std::string> bw;
-      std::optional<std::string> lat;
-      for (std::size_t i = 2; i < tok.size(); ++i) {
-        if (auto v = key_value(tok[i], "bandwidth")) bw = v;
-        else if (auto lv = key_value(tok[i], "latency")) lat = lv;
-        else parse_error(line_no, "unknown link attribute: " + tok[i]);
-      }
-      if (!bw || !lat) parse_error(line_no, "link needs bandwidth= and latency=");
-      const double bandwidth = parse_double(*bw, line_no);
-      const double latency = parse_double(*lat, line_no);
-      try {
-        const std::size_t index = platform.add_link(bandwidth, latency);
-        links.push_back(Declared{std::move(tok[1]), index, line_no});
-      } catch (const std::invalid_argument& e) {
-        parse_error(line_no, e.what());
-      }
-    } else if (tok[0] == "route") {
-      if (tok.size() < 4) parse_error(line_no, "route needs: route <hostA> <hostB> <link>...");
-      routes.push_back(RouteLine{std::move(tok), line_no});
-    } else {
-      parse_error(line_no, "unknown directive: " + tok[0]);
-    }
-  }
-
-  sort_declared(hosts, "host");
-  sort_declared(links, "link");
-  std::vector<std::size_t> route_links;
-  for (const RouteLine& route : routes) {
-    route_links.clear();
-    for (std::size_t i = 3; i < route.tokens.size(); ++i) {
-      route_links.push_back(resolve(links, route.tokens[i], route.line, "link"));
-    }
-    const std::size_t a = resolve(hosts, route.tokens[1], route.line, "host");
-    const std::size_t b = resolve(hosts, route.tokens[2], route.line, "host");
-    platform.add_route(a, b, route_links);
-  }
-  return platform;
 }
 
 }  // namespace simx

@@ -64,12 +64,6 @@ struct Summary {
 
 [[nodiscard]] Summary summarize(std::span<const double> values);
 
-/// Linear-interpolated percentile, q in [0, 1].  Sorts a copy.  Throws
-/// std::invalid_argument on an empty sample, q outside [0, 1], or a NaN
-/// in the sample (NaN has no rank; sorting it is undefined behavior of
-/// std::sort's strict-weak-ordering contract).
-[[nodiscard]] double percentile(std::span<const double> values, double q);
-
 /// Mean after removing every value strictly above `cutoff` -- the
 /// paper's Figure 9 analysis removes the FAC runs with average wasted
 /// time above 400 s before re-averaging.  Returns the new mean and the

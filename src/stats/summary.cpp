@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace stats {
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-double percentile(std::span<const double> values, double q) {
-  if (values.empty()) throw std::invalid_argument("percentile: empty sample");
-  if (!(q >= 0.0 && q <= 1.0)) throw std::invalid_argument("percentile: q outside [0,1]");
-  for (double v : values) {
-    if (std::isnan(v)) throw std::invalid_argument("percentile: NaN in sample");
-  }
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
 
 Summary summarize(std::span<const double> values) {
   Summary s;
@@ -50,8 +34,8 @@ Summary summarize(std::span<const double> values) {
   s.stddev = std::sqrt(acc.sample_variance());
   s.min = acc.min();
   s.max = acc.max();
-  // One sort serves all three quantiles (percentile() would copy and
-  // sort the sample per call -- this runs four times per sweep cell).
+  // One sort serves all three linear-interpolated quantiles (this runs
+  // four times per sweep cell).
   std::vector<double> sorted(sample.begin(), sample.end());
   std::sort(sorted.begin(), sorted.end());
   const auto quantile = [&sorted](double q) {

@@ -9,10 +9,11 @@
 
 namespace sweep {
 
-/// Textual experiment description -- the "Application Information" +
-/// "Execution Information" side of paper Figure 2, complementing the
-/// platform file of simx (simx::parse_platform).  Format (one `key value` pair per
-/// line, '#' comments):
+/// Textual experiment description -- all three columns of paper
+/// Figure 2: application, system and execution information.  The
+/// system keys describe the star platform of Figure 1 (the extensions
+/// below); there is no separate platform file.  examples/*.sweep walk
+/// through it.  Format (one `key value` pair per line, '#' comments):
 ///
 ///   technique FAC2            # STAT SS CSS FSC GSS TSS FAC FAC2 BOLD ...
 ///   tasks     8192

@@ -26,7 +26,8 @@ struct RecordKey {
   friend auto operator<=>(const RecordKey&, const RecordKey&) = default;
 };
 
-/// Render one completed cell as a single JSONL record:
+/// Renders the records of ONE grid, each completed cell as a single
+/// JSONL record:
 ///
 ///   {"cell":12,"of":40,"backend":"mw","replicas":100,
 ///    "sweep":{"technique":"GSS","workers":"64"},
@@ -48,18 +49,11 @@ struct RecordKey {
 /// native `runtime` backend measures wall clock: its records resume and
 /// merge by identity, but re-running such a cell produces different
 /// bytes.)
-[[nodiscard]] std::string render_record(const Grid& grid, const Cell& cell,
-                                        const exec::BatchJob& job,
-                                        const exec::BatchResult& result);
-
-/// Renders the records of ONE grid with the invariant pieces built
-/// once per batch instead of once per record: the `"of"`/grid-size
+///
+/// The invariant pieces are built once per grid: the `"of"`/grid-size
 /// fragment is formatted at construction, and the `experiment` echo is
-/// assembled from the cell and job already in hand -- the free
-/// function's cell_experiment_text path re-expands (re-parses) the
-/// cell and re-derives its job for every record it renders.
-/// Byte-identical output to render_record (pinned by the golden sweep
-/// tests); the free function delegates here.
+/// assembled from the cell and job already in hand, byte-identical to
+/// cell_experiment_text (which re-expands the cell).
 class RecordRenderer {
  public:
   explicit RecordRenderer(const Grid& grid);
@@ -71,16 +65,12 @@ class RecordRenderer {
   std::string of_fragment_;  ///< ",\"of\":<science cells>" -- invariant per grid
 };
 
-/// The "cell" field of a record line; nullopt if the line is not a
-/// complete record (e.g. truncated by a mid-write kill).
-[[nodiscard]] std::optional<std::size_t> record_cell_index(std::string_view line);
-
 /// The "backend" field of a record line; nullopt if the line is not a
 /// complete record.
 [[nodiscard]] std::optional<std::string> record_backend(std::string_view line);
 
 /// The full identity (cell, backend) of a record line; nullopt if the
-/// line is not a complete record.
+/// line is not a complete record (e.g. truncated by a mid-write kill).
 [[nodiscard]] std::optional<RecordKey> record_key(std::string_view line);
 
 /// The "of" field (scientific grid size) of a record line; nullopt if
@@ -101,7 +91,7 @@ class RecordRenderer {
 
 /// The experiment echo a record of (full) cell `index` must carry (the
 /// serialized cell spec with the derived seed and backend applied --
-/// what render_record embeds).
+/// what RecordRenderer embeds).
 [[nodiscard]] std::string cell_experiment_text(const Grid& grid, std::size_t index);
 
 /// Check that previously written records actually belong to `grid`:

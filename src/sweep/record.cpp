@@ -200,16 +200,6 @@ std::string RecordRenderer::render(const Cell& cell, const exec::BatchJob& job,
   return out;
 }
 
-std::string render_record(const Grid& grid, const Cell& cell, const exec::BatchJob& job,
-                          const exec::BatchResult& result) {
-  return RecordRenderer(grid).render(cell, job, result);
-}
-
-std::optional<std::size_t> record_cell_index(std::string_view line) {
-  if (!looks_complete(line)) return std::nullopt;
-  return uint_field(line, "cell");
-}
-
 std::optional<std::string> record_backend(std::string_view line) {
   if (!looks_complete(line)) return std::nullopt;
   return string_field(line, "backend");

@@ -91,7 +91,10 @@ class TaskTimeGenerator {
 
 /// Replay a recorded trace of task times (paper Section III: "a trace
 /// file or similar information describing the behavior of the measured
-/// application").  Index i uses trace[i % trace.size()].
+/// application").  Index i uses trace[i % trace.size()].  The spec
+/// grammar has no trace form (a record must replay from its text), so
+/// this is the only way in: a library caller with measured task times.
+// dls-lint: allow(callerless-api)
 [[nodiscard]] std::unique_ptr<TaskTimeGenerator> trace(std::vector<double> values);
 
 /// Build a generator from a textual spec, e.g. "constant:0.00011",

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "dls/chunk_sequence.hpp"
+#include "chunk_sizes.hpp"
 #include "dls/technique.hpp"
 
 namespace {
@@ -22,7 +22,7 @@ dls::Params base_params(std::size_t p, std::size_t n) {
 
 std::vector<std::size_t> sizes(Kind kind, const dls::Params& params) {
   const auto tech = dls::make_technique(kind, params);
-  return dls::chunk_sizes(*tech);
+  return core_test::chunk_sizes(*tech);
 }
 
 // ---------------------------------------------------------------- BOLD
@@ -181,7 +181,7 @@ TEST(Af, FasterPeGetsLargerChunks) {
 TEST(Af, ConservationUnderAdaptiveFeedback) {
   const dls::Params params = base_params(4, 5000);
   const auto tech = dls::make_technique(Kind::kAF, params);
-  const auto s = dls::chunk_sizes(*tech, /*task_time=*/0.7);
+  const auto s = core_test::chunk_sizes(*tech, /*task_time=*/0.7);
   EXPECT_EQ(std::accumulate(s.begin(), s.end(), std::size_t{0}), 5000u);
 }
 

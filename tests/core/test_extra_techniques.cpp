@@ -6,7 +6,7 @@
 #include <numeric>
 #include <set>
 
-#include "dls/chunk_sequence.hpp"
+#include "chunk_sizes.hpp"
 #include "dls/technique.hpp"
 
 namespace {
@@ -25,7 +25,7 @@ dls::Params base_params(std::size_t p, std::size_t n) {
 
 std::vector<std::size_t> sizes(Kind kind, const dls::Params& params) {
   const auto tech = dls::make_technique(kind, params);
-  return dls::chunk_sizes(*tech);
+  return core_test::chunk_sizes(*tech);
 }
 
 // ---------------------------------------------------------------- mFSC
@@ -130,12 +130,12 @@ TEST(Rnd, DeterministicPerSeedAndResets) {
   dls::Params params = base_params(4, 5000);
   params.rnd_seed = 77;
   const auto tech = dls::make_technique(Kind::kRND, params);
-  const auto a = dls::chunk_sizes(*tech);
-  const auto b = dls::chunk_sizes(*tech);  // chunk_sequence resets first
+  const auto a = core_test::chunk_sizes(*tech);
+  const auto b = core_test::chunk_sizes(*tech);  // chunk_sequence resets first
   EXPECT_EQ(a, b);
   params.rnd_seed = 78;
   const auto tech2 = dls::make_technique(Kind::kRND, params);
-  EXPECT_NE(dls::chunk_sizes(*tech2), a);
+  EXPECT_NE(core_test::chunk_sizes(*tech2), a);
 }
 
 TEST(Rnd, ActuallyVariesChunkSizes) {
@@ -174,7 +174,7 @@ TEST(AwfDE, ZeroOverheadMatchesBAndC) {
                               std::pair{Kind::kAWFE, Kind::kAWFC}}) {
     const auto ta = dls::make_technique(aware, params);
     const auto tp = dls::make_technique(plain, params);
-    EXPECT_EQ(dls::chunk_sizes(*ta, 0.5), dls::chunk_sizes(*tp, 0.5))
+    EXPECT_EQ(core_test::chunk_sizes(*ta, 0.5), core_test::chunk_sizes(*tp, 0.5))
         << dls::to_string(aware);
   }
 }

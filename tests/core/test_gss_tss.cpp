@@ -2,7 +2,7 @@
 
 #include <numeric>
 
-#include "dls/chunk_sequence.hpp"
+#include "chunk_sizes.hpp"
 #include "dls/technique.hpp"
 
 namespace {
@@ -18,7 +18,7 @@ dls::Params base_params(std::size_t p, std::size_t n) {
 
 std::vector<std::size_t> sizes(Kind kind, const dls::Params& params) {
   const auto tech = dls::make_technique(kind, params);
-  return dls::chunk_sizes(*tech);
+  return core_test::chunk_sizes(*tech);
 }
 
 // ----------------------------------------------------------------- GSS

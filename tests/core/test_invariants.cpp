@@ -6,7 +6,7 @@
 
 #include <numeric>
 
-#include "dls/chunk_sequence.hpp"
+#include "chunk_sizes.hpp"
 #include "dls/technique.hpp"
 
 namespace {
@@ -55,7 +55,7 @@ class TechniqueInvariants : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(TechniqueInvariants, ChunksConserveTasksAndStayPositive) {
   const auto tech = dls::make_technique(GetParam().kind, make_params(GetParam()));
-  const auto s = dls::chunk_sizes(*tech);
+  const auto s = core_test::chunk_sizes(*tech);
   std::size_t sum = 0;
   for (std::size_t c : s) {
     ASSERT_GE(c, 1u);
@@ -100,14 +100,14 @@ TEST_P(TechniqueInvariants, BookkeepingIsConsistent) {
 
 TEST_P(TechniqueInvariants, ResetReproducesIdenticalSequence) {
   const auto tech = dls::make_technique(GetParam().kind, make_params(GetParam()));
-  const auto first = dls::chunk_sizes(*tech, 0.9);
-  const auto second = dls::chunk_sizes(*tech, 0.9);  // chunk_sequence resets
+  const auto first = core_test::chunk_sizes(*tech, 0.9);
+  const auto second = core_test::chunk_sizes(*tech, 0.9);  // chunk_sequence resets
   EXPECT_EQ(first, second);
 }
 
 TEST_P(TechniqueInvariants, SequenceLengthIsBounded) {
   const auto tech = dls::make_technique(GetParam().kind, make_params(GetParam()));
-  const auto s = dls::chunk_sizes(*tech);
+  const auto s = core_test::chunk_sizes(*tech);
   EXPECT_LE(s.size(), GetParam().n);  // never more chunks than tasks
 }
 
@@ -121,7 +121,7 @@ class DecreasingFamily : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(DecreasingFamily, ChunksNeverGrow) {
   const auto tech = dls::make_technique(GetParam().kind, make_params(GetParam()));
-  const auto s = dls::chunk_sizes(*tech);
+  const auto s = core_test::chunk_sizes(*tech);
   for (std::size_t i = 1; i < s.size(); ++i) {
     ASSERT_LE(s[i], s[i - 1]) << "at chunk " << i;
   }

@@ -2,7 +2,7 @@
 
 #include <numeric>
 
-#include "dls/chunk_sequence.hpp"
+#include "chunk_sizes.hpp"
 #include "dls/technique.hpp"
 
 namespace {
@@ -21,7 +21,7 @@ dls::Params base_params(std::size_t p, std::size_t n) {
 
 std::vector<std::size_t> sizes(Kind kind, const dls::Params& params) {
   const auto tech = dls::make_technique(kind, params);
-  return dls::chunk_sizes(*tech);
+  return core_test::chunk_sizes(*tech);
 }
 
 // ---------------------------------------------------------------- STAT
@@ -86,7 +86,7 @@ TEST(Fsc, MatchesKruskalWeissFormula) {
   //   = (1.41421*4096*0.5 / (8*sqrt(2.07944)))^(2/3)
   //   = (2896.31 / 11.5362)^(2/3) = 251.063^(2/3) ~= 39.74  -> ceil = 40
   const auto tech = dls::make_technique(Kind::kFSC, base_params(8, 4096));
-  const auto s = dls::chunk_sizes(*tech);
+  const auto s = core_test::chunk_sizes(*tech);
   ASSERT_FALSE(s.empty());
   EXPECT_EQ(s.front(), 40u);
   // All chunks equal except possibly the capped last one.

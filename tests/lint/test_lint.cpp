@@ -338,12 +338,67 @@ TEST(Lint, JsonFormatIsMachineReadable) {
                           "annotated support::Mutex/LockGuard wrappers\"}\n");
 }
 
+// callerless-api is the one cross-file rule: it weighs a public
+// header's declarations against every scanned file.
+constexpr const char* kApiHeader =
+    "#pragma once\n"
+    "namespace geo {\n"
+    "struct Box { double w = 0; double area() const; };\n"
+    "[[nodiscard]] double area(double w, double h);\n"
+    "}  // namespace geo\n";
+constexpr const char* kApiSource =
+    "#include \"geo/area.hpp\"\n"
+    "namespace geo {\n"
+    "double area(double w, double h) { return w * h; }\n"
+    "double Box::area() const { return w; }\n"
+    "}  // namespace geo\n";
+
+std::string callerless(const std::string& header) {
+  return header +
+         ":4:22: error: 'geo::area' is declared in a public header but nothing outside "
+         "tests/ names it; delete it, or allow-comment why it stays [callerless-api]\n";
+}
+
+TEST(Lint, CallerlessApiIsAFinding) {
+  // Its own declaration and definition are not callers.
+  const TempDir dir;
+  const std::string header = write_file(dir.path(), "src/geo/include/geo/area.hpp", kApiHeader);
+  write_file(dir.path(), "src/geo/area.cpp", kApiSource);
+  const LintResult r = run_lint(dir.path());
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_EQ(r.output, callerless(header));
+}
+
+TEST(Lint, ApiWithACallerInAnotherFileIsClean) {
+  const TempDir dir;
+  write_file(dir.path(), "src/geo/include/geo/area.hpp", kApiHeader);
+  write_file(dir.path(), "src/geo/area.cpp", kApiSource);
+  write_file(dir.path(), "tools/plot.cpp",
+             "#include \"geo/area.hpp\"\n"
+             "int main() { return geo::area(2, 3) > 5 ? 0 : 1; }\n");
+  const LintResult r = run_lint(dir.path());
+  EXPECT_EQ(r.output, "");
+  EXPECT_EQ(r.exit_code, 0);
+}
+
+TEST(Lint, ApiUsedOnlyByATestIsAFinding) {
+  const TempDir dir;
+  const std::string header = write_file(dir.path(), "src/geo/include/geo/area.hpp", kApiHeader);
+  write_file(dir.path(), "src/geo/area.cpp", kApiSource);
+  write_file(dir.path(), "tests/geo/test_area.cpp",
+             "#include \"geo/area.hpp\"\n"
+             "bool check() { return geo::area(2, 3) == 6; }\n");
+  const LintResult r = run_lint(dir.path());
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_EQ(r.output, callerless(header));
+}
+
 TEST(Lint, ListRulesNamesEveryRule) {
   const LintResult r = run_lint("--list-rules");
   EXPECT_EQ(r.exit_code, 0);
   for (const char* rule : {"wall-clock", "nondeterministic-rand", "raw-shard-io",
                            "naked-net", "unbounded-sleep", "bare-mutex",
-                           "map-in-hot-path"}) {
+                           "map-in-hot-path", "callerless-api"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
   }
 }
@@ -359,7 +414,8 @@ TEST(Lint, RepoIsClean) {
   // either gets fixed or an explicit, justified allow comment.
   const std::string root = DLS_SOURCE_DIR;
   const LintResult r =
-      run_lint(root + "/src " + root + "/tools " + root + "/tests");
+      run_lint(root + "/src " + root + "/tools " + root + "/tests " + root + "/bench " + root +
+               "/examples");
   EXPECT_EQ(r.output, "");
   EXPECT_EQ(r.exit_code, 0);
 }

@@ -1,56 +1,33 @@
+// Per-worker busy time of a run: RunResult::workers carries each
+// worker's completed tasks and compute time, so compute_time /
+// makespan is the fraction of the run it spent executing tasks.
+
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <vector>
 
 #include "mw/simulation.hpp"
-#include "mw/trace.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
 
-mw::RunResult run_logged(dls::Kind kind, std::size_t workers, std::size_t tasks) {
-  mw::Config cfg;
-  cfg.technique = kind;
-  cfg.workers = workers;
-  cfg.tasks = tasks;
-  cfg.workload = workload::constant(1.0);
-  cfg.params.h = 0.0;
-  cfg.record_chunk_log = true;
-  return mw::run_simulation(cfg);
-}
-
-TEST(Trace, ChunkCsvRoundTrips) {
-  const mw::RunResult r = run_logged(dls::Kind::kFAC2, 4, 256);
-  std::ostringstream out;
-  mw::write_chunk_csv(r, out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("pe,first,size,issued_at\n"), std::string::npos);
-  // One line per chunk plus the header.
-  std::size_t lines = 0;
-  for (char c : csv) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, r.chunk_count + 1);
-}
-
-TEST(Trace, ChunkCsvRequiresLog) {
-  mw::Config cfg;
-  cfg.technique = dls::Kind::kSS;
-  cfg.workers = 2;
-  cfg.tasks = 10;
-  cfg.workload = workload::constant(1.0);
-  const mw::RunResult r = mw::run_simulation(cfg);  // no log
-  std::ostringstream out;
-  EXPECT_THROW(mw::write_chunk_csv(r, out), std::invalid_argument);
+double busy_fraction(const mw::RunResult& r, const mw::WorkerStats& w) {
+  return w.compute_time / r.makespan;
 }
 
 TEST(Trace, UtilizationNearOneForBalancedRun) {
-  const mw::RunResult r = run_logged(dls::Kind::kStatic, 4, 400);
-  const auto util = mw::utilization(r);
-  ASSERT_EQ(util.size(), 4u);
-  for (const mw::WorkerUtilization& u : util) {
-    EXPECT_NEAR(u.busy_fraction, 1.0, 0.01) << "pe " << u.pe;
-    EXPECT_EQ(u.tasks, 100u);
+  mw::Config cfg;
+  cfg.technique = dls::Kind::kStatic;
+  cfg.workers = 4;
+  cfg.tasks = 400;
+  cfg.workload = workload::constant(1.0);
+  cfg.params.h = 0.0;
+  const mw::RunResult r = mw::run_simulation(cfg);
+  ASSERT_EQ(r.workers.size(), 4u);
+  for (std::size_t pe = 0; pe < r.workers.size(); ++pe) {
+    EXPECT_NEAR(busy_fraction(r, r.workers[pe]), 1.0, 0.01) << "pe " << pe;
+    EXPECT_EQ(r.workers[pe].tasks, 100u) << "pe " << pe;
   }
 }
 
@@ -63,47 +40,16 @@ TEST(Trace, UtilizationSeesIdleStraggler) {
   cfg.workers = 4;
   cfg.tasks = 100;
   cfg.workload = workload::trace(values);
-  cfg.record_chunk_log = true;
   const mw::RunResult r = mw::run_simulation(cfg);
-  const auto util = mw::utilization(r);
+  ASSERT_EQ(r.workers.size(), 4u);
   // The worker holding the giant block is busy ~100%; others mostly idle.
   double max_u = 0.0, min_u = 1.0;
-  for (const auto& u : util) {
-    max_u = std::max(max_u, u.busy_fraction);
-    min_u = std::min(min_u, u.busy_fraction);
+  for (const mw::WorkerStats& w : r.workers) {
+    max_u = std::max(max_u, busy_fraction(r, w));
+    min_u = std::min(min_u, busy_fraction(r, w));
   }
   EXPECT_GT(max_u, 0.95);
   EXPECT_LT(min_u, 0.20);
-}
-
-TEST(Trace, GanttShapeIsSane) {
-  const mw::RunResult r = run_logged(dls::Kind::kGSS, 3, 300);
-  const std::string art = mw::ascii_gantt(r, 40);
-  // One line per worker plus the time axis.
-  std::size_t lines = 0;
-  for (char c : art) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 4u);
-  EXPECT_NE(art.find("w0"), std::string::npos);
-  EXPECT_NE(art.find("w2"), std::string::npos);
-  EXPECT_NE(art.find('#'), std::string::npos);
-}
-
-TEST(Trace, GanttBusyColumnsDominateForBalancedRun) {
-  const mw::RunResult r = run_logged(dls::Kind::kFAC2, 2, 200);
-  const std::string art = mw::ascii_gantt(r, 50);
-  std::size_t busy = 0, idle = 0;
-  for (char c : art) {
-    if (c == '#') ++busy;
-    if (c == '.') ++idle;
-  }
-  EXPECT_GT(busy, idle * 5);  // both workers busy nearly the whole run
-}
-
-TEST(Trace, GanttRejectsBadArguments) {
-  const mw::RunResult r = run_logged(dls::Kind::kSS, 2, 10);
-  EXPECT_THROW((void)mw::ascii_gantt(r, 0), std::invalid_argument);
 }
 
 }  // namespace

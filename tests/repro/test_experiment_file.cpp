@@ -1,6 +1,7 @@
 // The experiment-file grammar (sweep/experiment.hpp) in process, and
 // dls_sim -- a one-cell dls_sweep -- through the real binary
 // (DLS_SIM_BIN), checked against the dls_sweep record of the same file.
+// dls_chunks (DLS_CHUNKS_BIN) holds its flags to the grammar's rules.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -342,10 +343,8 @@ struct Outcome {
   std::string output;  ///< stdout and stderr
 };
 
-/// Run `tool args` with `spec` on stdin (the tool reads '-').
-Outcome run_on_stdin(const std::string& tool, const std::string& spec,
-                     const std::string& args = "") {
-  const std::string command = tool + " - " + args + " 2>&1 <<'EOF'\n" + spec + "EOF\n";
+/// Run the shell `command`, capturing what it prints and its exit code.
+Outcome run_command(const std::string& command) {
   Outcome outcome;
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return outcome;
@@ -356,6 +355,12 @@ Outcome run_on_stdin(const std::string& tool, const std::string& spec,
   const int status = ::pclose(pipe);
   outcome.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return outcome;
+}
+
+/// Run `tool args` with `spec` on stdin (the tool reads '-').
+Outcome run_on_stdin(const std::string& tool, const std::string& spec,
+                     const std::string& args = "") {
+  return run_command(tool + " - " + args + " 2>&1 <<'EOF'\n" + spec + "EOF\n");
 }
 
 Outcome run_sim(const std::string& spec, const std::string& args = "") {
@@ -505,6 +510,37 @@ TEST(DlsSim, NumbersEqualTheSweepRecord) {
   expect_sim_matches_record(
       "technique SS\ntasks 4096\nworkers 16\nworkload exponential:1\nh 0.5\n",
       "--backend hagerup");
+}
+
+// ---------------------------------------------------------------------------
+// dls_chunks as a process: its flags obey the spec's rules for the same
+// keys.
+// ---------------------------------------------------------------------------
+
+Outcome run_chunks(const std::string& args) {
+  return run_command(std::string(DLS_CHUNKS_BIN) + " " + args + " 2>&1");
+}
+
+TEST(DlsChunks, OutOfRangeFlagsAreUsageErrors) {
+  // Each of these once ran on a wrapped-around count or a NaN (or, for
+  // the zero counts, failed as a run error); each is now exit 2,
+  // naming the flag and its value.
+  for (const std::string flag :
+       {"--pes -1", "--tasks -5", "--gss-min -3", "--css-chunk -2", "--mu nan", "--h -1",
+        "--sigma inf", "--tasks 0", "--pes 0"}) {
+    const Outcome run = run_chunks("--technique FAC " + flag);
+    EXPECT_EQ(run.exit_code, 2) << flag << "\n" << run.output;
+    EXPECT_NE(run.output.find(flag + ": must be"), std::string::npos) << run.output;
+  }
+  const Outcome gss = run_chunks("--technique GSS --gss-min -3");
+  EXPECT_EQ(gss.exit_code, 2) << gss.output;
+  EXPECT_EQ(gss.output.find("GSS("), std::string::npos) << gss.output;
+
+  // The limits themselves are legal.
+  const Outcome edge =
+      run_chunks("--technique SS --tasks 1 --pes 1 --h 0 --mu 0 --sigma 0 --css-chunk 0");
+  EXPECT_EQ(edge.exit_code, 0) << edge.output;
+  EXPECT_NE(edge.output.find("n = 1, p = 1: 1 chunks"), std::string::npos) << edge.output;
 }
 
 }  // namespace

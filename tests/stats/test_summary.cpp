@@ -48,19 +48,12 @@ TEST(Accumulator, NumericallyStableForLargeOffsets) {
   EXPECT_NEAR(acc.variance(), 0.25, 1e-6);
 }
 
-TEST(Percentile, InterpolatesLinearly) {
+TEST(Summarize, QuantilesInterpolateLinearly) {
   const std::vector<double> xs = {4.0, 1.0, 3.0, 2.0};  // sorted: 1 2 3 4
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 1.0 / 3.0), 2.0);
-}
-
-TEST(Percentile, RejectsBadInput) {
-  EXPECT_THROW((void)stats::percentile({}, 0.5), std::invalid_argument);
-  const std::vector<double> xs = {1.0};
-  EXPECT_THROW((void)stats::percentile(xs, -0.1), std::invalid_argument);
-  EXPECT_THROW((void)stats::percentile(xs, 1.1), std::invalid_argument);
+  const stats::Summary s = stats::summarize(xs);
+  EXPECT_DOUBLE_EQ(s.median, 2.5);
+  EXPECT_DOUBLE_EQ(s.p5, 1.15);   // position 0.05 * 3 = 0.15
+  EXPECT_DOUBLE_EQ(s.p95, 3.85);  // position 0.95 * 3 = 2.85
 }
 
 TEST(Summarize, FullSummary) {
@@ -78,13 +71,6 @@ TEST(Summarize, EmptyInputGivesZeroSummary) {
   const stats::Summary s = stats::summarize({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Percentile, RejectsNaN) {
-  // NaN breaks std::sort's strict-weak-ordering contract (UB); the
-  // sample is rejected instead of producing a garbage rank.
-  const std::vector<double> xs = {1.0, std::numeric_limits<double>::quiet_NaN(), 3.0};
-  EXPECT_THROW((void)stats::percentile(xs, 0.5), std::invalid_argument);
 }
 
 TEST(Summarize, PercentilesAndConfidenceInterval) {

@@ -20,7 +20,7 @@ std::string record_of(const sweep::Grid& grid, std::size_t index) {
   const sweep::Cell c = sweep::cell(grid, index);
   const exec::BatchJob job = sweep::batch_job(grid, c);
   const exec::BatchResult result = exec::BatchRunner().run_one(job);
-  return sweep::render_record(grid, c, job, result);
+  return sweep::RecordRenderer(grid).render(c, job, result);
 }
 
 sweep::RecordKey key(std::size_t cell, const char* backend = "mw") {
@@ -32,7 +32,6 @@ TEST(SweepRecord, RenderIsDeterministicAndSelfDescribing) {
   const std::string a = record_of(grid, 2);
   const std::string b = record_of(grid, 2);
   EXPECT_EQ(a, b);  // byte-identical re-render: the merge/resume contract
-  EXPECT_EQ(sweep::record_cell_index(a), 2u);
   EXPECT_EQ(sweep::record_backend(a), "mw");  // resolved vehicle, top-level
   EXPECT_EQ(sweep::record_key(a), key(2));
   EXPECT_NE(a.find("\"of\":4"), std::string::npos) << a;
@@ -47,11 +46,12 @@ TEST(SweepRecord, RenderIsDeterministicAndSelfDescribing) {
   EXPECT_NE(a.find("\"ci95_hi\":"), std::string::npos);
 }
 
-TEST(SweepRecord, RendererMatchesTheFreeFunctionAndTheValidationPath) {
+TEST(SweepRecord, RendererMatchesAFreshRendererAndTheValidationPath) {
   // RecordRenderer builds the experiment echo from the cell and job in
-  // hand instead of re-expanding the cell; its bytes must stay
-  // identical to render_record AND to cell_experiment_text (what
-  // validate_records_for_grid compares resumed records against).
+  // hand instead of re-expanding the cell; one renderer reused across
+  // the grid must render the bytes of a fresh one per record AND the
+  // echo cell_experiment_text builds (what validate_records_for_grid
+  // compares resumed records against).
   const sweep::Grid grid = small_grid();
   const sweep::RecordRenderer renderer(grid);
   for (std::size_t index = 0; index < grid.cells(); ++index) {
@@ -59,7 +59,7 @@ TEST(SweepRecord, RendererMatchesTheFreeFunctionAndTheValidationPath) {
     const exec::BatchJob job = sweep::batch_job(grid, c);
     const exec::BatchResult result = exec::BatchRunner().run_one(job);
     const std::string line = renderer.render(c, job, result);
-    EXPECT_EQ(line, sweep::render_record(grid, c, job, result));
+    EXPECT_EQ(line, sweep::RecordRenderer(grid).render(c, job, result));
     EXPECT_EQ(sweep::record_experiment(line), sweep::cell_experiment_text(grid, index));
     EXPECT_NO_THROW(sweep::validate_records_for_grid(grid, {line}));
   }
@@ -126,10 +126,10 @@ TEST(SweepRecord, TruncationAtAnyPointIsNeverACompleteRecord) {
   // prefix must be rejected.
   const sweep::Grid grid = small_grid();
   const std::string record = record_of(grid, 1);
-  ASSERT_EQ(sweep::record_cell_index(record), 1u);
+  ASSERT_EQ(sweep::record_key(record), key(1));
   for (std::size_t len = 0; len < record.size(); ++len) {
     const std::string_view prefix(record.data(), len);
-    EXPECT_EQ(sweep::record_cell_index(prefix), std::nullopt)
+    EXPECT_EQ(sweep::record_key(prefix), std::nullopt)
         << "prefix of length " << len << " accepted: " << prefix;
   }
 }
@@ -200,7 +200,7 @@ TEST(SweepRecord, MergeIsOrderIndependentAndSorted) {
   EXPECT_EQ(merged, sweep::merge_records(ba));  // deterministic
   ASSERT_EQ(merged.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(sweep::record_cell_index(merged[i]), i);  // sorted by cell
+    EXPECT_EQ(sweep::record_key(merged[i]), key(i));  // sorted by cell
     EXPECT_EQ(merged[i], records[i]);
   }
 }

@@ -40,7 +40,7 @@ TEST(SweepRunner, StreamsOneRecordPerCell) {
   EXPECT_EQ(computed, 6u);
   const std::vector<std::string> lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 6u);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(sweep::record_cell_index(lines[i]), i);
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(sweep::record_key(lines[i]), key(i));
 }
 
 TEST(SweepRunner, InterruptedThenResumedMatchesUninterrupted) {

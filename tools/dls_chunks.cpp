@@ -7,14 +7,39 @@
 //   25 19 14 11 8 6 5 3 3 2 1 1 1 1
 //
 // Exit codes: 0 = success, 1 = the technique rejected the parameters,
-// 2 = bad command line.
+// 2 = bad command line.  The flags obey the rules an experiment spec
+// puts on the same keys (sweep/experiment.hpp): --tasks and --pes are
+// integers >= 1, --css-chunk and --gss-min integers >= 0, and --h,
+// --mu and --sigma finite and >= 0.
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
 #include "dls/chunk_sequence.hpp"
 #include "dls/technique.hpp"
 #include "support/flags.hpp"
+
+namespace {
+
+[[noreturn]] void bad_value(const support::Flags& flags, const std::string& name,
+                            const std::string& rule) {
+  throw std::invalid_argument("--" + name + " " + flags.get(name) + ": must be " + rule);
+}
+
+std::size_t count_flag(const support::Flags& flags, const std::string& name, std::int64_t min) {
+  const std::int64_t value = flags.get_int(name);
+  if (value < min) bad_value(flags, name, "an integer >= " + std::to_string(min));
+  return static_cast<std::size_t>(value);
+}
+
+double nonnegative_flag(const support::Flags& flags, const std::string& name) {
+  const double value = flags.get_double(name);
+  if (!(value >= 0.0) || !std::isfinite(value)) bad_value(flags, name, "finite and >= 0");
+  return value;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   support::Flags flags;
@@ -42,13 +67,13 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("unexpected positional argument: " +
                                   flags.positional().front());
     }
-    params.n = static_cast<std::size_t>(flags.get_int("tasks"));
-    params.p = static_cast<std::size_t>(flags.get_int("pes"));
-    params.h = flags.get_double("h");
-    params.mu = flags.get_double("mu");
-    params.sigma = flags.get_double("sigma");
-    params.css_chunk = static_cast<std::size_t>(flags.get_int("css-chunk"));
-    params.gss_min_chunk = static_cast<std::size_t>(flags.get_int("gss-min"));
+    params.n = count_flag(flags, "tasks", 1);
+    params.p = count_flag(flags, "pes", 1);
+    params.h = nonnegative_flag(flags, "h");
+    params.mu = nonnegative_flag(flags, "mu");
+    params.sigma = nonnegative_flag(flags, "sigma");
+    params.css_chunk = count_flag(flags, "css-chunk", 0);
+    params.gss_min_chunk = count_flag(flags, "gss-min", 0);
     technique_name = flags.get("technique");
     (void)dls::kind_from_string(technique_name);  // typo'd names are usage errors
     per_pe = flags.get_bool("per-pe");

@@ -14,6 +14,11 @@
 //   map-in-hot-path       event-core and direct-simulator code
 //                         (simx/mw/hagerup) uses the indexed platform
 //                         tables and flat vectors, not node-based std maps
+//   callerless-api        a namespace-scope function declared in a public
+//                         header (src/*/include/) is named somewhere
+//                         outside tests/ besides its own declaration and
+//                         definition (a cross-file rule: only the scanned
+//                         paths count, so scan the whole tree)
 //
 // Escape hatch: a `// dls-lint: allow(<rule>[, <rule>])` comment
 // suppresses those rules on its own line, and on the next line when
@@ -29,11 +34,13 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -76,6 +83,9 @@ const std::map<std::string, std::string>& rule_catalog() {
        "event-core and direct-simulator code (simx/mw/hagerup) must not walk node-based "
        "maps or hash strings per lookup in steady state; use the indexed platform tables "
        "and flat vectors"},
+      {"callerless-api",
+       "a namespace-scope function declared in a public header (src/*/include/) needs a "
+       "caller outside tests/; delete it, or allow-comment why it stays"},
   };
   return rules;
 }
@@ -296,6 +306,12 @@ ScannedFile scan(const std::string& path, const std::string& text) {
   return out;
 }
 
+/// Whether an allow comment suppresses `rule` on `line`.
+bool allowed(const ScannedFile& scanned, std::size_t line, const std::string& rule) {
+  const auto it = scanned.allows.find(line);
+  return it != scanned.allows.end() && it->second.count(rule) != 0;
+}
+
 /// Apply the rule engine to one scanned file.
 void check(const std::string& path, const ScannedFile& scanned, std::vector<Finding>& findings) {
   static const std::set<std::string> kClockTypes = {"system_clock", "steady_clock",
@@ -329,12 +345,8 @@ void check(const std::string& path, const ScannedFile& scanned, std::vector<Find
   const Scope scope = classify(path);
   const auto& tokens = scanned.tokens;
 
-  const auto allowed = [&](std::size_t line, const std::string& rule) {
-    const auto it = scanned.allows.find(line);
-    return it != scanned.allows.end() && it->second.count(rule) != 0;
-  };
   const auto report = [&](const Token& t, const std::string& rule, std::string message) {
-    if (allowed(t.line, rule)) return;
+    if (allowed(scanned, t.line, rule)) return;
     findings.push_back({path, t.line, t.col, rule, std::move(message)});
   };
 
@@ -427,6 +439,130 @@ void check(const std::string& path, const ScannedFile& scanned, std::vector<Find
   findings.insert(findings.end(), scanned.bad_allows.begin(), scanned.bad_allows.end());
 }
 
+// ---------------------------------------------------------------------------
+// callerless-api: the one cross-file rule.
+// ---------------------------------------------------------------------------
+
+bool is_public_header(const std::string& path) {
+  return path.find("src/") != std::string::npos && path.find("/include/") != std::string::npos;
+}
+
+bool is_test_file(const std::string& path) {
+  return path.rfind("tests/", 0) == 0 || path.find("/tests/") != std::string::npos;
+}
+
+/// Whether tokens[i], an identifier followed by '(', declares or
+/// defines a function of that name rather than calling or naming it:
+/// past any `ns::` qualifiers, a return type precedes it (an identifier
+/// that is not a keyword, or the '>', '*' or '&' that ends one).
+bool is_declarator(const std::vector<Token>& tokens, std::size_t i) {
+  static const std::set<std::string> kNotAType = {
+      "return",   "co_return", "co_await",  "co_yield", "else",         "do",
+      "case",     "throw",     "new",       "delete",   "sizeof",       "alignof",
+      "decltype", "noexcept",  "using",     "typedef",  "class",        "struct",
+      "union",    "enum",      "namespace", "operator", "template",     "typename",
+      "requires", "static_assert"};
+  if (i + 1 >= tokens.size() || tokens[i + 1].text != "(") return false;
+  std::size_t k = i;
+  while (k >= 2 && tokens[k - 1].text == "::" && is_ident_start(tokens[k - 2].text[0])) k -= 2;
+  if (k == 0) return false;
+  const std::string& prev = tokens[k - 1].text;
+  if (prev == ">" || prev == "*" || prev == "&") return true;
+  return is_ident_start(prev[0]) && kNotAType.count(prev) == 0;
+}
+
+/// A function declared at namespace scope in a public header.
+struct ApiDeclaration {
+  std::string qualified;  ///< e.g. "sweep::record_key"
+  std::size_t token = 0;  ///< index of the name token in its file
+};
+
+/// The namespace-scope function declarations of one header.  Braces
+/// opened by `namespace ... {` keep the scope; any other brace (class,
+/// enum, function body, initializer) leaves it until it closes.  A
+/// qualified name (`Type::member(`) defines a member out of line.
+std::vector<ApiDeclaration> api_declarations(const std::vector<Token>& tokens) {
+  struct Brace {
+    bool is_namespace = false;
+    std::string name;
+  };
+  std::vector<Brace> braces;
+  std::optional<std::string> pending_namespace;  // seen `namespace`, awaiting '{'
+  std::size_t paren_depth = 0;
+  const auto at_namespace_scope = [&braces] {
+    return std::all_of(braces.begin(), braces.end(), [](const Brace& b) { return b.is_namespace; });
+  };
+  // All-caps names are macros (`class DLS_CAPABILITY("mutex") Mutex`).
+  const auto is_macro_name = [](const std::string& name) {
+    return std::none_of(name.begin(), name.end(),
+                        [](char c) { return std::islower(static_cast<unsigned char>(c)) != 0; });
+  };
+  std::vector<ApiDeclaration> out;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& t = tokens[i].text;
+    if (t == "namespace") {
+      pending_namespace = "";
+    } else if (t == "{") {
+      braces.push_back({pending_namespace.has_value(), pending_namespace.value_or("")});
+      pending_namespace.reset();
+    } else if (t == "}") {
+      if (!braces.empty()) braces.pop_back();
+    } else if (t == ";") {
+      pending_namespace.reset();  // a namespace alias
+    } else if (t == "(") {
+      ++paren_depth;
+    } else if (t == ")") {
+      if (paren_depth > 0) --paren_depth;
+    } else if (pending_namespace) {
+      *pending_namespace += t;  // the (possibly nested) namespace name
+    } else if (is_ident_start(t[0]) && paren_depth == 0 && at_namespace_scope() &&
+               (i == 0 || tokens[i - 1].text != "::") && !is_macro_name(t) &&
+               is_declarator(tokens, i)) {
+      std::string qualified;
+      for (const Brace& b : braces) {
+        if (!b.name.empty()) qualified += b.name + "::";
+      }
+      out.push_back({qualified + t, i});
+    }
+  }
+  return out;
+}
+
+struct SourceFile {
+  std::string path;
+  ScannedFile scanned;
+};
+
+/// Report every public-header function whose name appears in no scanned
+/// file outside tests/, other than as a declaration or definition.
+void check_callers(const std::vector<SourceFile>& files, std::vector<Finding>& findings) {
+  std::map<std::string, bool> named;  // function name -> named outside tests/
+  std::vector<std::pair<const SourceFile*, ApiDeclaration>> declared;
+  for (const SourceFile& file : files) {
+    if (!is_public_header(file.path)) continue;
+    for (ApiDeclaration& decl : api_declarations(file.scanned.tokens)) {
+      named.emplace(file.scanned.tokens[decl.token].text, false);
+      declared.emplace_back(&file, std::move(decl));
+    }
+  }
+  for (const SourceFile& file : files) {
+    if (is_test_file(file.path)) continue;
+    const std::vector<Token>& tokens = file.scanned.tokens;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      const auto it = named.find(tokens[i].text);
+      if (it != named.end() && !is_declarator(tokens, i)) it->second = true;
+    }
+  }
+  for (const auto& [file, decl] : declared) {
+    const Token& name = file->scanned.tokens[decl.token];
+    if (named.at(name.text) || allowed(file->scanned, name.line, "callerless-api")) continue;
+    findings.push_back({file->path, name.line, name.col, "callerless-api",
+                        "'" + decl.qualified +
+                            "' is declared in a public header but nothing outside tests/ "
+                            "names it; delete it, or allow-comment why it stays"});
+  }
+}
+
 bool lintable(const std::filesystem::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".cpp" || ext == ".cc" || ext == ".cxx" || ext == ".hpp" || ext == ".h" ||
@@ -513,6 +649,7 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
 
   std::vector<Finding> findings;
+  std::vector<SourceFile> sources;
   for (const std::string& file : files) {
     std::ifstream in(file, std::ios::binary);
     if (!in) {
@@ -521,8 +658,10 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    check(file, scan(file, std::move(buffer).str()), findings);
+    sources.push_back({file, scan(file, std::move(buffer).str())});
+    check(file, sources.back().scanned, findings);
   }
+  check_callers(sources, findings);
   std::stable_sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
     return std::tie(a.file, a.line, a.col) < std::tie(b.file, b.line, b.col);
   });
