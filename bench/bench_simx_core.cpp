@@ -1,6 +1,6 @@
 // Event-core microbenchmarks: the simx primitives every simulated run
-// is made of, measured in isolation so a regression in the engine shows
-// up here before it blurs into the end-to-end sweep numbers.
+// is made of, measured in isolation so a regression in the event core
+// shows up here before it blurs into the end-to-end sweep numbers.
 //
 //   BM_EventQueuePushPop/N  steady-state push+pop against N pending
 //                           events (the calendar queue's claim is that
@@ -14,17 +14,17 @@
 //                           tournament tree over P workers (fixed
 //                           leaf-to-root replay, no data-dependent
 //                           branches)
-//   BM_EngineSpawnReset     spawn P actors / run / reset() cycling --
-//                           the per-replica engine-reuse path
 //   BM_RouteLookup          Platform::comm_time on a star route (the
 //                           per-message network cost model)
 //   BM_PlatformBuild/P      make_star_platform at P workers: the
 //                           one-off build a run pays before its first
 //                           event (linear in P: hosts, links and routes
 //                           append by index)
-//   BM_ReplicaE2E/P         one full master-worker replica at P
-//                           workers, RunContext reused across
-//                           iterations (the BatchRunner inner loop)
+//   BM_ReplicaE2E/T/P       one full master-worker replica of
+//                           technique T at P workers, RunContext
+//                           reused across iterations (the BatchRunner
+//                           inner loop); the SS rows are mw_table2's
+//                           SS cells, one event pair per task
 //   BM_HagerupReplica/P     one direct-simulator (hagerup) SS replica,
 //                           n = 65536, RunContext reused: one tree
 //                           update per task
@@ -44,7 +44,6 @@
 #include "hagerup/worker_tree.hpp"
 #include "mw/config.hpp"
 #include "mw/simulation.hpp"
-#include "simx/engine.hpp"
 #include "simx/event_queue.hpp"
 #include "simx/platform.hpp"
 #include "workload/task_times.hpp"
@@ -65,7 +64,7 @@ std::uint64_t mix(std::uint64_t& state) {
 /// A hold-N workload: keep N events pending, each op pops the minimum
 /// and pushes a replacement a pseudo-random (but deterministic) delay
 /// past the popped time -- the classic calendar-queue "hold" model,
-/// which matches the engine's monotone push pattern.
+/// which matches a simulation's monotone push pattern.
 void BM_EventQueuePushPop(benchmark::State& state) {
   const std::size_t pending = static_cast<std::size_t>(state.range(0));
   simx::CalendarQueue queue;
@@ -73,14 +72,14 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < pending; ++i) {
     const double t = static_cast<double>(mix(rng) >> 40) * 1e-4;
-    queue.push(simx::Event{t, seq++, {}, nullptr});
+    queue.push(simx::Event{t, seq++});
   }
   double last = 0.0;
   for (auto _ : state) {
     const simx::Event ev = queue.pop();
     last = ev.time;
     const double delay = 1.0 + static_cast<double>(mix(rng) >> 52);
-    queue.push(simx::Event{ev.time + delay, seq++, {}, nullptr});
+    queue.push(simx::Event{ev.time + delay, seq++});
   }
   benchmark::DoNotOptimize(last);
   state.SetItemsProcessed(state.iterations());
@@ -88,7 +87,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(10240)->Arg(102400);
 
-/// The binary-heap reference point (what Engine used before the
+/// The binary-heap reference point (what the simulator used before the
 /// calendar queue): identical hold-N workload.
 void BM_BinaryHeapPushPop(benchmark::State& state) {
   const std::size_t pending = static_cast<std::size_t>(state.range(0));
@@ -100,7 +99,7 @@ void BM_BinaryHeapPushPop(benchmark::State& state) {
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < pending; ++i) {
     const double t = static_cast<double>(mix(rng) >> 40) * 1e-4;
-    queue.push(simx::Event{t, seq++, {}, nullptr});
+    queue.push(simx::Event{t, seq++});
   }
   double last = 0.0;
   for (auto _ : state) {
@@ -108,7 +107,7 @@ void BM_BinaryHeapPushPop(benchmark::State& state) {
     queue.pop();
     last = ev.time;
     const double delay = 1.0 + static_cast<double>(mix(rng) >> 52);
-    queue.push(simx::Event{ev.time + delay, seq++, {}, nullptr});
+    queue.push(simx::Event{ev.time + delay, seq++});
   }
   benchmark::DoNotOptimize(last);
   state.SetItemsProcessed(state.iterations());
@@ -136,33 +135,6 @@ void BM_WorkerTreeHold(benchmark::State& state) {
   state.counters["workers"] = static_cast<double>(workers);
 }
 BENCHMARK(BM_WorkerTreeHold)->Arg(2)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
-
-/// Engine reuse across replicas: spawn P trivial actors, run, reset.
-/// In steady state this allocates nothing (controls, contexts and the
-/// event queue's storage are all recycled), so the time is the pure
-/// bookkeeping cost per replica.
-void BM_EngineSpawnReset(benchmark::State& state) {
-  const std::size_t actors = 256;
-  simx::Engine engine(simx::make_star_platform(actors, 1e9, 1e8, 2e-6));
-  std::vector<simx::Host*> hosts;
-  hosts.reserve(actors);
-  for (std::size_t i = 0; i < actors; ++i) {
-    hosts.push_back(&engine.platform().host_at(i + 1));
-  }
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < actors; ++i) {
-      engine.spawn(*hosts[i], [](simx::Context& ctx) -> simx::Actor {
-        co_await ctx.sleep_for(1.0);
-      });
-    }
-    const simx::SimTime end = engine.run();
-    benchmark::DoNotOptimize(end);
-    engine.reset();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(actors));
-  state.counters["actors"] = static_cast<double>(actors);
-}
-BENCHMARK(BM_EngineSpawnReset);
 
 /// Per-message route cost on a star platform: the indexed fast path
 /// (two loads and a range check per lookup -- no map walk, no string
@@ -208,21 +180,26 @@ BENCHMARK(BM_PlatformBuild)
 
 /// One full simulated replica per iteration with a reused RunContext --
 /// the exec::BatchRunner inner loop.  GSS keeps the chunk count (and so
-/// the event count) proportional to P log(n/P), which makes the
-/// per-event engine cost visible across three platform sizes.
-void BM_ReplicaE2E(benchmark::State& state) {
+/// the event count) proportional to P log(n/P) and runs with simulated
+/// overhead on a real network, which makes the per-event cost visible
+/// across three platform sizes.  SS is mw_table2's SS cell: n one-task
+/// chunks on the null network with analytic overhead, so nearly all of
+/// its time is the serve loop.
+void BM_ReplicaE2E(benchmark::State& state, dls::Kind technique, std::size_t tasks) {
   const std::size_t workers = static_cast<std::size_t>(state.range(0));
   mw::Config cfg;
-  cfg.technique = dls::Kind::kGSS;
-  cfg.tasks = 16384;
+  cfg.technique = technique;
+  cfg.tasks = tasks;
   cfg.workers = workers;
   cfg.workload = workload::exponential(1.0);
   cfg.params.mu = 1.0;
   cfg.params.sigma = 1.0;
   cfg.params.h = 0.5;
-  cfg.overhead_mode = mw::OverheadMode::kSimulated;
-  cfg.bandwidth = 1e8;
-  cfg.latency = 2e-6;
+  if (technique == dls::Kind::kGSS) {
+    cfg.overhead_mode = mw::OverheadMode::kSimulated;
+    cfg.bandwidth = 1e8;
+    cfg.latency = 2e-6;
+  }
   cfg.seed = 20170529;
   mw::RunContext context;
   double sum = 0.0;
@@ -234,7 +211,15 @@ void BM_ReplicaE2E(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cfg.tasks));
   state.counters["workers"] = static_cast<double>(workers);
 }
-BENCHMARK(BM_ReplicaE2E)->Unit(benchmark::kMillisecond)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_ReplicaE2E, GSS, dls::Kind::kGSS, 16384)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(4096);
+BENCHMARK_CAPTURE(BM_ReplicaE2E, SS, dls::Kind::kSS, 65536)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(64)
+    ->Arg(256);
 
 /// One hagerup SS replica per iteration on a reused RunContext (the
 /// exec::BatchRunner inner loop for the direct simulator): 65536

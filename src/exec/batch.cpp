@@ -112,8 +112,8 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
     const BatchJob& job = jobs[job_index];
     mw::Config cfg = job.config;
     cfg.seed = job.config.seed + job.seed_stride * replica;
-    // A throwing run already invalidated the backend's cached engine,
-    // so the cached instance stays safe to reuse either way.
+    // A run resets every piece of cached state it reuses when it
+    // starts, so the cached instance stays safe to reuse after a throw.
     const Measured measured = slot_backend(slot, job.backend).measure(cfg);
 
     PerReplica& out = values[job_index];

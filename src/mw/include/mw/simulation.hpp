@@ -9,12 +9,12 @@ namespace mw {
 
 /// Reusable scratch state for run_simulation.
 ///
-/// Holds the simulation engine (platform, event-heap storage), the
+/// Holds the platform, the event queue, the per-worker actor state, the
 /// workload and prefix-sum buffers, and every bookkeeping vector of the
 /// serve loop.  When consecutive runs share the platform shape
-/// (workers, speeds, network parameters), the engine and its platform
-/// are reused instead of rebuilt, and after the first run the serve
-/// loop reaches a steady state with no heap allocation per chunk.
+/// (workers, speeds, network parameters), the platform is reused
+/// instead of rebuilt, and after the first run the event loop reaches a
+/// steady state with no heap allocation per chunk.
 ///
 /// Not thread-safe: use one RunContext per thread (the exec layer's
 /// mw backend holds one per pooled instance).
@@ -36,7 +36,7 @@ class RunContext {
 /// Execute one master-worker scheduling simulation (paper Figure 1):
 ///
 ///   * a star platform is built from the Config's system information;
-///   * one master actor and `workers` worker actors are spawned;
+///   * one master and `workers` worker actors run as an event loop;
 ///   * idle workers send work-request messages; the master computes the
 ///     next chunk size with the configured DLS technique and replies
 ///     with the chunk's aggregate nominal execution time;
@@ -48,7 +48,7 @@ class RunContext {
 /// configurations.
 [[nodiscard]] RunResult run_simulation(const Config& config);
 
-/// Same, but reusing `context`'s engine and buffers across calls --
+/// Same, but reusing `context`'s platform and buffers across calls --
 /// the fast path for parameter sweeps (see exec::BatchRunner).
 RunResult run_simulation(const Config& config, RunContext& context);
 

@@ -1,28 +1,33 @@
 #include "mw/simulation.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dls/technique.hpp"
-#include "simx/engine.hpp"
-#include "simx/mailbox.hpp"
+#include "simx/actor_state.hpp"
+#include "simx/event_queue.hpp"
 #include "support/small_vector.hpp"
 #include "workload/random_source.hpp"
 
 namespace mw {
 namespace {
 
+using simx::ActorState;
+using simx::SimTime;
+
+constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
+
 /// Work request; doubles as the completion report for the worker's
 /// previous chunk (a worker only asks again once it has finished), and
 /// as the fail-stop announcement when `failed` is set.
 struct WorkRequest {
-  std::size_t worker = 0;
   std::size_t done_size = 0;      ///< tasks in the completed chunk (0 on first request)
   double done_exec_time = 0.0;    ///< measured execution time of that chunk
   bool failed = false;            ///< fail-stop announcement
@@ -33,7 +38,6 @@ struct WorkRequest {
 struct WorkReply {
   double work_seconds = 0.0;  ///< aggregate nominal execution time
   std::size_t count = 0;
-  std::size_t first = 0;      ///< first task index (chunk-log bookkeeping)
 };
 
 /// A contiguous range of unassigned task indices.  The master serves
@@ -93,7 +97,7 @@ class TaskPool {
   std::size_t head_ = 0;
 };
 
-/// Reusable FIFO of worker indices (the serve queue; bounded by p).
+/// Reusable FIFO of worker indices (bounded by p).
 class IndexQueue {
  public:
   void clear() {
@@ -116,16 +120,45 @@ class IndexQueue {
   std::size_t head_ = 0;
 };
 
-struct Shared;
+/// One worker actor as plain data: where its program stands, its time
+/// accounting, and the one message in flight to or from it (a worker
+/// and the master strictly alternate, so there is never a second).
+struct Worker {
+  simx::ActorClock clock;
+  const simx::Host* host = nullptr;
+  SimTime request_delay = 0.0;  ///< route cost worker -> master
+  SimTime reply_delay = 0.0;    ///< route cost master -> worker
+  SimTime failure_time = kNever;
+  /// Start of the communicating phase of the blocking send in progress
+  /// (the chunk's finish time for the fused execute + request), or
+  /// kNever when the whole send is communicating.
+  SimTime comm_from = kNever;
+  WorkRequest request;
+  WorkReply reply;
+  bool waiting = false;      ///< blocked on its reply
+  bool reply_ready = false;  ///< reply delivered, not yet received
+  bool leaving = false;      ///< the request in flight announces its fail-stop
+  bool failed = false;       ///< the master received its fail-stop announcement
+  bool finalized = false;
+  std::size_t tasks = 0;
+  std::size_t chunks = 0;
+  RangeList last_served;
 
-struct WorkerState {
-  Shared* shared = nullptr;
-  std::size_t id = 0;
-  double failure_time = std::numeric_limits<double>::infinity();
+  /// Ready for a new run; keeps last_served's capacity.
+  void reset(const simx::Host& on, SimTime to_master, SimTime from_master, SimTime fails_at) {
+    RangeList served = std::move(last_served);
+    served.clear();
+    *this = Worker{};
+    last_served = std::move(served);
+    host = &on;
+    request_delay = to_master;
+    reply_delay = from_master;
+    failure_time = fails_at;
+  }
 };
 
-/// What the platform of a cached engine was built from; runs with an
-/// equal shape reuse the engine (and its hosts/links/routes) outright.
+/// What the platform of a cached context was built from; runs with an
+/// equal shape reuse the platform (its hosts/links/routes) outright.
 struct PlatformShape {
   std::size_t workers = 0;
   double host_speed = 0.0;
@@ -147,35 +180,23 @@ struct PlatformShape {
 }  // namespace
 
 /// All reusable run state.  Vectors are assign()ed/clear()ed per run so
-/// their capacity survives; the engine survives whole when the platform
-/// shape matches.
+/// their capacity survives; the platform survives whole when its shape
+/// matches.
 struct RunContext::Impl {
-  // Engine cache (platform construction is the only per-run cost that
-  // grows with the worker count).
-  std::optional<simx::Engine> engine;
+  std::optional<simx::Platform> platform;
   PlatformShape shape;
-  std::optional<simx::Mailbox<WorkRequest>> master_box;
-  std::deque<simx::Mailbox<WorkReply>> worker_boxes;  // Mailbox is immovable
-  std::vector<simx::Mailbox<WorkReply>*> worker_box_ptrs;
-
-  // Per-worker route costs, computed once per run instead of per chunk.
-  std::vector<simx::SimTime> request_delay;
-  std::vector<simx::SimTime> reply_delay;
+  simx::CalendarQueue events;
+  std::vector<Worker> workers;
 
   // Serve-loop buffers.
   std::vector<double> task_times;  ///< current step's task times
   std::vector<double> prefix;      ///< prefix[i] = sum of task_times[0..i)
   TaskPool pool;
+  IndexQueue requests;  ///< delivered requests the master has not received yet
   IndexQueue to_serve;
   std::vector<std::size_t> parked;
-  std::vector<std::size_t> tasks_per_worker;
-  std::vector<std::size_t> chunks_per_worker;
-  std::vector<char> worker_failed;
-  std::vector<char> finalized;
-  std::vector<RangeList> last_served;
   std::vector<ChunkLogEntry> chunk_log;
   std::vector<ServedRangeEntry> range_log;
-  std::vector<WorkerState> worker_states;
 };
 
 RunContext::RunContext() : impl_(std::make_unique<Impl>()) {}
@@ -183,232 +204,481 @@ RunContext::~RunContext() = default;
 
 namespace {
 
-struct Shared {
-  const Config* config = nullptr;
-  dls::Technique* technique = nullptr;
-  workload::RandomSource* rng = nullptr;
-  RunContext::Impl* buf = nullptr;
-
-  // scalar outputs
-  double total_nominal_work = 0.0;
-  std::size_t chunk_count = 0;
-  std::size_t tasks_reclaimed = 0;
+/// What an event does when it fires.  The master's replies and a
+/// worker's requests are blocking sends: the sender resumes when its
+/// message arrives, on the same event, after the delivery.  A send
+/// whose delay rounds to zero against the clock does not block, and
+/// its delivery is an event of its own.
+enum EventKind : std::uint64_t {
+  kRequestArrival,   ///< deliver worker w's request, then resume w
+  kReplyArrival,     ///< deliver the master's reply to w, then resume the master
+  kFailWake,         ///< worker w reaches its fail-stop time inside a chunk
+  kRequestDelivery,  ///< deliver worker w's request
+  kReplyDelivery,    ///< deliver the master's reply to w
 };
+constexpr unsigned kKindBits = 3;
+constexpr std::uint64_t kKindMask = (std::uint64_t{1} << kKindBits) - 1;
 
-/// Rebuild the prefix-sum index over the current task times and extend
-/// the running total-nominal-work accumulator (kept as its own
-/// left-to-right sum so the reported total is independent of how chunks
-/// later partition the step).
-void rebuild_prefix(Shared& sh) {
-  const std::vector<double>& t = sh.buf->task_times;
-  std::vector<double>& prefix = sh.buf->prefix;
-  prefix.resize(t.size() + 1);
-  prefix[0] = 0.0;
-  double run = 0.0;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    sh.total_nominal_work += t[i];
-    run += t[i];
-    prefix[i + 1] = run;
-  }
-}
-
-/// Worker actor: request -> receive -> execute, until finalized ("When
-/// it finishes, it sends again a work request message to the master",
-/// paper Section II).  A worker whose fail-stop time arrives announces
-/// the failure together with its unfinished chunk and stops.
-simx::Actor worker_actor(simx::Context& ctx, WorkerState& st) {
-  Shared& sh = *st.shared;
-  RunContext::Impl& buf = *sh.buf;
-  const Config& cfg = *sh.config;
-  const simx::SimTime request_delay = buf.request_delay[st.id];
-  simx::Mailbox<WorkRequest>& master_box = *buf.master_box;
-  simx::Mailbox<WorkReply>& reply_box = *buf.worker_box_ptrs[st.id];
-  co_await master_box.send_from_delayed(ctx, WorkRequest{st.id, 0, 0.0, false, 0},
-                                        request_delay);
-  WorkReply reply = co_await reply_box.recv(ctx);
-  for (;;) {
-    if (reply.count == 0) break;
-    // Nominal seconds are defined against the reference speed; the
-    // host's own (possibly slower/faster, possibly time-varying) speed
-    // determines the actual duration.
-    const double flops = reply.work_seconds * cfg.host_speed;
-    const double t0 = ctx.now();
-    if (t0 >= st.failure_time) {
-      // Died while waiting: the whole chunk is lost.  Announce and stop;
-      // the master expects nothing more.
-      co_await master_box.send_from_delayed(
-          ctx, WorkRequest{st.id, 0, 0.0, true, reply.count}, request_delay);
-      break;
-    }
-    double finish = std::numeric_limits<double>::infinity();
-    try {
-      finish = ctx.host().finish_time(t0, flops);
-    } catch (const std::runtime_error&) {
-      // The host's remaining capacity is zero forever.  With a finite
-      // fail-stop time the chunk is simply lost at that instant (the
-      // failure lands inside the stopped window); without one the
-      // configuration really is unrunnable.
-      if (st.failure_time == std::numeric_limits<double>::infinity()) throw;
-    }
-    if (finish > st.failure_time) {
-      // Dies mid-chunk: burn until the failure instant (the partial
-      // results are lost -- fail-stop), then announce and stop.
-      co_await ctx.compute_for(st.failure_time - t0);
-      co_await master_box.send_from_delayed(
-          ctx, WorkRequest{st.id, 0, 0.0, true, reply.count}, request_delay);
-      break;
-    }
-    // Fused execute + next request + reply wait: one simulation event
-    // and one suspension per chunk instead of two events and three
-    // suspensions (the wake-at-finish, send-completion, and
-    // recv-suspension points were always back to back).  `finish - t0`,
-    // the request's arrival time, and every accrual instant are
-    // bit-identical to the unfused
-    // `co_await ctx.execute(flops); ...send_from_delayed(...); recv()`.
-    co_await master_box.send_from_after(
-        ctx, WorkRequest{st.id, reply.count, finish - t0, false, 0}, finish, request_delay);
-    reply = co_await reply_box.recv(ctx);
-  }
-}
-
-/// Master actor: serves chunk requests with the DLS technique,
-/// re-schedules chunks reclaimed from failed workers, and distributes
-/// finalization messages at the end (paper Figure 1).
+/// The paper's Figure 1 master-worker model as an explicit event loop.
 ///
-/// A worker whose request arrives when the current step has no
-/// unscheduled tasks left is "parked": its request stays answered-once
-/// by serving it at the start of the next time step, or by a
-/// finalization message after the last step.
-simx::Actor master_actor(simx::Context& ctx, Shared& sh) {
-  const Config& cfg = *sh.config;
-  dls::Technique& tech = *sh.technique;
-  RunContext::Impl& buf = *sh.buf;
-  const std::size_t p = cfg.workers;
-  std::vector<std::size_t>& parked = buf.parked;  // workers waiting for the next step
-  IndexQueue& to_serve = buf.to_serve;
-  TaskPool& pool = buf.pool;
-  std::size_t alive = p;
+/// Workers loop request -> receive -> execute until finalized ("When it
+/// finishes, it sends again a work request message to the master",
+/// paper Section II); a worker whose fail-stop time arrives announces
+/// the failure together with its unfinished chunk and stops.  The
+/// master serves chunk requests with the DLS technique, re-schedules
+/// chunks reclaimed from failed workers, and distributes finalization
+/// messages at the end.  A worker whose request arrives when the
+/// current step has no unscheduled tasks left is "parked": it is served
+/// at the start of the next time step, or finalized after the last.
+///
+/// Each actor is plain data whose program counter is its state.  Every
+/// state transition, accrual instant and event push happens in the
+/// order of the sequential actor program it replaces (deliver first,
+/// then resume the sender; a resumed actor runs until it blocks), so
+/// the (time, seq) order -- and with it every result bit -- follows
+/// from the program alone.
+class Loop {
+ public:
+  Loop(const Config& cfg, dls::Technique& tech, workload::RandomSource& rng,
+       RunContext::Impl& buf)
+      : cfg_(cfg), tech_(tech), rng_(rng), buf_(buf), workers_(buf.workers),
+        alive_(buf.workers.size()) {}
 
-  for (std::size_t step = 0; step < cfg.timesteps; ++step) {
-    if (step > 0) {
-      tech.start_new_timestep();
-      cfg.workload->generate_into(buf.task_times, cfg.tasks, *sh.rng);
-      rebuild_prefix(sh);
+  /// Run to completion; returns the makespan.  The master starts first,
+  /// then the workers in index order, each sending its first request.
+  SimTime run() {
+    begin_step();
+    master_run();
+    for (std::size_t w = 0; w < workers_.size(); ++w) worker_send(w);
+    simx::CalendarQueue& events = buf_.events;
+    while (!events.empty()) {
+      const simx::Event ev = events.pop();
+      now_ = ev.time;
+      const std::size_t w = ev.tag >> kKindBits;
+      switch (ev.tag & kKindMask) {
+        case kRequestArrival:
+          deliver_request(w);
+          worker_resume(w);
+          break;
+        case kReplyArrival:
+          deliver_reply(w);
+          master_resume();
+          break;
+        case kFailWake:
+          resumed(workers_[w].clock, kNever);
+          worker_send(w);
+          break;
+        case kRequestDelivery:
+          deliver_request(w);
+          break;
+        case kReplyDelivery:
+          deliver_reply(w);
+          break;
+      }
     }
-    pool.reset(cfg.tasks);
-    std::size_t completed_tasks = 0;  // completed in this step
-    to_serve.clear();
-    for (const std::size_t worker : parked) to_serve.push(worker);
-    parked.clear();
+    // An actor that threw stopped there while the others ran on; the
+    // first by actor index (master first) is the run's error.
+    if (master_error_) std::rethrow_exception(master_error_);
+    if (worker_error_) std::rethrow_exception(worker_error_);
+    if (!finished(master_)) throw deadlock("master");
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      if (!finished(workers_[w].clock)) throw deadlock("worker" + std::to_string(w));
+    }
+    return now_;
+  }
 
-    while (completed_tasks < cfg.tasks) {
-      if (!to_serve.empty()) {
-        const std::size_t worker = to_serve.pop();
-        if (tech.remaining() == 0) {  // an earlier serve may have taken the rest
-          parked.push_back(worker);
-          continue;
+  [[nodiscard]] double master_busy_time() const {
+    return master_.time_in(ActorState::kComputing);
+  }
+  [[nodiscard]] double total_nominal_work() const { return total_nominal_work_; }
+  [[nodiscard]] std::size_t chunk_count() const { return chunk_count_; }
+  [[nodiscard]] std::size_t tasks_reclaimed() const { return tasks_reclaimed_; }
+
+ private:
+  /// Where the master's program stands; it has ended once its clock is
+  /// kDone (no event resumes it after that).
+  enum class Phase { kServe, kFinalizeParked, kFinalizeDrain };
+
+  static std::runtime_error deadlock(const std::string& actor) {
+    return std::runtime_error("simulation deadlock: actor '" + actor + "' never finished");
+  }
+
+  void push(SimTime at, EventKind kind, std::size_t worker) {
+    buf_.events.push(simx::Event{at, seq_++, (std::uint64_t{worker} << kKindBits) | kind});
+  }
+
+  /// An actor blocked since its last transition resumes now.  With
+  /// comm_from before now, the part of the wait from comm_from on was a
+  /// blocking send's communicating phase.
+  void resumed(simx::ActorClock& clock, SimTime comm_from) const {
+    if (comm_from < now_) clock.set_state(ActorState::kCommunicating, comm_from);
+    if (clock.state != ActorState::kReady) clock.set_state(ActorState::kReady, now_);
+  }
+
+  /// An actor ends by entering kDone, so its clock's last transition
+  /// is its finish time.
+  void finish(simx::ActorClock& clock) const { clock.set_state(ActorState::kDone, now_); }
+  static bool finished(const simx::ActorClock& clock) {
+    return clock.state == ActorState::kDone;
+  }
+
+  // ------------------------------------------------------------ worker
+
+  /// Send workers_[w].request: blocking for the route's delay, then on
+  /// to the reply wait (or, for a fail-stop announcement, to the end).
+  void worker_send(std::size_t w) {
+    Worker& wk = workers_[w];
+    const SimTime at = now_ + wk.request_delay;
+    if (at <= now_) {
+      push(at, kRequestDelivery, w);
+      after_send(w);
+      return;
+    }
+    wk.clock.set_state(ActorState::kCommunicating, now_);
+    wk.comm_from = kNever;
+    push(at, kRequestArrival, w);
+  }
+
+  void worker_resume(std::size_t w) {
+    Worker& wk = workers_[w];
+    resumed(wk.clock, wk.comm_from);
+    after_send(w);
+  }
+
+  void after_send(std::size_t w) {
+    Worker& wk = workers_[w];
+    if (wk.leaving) {
+      finish(wk.clock);
+    } else if (wk.reply_ready) {
+      wk.reply_ready = false;
+      worker_chunk(w);
+    } else {
+      wk.clock.set_state(ActorState::kWaitingRecv, now_);
+      wk.waiting = true;
+    }
+  }
+
+  void deliver_reply(std::size_t w) {
+    Worker& wk = workers_[w];
+    if (!wk.waiting) {
+      wk.reply_ready = true;
+      return;
+    }
+    wk.waiting = false;
+    wk.clock.set_state(ActorState::kReady, now_);
+    worker_chunk(w);
+  }
+
+  /// The worker holds a reply: execute the chunk and ask again, or stop.
+  void worker_chunk(std::size_t w) {
+    Worker& wk = workers_[w];
+    try {
+      const WorkReply reply = wk.reply;
+      if (reply.count == 0) {
+        finish(wk.clock);
+        return;
+      }
+      // Nominal seconds are defined against the reference speed; the
+      // host's own (possibly slower/faster, possibly time-varying) speed
+      // determines the actual duration.
+      const double flops = reply.work_seconds * cfg_.host_speed;
+      const SimTime t0 = now_;
+      if (t0 >= wk.failure_time) {
+        // Died while waiting: the whole chunk is lost.  Announce and stop.
+        announce_failure(w, reply.count);
+        return;
+      }
+      SimTime finish_at = kNever;
+      try {
+        finish_at = wk.host->finish_time(t0, flops);
+      } catch (const std::runtime_error&) {
+        // The host's remaining capacity is zero forever.  With a finite
+        // fail-stop time the chunk is simply lost at that instant (the
+        // failure lands inside the stopped window); without one the
+        // configuration really is unrunnable.
+        if (wk.failure_time == kNever) throw;
+      }
+      if (finish_at > wk.failure_time) {
+        // Dies mid-chunk: burn until the failure instant (the partial
+        // results are lost -- fail-stop), then announce and stop.
+        const SimTime wake = now_ + (wk.failure_time - t0);
+        if (wake <= now_) {
+          announce_failure(w, reply.count);
+          return;
         }
-        // The scheduling-overhead window [now, issue_at) is charged as
-        // master computing time by the fused send below; issue_at is the
-        // exact clock value the old `co_await ctx.compute_for(h)` would
-        // have woken at, so the technique sees identical request times.
-        const simx::SimTime issue_at =
-            (cfg.overhead_mode == OverheadMode::kSimulated && cfg.params.h > 0.0)
-                ? ctx.now() + cfg.params.h
-                : ctx.now();
-        const std::size_t chunk = tech.next_chunk(dls::Request{worker, issue_at});
-        double seconds = 0.0;
-        RangeList& served = buf.last_served[worker];
-        pool.take(chunk, buf.prefix, seconds, served);
-        const std::size_t log_first = served.front().first;
-        ++sh.chunk_count;
-        ++buf.chunks_per_worker[worker];
-        buf.tasks_per_worker[worker] += chunk;
-        if (cfg.record_chunk_log) {
-          for (const TaskRange& r : served) {
-            buf.range_log.push_back(ServedRangeEntry{buf.chunk_log.size(), r.first, r.count});
+        wk.request = WorkRequest{0, 0.0, true, reply.count};
+        wk.leaving = true;
+        wk.clock.set_state(ActorState::kComputing, now_);
+        push(wake, kFailWake, w);
+        return;
+      }
+      // Execute, then the next request as a blocking send, on one
+      // event: computing until finish_at, communicating from there to
+      // the request's arrival.
+      wk.request = WorkRequest{reply.count, finish_at - t0, false, 0};
+      const SimTime at = finish_at + wk.request_delay;
+      if (at <= now_) {
+        push(now_, kRequestDelivery, w);
+        after_send(w);
+        return;
+      }
+      wk.clock.set_state(ActorState::kComputing, now_);
+      wk.comm_from = finish_at;
+      push(at, kRequestArrival, w);
+    } catch (...) {
+      if (!worker_error_ || w < worker_error_index_) {
+        worker_error_ = std::current_exception();
+        worker_error_index_ = w;
+      }
+      finish(wk.clock);
+    }
+  }
+
+  void announce_failure(std::size_t w, std::size_t lost) {
+    workers_[w].request = WorkRequest{0, 0.0, true, lost};
+    workers_[w].leaving = true;
+    worker_send(w);
+  }
+
+  // ------------------------------------------------------------ master
+
+  void deliver_request(std::size_t w) {
+    buf_.requests.push(w);
+    if (!master_waiting_) return;
+    master_waiting_ = false;
+    master_.set_state(ActorState::kReady, now_);
+    master_run();
+  }
+
+  void master_resume() {
+    resumed(master_, master_comm_from_);
+    master_run();
+  }
+
+  /// Run the master until it blocks or ends.
+  void master_run() {
+    try {
+      while (master_step()) {
+      }
+    } catch (...) {
+      master_error_ = std::current_exception();
+      finish(master_);
+    }
+  }
+
+  /// One step of the master's program; false once it blocks or ends.
+  bool master_step() {
+    std::vector<std::size_t>& parked = buf_.parked;
+    switch (phase_) {
+      case Phase::kServe:
+        if (completed_tasks_ >= cfg_.tasks) {
+          if (++step_ < cfg_.timesteps) {
+            begin_step();
+          } else {
+            // All tasks of all steps completed: finalize the parked
+            // workers and drain the final request of every other live
+            // worker ("On completion of all tasks, the master sends
+            // finalization messages").
+            phase_ = Phase::kFinalizeParked;
           }
-          buf.chunk_log.push_back(ChunkLogEntry{worker, log_first, chunk, issue_at, seconds});
+          return true;
         }
-        // Fused overhead-compute + reply send: one event per served
-        // chunk instead of two.
-        co_await buf.worker_box_ptrs[worker]->send_from_after(
-            ctx, WorkReply{seconds, chunk, log_first}, issue_at, buf.reply_delay[worker]);
-        continue;
-      }
-      const WorkRequest request = co_await buf.master_box->recv(ctx);
-      if (request.failed) {
-        // Fail-stop: reclaim the outstanding chunk and re-schedule it.
-        buf.worker_failed[request.worker] = 1;
-        --alive;
-        if (request.failed_size > 0) {
-          // Give the worker's outstanding chunk back to the pool and to
-          // the technique's unscheduled count; the surviving workers
-          // will be handed those tasks again.
-          tech.reclaim(request.failed_size);
-          for (const TaskRange& r : buf.last_served[request.worker]) pool.give_back(r);
-          buf.tasks_per_worker[request.worker] -= request.failed_size;
-          sh.tasks_reclaimed += request.failed_size;
-          // Workers parked after seeing remaining() == 0 must come back
-          // for the reclaimed tasks, or the step deadlocks when the
-          // failed worker held the only outstanding chunk.
-          for (const std::size_t worker : parked) to_serve.push(worker);
-          parked.clear();
+        if (!buf_.to_serve.empty()) return !serve(buf_.to_serve.pop());
+        if (buf_.requests.empty()) return wait();
+        on_step_request(buf_.requests.pop());
+        return true;
+      case Phase::kFinalizeParked:
+        if (next_parked_ == parked.size()) {
+          phase_ = Phase::kFinalizeDrain;
+          return true;
         }
-        if (alive == 0) {
-          throw std::runtime_error("all workers failed with " +
-                                   std::to_string(cfg.tasks - completed_tasks) +
-                                   " tasks incomplete in step " + std::to_string(step));
+        return !finalize(parked[next_parked_++]);
+      case Phase::kFinalizeDrain: {
+        if (finalized_count_ >= alive_) {
+          finish(master_);
+          return false;
         }
-        continue;
+        if (buf_.requests.empty()) return wait();
+        const std::size_t w = buf_.requests.pop();
+        const WorkRequest& request = workers_[w].request;
+        if (request.failed) {
+          // A failure announced after its last completion: nothing to
+          // reclaim (all tasks are done), the worker just leaves.
+          workers_[w].failed = true;
+          --alive_;
+          return true;
+        }
+        if (request.done_size > 0) {
+          tech_.on_chunk_complete(
+              dls::ChunkFeedback{w, request.done_size, request.done_exec_time, now_});
+        }
+        if (workers_[w].finalized) {
+          throw std::logic_error("worker " + std::to_string(w) + " requested after finalization");
+        }
+        return !finalize(w);
       }
-      if (request.done_size > 0) {
-        completed_tasks += request.done_size;
-        tech.on_chunk_complete(dls::ChunkFeedback{request.worker, request.done_size,
-                                                  request.done_exec_time, ctx.now()});
-      }
-      if (completed_tasks >= cfg.tasks || tech.remaining() == 0) {
-        parked.push_back(request.worker);
-        continue;  // loop condition ends the step once all tasks confirmed
-      }
-      to_serve.push(request.worker);
     }
+    return false;
   }
 
-  // All tasks of all steps completed: finalize the parked workers and
-  // drain the final request of every other live worker ("On completion
-  // of all tasks, the master sends finalization messages").
-  buf.finalized.assign(p, 0);
-  std::size_t finalized_count = 0;
-  for (const std::size_t worker : parked) {
-    buf.finalized[worker] = 1;
-    ++finalized_count;
-    co_await buf.worker_box_ptrs[worker]->send_from_delayed(ctx, WorkReply{0.0, 0, 0},
-                                                            buf.reply_delay[worker]);
+  bool wait() {
+    master_.set_state(ActorState::kWaitingRecv, now_);
+    master_waiting_ = true;
+    return false;
   }
-  while (finalized_count < alive) {
-    const WorkRequest request = co_await buf.master_box->recv(ctx);
+
+  void begin_step() {
+    if (step_ > 0) tech_.start_new_timestep();
+    cfg_.workload->generate_into(buf_.task_times, cfg_.tasks, rng_);
+    rebuild_prefix();
+    buf_.pool.reset(cfg_.tasks);
+    completed_tasks_ = 0;
+    buf_.to_serve.clear();
+    for (const std::size_t worker : buf_.parked) buf_.to_serve.push(worker);
+    buf_.parked.clear();
+  }
+
+  void on_step_request(std::size_t w) {
+    Worker& wk = workers_[w];
+    const WorkRequest& request = wk.request;
     if (request.failed) {
-      // A failure announced after its last completion: nothing to
-      // reclaim (all tasks are done), the worker just leaves.
-      buf.worker_failed[request.worker] = 1;
-      --alive;
-      continue;
+      // Fail-stop: reclaim the outstanding chunk and re-schedule it.
+      wk.failed = true;
+      --alive_;
+      if (request.failed_size > 0) {
+        // Give the worker's outstanding chunk back to the pool and to
+        // the technique's unscheduled count; the surviving workers will
+        // be handed those tasks again.
+        tech_.reclaim(request.failed_size);
+        for (const TaskRange& r : wk.last_served) buf_.pool.give_back(r);
+        wk.tasks -= request.failed_size;
+        tasks_reclaimed_ += request.failed_size;
+        // Workers parked after seeing remaining() == 0 must come back
+        // for the reclaimed tasks, or the step deadlocks when the
+        // failed worker held the only outstanding chunk.
+        for (const std::size_t worker : buf_.parked) buf_.to_serve.push(worker);
+        buf_.parked.clear();
+      }
+      if (alive_ == 0) {
+        throw std::runtime_error("all workers failed with " +
+                                 std::to_string(cfg_.tasks - completed_tasks_) +
+                                 " tasks incomplete in step " + std::to_string(step_));
+      }
+      return;
     }
     if (request.done_size > 0) {
-      tech.on_chunk_complete(dls::ChunkFeedback{request.worker, request.done_size,
-                                                request.done_exec_time, ctx.now()});
+      completed_tasks_ += request.done_size;
+      tech_.on_chunk_complete(
+          dls::ChunkFeedback{w, request.done_size, request.done_exec_time, now_});
     }
-    if (buf.finalized[request.worker]) {
-      throw std::logic_error("worker " + std::to_string(request.worker) +
-                             " requested after finalization");
+    if (completed_tasks_ >= cfg_.tasks || tech_.remaining() == 0) {
+      buf_.parked.push_back(w);  // the step ends once all tasks are confirmed
+      return;
     }
-    buf.finalized[request.worker] = 1;
-    ++finalized_count;
-    co_await buf.worker_box_ptrs[request.worker]->send_from_delayed(
-        ctx, WorkReply{0.0, 0, 0}, buf.reply_delay[request.worker]);
+    buf_.to_serve.push(w);
   }
-}
+
+  /// Serve worker w a chunk; true if the master blocks on the reply.
+  bool serve(std::size_t w) {
+    if (tech_.remaining() == 0) {  // an earlier serve may have taken the rest
+      buf_.parked.push_back(w);
+      return false;
+    }
+    // The scheduling-overhead window [now, issue_at) is charged as
+    // master computing time by the reply send below.
+    const SimTime issue_at =
+        (cfg_.overhead_mode == OverheadMode::kSimulated && cfg_.params.h > 0.0)
+            ? now_ + cfg_.params.h
+            : now_;
+    const std::size_t chunk = tech_.next_chunk(dls::Request{w, issue_at});
+    Worker& wk = workers_[w];
+    double seconds = 0.0;
+    buf_.pool.take(chunk, buf_.prefix, seconds, wk.last_served);
+    const std::size_t log_first = wk.last_served.front().first;
+    ++chunk_count_;
+    ++wk.chunks;
+    wk.tasks += chunk;
+    if (cfg_.record_chunk_log) {
+      for (const TaskRange& r : wk.last_served) {
+        buf_.range_log.push_back(ServedRangeEntry{buf_.chunk_log.size(), r.first, r.count});
+      }
+      buf_.chunk_log.push_back(ChunkLogEntry{w, log_first, chunk, issue_at, seconds});
+    }
+    wk.reply = WorkReply{seconds, chunk};
+    // Overhead compute, then the reply as a blocking send, on one event.
+    const SimTime at = issue_at + wk.reply_delay;
+    if (at <= now_) {
+      push(now_, kReplyDelivery, w);
+      return false;
+    }
+    master_.set_state(ActorState::kComputing, now_);
+    master_comm_from_ = issue_at;
+    push(at, kReplyArrival, w);
+    return true;
+  }
+
+  /// Send worker w its finalization; true if the master blocks on it.
+  bool finalize(std::size_t w) {
+    Worker& wk = workers_[w];
+    wk.finalized = true;
+    ++finalized_count_;
+    wk.reply = WorkReply{};
+    const SimTime at = now_ + wk.reply_delay;
+    if (at <= now_) {
+      push(at, kReplyDelivery, w);
+      return false;
+    }
+    master_.set_state(ActorState::kCommunicating, now_);
+    master_comm_from_ = kNever;
+    push(at, kReplyArrival, w);
+    return true;
+  }
+
+  /// Rebuild the prefix-sum index over the current task times and
+  /// extend the running total-nominal-work accumulator (kept as its own
+  /// left-to-right sum so the reported total is independent of how
+  /// chunks later partition the step).
+  void rebuild_prefix() {
+    const std::vector<double>& t = buf_.task_times;
+    std::vector<double>& prefix = buf_.prefix;
+    prefix.resize(t.size() + 1);
+    prefix[0] = 0.0;
+    double run = 0.0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      total_nominal_work_ += t[i];
+      run += t[i];
+      prefix[i + 1] = run;
+    }
+  }
+
+  const Config& cfg_;
+  dls::Technique& tech_;
+  workload::RandomSource& rng_;
+  RunContext::Impl& buf_;
+  std::vector<Worker>& workers_;
+
+  SimTime now_ = 0.0;
+  std::uint64_t seq_ = 0;
+
+  simx::ActorClock master_;
+  Phase phase_ = Phase::kServe;
+  bool master_waiting_ = false;
+  /// Start of the communicating phase of the master's blocking send.
+  SimTime master_comm_from_ = kNever;
+  std::size_t step_ = 0;
+  std::size_t completed_tasks_ = 0;  ///< completed in this step
+  std::size_t alive_;
+  std::size_t next_parked_ = 0;
+  std::size_t finalized_count_ = 0;
+
+  std::exception_ptr master_error_;
+  std::exception_ptr worker_error_;  ///< the lowest-indexed worker's
+  std::size_t worker_error_index_ = 0;
+
+  double total_nominal_work_ = 0.0;
+  std::size_t chunk_count_ = 0;
+  std::size_t tasks_reclaimed_ = 0;
+};
 
 void validate(const Config& cfg) {
   if (cfg.workers == 0) throw std::invalid_argument("Config.workers must be >= 1");
@@ -430,7 +700,7 @@ void validate(const Config& cfg) {
     throw std::invalid_argument("Config.worker_failure_times size must equal workers");
   }
   for (double t : cfg.worker_failure_times) {
-    if (t < 0.0) throw std::invalid_argument("worker failure times must be >= 0");
+    if (!(t >= 0.0)) throw std::invalid_argument("worker failure times must be >= 0");
   }
 }
 
@@ -441,58 +711,29 @@ RunResult run_simulation(const Config& config, RunContext& context) {
   RunContext::Impl& buf = *context.impl_;
   const std::size_t p = config.workers;
 
-  // A run that throws can leave actors stuck and mailboxes non-empty;
-  // drop the cached engine in that case so the next run starts clean.
-  struct CacheGuard {
-    RunContext::Impl* buf;
-    bool ok = false;
-    ~CacheGuard() {
-      if (ok) return;
-      buf->master_box.reset();
-      buf->worker_boxes.clear();
-      buf->worker_box_ptrs.clear();
-      buf->engine.reset();
-    }
-  } guard{&buf};
-
-  if (!buf.engine.has_value() || !buf.shape.matches(config)) {
-    buf.master_box.reset();
-    buf.worker_boxes.clear();
-    buf.worker_box_ptrs.clear();
-    buf.engine.reset();
-
-    buf.engine.emplace(simx::make_star_platform(p, config.host_speed, config.bandwidth,
-                                                config.latency, config.worker_speed_factors,
-                                                config.worker_speed_profiles));
+  if (!buf.platform.has_value() || !buf.shape.matches(config)) {
+    buf.platform.reset();
+    buf.platform.emplace(simx::make_star_platform(p, config.host_speed, config.bandwidth,
+                                                  config.latency, config.worker_speed_factors,
+                                                  config.worker_speed_profiles));
     buf.shape = PlatformShape{p,
                               config.host_speed,
                               config.bandwidth,
                               config.latency,
                               config.worker_speed_factors,
                               config.worker_speed_profiles};
-  } else {
-    buf.engine->reset();
   }
-  simx::Engine& engine = *buf.engine;
-  simx::Platform& plat = engine.platform();
-  simx::Host& master_host = plat.host_at(0);
+  const simx::Platform& plat = *buf.platform;
+  const simx::Host& master_host = plat.host_at(0);
 
-  if (!buf.master_box.has_value()) buf.master_box.emplace(engine, master_host);
-  if (buf.worker_boxes.size() != p) {
-    buf.worker_boxes.clear();
-    buf.worker_box_ptrs.clear();
-    for (std::size_t i = 0; i < p; ++i) {
-      buf.worker_boxes.emplace_back(engine, plat.host_at(i + 1));
-      buf.worker_box_ptrs.push_back(&buf.worker_boxes.back());
-    }
-  }
-
-  buf.request_delay.resize(p);
-  buf.reply_delay.resize(p);
+  // Per-worker route costs, computed once per run instead of per chunk.
+  buf.workers.resize(p);
   for (std::size_t i = 0; i < p; ++i) {
-    simx::Host& worker_host = plat.host_at(i + 1);
-    buf.request_delay[i] = plat.comm_time(worker_host, master_host, config.request_bytes);
-    buf.reply_delay[i] = plat.comm_time(master_host, worker_host, config.reply_bytes);
+    const simx::Host& worker_host = plat.host_at(i + 1);
+    buf.workers[i].reset(
+        worker_host, plat.comm_time(worker_host, master_host, config.request_bytes),
+        plat.comm_time(master_host, worker_host, config.reply_bytes),
+        config.worker_failure_times.empty() ? kNever : config.worker_failure_times[i]);
   }
 
   dls::Params params = config.params;
@@ -507,18 +748,11 @@ RunResult run_simulation(const Config& config, RunContext& context) {
           : std::unique_ptr<workload::RandomSource>(
                 std::make_unique<workload::XoshiroSource>(config.seed));
 
-  Shared shared;
-  shared.config = &config;
-  shared.technique = technique.get();
-  shared.rng = rng.get();
-  shared.buf = &buf;
-  buf.tasks_per_worker.assign(p, 0);
-  buf.chunks_per_worker.assign(p, 0);
-  buf.worker_failed.assign(p, 0);
-  buf.last_served.resize(p);
-  for (RangeList& ranges : buf.last_served) ranges.clear();
-  buf.parked.clear();
+  buf.events.clear();
+  buf.events.reserve(2 * p + 16);
+  buf.requests.clear();
   buf.to_serve.clear();
+  buf.parked.clear();
   buf.chunk_log.clear();
   buf.range_log.clear();
   if (config.record_chunk_log) {
@@ -529,56 +763,31 @@ RunResult run_simulation(const Config& config, RunContext& context) {
     buf.chunk_log.reserve(estimate);
     buf.range_log.reserve(estimate);
   }
-  config.workload->generate_into(buf.task_times, config.tasks, *rng);
-  rebuild_prefix(shared);
 
-  buf.worker_states.assign(p, WorkerState{});
-  for (std::size_t i = 0; i < p; ++i) {
-    buf.worker_states[i].shared = &shared;
-    buf.worker_states[i].id = i;
-    if (!config.worker_failure_times.empty()) {
-      buf.worker_states[i].failure_time = config.worker_failure_times[i];
-    }
-  }
-
-  engine.reserve_events(2 * p + 16);
-  // Spawn index 0 is the master, spawn index i + 1 is worker i.
-  engine.spawn(master_host, [&shared](simx::Context& ctx) { return master_actor(ctx, shared); });
-  for (std::size_t i = 0; i < p; ++i) {
-    engine.spawn(plat.host_at(i + 1), [&buf, i](simx::Context& ctx) {
-      return worker_actor(ctx, buf.worker_states[i]);
-    });
-  }
-
-  const simx::SimTime makespan = engine.run();
-  if (!engine.all_finished()) {
-    const std::size_t stuck = engine.unfinished_actors().front();
-    throw std::runtime_error("simulation deadlock: actor '" +
-                             (stuck == 0 ? std::string("master")
-                                         : "worker" + std::to_string(stuck - 1)) +
-                             "' never finished");
-  }
+  Loop loop(config, *technique, *rng, buf);
+  const SimTime makespan = loop.run();
 
   RunResult result;
   result.makespan = makespan;
-  result.total_nominal_work = shared.total_nominal_work;
-  result.chunk_count = shared.chunk_count;
-  result.tasks_reclaimed = shared.tasks_reclaimed;
+  result.total_nominal_work = loop.total_nominal_work();
+  result.chunk_count = loop.chunk_count();
+  result.tasks_reclaimed = loop.tasks_reclaimed();
   result.chunk_log = std::move(buf.chunk_log);
   result.range_log = std::move(buf.range_log);
-  result.master_busy_time = engine.actor_times(0).computing;
+  result.master_busy_time = loop.master_busy_time();
   result.workers.resize(p);
   for (std::size_t i = 0; i < p; ++i) {
-    const simx::ActorTimes acc = engine.actor_times(i + 1);
+    const Worker& wk = buf.workers[i];
     WorkerStats& w = result.workers[i];
-    w.compute_time = acc.computing;
-    w.wait_time = acc.waiting + (makespan - acc.finished_at);  // idle after finalization too
-    w.comm_time = acc.communicating;
-    w.tasks = buf.tasks_per_worker[i];
-    w.chunks = buf.chunks_per_worker[i];
-    w.failed = buf.worker_failed[i] != 0;
+    w.compute_time = wk.clock.time_in(ActorState::kComputing);
+    // Idle after finalization too; the last transition was the finish.
+    w.wait_time =
+        wk.clock.time_in(ActorState::kWaitingRecv) + (makespan - wk.clock.last_transition);
+    w.comm_time = wk.clock.time_in(ActorState::kCommunicating);
+    w.tasks = wk.tasks;
+    w.chunks = wk.chunks;
+    w.failed = wk.failed;
   }
-  guard.ok = true;
   return result;
 }
 

@@ -90,7 +90,7 @@ class Platform {
 
   /// Append a host; its index is the previous host_count().  The
   /// reference stays valid for the platform's lifetime, also across a
-  /// move of the platform (into an Engine).
+  /// move of the platform.
   Host& add_host(double speed_flops);
   /// Append a network link (paper Figure 2: "Network: Bandwidth,
   /// Latency, Topology") and return its index.  Bandwidth is in bytes/s

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "mw/simulation.hpp"
 #include "workload/task_times.hpp"
@@ -212,6 +214,152 @@ TEST(Golden, SelfSchedulingExponential) {
   cfg.seed = 31337;
   expect_golden(cfg, Golden{"ss_exp", 0x1.00fa824714fap+8, 4096, 0x1.000f7c459c1e1p+12, 0,
                             kFnvBasis, 0xa0f8c3386bfa0d80ull});
+}
+
+// ----------------------------------------------------------------------
+// Full pins: every RunResult field.  Scalars are compared bit for bit;
+// the per-worker stats and both logs are compared through an FNV-1a
+// digest over every field.  Recorded from the coroutine-actor engine
+// that preceded the direct event loop; each case drives a serve-path
+// branch the pins above do not reach.
+
+/// Every field of every WorkerStats entry.
+std::uint64_t all_workers_hash(const mw::RunResult& r) {
+  std::uint64_t h = kFnvBasis;
+  for (const mw::WorkerStats& w : r.workers) {
+    h = fnv1a(h, bits(w.compute_time));
+    h = fnv1a(h, bits(w.wait_time));
+    h = fnv1a(h, bits(w.comm_time));
+    h = fnv1a(h, w.tasks);
+    h = fnv1a(h, w.chunks);
+    h = fnv1a(h, w.failed ? 1 : 0);
+  }
+  return h;
+}
+
+/// Every field of the chunk log, then every field of the range log.
+std::uint64_t logs_hash(const mw::RunResult& r) {
+  std::uint64_t h = kFnvBasis;
+  for (const mw::ChunkLogEntry& e : r.chunk_log) {
+    h = fnv1a(h, e.pe);
+    h = fnv1a(h, e.first);
+    h = fnv1a(h, e.size);
+    h = fnv1a(h, bits(e.issued_at));
+    h = fnv1a(h, bits(e.work_seconds));
+  }
+  for (const mw::ServedRangeEntry& e : r.range_log) {
+    h = fnv1a(h, e.chunk);
+    h = fnv1a(h, e.first);
+    h = fnv1a(h, e.count);
+  }
+  return h;
+}
+
+struct Pin {
+  const char* name;
+  double makespan;
+  double total_nominal_work;
+  std::size_t chunks;
+  double master_busy_time;
+  std::size_t tasks_reclaimed;
+  std::uint64_t workers_hash;
+  std::uint64_t logs_hash;
+};
+
+void expect_result(const mw::RunResult& r, const Pin& pin) {
+  EXPECT_EQ(bits(r.makespan), bits(pin.makespan));
+  EXPECT_EQ(bits(r.total_nominal_work), bits(pin.total_nominal_work));
+  EXPECT_EQ(r.chunk_count, pin.chunks);
+  EXPECT_EQ(bits(r.master_busy_time), bits(pin.master_busy_time));
+  EXPECT_EQ(r.tasks_reclaimed, pin.tasks_reclaimed);
+  EXPECT_EQ(all_workers_hash(r), pin.workers_hash);
+  EXPECT_EQ(logs_hash(r), pin.logs_hash);
+}
+
+void expect_pin(const mw::Config& cfg, const Pin& pin) {
+  SCOPED_TRACE(pin.name);
+  expect_result(mw::run_simulation(cfg), pin);
+  mw::RunContext context;
+  (void)mw::run_simulation(cfg, context);
+  expect_result(mw::run_simulation(cfg, context), pin);
+}
+
+mw::Config logged(dls::Kind kind, std::size_t workers, std::size_t tasks,
+                  std::shared_ptr<const workload::TaskTimeGenerator> times, double sigma,
+                  double h) {
+  mw::Config cfg;
+  cfg.technique = kind;
+  cfg.workers = workers;
+  cfg.tasks = tasks;
+  cfg.workload = std::move(times);
+  cfg.params.mu = 1.0;
+  cfg.params.sigma = sigma;
+  cfg.params.h = h;
+  cfg.record_chunk_log = true;
+  return cfg;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Golden, SendDelayRoundsToZero) {
+  // The makespan reaches ~32768 s, where now + 1e-12 == now: from
+  // there on every 1e-12 s transfer completes without the sender
+  // waiting, and its delivery is an event of its own.
+  mw::Config cfg = logged(Kind::kSS, 2, 65536, workload::exponential(1.0), 1.0, 0.5);
+  cfg.seed = 2017;
+  expect_pin(cfg, Pin{"ss_p2_rounding", 0x1.ff73d6d46e181p+14, 0x1.ff70562376b86p+15, 65536,
+                      0x0p+0, 0, 0xd4fc8c64dfbec314ull, 0xd3a22549fc3413d9ull});
+}
+
+TEST(Golden, MoreWorkersThanTasks) {
+  mw::Config cfg = logged(Kind::kFAC2, 16, 5, workload::exponential(1.0), 1.0, 0.5);
+  cfg.seed = 5;
+  cfg.latency = 2e-6;
+  cfg.bandwidth = 1e8;
+  expect_pin(cfg, Pin{"fac2_p_gt_n", 0x1.b937b65d60ac1p+0, 0x1.30b2634e60db3p+2, 5, 0x0p+0, 0,
+                      0xa02a51e9bb5f5a2dull, 0xe84549e971fdbf0dull});
+}
+
+TEST(Golden, SameTimeTies) {
+  // Constant task times: every worker finishes at the same instant, so
+  // the (time, seq) tie-break orders every request.
+  const mw::Config cfg = logged(Kind::kSS, 64, 4096, workload::constant(1.0), 0.0, 0.5);
+  expect_pin(cfg, Pin{"ss_constant_ties", 0x1.0000000004654p+6, 0x1p+12, 4096, 0x0p+0, 0,
+                      0xd5068ae2a6943281ull, 0x1c94f83673da7e04ull});
+}
+
+TEST(Golden, StoppedProfileWithFailStop) {
+  // Worker 1 stops from t = 10 to t = 60 and fails at 30, inside the
+  // stopped window; worker 2 stops for good at t = 5 (its chunk can
+  // never finish) and fails at 40.
+  mw::Config cfg = logged(Kind::kFAC2, 4, 400, workload::constant(1.0), 0.0, 0.01);
+  cfg.worker_speed_profiles = {simx::SpeedProfile{{0.0}, {1e9}},
+                               simx::SpeedProfile{{0.0, 10.0, 60.0}, {1e9, 0.0, 1e9}},
+                               simx::SpeedProfile{{0.0, 5.0}, {1e9, 0.0}},
+                               simx::SpeedProfile{{0.0}, {1e9}}};
+  cfg.worker_failure_times = {kInf, 30.0, 40.0, kInf};
+  expect_pin(cfg, Pin{"fac2_profile_stop_fail", 0x1.90000000004edp+7, 0x1.9p+8, 32, 0x0p+0, 100,
+                      0x9d4465005b0cfd33ull, 0xb4a6fb7ec1c2c373ull});
+}
+
+TEST(Golden, HeterogeneousSpeedsAf) {
+  mw::Config cfg = logged(Kind::kAF, 8, 4096, workload::exponential(1.0), 1.0, 0.5);
+  cfg.worker_speed_factors = {1.0, 0.5, 2.0, 1.0, 0.25, 1.5, 1.0, 0.75};
+  cfg.seed = 4242;
+  expect_pin(cfg, Pin{"af_heterogeneous", 0x1.b89492aa183e8p+9, 0x1.f258504477417p+11, 96,
+                      0x0p+0, 0, 0x0e44442107ba4cdbull, 0xf794fc7ce3f39a7bull});
+}
+
+TEST(Golden, FailStopWhileWaitingAndMidChunk) {
+  // Simulated overhead serializes the master: worker 0's fail-stop at
+  // t = 5 passes while it waits for a reply, and worker 2 dies inside
+  // a chunk at t = 30, after the survivors parked on an empty pool --
+  // its reclaimed tasks go to them.
+  mw::Config cfg = logged(Kind::kGSS, 4, 64, workload::constant(1.0), 0.0, 1.0);
+  cfg.overhead_mode = mw::OverheadMode::kSimulated;
+  cfg.worker_failure_times = {5.0, kInf, 30.0, kInf};
+  expect_pin(cfg, Pin{"gss_fail_wait_midchunk", 0x1.00000000009e4p+5, 0x1p+6, 16, 0x1p+4, 17,
+                      0xdd9fbd0d6f88753eull, 0x1bd8c9f3e06bf802ull});
 }
 
 }  // namespace

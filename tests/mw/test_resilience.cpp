@@ -132,6 +132,10 @@ TEST(Resilience, ValidatesFailureVector) {
   EXPECT_THROW((void)mw::run_simulation(cfg), std::invalid_argument);
   cfg.worker_failure_times = {-1.0, kNever};
   EXPECT_THROW((void)mw::run_simulation(cfg), std::invalid_argument);
+  // NaN compares false against everything, so it must not pass as
+  // "never fails".
+  cfg.worker_failure_times = {std::numeric_limits<double>::quiet_NaN(), kNever};
+  EXPECT_THROW((void)mw::run_simulation(cfg), std::invalid_argument);
 }
 
 TEST(Resilience, ReclaimedRangesAreServedExactlyOnce) {

@@ -1,244 +1,148 @@
+// The master-worker event loop's time semantics, observed through
+// mw::run_simulation: work runs at the host's speed, every actor's
+// accounted time adds up to its lifetime, same-time events fire in
+// worker-index order, and an actor's error reaches the caller.
+
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 
-#include "simx/engine.hpp"
-#include "simx/mailbox.hpp"
+#include "mw/simulation.hpp"
+#include "simx/platform.hpp"
+#include "workload/task_times.hpp"
 
 namespace {
 
-using simx::ActorTimes;
-using simx::Context;
-using simx::Engine;
-using simx::Platform;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-Platform one_host() {
-  Platform p;
-  p.add_host(1e9);
-  return p;
+/// SS over a null network (zero latency, infinite bandwidth), so every
+/// message is free and the only virtual time is work and overhead.
+mw::Config null_network(std::size_t workers, std::size_t tasks,
+                        std::shared_ptr<const workload::TaskTimeGenerator> times) {
+  mw::Config cfg;
+  cfg.technique = dls::Kind::kSS;
+  cfg.workers = workers;
+  cfg.tasks = tasks;
+  cfg.workload = std::move(times);
+  cfg.latency = 0.0;
+  cfg.bandwidth = kInf;
+  cfg.record_chunk_log = true;
+  return cfg;
 }
 
-simx::Host& the_host(Engine& engine) { return engine.platform().host_at(0); }
-
-// ----------------------------- actor bodies (free coroutine functions)
-
-struct SleepState {
-  double duration = 0.0;
-  double woke_at = -1.0;
-};
-
-simx::Actor sleeper(Context& ctx, SleepState& st) {
-  co_await ctx.sleep_for(st.duration);
-  st.woke_at = ctx.now();
+TEST(EventLoop, ExecuteUsesHostSpeed) {
+  // One task of 3 nominal seconds on a worker at half the reference
+  // speed: 6 s of computing, nothing else.
+  mw::Config cfg = null_network(1, 1, workload::constant(3.0));
+  cfg.worker_speed_factors = {0.5};
+  const mw::RunResult r = mw::run_simulation(cfg);
+  EXPECT_DOUBLE_EQ(r.makespan, 6.0);
+  EXPECT_DOUBLE_EQ(r.workers[0].compute_time, 6.0);
+  EXPECT_DOUBLE_EQ(r.workers[0].wait_time, 0.0);
+  EXPECT_DOUBLE_EQ(r.workers[0].comm_time, 0.0);
 }
 
-struct ExecState {
-  double flops = 0.0;
-  double finished_at = -1.0;
-};
-
-simx::Actor executor(Context& ctx, ExecState& st) {
-  co_await ctx.execute(st.flops);
-  st.finished_at = ctx.now();
+TEST(EventLoop, ProfiledHostSlowsExecution) {
+  mw::Config cfg = null_network(1, 1, workload::constant(2.0));
+  cfg.worker_speed_profiles = {simx::SpeedProfile{{0.0, 1.0}, {1e9, 5e8}}};
+  const mw::RunResult r = mw::run_simulation(cfg);
+  EXPECT_DOUBLE_EQ(r.workers[0].compute_time, 3.0);  // 1 s full speed + 2 s half speed
+  EXPECT_DOUBLE_EQ(r.makespan, 3.0);
 }
 
-struct TraceState {
-  double delay = 0.0;
-  int id = 0;
-  std::vector<int>* order = nullptr;
-};
-
-simx::Actor tracer(Context& ctx, TraceState& st) {
-  co_await ctx.sleep_for(st.delay);
-  st.order->push_back(st.id);
-}
-
-simx::Actor thrower(Context& ctx, SleepState& st) {
-  co_await ctx.sleep_for(st.duration);
-  throw std::runtime_error("actor failure");
-}
-
-// ------------------------------------------------------------- tests
-
-TEST(Engine, SleepAdvancesVirtualClock) {
-  Engine engine(one_host());
-  SleepState st{2.5, -1.0};
-  engine.spawn(the_host(engine), [&st](Context& ctx) { return sleeper(ctx, st); });
-  const double makespan = engine.run();
-  EXPECT_DOUBLE_EQ(makespan, 2.5);
-  EXPECT_DOUBLE_EQ(st.woke_at, 2.5);
-}
-
-TEST(Engine, ExecuteUsesHostSpeed) {
-  Engine engine(one_host());  // 1e9 flops/s
-  ExecState st{3e9, -1.0};
-  engine.spawn(the_host(engine), [&st](Context& ctx) { return executor(ctx, st); });
-  engine.run();
-  EXPECT_DOUBLE_EQ(st.finished_at, 3.0);
-}
-
-TEST(Engine, ExecuteAccountsComputingTime) {
-  Engine engine(one_host());
-  ExecState st{2e9, -1.0};
-  engine.spawn(the_host(engine), [&st](Context& ctx) { return executor(ctx, st); });
-  engine.run();
-  ASSERT_EQ(engine.actor_count(), 1u);
-  const ActorTimes acc = engine.actor_times(0);
-  EXPECT_DOUBLE_EQ(acc.computing, 2.0);
-  EXPECT_DOUBLE_EQ(acc.waiting, 0.0);
-  EXPECT_TRUE(acc.finished);
-  EXPECT_DOUBLE_EQ(acc.finished_at, 2.0);
-}
-
-TEST(Engine, ActorsInterleaveInTimeOrder) {
-  Engine engine(one_host());
-  std::vector<int> order;
-  TraceState a{3.0, 1, &order}, b{1.0, 2, &order}, c{2.0, 3, &order};
-  for (TraceState* st : {&a, &b, &c}) {
-    engine.spawn(the_host(engine), [st](Context& ctx) { return tracer(ctx, *st); });
+TEST(EventLoop, NullNetworkAndNoOverheadCostNothing) {
+  const mw::RunResult r = mw::run_simulation(null_network(2, 4, workload::constant(1.0)));
+  EXPECT_DOUBLE_EQ(r.makespan, 2.0);
+  EXPECT_DOUBLE_EQ(r.master_busy_time, 0.0);
+  for (const mw::WorkerStats& w : r.workers) {
+    EXPECT_DOUBLE_EQ(w.compute_time, 2.0);
+    EXPECT_DOUBLE_EQ(w.comm_time, 0.0);
+    EXPECT_DOUBLE_EQ(w.wait_time, 0.0);
   }
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
 }
 
-TEST(Engine, SimultaneousEventsFireInSpawnOrder) {
-  Engine engine(one_host());
-  std::vector<int> order;
-  TraceState a{1.0, 1, &order}, b{1.0, 2, &order}, c{1.0, 3, &order};
-  for (TraceState* st : {&a, &b, &c}) {
-    engine.spawn(the_host(engine), [st](Context& ctx) { return tracer(ctx, *st); });
+TEST(EventLoop, SimultaneousEventsFireInWorkerOrder) {
+  // Constant task times: every round's requests arrive at one instant,
+  // and the (time, seq) tie-break serves them in worker-index order.
+  const mw::RunResult r = mw::run_simulation(null_network(4, 16, workload::constant(1.0)));
+  ASSERT_EQ(r.chunk_log.size(), 16u);
+  for (std::size_t i = 0; i < r.chunk_log.size(); ++i) {
+    EXPECT_EQ(r.chunk_log[i].pe, i % 4) << "chunk " << i;
+    EXPECT_DOUBLE_EQ(r.chunk_log[i].issued_at, static_cast<double>(i / 4));
   }
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(Engine, DeterministicAcrossIdenticalRuns) {
-  auto run_once = [] {
-    Engine engine(one_host());
-    std::vector<int> order;
-    std::vector<TraceState> states;
-    states.reserve(10);
-    for (int i = 0; i < 10; ++i) {
-      states.push_back(TraceState{static_cast<double>((i * 7) % 5), i, &order});
-    }
-    for (auto& st : states) {
-      engine.spawn(the_host(engine), [&st](Context& ctx) { return tracer(ctx, st); });
-    }
-    engine.run();
-    return order;
-  };
-  EXPECT_EQ(run_once(), run_once());
+TEST(EventLoop, AccountedTimesSumToLifetime) {
+  // Conservation of virtual time: computing + communicating + waiting
+  // (which includes the idle tail after finalization) is the makespan
+  // for every worker.
+  mw::Config cfg;
+  cfg.technique = dls::Kind::kFAC2;
+  cfg.workers = 8;
+  cfg.tasks = 2048;
+  cfg.workload = workload::exponential(1.0);
+  cfg.params.mu = 1.0;
+  cfg.params.sigma = 1.0;
+  cfg.params.h = 0.01;
+  cfg.overhead_mode = mw::OverheadMode::kSimulated;
+  cfg.latency = 1e-3;
+  cfg.bandwidth = 1e6;
+  const mw::RunResult r = mw::run_simulation(cfg);
+  for (const mw::WorkerStats& w : r.workers) {
+    EXPECT_GT(w.compute_time, 0.0);
+    EXPECT_GT(w.comm_time, 0.0);
+    EXPECT_NEAR(w.compute_time + w.comm_time + w.wait_time, r.makespan, 1e-9 * r.makespan);
+  }
 }
 
-TEST(Engine, ActorExceptionPropagatesFromRun) {
-  Engine engine(one_host());
-  SleepState st{1.0, -1.0};
-  engine.spawn(the_host(engine), [&st](Context& ctx) { return thrower(ctx, st); });
-  EXPECT_THROW(engine.run(), std::runtime_error);
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_identical(const mw::RunResult& a, const mw::RunResult& b) {
+  EXPECT_TRUE(same_bits(a.makespan, b.makespan));
+  EXPECT_TRUE(same_bits(a.master_busy_time, b.master_busy_time));
+  EXPECT_EQ(a.chunk_count, b.chunk_count);
+  ASSERT_EQ(a.workers.size(), b.workers.size());
+  for (std::size_t i = 0; i < a.workers.size(); ++i) {
+    EXPECT_TRUE(same_bits(a.workers[i].compute_time, b.workers[i].compute_time));
+    EXPECT_TRUE(same_bits(a.workers[i].wait_time, b.workers[i].wait_time));
+    EXPECT_TRUE(same_bits(a.workers[i].comm_time, b.workers[i].comm_time));
+    EXPECT_EQ(a.workers[i].tasks, b.workers[i].tasks);
+  }
 }
 
-TEST(Engine, UnfinishedActorsAreReported) {
-  Platform p = one_host();
-  Engine engine(std::move(p));
-  simx::Mailbox<int> mb(engine, the_host(engine));
-  struct WaitState {
-    simx::Mailbox<int>* mb;
-  } wst{&mb};
-  struct Body {
-    static simx::Actor wait_forever(Context& ctx, WaitState& st) {
-      (void)co_await st.mb->recv(ctx);
-    }
-  };
-  engine.spawn(the_host(engine), [&wst](Context& ctx) { return Body::wait_forever(ctx, wst); });
-  engine.run();  // no events: returns immediately at t=0... the initial
-                 // resume runs the actor into recv, then nothing wakes it
-  const auto stuck = engine.unfinished_actors();
-  ASSERT_EQ(stuck.size(), 1u);
-  EXPECT_EQ(stuck[0], 0u);  // the spawn index
+TEST(EventLoop, DeterministicAcrossIdenticalRuns) {
+  mw::Config cfg;
+  cfg.technique = dls::Kind::kGSS;
+  cfg.workers = 10;
+  cfg.tasks = 1000;
+  cfg.workload = workload::exponential(1.0);
+  cfg.latency = 2e-6;
+  cfg.bandwidth = 1e8;
+  cfg.seed = 5;
+  const mw::RunResult first = mw::run_simulation(cfg);
+  expect_identical(first, mw::run_simulation(cfg));
+  mw::RunContext context;
+  (void)mw::run_simulation(cfg, context);
+  expect_identical(first, mw::run_simulation(cfg, context));
 }
 
-TEST(Engine, ZeroDurationActivitiesCostNothing) {
-  Engine engine(one_host());
-  ExecState st{0.0, -1.0};
-  engine.spawn(the_host(engine), [&st](Context& ctx) { return executor(ctx, st); });
-  const double makespan = engine.run();
-  EXPECT_DOUBLE_EQ(makespan, 0.0);
-  EXPECT_DOUBLE_EQ(st.finished_at, 0.0);
-  EXPECT_DOUBLE_EQ(engine.actor_times(0).computing, 0.0);
-}
+TEST(EventLoop, ActorErrorPropagatesAndContextStaysUsable) {
+  // Worker 1's host stops for good at t = 0.5 and it has no fail-stop
+  // time, so its chunk can never finish: the run reports the error.
+  mw::Config bad = null_network(2, 8, workload::constant(1.0));
+  bad.worker_speed_profiles = {simx::SpeedProfile{{0.0}, {1e9}},
+                               simx::SpeedProfile{{0.0, 0.5}, {1e9, 0.0}}};
+  EXPECT_THROW((void)mw::run_simulation(bad), std::runtime_error);
 
-TEST(Engine, NegativeDurationsRejected) {
-  Engine engine(one_host());
-  struct Body {
-    static simx::Actor negative_sleep(Context& ctx) {
-      co_await ctx.sleep_for(-1.0);
-    }
-  };
-  engine.spawn(the_host(engine), [](Context& ctx) { return Body::negative_sleep(ctx); });
-  EXPECT_THROW(engine.run(), std::invalid_argument);
-}
-
-TEST(Engine, AccountedTimesSumToLifetime) {
-  // Conservation of virtual time: for a finished actor, the sum of all
-  // accounted states equals its finish time (kReady consumes none).
-  Platform p = one_host();
-  Engine engine(std::move(p));
-  simx::Mailbox<int> mb(engine, the_host(engine));
-  struct St {
-    simx::Mailbox<int>* mb;
-  } st{&mb};
-  struct Body {
-    static simx::Actor mixed(Context& ctx, St& s) {
-      co_await ctx.execute(2e9);    // 2 s computing
-      co_await ctx.sleep_for(1.5);  // 1.5 s sleeping
-      (void)co_await s.mb->recv(ctx);  // waits 0.5 s
-    }
-  };
-  engine.spawn(the_host(engine), [&st](Context& ctx) { return Body::mixed(ctx, st); });
-  mb.put_delayed(7, 4.0);  // visible at t = 4.0
-  engine.run();
-  const ActorTimes acc = engine.actor_times(0);
-  ASSERT_TRUE(acc.finished);
-  EXPECT_DOUBLE_EQ(acc.computing, 2.0);
-  EXPECT_DOUBLE_EQ(acc.sleeping, 1.5);
-  EXPECT_DOUBLE_EQ(acc.waiting, 0.5);
-  EXPECT_DOUBLE_EQ(acc.computing + acc.sleeping + acc.waiting + acc.communicating,
-                   acc.finished_at);
-}
-
-TEST(Engine, SpawnDuringRunStartsAtCurrentTime) {
-  Platform p = one_host();
-  Engine engine(std::move(p));
-  struct St {
-    Engine* engine;
-    double child_finish = -1.0;
-  } st{&engine, -1.0};
-  struct Body {
-    static simx::Actor child(Context& ctx, St& s) {
-      co_await ctx.sleep_for(1.0);
-      s.child_finish = ctx.now();
-    }
-    static simx::Actor parent(Context& ctx, St& s) {
-      co_await ctx.sleep_for(2.0);
-      s.engine->spawn(ctx.host(), [&s](Context& c) { return child(c, s); });
-    }
-  };
-  engine.spawn(the_host(engine), [&st](Context& ctx) { return Body::parent(ctx, st); });
-  const double makespan = engine.run();
-  EXPECT_DOUBLE_EQ(st.child_finish, 3.0);  // spawned at 2, sleeps 1
-  EXPECT_DOUBLE_EQ(makespan, 3.0);
-  EXPECT_TRUE(engine.unfinished_actors().empty());
-}
-
-TEST(Engine, ProfiledHostSlowsExecution) {
-  Platform p;
-  simx::Host& h = p.add_host(1e9);
-  h.set_speed_profile(simx::SpeedProfile{{0.0, 1.0}, {1e9, 5e8}});
-  Engine engine(std::move(p));
-  ExecState st{2e9, -1.0};
-  engine.spawn(the_host(engine), [&st](Context& ctx) { return executor(ctx, st); });
-  engine.run();
-  EXPECT_DOUBLE_EQ(st.finished_at, 3.0);  // 1s full speed + 2s half speed
+  // A context that saw the throwing run still reproduces a fresh run.
+  mw::RunContext context;
+  EXPECT_THROW((void)mw::run_simulation(bad, context), std::runtime_error);
+  const mw::Config good = null_network(2, 8, workload::exponential(1.0));
+  expect_identical(mw::run_simulation(good), mw::run_simulation(good, context));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // CalendarQueue property tests: the calendar must pop the exact
 // (time, seq) total order a binary heap pops -- not an approximation of
 // it.  The reference heap here is the implementation the calendar
-// replaced in Engine; every determinism guarantee of the repo reduces
-// to the two agreeing on adversarial push/pop interleavings.
+// replaced; every determinism guarantee of the repo reduces to the two
+// agreeing on adversarial push/pop interleavings.
 
 #include <gtest/gtest.h>
 
@@ -36,8 +36,8 @@ struct SplitMix {
   std::uint64_t below(std::uint64_t n) { return next() % n; }
 };
 
-/// The binary heap Engine used before the calendar queue (a max-heap
-/// on the inverted order, so top() is the minimum event).
+/// The binary heap the simulator used before the calendar queue (a
+/// max-heap on the inverted order, so top() is the minimum event).
 class ReferenceHeap {
  public:
   void push(const Event& ev) { heap_.push(ev); }
@@ -85,7 +85,7 @@ void run_scenario(std::uint64_t seed, CalendarQueue& calendar) {
         default: t = floor + static_cast<double>(rng.below(50)) * scale; break;
       }
       for (std::size_t i = 0; i < burst; ++i) {
-        const Event ev{t, seq++, {}, nullptr};
+        const Event ev{t, seq++};
         calendar.push(ev);
         heap.push(ev);
       }
@@ -117,6 +117,50 @@ void run_scenario(std::uint64_t seed, CalendarQueue& calendar) {
   ASSERT_EQ(calendar.size(), 0u) << "seed " << seed;
 }
 
+/// Push `ev` into both queues.
+void push_both(CalendarQueue& calendar, ReferenceHeap& heap, const Event& ev) {
+  calendar.push(ev);
+  heap.push(ev);
+}
+
+/// Pop from both queues; they must agree.  Returns the popped event.
+Event pop_both(CalendarQueue& calendar, ReferenceHeap& heap) {
+  const Event expected = heap.pop();
+  const Event got = calendar.pop();
+  EXPECT_EQ(got.time, expected.time);
+  EXPECT_EQ(got.seq, expected.seq);
+  return got;
+}
+
+/// An mw-shaped stream: `holders` workers, each holding one pending
+/// event at an exponential gap; popping a holder's event schedules the
+/// master's reply 1e-12 s later (the front-slot push), and popping the
+/// reply schedules the holder's next event.  Some replies tie the
+/// popped time exactly.  Tags tell holders (0) from replies (1).
+void run_mw_stream(std::uint64_t seed, CalendarQueue& calendar) {
+  SplitMix rng{seed * 0x9e3779b97f4a7c15ull + 7};
+  ReferenceHeap heap;
+  std::uint64_t seq = 0;
+  const std::size_t holders = 1 + rng.below(128);
+  const double scale = std::pow(10.0, static_cast<double>(rng.below(9)) - 4.0);
+  const auto gap = [&] {
+    const double u = (static_cast<double>(rng.next() >> 11) + 0.5) * 0x1p-53;
+    return -std::log(u) * scale;
+  };
+  for (std::size_t i = 0; i < holders; ++i) push_both(calendar, heap, Event{gap(), seq++, 0});
+  for (std::size_t op = 0; op < 4000; ++op) {
+    const Event got = pop_both(calendar, heap);
+    if (got.tag == 0) {
+      const double reply = rng.below(8) == 0 ? got.time : got.time + 1e-12;
+      push_both(calendar, heap, Event{reply, seq++, 1});
+    } else {
+      push_both(calendar, heap, Event{got.time + gap(), seq++, 0});
+    }
+  }
+  while (!heap.empty()) (void)pop_both(calendar, heap);
+  ASSERT_TRUE(calendar.empty()) << "seed " << seed;
+}
+
 TEST(CalendarQueue, MatchesBinaryHeapAcrossSeededScenarios) {
   // One queue reused across all scenarios via clear(): steady-state
   // capacity/geometry recycling is exactly how the engine uses it, so
@@ -124,6 +168,10 @@ TEST(CalendarQueue, MatchesBinaryHeapAcrossSeededScenarios) {
   CalendarQueue calendar;
   for (std::uint64_t seed = 0; seed < 10000; ++seed) {
     run_scenario(seed, calendar);
+    calendar.clear();
+  }
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    run_mw_stream(seed, calendar);
     calendar.clear();
   }
 }
@@ -135,11 +183,15 @@ TEST(CalendarQueue, FreshQueuePerScenario) {
     CalendarQueue calendar;
     run_scenario(seed, calendar);
   }
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    CalendarQueue calendar;
+    run_mw_stream(seed, calendar);
+  }
 }
 
 TEST(CalendarQueue, SameTimeEventsPopInSeqOrder) {
   CalendarQueue queue;
-  for (std::uint64_t s = 0; s < 1000; ++s) queue.push(Event{1.0, 1000 - s, {}, nullptr});
+  for (std::uint64_t s = 0; s < 1000; ++s) queue.push(Event{1.0, 1000 - s});
   std::uint64_t expect = 1;
   while (!queue.empty()) {
     EXPECT_EQ(queue.pop().seq, expect);
@@ -153,7 +205,7 @@ TEST(CalendarQueue, MidDrainPushesLandInOrder) {
   // into mid-drain: the insert must respect (time, seq) among the
   // not-yet-popped remainder.
   for (std::uint64_t s = 0; s < 64; ++s) {
-    queue.push(Event{static_cast<double>(s % 4) * 1e-9, s, {}, nullptr});
+    queue.push(Event{static_cast<double>(s % 4) * 1e-9, s});
   }
   ReferenceHeap heap;
   // Rebuild the reference from what is still inside.
@@ -164,7 +216,7 @@ TEST(CalendarQueue, MidDrainPushesLandInOrder) {
   }
   const double floor = popped.back().time;
   for (std::uint64_t s = 64; s < 96; ++s) {
-    queue.push(Event{floor + static_cast<double>(s % 3) * 1e-9, s, {}, nullptr});
+    queue.push(Event{floor + static_cast<double>(s % 3) * 1e-9, s});
   }
   Event prev = popped.back();
   while (!queue.empty()) {
@@ -172,6 +224,57 @@ TEST(CalendarQueue, MidDrainPushesLandInOrder) {
     EXPECT_TRUE(EventBefore{}(prev, got));
     prev = got;
   }
+
+  // Front-slot streams: pushes into the bucket being drained that sort
+  // before everything still pending there take the slot the last pop
+  // vacated; the pop order must stay the binary heap's.
+  CalendarQueue drained;
+  ReferenceHeap drained_heap;
+  std::uint64_t seq = 0;
+  for (; seq < 64; ++seq) {
+    push_both(drained, drained_heap, Event{static_cast<double>(seq) * 1e-9, seq});
+  }
+
+  // A push right after a pop, ahead of the rest of the bucket: it is
+  // the very next pop.
+  Event last = pop_both(drained, drained_heap);
+  const Event front{last.time + 1e-13, seq++};
+  push_both(drained, drained_heap, front);
+  EXPECT_EQ(pop_both(drained, drained_heap).seq, front.seq);
+
+  // An equal-time tie with the next pending event: the larger seq goes
+  // behind it, so this push must not take the front slot.
+  last = pop_both(drained, drained_heap);
+  const Event tie{last.time + 1e-9, seq++};
+  push_both(drained, drained_heap, tie);
+  const Event next = pop_both(drained, drained_heap);
+  EXPECT_EQ(next.time, tie.time);
+  EXPECT_LT(next.seq, tie.seq);
+  EXPECT_EQ(pop_both(drained, drained_heap).seq, tie.seq);
+
+  // A tie with the event just popped (same time, larger seq) still
+  // precedes the rest.
+  last = pop_both(drained, drained_heap);
+  const Event now{last.time, seq++};
+  push_both(drained, drained_heap, now);
+  EXPECT_EQ(pop_both(drained, drained_heap).seq, now.seq);
+  while (!drained_heap.empty()) (void)pop_both(drained, drained_heap);
+  EXPECT_TRUE(drained.empty());
+
+  // The same push when nothing of the cursor's bucket has been popped
+  // yet (drain position 0): a fresh queue re-fitted by growth, then an
+  // event ahead of everything pending.
+  CalendarQueue fresh;
+  ReferenceHeap fresh_heap;
+  seq = 0;
+  for (; seq < 256; ++seq) {
+    push_both(fresh, fresh_heap, Event{1.0 + static_cast<double>(seq) * 1e-3, seq});
+  }
+  const Event first{0.5, seq++};
+  push_both(fresh, fresh_heap, first);
+  EXPECT_EQ(pop_both(fresh, fresh_heap).seq, first.seq);
+  while (!fresh_heap.empty()) (void)pop_both(fresh, fresh_heap);
+  EXPECT_TRUE(fresh.empty());
 }
 
 TEST(CalendarQueue, StaleWidthPileUpRecovers) {
@@ -183,7 +286,7 @@ TEST(CalendarQueue, StaleWidthPileUpRecovers) {
   ReferenceHeap heap;
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < 256; ++i) {
-    const Event ev{static_cast<double>(i) * 100.0, seq++, {}, nullptr};
+    const Event ev{static_cast<double>(i) * 100.0, seq++};
     queue.push(ev);
     heap.push(ev);
   }
@@ -197,7 +300,7 @@ TEST(CalendarQueue, StaleWidthPileUpRecovers) {
   }
   // Dense burst: 4096 events within one old bucket's width.
   for (std::size_t i = 0; i < 4096; ++i) {
-    const Event ev{floor + static_cast<double>(i) * 0.01, seq++, {}, nullptr};
+    const Event ev{floor + static_cast<double>(i) * 0.01, seq++};
     queue.push(ev);
     heap.push(ev);
   }
@@ -212,7 +315,7 @@ TEST(CalendarQueue, StaleWidthPileUpRecovers) {
 TEST(CalendarQueue, ClearKeepsGeometryAndReserveDoesNotThrow) {
   CalendarQueue queue;
   for (std::size_t i = 0; i < 10000; ++i) {
-    queue.push(Event{static_cast<double>(i) * 0.5, i, {}, nullptr});
+    queue.push(Event{static_cast<double>(i) * 0.5, i});
   }
   const std::size_t grown = queue.bucket_count();
   EXPECT_GT(grown, 16u);
@@ -220,7 +323,7 @@ TEST(CalendarQueue, ClearKeepsGeometryAndReserveDoesNotThrow) {
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.bucket_count(), grown);  // geometry survives clear()
   queue.reserve(1 << 12);
-  queue.push(Event{1.0, 0, {}, nullptr});
+  queue.push(Event{1.0, 0});
   EXPECT_EQ(queue.pop().seq, 0u);
 }
 

@@ -63,8 +63,8 @@ struct Token {
 const std::map<std::string, std::string>& rule_catalog() {
   static const std::map<std::string, std::string> rules = {
       {"wall-clock",
-       "simulation-path code must not read host time; derive time from the engine's "
-       "virtual clock or the spec"},
+       "simulation-path code must not read host time; derive time from the simulated "
+       "clock (the time of the event being processed) or the spec"},
       {"nondeterministic-rand",
        "simulation-path code must not draw entropy; use the seeded workload streams"},
       {"raw-shard-io",
