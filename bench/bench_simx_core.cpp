@@ -14,17 +14,13 @@
 //                           tournament tree over P workers (fixed
 //                           leaf-to-root replay, no data-dependent
 //                           branches)
-//   BM_RouteLookup          Platform::comm_time on a star route (the
-//                           per-message network cost model)
-//   BM_PlatformBuild/P      make_star_platform at P workers: the
-//                           one-off build a run pays before its first
-//                           event (linear in P: hosts, links and routes
-//                           append by index)
 //   BM_ReplicaE2E/T/P       one full master-worker replica of
 //                           technique T at P workers, RunContext
 //                           reused across iterations (the BatchRunner
 //                           inner loop); the SS rows are mw_table2's
-//                           SS cells, one event pair per task
+//                           SS cells, one event pair per task, and at
+//                           P = 65536 and 1048576 they also time the
+//                           per-worker set-up every run pays
 //   BM_HagerupReplica/P     one direct-simulator (hagerup) SS replica,
 //                           n = 65536, RunContext reused: one tree
 //                           update per task
@@ -45,7 +41,6 @@
 #include "mw/config.hpp"
 #include "mw/simulation.hpp"
 #include "simx/event_queue.hpp"
-#include "simx/platform.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -136,55 +131,14 @@ void BM_WorkerTreeHold(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkerTreeHold)->Arg(2)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
-/// Per-message route cost on a star platform: the indexed fast path
-/// (two loads and a range check per lookup -- no map walk, no string
-/// hash).
-void BM_RouteLookup(benchmark::State& state) {
-  const std::size_t workers = 1024;
-  const simx::Platform platform = simx::make_star_platform(workers, 1e9, 1e8, 2e-6);
-  const simx::Host& master = platform.host_at(0);
-  std::vector<const simx::Host*> hosts;
-  hosts.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    hosts.push_back(&platform.host_at(i + 1));
-  }
-  std::size_t i = 0;
-  double sum = 0.0;
-  for (auto _ : state) {
-    sum += platform.comm_time(*hosts[i], master, 64);
-    i = (i + 1) & (workers - 1);
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RouteLookup);
-
-/// Star platform construction at P workers (the build mw::run_simulation
-/// pays once per RunContext shape).  Hosts, links and routes append by
-/// index, so the time per worker is the number to watch as P grows.
-void BM_PlatformBuild(benchmark::State& state) {
-  const std::size_t workers = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const simx::Platform platform = simx::make_star_platform(workers, 1e9, 1e8, 2e-6);
-    benchmark::DoNotOptimize(platform.host_count());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(workers));
-  state.counters["workers"] = static_cast<double>(workers);
-}
-BENCHMARK(BM_PlatformBuild)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000);
-
 /// One full simulated replica per iteration with a reused RunContext --
 /// the exec::BatchRunner inner loop.  GSS keeps the chunk count (and so
 /// the event count) proportional to P log(n/P) and runs with simulated
 /// overhead on a real network, which makes the per-event cost visible
-/// across three platform sizes.  SS is mw_table2's SS cell: n one-task
+/// across three worker counts.  SS is mw_table2's SS cell: n one-task
 /// chunks on the null network with analytic overhead, so nearly all of
-/// its time is the serve loop.
+/// its time is the serve loop -- until P outgrows n, where each run's
+/// set-up of P workers (and their finalization) takes over.
 void BM_ReplicaE2E(benchmark::State& state, dls::Kind technique, std::size_t tasks) {
   const std::size_t workers = static_cast<std::size_t>(state.range(0));
   mw::Config cfg;
@@ -219,7 +173,9 @@ BENCHMARK_CAPTURE(BM_ReplicaE2E, GSS, dls::Kind::kGSS, 16384)
 BENCHMARK_CAPTURE(BM_ReplicaE2E, SS, dls::Kind::kSS, 65536)
     ->Unit(benchmark::kMillisecond)
     ->Arg(64)
-    ->Arg(256);
+    ->Arg(256)
+    ->Arg(65536)
+    ->Arg(1048576);
 
 /// One hagerup SS replica per iteration on a reused RunContext (the
 /// exec::BatchRunner inner loop for the direct simulator): 65536

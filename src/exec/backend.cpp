@@ -41,8 +41,7 @@ void reject_beyond_direct_model(std::string_view backend, const mw::Config& conf
   // silently dropping a modeled network would present two different
   // experiments as a cross-backend comparison.
   const double per_message_delay =
-      config.latency +
-      static_cast<double>(config.request_bytes + config.reply_bytes) / config.bandwidth;
+      mw::message_delay(config, config.request_bytes + config.reply_bytes);
   if (!(per_message_delay <= 1e-9)) {
     reject(backend, "a non-null network (per-message delay " + std::to_string(per_message_delay) +
                         " s; the direct simulator has no network model)");

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "dls/params.hpp"
-#include "simx/platform.hpp"
+#include "simx/speed_profile.hpp"
 #include "workload/task_times.hpp"
 
 namespace mw {
@@ -75,5 +75,12 @@ struct Config {
   /// Record the full per-chunk log (pe, size, time) in the result.
   bool record_chunk_log = false;
 };
+
+/// Virtual seconds one message of `bytes` takes over a worker's link of
+/// the Figure 1 star: latency + bytes / bandwidth, so an infinite
+/// bandwidth costs only the latency.  Every worker's link is the same.
+[[nodiscard]] inline double message_delay(const Config& config, std::size_t bytes) {
+  return config.latency + static_cast<double>(bytes) / config.bandwidth;
+}
 
 }  // namespace mw

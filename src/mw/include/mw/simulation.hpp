@@ -9,12 +9,12 @@ namespace mw {
 
 /// Reusable scratch state for run_simulation.
 ///
-/// Holds the platform, the event queue, the per-worker actor state, the
-/// workload and prefix-sum buffers, and every bookkeeping vector of the
-/// serve loop.  When consecutive runs share the platform shape
-/// (workers, speeds, network parameters), the platform is reused
-/// instead of rebuilt, and after the first run the event loop reaches a
-/// steady state with no heap allocation per chunk.
+/// Holds the event queue, the per-worker actor state, the workload and
+/// prefix-sum buffers, and every bookkeeping vector of the serve loop.
+/// Each run sizes them from its own Config (nothing about the star is
+/// cached), and after the first run at a worker count the event loop
+/// reaches a steady state with no heap allocation per chunk or per
+/// worker.
 ///
 /// Not thread-safe: use one RunContext per thread (the exec layer's
 /// mw backend holds one per pooled instance).
@@ -35,7 +35,9 @@ class RunContext {
 
 /// Execute one master-worker scheduling simulation (paper Figure 1):
 ///
-///   * a star platform is built from the Config's system information;
+///   * the star is the Config's system information: worker i runs at
+///     host_speed * factor[i] (or follows profile i), and every message
+///     costs message_delay(config, bytes);
 ///   * one master and `workers` worker actors run as an event loop;
 ///   * idle workers send work-request messages; the master computes the
 ///     next chunk size with the configured DLS technique and replies
@@ -48,7 +50,7 @@ class RunContext {
 /// configurations.
 [[nodiscard]] RunResult run_simulation(const Config& config);
 
-/// Same, but reusing `context`'s platform and buffers across calls --
+/// Same, but reusing `context`'s buffers across calls --
 /// the fast path for parameter sweeps (see exec::BatchRunner).
 RunResult run_simulation(const Config& config, RunContext& context);
 

@@ -1,11 +1,11 @@
 #include "mw/simulation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -125,9 +125,10 @@ class IndexQueue {
 /// and the master strictly alternate, so there is never a second).
 struct Worker {
   simx::ActorClock clock;
-  const simx::Host* host = nullptr;
-  SimTime request_delay = 0.0;  ///< route cost worker -> master
-  SimTime reply_delay = 0.0;    ///< route cost master -> worker
+  double speed = 0.0;  ///< host_speed * its factor [flops/s]
+  /// Its entry of the run's Config::worker_speed_profiles, which
+  /// overrides `speed`; null when the Config has no profiles.
+  const simx::SpeedProfile* profile = nullptr;
   SimTime failure_time = kNever;
   /// Start of the communicating phase of the blocking send in progress
   /// (the chunk's finish time for the fused execute + request), or
@@ -145,46 +146,22 @@ struct Worker {
   RangeList last_served;
 
   /// Ready for a new run; keeps last_served's capacity.
-  void reset(const simx::Host& on, SimTime to_master, SimTime from_master, SimTime fails_at) {
+  void reset(double at_speed, const simx::SpeedProfile* follows, SimTime fails_at) {
     RangeList served = std::move(last_served);
     served.clear();
     *this = Worker{};
     last_served = std::move(served);
-    host = &on;
-    request_delay = to_master;
-    reply_delay = from_master;
+    speed = at_speed;
+    profile = follows;
     failure_time = fails_at;
-  }
-};
-
-/// What the platform of a cached context was built from; runs with an
-/// equal shape reuse the platform (its hosts/links/routes) outright.
-struct PlatformShape {
-  std::size_t workers = 0;
-  double host_speed = 0.0;
-  double bandwidth = 0.0;
-  double latency = 0.0;
-  std::vector<double> factors;
-  std::vector<simx::SpeedProfile> profiles;
-
-  /// Allocation-free equality against a Config (the cache-hit test
-  /// must not copy the Config's vectors just to compare them).
-  [[nodiscard]] bool matches(const Config& config) const {
-    return workers == config.workers && host_speed == config.host_speed &&
-           bandwidth == config.bandwidth && latency == config.latency &&
-           factors == config.worker_speed_factors &&
-           profiles == config.worker_speed_profiles;
   }
 };
 
 }  // namespace
 
 /// All reusable run state.  Vectors are assign()ed/clear()ed per run so
-/// their capacity survives; the platform survives whole when its shape
-/// matches.
+/// their capacity survives.
 struct RunContext::Impl {
-  std::optional<simx::Platform> platform;
-  PlatformShape shape;
   simx::CalendarQueue events;
   std::vector<Worker> workers;
 
@@ -242,7 +219,8 @@ class Loop {
   Loop(const Config& cfg, dls::Technique& tech, workload::RandomSource& rng,
        RunContext::Impl& buf)
       : cfg_(cfg), tech_(tech), rng_(rng), buf_(buf), workers_(buf.workers),
-        alive_(buf.workers.size()) {}
+        request_delay_(message_delay(cfg, cfg.request_bytes)),
+        reply_delay_(message_delay(cfg, cfg.reply_bytes)), alive_(buf.workers.size()) {}
 
   /// Run to completion; returns the makespan.  The master starts first,
   /// then the workers in index order, each sending its first request.
@@ -324,11 +302,11 @@ class Loop {
 
   // ------------------------------------------------------------ worker
 
-  /// Send workers_[w].request: blocking for the route's delay, then on
+  /// Send workers_[w].request: blocking for the request delay, then on
   /// to the reply wait (or, for a fail-stop announcement, to the end).
   void worker_send(std::size_t w) {
     Worker& wk = workers_[w];
-    const SimTime at = now_ + wk.request_delay;
+    const SimTime at = now_ + request_delay_;
     if (at <= now_) {
       push(at, kRequestDelivery, w);
       after_send(w);
@@ -379,7 +357,7 @@ class Loop {
         return;
       }
       // Nominal seconds are defined against the reference speed; the
-      // host's own (possibly slower/faster, possibly time-varying) speed
+      // worker's own (possibly slower/faster, possibly time-varying) speed
       // determines the actual duration.
       const double flops = reply.work_seconds * cfg_.host_speed;
       const SimTime t0 = now_;
@@ -390,13 +368,16 @@ class Loop {
       }
       SimTime finish_at = kNever;
       try {
-        finish_at = wk.host->finish_time(t0, flops);
-      } catch (const std::runtime_error&) {
-        // The host's remaining capacity is zero forever.  With a finite
-        // fail-stop time the chunk is simply lost at that instant (the
-        // failure lands inside the stopped window); without one the
+        finish_at = wk.profile != nullptr ? simx::finish_time(*wk.profile, t0, flops)
+                                          : simx::finish_time(wk.speed, t0, flops);
+      } catch (const std::runtime_error& e) {
+        // The worker's remaining capacity is zero forever.  With a
+        // finite fail-stop time the chunk is simply lost at that instant
+        // (the failure lands inside the stopped window); without one the
         // configuration really is unrunnable.
-        if (wk.failure_time == kNever) throw;
+        if (wk.failure_time == kNever) {
+          throw std::runtime_error("worker" + std::to_string(w) + ": " + e.what());
+        }
       }
       if (finish_at > wk.failure_time) {
         // Dies mid-chunk: burn until the failure instant (the partial
@@ -416,7 +397,7 @@ class Loop {
       // event: computing until finish_at, communicating from there to
       // the request's arrival.
       wk.request = WorkRequest{reply.count, finish_at - t0, false, 0};
-      const SimTime at = finish_at + wk.request_delay;
+      const SimTime at = finish_at + request_delay_;
       if (at <= now_) {
         push(now_, kRequestDelivery, w);
         after_send(w);
@@ -606,7 +587,7 @@ class Loop {
     }
     wk.reply = WorkReply{seconds, chunk};
     // Overhead compute, then the reply as a blocking send, on one event.
-    const SimTime at = issue_at + wk.reply_delay;
+    const SimTime at = issue_at + reply_delay_;
     if (at <= now_) {
       push(now_, kReplyDelivery, w);
       return false;
@@ -623,7 +604,7 @@ class Loop {
     wk.finalized = true;
     ++finalized_count_;
     wk.reply = WorkReply{};
-    const SimTime at = now_ + wk.reply_delay;
+    const SimTime at = now_ + reply_delay_;
     if (at <= now_) {
       push(at, kReplyDelivery, w);
       return false;
@@ -656,6 +637,10 @@ class Loop {
   workload::RandomSource& rng_;
   RunContext::Impl& buf_;
   std::vector<Worker>& workers_;
+  /// Every worker's link of the star is the same, so each direction
+  /// costs one delay for the whole run.
+  const SimTime request_delay_;  ///< worker -> master
+  const SimTime reply_delay_;    ///< master -> worker
 
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
@@ -680,17 +665,23 @@ class Loop {
   std::size_t tasks_reclaimed_ = 0;
 };
 
+bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
+
 void validate(const Config& cfg) {
   if (cfg.workers == 0) throw std::invalid_argument("Config.workers must be >= 1");
   if (cfg.tasks == 0) throw std::invalid_argument("Config.tasks must be >= 1");
   if (cfg.timesteps == 0) throw std::invalid_argument("Config.timesteps must be >= 1");
   if (!cfg.workload) throw std::invalid_argument("Config.workload is not set");
-  if (!(cfg.host_speed > 0.0)) throw std::invalid_argument("Config.host_speed must be > 0");
+  if (!positive_finite(cfg.host_speed)) {
+    throw std::invalid_argument("Config.host_speed must be finite and > 0");
+  }
   if (!cfg.worker_speed_factors.empty() && cfg.worker_speed_factors.size() != cfg.workers) {
     throw std::invalid_argument("Config.worker_speed_factors size must equal workers");
   }
   for (double f : cfg.worker_speed_factors) {
-    if (!(f > 0.0)) throw std::invalid_argument("worker speed factors must be > 0");
+    if (!(f > 0.0) || !positive_finite(cfg.host_speed * f)) {
+      throw std::invalid_argument("worker speeds (host_speed * factor) must be finite and > 0");
+    }
   }
   if (!cfg.worker_speed_profiles.empty() && cfg.worker_speed_profiles.size() != cfg.workers) {
     throw std::invalid_argument("Config.worker_speed_profiles size must equal workers");
@@ -702,6 +693,11 @@ void validate(const Config& cfg) {
   for (double t : cfg.worker_failure_times) {
     if (!(t >= 0.0)) throw std::invalid_argument("worker failure times must be >= 0");
   }
+  if (!(cfg.latency >= 0.0) || !std::isfinite(cfg.latency)) {
+    throw std::invalid_argument("Config.latency must be finite and >= 0");
+  }
+  // +inf is legal: messages then cost only the latency.
+  if (!(cfg.bandwidth > 0.0)) throw std::invalid_argument("Config.bandwidth must be > 0");
 }
 
 }  // namespace
@@ -711,28 +707,12 @@ RunResult run_simulation(const Config& config, RunContext& context) {
   RunContext::Impl& buf = *context.impl_;
   const std::size_t p = config.workers;
 
-  if (!buf.platform.has_value() || !buf.shape.matches(config)) {
-    buf.platform.reset();
-    buf.platform.emplace(simx::make_star_platform(p, config.host_speed, config.bandwidth,
-                                                  config.latency, config.worker_speed_factors,
-                                                  config.worker_speed_profiles));
-    buf.shape = PlatformShape{p,
-                              config.host_speed,
-                              config.bandwidth,
-                              config.latency,
-                              config.worker_speed_factors,
-                              config.worker_speed_profiles};
-  }
-  const simx::Platform& plat = *buf.platform;
-  const simx::Host& master_host = plat.host_at(0);
-
-  // Per-worker route costs, computed once per run instead of per chunk.
   buf.workers.resize(p);
   for (std::size_t i = 0; i < p; ++i) {
-    const simx::Host& worker_host = plat.host_at(i + 1);
     buf.workers[i].reset(
-        worker_host, plat.comm_time(worker_host, master_host, config.request_bytes),
-        plat.comm_time(master_host, worker_host, config.reply_bytes),
+        config.worker_speed_factors.empty() ? config.host_speed
+                                            : config.host_speed * config.worker_speed_factors[i],
+        config.worker_speed_profiles.empty() ? nullptr : &config.worker_speed_profiles[i],
         config.worker_failure_times.empty() ? kNever : config.worker_failure_times[i]);
   }
 

@@ -3,7 +3,7 @@
 #include <array>
 #include <cstddef>
 
-#include "simx/platform.hpp"
+#include "simx/speed_profile.hpp"
 
 namespace simx {
 

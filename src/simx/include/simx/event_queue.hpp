@@ -7,7 +7,7 @@
 #include <limits>
 #include <vector>
 
-#include "simx/platform.hpp"
+#include "simx/speed_profile.hpp"
 
 namespace simx {
 

@@ -134,6 +134,8 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
   bool have_sigma = false;
   std::map<std::size_t, simx::SpeedProfile> profiles;  // worker index -> profile
   std::map<std::size_t, std::size_t> profile_lines;    // worker index -> line number
+  std::size_t speeds_no = 0;  // the 'speeds' line, checked against host_speed at the end
+  std::string speeds_text;
 
   std::istringstream is{std::string(text)};
   std::string raw;
@@ -217,6 +219,8 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
     } else if (key == "speeds") {
       cfg.worker_speed_factors =
           to_double_list(value, line, positive_finite, "speeds entries must be finite and > 0");
+      speeds_no = line_no;
+      speeds_text = raw;
     } else if (key == "weights") {
       cfg.params.weights =
           to_double_list(value, line, positive_finite, "weights entries must be finite and > 0");
@@ -273,6 +277,13 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
     throw std::invalid_argument("experiment: 'failures' needs one entry per worker (got " +
                                 std::to_string(cfg.worker_failure_times.size()) + ", workers " +
                                 std::to_string(cfg.workers) + ")");
+  }
+  for (const double factor : cfg.worker_speed_factors) {
+    if (!positive_finite(cfg.host_speed * factor)) {
+      parse_error(LineRef{speeds_no, &speeds_text},
+                  "host_speed * speeds entry " + support::fmt_shortest(factor) +
+                      " must be finite and > 0");
+    }
   }
   if (!cfg.params.weights.empty() && cfg.params.weights.size() != cfg.workers) {
     throw std::invalid_argument("experiment: 'weights' needs one entry per worker (got " +

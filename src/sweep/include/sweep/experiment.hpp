@@ -11,8 +11,9 @@ namespace sweep {
 
 /// Textual experiment description -- all three columns of paper
 /// Figure 2: application, system and execution information.  The
-/// system keys describe the star platform of Figure 1 (the extensions
-/// below); there is no separate platform file.  examples/*.sweep walk
+/// system keys describe the star of Figure 1 -- the worker speeds and
+/// the one link every worker has (the extensions below); there is no
+/// separate platform file.  examples/*.sweep walk
 /// through it.  Format (one `key value` pair per line, '#' comments):
 ///
 ///   technique FAC2            # STAT SS CSS FSC GSS TSS FAC FAC2 BOLD ...
@@ -55,6 +56,7 @@ namespace sweep {
 ///
 /// `speeds`/`weights`/`failures` need one comma-separated entry per
 /// worker; every `speeds` and `weights` entry must be finite and > 0,
+/// and so must host_speed * each `speeds` entry (the worker's speed);
 /// every `failures` entry >= 0 (`inf` = never fails).  A `profile<i>`
 /// line gives worker i a piecewise-constant absolute speed
 /// (simx::SpeedProfile); workers without a profile line keep their

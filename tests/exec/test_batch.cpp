@@ -299,16 +299,16 @@ TEST(BatchRunner, MixedBackendJobsRunSideBySide) {
   for (const double v : a[2].makespan_values) EXPECT_GE(v, 0.0);
 }
 
-TEST(BatchRunner, MixedPlatformShapesReuseContextsSafely) {
-  // Alternating worker counts force the per-thread contexts to rebuild
-  // engines mid-batch; results must still match isolated runs.
+TEST(BatchRunner, MixedWorkerCountsReuseContextsSafely) {
+  // Alternating worker counts resize the per-thread contexts' worker
+  // state mid-batch; results must still match isolated runs.
   const exec::BatchJob jobs[] = {
       make_job(Kind::kFAC2, 2, 128, 3),
       make_job(Kind::kFAC2, 8, 128, 3),
       make_job(Kind::kFAC2, 2, 128, 3),
   };
   exec::BatchRunner::Options options;
-  options.threads = 1;  // one thread -> one context sees every shape
+  options.threads = 1;  // one thread -> one context sees every worker count
   options.keep_values = true;
   const auto results = exec::BatchRunner(options).run(jobs);
   EXPECT_EQ(results[0].makespan_values, results[2].makespan_values);

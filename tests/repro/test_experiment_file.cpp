@@ -512,6 +512,23 @@ TEST(DlsSim, NumbersEqualTheSweepRecord) {
       "--backend hagerup");
 }
 
+TEST(DlsSim, OverflowingWorkerSpeedIsAUsageError) {
+  // host_speed * factor overflows to inf (or underflows to 0): this once
+  // parsed, then failed as a run error.  Either line order names the
+  // 'speeds' line and exits 2.
+  const std::string base = "technique SS\ntasks 8\nworkers 2\nworkload constant:1\n";
+  for (const std::string lines : {"host_speed 1e300\nspeeds 1e300,1\n",
+                                  "speeds 1e300,1\nhost_speed 1e300\n",
+                                  "host_speed 1e-300\nspeeds 1,1e-300\n"}) {
+    const Outcome run = run_sim(base + lines);
+    EXPECT_EQ(run.exit_code, 2) << lines << run.output;
+    EXPECT_NE(run.output.find("('speeds "), std::string::npos) << run.output;
+  }
+  // A finite product near the limit still runs.
+  const Outcome edge = run_sim(base + "host_speed 1e300\nspeeds 1e8,1\n");
+  EXPECT_EQ(edge.exit_code, 0) << edge.output;
+}
+
 // ---------------------------------------------------------------------------
 // dls_chunks as a process: its flags obey the spec's rules for the same
 // keys.

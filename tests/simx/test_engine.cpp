@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "mw/simulation.hpp"
-#include "simx/platform.hpp"
+#include "simx/speed_profile.hpp"
 #include "workload/task_times.hpp"
 
 namespace {

@@ -1,6 +1,6 @@
 // Steady-state allocation accounting for the master-worker reuse path:
-// after a warm-up replica, re-running the same configuration through a
-// reused mw::RunContext must not allocate per chunk or per message.
+// after a warm-up replica, re-running a configuration through a reused
+// mw::RunContext must not allocate per chunk, per message or per worker.
 // The test overrides global operator new/delete (this binary only) and
 // counts.
 //
@@ -86,8 +86,7 @@ TEST(SteadyStateAlloc, ReusedRunContextDoesNotAllocatePerChunk) {
   mw::RunContext context;
   std::size_t chunks = 0;
 
-  // Warm-up: the platform, the event queue's geometry and every
-  // buffer grow.
+  // Warm-up: the event queue's geometry and every buffer grow.
   (void)replica(cfg, context, chunks);
   ASSERT_EQ(chunks, kChunks);
 
@@ -100,6 +99,39 @@ TEST(SteadyStateAlloc, ReusedRunContextDoesNotAllocatePerChunk) {
     EXPECT_EQ(chunks, kChunks);
     if (DLS_COUNT_ALLOCS) {
       EXPECT_LE(allocs, 8u) << "lap " << lap;
+    }
+  }
+}
+
+TEST(SteadyStateAlloc, ChangingTheNetworkDoesNotAllocatePerWorker) {
+  // Replicas on one context at P = 1024, each at another latency than
+  // the one before: the star is read from each Config, so no worker is
+  // rebuilt on the heap and the bound above holds at any P.
+  mw::Config cfg = ping_pong();
+  cfg.workers = 1024;
+  cfg.tasks = 4096;
+  const double latencies[] = {2e-6, 3e-6, 4e-6};
+  mw::RunContext context;
+  std::size_t chunks = 0;
+
+  // Warm-up: at this P the event queue's buckets settle their
+  // capacities only once its width has adapted, so take two passes.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const double latency : latencies) {
+      cfg.latency = latency;
+      (void)replica(cfg, context, chunks);
+    }
+  }
+  ASSERT_EQ(chunks, cfg.tasks);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const double latency : latencies) {
+      cfg.latency = latency;
+      const std::size_t allocs = replica(cfg, context, chunks);
+      EXPECT_EQ(chunks, cfg.tasks);
+      if (DLS_COUNT_ALLOCS) {
+        EXPECT_LE(allocs, 8u) << "pass " << pass << ", latency " << latency;
+      }
     }
   }
 }

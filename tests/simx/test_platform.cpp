@@ -1,62 +1,62 @@
+// The star's two ingredients: how long work takes on a PE (simx's free
+// finish_time over a constant speed or a SpeedProfile), and which
+// speeds and network values mw accepts for its workers and links.
+
 #include <gtest/gtest.h>
 
-#include <initializer_list>
 #include <limits>
-#include <utility>
+#include <stdexcept>
 #include <vector>
 
-#include "simx/platform.hpp"
+#include "mw/simulation.hpp"
+#include "simx/speed_profile.hpp"
+#include "workload/task_times.hpp"
 
 namespace {
 
-using simx::Host;
-using simx::Platform;
 using simx::SpeedProfile;
 
-TEST(Host, ConstantSpeedFinishTime) {
-  Host h(1e9, 0);
-  EXPECT_DOUBLE_EQ(h.finish_time(0.0, 2e9), 2.0);
-  EXPECT_DOUBLE_EQ(h.finish_time(5.0, 5e8), 5.5);
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(FinishTime, ConstantSpeed) {
+  EXPECT_DOUBLE_EQ(simx::finish_time(1e9, 0.0, 2e9), 2.0);
+  EXPECT_DOUBLE_EQ(simx::finish_time(1e9, 5.0, 5e8), 5.5);
+  // A one-segment profile is the same constant speed.
+  EXPECT_DOUBLE_EQ(simx::finish_time(SpeedProfile{{0.0}, {1e9}}, 5.0, 5e8), 5.5);
 }
 
-TEST(Host, ZeroFlopsFinishImmediately) {
-  Host h(1e9, 0);
-  EXPECT_DOUBLE_EQ(h.finish_time(3.0, 0.0), 3.0);
+TEST(FinishTime, ZeroFlopsFinishImmediately) {
+  EXPECT_DOUBLE_EQ(simx::finish_time(1e9, 3.0, 0.0), 3.0);
+  EXPECT_DOUBLE_EQ(simx::finish_time(SpeedProfile{{0.0}, {1e9}}, 3.0, 0.0), 3.0);
+  // Even on a PE stopped forever.
+  EXPECT_DOUBLE_EQ(simx::finish_time(SpeedProfile{{0.0}, {0.0}}, 3.0, 0.0), 3.0);
 }
 
-TEST(Host, RejectsNonPositiveSpeed) {
-  for (const double speed : {0.0, -1.0, std::numeric_limits<double>::infinity(),
-                             std::numeric_limits<double>::quiet_NaN()}) {
-    EXPECT_THROW(Host(speed, 0), std::invalid_argument) << speed;
-  }
-}
-
-TEST(Host, ProfileSlowdownMidWork) {
-  Host h(1e9, 0);
+TEST(FinishTime, ProfileSlowdownMidWork) {
   // Full speed until t=1, half speed afterwards.
-  h.set_speed_profile(SpeedProfile{{0.0, 1.0}, {1e9, 5e8}});
+  const SpeedProfile profile{{0.0, 1.0}, {1e9, 5e8}};
   // 2e9 flops from t=0: 1e9 done by t=1, remaining 1e9 at 5e8/s -> +2s.
-  EXPECT_DOUBLE_EQ(h.finish_time(0.0, 2e9), 3.0);
+  EXPECT_DOUBLE_EQ(simx::finish_time(profile, 0.0, 2e9), 3.0);
 }
 
-TEST(Host, ProfileStoppedSegmentPausesWork) {
-  Host h(1e9, 0);
+TEST(FinishTime, ProfileStoppedSegmentPausesWork) {
   // Stopped between t=1 and t=2 (a failure/perturbation window).
-  h.set_speed_profile(SpeedProfile{{0.0, 1.0, 2.0}, {1e9, 0.0, 1e9}});
-  EXPECT_DOUBLE_EQ(h.finish_time(0.0, 1.5e9), 2.5);
+  const SpeedProfile profile{{0.0, 1.0, 2.0}, {1e9, 0.0, 1e9}};
+  EXPECT_DOUBLE_EQ(simx::finish_time(profile, 0.0, 1.5e9), 2.5);
 }
 
-TEST(Host, ProfileStartMidSegment) {
-  Host h(1e9, 0);
-  h.set_speed_profile(SpeedProfile{{0.0, 10.0}, {1e9, 2e9}});
+TEST(FinishTime, ProfileStartMidSegment) {
+  const SpeedProfile profile{{0.0, 10.0}, {1e9, 2e9}};
   // Start at t=9.5: 0.5s at 1e9 then the rest at 2e9.
-  EXPECT_DOUBLE_EQ(h.finish_time(9.5, 1.5e9), 10.5);
+  EXPECT_DOUBLE_EQ(simx::finish_time(profile, 9.5, 1.5e9), 10.5);
 }
 
-TEST(Host, ForeverStoppedThrows) {
-  Host h(1e9, 0);
-  h.set_speed_profile(SpeedProfile{{0.0, 1.0}, {1e9, 0.0}});
-  EXPECT_THROW((void)h.finish_time(2.0, 1.0), std::runtime_error);
+TEST(FinishTime, ForeverStoppedThrows) {
+  EXPECT_THROW((void)simx::finish_time(SpeedProfile{{0.0, 1.0}, {1e9, 0.0}}, 2.0, 1.0),
+               std::runtime_error);
+  EXPECT_THROW((void)simx::finish_time(SpeedProfile{{0.0}, {0.0}}, 0.0, 1.0),
+               std::runtime_error);
 }
 
 TEST(SpeedProfile, ValidatesInvariants) {
@@ -67,101 +67,52 @@ TEST(SpeedProfile, ValidatesInvariants) {
   EXPECT_NO_THROW((SpeedProfile{{0.0, 1.0}, {1e9, 0.0}}.validate()));
 }
 
-/// Hosts 0 and 1 joined by one route over `links` (bandwidth, latency).
-Platform two_hosts(std::initializer_list<std::pair<double, double>> links) {
-  Platform p;
-  p.add_host(1e9);
-  p.add_host(1e9);
-  std::vector<std::size_t> route;
-  for (const auto& [bandwidth, latency] : links) route.push_back(p.add_link(bandwidth, latency));
-  p.add_route(0, 1, route);
-  return p;
+/// A two-worker run on mw's defaults (a valid Config).
+mw::Config two_workers() {
+  mw::Config cfg;
+  cfg.workers = 2;
+  cfg.tasks = 4;
+  cfg.workload = workload::constant(1.0);
+  return cfg;
 }
 
-TEST(Platform, RouteCostIsLatencyPlusTransfer) {
-  const Platform p = two_hosts({{/*bandwidth=*/1e6, /*latency=*/0.001}});
-  // 1000 bytes at 1e6 B/s = 1 ms, plus 1 ms latency.
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host_at(0), p.host_at(1), 1000), 0.002);
-  // Symmetric.
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host_at(1), p.host_at(0), 1000), 0.002);
-}
-
-TEST(Platform, MultiLinkRouteSumsLatencyMinsBandwidth) {
-  const Platform p = two_hosts({{1e6, 0.001}, {5e5, 0.002}});
-  // latency 3 ms; bottleneck bandwidth 5e5 -> 1000 B = 2 ms.
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host_at(0), p.host_at(1), 1000), 0.005);
-}
-
-TEST(Platform, InfiniteBandwidthCostsOnlyLatency) {
-  const Platform p = two_hosts({{std::numeric_limits<double>::infinity(), 0.001}});
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host_at(0), p.host_at(1), 1 << 20), 0.001);
-}
-
-TEST(Platform, HostIndicesFollowInsertionOrder) {
-  Platform p;
-  EXPECT_EQ(p.add_host(1e9).index(), 0u);
-  EXPECT_EQ(p.add_host(2e9).index(), 1u);
-  EXPECT_EQ(p.add_link(1e6, 0.0), 0u);
-  EXPECT_EQ(p.add_link(1e6, 0.0), 1u);
-  EXPECT_DOUBLE_EQ(p.host_at(1).speed(), 2e9);
-}
-
-TEST(Platform, SameHostIsFree) {
-  Platform p;
-  const Host& a = p.add_host(1e9);
-  EXPECT_DOUBLE_EQ(p.comm_time(a, a, 1 << 20), 0.0);
-}
-
-TEST(Platform, MissingRouteThrows) {
-  Platform p;
-  const Host& a = p.add_host(1e9);
-  const Host& b = p.add_host(1e9);
-  EXPECT_THROW((void)p.comm_time(a, b, 1), std::runtime_error);
-}
-
-TEST(Platform, RejectsBadLinkValues) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  Platform p;
-  for (const double bandwidth : {0.0, -1.0, kNaN}) {
-    EXPECT_THROW((void)p.add_link(bandwidth, 0.0), std::invalid_argument) << bandwidth;
+TEST(StarConfig, RejectsBadWorkerSpeeds) {
+  for (const double speed : {0.0, -1.0, kInf, kNaN}) {
+    mw::Config cfg = two_workers();
+    cfg.host_speed = speed;
+    EXPECT_THROW((void)mw::run_simulation(cfg), std::invalid_argument) << speed;
   }
+  // host_speed * factor must itself be a finite speed > 0.
+  for (const double factor : {1e300, kInf, kNaN, 0.0}) {
+    mw::Config cfg = two_workers();
+    cfg.worker_speed_factors = {1.0, factor};
+    EXPECT_THROW((void)mw::run_simulation(cfg), std::invalid_argument) << factor;
+  }
+  mw::Config underflow = two_workers();
+  underflow.host_speed = 1e-300;
+  underflow.worker_speed_factors = {1.0, 1e-300};
+  EXPECT_THROW((void)mw::run_simulation(underflow), std::invalid_argument);
+  mw::Config wrong_size = two_workers();
+  wrong_size.worker_speed_factors = {1.0, 0.5, 2.0};
+  EXPECT_THROW((void)mw::run_simulation(wrong_size), std::invalid_argument);
+}
+
+TEST(StarConfig, RejectsBadLinkValues) {
   for (const double latency : {-1.0, kInf, kNaN}) {
-    EXPECT_THROW((void)p.add_link(1e6, latency), std::invalid_argument) << latency;
+    mw::Config cfg = two_workers();
+    cfg.latency = latency;
+    EXPECT_THROW((void)mw::run_simulation(cfg), std::invalid_argument) << latency;
   }
-  EXPECT_EQ(p.link_count(), 0u);
-}
-
-TEST(Platform, RouteIndicesOutOfRangeThrow) {
-  Platform p;
-  p.add_host(1e9);
-  p.add_host(1e9);
-  const std::size_t link = p.add_link(1e6, 0.0);
-  const std::size_t ghost = link + 1;
-  EXPECT_THROW(p.add_route(0, 2, {&link, 1}), std::invalid_argument);
-  EXPECT_THROW(p.add_route(0, 1, {&ghost, 1}), std::invalid_argument);
-  EXPECT_THROW(p.add_route(0, 1, {}), std::invalid_argument);
-}
-
-TEST(Platform, StarBuilderShape) {
-  const Platform p = simx::make_star_platform(4, 1e9, 1e9, 1e-6);
-  EXPECT_EQ(p.host_count(), 5u);
-  EXPECT_EQ(p.link_count(), 4u);
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host_at(0), p.host_at(4), 0), 1e-6);
-  // Workers reach each other only through the master.
-  EXPECT_THROW((void)p.comm_time(p.host_at(1), p.host_at(2), 0), std::runtime_error);
-}
-
-TEST(Platform, StarBuilderAppliesPerWorkerSpeeds) {
-  const std::vector<double> factors{1.0, 0.5};
-  const std::vector<SpeedProfile> profiles{SpeedProfile{{0.0}, {1e9}},
-                                           SpeedProfile{{0.0, 1.0}, {3e9, 0.0}}};
-  const Platform p = simx::make_star_platform(2, 2e9, 1e9, 1e-6, factors);
-  EXPECT_DOUBLE_EQ(p.host_at(0).speed(), 2e9);
-  EXPECT_DOUBLE_EQ(p.host_at(2).speed(), 1e9);
-  const Platform profiled = simx::make_star_platform(2, 2e9, 1e9, 1e-6, factors, profiles);
-  EXPECT_EQ(profiled.host_at(2).profile(), profiles[1]);
-  EXPECT_THROW((void)simx::make_star_platform(3, 2e9, 1e9, 1e-6, factors), std::invalid_argument);
+  for (const double bandwidth : {0.0, -1.0, kNaN}) {
+    mw::Config cfg = two_workers();
+    cfg.bandwidth = bandwidth;
+    EXPECT_THROW((void)mw::run_simulation(cfg), std::invalid_argument) << bandwidth;
+  }
+  // The limits themselves run: zero latency over infinite bandwidth.
+  mw::Config free = two_workers();
+  free.latency = 0.0;
+  free.bandwidth = kInf;
+  EXPECT_DOUBLE_EQ(mw::run_simulation(free).makespan, 2.0);
 }
 
 }  // namespace

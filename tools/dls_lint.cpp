@@ -12,8 +12,8 @@
 //   bare-mutex            threaded subsystems use the annotated
 //                         support::Mutex wrappers, not std primitives
 //   map-in-hot-path       event-core and direct-simulator code
-//                         (simx/mw/hagerup) uses the indexed platform
-//                         tables and flat vectors, not node-based std maps
+//                         (simx/mw/hagerup) uses flat vectors, not
+//                         node-based std maps
 //   callerless-api        a namespace-scope function declared in a public
 //                         header (src/*/include/) is named somewhere
 //                         outside tests/ besides its own declaration and
@@ -81,8 +81,7 @@ const std::map<std::string, std::string>& rule_catalog() {
        "not bare std primitives"},
       {"map-in-hot-path",
        "event-core and direct-simulator code (simx/mw/hagerup) must not walk node-based "
-       "maps or hash strings per lookup in steady state; use the indexed platform tables "
-       "and flat vectors"},
+       "maps or hash strings per lookup in steady state; use flat vectors"},
       {"callerless-api",
        "a namespace-scope function declared in a public header (src/*/include/) needs a "
        "caller outside tests/; delete it, or allow-comment why it stays"},
@@ -432,7 +431,7 @@ void check(const std::string& path, const ScannedFile& scanned, std::vector<Find
     if (scope.hot_map && kNodeMaps.count(id) != 0 && std_qualified) {
       report(tokens[i], "map-in-hot-path",
              "'std::" + id + "' in event-core code walks nodes or hashes keys per "
-             "lookup; use the indexed platform tables or a flat vector");
+             "lookup; use a flat vector");
     }
   }
 
