@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "pool/executor.hpp"
 #include "stats/summary.hpp"
@@ -37,7 +36,7 @@ double mean_wasted(dls::Kind kind, double latency, double bandwidth, std::size_t
         cfg.latency = latency;
         cfg.bandwidth = bandwidth;
         cfg.seed = 777 + 97 * i;
-        values[i] = mw::compute_metrics(mw::run_simulation(cfg), cfg).avg_wasted_time;
+        values[i] = mw::run_simulation(cfg).avg_wasted_time;
       },
       threads);
   return stats::summarize(values).mean;

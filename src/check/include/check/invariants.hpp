@@ -51,10 +51,11 @@ struct Failure {
 [[nodiscard]] std::optional<std::string> check_makespan_bounds(const Scenario& scenario,
                                                                const exec::BackendRun& run);
 
-/// "metrics_identity": mw runs -- the derived Metrics are recomputable:
-/// speedup * makespan = total work, slowness = p / speedup, avg wasted
-/// time and cov re-derive from the per-worker stats, and (failure-free)
-/// per-worker served tasks re-derive from the chunk log.
+/// "metrics_identity": virtual-time runs -- the measured values are
+/// recomputable: chunks and makespan match the run, speedup * makespan
+/// = total work, the avg wasted time re-derives from the per-worker
+/// stats, and (failure-free) per-worker served tasks and chunks
+/// re-derive from the chunk log.
 [[nodiscard]] std::optional<std::string> check_metrics_identity(const Scenario& scenario,
                                                                 const exec::BackendRun& run);
 
@@ -68,8 +69,8 @@ struct Failure {
                                                              const exec::BackendRun& mw_run,
                                                              const exec::BackendRun& hagerup_run);
 
-/// "mw_determinism": the same scenario re-run through a fresh context
-/// and through a reused RunContext produces a bitwise-identical
+/// "mw_determinism": the same scenario re-run on a fresh mw backend
+/// and again on that reused backend produces a bitwise-identical
 /// makespan and chunk log.  Runs the simulation twice.
 [[nodiscard]] std::optional<std::string> check_mw_determinism(const Scenario& scenario,
                                                               const exec::BackendRun& mw_run);

@@ -239,43 +239,31 @@ std::optional<std::string> check_makespan_bounds(const Scenario& scenario,
 
 std::optional<std::string> check_metrics_identity(const Scenario& scenario,
                                                   const exec::BackendRun& run) {
-  if (!run.metrics.has_value()) return std::nullopt;
-  const mw::Metrics& m = *run.metrics;
+  if (!run.virtual_time) return std::nullopt;
+  const exec::Measured& m = run.measured;
   const mw::Config& cfg = scenario.config;
-  const double p = static_cast<double>(run.workers);
 
-  if (m.chunks != run.chunk_count) {
-    return "metrics chunks " + std::to_string(m.chunks) + " != chunk_count " +
+  if (m.chunks != static_cast<double>(run.chunk_count)) {
+    return "measured chunks " + fmt(m.chunks) + " != chunk_count " +
            std::to_string(run.chunk_count);
+  }
+  if (m.makespan != run.makespan) {
+    return "measured makespan " + fmt(m.makespan) + " != run makespan " + fmt(run.makespan);
   }
   if (run.makespan > 0.0 && !close(m.speedup * run.makespan, run.total_nominal_work)) {
     return "speedup * makespan = " + fmt(m.speedup * run.makespan) + " != total work " +
            fmt(run.total_nominal_work);
   }
-  if (run.total_nominal_work > 0.0 && m.speedup > 0.0 && !close(m.slowness, p / m.speedup)) {
-    return "slowness " + fmt(m.slowness) + " != p / speedup = " + fmt(p / m.speedup);
-  }
 
   double wasted = 0.0;
-  double compute_sum = 0.0;
-  for (const mw::WorkerStats& w : run.worker_stats) {
-    wasted += run.makespan - w.compute_time;
-    compute_sum += w.compute_time;
-  }
-  if (cfg.overhead_mode == mw::OverheadMode::kAnalytic) {
+  for (const mw::WorkerStats& w : run.worker_stats) wasted += run.makespan - w.compute_time;
+  // bbn charges its dispatch cost on the timeline instead of adding h.
+  if (run.backend != "bbn" && cfg.overhead_mode == mw::OverheadMode::kAnalytic) {
     wasted += cfg.params.h * static_cast<double>(run.chunk_count);
   }
+  const double p = static_cast<double>(run.workers);
   if (!close(m.avg_wasted_time, wasted / p)) {
     return "avg wasted time " + fmt(m.avg_wasted_time) + " != recomputed " + fmt(wasted / p);
-  }
-  if (compute_sum > 0.0) {
-    const double mean = compute_sum / p;
-    double sq = 0.0;
-    for (const mw::WorkerStats& w : run.worker_stats) {
-      sq += (w.compute_time - mean) * (w.compute_time - mean);
-    }
-    const double cov = std::sqrt(sq / p) / mean;
-    if (!close(m.cov, cov)) return "cov " + fmt(m.cov) + " != recomputed " + fmt(cov);
   }
 
   if (!any_failure(run)) {
@@ -333,13 +321,11 @@ std::optional<std::string> check_cross_backend(const Scenario& scenario,
 
 std::optional<std::string> check_mw_determinism(const Scenario& scenario,
                                                 const exec::BackendRun& mw_run) {
-  mw::Config config = scenario.config;
-  config.record_chunk_log = true;
-  mw::RunContext context;
-  // Prime the context with a run, then re-run reusing its cached
+  // Prime a backend with a run, then re-run reusing its cached
   // engine/buffers: both must reproduce `mw_run` bitwise.
-  (void)mw::run_simulation(config, context);
-  const exec::BackendRun reused = exec::from_mw(config, mw::run_simulation(config, context));
+  const std::unique_ptr<exec::Backend> backend = exec::make_backend("mw");
+  (void)backend->run(scenario.config);
+  const exec::BackendRun reused = backend->run(scenario.config);
   if (reused.makespan != mw_run.makespan) {
     return "makespan differs across RunContext reuse: " + fmt(mw_run.makespan) + " vs " +
            fmt(reused.makespan);

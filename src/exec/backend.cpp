@@ -1,7 +1,6 @@
 #include "exec/backend.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -64,6 +63,30 @@ bool params_equal(const dls::Params& a, const dls::Params& b) {
 // reference backend: full Config space, paper metrics.
 // ---------------------------------------------------------------------------
 
+Measured measured(const mw::RunResult& result) {
+  Measured m{result.makespan, result.avg_wasted_time, 0.0,
+             static_cast<double>(result.chunk_count)};
+  if (result.makespan > 0.0) m.speedup = result.total_nominal_work / result.makespan;
+  return m;
+}
+
+BackendRun from_mw(const mw::Config& config, mw::RunResult result) {
+  BackendRun run;
+  run.backend = "mw";
+  run.tasks = config.tasks;
+  run.timesteps = config.timesteps;
+  run.workers = config.workers;
+  run.makespan = result.makespan;
+  run.total_nominal_work = result.total_nominal_work;
+  run.chunk_count = result.chunk_count;
+  run.tasks_reclaimed = result.tasks_reclaimed;
+  run.measured = measured(result);
+  run.worker_stats = std::move(result.workers);
+  run.chunk_log = std::move(result.chunk_log);
+  run.range_log = std::move(result.range_log);
+  return run;
+}
+
 class MwBackend final : public Backend {
  public:
   [[nodiscard]] std::string_view name() const override { return "mw"; }
@@ -77,10 +100,7 @@ class MwBackend final : public Backend {
   }
 
   [[nodiscard]] Measured measure(const mw::Config& config) override {
-    const mw::RunResult result = mw::run_simulation(config, context_);
-    const mw::Metrics metrics = mw::compute_metrics(result, config);
-    return Measured{metrics.makespan, metrics.avg_wasted_time, metrics.speedup,
-                    static_cast<double>(metrics.chunks)};
+    return measured(mw::run_simulation(config, context_));
   }
 
  private:
@@ -102,6 +122,56 @@ class MwBackend final : public Backend {
 // the nominal work, and the wasted time without an h term.
 // ---------------------------------------------------------------------------
 
+Measured measured(const hagerup::RunResult& result, bool bbn) {
+  Measured m{result.makespan, result.avg_wasted_time, 0.0,
+             static_cast<double>(result.chunk_count)};
+  if (bbn) {
+    // Mean over PEs of makespan - compute time: scheduling plus
+    // waiting, with no analytic h term.
+    double wasted = 0.0;
+    for (const double x : result.compute_time) wasted += result.makespan - x;
+    m.avg_wasted_time = wasted / static_cast<double>(result.compute_time.size());
+    // Tzen-Ni's r exactly as bbn::tzen_ni computes it: recomputing it
+    // as executed work / makespan would differ in the last bits.
+    m.speedup = bbn::tzen_ni(result).speedup;
+  } else if (result.makespan > 0.0) {
+    // Executed task times ARE the nominal times in the direct
+    // simulator, so this matches mw's total-nominal-work / makespan.
+    m.speedup = result.total_work / result.makespan;
+  }
+  return m;
+}
+
+/// bbn reports the inflated executed work as its nominal work.
+BackendRun from_hagerup(const hagerup::Config& config, const hagerup::RunResult& result,
+                        bool bbn) {
+  BackendRun run;
+  run.backend = bbn ? "bbn" : "hagerup";
+  run.tasks = config.tasks;
+  run.timesteps = 1;
+  run.workers = config.pes;
+  run.makespan = result.makespan;
+  run.total_nominal_work = bbn ? result.executed_work : result.total_work;
+  run.chunk_count = result.chunk_count;
+  run.measured = measured(result, bbn);
+  run.worker_stats.resize(config.pes);
+  for (std::size_t w = 0; w < config.pes; ++w) {
+    run.worker_stats[w].compute_time = result.compute_time[w];
+    run.worker_stats[w].chunks = result.chunks[w];
+  }
+  // One served range per chunk, and each chunk's tasks credited to its
+  // worker.
+  run.chunk_log.reserve(result.chunk_log.size());
+  run.range_log.reserve(result.chunk_log.size());
+  for (const hagerup::ChunkLogEntry& entry : result.chunk_log) {
+    run.range_log.push_back(mw::ServedRangeEntry{run.chunk_log.size(), entry.first, entry.size});
+    run.chunk_log.push_back(
+        mw::ChunkLogEntry{entry.pe, entry.first, entry.size, entry.issued_at, entry.work_seconds});
+    run.worker_stats[entry.pe].tasks += entry.size;
+  }
+  return run;
+}
+
 class DirectBackend final : public Backend {
  public:
   explicit DirectBackend(bool bbn) : bbn_(bbn) {}
@@ -119,37 +189,11 @@ class DirectBackend final : public Backend {
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     hagerup::Config cfg = convert(config);
     cfg.record_chunk_log = true;
-    const hagerup::RunResult result = hagerup::run(cfg, context_);
-    BackendRun run = from_hagerup(cfg, result);
-    if (bbn_) {
-      run.backend = "bbn";
-      run.total_nominal_work = result.executed_work;  // inflated by remote references
-    }
-    return run;
+    return from_hagerup(cfg, hagerup::run(cfg, context_), bbn_);
   }
 
   [[nodiscard]] Measured measure(const mw::Config& config) override {
-    const hagerup::Config cfg = convert(config);
-    const hagerup::RunResult result = hagerup::run(cfg, context_);
-    Measured m;
-    m.makespan = result.makespan;
-    m.chunks = static_cast<double>(result.chunk_count);
-    if (bbn_) {
-      // Mean over PEs of makespan - compute time: scheduling plus
-      // waiting, with no analytic h term.
-      double wasted = 0.0;
-      for (const double x : result.compute_time) wasted += result.makespan - x;
-      m.avg_wasted_time = wasted / static_cast<double>(cfg.pes);
-      // Tzen-Ni's r exactly as bbn::tzen_ni computes it: recomputing
-      // it as executed work / makespan would differ in the last bits.
-      m.speedup = bbn::tzen_ni(result).speedup;
-      return m;
-    }
-    m.avg_wasted_time = result.avg_wasted_time;
-    // Executed task times ARE the nominal times in the direct
-    // simulator, so this matches mw's total-nominal-work / makespan.
-    if (result.makespan > 0.0) m.speedup = result.total_work / result.makespan;
-    return m;
+    return measured(hagerup::run(convert(config), context_), bbn_);
   }
 
  private:
@@ -179,6 +223,20 @@ class DirectBackend final : public Backend {
 // simulated time-stepping application); replicas reset() it.
 // ---------------------------------------------------------------------------
 
+/// Wall-clock numbers: the busy time stands in for the total work.
+Measured measured(const BackendRun& run) {
+  Measured m{run.makespan, 0.0, 0.0, static_cast<double>(run.chunk_count)};
+  double busy = 0.0;
+  double wasted = 0.0;
+  for (const mw::WorkerStats& w : run.worker_stats) {
+    busy += w.compute_time;
+    wasted += run.makespan - w.compute_time;
+  }
+  m.avg_wasted_time = wasted / static_cast<double>(run.workers);
+  if (run.makespan > 0.0) m.speedup = busy / run.makespan;
+  return m;
+}
+
 class RuntimeBackend final : public Backend {
  public:
   explicit RuntimeBackend(const BackendOptions& options) : options_(options) {}
@@ -192,19 +250,7 @@ class RuntimeBackend final : public Backend {
   }
 
   [[nodiscard]] Measured measure(const mw::Config& config) override {
-    const BackendRun run = execute(config, /*record_chunk_log=*/false);
-    Measured m;
-    m.makespan = run.makespan;
-    double busy = 0.0;
-    double wasted = 0.0;
-    for (const mw::WorkerStats& w : run.worker_stats) {
-      busy += w.compute_time;
-      wasted += run.makespan - w.compute_time;
-    }
-    m.avg_wasted_time = wasted / static_cast<double>(run.workers);
-    if (run.makespan > 0.0) m.speedup = busy / run.makespan;
-    m.chunks = static_cast<double>(run.chunk_count);
-    return m;
+    return execute(config, /*record_chunk_log=*/false).measured;
   }
 
  private:
@@ -266,6 +312,7 @@ class RuntimeBackend final : public Backend {
         out.chunk_log.push_back(mw::ChunkLogEntry{chunk.thread, chunk.first, chunk.size, 0.0, 0.0});
       }
     }
+    out.measured = measured(out);
     return out;
   }
 
@@ -303,54 +350,6 @@ std::unique_ptr<Backend> make_backend(std::string_view name, const BackendOption
   }
   throw std::invalid_argument("unknown backend '" + std::string(name) + "' (known: " + known +
                               ")");
-}
-
-bool backend_is_virtual(std::string_view name, const BackendOptions& options) {
-  return make_backend(name, options)->virtual_time();
-}
-
-BackendRun from_mw(const mw::Config& config, mw::RunResult result) {
-  BackendRun run;
-  run.backend = "mw";
-  run.tasks = config.tasks;
-  run.timesteps = config.timesteps;
-  run.workers = config.workers;
-  run.makespan = result.makespan;
-  run.total_nominal_work = result.total_nominal_work;
-  run.chunk_count = result.chunk_count;
-  run.tasks_reclaimed = result.tasks_reclaimed;
-  run.metrics = mw::compute_metrics(result, config);
-  run.worker_stats = std::move(result.workers);
-  run.chunk_log = std::move(result.chunk_log);
-  run.range_log = std::move(result.range_log);
-  return run;
-}
-
-BackendRun from_hagerup(const hagerup::Config& config, const hagerup::RunResult& result) {
-  BackendRun run;
-  run.backend = "hagerup";
-  run.tasks = config.tasks;
-  run.timesteps = 1;
-  run.workers = config.pes;
-  run.makespan = result.makespan;
-  run.total_nominal_work = result.total_work;
-  run.chunk_count = result.chunk_count;
-  run.worker_stats.resize(config.pes);
-  for (std::size_t w = 0; w < config.pes; ++w) {
-    run.worker_stats[w].compute_time = result.compute_time[w];
-    run.worker_stats[w].chunks = result.chunks[w];
-  }
-  // One served range per chunk, and each chunk's tasks credited to its
-  // worker.
-  run.chunk_log.reserve(result.chunk_log.size());
-  run.range_log.reserve(result.chunk_log.size());
-  for (const hagerup::ChunkLogEntry& entry : result.chunk_log) {
-    run.range_log.push_back(mw::ServedRangeEntry{run.chunk_log.size(), entry.first, entry.size});
-    run.chunk_log.push_back(
-        mw::ChunkLogEntry{entry.pe, entry.first, entry.size, entry.issued_at, entry.work_seconds});
-    run.worker_stats[entry.pe].tasks += entry.size;
-  }
-  return run;
 }
 
 }  // namespace exec

@@ -21,18 +21,20 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
       options_.executor != nullptr ? *options_.executor : pool::Executor::shared();
   const unsigned threads = options_.threads != 0 ? options_.threads : executor.width();
   // Slot 0 (the calling thread) always exists; the wall-clock probe
-  // and the serial paths below use it before the pool is sized.
+  // and the serial path below use it before the pool is sized.
   if (slots_.empty()) slots_.resize(1);
 
-  // Flatten (job, replica) into one index space so threads stay busy
-  // across job boundaries (a grid's last job must not serialize).
-  // Wall-clock backends (runtime) are excluded from the parallel pool:
-  // their replicas spawn their own worker threads and measure real
-  // time, so co-running replicas would measure contention instead of
-  // run-to-run noise; they execute one at a time afterwards.
+  // Wall-clock backends (runtime) stay out of the parallel pool: their
+  // replicas spawn their own worker threads and measure real time, so
+  // co-running replicas would measure contention instead of run-to-run
+  // noise.  The probe goes through the slot-0 cache, so the probe
+  // instance is the one the serial path reuses.  `widest` is the
+  // largest stretch of consecutive virtual-time replicas: the most one
+  // pool region can claim.
   std::vector<std::size_t> offsets(jobs.size() + 1, 0);
   std::vector<bool> wall_clock(jobs.size(), false);
-  std::map<std::string, bool, std::less<>> is_wall_clock;
+  std::size_t stretch = 0;
+  std::size_t widest = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (jobs[j].replicas == 0) {
       // Reject rather than return an all-zero Summary that renders as
@@ -44,33 +46,22 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
       throw std::invalid_argument("BatchJob.backend '" + jobs[j].backend +
                                   "' is not a known backend (job " + std::to_string(j) + ")");
     }
-    const auto it = is_wall_clock.find(jobs[j].backend);
-    if (it != is_wall_clock.end()) {
-      wall_clock[j] = it->second;
-    } else {
-      // Probe via the slot-0 cache, so the probe instance is the one
-      // the serial paths will reuse instead of a throwaway.
-      wall_clock[j] = !slot_backend(0, jobs[j].backend).virtual_time();
-      is_wall_clock.emplace(jobs[j].backend, wall_clock[j]);
-    }
+    wall_clock[j] = !slot_backend(0, jobs[j].backend).virtual_time();
     offsets[j + 1] = offsets[j] + jobs[j].replicas;
+    stretch = wall_clock[j] ? 0 : stretch + jobs[j].replicas;
+    widest = std::max(widest, stretch);
   }
-  const std::size_t total = offsets.back();
 
   // Size the pool -- and the per-slot backend caches -- only for what
-  // this batch can actually use: min(threads, claimable grains).  A
+  // this batch can actually use: min(threads, widest region).  A
   // run_one() on a big machine must not spawn (and park forever) a
   // full-width worker set for a region that will run inline; the lazy
   // pool stays lazy for small batches.  The caches must cover every
   // slot the pool can hand out (slot IDs are stable per thread, not
-  // per region) and are sized BEFORE the region, with slots_.size()
-  // passed as the region's slot cap; existing entries -- and their
+  // per region) and are sized BEFORE the regions, with slots_.size()
+  // passed as each region's slot cap; existing entries -- and their
   // cached engines -- survive across run() calls.
-  const std::size_t grain = std::max<std::size_t>(options_.grain, 1);
-  const std::size_t grains = (total + grain - 1) / grain;
-  const unsigned region_threads =
-      static_cast<unsigned>(std::min<std::size_t>(threads, grains));
-  executor.reserve(region_threads);
+  executor.reserve(static_cast<unsigned>(std::min<std::size_t>(threads, widest)));
   if (slots_.size() < executor.slot_count()) slots_.resize(executor.slot_count());
 
   struct PerReplica {
@@ -126,26 +117,35 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
     }
   };
 
-  executor.parallel_for_slots(
-      total,
-      [&](std::size_t flat, unsigned slot) {
-        const std::size_t job_index = static_cast<std::size_t>(
-            std::upper_bound(offsets.begin(), offsets.end(), flat) - offsets.begin() - 1);
-        if (wall_clock[job_index]) return;  // serialized below
-        run_replica(job_index, flat - offsets[job_index], slot);
-      },
-      threads, options_.grain,
-      // Cap the region at the slots the caches cover: another thread
-      // may grow the pool between the resize above and this region.
-      static_cast<unsigned>(slots_.size()));
-
-  // Wall-clock replicas, one at a time: each spawns its own worker
-  // threads, and its timings are the measurement.
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (!wall_clock[j]) continue;
-    for (std::size_t replica = 0; replica < jobs[j].replicas; ++replica) {
-      run_replica(j, replica, /*slot=*/0);
+  // Jobs run in job order.  Each maximal stretch of consecutive
+  // virtual-time jobs is one pool region over its flattened (job,
+  // replica) indices, so threads stay busy across job boundaries; a
+  // wall-clock job runs its replicas one at a time, in place, on the
+  // calling thread (slot 0).
+  std::size_t begin = 0;
+  while (begin < jobs.size()) {
+    if (wall_clock[begin]) {
+      for (std::size_t replica = 0; replica < jobs[begin].replicas; ++replica) {
+        run_replica(begin, replica, /*slot=*/0);
+      }
+      ++begin;
+      continue;
     }
+    std::size_t end = begin + 1;
+    while (end < jobs.size() && !wall_clock[end]) ++end;
+    executor.parallel_for_slots(
+        offsets[end] - offsets[begin],
+        [&](std::size_t i, unsigned slot) {
+          const std::size_t flat = offsets[begin] + i;
+          const std::size_t job_index = static_cast<std::size_t>(
+              std::upper_bound(offsets.begin(), offsets.end(), flat) - offsets.begin() - 1);
+          run_replica(job_index, flat - offsets[job_index], slot);
+        },
+        threads, /*grain=*/1,
+        // Cap the region at the slots the caches cover: another thread
+        // may grow the pool between the resize above and this region.
+        static_cast<unsigned>(slots_.size()));
+    begin = end;
   }
 
   return results;

@@ -1,17 +1,37 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "hagerup/simulator.hpp"
 #include "mw/config.hpp"
-#include "mw/metrics.hpp"
 #include "mw/result.hpp"
 
 namespace exec {
+
+/// The measured values of the reproduced experiments (paper Figure 2:
+/// "Execution Information: Measured Value(s)") -- what every backend
+/// reports per run, the per-replica currency of exec::BatchRunner and
+/// the summary columns of the sweep records.
+struct Measured {
+  /// Makespan (total simulated time; wall clock for runtime) [s].
+  double makespan = 0.0;
+  /// Average wasted time of the run (paper Sections III-B/IV-B): the
+  /// wasted time of a worker is the overall simulation time minus its
+  /// computation time; the average over workers is taken, and -- under
+  /// analytic overhead accounting -- h times the number of scheduling
+  /// operations is added (divided across workers, matching the
+  /// per-worker overhead accounting of the BOLD publication).  bbn
+  /// charges its dispatch cost on the timeline and adds no h term.
+  double avg_wasted_time = 0.0;
+  /// Speedup r = L*P/(X+O+W) of the TSS publication, which with
+  /// Sum(X+O+W) = P*makespan reduces to total work / makespan (runtime:
+  /// busy time / makespan).
+  double speedup = 0.0;
+  /// Number of scheduling operations (chunks).
+  double chunks = 0.0;
+};
 
 /// Uniform view of one run of any execution vehicle -- the shared
 /// currency of the check invariant catalog and the cross-backend
@@ -30,22 +50,13 @@ struct BackendRun {
   std::vector<mw::WorkerStats> worker_stats;
   std::vector<mw::ChunkLogEntry> chunk_log;
   std::vector<mw::ServedRangeEntry> range_log;
-  /// Paper metrics, for backends that define them (mw only).
-  std::optional<mw::Metrics> metrics;
+  /// This run's measured values, from the same function as
+  /// Backend::measure().
+  Measured measured;
   /// Virtual-time semantics: chunk issue times and compute times are
   /// exact simulated values (false for the native runtime, whose
   /// wall-clock numbers only support structural invariants).
   bool virtual_time = true;
-};
-
-/// The measured values every backend reports -- the per-replica
-/// currency of exec::BatchRunner and the sweep records (the summary
-/// columns of the reproduced experiments).
-struct Measured {
-  double makespan = 0.0;
-  double avg_wasted_time = 0.0;
-  double speedup = 0.0;
-  double chunks = 0.0;
 };
 
 /// One execution vehicle behind a uniform mw::Config-shaped job spec.
@@ -71,8 +82,8 @@ class Backend {
   [[nodiscard]] virtual BackendRun run(const mw::Config& config) = 0;
 
   /// The measured values only, without materializing logs -- the
-  /// batch/sweep hot path.  For mw this is exactly
-  /// run_simulation + compute_metrics on a reused RunContext.
+  /// batch/sweep hot path.  Bitwise equal to run(config).measured on
+  /// virtual-time backends.
   [[nodiscard]] virtual Measured measure(const mw::Config& config) = 0;
 
   /// Makespans/chunk times are exact simulated values, and the same
@@ -100,19 +111,5 @@ struct BackendOptions {
 /// an unknown `name`.
 [[nodiscard]] std::unique_ptr<Backend> make_backend(std::string_view name,
                                                     const BackendOptions& options = {});
-
-/// Whether the named backend has virtual-time semantics
-/// (Backend::virtual_time()).  The single classification both
-/// exec::BatchRunner (which defers wall-clock jobs to a serial phase)
-/// and sweep::SweepRunner (which segments its worklist at wall-clock
-/// cells) key off -- they must never diverge, or the sweep's in-order
-/// committer stalls buffering behind a job the batch deferred.
-[[nodiscard]] bool backend_is_virtual(std::string_view name, const BackendOptions& options = {});
-
-/// Adapters from the native result types (used by the backends, the
-/// check tests, and anyone holding a raw simulator result).
-[[nodiscard]] BackendRun from_mw(const mw::Config& config, mw::RunResult result);
-[[nodiscard]] BackendRun from_hagerup(const hagerup::Config& config,
-                                      const hagerup::RunResult& result);
 
 }  // namespace exec

@@ -56,11 +56,14 @@ struct BatchResult {
 /// runner's lifetime: consecutive run() calls (e.g. the consecutive
 /// cells of a sweep) reuse the backends' engines and buffers
 /// (mw::RunContext, hagerup::RunContext, the cached runtime executor)
-/// instead of reallocating them.  Wall-clock jobs (runtime) are
-/// excluded from the pool and run one replica at a time -- each replica
-/// spawns its own worker threads and its timings ARE the measurement,
-/// so co-running replicas would measure contention, not run-to-run
-/// noise.  Results are deterministic for virtual-time backends: each
+/// instead of reallocating them.  Jobs run in job order: each maximal
+/// stretch of consecutive virtual-time jobs is one pool region, and a
+/// wall-clock job (runtime) runs between them, one replica at a time on
+/// the calling thread -- each replica spawns its own worker threads and
+/// its timings ARE the measurement, so co-running replicas would
+/// measure contention, not run-to-run noise.  So a wall-clock job
+/// completes after every earlier job and before any later one.
+/// Results are deterministic for virtual-time backends: each
 /// replica is seeded purely by (job, replica index), independent of
 /// thread scheduling.
 ///
@@ -70,7 +73,6 @@ class BatchRunner {
  public:
   struct Options {
     unsigned threads = 0;      ///< 0 = the executor's width
-    std::size_t grain = 1;     ///< replicas claimed per atomic grab
     bool keep_values = false;  ///< retain per-replica series in the results
     BackendOptions backend;    ///< backend construction knobs
     /// Externally-owned executor to run on (must outlive the runner);
@@ -84,11 +86,12 @@ class BatchRunner {
   [[nodiscard]] const Options& options() const { return options_; }
 
   /// Invoked as each job completes (all of its replicas done), from
-  /// whichever thread finished the job's last replica -- jobs complete
-  /// in unspecified order, so an on_complete that writes output must
-  /// order (and lock) itself; see sweep::SweepRunner's in-order
-  /// committer.  Throwing from the callback cancels the batch and
-  /// rethrows on the calling thread, like a throwing replica.
+  /// whichever thread finished the job's last replica -- jobs within a
+  /// pool region complete in unspecified order, so an on_complete that
+  /// writes output must order (and lock) itself; see
+  /// sweep::SweepRunner's in-order committer.  Throwing from the
+  /// callback cancels the batch and rethrows on the calling thread,
+  /// like a throwing replica.
   using JobCallback = std::function<void(std::size_t job, const BatchResult& result)>;
 
   /// Run all jobs; result i aggregates jobs[i].  Throws

@@ -42,6 +42,9 @@ struct RunResult {
   double total_nominal_work = 0.0;  ///< sum of all task times [s]
   std::size_t chunk_count = 0;      ///< number of scheduling operations
   double master_busy_time = 0.0;    ///< simulated overhead time at the master
+  /// Average wasted time of the run: mean over workers of (makespan -
+  /// compute time), plus h*chunks/p under OverheadMode::kAnalytic.
+  double avg_wasted_time = 0.0;
   std::size_t tasks_reclaimed = 0;  ///< tasks re-scheduled after worker failures
   std::vector<WorkerStats> workers;
   std::vector<ChunkLogEntry> chunk_log;      ///< filled if Config::record_chunk_log

@@ -756,10 +756,12 @@ RunResult run_simulation(const Config& config, RunContext& context) {
   result.range_log = std::move(buf.range_log);
   result.master_busy_time = loop.master_busy_time();
   result.workers.resize(p);
+  double wasted_sum = 0.0;
   for (std::size_t i = 0; i < p; ++i) {
     const Worker& wk = buf.workers[i];
     WorkerStats& w = result.workers[i];
     w.compute_time = wk.clock.time_in(ActorState::kComputing);
+    wasted_sum += makespan - w.compute_time;
     // Idle after finalization too; the last transition was the finish.
     w.wait_time =
         wk.clock.time_in(ActorState::kWaitingRecv) + (makespan - wk.clock.last_transition);
@@ -768,6 +770,12 @@ RunResult run_simulation(const Config& config, RunContext& context) {
     w.chunks = wk.chunks;
     w.failed = wk.failed;
   }
+  // The analytic h is charged once per scheduling operation, spread
+  // over the workers like the BOLD publication's per-worker overhead.
+  if (config.overhead_mode == OverheadMode::kAnalytic) {
+    wasted_sum += config.params.h * static_cast<double>(result.chunk_count);
+  }
+  result.avg_wasted_time = wasted_sum / static_cast<double>(p);
   return result;
 }
 

@@ -18,14 +18,15 @@ namespace sweep {
 /// visited in canonical index order (backend axis innermost,
 /// name-sorted).
 ///
-/// The whole owned worklist -- every (science cell x backend x replica)
-/// of the shard -- is flattened into ONE claimable index space on the
-/// persistent thread pool, so the pool parallelizes *across* cells,
-/// not just within one: the last replicas of cell k and the first
-/// replicas of cell k+1 run concurrently, and one BatchRunner (with
-/// its per-slot backend engine caches) serves the entire pass.
-/// Wall-clock `runtime` cells stay serialized (their timings are the
-/// measurement; see exec::BatchRunner).
+/// The owned worklist runs in windows of up to 1024 cells, and every
+/// (cell x backend x replica) of a window is flattened into ONE
+/// claimable index space on the persistent thread pool, so the pool
+/// parallelizes *across* cells, not just within one: the last replicas
+/// of cell k and the first replicas of cell k+1 run concurrently, and
+/// one BatchRunner (with its per-slot backend engine caches) serves
+/// the entire pass.  Wall-clock `runtime` cells run in cell order with
+/// their replicas serialized (their timings are the measurement; see
+/// exec::BatchRunner).
 ///
 /// Output order is untouched by the parallelism: an in-order committer
 /// buffers out-of-order cell completions and writes each record in

@@ -1,7 +1,6 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <span>
 #include <stdexcept>
@@ -146,38 +145,18 @@ std::size_t SweepRunner::run(const Grid& grid, const std::set<RecordKey>& done,
   // order -- so the byte stream (and the resume guarantee that a
   // prefix of it is valid) is identical to a single-threaded run.
   //
-  // Window boundaries serve two limits.  (1) Wall-clock (runtime)
-  // cells are each their own single-cell window: BatchRunner would
-  // serialize their replicas anyway (the timings ARE the measurement)
-  // but defers them to the END of a batch, which would stall the
-  // commit frontier and silently buffer every later record -- losing
-  // far more than the in-flight cells on a kill.  (2) Virtual-time
-  // runs are capped at kWindowCells so the expanded cells, jobs and
+  // Windows are capped at kWindowCells so the expanded cells, jobs and
   // rendered-record buffers stay O(window), not O(owned cells) -- a
   // million-cell shard must not materialize a million ExperimentSpecs
-  // before its first record lands.  Classification needs only the
-  // cell's backend NAME (cell_backend -- no spec parse), shared with
-  // the batch runner via exec::backend_is_virtual.
+  // before its first record lands.  Wall-clock (runtime) cells need no
+  // window of their own: the batch runner runs jobs in job order, so
+  // they never hold back the commit frontier.
   constexpr std::size_t kWindowCells = 1024;
   const RecordRenderer renderer(grid);
-  std::map<std::string, bool, std::less<>> virtual_backend;
-  const auto is_virtual = [&](std::string_view name) {
-    auto it = virtual_backend.find(name);  // heterogeneous lookup, no copy
-    if (it == virtual_backend.end()) {
-      it = virtual_backend.emplace(std::string(name), exec::backend_is_virtual(name)).first;
-    }
-    return it->second;
-  };
 
   std::size_t window_begin = 0;
   while (window_begin < work.size()) {
-    std::size_t window_end = window_begin + 1;
-    if (is_virtual(cell_backend(grid, work[window_begin]))) {
-      while (window_end < work.size() && window_end - window_begin < kWindowCells &&
-             is_virtual(cell_backend(grid, work[window_end]))) {
-        ++window_end;
-      }
-    }
+    const std::size_t window_end = std::min(work.size(), window_begin + kWindowCells);
     const std::size_t count = window_end - window_begin;
 
     // Expand this window's cells and jobs (lazily -- see above).

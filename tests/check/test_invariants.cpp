@@ -122,14 +122,22 @@ TEST(Invariants, ImpossibleMakespanIsCaught) {
 
 TEST(Invariants, ForgedMetricsAreCaught) {
   const Scenario s = simple_scenario();
-  exec::BackendRun run = exec::make_backend("mw")->run(s.config);
-  ASSERT_TRUE(run.metrics.has_value());
-  run.metrics->speedup *= 1.01;
-  bool caught = false;
-  for (const check::Failure& f : check::check_run(s, run)) {
-    if (f.invariant == "metrics_identity") caught = true;
+  const auto caught = [&](const exec::BackendRun& run) {
+    for (const check::Failure& f : check::check_run(s, run)) {
+      if (f.invariant == "metrics_identity") return true;
+    }
+    return false;
+  };
+  for (const char* backend : {"mw", "hagerup"}) {
+    const exec::BackendRun run = exec::make_backend(backend)->run(s.config);
+    EXPECT_FALSE(caught(run)) << backend;
+    exec::BackendRun forged = run;
+    forged.measured.speedup *= 1.01;
+    EXPECT_TRUE(caught(forged)) << backend;
+    forged = run;
+    forged.measured.avg_wasted_time *= 1.01;
+    EXPECT_TRUE(caught(forged)) << backend;
   }
-  EXPECT_TRUE(caught);
 }
 
 TEST(Invariants, LostWorkerTasksAreCaught) {

@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "bbn/machine_model.hpp"
 #include "check/invariants.hpp"
+#include "check/scenario.hpp"
 #include "exec/backend.hpp"
 #include "hagerup/simulator.hpp"
-#include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "workload/task_times.hpp"
 
@@ -47,15 +50,65 @@ TEST(BackendFactory, KnowsExactlyTheFourVehicles) {
   EXPECT_THROW((void)exec::make_backend("simgrid"), std::invalid_argument);
 }
 
-TEST(MwBackend, MeasureMatchesRunSimulationPlusMetricsBitwise) {
+TEST(MwBackend, MeasureMatchesRunSimulationBitwise) {
   const mw::Config cfg = comparable_config(Kind::kFAC2, 4, 512);
   const exec::Measured m = exec::make_backend("mw")->measure(cfg);
   const mw::RunResult result = mw::run_simulation(cfg);
-  const mw::Metrics metrics = mw::compute_metrics(result, cfg);
-  EXPECT_EQ(m.makespan, metrics.makespan);
-  EXPECT_EQ(m.avg_wasted_time, metrics.avg_wasted_time);
-  EXPECT_EQ(m.speedup, metrics.speedup);
-  EXPECT_EQ(m.chunks, static_cast<double>(metrics.chunks));
+  EXPECT_EQ(m.makespan, result.makespan);
+  EXPECT_EQ(m.avg_wasted_time, result.avg_wasted_time);
+  EXPECT_EQ(m.speedup, result.total_nominal_work / result.makespan);
+  EXPECT_EQ(m.chunks, static_cast<double>(result.chunk_count));
+}
+
+void expect_bitwise_equal(const exec::Measured& a, const exec::Measured& b,
+                          const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.makespan), std::bit_cast<std::uint64_t>(b.makespan))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.avg_wasted_time),
+            std::bit_cast<std::uint64_t>(b.avg_wasted_time))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.speedup), std::bit_cast<std::uint64_t>(b.speedup))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.chunks), std::bit_cast<std::uint64_t>(b.chunks))
+      << what;
+}
+
+TEST(Backends, MeasureEqualsRunMeasured) {
+  // Seeded points of the full Config space: mw takes every one, the
+  // direct simulators the ones they can express.
+  const auto mw = exec::make_backend("mw");
+  const auto hagerup = exec::make_backend("hagerup");
+  const auto bbn = exec::make_backend("bbn");
+  bool simulated = false, network = false, factors = false, profiles = false, failures = false,
+       timesteps = false;
+  std::size_t direct = 0;
+  for (std::size_t i = 0; i < 300; ++i) {
+    const check::Scenario s = check::generate_scenario(/*seed=*/25, i);
+    const mw::Config& cfg = s.config;
+    const std::string what = "scenario " + std::to_string(i) + "\n" + check::to_experiment_text(s);
+    simulated |= cfg.overhead_mode == mw::OverheadMode::kSimulated;
+    network |= !s.null_network;
+    factors |= !cfg.worker_speed_factors.empty();
+    profiles |= !cfg.worker_speed_profiles.empty();
+    failures |= s.has_failures;
+    timesteps |= cfg.timesteps > 1;
+    expect_bitwise_equal(mw->measure(cfg), mw->run(cfg).measured, "mw " + what);
+    if (!s.hagerup_comparable()) continue;
+    ++direct;
+    expect_bitwise_equal(hagerup->measure(cfg), hagerup->run(cfg).measured, "hagerup " + what);
+    if (!cfg.use_rand48) {
+      expect_bitwise_equal(bbn->measure(cfg), bbn->run(cfg).measured, "bbn " + what);
+    }
+  }
+  EXPECT_TRUE(simulated && network && factors && profiles && failures && timesteps);
+  EXPECT_GT(direct, 20u);
+  // And wider cells, where bbn's dispatch hold shapes the run.
+  for (Kind kind : {Kind::kSS, Kind::kCSS, Kind::kGSS, Kind::kTSS}) {
+    const mw::Config cfg = comparable_config(kind, 24, 5000, /*seed=*/7);
+    expect_bitwise_equal(bbn->measure(cfg), bbn->run(cfg).measured, dls::to_string(kind));
+    expect_bitwise_equal(hagerup->measure(cfg), hagerup->run(cfg).measured,
+                         dls::to_string(kind));
+  }
 }
 
 TEST(MwBackend, ContextReuseIsBitwiseDeterministic) {
@@ -67,7 +120,7 @@ TEST(MwBackend, ContextReuseIsBitwiseDeterministic) {
   EXPECT_EQ(first.avg_wasted_time, again.avg_wasted_time);
   const exec::BackendRun run = backend->run(cfg);  // and the full record path
   EXPECT_EQ(run.makespan, first.makespan);
-  EXPECT_TRUE(run.metrics.has_value());
+  EXPECT_EQ(run.measured.avg_wasted_time, first.avg_wasted_time);
 }
 
 TEST(HagerupBackend, AgreesWithMwOnComparableConfigs) {

@@ -1,9 +1,9 @@
 // exec::BatchRunner: the batched entry point of the experiments.  The
 // contract under test: results are aggregated per job, deterministic in
 // (job, replica) regardless of thread count, identical to running the
-// replicas one by one through run_simulation/compute_metrics (for the
-// mw backend) or hagerup::run (for the hagerup backend), and the
-// backend field routes each job to its execution vehicle.
+// replicas one by one through run_simulation (for the mw backend) or
+// hagerup::run (for the hagerup backend), the backend field routes each
+// job to its execution vehicle, and jobs run in job order.
 // Plus the grid seeding contract: BatchJob replica seeding is exactly
 // seed + stride * r (unchanged), and sweep::derive_cell_seed gives grid
 // layers decorrelated, collision-free per-cell seeds.
@@ -18,7 +18,6 @@
 #include "exec/batch.hpp"
 #include "pool/executor.hpp"
 #include "hagerup/simulator.hpp"
-#include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "sweep/grid.hpp"
 #include "workload/task_times.hpp"
@@ -54,9 +53,8 @@ TEST(BatchRunner, MatchesSequentialRuns) {
     mw::Config cfg = job.config;
     cfg.seed = job.config.seed + job.seed_stride * r;
     const mw::RunResult result = mw::run_simulation(cfg);
-    const mw::Metrics metrics = mw::compute_metrics(result, cfg);
-    EXPECT_DOUBLE_EQ(batched.makespan_values[r], metrics.makespan) << "replica " << r;
-    EXPECT_DOUBLE_EQ(batched.wasted_values[r], metrics.avg_wasted_time) << "replica " << r;
+    EXPECT_DOUBLE_EQ(batched.makespan_values[r], result.makespan) << "replica " << r;
+    EXPECT_DOUBLE_EQ(batched.wasted_values[r], result.avg_wasted_time) << "replica " << r;
   }
 }
 
@@ -242,6 +240,28 @@ TEST(BatchRunner, SerialRunsInvokeTheCallbackInJobOrder) {
   (void)exec::BatchRunner(options).run(
       jobs, [&](std::size_t j, const exec::BatchResult&) { order.push_back(j); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(BatchRunner, WallClockJobCompletesInJobOrder) {
+  // A wall-clock job runs in place between the pool regions of the
+  // virtual-time jobs around it, so it completes after job 0 and before
+  // job 2 at any width: the sweep's in-order committer never waits on
+  // it.
+  exec::BatchJob runtime_job = make_job(Kind::kSS, 2, 64, 2);
+  runtime_job.backend = "runtime";
+  const std::vector<exec::BatchJob> jobs = {make_job(Kind::kFAC2, 4, 256, 3), runtime_job,
+                                            make_job(Kind::kGSS, 4, 256, 3)};
+  for (const unsigned threads : {1u, 3u}) {
+    exec::BatchRunner::Options options;
+    options.threads = threads;
+    std::mutex mutex;
+    std::vector<std::size_t> order;
+    (void)exec::BatchRunner(options).run(jobs, [&](std::size_t j, const exec::BatchResult&) {
+      const std::scoped_lock lock(mutex);
+      order.push_back(j);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2})) << threads << " threads";
+  }
 }
 
 TEST(BatchRunner, RejectsUnknownBackends) {

@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "hagerup/simulator.hpp"
-#include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "pool/executor.hpp"
 #include "stats/summary.hpp"
@@ -47,7 +46,7 @@ double mean_mw_wasted(Kind kind, std::size_t pes, std::size_t tasks, std::size_t
     cfg.params.sigma = 1.0;
     cfg.workload = workload::exponential(1.0);
     cfg.seed = 555000 + 17 * i;
-    values[i] = mw::compute_metrics(mw::run_simulation(cfg), cfg).avg_wasted_time;
+    values[i] = mw::run_simulation(cfg).avg_wasted_time;
   });
   return stats::summarize(values).mean;
 }
@@ -154,13 +153,12 @@ TEST_P(SameSeedEquivalence, SimulatorsAgreeExactly) {
     mcfg.workload = workload::exponential(1.0);
     mcfg.seed = seed;
     const mw::RunResult mr = mw::run_simulation(mcfg);
-    const mw::Metrics mm = mw::compute_metrics(mr, mcfg);
 
     ASSERT_EQ(hr.chunk_count, mr.chunk_count) << dls::to_string(c.kind) << " seed " << seed;
-    EXPECT_NEAR(mm.avg_wasted_time, hr.avg_wasted_time,
+    EXPECT_NEAR(mr.avg_wasted_time, hr.avg_wasted_time,
                 1e-6 * std::max(1.0, hr.avg_wasted_time))
         << dls::to_string(c.kind) << " seed " << seed;
-    EXPECT_NEAR(mm.makespan, hr.makespan, 1e-6 * hr.makespan)
+    EXPECT_NEAR(mr.makespan, hr.makespan, 1e-6 * hr.makespan)
         << dls::to_string(c.kind) << " seed " << seed;
   }
 }

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mw/metrics.hpp"
+#include "exec/backend.hpp"
 #include "mw/simulation.hpp"
 #include "workload/task_times.hpp"
 
@@ -26,21 +26,20 @@ mw::Config hetero_config(Kind kind, std::size_t tasks = 4096) {
   return cfg;
 }
 
+double speedup(const mw::Config& cfg) { return exec::make_backend("mw")->measure(cfg).speedup; }
+
 TEST(Heterogeneous, StaticChunkingSuffersOnMixedSpeeds) {
-  const mw::Config cfg = hetero_config(Kind::kStatic);
-  const mw::Metrics m = mw::compute_metrics(mw::run_simulation(cfg), cfg);
   // Equal blocks, half-speed stragglers: makespan doubles vs ideal.
   // Ideal speedup on this platform is 1+1+0.5+0.5 = 3.
-  EXPECT_LT(m.speedup, 2.2);
+  EXPECT_LT(speedup(hetero_config(Kind::kStatic)), 2.2);
 }
 
 TEST(Heterogeneous, WeightedFactoringUsesKnownSpeeds) {
   mw::Config cfg = hetero_config(Kind::kWF);
   cfg.params.weights = {1.0, 1.0, 0.5, 0.5};
   const mw::RunResult r = mw::run_simulation(cfg);
-  const mw::Metrics m = mw::compute_metrics(r, cfg);
   // Close to the platform's ideal speedup of 3.
-  EXPECT_GT(m.speedup, 2.7);
+  EXPECT_GT(speedup(cfg), 2.7);
   // Fast PEs got roughly twice the work of slow PEs.
   const double fast = static_cast<double>(r.workers[0].tasks + r.workers[1].tasks);
   const double slow = static_cast<double>(r.workers[2].tasks + r.workers[3].tasks);
@@ -48,16 +47,13 @@ TEST(Heterogeneous, WeightedFactoringUsesKnownSpeeds) {
 }
 
 TEST(Heterogeneous, SelfSchedulingBalancesWithoutKnowledge) {
-  const mw::Config cfg = hetero_config(Kind::kSS);
-  const mw::Metrics m = mw::compute_metrics(mw::run_simulation(cfg), cfg);
-  EXPECT_GT(m.speedup, 2.8);  // SS auto-balances (at high overhead cost)
+  EXPECT_GT(speedup(hetero_config(Kind::kSS)), 2.8);  // SS auto-balances (at high overhead cost)
 }
 
 TEST(Heterogeneous, AwfCLearnsSpeedsWithoutBeingTold) {
   const mw::Config cfg = hetero_config(Kind::kAWFC, 16384);
   const mw::RunResult r = mw::run_simulation(cfg);
-  const mw::Metrics m = mw::compute_metrics(r, cfg);
-  EXPECT_GT(m.speedup, 2.6);
+  EXPECT_GT(speedup(cfg), 2.6);
   const double fast = static_cast<double>(r.workers[0].tasks + r.workers[1].tasks);
   const double slow = static_cast<double>(r.workers[2].tasks + r.workers[3].tasks);
   EXPECT_NEAR(fast / slow, 2.0, 0.4);
@@ -66,8 +62,7 @@ TEST(Heterogeneous, AwfCLearnsSpeedsWithoutBeingTold) {
 TEST(Heterogeneous, AfLearnsPerPeRates) {
   const mw::Config cfg = hetero_config(Kind::kAF, 16384);
   const mw::RunResult r = mw::run_simulation(cfg);
-  const mw::Metrics m = mw::compute_metrics(r, cfg);
-  EXPECT_GT(m.speedup, 2.5);
+  EXPECT_GT(speedup(cfg), 2.5);
   EXPECT_GT(r.workers[0].tasks, r.workers[2].tasks);
 }
 
@@ -82,14 +77,12 @@ TEST(Heterogeneous, AwfRecoversFromWrongWeightsOverTimesteps) {
   // become indistinguishable -- that robustness is tested above.)
   mw::Config awf = hetero_config(Kind::kAWF, 64);
   awf.timesteps = 8;
-  const mw::Metrics m_awf = mw::compute_metrics(mw::run_simulation(awf), awf);
 
   mw::Config wf_wrong = hetero_config(Kind::kWF, 64);
   wf_wrong.timesteps = 8;
   wf_wrong.params.weights = {0.25, 0.25, 1.75, 1.75};  // badly inverted
-  const mw::Metrics m_wf = mw::compute_metrics(mw::run_simulation(wf_wrong), wf_wrong);
 
-  EXPECT_GT(m_awf.speedup, m_wf.speedup * 1.1);
+  EXPECT_GT(speedup(awf), speedup(wf_wrong) * 1.1);
   // And AWF's learned distribution tracks the true 2:1 speed ratio.
   const mw::RunResult r = mw::run_simulation(awf);
   const double fast = static_cast<double>(r.workers[0].tasks + r.workers[1].tasks);

@@ -1,6 +1,10 @@
+// The paper's measured values of an mw run: the average wasted time
+// mw::run_simulation reports, and the speedup and chunk count of the
+// mw backend's measure().
+
 #include <gtest/gtest.h>
 
-#include "mw/metrics.hpp"
+#include "exec/backend.hpp"
 #include "mw/simulation.hpp"
 #include "workload/task_times.hpp"
 
@@ -20,75 +24,44 @@ mw::Config base_config(Kind kind, std::size_t workers, std::size_t tasks) {
   return cfg;
 }
 
+exec::Measured measure(const mw::Config& cfg) { return exec::make_backend("mw")->measure(cfg); }
+
 TEST(Metrics, AnalyticWastedTimeAddsOverheadPerChunk) {
   // SS, constant 1 s tasks, p = 2, n = 100: idle ~ 0, so the average
   // wasted time is dominated by h*K/p = 0.5*100/2 = 25.
   const mw::Config cfg = base_config(Kind::kSS, 2, 100);
-  const mw::RunResult r = mw::run_simulation(cfg);
-  const mw::Metrics m = mw::compute_metrics(r, cfg);
-  EXPECT_NEAR(m.avg_wasted_time, 25.0, 0.01);
+  EXPECT_NEAR(mw::run_simulation(cfg).avg_wasted_time, 25.0, 0.01);
 }
 
 TEST(Metrics, SimulatedModeDoesNotDoubleCountOverhead) {
   mw::Config cfg = base_config(Kind::kSS, 2, 100);
   cfg.overhead_mode = mw::OverheadMode::kSimulated;
   const mw::RunResult r = mw::run_simulation(cfg);
-  const mw::Metrics m = mw::compute_metrics(r, cfg);
   // Wasted time comes purely from the in-simulation waiting; with the
   // master serializing 0.5 s per chunk against 1 s tasks on 2 workers,
   // workers stall roughly half the run, not the full h*K/p again.
-  EXPECT_GT(m.avg_wasted_time, 5.0);
-  EXPECT_LT(m.avg_wasted_time, 60.0);
-  EXPECT_GT(m.makespan, r.total_nominal_work / 2.0);
+  EXPECT_GT(r.avg_wasted_time, 5.0);
+  EXPECT_LT(r.avg_wasted_time, 60.0);
+  EXPECT_GT(r.makespan, r.total_nominal_work / 2.0);
 }
 
 TEST(Metrics, SpeedupBoundedByWorkers) {
   for (Kind kind : {Kind::kStatic, Kind::kGSS, Kind::kFAC2}) {
-    const mw::Config cfg = base_config(kind, 8, 4096);
-    const mw::RunResult r = mw::run_simulation(cfg);
-    const mw::Metrics m = mw::compute_metrics(r, cfg);
+    const exec::Measured m = measure(base_config(kind, 8, 4096));
     EXPECT_LE(m.speedup, 8.0 + 1e-9) << dls::to_string(kind);
     EXPECT_GT(m.speedup, 0.0) << dls::to_string(kind);
   }
 }
 
 TEST(Metrics, PerfectBalanceGivesNearIdealSpeedup) {
-  const mw::Config cfg = base_config(Kind::kStatic, 8, 4096);
-  const mw::Metrics m = mw::compute_metrics(mw::run_simulation(cfg), cfg);
-  EXPECT_NEAR(m.speedup, 8.0, 0.01);
-}
-
-TEST(Metrics, ImbalanceDegreeSeesSkewedWork) {
-  // One giant trailing task: everyone else waits for its worker.
-  auto values = std::vector<double>(100, 0.1);
-  values[99] = 50.0;
-  mw::Config cfg = base_config(Kind::kStatic, 4, 100);
-  cfg.workload = workload::trace(values);
-  const mw::Metrics m = mw::compute_metrics(mw::run_simulation(cfg), cfg);
-  // The last block (25 tasks incl. the giant) dominates; roughly 3 of 4
-  // PEs idle most of the run.
-  EXPECT_GT(m.imbalance_degree, 2.0);
-}
-
-TEST(Metrics, OverheadDegreeGrowsWithChunkCount) {
-  mw::Config ss = base_config(Kind::kSS, 4, 2000);
-  ss.latency = 1e-4;
-  ss.overhead_mode = mw::OverheadMode::kSimulated;
-  ss.params.h = 1e-4;
-  mw::Config stat = base_config(Kind::kStatic, 4, 2000);
-  stat.latency = 1e-4;
-  stat.overhead_mode = mw::OverheadMode::kSimulated;
-  stat.params.h = 1e-4;
-  const mw::Metrics m_ss = mw::compute_metrics(mw::run_simulation(ss), ss);
-  const mw::Metrics m_stat = mw::compute_metrics(mw::run_simulation(stat), stat);
-  EXPECT_GT(m_ss.overhead_degree, m_stat.overhead_degree * 10.0);
+  EXPECT_NEAR(measure(base_config(Kind::kStatic, 8, 4096)).speedup, 8.0, 0.01);
 }
 
 TEST(Metrics, ChunksMatchRunResult) {
   const mw::Config cfg = base_config(Kind::kFAC2, 4, 1024);
   const mw::RunResult r = mw::run_simulation(cfg);
-  const mw::Metrics m = mw::compute_metrics(r, cfg);
-  EXPECT_EQ(m.chunks, r.chunk_count);
+  const exec::Measured m = measure(cfg);
+  EXPECT_EQ(m.chunks, static_cast<double>(r.chunk_count));
   EXPECT_DOUBLE_EQ(m.makespan, r.makespan);
 }
 

@@ -9,7 +9,6 @@
 #include <limits>
 #include <vector>
 
-#include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "workload/task_times.hpp"
 

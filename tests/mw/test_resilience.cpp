@@ -8,7 +8,6 @@
 #include <limits>
 #include <vector>
 
-#include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "workload/random_source.hpp"
 #include "workload/task_times.hpp"

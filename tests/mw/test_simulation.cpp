@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "workload/task_times.hpp"
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mw/metrics.hpp"
+#include "exec/backend.hpp"
 #include "mw/simulation.hpp"
 #include "workload/task_times.hpp"
 
@@ -38,7 +38,7 @@ TEST_P(WorkloadSweep, SimulationIsConsistent) {
   cfg.seed = 31337;
 
   const mw::RunResult r = mw::run_simulation(cfg);
-  const mw::Metrics m = mw::compute_metrics(r, cfg);
+  const double speedup = exec::make_backend("mw")->measure(cfg).speedup;
 
   // Conservation and bounds.
   std::size_t tasks = 0;
@@ -50,9 +50,9 @@ TEST_P(WorkloadSweep, SimulationIsConsistent) {
   }
   EXPECT_EQ(tasks, 2048u);
   EXPECT_NEAR(compute, r.total_nominal_work, r.total_nominal_work * 1e-9);
-  EXPECT_GT(m.speedup, 0.0);
-  EXPECT_LE(m.speedup, 8.0 + 1e-9);
-  EXPECT_GE(m.avg_wasted_time, 0.0);
+  EXPECT_GT(speedup, 0.0);
+  EXPECT_LE(speedup, 8.0 + 1e-9);
+  EXPECT_GE(r.avg_wasted_time, 0.0);
   // Makespan is at least the critical path lower bound work/p.
   EXPECT_GE(r.makespan, r.total_nominal_work / 8.0 * 0.9999);
 }
@@ -84,8 +84,7 @@ TEST(WorkloadSweep, DecreasingRampFavorsDecreasingChunks) {
     cfg.tasks = 8192;
     cfg.workload = workload::linear_ramp(2.0, 0.01);
     cfg.params.h = 0.0;
-    const mw::RunResult r = mw::run_simulation(cfg);
-    return mw::compute_metrics(r, cfg).speedup;
+    return exec::make_backend("mw")->measure(cfg).speedup;
   };
   EXPECT_GT(run(dls::Kind::kTSS), run(dls::Kind::kCSS));
 }
@@ -101,8 +100,7 @@ TEST(WorkloadSweep, IncreasingRampIsTheHardCaseForDecreasingChunks) {
     cfg.tasks = 8192;
     cfg.workload = workload::linear_ramp(0.01, 2.0);
     cfg.params.h = 0.0;
-    const mw::RunResult r = mw::run_simulation(cfg);
-    return mw::compute_metrics(r, cfg).speedup;
+    return exec::make_backend("mw")->measure(cfg).speedup;
   };
   EXPECT_GT(run(dls::Kind::kFAC2), run(dls::Kind::kStatic));
   EXPECT_GT(run(dls::Kind::kGSS), run(dls::Kind::kStatic));

@@ -17,9 +17,8 @@
 #include <vector>
 
 #include "bbn/machine_model.hpp"
+#include "exec/backend.hpp"
 #include "hagerup/simulator.hpp"
-#include "mw/metrics.hpp"
-#include "mw/simulation.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
@@ -175,7 +174,7 @@ TEST(TssFigures, Figure3TendencyMatchesButValuesDiffer) {
 TEST(TssFigures, Figure3RecordsEqualDirectModelCalls) {
   // The records carry each model's speedup bit for bit: hagerup::run on
   // the BBN machine model (bbn::on_machine + bbn::tzen_ni) on the
-  // original side, run_simulation + compute_metrics on the simulation
+  // original side, the mw backend's measure() on the simulation
   // side, with the paper's parameters spelled out by hand.
   const std::shared_ptr<const workload::TaskTimeGenerator> workload = workload::constant(110e-6);
   struct Curve {
@@ -208,8 +207,7 @@ TEST(TssFigures, Figure3RecordsEqualDirectModelCalls) {
 
       const sweep::FigureCell& c = fig3_cell(curve.label, pes);
       EXPECT_EQ(c.original, bbn::tzen_ni(hagerup::run(bbn::on_machine(original))).speedup);
-      EXPECT_EQ(c.simulation,
-                mw::compute_metrics(mw::run_simulation(simulation), simulation).speedup);
+      EXPECT_EQ(c.simulation, exec::make_backend("mw")->measure(simulation).speedup);
     }
   }
 }

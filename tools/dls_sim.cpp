@@ -19,8 +19,9 @@
 //   workers 4
 //   workload constant:0.002" | dls_sim -
 //
-// The Tzen-Ni overhead and imbalance degrees are not record fields, so
-// dls_sim does not print them (mw::Metrics still carries them).
+// It prints exactly the record's measured values (exec::Measured); the
+// Tzen-Ni overhead and imbalance degrees are not among them (only the
+// bbn machine model computes those, as bbn::tzen_ni).
 //
 // Exit codes: 0 = success, 1 = the simulation failed, 2 = the
 // experiment file (or command line) could not be parsed.  Parse errors
