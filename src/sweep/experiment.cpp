@@ -6,56 +6,70 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "exec/backend.hpp"
 #include "support/table.hpp"
+#include "support/text.hpp"
 #include "workload/task_times.hpp"
 
 namespace sweep {
 namespace {
 
 /// Where a parse error happened: the 1-based line number and the raw
-/// line text, so the message names the offending line verbatim.
+/// line text, so the message names the offending line verbatim (a
+/// reference without `quoted` names the line by number only).
 struct LineRef {
   std::size_t no = 0;
-  const std::string* text = nullptr;
+  std::string_view text;
+  bool quoted = true;
 };
 
 [[noreturn]] void parse_error(LineRef line, const std::string& message) {
   std::string where = "experiment line " + std::to_string(line.no);
-  if (line.text != nullptr) where += " ('" + *line.text + "')";
+  if (line.quoted) {
+    where += " ('";
+    where += line.text;
+    where += "')";
+  }
   throw std::invalid_argument(where + ": " + message);
 }
 
-double to_double(const std::string& v, LineRef line) {
+double to_double(std::string_view v, LineRef line) {
   try {
+    const std::string text(v);
     std::size_t pos = 0;
-    const double out = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument("");
+    const double out = std::stod(text, &pos);
+    if (pos != text.size()) throw std::invalid_argument("");
     return out;
   } catch (const std::out_of_range&) {
     // Distinct from a malformed number: "1e999" is well-formed but not
     // representable, and must not silently clamp or crash the parse.
-    parse_error(line, "number out of range of double: " + v);
+    parse_error(line, "number out of range of double: " + std::string(v));
   } catch (const std::exception&) {
-    parse_error(line, "bad number: " + v);
+    parse_error(line, "bad number: " + std::string(v));
   }
 }
 
 /// A finite, non-negative double (latency, h, mu, sigma): NaN, inf and
 /// negative values would only surface as a NaN or negative result.
-double to_finite_nonnegative(const std::string& key, const std::string& v, LineRef line) {
+double to_finite_nonnegative(std::string_view key, std::string_view v, LineRef line) {
   const double out = to_double(v, line);
-  if (!(out >= 0.0) || !std::isfinite(out)) parse_error(line, key + " must be finite and >= 0");
+  if (!(out >= 0.0) || !std::isfinite(out)) {
+    parse_error(line, std::string(key) + " must be finite and >= 0");
+  }
   return out;
 }
 
 bool positive_finite(double x) { return x > 0.0 && std::isfinite(x); }
 
-std::size_t to_size(const std::string& v, LineRef line) {
+std::size_t to_size(std::string_view v, LineRef line) {
   const double d = to_double(v, line);
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
-    parse_error(line, "expected a non-negative integer: " + v);
+  // 2^64 as a double: the range check comes before the cast, because
+  // casting NaN, inf or anything >= 2^64 to size_t is undefined.
+  constexpr double kLimit = 18446744073709551616.0;
+  if (!(d >= 0.0 && d < kLimit) || d != static_cast<double>(static_cast<std::size_t>(d))) {
+    parse_error(line, "expected a non-negative integer: " + std::string(v));
   }
   return static_cast<std::size_t>(d);
 }
@@ -65,57 +79,53 @@ std::size_t to_size(const std::string& v, LineRef line) {
 /// 64-bit derived seeds that must replay bit-exactly.  Falls back to
 /// the double path for scientific notation ("1e6"), which is exact in
 /// the range it accepts.
-std::uint64_t to_uint64(const std::string& v, LineRef line) {
+std::uint64_t to_uint64(std::string_view v, LineRef line) {
   std::uint64_t out = 0;
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   if (ec == std::errc{} && ptr == v.data() + v.size()) return out;
   if (ec == std::errc::result_out_of_range) {
-    parse_error(line, "number out of range of uint64: " + v);
+    parse_error(line, "number out of range of uint64: " + std::string(v));
   }
   const double d = to_double(v, line);
-  if (d < 0.0 || d > 9007199254740992.0 /* 2^53 */ ||
+  if (!(d >= 0.0 && d <= 9007199254740992.0 /* 2^53 */) ||
       d != static_cast<double>(static_cast<std::uint64_t>(d))) {
-    parse_error(line, "expected a non-negative integer: " + v);
+    parse_error(line, "expected a non-negative integer: " + std::string(v));
   }
   return static_cast<std::uint64_t>(d);
 }
 
-bool to_bool(const std::string& v, LineRef line) {
+bool to_bool(std::string_view v, LineRef line) {
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  parse_error(line, "expected a boolean: " + v);
+  parse_error(line, "expected a boolean: " + std::string(v));
 }
 
 /// Comma-separated doubles, each of which must pass `valid`; `rule`
 /// names the limit a failing entry breaks.
 template <typename Valid>
-std::vector<double> to_double_list(const std::string& v, LineRef line, Valid valid,
-                                   const std::string& rule) {
+std::vector<double> to_double_list(std::string_view v, LineRef line, Valid valid,
+                                   const char* rule) {
   std::vector<double> out;
-  std::stringstream ss(v);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) parse_error(line, "empty list item in: " + v);
+  support::for_each_piece(v, ',', [&](std::string_view item) {
+    if (item.empty()) parse_error(line, "empty list item in: " + std::string(v));
     out.push_back(to_double(item, line));
     if (!valid(out.back())) parse_error(line, rule);
-  }
-  if (out.empty()) parse_error(line, "expected a comma-separated list, got: " + v);
+  });
+  if (out.empty()) parse_error(line, "expected a comma-separated list, got: " + std::string(v));
   return out;
 }
 
 /// "t0:s0,t1:s1,..." -> SpeedProfile.
-simx::SpeedProfile to_profile(const std::string& v, LineRef line) {
+simx::SpeedProfile to_profile(std::string_view v, LineRef line) {
   simx::SpeedProfile profile;
-  std::stringstream ss(v);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  support::for_each_piece(v, ',', [&](std::string_view item) {
     const auto colon = item.find(':');
-    if (colon == std::string::npos) {
-      parse_error(line, "profile segment must be <time>:<flops>, got: " + item);
+    if (colon == std::string_view::npos) {
+      parse_error(line, "profile segment must be <time>:<flops>, got: " + std::string(item));
     }
     profile.time_points.push_back(to_double(item.substr(0, colon), line));
     profile.speeds.push_back(to_double(item.substr(colon + 1), line));
-  }
+  });
   try {
     profile.validate();
   } catch (const std::exception& e) {
@@ -134,20 +144,15 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
   bool have_sigma = false;
   std::map<std::size_t, simx::SpeedProfile> profiles;  // worker index -> profile
   std::map<std::size_t, std::size_t> profile_lines;    // worker index -> line number
-  std::size_t speeds_no = 0;  // the 'speeds' line, checked against host_speed at the end
-  std::string speeds_text;
+  LineRef speeds_line;  // the 'speeds' line, checked against host_speed at the end
 
-  std::istringstream is{std::string(text)};
-  std::string raw;
   std::size_t line_no = 0;
-  while (std::getline(is, raw)) {
+  support::for_each_piece(text, '\n', [&](std::string_view raw) {
     ++line_no;
-    const LineRef line{line_no, &raw};
-    std::string stripped = raw;
-    if (const auto hash = stripped.find('#'); hash != std::string::npos) stripped.resize(hash);
-    std::istringstream ls(stripped);
-    std::string key, value;
-    if (!(ls >> key)) continue;
+    const LineRef line{line_no, raw};
+    support::LineTokens tokens(raw);
+    const std::string_view key = tokens.next();
+    if (key.empty()) return;
     if (key == "sweep") {
       // Checked before the trailing-token guard: sweep lines carry
       // several values and would otherwise die with a confusing
@@ -156,13 +161,15 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
                   "'sweep' is a grid directive, not an experiment key; "
                   "run this file through dls_sweep (sweep::parse_grid)");
     }
-    if (!(ls >> value)) parse_error(line, "key '" + key + "' is missing a value");
-    std::string extra;
-    if (ls >> extra) parse_error(line, "unexpected trailing token: " + extra);
+    const std::string_view value = tokens.next();
+    if (value.empty()) parse_error(line, "key '" + std::string(key) + "' is missing a value");
+    if (const std::string_view extra = tokens.next(); !extra.empty()) {
+      parse_error(line, "unexpected trailing token: " + std::string(extra));
+    }
 
     if (key == "technique") {
       try {
-        cfg.technique = dls::kind_from_string(value);
+        cfg.technique = dls::kind_from_string(std::string(value));
       } catch (const std::exception& e) {
         parse_error(line, e.what());
       }
@@ -219,8 +226,7 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
     } else if (key == "speeds") {
       cfg.worker_speed_factors =
           to_double_list(value, line, positive_finite, "speeds entries must be finite and > 0");
-      speeds_no = line_no;
-      speeds_text = raw;
+      speeds_line = line;
     } else if (key == "weights") {
       cfg.params.weights =
           to_double_list(value, line, positive_finite, "weights entries must be finite and > 0");
@@ -229,12 +235,12 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       cfg.worker_failure_times = to_double_list(
           value, line, [](double t) { return t >= 0.0; }, "failures entries must be >= 0");
     } else if (key.starts_with("profile")) {
-      const std::string index_text = key.substr(7);
+      const std::string_view index_text = key.substr(7);
       std::size_t index = 0;
       const auto [ptr, ec] =
           std::from_chars(index_text.data(), index_text.data() + index_text.size(), index);
       if (ec != std::errc{} || ptr != index_text.data() + index_text.size()) {
-        parse_error(line, "profile key must be profile<worker-index>, got: " + key);
+        parse_error(line, "profile key must be profile<worker-index>, got: " + std::string(key));
       }
       profiles[index] = to_profile(value, line);
       profile_lines[index] = line_no;
@@ -255,13 +261,13 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
           if (!known.empty()) known += " | ";
           known += name;
         }
-        parse_error(line, "unknown backend '" + value + "' (known: " + known + ")");
+        parse_error(line, "unknown backend '" + std::string(value) + "' (known: " + known + ")");
       }
       spec.backend = value;
     } else {
-      parse_error(line, "unknown key: " + key);
+      parse_error(line, "unknown key: " + std::string(key));
     }
-  }
+  });
 
   if (!cfg.workload) throw std::invalid_argument("experiment: missing 'workload'");
   if (cfg.tasks == 0) throw std::invalid_argument("experiment: missing 'tasks'");
@@ -280,7 +286,7 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
   }
   for (const double factor : cfg.worker_speed_factors) {
     if (!positive_finite(cfg.host_speed * factor)) {
-      parse_error(LineRef{speeds_no, &speeds_text},
+      parse_error(speeds_line,
                   "host_speed * speeds entry " + support::fmt_shortest(factor) +
                       " must be finite and > 0");
     }
@@ -292,7 +298,7 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
   }
   if (!profiles.empty()) {
     if (profiles.rbegin()->first >= cfg.workers) {
-      parse_error(LineRef{profile_lines.at(profiles.rbegin()->first), nullptr},
+      parse_error(LineRef{profile_lines.at(profiles.rbegin()->first), {}, false},
                   "profile index " + std::to_string(profiles.rbegin()->first) +
                                     " out of range (workers " + std::to_string(cfg.workers) + ")");
     }

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "support/text.hpp"
 
 namespace sweep {
 namespace {
 
-[[noreturn]] void grid_error(std::size_t line_no, const std::string& line_text,
+[[noreturn]] void grid_error(std::size_t line_no, std::string_view line_text,
                              const std::string& message) {
-  throw std::invalid_argument("sweep line " + std::to_string(line_no) + " ('" + line_text +
-                              "'): " + message);
+  throw std::invalid_argument("sweep line " + std::to_string(line_no) + " ('" +
+                              std::string(line_text) + "'): " + message);
 }
 
 }  // namespace
@@ -47,36 +49,31 @@ std::size_t Grid::science_axes() const {
 
 Grid parse_grid(std::string_view text) {
   Grid grid;
-  std::istringstream is{std::string(text)};
-  std::string raw;
   std::size_t line_no = 0;
-  while (std::getline(is, raw)) {
+  support::for_each_piece(text, '\n', [&](std::string_view raw) {
     ++line_no;
-    std::string stripped = raw;
-    if (const auto hash = stripped.find('#'); hash != std::string::npos) stripped.resize(hash);
-    std::istringstream ls(stripped);
-    std::string first;
-    if (!(ls >> first) || first != "sweep") {
+    support::LineTokens tokens(raw);
+    if (tokens.next() != "sweep") {
       grid.base_text += raw;
       grid.base_text += '\n';
-      continue;
+      return;
     }
 
     Axis axis;
     axis.line_no = line_no;
-    if (!(ls >> axis.key)) grid_error(line_no, raw, "sweep directive is missing a key");
+    axis.key = tokens.next();
+    if (axis.key.empty()) grid_error(line_no, raw, "sweep directive is missing a key");
     if (axis.key == "sweep") grid_error(line_no, raw, "'sweep sweep' is not a key");
-    std::string value;
-    while (ls >> value) {
+    for (std::string_view value = tokens.next(); !value.empty(); value = tokens.next()) {
       for (const std::string& existing : axis.values) {
         if (existing == value) {
           // A typo'd repeat would silently run duplicate cells (and
           // emit duplicate BENCH entry names in bench mode).
           grid_error(line_no, raw,
-                     "duplicate value '" + value + "' in sweep axis '" + axis.key + "'");
+                     "duplicate value '" + existing + "' in sweep axis '" + axis.key + "'");
         }
       }
-      axis.values.push_back(value);
+      axis.values.emplace_back(value);
     }
     if (axis.values.empty()) {
       grid_error(line_no, raw, "sweep axis '" + axis.key + "' has no values");
@@ -89,7 +86,7 @@ Grid parse_grid(std::string_view text) {
       }
     }
     grid.axes.push_back(std::move(axis));
-  }
+  });
 
   // Canonicalize the execution-vehicle dimension: the backend axis is
   // always innermost (fastest-varying) with name-sorted values, so
@@ -118,24 +115,21 @@ Grid parse_grid(std::string_view text) {
     strides[a] = stride;
     stride *= grid.axes[a].values.size();
   }
-  auto validate = [&](std::size_t index, const char* what) {
+  auto validate = [&](std::size_t index, const std::string& what) {
     try {
-      (void)cell(grid, index);
+      return cell(grid, index);
     } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(std::string("sweep grid: ") + what + " does not parse: " +
-                                  e.what());
+      throw std::invalid_argument("sweep grid: " + what + " does not parse: " + e.what());
     }
   };
-  validate(0, "cell 0");
+  const Cell first = validate(0, "cell 0");
   for (std::size_t a = 0; a < grid.axes.size(); ++a) {
     for (std::size_t v = 1; v < grid.axes[a].values.size(); ++v) {
-      validate(v * strides[a],
-               ("axis '" + grid.axes[a].key + "' value '" + grid.axes[a].values[v] + "'").c_str());
+      (void)validate(v * strides[a],
+                     "axis '" + grid.axes[a].key + "' value '" + grid.axes[a].values[v] + "'");
     }
   }
-  if (grid.backend_axis() == nullptr) {
-    grid.fixed_backend = cell(grid, 0).spec.backend;
-  }
+  if (grid.backend_axis() == nullptr) grid.fixed_backend = first.spec.backend;
   return grid;
 }
 

@@ -36,6 +36,16 @@ namespace sweep {
 ///   threads   0               # pool width for the replicas (0 = hardware); fits unsigned
 ///   backend   mw              # execution vehicle: one of exec::backend_names()
 ///
+/// Tokenization (shared with sweep::parse_grid; support/text.hpp):
+/// lines end at '\n' (a last line without one counts); everything from
+/// a line's first '#' on is a comment, also when the '#' is glued to a
+/// token; tokens split on the classic whitespace set " \t\n\v\f\r", so
+/// a CRLF file reads like its LF copy, while NUL and bytes >= 0x80 stay
+/// inside tokens.  A comma list (`speeds`, `weights`, `failures`,
+/// `profile<i>`, workload arguments) ignores one trailing comma
+/// ("1,2," is two entries); an empty entry (",1" or "1,,2") is an
+/// error.
+///
 /// A `sweep <key> <v1> <v2> ...` line is a grid directive, not an
 /// experiment key: sweep::parse_grid expands the cartesian product of
 /// all sweep lines into one experiment per cell (tools/dls_sweep).

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "workload/random_source.hpp"
@@ -101,6 +102,6 @@ class TaskTimeGenerator {
 /// "exponential:1.0", "uniform:0.5,1.5", "normal:1.0,0.2",
 /// "gamma:2.0,0.5", "ramp:2.0,0.1", "bimodal:0.1,1.0,0.25".
 /// Throws std::invalid_argument on malformed specs.
-[[nodiscard]] std::unique_ptr<TaskTimeGenerator> from_spec(const std::string& spec);
+[[nodiscard]] std::unique_ptr<TaskTimeGenerator> from_spec(std::string_view spec);
 
 }  // namespace workload

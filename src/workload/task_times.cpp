@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "support/table.hpp"
+#include "support/text.hpp"
 
 namespace workload {
 
@@ -302,15 +303,14 @@ class Trace final : public TaskTimeGenerator {
   double mean_{}, stddev_{};
 };
 
-std::vector<double> parse_args(const std::string& s) {
+std::vector<double> parse_args(std::string_view s) {
   std::vector<double> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  support::for_each_piece(s, ',', [&](std::string_view piece) {
+    const std::string item(piece);
     std::size_t pos = 0;
     out.push_back(std::stod(item, &pos));
     if (pos != item.size()) throw std::invalid_argument("bad number in spec: " + item);
-  }
+  });
   return out;
 }
 
@@ -347,14 +347,15 @@ std::unique_ptr<TaskTimeGenerator> trace(std::vector<double> values) {
   return std::make_unique<Trace>(std::move(values));
 }
 
-std::unique_ptr<TaskTimeGenerator> from_spec(const std::string& spec) {
+std::unique_ptr<TaskTimeGenerator> from_spec(std::string_view spec) {
   const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
+  const std::string_view kind = spec.substr(0, colon);
   const std::vector<double> a =
-      colon == std::string::npos ? std::vector<double>{} : parse_args(spec.substr(colon + 1));
+      colon == std::string_view::npos ? std::vector<double>{} : parse_args(spec.substr(colon + 1));
   auto need = [&](std::size_t k) {
     if (a.size() != k) {
-      throw std::invalid_argument("spec '" + spec + "' needs " + std::to_string(k) + " args");
+      throw std::invalid_argument("spec '" + std::string(spec) + "' needs " + std::to_string(k) +
+                                  " args");
     }
   };
   if (kind == "constant") { need(1); return constant(a[0]); }
@@ -366,7 +367,7 @@ std::unique_ptr<TaskTimeGenerator> from_spec(const std::string& spec) {
   if (kind == "weibull") { need(2); return weibull(a[0], a[1]); }
   if (kind == "bimodal") { need(3); return bimodal(a[0], a[1], a[2]); }
   if (kind == "ramp") { need(2); return linear_ramp(a[0], a[1]); }
-  throw std::invalid_argument("unknown workload spec kind: " + kind);
+  throw std::invalid_argument("unknown workload spec kind: " + std::string(kind));
 }
 
 }  // namespace workload

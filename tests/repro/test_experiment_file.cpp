@@ -447,11 +447,15 @@ TEST(DlsSim, UsageErrorsExitTwo) {
 TEST(DlsSim, BadNumericValuesAreUsageErrors) {
   // Each of these once ran (NaN or negative results, FAC scheduling
   // every task as one chunk, a truncated thread count) or failed only
-  // as a run error.  Each is now exit 2, naming its line.
+  // as a run error.  Each is now exit 2, naming its line.  The counts
+  // at or past 2^64, NaN and inf are range-checked before the cast to
+  // an integer, which would be undefined behaviour.
   const std::string base = "technique FAC\ntasks 1000\nworkers 2\nworkload constant:1\n";
   for (const std::string line : {"h nan", "h -1", "mu nan", "failures nan,inf", "failures -5,inf",
                                  "threads 4294967297", "timesteps 0", "weights -1,1",
-                                 "weights nan,1", "tasks 0", "workers 0"}) {
+                                 "weights nan,1", "tasks 0", "workers 0", "tasks 1e300",
+                                 "tasks 18446744073709551616", "tasks nan", "tasks inf",
+                                 "seed nan", "seed inf"}) {
     const Outcome run = run_sim(base + line + "\n");
     EXPECT_EQ(run.exit_code, 2) << line << "\n" << run.output;
     EXPECT_NE(run.output.find("line 5 ('" + line + "')"), std::string::npos) << run.output;
