@@ -6,6 +6,12 @@
 //                           events (the calendar queue's claim is that
 //                           this stays flat in N; the binary-heap
 //                           reference below it grows as log N)
+//   BM_EventQueueHold/P     mw's pattern per chunk at P workers: pop
+//                           a worker's event, push the master's reply
+//                           1e-12 s ahead, pop it, push the worker's
+//                           next event an exponential interval ahead
+//                           (the reply takes the queue's register, so
+//                           a chunk is one ring push and pop)
 //   BM_BinaryHeapPushPop/N  the std::priority_queue baseline the
 //                           calendar replaced, same workload (the small
 //                           N are the hagerup simulator's old worker
@@ -31,6 +37,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <queue>
@@ -81,6 +88,32 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   state.counters["pending"] = static_cast<double>(pending);
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(10240)->Arg(102400);
+
+/// mw's chunk on the queue alone: P workers each hold one pending
+/// event; a chunk pops the earliest, pushes the master's reply 1e-12 s
+/// after it, pops that, and pushes the worker's next request an
+/// exponential interval (mean 1) after the reply.
+void BM_EventQueueHold(benchmark::State& state) {
+  const std::size_t workers = static_cast<std::size_t>(state.range(0));
+  simx::CalendarQueue queue;
+  std::uint64_t rng = 0x0123456789abcdefull;
+  std::uint64_t seq = 0;
+  const auto interval = [&rng] {
+    const double u = (static_cast<double>(mix(rng) >> 11) + 0.5) * 0x1p-53;
+    return -std::log(u);
+  };
+  for (std::size_t w = 0; w < workers; ++w) queue.push(simx::Event{interval(), seq++, w});
+  for (auto _ : state) {
+    const simx::Event request = queue.pop();
+    queue.push(simx::Event{request.time + 1e-12, seq++, request.tag});
+    const simx::Event reply = queue.pop();
+    queue.push(simx::Event{reply.time + interval(), seq++, reply.tag});
+  }
+  benchmark::DoNotOptimize(seq);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["workers"] = static_cast<double>(workers);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(64)->Arg(256);
 
 /// The binary-heap reference point (what the simulator used before the
 /// calendar queue): identical hold-N workload.

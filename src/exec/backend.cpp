@@ -128,9 +128,7 @@ Measured measured(const hagerup::RunResult& result, bool bbn) {
   if (bbn) {
     // Mean over PEs of makespan - compute time: scheduling plus
     // waiting, with no analytic h term.
-    double wasted = 0.0;
-    for (const double x : result.compute_time) wasted += result.makespan - x;
-    m.avg_wasted_time = wasted / static_cast<double>(result.compute_time.size());
+    m.avg_wasted_time = result.idle_sum / static_cast<double>(result.compute_time.size());
     // Tzen-Ni's r exactly as bbn::tzen_ni computes it: recomputing it
     // as executed work / makespan would differ in the last bits.
     m.speedup = bbn::tzen_ni(result).speedup;

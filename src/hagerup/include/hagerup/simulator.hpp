@@ -81,9 +81,11 @@ struct RunResult {
   /// Per worker: time spent waiting for and holding the dispatcher
   /// (Tzen-Ni's O; all zero without a dispatch hold).
   std::vector<double> schedule_time;
-  /// Average wasted time of the run: mean over workers of
-  /// (makespan - compute time), which equals idle + overhead per
-  /// worker when overhead is charged inline; plus h*chunks/p otherwise.
+  /// Sum over workers, in worker order, of (makespan - compute time).
+  double idle_sum = 0.0;
+  /// Average wasted time of the run: idle_sum / p, which equals idle +
+  /// overhead per worker when overhead is charged inline; plus
+  /// h*chunks/p otherwise.
   double avg_wasted_time = 0.0;
   std::vector<ChunkLogEntry> chunk_log;  ///< filled if Config::record_chunk_log
 };

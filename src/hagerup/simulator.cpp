@@ -81,8 +81,10 @@ RunResult run(const Config& config, RunContext& context) {
   }
 
   result.makespan = makespan;
-  double wasted_sum = 0.0;
-  for (double c : result.compute_time) wasted_sum += makespan - c;
+  double idle_sum = 0.0;
+  for (double c : result.compute_time) idle_sum += makespan - c;
+  result.idle_sum = idle_sum;
+  double wasted_sum = idle_sum;
   if (!config.charge_overhead_inline) {
     wasted_sum += config.params.h * static_cast<double>(result.chunk_count);
   }

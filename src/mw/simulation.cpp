@@ -6,6 +6,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -166,8 +167,7 @@ struct RunContext::Impl {
   std::vector<Worker> workers;
 
   // Serve-loop buffers.
-  std::vector<double> task_times;  ///< current step's task times
-  std::vector<double> prefix;      ///< prefix[i] = sum of task_times[0..i)
+  std::vector<double> prefix;  ///< prefix[i] = sum of the step's first i task times
   TaskPool pool;
   IndexQueue requests;  ///< delivered requests the master has not received yet
   IndexQueue to_serve;
@@ -195,6 +195,8 @@ enum EventKind : std::uint64_t {
 };
 constexpr unsigned kKindBits = 3;
 constexpr std::uint64_t kKindMask = (std::uint64_t{1} << kKindBits) - 1;
+/// master_run's "no request to receive first".
+constexpr std::size_t kNoRequest = std::numeric_limits<std::size_t>::max();
 
 /// The paper's Figure 1 master-worker model as an explicit event loop.
 ///
@@ -226,7 +228,7 @@ class Loop {
   /// then the workers in index order, each sending its first request.
   SimTime run() {
     begin_step();
-    master_run();
+    master_run(kNoRequest);
     for (std::size_t w = 0; w < workers_.size(); ++w) worker_send(w);
     simx::CalendarQueue& events = buf_.events;
     while (!events.empty()) {
@@ -281,16 +283,22 @@ class Loop {
     return std::runtime_error("simulation deadlock: actor '" + actor + "' never finished");
   }
 
-  void push(SimTime at, EventKind kind, std::size_t worker) {
+  /// The loop's one push site, kept out of line so the queue's inlined
+  /// push exists once.
+  [[gnu::noinline]] void push(SimTime at, EventKind kind, std::size_t worker) {
     buf_.events.push(simx::Event{at, seq_++, (std::uint64_t{worker} << kKindBits) | kind});
   }
 
   /// An actor blocked since its last transition resumes now.  With
   /// comm_from before now, the part of the wait from comm_from on was a
   /// blocking send's communicating phase.
+  ///
+  /// A resumed actor runs on and makes its next transition at this same
+  /// instant, so it never enters kReady: the time up to now is charged
+  /// to the state it leaves then, the very addend a zero-length kReady
+  /// stay would have passed on (and kReady's own sum is never read).
   void resumed(simx::ActorClock& clock, SimTime comm_from) const {
     if (comm_from < now_) clock.set_state(ActorState::kCommunicating, comm_from);
-    if (clock.state != ActorState::kReady) clock.set_state(ActorState::kReady, now_);
   }
 
   /// An actor ends by entering kDone, so its clock's last transition
@@ -343,7 +351,6 @@ class Loop {
       return;
     }
     wk.waiting = false;
-    wk.clock.set_state(ActorState::kReady, now_);
     worker_chunk(w);
   }
 
@@ -423,22 +430,27 @@ class Loop {
 
   // ------------------------------------------------------------ master
 
+  /// A busy master queues the request (first in, first out); a waiting
+  /// one has none queued and receives it at once.
   void deliver_request(std::size_t w) {
-    buf_.requests.push(w);
-    if (!master_waiting_) return;
+    if (!master_waiting_) {
+      buf_.requests.push(w);
+      return;
+    }
     master_waiting_ = false;
-    master_.set_state(ActorState::kReady, now_);
-    master_run();
+    master_run(w);
   }
 
   void master_resume() {
     resumed(master_, master_comm_from_);
-    master_run();
+    master_run(kNoRequest);
   }
 
-  /// Run the master until it blocks or ends.
-  void master_run() {
+  /// Run the master until it blocks or ends, receiving worker
+  /// `received`'s request first unless it is kNoRequest.
+  void master_run(std::size_t received) {
     try {
+      if (received != kNoRequest && !receive(received)) return;
       while (master_step()) {
       }
     } catch (...) {
@@ -466,40 +478,30 @@ class Loop {
         }
         if (!buf_.to_serve.empty()) return !serve(buf_.to_serve.pop());
         if (buf_.requests.empty()) return wait();
-        on_step_request(buf_.requests.pop());
-        return true;
+        return on_step_request(buf_.requests.pop());
       case Phase::kFinalizeParked:
         if (next_parked_ == parked.size()) {
           phase_ = Phase::kFinalizeDrain;
           return true;
         }
         return !finalize(parked[next_parked_++]);
-      case Phase::kFinalizeDrain: {
+      case Phase::kFinalizeDrain:
         if (finalized_count_ >= alive_) {
           finish(master_);
           return false;
         }
         if (buf_.requests.empty()) return wait();
-        const std::size_t w = buf_.requests.pop();
-        const WorkRequest& request = workers_[w].request;
-        if (request.failed) {
-          // A failure announced after its last completion: nothing to
-          // reclaim (all tasks are done), the worker just leaves.
-          workers_[w].failed = true;
-          --alive_;
-          return true;
-        }
-        if (request.done_size > 0) {
-          tech_.on_chunk_complete(
-              dls::ChunkFeedback{w, request.done_size, request.done_exec_time, now_});
-        }
-        if (workers_[w].finalized) {
-          throw std::logic_error("worker " + std::to_string(w) + " requested after finalization");
-        }
-        return !finalize(w);
-      }
+        return on_drain_request(buf_.requests.pop());
     }
     return false;
+  }
+
+  /// Receive worker w's request; false once the master blocks or ends.
+  /// The master waits only in kServe and kFinalizeDrain, and wakes to
+  /// exactly the step master_step would take next, so a waiting master
+  /// receives a request here directly.
+  bool receive(std::size_t w) {
+    return phase_ == Phase::kServe ? on_step_request(w) : on_drain_request(w);
   }
 
   bool wait() {
@@ -510,7 +512,6 @@ class Loop {
 
   void begin_step() {
     if (step_ > 0) tech_.start_new_timestep();
-    cfg_.workload->generate_into(buf_.task_times, cfg_.tasks, rng_);
     rebuild_prefix();
     buf_.pool.reset(cfg_.tasks);
     completed_tasks_ = 0;
@@ -519,7 +520,7 @@ class Loop {
     buf_.parked.clear();
   }
 
-  void on_step_request(std::size_t w) {
+  bool on_step_request(std::size_t w) {
     Worker& wk = workers_[w];
     const WorkRequest& request = wk.request;
     if (request.failed) {
@@ -545,7 +546,7 @@ class Loop {
                                  std::to_string(cfg_.tasks - completed_tasks_) +
                                  " tasks incomplete in step " + std::to_string(step_));
       }
-      return;
+      return true;
     }
     if (request.done_size > 0) {
       completed_tasks_ += request.done_size;
@@ -554,9 +555,28 @@ class Loop {
     }
     if (completed_tasks_ >= cfg_.tasks || tech_.remaining() == 0) {
       buf_.parked.push_back(w);  // the step ends once all tasks are confirmed
-      return;
+      return true;
     }
-    buf_.to_serve.push(w);
+    return !serve(w);
+  }
+
+  bool on_drain_request(std::size_t w) {
+    const WorkRequest& request = workers_[w].request;
+    if (request.failed) {
+      // A failure announced after its last completion: nothing to
+      // reclaim (all tasks are done), the worker just leaves.
+      workers_[w].failed = true;
+      --alive_;
+      return true;
+    }
+    if (request.done_size > 0) {
+      tech_.on_chunk_complete(
+          dls::ChunkFeedback{w, request.done_size, request.done_exec_time, now_});
+    }
+    if (workers_[w].finalized) {
+      throw std::logic_error("worker " + std::to_string(w) + " requested after finalization");
+    }
+    return !finalize(w);
   }
 
   /// Serve worker w a chunk; true if the master blocks on the reply.
@@ -615,21 +635,24 @@ class Loop {
     return true;
   }
 
-  /// Rebuild the prefix-sum index over the current task times and
-  /// extend the running total-nominal-work accumulator (kept as its own
-  /// left-to-right sum so the reported total is independent of how
-  /// chunks later partition the step).
+  /// Draw the step's task times into prefix[1..n] and scan them in
+  /// place into the prefix-sum index, extending the running
+  /// total-nominal-work accumulator (kept as its own left-to-right sum
+  /// so the reported total is independent of how chunks later
+  /// partition the step).
   void rebuild_prefix() {
-    const std::vector<double>& t = buf_.task_times;
     std::vector<double>& prefix = buf_.prefix;
-    prefix.resize(t.size() + 1);
+    prefix.resize(cfg_.tasks + 1);
     prefix[0] = 0.0;
+    cfg_.workload->generate_into(std::span<double>(prefix).subspan(1), rng_);
+    double total = total_nominal_work_;
     double run = 0.0;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      total_nominal_work_ += t[i];
-      run += t[i];
-      prefix[i + 1] = run;
+    for (std::size_t i = 1; i < prefix.size(); ++i) {
+      total += prefix[i];
+      run += prefix[i];
+      prefix[i] = run;
     }
+    total_nominal_work_ = total;
   }
 
   const Config& cfg_;

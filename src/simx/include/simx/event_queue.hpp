@@ -54,12 +54,14 @@ struct EventBefore {
 /// test in tests/simx/test_event_queue.cpp asserts it over seeded
 /// adversarial streams).
 ///
-/// Front slot: a push that sorts before everything still pending in the
-/// bucket being drained takes the slot the last pop vacated
-/// (bucket[--drain_pos_]) -- O(1), no shift.  It is exact because every
-/// event in the cursor's bucket precedes every event in the others.
+/// Register: one event held outside both tiers.  A push that sorts
+/// before every pending event goes into it when it is free, and pop()
+/// returns it without touching the ring; a push that sorts before the
+/// held event takes its place and sends the old one down to the tiers.
 /// Nearly half of mw's pushes take it: the master's reply lands 1e-12 s
-/// after the request it answers, ahead of every other pending event.
+/// after the request it answers, ahead of every other pending event, so
+/// a chunk is one ring event (the worker's next request) in the common
+/// case.
 ///
 /// Determinism: bucket width and count adapt only at rebuild points
 /// that are pure functions of the push/pop sequence and the event times
@@ -76,82 +78,40 @@ class CalendarQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  void push(const Event& ev) {
+  // push() and pop() are always inlined, so an event built by the
+  // caller stays in registers.  Through memory, the compiler stores an
+  // Event in one width and reloads it in another, and the reload stalls
+  // on store forwarding (mw pops its reply right after pushing it).
+  [[gnu::always_inline]] void push(const Event& ev) {
     ++size_;
-    if (drain_pos_ > 0) {
-      // The front slot (see the class comment).  pop() clears a bucket
-      // the moment it is drained, so drain_pos_ > 0 means the cursor's
-      // bucket is sorted and bucket[drain_pos_] is the next pop.
-      std::vector<Event>& bucket = buckets_[cursor_slot_ & (buckets_.size() - 1)];
-      if (EventBefore{}(ev, bucket[drain_pos_])) {
-        bucket[--drain_pos_] = ev;
-        ++ring_size_;
+    if (held_) {
+      if (EventBefore{}(ev, register_)) {
+        const Event displaced = register_;
+        register_ = ev;
+        push_tiers(displaced);
         return;
       }
-    }
-    if (!(ev.time < window_end_)) {  // routes +inf (and any NaN) to overflow
-      push_overflow(ev);
+    } else if (precedes_tiers(ev)) {
+      register_ = ev;
+      held_ = true;
       return;
     }
-    ring_insert(ev);
-    if (size_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
-      rebuild(buckets_.size() * 2);
-    }
+    push_tiers(ev);
   }
 
   /// Pop the minimum-(time, seq) event.  Precondition: !empty().
-  Event pop() {
-    for (;;) {
-      if (ring_size_ == 0) {
-        refill_from_overflow();
-        if (ring_size_ == 0) {  // only non-finite times remain
-          const Event ev = overflow_.back();
-          overflow_.pop_back();
-          --size_;
-          overflow_min_time_ =
-              overflow_.empty() ? std::numeric_limits<double>::infinity()
-                                : overflow_.back().time;
-          return ev;
-        }
-        continue;
-      }
-      std::vector<Event>& bucket = buckets_[cursor_slot_ & (buckets_.size() - 1)];
-      if (drain_pos_ == bucket.size()) {
-        bucket.clear();  // keeps capacity
-        drain_pos_ = 0;
-        cursor_sorted_ = false;
-        advance_cursor();
-        continue;
-      }
-      if (!cursor_sorted_) {
-        // A stale-wide width (fitted during a sparse phase, or kept
-        // across clear()) funnels the whole ring into one bucket and
-        // degrades pushes into sorted-vector inserts.  The ring never
-        // empties in steady state, so the refill-time refit can't
-        // correct it -- detect the pile-up here and re-fit.  The
-        // trigger is a pure function of the queue contents (and re-arms
-        // only when the cursor makes progress, so a genuinely
-        // same-time pile-up can't rebuild per pop), keeping identical
-        // runs bit-identical.
-        const std::size_t pending = bucket.size() - drain_pos_;
-        if (batch_refit_armed_ && pending >= kPileUp && pending * 4 >= ring_size_) {
-          batch_refit_armed_ = false;
-          rebuild(buckets_.size());
-          continue;
-        }
-        std::sort(bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_), bucket.end(),
-                  EventBefore{});
-        cursor_sorted_ = true;
-      }
-      const Event ev = bucket[drain_pos_++];
-      --size_;
-      --ring_size_;
-      if (drain_pos_ == bucket.size()) {
-        bucket.clear();
-        drain_pos_ = 0;
-      }
-      return ev;
+  [[gnu::always_inline]] Event pop() {
+    --size_;
+    if (held_) {
+      held_ = false;
+      // Field by field, for the same reason: a whole-struct copy is a
+      // reload that straddles the stores of the push just before.
+      return Event{register_.time, register_.seq, register_.tag};
     }
+    std::vector<Event>& bucket = buckets_[cursor_slot_ & mask_];
+    const auto next = bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_);
+    if (cursor_sorted_ && next != bucket.end()) return take_next(bucket);
+    return pop_ring();
   }
 
   /// Drop all events, keeping bucket/overflow capacity and the adapted
@@ -160,6 +120,7 @@ class CalendarQueue {
   void clear() {
     for (std::vector<Event>& bucket : buckets_) bucket.clear();
     overflow_.clear();
+    held_ = false;
     size_ = 0;
     ring_size_ = 0;
     origin_ = 0.0;
@@ -191,16 +152,117 @@ class CalendarQueue {
   /// bucket.  mw's SS at P = 64 shows the difference: with a trigger of
   /// 64 it drains buckets of ~40 events all run long, with 16 of ~6.
   static constexpr std::size_t kPileUp = 16;
+  /// Largest drain batch sort_events() insertion-sorts.
+  static constexpr std::size_t kInsertionSortMax = 64;
+
+  /// The next event of the cursor's sorted, not yet drained bucket.
+  Event take_next(std::vector<Event>& bucket) {
+    const Event ev = bucket[drain_pos_++];
+    --ring_size_;
+    if (bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_) == bucket.end()) {
+      bucket.clear();  // keeps capacity
+      drain_pos_ = 0;
+    }
+    return ev;
+  }
+
+  /// pop() once the cursor's bucket is drained or not yet sorted.
+  Event pop_ring() {
+    for (;;) {
+      if (ring_size_ == 0) {
+        refill_from_overflow();
+        if (ring_size_ == 0) {  // only non-finite times remain
+          const Event ev = overflow_.back();
+          overflow_.pop_back();
+          overflow_min_time_ =
+              overflow_.empty() ? std::numeric_limits<double>::infinity()
+                                : overflow_.back().time;
+          return ev;
+        }
+        continue;
+      }
+      std::vector<Event>& bucket = buckets_[cursor_slot_ & mask_];
+      if (drain_pos_ == bucket.size()) {
+        bucket.clear();  // keeps capacity
+        drain_pos_ = 0;
+        cursor_sorted_ = false;
+        advance_cursor();
+        continue;
+      }
+      if (!cursor_sorted_) {
+        // A stale-wide width (fitted during a sparse phase, or kept
+        // across clear()) funnels the whole ring into one bucket and
+        // degrades pushes into sorted-vector inserts.  The ring never
+        // empties in steady state, so the refill-time refit can't
+        // correct it -- detect the pile-up here and re-fit.  The
+        // trigger is a pure function of the queue contents (and re-arms
+        // only when the cursor makes progress, so a genuinely
+        // same-time pile-up can't rebuild per pop), keeping identical
+        // runs bit-identical.
+        const std::size_t pending = bucket.size() - drain_pos_;
+        if (batch_refit_armed_ && pending >= kPileUp && pending * 4 >= ring_size_) {
+          batch_refit_armed_ = false;
+          rebuild(buckets_.size());
+          continue;
+        }
+        sort_events(bucket.data() + drain_pos_, bucket.data() + bucket.size());
+        cursor_sorted_ = true;
+      }
+      return take_next(bucket);
+    }
+  }
+
+  /// Whether `ev` sorts before every event in the ring and the
+  /// overflow.  Exact where it answers true; it may answer false for an
+  /// event that does precede them (it then just takes the tiers).
+  [[nodiscard]] bool precedes_tiers(const Event& ev) const {
+    if (ring_size_ == 0) return ev.time < overflow_min_time_;
+    if (!cursor_sorted_) return false;
+    const std::vector<Event>& bucket = buckets_[cursor_slot_ & mask_];
+    // The cursor's sorted bucket holds the minimum whenever it is not
+    // empty.  When it is, every ring event sits in a later slot and
+    // every overflow event at or past the window's end, so an event of
+    // the cursor's own slot precedes them all (slot_of is monotone).
+    const auto next = bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_);
+    if (next != bucket.end()) return EventBefore{}(ev, *next);
+    return ev.time < window_end_ && slot_of(ev.time) == cursor_slot_;
+  }
+
+  /// Push into the ring, or into the overflow past the window.
+  void push_tiers(const Event& ev) {
+    if (!(ev.time < window_end_)) {  // routes +inf (and any NaN) to overflow
+      push_overflow(ev);
+      return;
+    }
+    ring_insert(ev);
+    if (size_ > 2 * (mask_ + 1) && mask_ + 1 < kMaxBuckets) rebuild(2 * (mask_ + 1));
+  }
+
+  /// Sort [first, last) by (time, seq).  A fitted width leaves a few
+  /// events per bucket, where a plain insertion sort beats std::sort's
+  /// set-up; a pile-up the refit could not split still gets std::sort.
+  static void sort_events(Event* first, Event* last) {
+    if (last - first > static_cast<std::ptrdiff_t>(kInsertionSortMax)) {
+      std::sort(first, last, EventBefore{});
+      return;
+    }
+    for (Event* next = first + 1; next < last; ++next) {
+      const Event ev = *next;
+      Event* hole = next;
+      for (; hole > first && EventBefore{}(ev, hole[-1]); --hole) *hole = hole[-1];
+      *hole = ev;
+    }
+  }
 
   void recompute_window_end() {
-    window_end_ = origin_ + static_cast<double>(cursor_slot_ + buckets_.size()) * width_;
+    window_end_ = origin_ + static_cast<double>(cursor_slot_ + mask_ + 1) * width_;
   }
 
   /// Slow-path half of push(): events at or beyond the window.  Kept
   /// out of line (and cold) deliberately -- push() is the hottest
   /// function in a simulation, and inlining this branch measurably slows
   /// the ring path even in runs where it never executes.
-  [[using gnu: noinline, cold]] void push_overflow(const Event& ev) {
+  [[using gnu: noinline, cold]] void push_overflow(Event ev) {
     // The overflow is kept descending by the FULL (time, seq) order:
     // an equal-time append (e.g. two +inf sentinels) breaks it just
     // as a smaller time does, because the newer event's larger seq
@@ -216,8 +278,7 @@ class CalendarQueue {
     // run pays at most O(log n) overflow rebuilds even under monotone
     // drift, and a genuinely bimodal span stops firing instead of
     // thrashing.
-    const std::size_t in_overflow = size_ - ring_size_;
-    if (in_overflow >= overflow_refit_trigger_) {
+    if (overflow_.size() >= overflow_refit_trigger_) {
       overflow_refit_trigger_ *= 2;
       rebuild(grown_bucket_count());
     }
@@ -240,7 +301,7 @@ class CalendarQueue {
     std::uint64_t slot =
         delta > 0.0 ? static_cast<std::uint64_t>(delta * inv_width_) : std::uint64_t{0};
     if (slot < cursor_slot_) slot = cursor_slot_;
-    const std::uint64_t last = cursor_slot_ + buckets_.size() - 1;
+    const std::uint64_t last = cursor_slot_ + mask_;
     if (slot > last) slot = last;
     return slot;
   }
@@ -248,15 +309,21 @@ class CalendarQueue {
   void ring_insert(const Event& ev) {
     ++ring_size_;
     const std::uint64_t slot = slot_of(ev.time);
-    std::vector<Event>& bucket = buckets_[slot & (buckets_.size() - 1)];
+    std::vector<Event>& bucket = buckets_[slot & mask_];
     if (slot == cursor_slot_ && cursor_sorted_) {
-      // Mid-drain push into the bucket being drained: keep the
-      // not-yet-popped remainder sorted so the (time, seq) order holds.
-      const auto begin = bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_);
-      bucket.insert(std::upper_bound(begin, bucket.end(), ev, EventBefore{}), ev);
+      insert_sorted(bucket, ev);
       return;
     }
     bucket.push_back(ev);
+  }
+
+  /// Mid-drain push into the bucket being drained: keep the
+  /// not-yet-popped remainder sorted so the (time, seq) order holds.
+  /// Out of line, and like push_overflow() it takes the event by value,
+  /// so a pushed event's address never escapes the inlined push().
+  [[gnu::noinline]] void insert_sorted(std::vector<Event>& bucket, Event ev) {
+    const auto begin = bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_);
+    bucket.insert(std::upper_bound(begin, bucket.end(), ev, EventBefore{}), ev);
   }
 
   void advance_cursor() {
@@ -329,15 +396,16 @@ class CalendarQueue {
 
   /// Re-bucket everything into `new_count` buckets with a width fitted
   /// to the current event spacing.  Triggered by occupancy alone, so
-  /// identical push/pop sequences rebuild identically.
-  void rebuild(std::size_t new_count) {
+  /// identical push/pop sequences rebuild identically.  Out of line, so
+  /// the inlined push() that can trigger it stays small.
+  [[gnu::noinline]] void rebuild(std::size_t new_count) {
     scratch_.clear();
-    std::vector<Event>& cursor_bucket = buckets_[cursor_slot_ & (buckets_.size() - 1)];
+    std::vector<Event>& cursor_bucket = buckets_[cursor_slot_ & mask_];
     scratch_.insert(scratch_.end(),
                     cursor_bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_),
                     cursor_bucket.end());
     for (std::size_t i = 1; i < buckets_.size(); ++i) {
-      std::vector<Event>& bucket = buckets_[(cursor_slot_ + i) & (buckets_.size() - 1)];
+      std::vector<Event>& bucket = buckets_[(cursor_slot_ + i) & mask_];
       scratch_.insert(scratch_.end(), bucket.begin(), bucket.end());
       bucket.clear();
     }
@@ -360,6 +428,7 @@ class CalendarQueue {
     }
 
     buckets_.resize(new_count);
+    mask_ = new_count - 1;
     origin_ = scratch_.empty() ? 0.0 : scratch_.front().time;
     cursor_slot_ = 0;
     drain_pos_ = 0;
@@ -386,6 +455,8 @@ class CalendarQueue {
     scratch_.clear();
   }
 
+  Event register_;  // precedes every event of both tiers while held_
+  bool held_ = false;
   std::vector<std::vector<Event>> buckets_;  // ring; size is a power of two
   std::vector<Event> overflow_;              // beyond the window; sorted descending when clean
   std::vector<Event> scratch_;               // rebuild staging, capacity recycled
@@ -396,6 +467,7 @@ class CalendarQueue {
   double overflow_min_time_ = std::numeric_limits<double>::infinity();
   std::uint64_t cursor_slot_ = 0;  // absolute slot the drain cursor is on
   std::size_t drain_pos_ = 0;      // next undrained index in the cursor's bucket
+  std::size_t mask_ = kMinBuckets - 1;  // buckets_.size() - 1
   std::size_t size_ = 0;
   std::size_t ring_size_ = 0;
   std::size_t overflow_refit_trigger_ = 2 * kMinBuckets;  // doubles per rebuild

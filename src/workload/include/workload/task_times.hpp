@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +51,13 @@ class TaskTimeGenerator {
   /// a time-stepping run regenerates the workload every step, and the
   /// master must not allocate for it in steady state.
   void generate_into(std::vector<double>& out, std::size_t n, RandomSource& rng) const;
+
+  /// Fill `out` in place with the out.size() values generate() would
+  /// produce (the mw master draws them straight into its prefix-sum
+  /// index).
+  void generate_into(std::span<double> out, RandomSource& rng) const {
+    if (!out.empty()) do_generate_into(out.data(), out.size(), rng);
+  }
 
  protected:
   /// Bulk-fill hook: out[i] = sample(i, n, rng) for i in [0, n).

@@ -362,4 +362,103 @@ TEST(Golden, FailStopWhileWaitingAndMidChunk) {
                       0xdd9fbd0d6f88753eull, 0x1bd8c9f3e06bf802ull});
 }
 
+// ----------------------------------------------------------------------
+// Ordering corners of the serve path: each case drives an order the
+// event queue's one-event register and the waiting master's direct
+// serve must keep.  Recorded before either existed, with every
+// RunResult field, avg_wasted_time included.
+
+void expect_full_pin(const mw::Config& cfg, const Pin& pin, double avg_wasted_time) {
+  expect_pin(cfg, pin);
+  EXPECT_EQ(bits(mw::run_simulation(cfg).avg_wasted_time), bits(avg_wasted_time));
+}
+
+TEST(Golden, RequestsArriveInsideTheReplyWindow) {
+  // Constant task times tie every finish time, and a 1e-3 s latency
+  // holds the master in each reply send while the other workers'
+  // requests arrive and queue -- some at the reply's arrival instant.
+  mw::Config cfg = logged(Kind::kSS, 8, 256, workload::constant(1.0), 0.0, 0.5);
+  cfg.latency = 1e-3;
+  expect_full_pin(cfg,
+                  Pin{"ss_reply_window", 0x1.00a3d70a3d70dp+5, 0x1p+8, 256, 0x0p+0, 0,
+                      0xf86f68cc83ade9bdull, 0x49f56c63767c991full},
+                  0x1.0147ae147ae1ap+4);
+}
+
+TEST(Golden, ZeroDelayMessages) {
+  // Every send completes at its own instant: each delivery is an event
+  // of its own, at the time it is pushed.
+  mw::Config cfg = logged(Kind::kFAC2, 4, 512, workload::exponential(1.0), 1.0, 0.5);
+  cfg.latency = 0.0;
+  cfg.bandwidth = kInf;
+  cfg.seed = 808;
+  expect_full_pin(cfg,
+                  Pin{"fac2_zero_delay", 0x1.06181b073de1ap+7, 0x1.043afe16c606fp+9, 32, 0x0p+0,
+                      0, 0x350c1efe722b4498ull, 0xcace30825e9f43feull},
+                  0x1.3ba39e0efb56p+2);
+}
+
+TEST(Golden, ZeroDelayMessagesWithSimulatedOverhead) {
+  // Free links, but the master computes h per chunk: its reply blocks
+  // while every request is delivered at its own instant.
+  mw::Config cfg = logged(Kind::kSS, 4, 128, workload::exponential(1.0), 1.0, 0.01);
+  cfg.overhead_mode = mw::OverheadMode::kSimulated;
+  cfg.latency = 0.0;
+  cfg.bandwidth = kInf;
+  cfg.seed = 818;
+  expect_full_pin(cfg,
+                  Pin{"ss_zero_delay_simovh", 0x1.3021e33e47e5cp+5, 0x1.1bb3c49d0fd13p+7, 128,
+                      0x1.47ae147ae15c3p+0, 0, 0xa017ec768108d395ull, 0x8f1856da469b1de1ull},
+                  0x1.46e1ea1381494p+1);
+}
+
+TEST(Golden, RequestsQueueAtABusyMaster) {
+  // Simulated overhead keeps the master computing h per chunk, so
+  // requests that arrive meanwhile are served first in, first out.
+  mw::Config cfg = logged(Kind::kSS, 8, 512, workload::exponential(1.0), 1.0, 0.05);
+  cfg.overhead_mode = mw::OverheadMode::kSimulated;
+  cfg.seed = 909;
+  expect_full_pin(cfg,
+                  Pin{"ss_busy_master", 0x1.0abc58fc81b9dp+6, 0x1.e591754ccad49p+8, 512,
+                      0x1.99999999998e4p+4, 0, 0xa67466d60e8c43eaull, 0x0df43e5ee920be19ull},
+                  0x1.7f39e561c4f8ap+2);
+}
+
+TEST(Golden, FailStopMidChunk) {
+  // Worker 1 dies at t = 40 inside its first 128-task chunk.
+  mw::Config cfg = logged(Kind::kFAC2, 4, 1024, workload::exponential(1.0), 1.0, 0.5);
+  cfg.worker_failure_times = {kInf, 40.0, kInf, kInf};
+  cfg.seed = 1010;
+  expect_full_pin(cfg,
+                  Pin{"fac2_fail_mid_chunk", 0x1.49ac6570db5ap+8, 0x1.eded28149a631p+9, 36,
+                      0x0p+0, 128, 0x943de0007a5a649eull, 0xf866215a672f7adbull},
+                  0x1.34d7459a38a51p+6);
+}
+
+TEST(Golden, SpeedProfiles) {
+  mw::Config cfg = logged(Kind::kAF, 4, 2048, workload::exponential(1.0), 1.0, 0.5);
+  cfg.worker_speed_profiles = {simx::SpeedProfile{{0.0, 20.0, 50.0}, {1e9, 5e8, 2e9}},
+                               simx::SpeedProfile{{0.0}, {1e9}},
+                               simx::SpeedProfile{{0.0, 30.0, 35.0}, {1e9, 0.0, 1e9}},
+                               simx::SpeedProfile{{0.0}, {2e9}}};
+  cfg.seed = 1111;
+  expect_full_pin(cfg,
+                  Pin{"af_speed_profiles", 0x1.7a9030d7526dcp+8, 0x1.fb5a258a3da69p+10, 46,
+                      0x0p+0, 0, 0x1bafca1497a68787ull, 0x541c4a530ae252caull},
+                  0x1.f24dcd4802c78p+4);
+}
+
+TEST(Golden, ThreeTimesteps) {
+  // Workers park at the end of each step and are served first in the
+  // next one.
+  mw::Config cfg = logged(Kind::kAWFC, 4, 300, workload::exponential(1.0), 1.0, 0.02);
+  cfg.timesteps = 3;
+  cfg.latency = 1e-4;
+  cfg.seed = 1212;
+  expect_full_pin(cfg,
+                  Pin{"awfc_timesteps", 0x1.c560b2cf913aep+7, 0x1.bf5cce32226d1p+9, 80, 0x0p+0,
+                      0, 0x1ae3acf8e9fd47e4ull, 0xce101cb00e7c995cull},
+                  0x1.b42c5a8ee6e03p+1);
+}
+
 }  // namespace

@@ -134,7 +134,7 @@ Event pop_both(CalendarQueue& calendar, ReferenceHeap& heap) {
 
 /// An mw-shaped stream: `holders` workers, each holding one pending
 /// event at an exponential gap; popping a holder's event schedules the
-/// master's reply 1e-12 s later (the front-slot push), and popping the
+/// master's reply 1e-12 s later (the register push), and popping the
 /// reply schedules the holder's next event.  Some replies tie the
 /// popped time exactly.  Tags tell holders (0) from replies (1).
 void run_mw_stream(std::uint64_t seed, CalendarQueue& calendar) {
@@ -225,9 +225,9 @@ TEST(CalendarQueue, MidDrainPushesLandInOrder) {
     prev = got;
   }
 
-  // Front-slot streams: pushes into the bucket being drained that sort
-  // before everything still pending there take the slot the last pop
-  // vacated; the pop order must stay the binary heap's.
+  // Register streams: a push that sorts before everything still
+  // pending is held outside the ring; the pop order must stay the
+  // binary heap's.
   CalendarQueue drained;
   ReferenceHeap drained_heap;
   std::uint64_t seq = 0;
@@ -243,7 +243,7 @@ TEST(CalendarQueue, MidDrainPushesLandInOrder) {
   EXPECT_EQ(pop_both(drained, drained_heap).seq, front.seq);
 
   // An equal-time tie with the next pending event: the larger seq goes
-  // behind it, so this push must not take the front slot.
+  // behind it, so this push must not take the register.
   last = pop_both(drained, drained_heap);
   const Event tie{last.time + 1e-9, seq++};
   push_both(drained, drained_heap, tie);
@@ -258,8 +258,40 @@ TEST(CalendarQueue, MidDrainPushesLandInOrder) {
   const Event now{last.time, seq++};
   push_both(drained, drained_heap, now);
   EXPECT_EQ(pop_both(drained, drained_heap).seq, now.seq);
+
+  // A push ahead of the held event displaces it into the ring; both
+  // still pop before the rest, in (time, seq) order, also when a third
+  // push lands between them.
+  last = pop_both(drained, drained_heap);
+  const Event held{last.time + 2e-13, seq++};
+  const Event ahead{last.time + 1e-13, seq++};
+  const Event between{held.time, seq++};
+  push_both(drained, drained_heap, held);
+  push_both(drained, drained_heap, ahead);
+  push_both(drained, drained_heap, between);
+  EXPECT_EQ(pop_both(drained, drained_heap).seq, ahead.seq);
+  EXPECT_EQ(pop_both(drained, drained_heap).seq, held.seq);
+  EXPECT_EQ(pop_both(drained, drained_heap).seq, between.seq);
   while (!drained_heap.empty()) (void)pop_both(drained, drained_heap);
   EXPECT_TRUE(drained.empty());
+
+  // With the cursor's bucket drained empty, a push in the cursor's own
+  // slot precedes the later buckets and the overflow; one past it
+  // must not jump them.
+  CalendarQueue spread;
+  ReferenceHeap spread_heap;
+  seq = 0;
+  for (; seq < 64; ++seq) {
+    push_both(spread, spread_heap, Event{static_cast<double>(seq), seq});
+  }
+  push_both(spread, spread_heap, Event{1e6, seq++});
+  for (int i = 0; i < 8; ++i) {
+    last = pop_both(spread, spread_heap);
+    push_both(spread, spread_heap, Event{last.time + 1e-12, seq++});
+    push_both(spread, spread_heap, Event{last.time + 1.5, seq++});
+  }
+  while (!spread_heap.empty()) (void)pop_both(spread, spread_heap);
+  EXPECT_TRUE(spread.empty());
 
   // The same push when nothing of the cursor's bucket has been popped
   // yet (drain position 0): a fresh queue re-fitted by growth, then an
