@@ -1,7 +1,6 @@
 #include "check/net.hpp"
 
 #include <set>
-#include <tuple>
 
 namespace check {
 namespace {
@@ -57,29 +56,6 @@ std::optional<std::string> check_hello_before_lease(const std::vector<LeaseEvent
     if (event.kind == "lease" && !helloed.contains(event.worker)) {
       return "hello_before_lease: " + describe(event) +
              " -- lease granted to a worker before its HELLO";
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> check_fetch_before_done(const std::vector<LeaseEvent>& events) {
-  std::set<std::tuple<std::size_t, std::size_t, std::size_t>> fetches;
-  std::size_t last_seq = 0;
-  bool first = true;
-  for (const LeaseEvent& event : events) {
-    if (!first && event.seq <= last_seq) fetches.clear();
-    first = false;
-    last_seq = event.seq;
-
-    if (event.kind == "fetch") {
-      fetches.insert({event.worker, event.stripe, event.attempt});
-      continue;
-    }
-    if (event.kind == "done" && event.detail == "fetched") {
-      if (!fetches.contains({event.worker, event.stripe, event.attempt})) {
-        return "fetch_before_done: " + describe(event) +
-               " -- stripe committed without a preceding fetch";
-      }
     }
   }
   return std::nullopt;

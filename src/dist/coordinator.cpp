@@ -50,23 +50,27 @@ struct WorkerLink {
   std::size_t lease = npos;  ///< stripe currently held
   Clock::time_point last_msg;
   Clock::time_point last_ping;
-
-  /// In-flight FETCH state: the DONE that triggered it (finalized only
-  /// after the stream verifies) and the chunk accumulator.
-  bool fetching = false;
-  DoneMsg fetch_done;
-  std::string fetch_bytes;
-  std::size_t fetch_total = 0;
-  std::uint64_t fetch_checksum = 0;
 };
 
+/// One stripe.  Between leases, attempt file `source` holds records
+/// of its owned cells from the first in canonical order; a lease's
+/// attempt file starts as a copy of them, and `held` counts the owned
+/// cells whose records that file holds.
 struct StripeState {
   enum class Status { pending, leased, done };
   Status status = Status::pending;
-  std::size_t attempts = 0;  ///< lease attempts granted so far
-  std::vector<std::size_t> prior_attempts;  ///< attempts that left a temp file
-  Clock::time_point ready_at;               ///< backoff gate for the next lease
+  std::size_t attempts = 0;   ///< lease attempts granted so far
+  Clock::time_point ready_at;  ///< backoff gate for the next lease
   std::size_t holder = npos;
+  std::vector<std::size_t> owned;  ///< full cell indices, canonical order
+  std::size_t held = 0;
+  std::size_t source = npos;  ///< attempt file holding the held records
+
+  // The live attempt: its file, and the RECORD stream its DONE must match.
+  std::unique_ptr<sweep::ShardWriter> writer;
+  std::size_t received = 0;
+  std::uint64_t digest = net::kFnv1a64Basis;
+  std::string partial;  ///< record bytes still waiting for their newline
 };
 
 [[nodiscard]] std::string read_file(const std::string& path) {
@@ -143,6 +147,10 @@ class Run {
     for (std::size_t s = 0; s < stripes_; ++s) {
       StripeState& stripe = stripe_states_[s];
       stripe.ready_at = now;
+      sweep::for_each_owned_index(grid_, s, stripes_, [&stripe](std::size_t index) {
+        stripe.owned.push_back(index);
+        return true;
+      });
       // Coordinator restart: adopt stripes a previous run published,
       // and resume past attempt files a previous run left behind.
       if (stripe_file_complete(s)) {
@@ -151,10 +159,14 @@ class Run {
         log({.kind = "adopt", .stripe = s});
         continue;
       }
+      std::size_t most_held = 0;
       for (std::size_t a = 0; a < options_.max_attempts; ++a) {
-        if (::access(stripe_attempt_path(options_.workdir, s, a).c_str(), F_OK) == 0) {
-          stripe.prior_attempts.push_back(a);
-          stripe.attempts = a + 1;
+        if (::access(stripe_attempt_path(options_.workdir, s, a).c_str(), F_OK) != 0) continue;
+        stripe.attempts = a + 1;
+        const std::size_t held = held_records(s, a).size();
+        if (held >= most_held) {
+          most_held = held;
+          stripe.source = a;
         }
       }
     }
@@ -166,20 +178,17 @@ class Run {
     }
   }
 
-  /// Fork/exec `work --dir <workdir> ...` per worker, each on the
-  /// child end of its own socketpair as stdin (stdout goes to stderr).
-  /// The worker speaks the same framed protocol an accepted socket
-  /// does -- HELLO, SPEC, READY, leases, FETCH -- and shares the
-  /// workdir, which is what lets reclaim() resume its partial attempts
-  /// and adopt its published stripes.
+  /// Fork/exec `work ...` per worker, each on the child end of its own
+  /// socketpair as stdin (stdout goes to stderr).  The worker speaks
+  /// the same framed protocol an accepted socket does -- HELLO, SPEC,
+  /// READY, leases, RECORDs -- and shares nothing else with us.
   void spawn_workers() {
     std::vector<std::string> command = options_.worker_command;
     if (command.empty()) command = {self_exe()};
 
     for (std::size_t w = 0; w < options_.workers; ++w) {
       std::vector<std::string> argv = command;
-      argv.insert(argv.end(), {"work", "--dir", options_.workdir});
-      argv.insert(argv.end(), {"--threads", std::to_string(options_.worker_threads)});
+      argv.insert(argv.end(), {"work", "--threads", std::to_string(options_.worker_threads)});
       argv.insert(argv.end(),
                   {"--heartbeat-ms", std::to_string(options_.heartbeat_interval.count())});
       for (const ChaosKill& kill : options_.chaos) {
@@ -311,11 +320,19 @@ class Run {
 
   void grant_lease(std::size_t w, std::size_t s) {
     StripeState& stripe = stripe_states_[s];
-    LeaseMsg lease;
-    lease.stripe = s;
-    lease.stripe_count = stripes_;
-    lease.attempt = stripe.attempts;
-    lease.resume_attempts = stripe.prior_attempts;
+    // The attempt file starts with the records the stripe already
+    // holds, so its commit publishes the whole stripe.
+    auto writer = std::make_unique<sweep::ShardWriter>(
+        stripe_final_path(options_.workdir, s),
+        stripe_attempt_path(options_.workdir, s, stripe.attempts));
+    stripe.held = 0;
+    if (stripe.source != npos) {
+      for (const std::string& line : held_records(s, stripe.source)) {
+        writer->append_line(line);
+        stripe.held += 1;
+      }
+    }
+    const LeaseMsg lease{s, stripes_, stripe.attempts, stripe.held};
     if (!workers_[w].transport->send(encode(CoordinatorMsg(lease)))) {
       // The link is broken (peer gone, or stalled past the write
       // deadline -- a link that may never EOF): reap it here; the
@@ -324,6 +341,9 @@ class Run {
       on_worker_death(w, "exit");
       return;
     }
+    stripe.writer = std::move(writer);
+    stripe.received = 0;
+    stripe.digest = net::kFnv1a64Basis;
     stripe.status = StripeState::Status::leased;
     stripe.holder = w;
     stripe.attempts += 1;
@@ -335,10 +355,10 @@ class Run {
   /// Keepalive probes to idle workers, every heartbeat interval.  They
   /// are load-bearing twice over: the worker's idle timeout counts on
   /// them, and a half-open link eventually fails the send (caught here
-  /// or at the next lease grant).  A worker holding a lease (fetching
-  /// included) is not reading its link, so unread pings would only
-  /// fill the socket buffer until a send fails and a healthy worker is
-  /// killed; its heartbeats and the lease deadline cover liveness.
+  /// or at the next lease grant).  A worker holding a lease is not
+  /// reading its link, so unread pings would only fill the socket
+  /// buffer until a send fails and a healthy worker is killed; its
+  /// heartbeats and the lease deadline cover liveness.
   void send_pings() {
     const Clock::time_point now = Clock::now();
     for (std::size_t w = 0; w < workers_.size(); ++w) {
@@ -449,16 +469,18 @@ class Run {
       return;
     }
     if (std::holds_alternative<HeartbeatMsg>(msg)) return;  // liveness already noted
+    if (const auto* record = std::get_if<RecordMsg>(&msg)) {
+      handle_record(w, *record);
+      return;
+    }
     if (const auto* done = std::get_if<DoneMsg>(&msg)) {
       handle_done(w, *done);
       return;
     }
-    if (const auto* data = std::get_if<DataMsg>(&msg)) {
-      handle_data(w, *data);
-      return;
-    }
+    // A DONE or FAIL for a lease this link does not hold is stale:
+    // ignored, never committed.
     const auto& fail = std::get<FailMsg>(msg);
-    if (worker.lease == fail.stripe && !worker.fetching) {
+    if (worker.lease != npos && worker.lease == fail.stripe) {
       worker.lease = npos;
       reclaim(fail.stripe, w, "fail: " + fail.message);
     }
@@ -490,88 +512,72 @@ class Run {
     }
   }
 
+  /// Append the holder's records to the live attempt file as their
+  /// newlines arrive.  A record that is not the stripe's next owned
+  /// cell of this grid, or a RECORD with no lease, is a protocol death.
+  void handle_record(std::size_t w, const RecordMsg& record) {
+    if (workers_[w].lease == npos) {
+      terminate(workers_[w]);
+      on_worker_death(w, "protocol");
+      return;
+    }
+    StripeState& stripe = stripe_states_[workers_[w].lease];
+    stripe.partial += record.bytes;
+    std::size_t begin = 0;
+    for (std::size_t end; (end = stripe.partial.find('\n', begin)) != std::string::npos;
+         begin = end + 1) {
+      if (!accept_record(stripe, std::string_view(stripe.partial).substr(begin, end - begin))) {
+        terminate(workers_[w]);
+        on_worker_death(w, "protocol");
+        return;
+      }
+    }
+    stripe.partial.erase(0, begin);
+  }
+
+  [[nodiscard]] bool accept_record(StripeState& stripe, std::string_view line) {
+    if (stripe.held == stripe.owned.size() ||
+        sweep::record_key(line) != cell_key(stripe.owned[stripe.held])) {
+      return false;
+    }
+    try {
+      sweep::validate_records_for_grid(grid_, {std::string(line)});
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+    stripe.writer->append_line(line);
+    stripe.digest = net::fnv1a64("\n", net::fnv1a64(line, stripe.digest));
+    stripe.held += 1;
+    stripe.received += 1;
+    report_.computed += 1;
+    return true;
+  }
+
+  /// Commit a stripe whose DONE matches the records received: their
+  /// count and digest, and every owned cell held.  A mismatch is a
+  /// protocol death, which reclaims the stripe.
   void handle_done(std::size_t w, const DoneMsg& done) {
     WorkerLink& worker = workers_[w];
-    if (worker.lease != done.stripe || worker.fetching ||
-        stripe_states_[done.stripe].status != StripeState::Status::leased ||
-        stripe_states_[done.stripe].holder != w) {
-      return;  // stale message for a lease already reclaimed
-    }
-    // The published stripe lives on the worker's disk, which may or
-    // may not be ours: fetch it either way.  The lease stays held until
-    // the stream verifies, so a death mid-transfer reclaims the stripe
-    // automatically.
-    worker.fetching = true;
-    worker.fetch_done = done;
-    worker.fetch_bytes.clear();
-    worker.fetch_total = 0;
-    worker.fetch_checksum = 0;
-    log({.kind = "fetch", .worker = w, .stripe = done.stripe, .attempt = done.attempt});
-    if (!worker.transport->send(encode(CoordinatorMsg(FetchMsg{done.stripe, done.attempt})))) {
-      terminate(worker);
-      on_worker_death(w, "exit");
-    }
-  }
-
-  void handle_data(std::size_t w, const DataMsg& data) {
-    WorkerLink& worker = workers_[w];
-    if (!worker.fetching || data.stripe != worker.fetch_done.stripe ||
-        data.attempt != worker.fetch_done.attempt || data.offset != worker.fetch_bytes.size() ||
-        (!worker.fetch_bytes.empty() && (data.total != worker.fetch_total ||
-                                         data.checksum != worker.fetch_checksum))) {
-      // Out-of-order, unsolicited, or self-inconsistent stream: this
-      // peer cannot be trusted with the data path.
+    if (worker.lease == npos || worker.lease != done.stripe) return;  // stale
+    StripeState& stripe = stripe_states_[done.stripe];
+    if (done.attempt + 1 != stripe.attempts || done.records != stripe.received ||
+        done.digest != stripe.digest || !stripe.partial.empty() ||
+        stripe.held != stripe.owned.size()) {
       terminate(worker);
       on_worker_death(w, "protocol");
       return;
     }
-    worker.fetch_total = data.total;
-    worker.fetch_checksum = data.checksum;
-    worker.fetch_bytes += data.bytes;
-    if (worker.fetch_bytes.size() < worker.fetch_total) return;  // more chunks coming
-    finish_fetch(w);
-  }
-
-  /// All chunks arrived: verify length + checksum + record validity +
-  /// stripe coverage, then commit atomically.  Any mismatch is a
-  /// protocol death -- the stripe is still leased, so it reclaims and
-  /// retries elsewhere.
-  void finish_fetch(std::size_t w) {
-    WorkerLink& worker = workers_[w];
-    const std::size_t s = worker.fetch_done.stripe;
-    worker.fetching = false;
-    if (worker.fetch_bytes.size() != worker.fetch_total ||
-        net::fnv1a64(worker.fetch_bytes) != worker.fetch_checksum) {
-      terminate(worker);
-      on_worker_death(w, "protocol");
-      return;
-    }
-    std::vector<std::string> lines;
-    try {
-      std::istringstream in(worker.fetch_bytes);
-      const sweep::ScanResult scanned = sweep::scan_records(in);
-      if (scanned.dropped_partial_tail) throw std::runtime_error("torn final record");
-      sweep::validate_records_for_grid(grid_, scanned.lines);
-      if (!records_cover_stripe(scanned, s)) throw std::runtime_error("incomplete stripe");
-      lines = scanned.lines;
-    } catch (const std::exception&) {
-      terminate(worker);
-      on_worker_death(w, "protocol");
-      return;
-    }
-    sweep::write_lines_atomic(stripe_final_path(options_.workdir, s), lines);
-    worker.fetch_bytes.clear();
     worker.lease = npos;
-    StripeState& stripe = stripe_states_[s];
+    try {
+      stripe.writer->commit();
+    } catch (const std::exception& e) {
+      reclaim(done.stripe, w, std::string("fail: ") + e.what());
+      return;
+    }
+    stripe.writer.reset();
     stripe.status = StripeState::Status::done;
     stripe.holder = npos;
-    report_.computed += worker.fetch_done.computed;
-    report_.fetched += 1;
-    log({.kind = "done",
-         .worker = w,
-         .stripe = s,
-         .attempt = worker.fetch_done.attempt,
-         .detail = "fetched"});
+    log({.kind = "done", .worker = w, .stripe = done.stripe, .attempt = done.attempt});
   }
 
   /// Hang up on a worker, and SIGKILL it too if we spawned it.  The
@@ -591,8 +597,6 @@ class Run {
       ::waitpid(worker.pid, &status, 0);
     }
     report_.workers_lost += 1;
-    worker.fetching = false;
-    worker.fetch_bytes.clear();
     // Reclaim BEFORE logging the death: in the event log a lease must
     // never outlive its holder (check::check_lease_exclusivity replays
     // exactly that ordering).
@@ -604,31 +608,18 @@ class Run {
     log({.kind = "dead", .worker = w, .detail = reason});
   }
 
-  /// End a lease whose holder died or failed: adopt the stripe if the
-  /// dead worker already published it to our workdir (a worker sharing
-  /// our disk), otherwise reclaim it -- keep its partial attempt file,
-  /// if one is here, as a resume source and schedule a retry behind
-  /// capped exponential backoff.
+  /// End a lease whose holder died or failed.  Its attempt file keeps
+  /// every record accepted so far, and the retry, scheduled behind
+  /// capped exponential backoff, resumes past them.
   void reclaim(std::size_t s, std::size_t w, const std::string& reason) {
     StripeState& stripe = stripe_states_[s];
-    const std::size_t attempt = stripe.attempts == 0 ? 0 : stripe.attempts - 1;
+    const std::size_t attempt = stripe.attempts - 1;
     stripe.holder = npos;
-    if (stripe_file_complete(s)) {
-      // Death after the atomic publish, before the commit: the work is
-      // all there -- adopt it, never recompute.  The adopt event ends
-      // the lease in place of a reclaim.
-      stripe.status = StripeState::Status::done;
-      report_.adopted += 1;
-      log({.kind = "adopt", .worker = w, .stripe = s, .attempt = attempt, .detail = reason});
-      return;
-    }
+    stripe.writer.reset();
+    stripe.source = attempt;
+    stripe.partial.clear();
     report_.reclaims += 1;
     log({.kind = "reclaim", .worker = w, .stripe = s, .attempt = attempt, .detail = reason});
-    if (::access(stripe_attempt_path(options_.workdir, s, attempt).c_str(), F_OK) == 0 &&
-        std::find(stripe.prior_attempts.begin(), stripe.prior_attempts.end(), attempt) ==
-            stripe.prior_attempts.end()) {
-      stripe.prior_attempts.push_back(attempt);
-    }
     if (stripe.attempts >= options_.max_attempts) {
       log({.kind = "giveup", .stripe = s, .attempt = attempt});
       throw std::runtime_error("coordinate: stripe " + std::to_string(s) + " failed " +
@@ -646,10 +637,13 @@ class Run {
   }
 
   void check_deadlines() {
-    const Clock::time_point now = Clock::now();
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       WorkerLink& worker = workers_[w];
-      if (!worker.alive || now - worker.last_msg < options_.lease_deadline) continue;
+      if (!worker.alive || Clock::now() - worker.last_msg < options_.lease_deadline) continue;
+      // Messages that queued while we were busy (checking a large
+      // record can outlast a deadline) prove the worker alive.
+      read_worker(w);
+      if (!worker.alive || Clock::now() - worker.last_msg < options_.lease_deadline) continue;
       // Silent past the deadline: hung, not merely slow (heartbeats
       // flow from a dedicated thread even during long cells).  An
       // accepted link that never even said HELLO gets its own label --
@@ -691,35 +685,16 @@ class Run {
   }
 
   void merge() {
-    // Every stripe file, plus every surviving partial-attempt file:
-    // feeding the partials through merge_records is the
-    // attempt-consistency check -- a reclaimed stripe whose retry
-    // produced different bytes for an already-flushed record fails the
-    // merge instead of shipping silently corrupted science.
     std::vector<std::vector<std::string>> shards;
     for (std::size_t s = 0; s < stripes_; ++s) {
       std::ifstream in(stripe_final_path(options_.workdir, s));
       if (!in) throw std::runtime_error("coordinate: stripe file missing for stripe " +
                                         std::to_string(s));
-      const sweep::ScanResult scanned = sweep::scan_records(in);
+      sweep::ScanResult scanned = sweep::scan_records(in);
       sweep::validate_records_for_grid(grid_, scanned.lines);
-      shards.push_back(scanned.lines);
-      for (const std::size_t attempt : stripe_states_[s].prior_attempts) {
-        std::ifstream partial(stripe_attempt_path(options_.workdir, s, attempt));
-        if (!partial) continue;
-        const sweep::ScanResult partial_scan = sweep::scan_records(partial);
-        sweep::validate_records_for_grid(grid_, partial_scan.lines);
-        shards.push_back(partial_scan.lines);
-      }
+      shards.push_back(std::move(scanned.lines));
     }
-    std::vector<std::string> merged;
-    try {
-      merged = sweep::merge_records(shards);
-    } catch (const std::exception& e) {
-      throw std::runtime_error(std::string("coordinate: merge failed -- a retried stripe did "
-                                           "not reproduce its first attempt's bytes? ") +
-                               e.what());
-    }
+    const std::vector<std::string> merged = sweep::merge_records(shards);
 
     // The merged run must cover the grid exactly: one record per
     // (cell, backend), none missing, none duplicated (merge_records
@@ -728,10 +703,8 @@ class Run {
     for (const std::string& line : merged) {
       if (const auto key = sweep::record_key(line)) keys.insert(*key);
     }
-    const std::size_t backends = grid_.backend_count();
     for (std::size_t index = 0; index < grid_.cells(); ++index) {
-      const sweep::RecordKey key{index / backends,
-                                 std::string(sweep::cell_backend(grid_, index))};
+      const sweep::RecordKey key = cell_key(index);
       if (!keys.contains(key)) {
         throw std::runtime_error("coordinate: merged output is missing cell " +
                                  std::to_string(key.cell) + " (backend " + key.backend + ")");
@@ -744,19 +717,33 @@ class Run {
 
   // ---- helpers -----------------------------------------------------
 
-  [[nodiscard]] bool records_cover_stripe(const sweep::ScanResult& scanned, std::size_t s) const {
-    bool complete = true;
-    const std::size_t backends = grid_.backend_count();
-    sweep::for_each_owned_index(grid_, s, stripes_, [&](std::size_t index) {
-      const sweep::RecordKey key{index / backends,
-                                 std::string(sweep::cell_backend(grid_, index))};
-      complete = scanned.done.contains(key);
-      return complete;
-    });
-    return complete;
+  [[nodiscard]] sweep::RecordKey cell_key(std::size_t index) const {
+    return {index / grid_.backend_count(), std::string(sweep::cell_backend(grid_, index))};
   }
 
-  [[nodiscard]] bool stripe_file_complete(std::size_t s) {
+  /// The records of attempt file `a` of stripe `s` that cover its owned
+  /// cells in order from the first: what a retry of the stripe skips.
+  [[nodiscard]] std::vector<std::string> held_records(std::size_t s, std::size_t a) const {
+    const std::string path = stripe_attempt_path(options_.workdir, s, a);
+    std::ifstream in(path);
+    sweep::ScanResult scanned;
+    try {
+      scanned = sweep::scan_records(in);
+      sweep::validate_records_for_grid(grid_, scanned.lines);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("coordinate: " + path + ": " + e.what());
+    }
+    const std::vector<std::size_t>& owned = stripe_states_[s].owned;
+    std::size_t n = 0;
+    while (n < scanned.lines.size() && n < owned.size() &&
+           sweep::record_key(scanned.lines[n]) == cell_key(owned[n])) {
+      ++n;
+    }
+    scanned.lines.resize(n);
+    return std::move(scanned.lines);
+  }
+
+  [[nodiscard]] bool stripe_file_complete(std::size_t s) const {
     std::ifstream in(stripe_final_path(options_.workdir, s));
     if (!in) return false;
     sweep::ScanResult scanned;
@@ -766,7 +753,10 @@ class Run {
     } catch (const std::exception&) {
       return false;  // not adoptable; a retry will republish it
     }
-    return records_cover_stripe(scanned, s);
+    const std::vector<std::size_t>& owned = stripe_states_[s].owned;
+    return std::all_of(owned.begin(), owned.end(), [&](std::size_t index) {
+      return scanned.done.contains(cell_key(index));
+    });
   }
 
   void log(LeaseEvent event) {

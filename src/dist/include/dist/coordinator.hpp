@@ -17,11 +17,11 @@ namespace dist {
 /// Two worker sources behind one supervision loop and one wire
 /// (dist/protocol.hpp over net::Transport): `coordinate` fork/execs
 /// its own workers, each on the child end of an AF_UNIX socketpair as
-/// stdin, sharing the coordinator's workdir; `serve` (`listen` set)
-/// opens a TCP listener and adopts remote workers as they connect.
-/// Every worker must HELLO (version + token) before anything else and
-/// gets the grid as SPEC.  The coordinator leases stripes of the grid
-/// and supervises:
+/// stdin; `serve` (`listen` set) opens a TCP listener and adopts
+/// remote workers as they connect.  Workers share no disk with the
+/// coordinator, spawned ones included.  Every worker must HELLO
+/// (version + token) before anything else and gets the grid as SPEC.
+/// The coordinator leases stripes of the grid and supervises:
 ///
 ///  - liveness: any worker message resets its deadline clock; a worker
 ///    silent past `lease_deadline` is terminated (hung up on, and
@@ -32,38 +32,31 @@ namespace dist {
 ///    coordinator reclaims by deadline).  A leased worker is not
 ///    pinged: it does not read its link until the lease ends, and its
 ///    heartbeats already prove it alive.
-///  - reclamation: a reclaimed stripe's partial attempt file is
-///    reused, not discarded -- the retry lease names it and the new
-///    worker resumes past every record the dead worker flushed
-///    (sweep::scan_records drops at most one torn final line).  If the
-///    dead worker had already PUBLISHED the stripe (death between the
-///    atomic rename and the end of the FETCH), the coordinator adopts
-///    the completed file instead of retrying.  Both need the dead
-///    worker's files in the coordinator's workdir: spawned workers
-///    share it; remote workers write to their own disk, so a
-///    reclaimed remote stripe recomputes from scratch.
-///  - the data path: every DONE triggers FETCH -- the stripe file
-///    streams back as ordered, checksummed DATA chunks, is verified
-///    (length, FNV-1a 64, record validity, stripe coverage), and only
-///    then committed locally via sweep::write_lines_atomic.  The
-///    stripe stays leased until the verify passes, so a death
-///    mid-stream reclaims like any other.
+///  - the data path: the holder streams each record as RECORD the
+///    moment it commits it.  The coordinator accepts the stripe's
+///    owned cells in canonical order only, checks each record against
+///    the grid, and appends it to the lease's attempt file through
+///    sweep::ShardWriter.  DONE must match the stream (record count,
+///    FNV-1a 64 digest, every owned cell held) before the attempt file
+///    is committed as the stripe file; any mismatch is a protocol
+///    death.
+///  - reclamation: one resume path serves every reclaim -- a spawned or
+///    remote worker's death, a FAIL, or a coordinator restart.  The
+///    reclaimed attempt's file keeps every record received; the retry
+///    lease says how many owned cells are held, its attempt file starts
+///    as a copy of them, and the new worker computes only the rest.
 ///  - retry: reclaimed stripes go back to the pending pool gated by
 ///    capped exponential backoff (protocol.hpp backoff_delay) and are
 ///    re-leased to surviving workers, up to `max_attempts` per stripe
 ///    -- exhaustion fails the whole run loudly.
-///  - merge: once every stripe is done, all stripe files PLUS all
-///    surviving partial-attempt files are merged
-///    (sweep::merge_records): byte-identical duplicates collapse and
-///    any reclaimed-stripe record that differs from a first-attempt
-///    record aborts the run -- so the merged output of a sweep that
-///    lost k of n workers is bitwise identical to an uninterrupted
-///    serial run, by construction and by check, whatever the workers'
-///    disks.
+///  - merge: once every stripe is done, the stripe files are merged
+///    (sweep::merge_records) and checked to cover the grid, so the
+///    merged output of a sweep that lost k of n workers is bitwise
+///    identical to an uninterrupted serial run.
 ///
 /// Every decision is appended to a lease-event log (JSONL of
 /// protocol.hpp LeaseEvents) that check::check_lease_exclusivity (and
-/// the transport invariants in check/net.hpp) can replay.
+/// the transport invariant in check/net.hpp) can replay.
 struct CoordinatorOptions {
   std::string spec_path;  ///< grid spec file, shipped to workers as SPEC
   std::string out_path;   ///< merged output (written atomically at the end)
@@ -80,7 +73,7 @@ struct CoordinatorOptions {
   std::chrono::milliseconds backoff_cap{5000};
   std::vector<ChaosKill> chaos;  ///< fault-injection directives, by worker index
   /// Command to exec for each worker, e.g. {"./dls_sweep"}; the
-  /// coordinator appends `work --dir <workdir> ...`.  Empty =
+  /// coordinator appends `work ...`.  Empty =
   /// /proc/self/exe (the coordinator binary itself).
   std::vector<std::string> worker_command;
   /// Observer invoked for every logged lease event (stderr narration).
@@ -103,12 +96,13 @@ struct CoordinatorOptions {
 
 struct CoordinatorReport {
   std::size_t stripes = 0;
-  std::size_t computed = 0;        ///< cells computed across all workers
-  std::size_t adopted = 0;         ///< stripes adopted complete (restart or death-after-publish)
+  /// Records received from workers, every attempt counted: a cell
+  /// computed (a retry never recomputes a record already received).
+  std::size_t computed = 0;
+  std::size_t adopted = 0;         ///< stripes a previous run published, adopted at restart
   std::size_t reclaims = 0;        ///< leases taken back from dead/failed workers
   std::size_t retries = 0;         ///< retry leases granted
   std::size_t workers_lost = 0;    ///< worker processes/links that died or were killed
-  std::size_t fetched = 0;         ///< stripes streamed back over FETCH and verified
   std::size_t merged_records = 0;  ///< records in the final merged output
 };
 

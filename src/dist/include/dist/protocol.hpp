@@ -16,57 +16,57 @@ namespace dist {
 /// Messages are ASCII heads with optional binary tails, one per
 /// length-delimited frame (net/frame.hpp), over one stream socket per
 /// worker: the AF_UNIX socketpair `coordinate` spawns a worker on, or
-/// the TCP link a `work --connect` worker dials.  Control flows over
-/// the stream; record data flows through durable shard files
-/// (sweep::ShardWriter): while a stripe is leased, its records
-/// accumulate in a per-(stripe, attempt) temp file, and completing the
-/// stripe publishes the file atomically.  A worker death at ANY
-/// instant therefore leaves either a complete published stripe or a
-/// temp file whose only damage is one truncated final line -- exactly
-/// what sweep::scan_records reclaims, when the coordinator shares the
-/// worker's disk.
+/// the TCP link a `work --connect` worker dials.  The worker is
+/// stateless: it writes no file, and sends each record as RECORD the
+/// moment it commits it.  The coordinator appends every record it
+/// accepts to the lease's attempt file in its own workdir
+/// (sweep::ShardWriter) and publishes the stripe when DONE checks out,
+/// so whatever a dead worker already sent is on the coordinator's
+/// disk, whoever and wherever the worker was.
 ///
-/// A session runs HELLO -> SPEC -> READY -> LEASE ... DONE -> FETCH /
-/// DATA -> verified commit, then the next LEASE, until QUIT.
+/// A session runs HELLO -> SPEC -> READY -> LEASE -> RECORD ... ->
+/// DONE -> verified commit, then the next LEASE, until QUIT.
 ///
 /// Coordinator -> worker:
 ///   SPEC <spec bytes...>                     (the reply to HELLO)
-///   LEASE <stripe> <stripe_count> <attempt> <resume_attempts|->
-///   FETCH <stripe> <attempt>                 (the reply to DONE)
+///   LEASE <stripe> <stripe_count> <attempt> <held>
 ///   PING                                     (keepalive probe)
 ///   QUIT
 /// Worker -> coordinator:
 ///   HELLO <version> <token|->                (first message)
 ///   READY
 ///   HB <computed_total>
-///   DONE <stripe> <attempt> <computed> <skipped>
-///   DATA <stripe> <attempt> <offset> <total> <checksum> <bytes...>
+///   RECORD <bytes...>
+///   DONE <stripe> <attempt> <records> <digest>
 ///   FAIL <stripe> <attempt> <message...>
 ///
-/// `resume_attempts` is a comma-separated list of prior attempt
-/// numbers whose temp files the worker must scan and skip past
-/// (`-` = none): the lease carries the reclamation state, so a retry
-/// never recomputes records a dead worker already flushed.
+/// `held` is how many of the stripe's owned cells, from the first in
+/// canonical order, the coordinator already holds records for: a
+/// retry skips them, so no record a dead worker sent is ever computed
+/// again.  The coordinator accepts records in owned-cell order only,
+/// which is what keeps the held cells a prefix.
 ///
 /// Nothing on the wire assumes a shared filesystem: SPEC ships the
-/// grid down and FETCH/DATA stream published stripes back up,
-/// verified by length + FNV-1a checksum before the coordinator commits
-/// them.  Nor does anything assume trust: HELLO carries a protocol
-/// version and a shared token, and anything else as a link's first
-/// message is a protocol death.  SPEC and DATA carry binary tails --
-/// embedded newlines and arbitrary record bytes -- which is why the
-/// wire uses length-delimited frames rather than newline framing.
-/// PING is coordinator->worker keepalive for idle workers: a half-open
-/// TCP link never EOFs, so liveness must be probed, not inferred from
-/// the stream state.
+/// grid down and RECORD streams the results up.  DONE closes the
+/// stream with its record count and FNV-1a 64 digest, which must match
+/// what arrived before the coordinator commits.  Nor does anything
+/// assume trust: HELLO carries a protocol version and a shared token,
+/// and anything else as a link's first message is a protocol death.
+/// SPEC and RECORD carry binary tails -- embedded newlines and
+/// arbitrary record bytes -- which is why the wire uses
+/// length-delimited frames rather than newline framing.  PING is
+/// coordinator->worker keepalive for idle workers: a half-open TCP link
+/// never EOFs, so liveness must be probed, not inferred from the
+/// stream state.
 
 /// Grant of stripe `stripe` of `stripe_count` (the sweep/stripe.hpp
-/// striping -- lease identity IS shard identity) as attempt `attempt`.
+/// striping -- lease identity IS shard identity) as attempt `attempt`;
+/// the first `held` owned cells are skipped.
 struct LeaseMsg {
   std::size_t stripe = 0;
   std::size_t stripe_count = 1;
   std::size_t attempt = 0;
-  std::vector<std::size_t> resume_attempts;
+  std::size_t held = 0;
 };
 
 /// Orderly shutdown; the worker exits 0.
@@ -75,7 +75,7 @@ struct QuitMsg {};
 /// Wire-format revision.  Bumped when message
 /// layout changes incompatibly; HELLO carries it so a version-skewed
 /// worker is turned away at the door instead of failing mid-sweep.
-constexpr std::size_t kProtocolVersion = 1;
+constexpr std::size_t kProtocolVersion = 2;
 
 /// Keepalive probe.  Workers ignore it (arrival alone resets their
 /// idle clock); its real job is to make the coordinator's send path
@@ -90,16 +90,6 @@ struct SpecMsg {
   std::string text;
 };
 
-/// Request the published stripe file for `(stripe, attempt)` to be
-/// streamed back as DATA chunks.  Sent after every non-stale DONE;
-/// the stripe stays leased until the last
-/// chunk verifies, so a worker dying mid-stream reclaims like any
-/// other death.
-struct FetchMsg {
-  std::size_t stripe = 0;
-  std::size_t attempt = 0;
-};
-
 /// A worker's reply to SPEC: the spec parsed, ready for leases.
 struct ReadyMsg {};
 
@@ -110,18 +100,29 @@ struct HeartbeatMsg {
   std::size_t computed = 0;
 };
 
-/// Stripe complete and its shard file published (renamed into place)
-/// BEFORE this message was sent -- so a worker that dies between the
-/// rename and the DONE leaves a complete stripe the coordinator adopts
-/// on reclaim instead of retrying.
+/// Most record bytes one RECORD carries.  A record whose `experiment`
+/// echo lists hundreds of thousands of workers outgrows one frame
+/// (net::kMaxFramePayload), so it crosses as several RECORDs.
+constexpr std::size_t kRecordPiece = 1u << 20;
+
+/// A piece of the current lease's record stream: record lines, each
+/// ending in '\n', in owned-cell order.  A piece that does not end in
+/// '\n' continues in the next RECORD.
+struct RecordMsg {
+  std::string bytes;
+};
+
+/// The lease's records are all sent: `records` lines whose bytes
+/// (newlines included) digest to `digest` (net::fnv1a64, 16 hex digits
+/// on the wire).
 struct DoneMsg {
   std::size_t stripe = 0;
   std::size_t attempt = 0;
-  std::size_t computed = 0;
-  std::size_t skipped = 0;
+  std::size_t records = 0;
+  std::uint64_t digest = 0;
 };
 
-/// The lease failed (run error, unwritable shard, ...); the worker
+/// The lease failed (run error, lost records, ...); the worker
 /// stays alive and leasable.  The coordinator retries the stripe
 /// elsewhere with backoff.
 struct FailMsg {
@@ -139,22 +140,8 @@ struct HelloMsg {
   std::string token;
 };
 
-/// One chunk of a streamed stripe file: bytes [offset, offset+size)
-/// of a `total`-byte file whose FNV-1a 64 checksum is `checksum`.
-/// Chunks arrive in order; `offset + bytes.size() == total` marks the
-/// last one, after which the coordinator verifies length + checksum +
-/// record validity and only then commits the stripe.
-struct DataMsg {
-  std::size_t stripe = 0;
-  std::size_t attempt = 0;
-  std::size_t offset = 0;
-  std::size_t total = 0;
-  std::uint64_t checksum = 0;
-  std::string bytes;
-};
-
-using CoordinatorMsg = std::variant<LeaseMsg, QuitMsg, PingMsg, SpecMsg, FetchMsg>;
-using WorkerMsg = std::variant<ReadyMsg, HeartbeatMsg, DoneMsg, FailMsg, HelloMsg, DataMsg>;
+using CoordinatorMsg = std::variant<LeaseMsg, QuitMsg, PingMsg, SpecMsg>;
+using WorkerMsg = std::variant<ReadyMsg, HeartbeatMsg, RecordMsg, DoneMsg, FailMsg, HelloMsg>;
 
 [[nodiscard]] std::string encode(const CoordinatorMsg& msg);
 [[nodiscard]] std::string encode(const WorkerMsg& msg);
@@ -166,8 +153,9 @@ using WorkerMsg = std::variant<ReadyMsg, HeartbeatMsg, DoneMsg, FailMsg, HelloMs
 [[nodiscard]] WorkerMsg parse_worker_msg(std::string_view line);
 
 /// Shard-file layout inside the coordinator's work directory.
-/// Published stripes are `stripe<k>.jsonl`; attempt `a` streams into
-/// `stripe<k>.attempt<a>.tmp` until commit renames it into place.
+/// Published stripes are `stripe<k>.jsonl`; the records of attempt `a`
+/// land in `stripe<k>.attempt<a>.tmp` until commit renames it into
+/// place.
 [[nodiscard]] std::string stripe_final_path(std::string_view dir, std::size_t stripe);
 [[nodiscard]] std::string stripe_attempt_path(std::string_view dir, std::size_t stripe,
                                               std::size_t attempt);
@@ -181,18 +169,11 @@ using WorkerMsg = std::variant<ReadyMsg, HeartbeatMsg, DoneMsg, FailMsg, HelloMs
 
 /// Fault injection -- the chaos harness.  A directive makes worker
 /// `worker` misbehave once its lifetime computed-cell count reaches
-/// `after_cells`:
+/// `after_cells` (each of those cells' records already sent):
 ///   kill      raise(SIGKILL) between records -- the clean-death case
-///   truncate  write a torn record prefix to the live shard temp file,
-///             then SIGKILL -- the death-mid-write case
 ///   hang      stop heartbeating and freeze -- the zombie case, which
 ///             only the coordinator's lease deadline can reclaim
-///   fetchcut  complete the stripe, then die after streaming only the
-///             first DATA chunk of the FETCH reply -- the
-///             mid-transfer-death case; the coordinator must discard
-///             the partial stream, then adopt the published stripe
-///             (shared disk) or retry it (the worker's own disk)
-enum class ChaosMode { kill, truncate, hang, fetchcut };
+enum class ChaosMode { kill, hang };
 
 struct ChaosKill {
   std::size_t worker = 0;
@@ -204,14 +185,14 @@ struct ChaosKill {
 [[nodiscard]] ChaosMode parse_chaos_mode(std::string_view name);
 
 /// Parse a chaos directive list: `<worker>:<after_cells>[:<mode>]`,
-/// comma-separated, e.g. "1:2,3:4:truncate".  Throws
+/// comma-separated, e.g. "1:2,3:4:hang".  Throws
 /// std::invalid_argument on malformed entries.
 [[nodiscard]] std::vector<ChaosKill> parse_chaos_list(std::string_view text);
 
 /// Derive `kills` chaos directives from a seed (splitmix64 stream):
-/// distinct workers, kill points in [1, max_after], alternating
-/// kill/truncate modes -- the "seeded points" form the CI chaos job
-/// uses.  kills must be <= workers.
+/// distinct workers, kill points in [1, max_after], mode kill -- the
+/// "seeded points" form the CI chaos job uses.  kills must be <=
+/// workers.
 [[nodiscard]] std::vector<ChaosKill> derive_chaos(std::uint64_t seed, std::size_t kills,
                                                   std::size_t workers, std::size_t max_after);
 
@@ -228,17 +209,12 @@ struct ChaosKill {
 ///                                worker -- see check/net.hpp
 ///   ready    worker              its READY arrived
 ///   lease    worker stripe attempt          lease granted
-///   done     worker stripe attempt detail   stripe fetched, verified and
-///                                           committed (detail "fetched")
-///   adopt    worker stripe attempt detail   published stripe found complete
-///                                           when its holder died or
-///                                           failed: ends the lease in
-///                                           place of a reclaim (detail:
-///                                           as reclaim's); or coordinator
-///                                           restart: worker = npos
-///   fetch    worker stripe attempt          FETCH issued for a DONE
-///                                           stripe; the matching done
-///                                           carries detail "fetched"
+///   done     worker stripe attempt          DONE verified against the
+///                                           received records and the
+///                                           stripe committed
+///   adopt    stripe                         a stripe a previous run
+///                                           published, found complete
+///                                           at a coordinator restart
 ///   reclaim  worker stripe attempt detail   lease taken back (detail:
 ///                                           the death reason, or
 ///                                           fail: <message>)

@@ -20,31 +20,21 @@ namespace dist {
 /// QUIT or link loss.  Each lease runs one stripe of the grid through
 /// sweep::SweepRunner (stripe identity = shard identity, so the
 /// records are bitwise the ones a standalone `--shard stripe/stripes`
-/// run would produce), streaming records into the attempt's temp file
-/// in `workdir` via sweep::ShardWriter and publishing the stripe file
-/// atomically on completion.  DONE is only sent after the rename, and
-/// the coordinator answers it with FETCH: the published file streams
-/// back as checksummed DATA chunks.  A death between publish and
-/// FETCH leaves a complete stripe -- adopted by a coordinator that
-/// shares the workdir, re-leased by one that does not.  Prior
-/// attempts named in the lease are scanned through
-/// sweep::scan_records/merge_records first: their surviving records
-/// are carried forward (and cross-attempt conflicts throw -- records
-/// are deterministic, a reclaimed stripe must reproduce the dead
-/// worker's bytes), so a retry only computes what the dead worker
-/// never flushed.
+/// run would produce), skipping the first `held` owned cells the
+/// coordinator already has.  Every record goes out as RECORD the
+/// moment the runner commits it, and DONE closes the lease with the
+/// record count and digest.  The worker keeps no file: everything it
+/// sent before a death is already the coordinator's.
 ///
 /// A dedicated thread heartbeats `HB <computed_total>` every interval
 /// regardless of how long a cell takes; only death (or chaos-induced
 /// hanging) silences it.
 struct WorkerOptions {
-  std::string workdir;    ///< shard-file directory (shared with a spawning coordinator)
-  unsigned threads = 1;   ///< SweepRunner pool width per lease
+  unsigned threads = 1;  ///< SweepRunner pool width per lease
   std::chrono::milliseconds heartbeat_interval{200};
   /// Fault injection: once the lifetime computed-cell count reaches
-  /// `after_cells`, die (kill), tear the record stream then die
-  /// (truncate), silently freeze (hang), or die mid-FETCH-reply
-  /// (fetchcut).  See protocol.hpp.
+  /// `after_cells`, die (kill) or silently freeze (hang).  See
+  /// protocol.hpp.
   std::optional<ChaosKill> chaos;
 
   /// "host:port" of a `dls_sweep serve` coordinator to dial.  Empty =

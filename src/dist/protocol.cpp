@@ -1,7 +1,6 @@
 #include "dist/protocol.hpp"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <stdexcept>
 
@@ -31,40 +30,23 @@ namespace {
   return out;
 }
 
-[[nodiscard]] std::size_t parse_uint(std::string_view token, std::string_view line) {
-  std::size_t value = 0;
+template <typename T = std::size_t>
+[[nodiscard]] T parse_uint(std::string_view token, std::string_view line, int base = 10) {
+  T value = 0;
   const char* const first = token.data();
   const char* const last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
+  const auto [ptr, ec] = std::from_chars(first, last, value, base);
   if (ec != std::errc() || ptr != last || token.empty()) {
     throw bad_line("protocol: malformed integer field", line);
   }
   return value;
 }
 
-[[nodiscard]] std::string join_attempts(const std::vector<std::size_t>& attempts) {
-  if (attempts.empty()) return "-";
-  std::string out;
-  for (std::size_t i = 0; i < attempts.size(); ++i) {
-    if (i != 0) out += ',';
-    out += std::to_string(attempts[i]);
-  }
-  return out;
-}
-
-[[nodiscard]] std::vector<std::size_t> parse_attempts(std::string_view token,
-                                                      std::string_view line) {
-  std::vector<std::size_t> out;
-  if (token == "-") return out;
-  std::size_t start = 0;
-  while (start <= token.size()) {
-    const auto comma = token.find(',', start);
-    const std::string_view item =
-        comma == std::string_view::npos ? token.substr(start) : token.substr(start, comma - start);
-    out.push_back(parse_uint(item, line));
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
+/// DONE's digest field: 16 hex digits.
+[[nodiscard]] std::string digest_hex(std::uint64_t value) {
+  static const char* digits = "0123456789abcdef";
+  std::string out(16, '0');
+  for (std::size_t i = 0; i < 16; ++i) out[15 - i] = digits[(value >> (4 * i)) & 0xF];
   return out;
 }
 
@@ -73,64 +55,26 @@ namespace {
 std::string encode(const CoordinatorMsg& msg) {
   if (const auto* lease = std::get_if<LeaseMsg>(&msg)) {
     return "LEASE " + std::to_string(lease->stripe) + " " + std::to_string(lease->stripe_count) +
-           " " + std::to_string(lease->attempt) + " " + join_attempts(lease->resume_attempts);
+           " " + std::to_string(lease->attempt) + " " + std::to_string(lease->held);
   }
   if (std::holds_alternative<PingMsg>(msg)) return "PING";
   if (const auto* spec = std::get_if<SpecMsg>(&msg)) return "SPEC " + spec->text;
-  if (const auto* fetch = std::get_if<FetchMsg>(&msg)) {
-    return "FETCH " + std::to_string(fetch->stripe) + " " + std::to_string(fetch->attempt);
-  }
   return "QUIT";
 }
-
-namespace {
-
-[[nodiscard]] std::string checksum_hex(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (std::size_t i = 0; i < 16; ++i) {
-    out[15 - i] = digits[(value >> (4 * i)) & 0xF];
-  }
-  return out;
-}
-
-[[nodiscard]] std::uint64_t parse_checksum_hex(std::string_view token, std::string_view line) {
-  if (token.empty() || token.size() > 16) {
-    throw bad_line("protocol: malformed checksum field", line);
-  }
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      throw bad_line("protocol: malformed checksum field", line);
-    }
-  }
-  return value;
-}
-
-}  // namespace
 
 std::string encode(const WorkerMsg& msg) {
   if (std::holds_alternative<ReadyMsg>(msg)) return "READY";
   if (const auto* hb = std::get_if<HeartbeatMsg>(&msg)) {
     return "HB " + std::to_string(hb->computed);
   }
+  if (const auto* record = std::get_if<RecordMsg>(&msg)) return "RECORD " + record->bytes;
   if (const auto* done = std::get_if<DoneMsg>(&msg)) {
     return "DONE " + std::to_string(done->stripe) + " " + std::to_string(done->attempt) + " " +
-           std::to_string(done->computed) + " " + std::to_string(done->skipped);
+           std::to_string(done->records) + " " + digest_hex(done->digest);
   }
   if (const auto* hello = std::get_if<HelloMsg>(&msg)) {
     return "HELLO " + std::to_string(hello->version) + " " +
            (hello->token.empty() ? "-" : hello->token);
-  }
-  if (const auto* data = std::get_if<DataMsg>(&msg)) {
-    return "DATA " + std::to_string(data->stripe) + " " + std::to_string(data->attempt) + " " +
-           std::to_string(data->offset) + " " + std::to_string(data->total) + " " +
-           checksum_hex(data->checksum) + " " + data->bytes;
   }
   const auto& fail = std::get<FailMsg>(msg);
   // The message is the tail of the line; newlines would break framing.
@@ -146,18 +90,12 @@ CoordinatorMsg parse_coordinator_msg(std::string_view line) {
   // peel it off before the space-splitting below would mangle it.
   if (line.starts_with("SPEC ")) return SpecMsg{std::string(line.substr(5))};
   const std::vector<std::string_view> tokens = split(line);
-  if (tokens.size() == 3 && tokens[0] == "FETCH") {
-    FetchMsg fetch;
-    fetch.stripe = parse_uint(tokens[1], line);
-    fetch.attempt = parse_uint(tokens[2], line);
-    return fetch;
-  }
   if (tokens.size() == 5 && tokens[0] == "LEASE") {
     LeaseMsg lease;
     lease.stripe = parse_uint(tokens[1], line);
     lease.stripe_count = parse_uint(tokens[2], line);
     lease.attempt = parse_uint(tokens[3], line);
-    lease.resume_attempts = parse_attempts(tokens[4], line);
+    lease.held = parse_uint(tokens[4], line);
     if (lease.stripe_count == 0 || lease.stripe >= lease.stripe_count) {
       throw bad_line("protocol: lease stripe out of range", line);
     }
@@ -168,33 +106,9 @@ CoordinatorMsg parse_coordinator_msg(std::string_view line) {
 
 WorkerMsg parse_worker_msg(std::string_view line) {
   if (line == "READY") return ReadyMsg{};
-  // DATA carries a binary tail (raw stripe-file bytes) -- split off
-  // exactly five space-delimited header fields by hand, everything
-  // after the sixth space is payload.
-  if (line.starts_with("DATA ")) {
-    std::array<std::string_view, 5> fields;
-    std::size_t start = 5;
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      const auto space = line.find(' ', start);
-      if (space == std::string_view::npos) {
-        throw bad_line("protocol: truncated DATA header", line.substr(0, std::min<std::size_t>(line.size(), 64)));
-      }
-      fields[i] = line.substr(start, space - start);
-      start = space + 1;
-    }
-    DataMsg data;
-    const std::string_view header = line.substr(0, start);
-    data.stripe = parse_uint(fields[0], header);
-    data.attempt = parse_uint(fields[1], header);
-    data.offset = parse_uint(fields[2], header);
-    data.total = parse_uint(fields[3], header);
-    data.checksum = parse_checksum_hex(fields[4], header);
-    data.bytes = std::string(line.substr(start));
-    if (data.offset > data.total || data.bytes.size() > data.total - data.offset) {
-      throw bad_line("protocol: DATA chunk overruns declared total", header);
-    }
-    return data;
-  }
+  // RECORD carries a binary tail (record bytes): everything after
+  // the verb is payload.
+  if (line.starts_with("RECORD ")) return RecordMsg{std::string(line.substr(7))};
   const std::vector<std::string_view> tokens = split(line);
   if (tokens.size() == 3 && tokens[0] == "HELLO") {
     HelloMsg hello;
@@ -209,8 +123,8 @@ WorkerMsg parse_worker_msg(std::string_view line) {
     DoneMsg done;
     done.stripe = parse_uint(tokens[1], line);
     done.attempt = parse_uint(tokens[2], line);
-    done.computed = parse_uint(tokens[3], line);
-    done.skipped = parse_uint(tokens[4], line);
+    done.records = parse_uint(tokens[3], line);
+    done.digest = parse_uint<std::uint64_t>(tokens[4], line, 16);
     return done;
   }
   if (tokens.size() >= 3 && tokens[0] == "FAIL") {
@@ -254,20 +168,16 @@ std::chrono::milliseconds backoff_delay(std::size_t attempt, std::chrono::millis
 std::string_view chaos_mode_name(ChaosMode mode) {
   switch (mode) {
     case ChaosMode::kill: return "kill";
-    case ChaosMode::truncate: return "truncate";
     case ChaosMode::hang: return "hang";
-    case ChaosMode::fetchcut: return "fetchcut";
   }
   return "kill";
 }
 
 ChaosMode parse_chaos_mode(std::string_view name) {
   if (name == "kill") return ChaosMode::kill;
-  if (name == "truncate") return ChaosMode::truncate;
   if (name == "hang") return ChaosMode::hang;
-  if (name == "fetchcut") return ChaosMode::fetchcut;
   throw std::invalid_argument("chaos: unknown mode '" + std::string(name) +
-                              "' (kill | truncate | hang | fetchcut)");
+                              "' (kill | hang)");
 }
 
 std::vector<ChaosKill> parse_chaos_list(std::string_view text) {
@@ -322,9 +232,6 @@ std::vector<ChaosKill> derive_chaos(std::uint64_t seed, std::size_t kills, std::
     used[kill.worker] = true;
     stream = sweep::splitmix64(stream);
     kill.after_cells = 1 + static_cast<std::size_t>(stream % max_after);
-    // Alternate the two death shapes so every seeded run exercises
-    // both the clean-kill and the torn-record reclaim paths.
-    kill.mode = i % 2 == 0 ? ChaosMode::kill : ChaosMode::truncate;
     out.push_back(kill);
   }
   return out;

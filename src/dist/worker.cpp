@@ -4,15 +4,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "support/thread_annotations.hpp"
 
@@ -20,14 +18,10 @@
 #include "net/socket.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard_io.hpp"
+#include "sweep/stripe.hpp"
 
 namespace dist {
 namespace {
-
-/// DATA chunk size for streamed stripes: large enough that real
-/// stripes move in a handful of frames.
-constexpr std::size_t kFetchChunk = 64 * 1024;
 
 /// The heartbeat thread: one HB per interval, carrying the lifetime
 /// computed-cell count.  Chaos `hang` silences it (the coordinator
@@ -86,39 +80,27 @@ class Heartbeat {
   return transport.send(encode(msg));
 }
 
-/// Stream the published stripe file back as ordered DATA chunks.
-/// `fetchcut` chaos (already armed by the caller) dies after the first
-/// chunk, which it caps at half the stripe so the stream is cut even
-/// when the stripe would fit one chunk -- the mid-transfer-death case
-/// the coordinator must recover from by discarding the partial stream
-/// and adopting or re-leasing the stripe.
-[[nodiscard]] bool answer_fetch(net::Transport& transport, const WorkerOptions& options,
-                                const FetchMsg& fetch, bool fetchcut_now) {
-  std::ifstream in(stripe_final_path(options.workdir, fetch.stripe), std::ios::binary);
-  if (!in) {
-    return send_msg(transport, FailMsg{fetch.stripe, fetch.attempt, "fetch: stripe file missing"});
+/// Send record bytes as RECORDs of at most kRecordPiece bytes each.
+[[nodiscard]] bool send_record(net::Transport& transport, std::string_view bytes) {
+  for (std::size_t at = 0; at < bytes.size(); at += kRecordPiece) {
+    if (!send_msg(transport, RecordMsg{std::string(bytes.substr(at, kRecordPiece))})) {
+      return false;
+    }
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = std::move(buffer).str();
-  const std::uint64_t checksum = net::fnv1a64(bytes);
-  const std::size_t chunk_size =
-      fetchcut_now ? std::min(kFetchChunk, std::max<std::size_t>(1, bytes.size() / 2))
-                   : kFetchChunk;
-  std::size_t offset = 0;
-  do {
-    DataMsg chunk;
-    chunk.stripe = fetch.stripe;
-    chunk.attempt = fetch.attempt;
-    chunk.offset = offset;
-    chunk.total = bytes.size();
-    chunk.checksum = checksum;
-    chunk.bytes = bytes.substr(offset, chunk_size);
-    offset += chunk.bytes.size();
-    if (!send_msg(transport, chunk)) return false;
-    if (fetchcut_now) ::raise(SIGKILL);
-  } while (offset < bytes.size());
   return true;
+}
+
+/// The cells a lease skips: the first `held` cells the stripe owns.
+[[nodiscard]] std::set<sweep::RecordKey> held_cells(const sweep::Grid& grid,
+                                                    const LeaseMsg& lease) {
+  std::set<sweep::RecordKey> held;
+  const std::size_t backends = grid.backend_count();
+  sweep::for_each_owned_index(grid, lease.stripe, lease.stripe_count, [&](std::size_t index) {
+    if (held.size() == lease.held) return false;
+    held.insert({index / backends, std::string(sweep::cell_backend(grid, index))});
+    return true;
+  });
+  return held;
 }
 
 }  // namespace
@@ -152,29 +134,15 @@ int run_worker_on_transport(const WorkerOptions& options, net::Transport& transp
   std::atomic<std::size_t> computed_total{0};
   Heartbeat heartbeat(transport, options.heartbeat_interval, computed_total);
 
-  // Chaos state: the current writer so `truncate` can tear the live
-  // shard stream mid-record before dying.  `fetchcut` does not fire
-  // here -- it arms and then strikes inside the FETCH reply.
-  sweep::ShardWriter* live_writer = nullptr;
   bool chaos_armed = options.chaos.has_value();
-  const auto chaos_due = [&] {
-    return chaos_armed &&
-           computed_total.load(std::memory_order_relaxed) >= options.chaos->after_cells;
-  };
   const auto maybe_chaos = [&] {
-    if (!chaos_due() || options.chaos->mode == ChaosMode::fetchcut) return;
+    if (!chaos_armed ||
+        computed_total.load(std::memory_order_relaxed) < options.chaos->after_cells) {
+      return;
+    }
     chaos_armed = false;
     switch (options.chaos->mode) {
       case ChaosMode::kill:
-        ::raise(SIGKILL);
-        break;
-      case ChaosMode::truncate:
-        // A record prefix cut mid-field: exactly the bytes a real
-        // mid-write kill leaves, which scan_records must drop as the
-        // partial tail when the coordinator reclaims this attempt.
-        if (live_writer != nullptr) {
-          live_writer->stream() << "{\"cell\":4294967295,\"of\":" << std::flush;
-        }
         ::raise(SIGKILL);
         break;
       case ChaosMode::hang:
@@ -182,8 +150,6 @@ int run_worker_on_transport(const WorkerOptions& options, net::Transport& transp
         // the coordinator's lease deadline can reclaim this worker.
         heartbeat.silence();
         for (;;) ::pause();
-      case ChaosMode::fetchcut:
-        break;
     }
   };
 
@@ -220,62 +186,31 @@ int run_worker_on_transport(const WorkerOptions& options, net::Transport& transp
     if (std::holds_alternative<QuitMsg>(msg)) return 0;
     if (std::holds_alternative<PingMsg>(msg)) continue;  // arrival reset the idle clock
     if (std::holds_alternative<SpecMsg>(msg)) continue;  // already have the grid
-    if (const auto* fetch = std::get_if<FetchMsg>(&msg)) {
-      const bool cut = chaos_due() && options.chaos->mode == ChaosMode::fetchcut;
-      if (cut) chaos_armed = false;
-      if (!answer_fetch(transport, options, *fetch, cut)) return 1;
-      continue;
-    }
     const auto& lease = std::get<LeaseMsg>(msg);
 
     try {
-      // Carry forward what the prior attempts already flushed.
-      // merge_records both deduplicates and ENFORCES that overlapping
-      // attempts agree byte-for-byte -- the deterministic-record
-      // contract a reclaimed stripe must uphold.
-      std::vector<std::vector<std::string>> prior;
-      for (const std::size_t attempt : lease.resume_attempts) {
-        std::ifstream in(stripe_attempt_path(options.workdir, lease.stripe, attempt));
-        if (!in) continue;  // never flushed anything before dying
-        const sweep::ScanResult scanned = sweep::scan_records(in);
-        sweep::validate_records_for_grid(grid, scanned.lines);
-        prior.push_back(scanned.lines);
-      }
-      const std::vector<std::string> survivors = sweep::merge_records(prior);
-      std::set<sweep::RecordKey> done;
-      for (const std::string& record : survivors) {
-        if (const auto key = sweep::record_key(record)) done.insert(*key);
-      }
-
-      sweep::ShardWriter writer(
-          stripe_final_path(options.workdir, lease.stripe),
-          stripe_attempt_path(options.workdir, lease.stripe, lease.attempt));
-      live_writer = &writer;
-      for (const std::string& record : survivors) writer.append_line(record);
-
       sweep::SweepRunner::Options run_options;
       run_options.threads = options.threads;
       run_options.shard_index = lease.stripe;
       run_options.shard_count = lease.stripe_count;
       const sweep::SweepRunner runner(run_options);
-      std::size_t skipped = 0;
+      // The runner writes and flushes one record line at a time, and
+      // the observer sees each right after: send it from there.
+      std::ostringstream out;
+      DoneMsg done{lease.stripe, lease.attempt, 0, net::kFnv1a64Basis};
       const auto observer = [&](const sweep::SweepRunner::CellEvent& event) {
-        if (event.skipped) {
-          ++skipped;
-          return;
-        }
+        if (event.skipped) return;
+        const std::string record = out.str();
+        out.str({});
+        if (!send_record(transport, record)) throw std::runtime_error("coordinator link lost");
+        done.records += 1;
+        done.digest = net::fnv1a64(record, done.digest);
         computed_total.fetch_add(1, std::memory_order_relaxed);
         maybe_chaos();
       };
-      const std::size_t computed = runner.run(grid, done, writer.stream(), observer);
-      writer.commit();
-      live_writer = nullptr;
-      // Publish-then-report: the rename above is the durable state
-      // change, DONE is only the notification of it.  The published
-      // file stays put -- it is the source the FETCH reply streams from.
-      if (!send_msg(transport, DoneMsg{lease.stripe, lease.attempt, computed, skipped})) return 1;
+      (void)runner.run(grid, held_cells(grid, lease), out, observer);
+      if (!send_msg(transport, done)) return 1;
     } catch (const std::exception& e) {
-      live_writer = nullptr;
       if (!send_msg(transport, FailMsg{lease.stripe, lease.attempt, e.what()})) return 1;
     }
   }

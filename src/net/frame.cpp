@@ -88,8 +88,7 @@ bool FrameDecoder::feed(std::string_view bytes, std::vector<std::string>& out) {
   return true;
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ull;
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) {
   for (const char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 1099511628211ull;

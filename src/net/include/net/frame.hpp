@@ -12,7 +12,7 @@ namespace net {
 /// coordinator/worker link (dls::net).
 ///
 /// Messages carry binary payloads -- the SPEC text with its embedded
-/// newlines, the FETCH data chunks -- so every message rides in a
+/// newlines, the records RECORD streams -- so every message rides in a
 /// length-delimited frame:
 ///
 ///   '#' <decimal payload length> '\n' <payload bytes>
@@ -67,8 +67,12 @@ class FrameDecoder {
   std::string error_;
 };
 
-/// FNV-1a 64-bit -- the dependency-free checksum the FETCH data path
-/// verifies streamed stripes with (alongside the byte length).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
+/// FNV-1a 64-bit offset basis: the digest of no bytes.
+constexpr std::uint64_t kFnv1a64Basis = 14695981039346656037ull;
+
+/// FNV-1a 64-bit -- the dependency-free digest DONE carries over an
+/// attempt's RECORD stream.  Passing the digest of earlier bytes as
+/// `hash` continues it, so a stream is digested piece by piece.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash = kFnv1a64Basis);
 
 }  // namespace net

@@ -3,8 +3,6 @@
 #include <charconv>
 #include <sstream>
 
-#include "support/text.hpp"
-
 namespace support {
 
 void Flags::define(std::string name, std::string default_value, std::string help) {
@@ -93,22 +91,6 @@ double Flags::get_double(std::string_view name) const {
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + std::string(name) + " is not a number: " + v);
   }
-}
-
-std::vector<std::int64_t> Flags::get_int_list(std::string_view name) const {
-  const std::string v = get(name);
-  std::vector<std::int64_t> out;
-  for_each_piece(v, ',', [&](std::string_view item) {
-    if (item.empty()) return;
-    std::int64_t x{};
-    auto [ptr, ec] = std::from_chars(item.data(), item.data() + item.size(), x);
-    if (ec != std::errc{} || ptr != item.data() + item.size()) {
-      throw std::invalid_argument("flag --" + std::string(name) +
-                                  " has a bad list item: " + std::string(item));
-    }
-    out.push_back(x);
-  });
-  return out;
 }
 
 std::string Flags::usage() const {

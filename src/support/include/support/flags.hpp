@@ -33,8 +33,6 @@ class Flags {
   [[nodiscard]] bool get_bool(std::string_view name) const;
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
-  /// Parse a comma-separated list of integers, e.g. "2,8,64".
-  [[nodiscard]] std::vector<std::int64_t> get_int_list(std::string_view name) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] std::string usage() const;

@@ -159,21 +159,17 @@ TEST(HelloBeforeLease, CatchesALeaseToASpawnedWorkerBeforeItsHello) {
 }
 
 TEST(HelloBeforeLease, CleanCoordinateLogPassesEveryTransportCheck) {
-  // The shape of a `coordinate` log: spawned workers HELLO, READY,
-  // and every DONE is fetched before it is committed.
-  std::vector<dist::LeaseEvent> events = {
-      event(0, "spawn", 0),           event(1, "spawn", 1),
-      event(2, "hello", 0),           event(3, "ready", 0),
-      event(4, "hello", 1),           event(5, "ready", 1),
-      event(6, "lease", 0, 0, 0),     event(7, "lease", 1, 1, 0),
-      event(8, "fetch", 0, 0, 0),     event(9, "done", 0, 0, 0),
-      event(10, "fetch", 1, 1, 0),    event(11, "done", 1, 1, 0),
-      event(12, "complete"),
+  // The shape of a `coordinate` log: spawned workers HELLO and READY
+  // before their leases, and every lease ends in a done.
+  const std::vector<dist::LeaseEvent> events = {
+      event(0, "spawn", 0),       event(1, "spawn", 1),
+      event(2, "hello", 0),       event(3, "ready", 0),
+      event(4, "hello", 1),       event(5, "ready", 1),
+      event(6, "lease", 0, 0, 0), event(7, "lease", 1, 1, 0),
+      event(8, "done", 0, 0, 0),  event(9, "done", 1, 1, 0),
+      event(10, "complete"),
   };
-  events[9].detail = "fetched";
-  events[11].detail = "fetched";
   EXPECT_EQ(check::check_hello_before_lease(events), std::nullopt);
-  EXPECT_EQ(check::check_fetch_before_done(events), std::nullopt);
   EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
 }
 

@@ -1,8 +1,9 @@
-// Process-level tests of `dls_sweep coordinate` / `work` (the real
-// binary, via DLS_SWEEP_BIN): a sweep that loses workers mid-run --
-// clean kills, torn-record kills, or silent hangs -- must exit 0 with
-// a merged output byte-identical to a serial run, and its lease-event
-// log must satisfy the exclusivity invariant.
+// Process-level tests of `dls_sweep coordinate` / `serve` / `work`
+// (the real binary, via DLS_SWEEP_BIN): a sweep that loses workers
+// mid-run -- clean kills, kills mid-RECORD frame, or silent hangs --
+// must exit 0 with a merged output byte-identical to a serial run,
+// computing no cell twice, and its lease-event log must satisfy the
+// exclusivity invariant.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +21,10 @@
 
 #include "check/dist.hpp"
 #include "dist/protocol.hpp"
+#include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "sweep/grid.hpp"
+#include "sweep/record.hpp"
 #include "sweep/runner.hpp"
 
 namespace {
@@ -103,18 +106,24 @@ TEST(CoordinateTool, CleanFourWorkerRunMatchesSerialByteForByte) {
 }
 
 TEST(CoordinateTool, LosingTwoOfFourWorkersStillMatchesSerial) {
-  // The tentpole acceptance scenario: worker 0 SIGKILLed between
-  // records, worker 1 killed mid-record write (torn tail).  Their
-  // leases must be reclaimed and retried, and the merged output must
-  // be bitwise identical to the uninterrupted serial run.
+  // The tentpole acceptance scenario: workers 0 and 1 SIGKILLed after
+  // sending a record.  Their leases must be reclaimed and retried, and
+  // the merged output must be bitwise identical to the uninterrupted
+  // serial run.
   const TempDir dir;
   const std::string spec = write_spec(dir);
   const std::string out = dir.path() + "/merged.jsonl";
+  std::string err;
   ASSERT_EQ(run_tool("coordinate " + spec + " --out " + out + " --workdir " + dir.path() +
-                     "/wd --workers 4 --threads 1 --quiet --chaos 0:1:kill,1:1:truncate "
-                     "--backoff-ms 10"),
-            0);
+                         "/wd --workers 4 --threads 1 --chaos 0:1:kill,1:1:kill "
+                         "--backoff-ms 10",
+                     &err),
+            0)
+      << err;
   EXPECT_EQ(read_file(out), serial_reference());
+  // Both victims sent their record before dying, and no retry
+  // computed it again: every cell was computed exactly once.
+  EXPECT_NE(err.find(": 8 cell(s) computed, 8 record(s) merged"), std::string::npos) << err;
 
   const std::vector<dist::LeaseEvent> events = read_events(dir.path() + "/wd/events.jsonl");
   EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
@@ -183,27 +192,59 @@ TEST(CoordinateTool, RestartedCoordinatorAdoptsAndResumesPriorWork) {
             std::nullopt);
 }
 
-TEST(CoordinateTool, DeathMidFetchAdoptsTheSharedPublishedStripe) {
-  // Worker 0 publishes its first stripe, then dies part-way through
-  // the FETCH reply.  The stripe file is already in the shared workdir,
-  // so the coordinator adopts it -- an adopt event ends that lease in
-  // place of a reclaim -- and the output still matches serial.
+TEST(CoordinateTool, RecordLargerThanOneFrameCrossesTheWire) {
+  // One profile line makes every worker's speed profile part of the
+  // record's experiment echo, so the 200000-worker cell's record
+  // outgrows net::kMaxFramePayload and crosses as several RECORDs.
+  constexpr const char* kWideSpec =
+      "workload exponential:1.0\ntasks 4\nprofile0 0:1e9\nseed 1\nreplicas 1\n"
+      "technique SS\nsweep workers 200000 2\n";
   const TempDir dir;
-  const std::string spec = write_spec(dir);
+  const std::string spec = write_spec(dir, kWideSpec);
   const std::string out = dir.path() + "/merged.jsonl";
   ASSERT_EQ(run_tool("coordinate " + spec + " --out " + out + " --workdir " + dir.path() +
-                     "/wd --workers 4 --threads 1 --quiet --chaos 0:1:fetchcut"),
+                     "/wd --workers 1 --threads 1 --quiet"),
             0);
-  EXPECT_EQ(read_file(out), serial_reference());
+  const std::string serial = serial_reference(kWideSpec);
+  ASSERT_GT(serial.find('\n'), net::kMaxFramePayload);
+  EXPECT_EQ(read_file(out), serial);
+}
 
-  const std::vector<dist::LeaseEvent> events = read_events(dir.path() + "/wd/events.jsonl");
-  EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
-  std::size_t adopted = 0;
-  for (const dist::LeaseEvent& event : events) {
-    if (event.kind == "adopt" && event.worker == 0) ++adopted;
-    EXPECT_FALSE(event.kind == "reclaim" && event.worker == 0);
+TEST(ServeTool, KilledRemoteWorkerIsResumedNotRecomputed) {
+  // A `work --connect` worker shares no disk with the coordinator.  It
+  // is SIGKILLed after sending 3 of its stripe's 8 records; the retry
+  // must compute only the other 5, so every cell is computed exactly
+  // once across the run.
+  const TempDir dir;
+  const std::string spec = write_spec(dir);
+  const std::string sweep_bin = DLS_SWEEP_BIN;
+  const std::string script =
+      "set -e\ncd " + dir.path() + "\n" + sweep_bin +
+      " serve grid.sweep --listen 127.0.0.1:0 --port-file port.txt --out merged.jsonl"
+      " --workdir wd --workers 1 --stripes 1 --threads 1 --heartbeat-ms 50 --backoff-ms 10"
+      " 2>serve.log & SERVE=$!\n"
+      "for i in $(seq 1 100); do [ -f port.txt ] && break; sleep 0.1; done\n"
+      "PORT=$(cat port.txt)\n" +
+      sweep_bin + " work --connect 127.0.0.1:$PORT --threads 1 --heartbeat-ms 50"
+      " --chaos-after 3 --chaos-mode kill 2>/dev/null || true\n" +
+      sweep_bin + " work --connect 127.0.0.1:$PORT --threads 1 --heartbeat-ms 50 2>/dev/null\n"
+      "wait $SERVE\n";
+  const int status = std::system(script.c_str());
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << read_file(dir.path() + "/serve.log");
+  EXPECT_EQ(read_file(dir.path() + "/merged.jsonl"), serial_reference());
+
+  const std::string log = read_file(dir.path() + "/serve.log");
+  EXPECT_NE(log.find(": 8 cell(s) computed, 8 record(s) merged, 1 reclaim(s)"), std::string::npos)
+      << log;
+  // The dead worker's 3 records are on the coordinator's disk, and
+  // the stripe was committed by the retry.
+  std::ifstream attempt0(dist::stripe_attempt_path(dir.path() + "/wd", 0, 0));
+  EXPECT_EQ(sweep::scan_records(attempt0).lines.size(), 3u);
+  std::vector<std::size_t> done_attempts;
+  for (const dist::LeaseEvent& event : read_events(dir.path() + "/wd/events.jsonl")) {
+    if (event.kind == "done") done_attempts.push_back(event.attempt);
   }
-  EXPECT_EQ(adopted, 1u);
+  EXPECT_EQ(done_attempts, std::vector<std::size_t>{1});
 }
 
 TEST(CoordinateTool, FastHeartbeatNeverKillsAWorkerMidLease) {
@@ -277,39 +318,37 @@ TEST(CoordinateTool, UsageAndSpecErrorsExitTwo) {
   EXPECT_NE(err.find("--heartbeat-ms"), std::string::npos) << err;
 }
 
-TEST(WorkTool, RejectsMissingDirAndBadSpec) {
+TEST(WorkTool, RejectsASpecFileAndANonSocketStdin) {
   const TempDir dir;
   const std::string spec = write_spec(dir);
-  EXPECT_EQ(run_tool("work " + spec + " </dev/null"), 2);
-  EXPECT_EQ(run_tool("work " + dir.path() + "/nope.sweep --dir " + dir.path() + " </dev/null"),
-            2);
+  EXPECT_EQ(run_tool("work " + dir.path() + "/nope.sweep </dev/null"), 2);
   // The grid only ever arrives over the wire: no spec positional, and
-  // without --connect stdin must be the link.
+  // without --connect stdin must be the link.  `--dir` is accepted
+  // and ignored.
   std::string err;
-  EXPECT_EQ(run_tool("work " + spec + " --dir " + dir.path() + " </dev/null", &err), 2);
+  EXPECT_EQ(run_tool("work " + spec + " </dev/null", &err), 2);
   EXPECT_NE(err.find("no spec file"), std::string::npos) << err;
+  EXPECT_EQ(run_tool("work </dev/null", &err), 2);
+  EXPECT_NE(err.find("not a socket"), std::string::npos) << err;
   EXPECT_EQ(run_tool("work --dir " + dir.path() + " </dev/null", &err), 2);
   EXPECT_NE(err.find("not a socket"), std::string::npos) << err;
 }
 
-TEST(WorkTool, ServesALeaseOverStdinAndPublishesTheStripe) {
+TEST(WorkTool, ServesLeasesOverStdinAndStreamsTheirRecords) {
   // Drive one worker by hand on a socketpair as its stdin, the way
   // `coordinate` spawns it: HELLO, SPEC, READY, LEASE stripe 0 of 2,
-  // DONE, FETCH, QUIT.  The stripe file must appear (published
-  // atomically), hold exactly the records of shard 0/2, and stream
-  // back over DATA byte for byte.
+  // its RECORDs and DONE; then stripe 1 with its first cell held;
+  // QUIT.  The records must be exactly those of shard 0/2 and of shard
+  // 1/2 past its first record, and each DONE must carry their count
+  // and digest.
   using namespace std::chrono_literals;
-  const TempDir dir;
-  const std::string wd = dir.path() + "/wd";
-  ASSERT_EQ(std::system(("mkdir -p " + wd).c_str()), 0);
   int ends[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends), 0);
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     ::dup2(ends[1], STDIN_FILENO);
-    ::execl(DLS_SWEEP_BIN, DLS_SWEEP_BIN, "work", "--dir", wd.c_str(), "--threads", "1",
-            static_cast<char*>(nullptr));
+    ::execl(DLS_SWEEP_BIN, DLS_SWEEP_BIN, "work", "--threads", "1", static_cast<char*>(nullptr));
     ::_exit(127);
   }
   ::close(ends[1]);
@@ -321,36 +360,57 @@ TEST(WorkTool, ServesALeaseOverStdinAndPublishesTheStripe) {
     } while (message.starts_with("HB "));
     return message;
   };
+  const auto shard = [](std::size_t index) {
+    sweep::SweepRunner::Options options;
+    options.shard_index = index;
+    options.shard_count = 2;
+    std::ostringstream out;
+    (void)sweep::SweepRunner(options).run(sweep::parse_grid(kSpec), {}, out);
+    return out.str();
+  };
+  // The record bytes of one lease, up to its DONE.
+  const auto stream = [&next](dist::DoneMsg& done) {
+    std::string records;
+    for (;;) {
+      const std::string message = next();
+      const dist::WorkerMsg msg = dist::parse_worker_msg(message);
+      if (const auto* record = std::get_if<dist::RecordMsg>(&msg)) {
+        records += record->bytes;
+        continue;
+      }
+      const auto* last = std::get_if<dist::DoneMsg>(&msg);
+      EXPECT_NE(last, nullptr) << message;
+      if (last != nullptr) done = *last;
+      return records;
+    }
+  };
 
   EXPECT_TRUE(next().starts_with("HELLO "));
   ASSERT_TRUE(link.send(dist::encode(dist::CoordinatorMsg(dist::SpecMsg{kSpec}))));
   EXPECT_EQ(next(), "READY");
-  ASSERT_TRUE(link.send("LEASE 0 2 0 -"));
-  const std::string done = next();
-  EXPECT_TRUE(done.starts_with("DONE 0 0 ")) << done;
-  ASSERT_TRUE(link.send("FETCH 0 0"));
-  std::string fetched;
-  for (;;) {
-    const std::string message = next();
-    const dist::WorkerMsg msg = dist::parse_worker_msg(message);
-    const auto* data = std::get_if<dist::DataMsg>(&msg);
-    ASSERT_NE(data, nullptr) << message;
-    fetched += data->bytes;
-    if (fetched.size() >= data->total) break;
-  }
+
+  ASSERT_TRUE(link.send("LEASE 0 2 0 0"));
+  dist::DoneMsg done;
+  const std::string stripe0 = stream(done);
+  EXPECT_EQ(stripe0, shard(0));
+  EXPECT_EQ(done.stripe, 0u);
+  EXPECT_EQ(done.records, 4u);
+  EXPECT_EQ(done.digest, net::fnv1a64(stripe0));
+
+  ASSERT_TRUE(link.send("LEASE 1 2 3 1"));
+  const std::string stripe1 = stream(done);
+  const std::string full1 = shard(1);
+  EXPECT_EQ(stripe1, full1.substr(full1.find('\n') + 1));
+  EXPECT_EQ(done.stripe, 1u);
+  EXPECT_EQ(done.attempt, 3u);
+  EXPECT_EQ(done.records, 3u);
+  EXPECT_EQ(done.digest, net::fnv1a64(stripe1));
+
   ASSERT_TRUE(link.send("QUIT"));
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  sweep::SweepRunner::Options options;
-  options.shard_index = 0;
-  options.shard_count = 2;
-  std::ostringstream expected;
-  (void)sweep::SweepRunner(options).run(sweep::parse_grid(kSpec), {}, expected);
-  EXPECT_EQ(read_file(dist::stripe_final_path(wd, 0)), expected.str());
-  EXPECT_EQ(fetched, expected.str());
 }
 
 }  // namespace

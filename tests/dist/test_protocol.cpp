@@ -17,24 +17,14 @@ namespace {
 using namespace std::chrono_literals;
 
 TEST(Protocol, CoordinatorMessagesRoundTrip) {
-  dist::LeaseMsg lease;
-  lease.stripe = 3;
-  lease.stripe_count = 8;
-  lease.attempt = 2;
-  lease.resume_attempts = {0, 1};
-  EXPECT_EQ(dist::encode(dist::CoordinatorMsg(lease)), "LEASE 3 8 2 0,1");
-  const auto parsed = dist::parse_coordinator_msg("LEASE 3 8 2 0,1");
+  const dist::LeaseMsg lease{3, 8, 2, 5};
+  EXPECT_EQ(dist::encode(dist::CoordinatorMsg(lease)), "LEASE 3 8 2 5");
+  const auto parsed = dist::parse_coordinator_msg("LEASE 3 8 2 5");
   const auto& back = std::get<dist::LeaseMsg>(parsed);
   EXPECT_EQ(back.stripe, 3u);
   EXPECT_EQ(back.stripe_count, 8u);
   EXPECT_EQ(back.attempt, 2u);
-  EXPECT_EQ(back.resume_attempts, (std::vector<std::size_t>{0, 1}));
-
-  // No resume attempts encodes as "-", not an empty field.
-  lease.resume_attempts.clear();
-  EXPECT_EQ(dist::encode(dist::CoordinatorMsg(lease)), "LEASE 3 8 2 -");
-  EXPECT_TRUE(std::get<dist::LeaseMsg>(dist::parse_coordinator_msg("LEASE 3 8 2 -"))
-                  .resume_attempts.empty());
+  EXPECT_EQ(back.held, 5u);
 
   EXPECT_EQ(dist::encode(dist::CoordinatorMsg(dist::QuitMsg{})), "QUIT");
   EXPECT_TRUE(std::holds_alternative<dist::QuitMsg>(dist::parse_coordinator_msg("QUIT")));
@@ -47,12 +37,19 @@ TEST(Protocol, WorkerMessagesRoundTrip) {
   EXPECT_EQ(dist::encode(dist::WorkerMsg(dist::HeartbeatMsg{17})), "HB 17");
   EXPECT_EQ(std::get<dist::HeartbeatMsg>(dist::parse_worker_msg("HB 17")).computed, 17u);
 
-  EXPECT_EQ(dist::encode(dist::WorkerMsg(dist::DoneMsg{2, 1, 5, 3})), "DONE 2 1 5 3");
-  const auto done = std::get<dist::DoneMsg>(dist::parse_worker_msg("DONE 2 1 5 3"));
+  EXPECT_EQ(dist::encode(dist::WorkerMsg(dist::DoneMsg{2, 1, 5, 0xcbf29ce484222325})),
+            "DONE 2 1 5 cbf29ce484222325");
+  const auto done =
+      std::get<dist::DoneMsg>(dist::parse_worker_msg("DONE 2 1 5 cbf29ce484222325"));
   EXPECT_EQ(done.stripe, 2u);
   EXPECT_EQ(done.attempt, 1u);
-  EXPECT_EQ(done.computed, 5u);
-  EXPECT_EQ(done.skipped, 3u);
+  EXPECT_EQ(done.records, 5u);
+  EXPECT_EQ(done.digest, 0xcbf29ce484222325u);
+
+  // RECORD's payload is opaque bytes: spaces, newlines and all.
+  const std::string piece = "{\"cell\":0} x\n{\"ce";
+  EXPECT_EQ(dist::encode(dist::WorkerMsg(dist::RecordMsg{piece})), "RECORD " + piece);
+  EXPECT_EQ(std::get<dist::RecordMsg>(dist::parse_worker_msg("RECORD " + piece)).bytes, piece);
 
   // FAIL carries a free-text tail; embedded newlines are flattened so
   // the message stays one line.
@@ -66,11 +63,12 @@ TEST(Protocol, WorkerMessagesRoundTrip) {
 TEST(Protocol, MalformedLinesThrowNotIgnore) {
   // A garbled control stream is a failed peer -- every malformed line
   // must throw, never parse to a default message.
-  for (const char* line : {"", "NOPE", "LEASE", "LEASE 1 2", "LEASE x 2 0 -",
-                           "LEASE 1 2 0 0,x", "QUIT extra"}) {
+  for (const char* line : {"", "NOPE", "LEASE", "LEASE 1 2", "LEASE x 2 0 0",
+                           "LEASE 1 2 0 -", "LEASE 1 2 0 0,1", "QUIT extra"}) {
     EXPECT_THROW((void)dist::parse_coordinator_msg(line), std::invalid_argument) << line;
   }
-  for (const char* line : {"", "NOPE", "HB", "HB x", "DONE 1 2 3", "DONE 1 2 3 x", "FAIL 1"}) {
+  for (const char* line : {"", "NOPE", "HB", "HB x", "RECORD", "DONE 1 2 3", "DONE 1 2 3 x",
+                           "DONE 1 2 3 1123456789abcdef0", "FAIL 1"}) {
     EXPECT_THROW((void)dist::parse_worker_msg(line), std::invalid_argument) << line;
   }
 }
@@ -92,16 +90,17 @@ TEST(Protocol, ShardFileLayout) {
 }
 
 TEST(Protocol, ChaosListParsesWorkerAfterAndMode) {
-  const std::vector<dist::ChaosKill> kills = dist::parse_chaos_list("0:2,3:1:truncate,1:4:hang");
+  const std::vector<dist::ChaosKill> kills = dist::parse_chaos_list("0:2,3:1:kill,1:4:hang");
   ASSERT_EQ(kills.size(), 3u);
   EXPECT_EQ(kills[0].worker, 0u);
   EXPECT_EQ(kills[0].after_cells, 2u);
   EXPECT_EQ(kills[0].mode, dist::ChaosMode::kill);  // the default
   EXPECT_EQ(kills[1].worker, 3u);
-  EXPECT_EQ(kills[1].mode, dist::ChaosMode::truncate);
+  EXPECT_EQ(kills[1].mode, dist::ChaosMode::kill);
   EXPECT_EQ(kills[2].mode, dist::ChaosMode::hang);
 
-  for (const char* bad : {"x:1", "0", "0:1:explode", "0:1,"}) {
+  // truncate and fetchcut are not chaos modes.
+  for (const char* bad : {"x:1", "0", "0:1:explode", "0:1,", "0:1:truncate", "0:1:fetchcut"}) {
     EXPECT_THROW((void)dist::parse_chaos_list(bad), std::invalid_argument) << bad;
   }
 }

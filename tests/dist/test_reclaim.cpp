@@ -1,12 +1,10 @@
 // Lease expiry / reclamation edge cases (dist::Coordinator driving the
 // real dls_sweep binary as its workers).  Every scenario must converge
 // to a merged output byte-identical to an uninterrupted serial run:
-//  - a worker died mid-record, leaving a truncated attempt-file tail;
-//  - a worker died after publishing its stripe but before the
-//    coordinator observed the DONE (adoption, exercised via the
-//    equivalent coordinator-restart path);
-//  - two workers raced on a reclaimed stripe (a presumed-dead zombie
-//    and its replacement both committing the same stripe).
+//  - a coordinator restarted over an attempt file whose last record
+//    is torn resumes past the complete records;
+//  - a coordinator restarted over a published stripe adopts it;
+//  - a stripe that can never be committed exhausts its attempts.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +22,6 @@
 #include "dist/protocol.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard_io.hpp"
 
 namespace {
 
@@ -97,9 +94,10 @@ dist::CoordinatorOptions base_options(const TempDir& dir) {
 }
 
 TEST(Reclaim, TruncatedAttemptTailIsResumedNotRecomputed) {
-  // A reclaimed attempt file holding one complete record and half of a
-  // second (a mid-record death) must resume past the complete record
-  // and drop the torn one -- the merged output stays byte-identical.
+  // An attempt file a previous coordinator left holding one complete
+  // record and half of a second (a death mid-append) must resume past
+  // the complete record and drop the torn one -- the merged output
+  // stays byte-identical.
   const sweep::Grid grid = sweep::parse_grid(kSpec);
   const TempDir dir;
   dist::CoordinatorOptions options = base_options(dir);
@@ -117,10 +115,8 @@ TEST(Reclaim, TruncatedAttemptTailIsResumedNotRecomputed) {
 }
 
 TEST(Reclaim, PublishedStripeIsAdoptedNeverRecomputed) {
-  // Death between the atomic publish and the DONE message leaves a
-  // complete stripe file with no recorded completion -- exactly the
-  // state a coordinator (re)start sees.  It must adopt the file, not
-  // re-lease the stripe.
+  // A coordinator killed after publishing a stripe leaves a complete
+  // stripe file; a restart must adopt it, not re-lease the stripe.
   const sweep::Grid grid = sweep::parse_grid(kSpec);
   const TempDir dir;
   dist::CoordinatorOptions options = base_options(dir);
@@ -133,40 +129,6 @@ TEST(Reclaim, PublishedStripeIsAdoptedNeverRecomputed) {
   EXPECT_EQ(read_file(options.out_path), serial_reference(grid));
   EXPECT_EQ(report.adopted, 1u);
   EXPECT_EQ(report.computed, grid.cells() - 3);  // stripe 0's three cells adopted
-}
-
-TEST(Reclaim, RacingWorkersOnAReclaimedStripeConvergeByteIdentically) {
-  // A worker presumed dead (deadline) and its replacement can both
-  // finish the same stripe: each streams its own attempt file and each
-  // atomically renames it over the same final path.  Records are
-  // deterministic, so both attempts hold identical bytes; whichever
-  // rename lands last, the final file and the merge are unchanged.
-  const sweep::Grid grid = sweep::parse_grid(kSpec);
-  const TempDir dir;
-  const std::string wd = dir.path();
-  const std::vector<std::string> records = shard_records(grid, 0, 2);
-
-  sweep::ShardWriter zombie(dist::stripe_final_path(wd, 0), dist::stripe_attempt_path(wd, 0, 0));
-  sweep::ShardWriter replacement(dist::stripe_final_path(wd, 0),
-                                 dist::stripe_attempt_path(wd, 0, 1));
-  for (const std::string& line : records) {
-    zombie.append_line(line);
-    replacement.append_line(line);
-  }
-  replacement.commit();  // the retry publishes first...
-  zombie.commit();       // ...then the zombie's rename races over it
-
-  std::ifstream final_file(dist::stripe_final_path(wd, 0));
-  const sweep::ScanResult scanned = sweep::scan_records(final_file);
-  EXPECT_EQ(scanned.lines, records);
-
-  // The coordinator's merge sees the final file AND both attempts'
-  // leftovers; byte-identical duplicates must collapse to one copy.
-  const std::vector<std::string> merged =
-      sweep::merge_records({scanned.lines, records, shard_records(grid, 1, 2)});
-  std::string merged_text;
-  for (const std::string& line : merged) merged_text += line + "\n";
-  EXPECT_EQ(merged_text, serial_reference(grid));
 }
 
 TEST(Reclaim, ConflictingRetryBytesFailTheMergeLoudly) {
@@ -183,8 +145,8 @@ TEST(Reclaim, ConflictingRetryBytesFailTheMergeLoudly) {
 }
 
 TEST(Reclaim, UnpublishableStripeExhaustsRetriesAndFailsLoudly) {
-  // A stripe that can never publish (its final path is occupied by a
-  // directory, so every rename fails) must burn its attempts with
+  // A stripe that can never be committed (its final path is occupied
+  // by a directory, so every rename fails) must burn its attempts with
   // backoff and then fail the whole run -- not spin forever.
   const TempDir dir;
   dist::CoordinatorOptions options = base_options(dir);

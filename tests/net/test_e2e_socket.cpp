@@ -1,11 +1,10 @@
 // End-to-end socket sweep through the real binaries (DLS_SWEEP_BIN /
 // DLS_CHECK_BIN): a `dls_sweep serve` coordinator on 127.0.0.1 with
 // four `work --connect` worker processes, seeded two-worker chaos
-// (one SIGKILL mid-compute, one mid-FETCH cut), compared byte-for-
-// byte against both a serial run and a `coordinate` run (whose spawned
-// workers speak the same framed protocol over socketpairs and share
-// its workdir), with the dls_check records/leases audits shelled out
-// for real.
+// (two SIGKILLs between records), compared byte-for-byte against both
+// a serial run and a `coordinate` run (whose spawned workers speak the
+// same framed protocol over socketpairs), with the dls_check
+// records/leases audits shelled out for real.
 
 #include <gtest/gtest.h>
 
@@ -71,9 +70,8 @@ std::vector<dist::LeaseEvent> read_events(const std::string& path) {
 
 // One shell orchestration: serve on a kernel-picked port (published
 // via --port-file), then `workers` connect-mode worker processes, the
-// first `chaos` of them seeded to die (worker 0 mid-compute, worker 1
-// mid-FETCH).  Waits for everything and propagates the serve exit
-// code.
+// first `chaos` of them seeded to die after their first record.
+// Waits for everything and propagates the serve exit code.
 std::string orchestration(const std::string& dir, const std::string& sweep_bin,
                           std::size_t workers, std::size_t chaos) {
   std::ostringstream script;
@@ -85,12 +83,11 @@ std::string orchestration(const std::string& dir, const std::string& sweep_bin,
          << "for i in $(seq 1 100); do [ -f port.txt ] && break; sleep 0.1; done\n"
          << "PORT=$(cat port.txt)\n";
   for (std::size_t w = 0; w < workers; ++w) {
-    script << sweep_bin << " work --connect 127.0.0.1:$PORT --token e2e --dir w" << w
+    script << sweep_bin << " work --connect 127.0.0.1:$PORT --token e2e"
            << " --threads 1 --heartbeat-ms 50";
-    // Seeded chaos: victim 0 dies between records, victim 1 dies
-    // after the first DATA chunk of its FETCH reply.
+    // Seeded chaos: both victims die after their first record.
     if (chaos > 0 && w == 0) script << " --chaos-after 1 --chaos-mode kill";
-    if (chaos > 1 && w == 1) script << " --chaos-after 1 --chaos-mode fetchcut";
+    if (chaos > 1 && w == 1) script << " --chaos-after 1 --chaos-mode kill";
     script << " 2>/dev/null &\n";
   }
   script << "wait $SERVE\n";
@@ -113,32 +110,26 @@ TEST(E2eSocket, CleanFourWorkerSocketSweepMatchesSerialAndCoordinate) {
   EXPECT_EQ(read_file(dir.path() + "/socket.jsonl"), serial);
   EXPECT_EQ(read_file(dir.path() + "/local.jsonl"), serial);
 
-  // Remote stripes all arrived over FETCH: done events carry detail
-  // "fetched".
-  std::size_t fetched = 0;
-  for (const auto& event : read_events(dir.path() + "/wd_sock/events.jsonl")) {
-    if (event.kind == "done" && event.detail == "fetched") ++fetched;
+  // With no faults every lease ends in a done, remote or spawned, and
+  // every spawned worker HELLOs before its lease.
+  for (const char* wd : {"/wd_sock", "/wd_local"}) {
+    const auto events = read_events(dir.path() + wd + "/events.jsonl");
+    std::size_t leases = 0;
+    std::size_t dones = 0;
+    for (const auto& event : events) {
+      if (event.kind == "lease") ++leases;
+      if (event.kind == "done") ++dones;
+    }
+    EXPECT_GE(dones, 1u) << wd;
+    EXPECT_EQ(leases, dones) << wd;
+    EXPECT_EQ(check::check_hello_before_lease(events), std::nullopt) << wd;
   }
-  EXPECT_GE(fetched, 1u);
-
-  // So did the spawned workers' stripes, each after its HELLO.
-  const auto local = read_events(dir.path() + "/wd_local/events.jsonl");
-  std::size_t fetches = 0;
-  std::size_t dones = 0;
-  for (const auto& event : local) {
-    if (event.kind == "fetch") ++fetches;
-    if (event.kind == "done") ++dones;
-  }
-  EXPECT_GE(dones, 1u);
-  EXPECT_EQ(fetches, dones);
-  EXPECT_EQ(check::check_hello_before_lease(local), std::nullopt);
-  EXPECT_EQ(check::check_fetch_before_done(local), std::nullopt);
 }
 
 TEST(E2eSocket, TwoKilledWorkersOfFourStillMatchSerialByteForByte) {
-  // The acceptance scenario: 4 socket workers, worker 0 SIGKILLed
-  // between records and worker 1 killed mid-FETCH stream.  The sweep
-  // must finish through the survivors with byte-identical output.
+  // The acceptance scenario: 4 socket workers, workers 0 and 1
+  // SIGKILLed between records.  The sweep must finish through the
+  // survivors with byte-identical output.
   const TempDir dir;
   std::ofstream(dir.path() + "/grid.sweep") << kSpec;
   ASSERT_EQ(run_shell(orchestration(dir.path(), DLS_SWEEP_BIN, 4, 2)), 0);
@@ -157,7 +148,6 @@ TEST(E2eSocket, TwoKilledWorkersOfFourStillMatchSerialByteForByte) {
   // The full invariant suite over the chaos log, in-process.
   EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
   EXPECT_EQ(check::check_hello_before_lease(events), std::nullopt);
-  EXPECT_EQ(check::check_fetch_before_done(events), std::nullopt);
 }
 
 TEST(E2eSocket, DlsCheckAuditsPassOnTheSocketArtifacts) {
@@ -187,7 +177,7 @@ TEST(E2eSocket, WrongTokenWorkersCannotServeTheSweep) {
          << " --accept-grace-ms 1500 --heartbeat-ms 50 --quiet & SERVE=$!\n"
          << "for i in $(seq 1 100); do [ -f port.txt ] && break; sleep 0.1; done\n"
          << "PORT=$(cat port.txt)\n"
-         << DLS_SWEEP_BIN << " work --connect 127.0.0.1:$PORT --token wrong --dir w0"
+         << DLS_SWEEP_BIN << " work --connect 127.0.0.1:$PORT --token wrong"
          << " --connect-attempts 3 --connect-backoff-ms 20 2>/dev/null &\n"
          << "wait $SERVE\n";
   EXPECT_EQ(run_shell(script.str()), 1);  // failed loudly, no output committed

@@ -39,7 +39,7 @@ TEST(Frame, RoundTripsSingleAndBackToBackFrames) {
 }
 
 TEST(Frame, PayloadBytesAreOpaque) {
-  // The whole point of framing: SPEC and DATA payloads carry embedded
+  // The whole point of framing: SPEC and RECORD payloads carry embedded
   // newlines, '#', and NUL bytes without confusing the stream.
   const std::string payload = std::string("line1\nline2\n#7\n\0binary", 22);
   FrameDecoder decoder;

@@ -45,11 +45,10 @@ class Rng {
 // A seeded valid protocol line, drawn from every message type of both
 // directions (the mutators below then break it).
 std::string random_message(Rng& rng) {
-  switch (rng.below(11)) {
+  switch (rng.below(10)) {
     case 0: {
-      dist::LeaseMsg lease{0, 1 + rng.below(64), rng.below(8), {}};
+      dist::LeaseMsg lease{0, 1 + rng.below(64), rng.below(8), rng.below(1000)};
       lease.stripe = rng.below(lease.stripe_count);  // parser checks stripe < count
-      for (std::size_t i = rng.below(4); i > 0; --i) lease.resume_attempts.push_back(rng.below(8));
       return dist::encode(dist::CoordinatorMsg(lease));
     }
     case 1:
@@ -63,33 +62,25 @@ std::string random_message(Rng& rng) {
       }
       return dist::encode(dist::CoordinatorMsg(dist::SpecMsg{text}));
     }
-    case 4:
-      return dist::encode(dist::CoordinatorMsg(dist::FetchMsg{rng.below(64), rng.below(8)}));
+    case 4: {
+      std::string bytes;
+      for (std::size_t i = rng.below(128); i > 0; --i) {
+        bytes += static_cast<char>(rng.below(256));
+      }
+      return dist::encode(dist::WorkerMsg(dist::RecordMsg{bytes}));
+    }
     case 5:
       return dist::encode(dist::WorkerMsg(dist::ReadyMsg{}));
     case 6:
       return dist::encode(dist::WorkerMsg(dist::HeartbeatMsg{rng.below(100000)}));
     case 7:
       return dist::encode(
-          dist::WorkerMsg(dist::DoneMsg{rng.below(64), rng.below(8), rng.below(1000), rng.below(1000)}));
+          dist::WorkerMsg(dist::DoneMsg{rng.below(64), rng.below(8), rng.below(1000), rng.next()}));
     case 8:
       return dist::encode(
           dist::WorkerMsg(dist::FailMsg{rng.below(64), rng.below(8), "err msg with spaces"}));
-    case 9:
+    default:
       return dist::encode(dist::WorkerMsg(dist::HelloMsg{rng.below(4), rng.below(2) ? "tok" : ""}));
-    default: {
-      dist::DataMsg data;
-      data.stripe = rng.below(64);
-      data.attempt = rng.below(8);
-      data.total = rng.below(4096);
-      data.offset = rng.below(data.total + 1);
-      for (std::size_t i = rng.below(std::min<std::size_t>(data.total - data.offset + 1, 128));
-           i > 0; --i) {
-        data.bytes += static_cast<char>(rng.below(256));
-      }
-      data.checksum = rng.next();
-      return dist::encode(dist::WorkerMsg(data));
-    }
   }
 }
 
@@ -187,36 +178,30 @@ TEST(ProtocolFuzz, HandWrittenMalformedLines) {
       "LEASE",
       "LEASE 1",
       "LEASE 1 2",
-      "LEASE 1 2 3",          // missing resume list
-      "LEASE x 2 3 -",        // non-numeric stripe
-      "LEASE 1 2 3 1,2,x",    // non-numeric resume entry
-      "LEASE 1 2 3 - extra",  // trailing token
-      "LEASE 99999999999999999999 2 3 -",  // overflow
-      "lease 1 2 3 -",        // wrong case
+      "LEASE 1 2 3",          // missing held count
+      "LEASE x 2 3 0",        // non-numeric stripe
+      "LEASE 1 2 3 -",        // held count must be a number
+      "LEASE 1 2 3 0 extra",  // trailing token
+      "LEASE 99999999999999999999 2 3 0",  // overflow
+      "lease 1 2 3 0",        // wrong case
       "QUIT now",
       "PINGG",
-      "FETCH",
-      "FETCH 1",
-      "FETCH 1 2 3",
       "SPEC",                  // SPEC with no payload at all
+      "RECORD",                // RECORD with no payload separator
       "READY steady",
       "HB",
       "HB x",
       "HB 1 2",
       "DONE 1 2 3",
       "DONE 1 2 3 4 5",
+      "DONE 1 2 3 nothex",
+      "DONE 1 2 3 1123456789abcdef0",  // digest overflows 64 bits
       "FAIL 1",                // FAIL with no message
       "HELLO",
       "HELLO 1",
       "HELLO x tok",
       "HELLO 1 tok extra",
-      "DATA",
-      "DATA 1 2 3",
-      "DATA 1 2 0 10 nothex ",
-      "DATA 1 2 11 10 0123456789abcdef ",      // offset past total
-      "DATA 1 2 0 1 0123456789abcdef toolong", // chunk overruns total
-      "DATA 1 2 0 10 0123456789abcdef0 x",     // checksum > 16 digits
-      std::string("DA\0TA 1", 7),
+      std::string("RE\0CORD 1", 9),
       "\xff\xfe\xfd",
       "DONE\n1 2 3 4",  // embedded newline (a framing layer leak)
   };

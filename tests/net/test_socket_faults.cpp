@@ -1,9 +1,11 @@
 // Transport fault-injection battery for the serve-mode coordinator:
 // scripted socket clients misbehave in every way the wire allows --
-// connection reset mid-LEASE, truncation mid-FETCH, a client that
-// connects but never HELLOs, auth/version failures, garbage frames, a
-// checksum liar, a stale worker reconnecting after its lease was
-// reclaimed, and a half-open link that stays connected but silent.
+// connection reset mid-LEASE, a RECORD frame cut mid-payload, a client
+// that connects but never HELLOs, auth/version failures, garbage
+// frames, a DONE that disagrees with the records it closes, a record
+// for a cell the lease does not own, a stale worker reconnecting after
+// its lease was reclaimed, and a half-open link that stays connected
+// but silent.
 // In every case the coordinator must log the right death, reclaim the
 // lease, finish the sweep through an honest worker, and produce
 // byte-identical output; the lease/net invariants of check/dist.hpp
@@ -29,6 +31,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
+#include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "sweep/grid.hpp"
@@ -154,7 +157,6 @@ class ServeFixture {
     std::lock_guard<std::mutex> lock(mutex_);
     EXPECT_EQ(check::check_lease_exclusivity(events_), std::nullopt);
     EXPECT_EQ(check::check_hello_before_lease(events_), std::nullopt);
-    EXPECT_EQ(check::check_fetch_before_done(events_), std::nullopt);
   }
 
   [[nodiscard]] const dist::CoordinatorReport& report() const { return report_; }
@@ -179,11 +181,8 @@ class ServeFixture {
 /// connect mode) that finishes whatever the fault clients abandon.
 class HonestWorker {
  public:
-  HonestWorker(const TempDir& dir, std::uint16_t port, const std::string& name) {
-    const std::string workdir = dir.path() + "/" + name;
-    EXPECT_EQ(std::system(("mkdir -p " + workdir).c_str()), 0);
+  explicit HonestWorker(std::uint16_t port) {
     dist::WorkerOptions options;
-    options.workdir = workdir;
     options.threads = 1;
     options.heartbeat_interval = 50ms;
     options.connect = "127.0.0.1:" + std::to_string(port);
@@ -237,6 +236,22 @@ class FaultClient {
     return std::nullopt;
   }
 
+  /// The records an honest worker streams for `lease`, each with its
+  /// newline.
+  static std::vector<std::string> lease_records(const dist::LeaseMsg& lease) {
+    sweep::SweepRunner::Options options;
+    options.threads = 1;
+    options.shard_index = lease.stripe;
+    options.shard_count = lease.stripe_count;
+    std::ostringstream out;
+    (void)sweep::SweepRunner(options).run(sweep::parse_grid(kSpec), {}, out);
+    std::vector<std::string> records;
+    std::istringstream in(out.str());
+    for (std::string line; std::getline(in, line);) records.push_back(line + "\n");
+    records.erase(records.begin(), records.begin() + static_cast<std::ptrdiff_t>(lease.held));
+    return records;
+  }
+
   void hangup() { transport_.shutdown(); }
 
   [[nodiscard]] net::Transport& transport() { return transport_; }
@@ -262,7 +277,7 @@ TEST(SocketFaults, ConnectionResetMidLeaseReclaimsAndRetries) {
     return e.kind == "reclaim" && e.stripe == grant.stripe;
   }));
 
-  HonestWorker worker(dir, port, "honest");
+  HonestWorker worker(port);
   serve.expect_clean_finish();
   EXPECT_GE(serve.report().reclaims, 1u);
   EXPECT_GE(serve.report().workers_lost, 1u);
@@ -277,7 +292,7 @@ TEST(SocketFaults, NeverHelloClientIsEvictedOnTheHelloDeadline) {
   ASSERT_TRUE(serve.wait_for_death("hello-timeout"));
   mute.hangup();
 
-  HonestWorker worker(dir, port, "honest");
+  HonestWorker worker(port);
   serve.expect_clean_finish();
 }
 
@@ -303,49 +318,44 @@ TEST(SocketFaults, BadTokenBadVersionAndGarbageAreRejectedDistinctly) {
   intruder.hangup();
   relic.hangup();
   scrambler.hangup();
-  HonestWorker worker(dir, port, "honest");
+  HonestWorker worker(port);
   serve.expect_clean_finish();
   EXPECT_GE(serve.report().workers_lost, 3u);
 }
 
-TEST(SocketFaults, TruncationMidFetchReclaimsTheStillLeasedStripe) {
+TEST(SocketFaults, RecordFrameCutMidPayloadReclaimsTheStripe) {
   const TempDir dir;
   ServeFixture serve(dir);
   const std::uint16_t port = serve.port();
 
-  // Claim a stripe, report it DONE without computing anything, then
-  // die after one short DATA chunk of the FETCH reply.  The stripe
-  // never left the leased state, so the death must reclaim it and the
-  // honest worker must recompute it from scratch.
+  // Claim a stripe, then die after half of the first RECORD frame: the
+  // bytes a kill in the middle of a send leaves on the link.
   FaultClient cutter(port);
   cutter.hello();
   cutter.ready();
   const auto lease = cutter.wait_for("LEASE ");
   ASSERT_TRUE(lease.has_value());
   const auto& grant = std::get<dist::LeaseMsg>(*lease);
-  cutter.send(dist::DoneMsg{grant.stripe, grant.attempt, 0, 0});
-  ASSERT_TRUE(cutter.wait_for("FETCH ").has_value());
-  dist::DataMsg chunk;
-  chunk.stripe = grant.stripe;
-  chunk.attempt = grant.attempt;
-  chunk.offset = 0;
-  chunk.total = 1 << 20;  // promises a megabyte...
-  chunk.checksum = 0;
-  chunk.bytes = "{\"partial\":";  // ...delivers eleven bytes
-  cutter.send(chunk);
+  const std::string frame = net::encode_frame(dist::encode(
+      dist::WorkerMsg(dist::RecordMsg{FaultClient::lease_records(grant).front()})));
+  ASSERT_EQ(::write(cutter.transport().poll_fd(), frame.data(), frame.size() / 2),
+            static_cast<ssize_t>(frame.size() / 2));
   cutter.hangup();
 
   ASSERT_TRUE(serve.wait_for_event([&grant](const dist::LeaseEvent& e) {
-    return e.kind == "reclaim" && e.stripe == grant.stripe;
+    return e.kind == "reclaim" && e.stripe == grant.stripe && e.detail == "protocol";
   }));
 
-  HonestWorker worker(dir, port, "honest");
+  HonestWorker worker(port);
   serve.expect_clean_finish();
-  // The fetch was logged but its done never arrived for that worker.
   EXPECT_GE(serve.report().reclaims, 1u);
 }
 
-TEST(SocketFaults, ChecksumMismatchIsAProtocolDeathNotACommit) {
+/// A hand-played worker streams its lease's records honestly, then
+/// closes them with `forge(done)` applied to the true DONE.  The
+/// coordinator must kill it as a protocol death, reclaim the stripe,
+/// and still finish with serial bytes through an honest worker.
+void expect_forged_done_is_a_protocol_death(const std::function<void(dist::DoneMsg&)>& forge) {
   const TempDir dir;
   ServeFixture serve(dir);
   const std::uint16_t port = serve.port();
@@ -356,22 +366,55 @@ TEST(SocketFaults, ChecksumMismatchIsAProtocolDeathNotACommit) {
   const auto lease = liar.wait_for("LEASE ");
   ASSERT_TRUE(lease.has_value());
   const auto& grant = std::get<dist::LeaseMsg>(*lease);
-  liar.send(dist::DoneMsg{grant.stripe, grant.attempt, 0, 0});
-  ASSERT_TRUE(liar.wait_for("FETCH ").has_value());
-  dist::DataMsg chunk;
-  chunk.stripe = grant.stripe;
-  chunk.attempt = grant.attempt;
-  chunk.offset = 0;
-  chunk.total = 9;
-  chunk.checksum = 0xdeadbeef;  // not fnv1a64("forgery!\n")
-  chunk.bytes = "forgery!\n";
-  liar.send(chunk);
+  dist::DoneMsg done{grant.stripe, grant.attempt, 0, net::kFnv1a64Basis};
+  for (const std::string& record : FaultClient::lease_records(grant)) {
+    liar.send(dist::RecordMsg{record});
+    done.records += 1;
+    done.digest = net::fnv1a64(record, done.digest);
+  }
+  forge(done);
+  liar.send(done);
 
   ASSERT_TRUE(serve.wait_for_death("protocol"));
+  EXPECT_TRUE(serve.wait_for_event([&grant](const dist::LeaseEvent& e) {
+    return e.kind == "reclaim" && e.stripe == grant.stripe && e.detail == "protocol";
+  }));
   liar.hangup();
 
-  HonestWorker worker(dir, port, "honest");
-  serve.expect_clean_finish();  // byte identity proves the forgery never landed
+  HonestWorker worker(port);
+  serve.expect_clean_finish();  // byte identity proves the forgery never committed
+  for (const dist::LeaseEvent& event : serve.events()) {
+    EXPECT_FALSE(event.kind == "done" && event.worker == 0) << "the liar's stripe committed";
+  }
+}
+
+TEST(SocketFaults, DoneWithAForgedRecordCountIsAProtocolDeath) {
+  expect_forged_done_is_a_protocol_death([](dist::DoneMsg& done) { done.records += 1; });
+}
+
+TEST(SocketFaults, DoneWithAForgedDigestIsAProtocolDeath) {
+  expect_forged_done_is_a_protocol_death([](dist::DoneMsg& done) { done.digest ^= 1; });
+}
+
+TEST(SocketFaults, RecordForACellTheLeaseDoesNotOwnIsAProtocolDeath) {
+  const TempDir dir;
+  ServeFixture serve(dir);
+  const std::uint16_t port = serve.port();
+
+  FaultClient stray(port);
+  stray.hello();
+  stray.ready();
+  const auto lease = stray.wait_for("LEASE ");
+  ASSERT_TRUE(lease.has_value());
+  dist::LeaseMsg other = std::get<dist::LeaseMsg>(*lease);
+  other.stripe = (other.stripe + 1) % other.stripe_count;
+  stray.send(dist::RecordMsg{FaultClient::lease_records(other).front()});
+
+  ASSERT_TRUE(serve.wait_for_death("protocol"));
+  stray.hangup();
+
+  HonestWorker worker(port);
+  serve.expect_clean_finish();
 }
 
 TEST(SocketFaults, StaleWorkerReconnectingAfterReclaimCannotCommit) {
@@ -394,16 +437,19 @@ TEST(SocketFaults, StaleWorkerReconnectingAfterReclaimCannotCommit) {
   // Second life: reconnect (a fresh link, so a fresh HELLO is owed)
   // and try to DONE the stripe from the dead lease.  No READY, so no
   // new lease is granted; the stale DONE must be ignored, not
-  // committed and not crashed on.
+  // committed and not crashed on: the link stays up and keeps being
+  // pinged.
   FaultClient second_life(port);
   second_life.hello();
-  second_life.send(dist::DoneMsg{grant.stripe, grant.attempt, 0, 0});
-  // The coordinator must NOT fetch from a worker that holds no lease.
-  EXPECT_FALSE(second_life.wait_for("FETCH ", 500ms).has_value());
+  second_life.send(dist::DoneMsg{grant.stripe, grant.attempt, 0, net::kFnv1a64Basis});
+  EXPECT_TRUE(second_life.wait_for("PING", 2s).has_value());
   second_life.hangup();
 
-  HonestWorker worker(dir, port, "honest");
+  HonestWorker worker(port);
   serve.expect_clean_finish();
+  for (const dist::LeaseEvent& event : serve.events()) {
+    EXPECT_FALSE(event.kind == "done" && event.worker == 1) << "the stale DONE committed";
+  }
 }
 
 TEST(SocketFaults, HalfOpenLinkIsReclaimedByDeadlineWithoutAnEof) {
@@ -423,7 +469,7 @@ TEST(SocketFaults, HalfOpenLinkIsReclaimedByDeadlineWithoutAnEof) {
 
   ASSERT_TRUE(serve.wait_for_death("deadline"));
 
-  HonestWorker worker(dir, port, "honest");
+  HonestWorker worker(port);
   serve.expect_clean_finish();
   zombie.hangup();
   EXPECT_GE(serve.report().reclaims, 1u);

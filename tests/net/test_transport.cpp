@@ -171,7 +171,6 @@ TEST(WorkerIdleTimeout, SilentLinkMakesTheWorkerGiveUpAndExitOne) {
   ASSERT_TRUE(coordinator_side.send(spec_message()));
 
   dist::WorkerOptions options;
-  options.workdir = "/tmp";
   options.heartbeat_interval = 20ms;
   options.idle_timeout = 150ms;
 
@@ -194,7 +193,6 @@ TEST(WorkerIdleTimeout, TrafficKeepsTheWorkerAlivePastTheWindow) {
   ASSERT_TRUE(coordinator_side.send(spec_message()));
 
   dist::WorkerOptions options;
-  options.workdir = "/tmp";
   options.heartbeat_interval = 20ms;
   options.idle_timeout = 200ms;
 

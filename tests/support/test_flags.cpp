@@ -11,7 +11,6 @@ Flags make_flags() {
   flags.define("runs", "100", "number of runs");
   flags.define("full", "false", "run the paper-exact protocol");
   flags.define("mu", "1.0", "mean task time");
-  flags.define("pes", "2,8,64", "PE counts");
   flags.define("label", "default", "free-form label");
   return flags;
 }
@@ -60,13 +59,6 @@ TEST(Flags, BooleanFlagDoesNotConsumeNextToken) {
   EXPECT_TRUE(flags.get_bool("full"));
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "positional");
-}
-
-TEST(Flags, IntListParses) {
-  Flags flags = make_flags();
-  const auto args = argv_of({"prog", "--pes=2,4,1024"});
-  flags.parse(static_cast<int>(args.size()), args.data());
-  EXPECT_EQ(flags.get_int_list("pes"), (std::vector<std::int64_t>{2, 4, 1024}));
 }
 
 TEST(Flags, UnknownFlagThrows) {

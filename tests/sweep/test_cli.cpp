@@ -3,13 +3,17 @@
 // names the flag, never a run on a misread value.  So is a swept spec
 // value that does not parse, and it leaves no record file behind.  Run-mode cases pass
 // --list, so a flag that slipped through would print cells and exit 0
-// instead of sweeping.
+// instead of sweeping.  A --resume whose rewrite of the surviving
+// records fails is a run error (exit 1) that leaves them in place.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,7 +90,7 @@ TEST(SweepCli, RejectsNegativeCountsInCoordinateAndServe) {
 }
 
 TEST(SweepCli, RejectsNegativeCountsInWorkMode) {
-  const std::string work = "work --dir cli_never_wd";
+  const std::string work = "work";
   std::vector<Case> cases;
   for (const char* flag : {"--threads", "--heartbeat-ms", "--idle-ms", "--connect-attempts",
                            "--connect-backoff-ms", "--chaos-after"}) {
@@ -121,6 +125,32 @@ TEST(SweepCli, NonFiniteAxisValueIsAUsageError) {
     EXPECT_EQ(outcome.output.find("missing"), std::string::npos) << outcome.output;
     EXPECT_FALSE(std::ifstream(out).good()) << "a record file was written for " << axis.key;
   }
+  std::remove(spec.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(SweepCli, FailedResumeRewriteIsARunErrorThatKeepsTheRecords) {
+  // --resume rewrites the surviving records atomically (temp file +
+  // fsync + rename).  When the temp file cannot be created, the run
+  // fails with exit 1 naming the output, and the records are intact.
+  const std::string spec = "cli_resume.sweep";
+  const std::string out = "cli_resume.jsonl";
+  const std::string blocker = out + ".tmp";
+  std::remove(out.c_str());
+  ::rmdir(blocker.c_str());
+  std::ofstream(spec) << "technique SS\ntasks 64\nworkload constant:1.0\nsweep workers 2 4\n";
+  ASSERT_EQ(run_tool(spec + " --out " + out + " --max-cells 1 --quiet").exit_code, 0);
+  std::ifstream first(out);
+  const std::string record((std::istreambuf_iterator<char>(first)), {});
+  ASSERT_EQ(::mkdir(blocker.c_str(), 0755), 0);
+
+  const Outcome outcome = run_tool(spec + " --out " + out + " --resume --quiet");
+  EXPECT_EQ(outcome.exit_code, 1) << outcome.output;
+  EXPECT_NE(outcome.output.find(out), std::string::npos) << outcome.output;
+  std::ifstream after(out);
+  EXPECT_EQ(std::string((std::istreambuf_iterator<char>(after)), {}), record);
+
+  ::rmdir(blocker.c_str());
   std::remove(spec.c_str());
   std::remove(out.c_str());
 }

@@ -128,9 +128,8 @@ int records_mode(int argc, char** argv) {
 
 // `dls_check leases`: replay a coordinator lease-event log and check
 // no stripe was ever held by two live workers (check/dist.hpp), plus
-// the transport invariants (check/net.hpp): leases only after HELLO,
-// commits only after a FETCH.  One command audits `coordinate` and
-// `serve` logs alike.
+// the transport invariant (check/net.hpp): leases only after HELLO.
+// One command audits `coordinate` and `serve` logs alike.
 int leases_mode(int argc, char** argv) {
   support::Flags flags;
   flags.define("help", "false", "print this help");
@@ -164,12 +163,8 @@ int leases_mode(int argc, char** argv) {
         std::cerr << "dls_check: " << path << ": hello_before_lease: " << *violation << "\n";
         return EXIT_FAILURE;
       }
-      if (const auto violation = check::check_fetch_before_done(events)) {
-        std::cerr << "dls_check: " << path << ": fetch_before_done: " << *violation << "\n";
-        return EXIT_FAILURE;
-      }
       std::cout << "dls_check: " << path << ": " << events.size()
-                << " event(s), lease_exclusivity + hello_before_lease + fetch_before_done hold\n";
+                << " event(s), lease_exclusivity + hello_before_lease hold\n";
     }
     return EXIT_SUCCESS;
   } catch (const std::exception& e) {

@@ -15,14 +15,14 @@
 //   dls_sweep report original.jsonl simulation.jsonl   # a figure's tables from its sweep pairs
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
 //   dls_sweep serve grid.sweep --listen :7070 --out all.jsonl --workdir wd
-//   dls_sweep work --connect host:7070 --dir wd   # one remote worker of `serve`
+//   dls_sweep work --connect host:7070   # one remote worker of `serve`
 //
 // `coordinate` runs the grid fault-tolerantly across worker processes
 // (dist/coordinator.hpp): it spawns each as `work` on a socketpair,
 // speaking the framed protocol remote `serve` workers speak over TCP.
 // Stripes of the grid are leased to workers, dead or hung workers are
 // detected by heartbeat deadline and their leases reclaimed (resuming
-// past every record the dead worker flushed), retries back off
+// past every record the dead worker sent), retries back off
 // exponentially, and the merged output is bitwise identical to a
 // serial run of the same spec -- even with --chaos fault injection
 // killing workers at seeded points.
@@ -58,8 +58,6 @@
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
-
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
@@ -83,7 +81,7 @@ void print_usage(std::ostream& out, const support::Flags& flags) {
          "       dls_sweep report (<original.jsonl> <simulation.jsonl>)... [--csv]\n"
          "       dls_sweep coordinate <spec-file> --out <file> --workdir <dir> [options]\n"
          "       dls_sweep serve <spec-file> --listen host:port --out <file> --workdir <dir>\n"
-         "       dls_sweep work --connect host:port --dir <dir>   one remote worker (TCP)\n"
+         "       dls_sweep work --connect host:port   one remote worker (TCP)\n"
          "\n"
          "Expands 'sweep <key> <v1> <v2> ...' lines of an experiment file into\n"
          "a cartesian grid of batched runs; one JSONL record per cell.\n"
@@ -220,26 +218,14 @@ int run_mode(const support::Flags& flags) {
 
   std::ofstream file;
   if (!out_path.empty()) {
-    // Rewrite the surviving records (drops a truncated tail) into a
-    // temp file and rename it over the original, so a crash during the
-    // rewrite cannot destroy the completed records -- "a kill loses at
-    // most the cell in flight" must hold for the rewrite window too.
-    const std::string tmp_path = out_path + ".tmp";
-    {
-      std::ofstream tmp(tmp_path, std::ios::trunc);
-      if (!tmp) {
-        std::cerr << "dls_sweep: cannot write " << tmp_path << "\n";
-        return kExitRunError;
-      }
-      for (const std::string& line : previous.lines) tmp << line << '\n';
-      tmp.flush();
-      if (!tmp) {
-        std::cerr << "dls_sweep: failed writing " << tmp_path << "\n";
-        return kExitRunError;
-      }
-    }
-    if (std::rename(tmp_path.c_str(), out_path.c_str()) != 0) {
-      std::cerr << "dls_sweep: cannot rename " << tmp_path << " over " << out_path << "\n";
+    // Rewrite the surviving records (drops a truncated tail) in one
+    // atomic, durable step, so a crash during the rewrite cannot
+    // destroy the completed records -- "a kill loses at most the cell
+    // in flight" must hold for the rewrite window too.
+    try {
+      sweep::write_lines_atomic(out_path, previous.lines);
+    } catch (const std::exception& e) {
+      std::cerr << "dls_sweep: " << out_path << ": " << e.what() << "\n";
       return kExitRunError;
     }
     file.open(out_path, std::ios::app);
@@ -426,7 +412,7 @@ int coordinate_mode(int argc, char** argv, bool serve) {
   flags.define("backoff-cap-ms", "5000", "retry backoff cap");
   flags.define("chaos", "",
                "fault injection: <worker>:<after_cells>[:<mode>],..., at most one per worker "
-               "(mode: kill|truncate|hang|fetchcut)");
+               "(mode: kill|hang)");
   flags.define("chaos-seed", "0", "derive --chaos-kills directives from this seed");
   flags.define("chaos-kills", "0", "number of seeded workers to fault (with --chaos-seed)");
   flags.define("events", "", "lease-event log path (default <workdir>/events.jsonl)");
@@ -562,7 +548,6 @@ int coordinate_mode(int argc, char** argv, bool serve) {
       std::cerr << "dls_sweep: " << (serve ? "served " : "coordinated ") << report.stripes
                 << " stripe(s): " << report.computed
                 << " cell(s) computed, " << report.merged_records << " record(s) merged, "
-                << report.fetched << " stripe(s) fetched, "
                 << report.reclaims << " reclaim(s), " << report.retries << " retry(ies), "
                 << report.adopted << " adoption(s), " << report.workers_lost
                 << " worker(s) lost\n";
@@ -580,12 +565,12 @@ int coordinate_mode(int argc, char** argv, bool serve) {
 // arrives over the wire.
 int work_mode(int argc, char** argv) {
   support::Flags flags;
-  flags.define("dir", "", "shard-file directory: the coordinator's --workdir when spawned by "
-                          "coordinate, the worker's own scratch with --connect (required)");
+  // Accepted and ignored: perfbench/src/pass.cpp still passes it.
+  flags.define("dir", "", "ignored (workers write no files)");
   flags.define("threads", "1", "SweepRunner width per lease (0 = spec / hardware)");
   flags.define("heartbeat-ms", "200", "heartbeat interval");
   flags.define("chaos-after", "0", "fault injection: misbehave after N computed cells (0 = off)");
-  flags.define("chaos-mode", "kill", "fault mode: kill | truncate | hang | fetchcut");
+  flags.define("chaos-mode", "kill", "fault mode: kill | hang");
   flags.define("connect", "",
                "host:port of a `dls_sweep serve` coordinator (empty = stdin, a socket)");
   flags.define("token", "", "HELLO auth token (must match the coordinator's --token)");
@@ -605,8 +590,6 @@ int work_mode(int argc, char** argv) {
     if (!options.connect.empty()) {
       (void)net::parse_host_port(options.connect);  // fail early on a bad address
     }
-    options.workdir = flags.get("dir");
-    if (options.workdir.empty()) throw std::invalid_argument("work needs --dir");
     options.threads = get_count<unsigned>(flags, "threads");
     options.heartbeat_interval = get_ms(flags, "heartbeat-ms");
     if (options.heartbeat_interval.count() == 0) {
@@ -624,9 +607,6 @@ int work_mode(int argc, char** argv) {
     std::cerr << "dls_sweep: " << e.what() << "\n";
     return kExitUsageError;
   }
-  // Connected workers create their own scratch dir -- nothing shares
-  // it, and asking every host operator to mkdir first is just friction.
-  if (!options.connect.empty()) (void)::mkdir(options.workdir.c_str(), 0755);
   return dist::run_worker(options);
 }
 
