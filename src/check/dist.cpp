@@ -136,25 +136,4 @@ std::optional<std::string> check_lease_exclusivity(const std::vector<dist::Lease
   return std::nullopt;
 }
 
-std::optional<std::string> check_attempt_consistency(
-    const std::vector<std::vector<std::string>>& attempts) {
-  std::map<sweep::RecordKey, std::pair<std::size_t, const std::string*>> first_seen;
-  for (std::size_t a = 0; a < attempts.size(); ++a) {
-    for (const std::string& line : attempts[a]) {
-      const auto key = sweep::record_key(line);
-      if (!key) {
-        return "attempt " + std::to_string(a) +
-               " contains an incomplete record (scan the file with sweep::scan_records first)";
-      }
-      const auto [it, inserted] = first_seen.emplace(*key, std::make_pair(a, &line));
-      if (!inserted && *it->second.second != line) {
-        return key_name(*key) + " differs between attempt " + std::to_string(it->second.first) +
-               " and attempt " + std::to_string(a) +
-               " -- a reclaimed stripe did not reproduce its first attempt's bytes";
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace check

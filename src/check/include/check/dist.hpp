@@ -37,12 +37,4 @@ namespace check {
 [[nodiscard]] std::optional<std::string> check_lease_exclusivity(
     const std::vector<dist::LeaseEvent>& events);
 
-/// "attempt_consistency": across the attempt files of one stripe (the
-/// first attempt's partial records and every retry's), records of the
-/// same (cell, backend) are byte-identical -- a reclaimed stripe's
-/// rerun must reproduce the dead worker's bytes exactly, or the
-/// determinism the resume/merge machinery rests on is broken.
-[[nodiscard]] std::optional<std::string> check_attempt_consistency(
-    const std::vector<std::vector<std::string>>& attempts);
-
 }  // namespace check

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -52,10 +51,9 @@ struct WorkerLink {
   Clock::time_point last_ping;
 };
 
-/// One stripe.  Between leases, attempt file `source` holds records
-/// of its owned cells from the first in canonical order; a lease's
-/// attempt file starts as a copy of them, and `held` counts the owned
-/// cells whose records that file holds.
+/// One stripe.  `held` counts its owned cells, from the first in
+/// canonical order, whose records the journal holds: a lease resumes
+/// past them.
 struct StripeState {
   enum class Status { pending, leased, done };
   Status status = Status::pending;
@@ -64,22 +62,12 @@ struct StripeState {
   std::size_t holder = npos;
   std::vector<std::size_t> owned;  ///< full cell indices, canonical order
   std::size_t held = 0;
-  std::size_t source = npos;  ///< attempt file holding the held records
 
-  // The live attempt: its file, and the RECORD stream its DONE must match.
-  std::unique_ptr<sweep::ShardWriter> writer;
+  // The live lease's RECORD stream, which its DONE must match.
   std::size_t received = 0;
   std::uint64_t digest = net::kFnv1a64Basis;
   std::string partial;  ///< record bytes still waiting for their newline
 };
-
-[[nodiscard]] std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open spec " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 [[nodiscard]] std::string self_exe() {
   char buf[4096];
@@ -97,13 +85,7 @@ class Run {
 
   ~Run() {
     for (WorkerLink& worker : workers_) {
-      if (!worker.alive) continue;
-      terminate(worker);
-      if (worker.pid > 0) {
-        int status = 0;
-        ::waitpid(worker.pid, &status, 0);
-      }
-      worker.alive = false;
+      if (worker.alive) terminate(worker);
     }
   }
 
@@ -121,10 +103,10 @@ class Run {
   // ---- setup -------------------------------------------------------
 
   void setup() {
-    grid_text_ = read_file(options_.spec_path);
-    if (!options_.backend.empty()) grid_text_ += "\nbackend " + options_.backend + "\n";
     try {
-      grid_ = sweep::parse_grid(grid_text_);
+      ShippedGrid shipped = load_shipped_grid(options_.spec_path, options_.backend);
+      grid_text_ = std::move(shipped.text);
+      grid_ = std::move(shipped.grid);
     } catch (const std::exception& e) {
       throw std::runtime_error(std::string("spec: ") + e.what());
     }
@@ -137,10 +119,23 @@ class Run {
     if (::mkdir(options_.workdir.c_str(), 0755) != 0 && errno != EEXIST) {
       throw std::runtime_error(errno_message("mkdir " + options_.workdir));
     }
-    const std::string events_path =
-        options_.events_path.empty() ? options_.workdir + "/events.jsonl" : options_.events_path;
+    const std::string events_path = options_.workdir + "/events.jsonl";
     events_.open(events_path, std::ios::app);
     if (!events_) throw std::runtime_error("cannot write events log " + events_path);
+
+    // A coordinator restart resumes from the journal the way `dls_sweep
+    // --resume` resumes its --out: whatever striping this run uses.
+    sweep::RecordFile journal;
+    try {
+      journal = sweep::open_record_file(grid_, journal_path(), /*resume=*/true);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("coordinate: " + journal_path() + ": " + e.what());
+    }
+    journal_ = std::move(journal.writer);
+    journaled_.resize(grid_.cells());
+    for (const sweep::RecordKey& key : journal.kept.done) {
+      journaled_[sweep::grid_index_of(grid_, key)] = true;
+    }
 
     stripe_states_.resize(stripes_);
     const Clock::time_point now = Clock::now();
@@ -151,23 +146,13 @@ class Run {
         stripe.owned.push_back(index);
         return true;
       });
-      // Coordinator restart: adopt stripes a previous run published,
-      // and resume past attempt files a previous run left behind.
-      if (stripe_file_complete(s)) {
+      while (stripe.held < stripe.owned.size() && journaled_[stripe.owned[stripe.held]]) {
+        stripe.held += 1;
+      }
+      if (stripe.held == stripe.owned.size()) {
         stripe.status = StripeState::Status::done;
         report_.adopted += 1;
         log({.kind = "adopt", .stripe = s});
-        continue;
-      }
-      std::size_t most_held = 0;
-      for (std::size_t a = 0; a < options_.max_attempts; ++a) {
-        if (::access(stripe_attempt_path(options_.workdir, s, a).c_str(), F_OK) != 0) continue;
-        stripe.attempts = a + 1;
-        const std::size_t held = held_records(s, a).size();
-        if (held >= most_held) {
-          most_held = held;
-          stripe.source = a;
-        }
       }
     }
 
@@ -270,7 +255,7 @@ class Run {
     if (!serving_) {
       throw std::runtime_error(
           "coordinate: every worker died; " + std::to_string(pending_stripes()) +
-          " stripe(s) unfinished (their partial shard files are kept in " + options_.workdir +
+          " stripe(s) unfinished (every record received is kept in " + journal_path() +
           " -- re-running the coordinator resumes them)");
     }
     if (Clock::now() - last_live_ >= options_.accept_grace) {
@@ -320,28 +305,14 @@ class Run {
 
   void grant_lease(std::size_t w, std::size_t s) {
     StripeState& stripe = stripe_states_[s];
-    // The attempt file starts with the records the stripe already
-    // holds, so its commit publishes the whole stripe.
-    auto writer = std::make_unique<sweep::ShardWriter>(
-        stripe_final_path(options_.workdir, s),
-        stripe_attempt_path(options_.workdir, s, stripe.attempts));
-    stripe.held = 0;
-    if (stripe.source != npos) {
-      for (const std::string& line : held_records(s, stripe.source)) {
-        writer->append_line(line);
-        stripe.held += 1;
-      }
-    }
     const LeaseMsg lease{s, stripes_, stripe.attempts, stripe.held};
     if (!workers_[w].transport->send(encode(CoordinatorMsg(lease)))) {
       // The link is broken (peer gone, or stalled past the write
       // deadline -- a link that may never EOF): reap it here; the
       // stripe stays pending.
-      terminate(workers_[w]);
-      on_worker_death(w, "exit");
+      drop_worker(w, "exit");
       return;
     }
-    stripe.writer = std::move(writer);
     stripe.received = 0;
     stripe.digest = net::kFnv1a64Basis;
     stripe.status = StripeState::Status::leased;
@@ -366,10 +337,7 @@ class Run {
       if (!worker.alive || !worker.hello || worker.lease != npos) continue;
       if (now - worker.last_ping < options_.heartbeat_interval) continue;
       worker.last_ping = now;
-      if (!worker.transport->send(encode(CoordinatorMsg(PingMsg{})))) {
-        terminate(worker);
-        on_worker_death(w, "exit");
-      }
+      if (!worker.transport->send(encode(CoordinatorMsg(PingMsg{})))) drop_worker(w, "exit");
     }
   }
 
@@ -434,9 +402,7 @@ class Run {
       // EOF or framing failure: the worker is gone.  Messages decoded
       // before the failure were handled above -- a DONE flushed just
       // before death must still count.
-      const bool garbled = !workers_[w].transport->error().empty();
-      terminate(workers_[w]);
-      on_worker_death(w, garbled ? "protocol" : "exit");
+      drop_worker(w, workers_[w].transport->error().empty() ? "exit" : "protocol");
     }
   }
 
@@ -448,8 +414,7 @@ class Run {
       msg = parse_worker_msg(line);
     } catch (const std::exception&) {
       // A garbled control stream is a failed worker: kill and reclaim.
-      terminate(worker);
-      on_worker_death(w, "protocol");
+      drop_worker(w, "protocol");
       return;
     }
     if (const auto* hello = std::get_if<HelloMsg>(&msg)) {
@@ -459,8 +424,7 @@ class Run {
     if (!worker.hello) {
       // A link must introduce itself before anything else; a client
       // speaking leases without credentials is dropped.
-      terminate(worker);
-      on_worker_death(w, "protocol");
+      drop_worker(w, "protocol");
       return;
     }
     if (std::holds_alternative<ReadyMsg>(msg)) {
@@ -489,36 +453,32 @@ class Run {
   void handle_hello(std::size_t w, const HelloMsg& hello) {
     WorkerLink& worker = workers_[w];
     if (worker.hello) {  // double HELLO
-      terminate(worker);
-      on_worker_death(w, "protocol");
+      drop_worker(w, "protocol");
       return;
     }
     if (hello.version != kProtocolVersion) {
-      terminate(worker);
-      on_worker_death(w, "version");
+      drop_worker(w, "version");
       return;
     }
     if (!options_.token.empty() && hello.token != options_.token) {
-      terminate(worker);
-      on_worker_death(w, "auth");
+      drop_worker(w, "auth");
       return;
     }
     worker.hello = true;
     log({.kind = "hello", .worker = w});
-    // Workers get the grid only over the wire, spawned ones included.
+    // Workers get the grid only over the wire, spawned ones included
+    // (load_shipped_grid refused a grid too large for one frame).
     if (!worker.transport->send(encode(CoordinatorMsg(SpecMsg{grid_text_})))) {
-      terminate(worker);
-      on_worker_death(w, "exit");
+      drop_worker(w, "exit");
     }
   }
 
-  /// Append the holder's records to the live attempt file as their
-  /// newlines arrive.  A record that is not the stripe's next owned
-  /// cell of this grid, or a RECORD with no lease, is a protocol death.
+  /// Append the holder's records to the journal as their newlines
+  /// arrive.  A record that is not the stripe's next owned cell of this
+  /// grid, or a RECORD with no lease, is a protocol death.
   void handle_record(std::size_t w, const RecordMsg& record) {
     if (workers_[w].lease == npos) {
-      terminate(workers_[w]);
-      on_worker_death(w, "protocol");
+      drop_worker(w, "protocol");
       return;
     }
     StripeState& stripe = stripe_states_[workers_[w].lease];
@@ -527,8 +487,7 @@ class Run {
     for (std::size_t end; (end = stripe.partial.find('\n', begin)) != std::string::npos;
          begin = end + 1) {
       if (!accept_record(stripe, std::string_view(stripe.partial).substr(begin, end - begin))) {
-        terminate(workers_[w]);
-        on_worker_death(w, "protocol");
+        drop_worker(w, "protocol");
         return;
       }
     }
@@ -545,7 +504,14 @@ class Run {
     } catch (const std::invalid_argument&) {
       return false;
     }
-    stripe.writer->append_line(line);
+    // A restart under other stripes recomputes journaled cells past a
+    // stripe's held prefix; the journal keeps each cell's first record,
+    // as `dls_sweep --resume` keeps --out's (a wall-clock `runtime`
+    // record would not reproduce its bytes).
+    if (const std::size_t index = stripe.owned[stripe.held]; !journaled_[index]) {
+      journal_->append_line(line);
+      journaled_[index] = true;
+    }
     stripe.digest = net::fnv1a64("\n", net::fnv1a64(line, stripe.digest));
     stripe.held += 1;
     stripe.received += 1;
@@ -553,9 +519,10 @@ class Run {
     return true;
   }
 
-  /// Commit a stripe whose DONE matches the records received: their
-  /// count and digest, and every owned cell held.  A mismatch is a
-  /// protocol death, which reclaims the stripe.
+  /// Finish a stripe whose DONE matches the records received: their
+  /// count and digest, and every owned cell held.  The stripe is done
+  /// only once the journal is fsynced; a failing sync reclaims it.  A
+  /// mismatch is a protocol death, which reclaims the stripe too.
   void handle_done(std::size_t w, const DoneMsg& done) {
     WorkerLink& worker = workers_[w];
     if (worker.lease == npos || worker.lease != done.stripe) return;  // stale
@@ -563,39 +530,39 @@ class Run {
     if (done.attempt + 1 != stripe.attempts || done.records != stripe.received ||
         done.digest != stripe.digest || !stripe.partial.empty() ||
         stripe.held != stripe.owned.size()) {
-      terminate(worker);
-      on_worker_death(w, "protocol");
+      drop_worker(w, "protocol");
       return;
     }
     worker.lease = npos;
     try {
-      stripe.writer->commit();
+      journal_->sync();
     } catch (const std::exception& e) {
       reclaim(done.stripe, w, std::string("fail: ") + e.what());
       return;
     }
-    stripe.writer.reset();
     stripe.status = StripeState::Status::done;
     stripe.holder = npos;
     log({.kind = "done", .worker = w, .stripe = done.stripe, .attempt = done.attempt});
   }
 
-  /// Hang up on a worker, and SIGKILL it too if we spawned it.  The
-  /// matching waitpid happens in on_worker_death.
-  void terminate(WorkerLink& worker) {
-    if (worker.pid > 0) ::kill(worker.pid, SIGKILL);
-    worker.transport->shutdown();
-  }
-
-  void on_worker_death(std::size_t w, const std::string& reason) {
-    WorkerLink& worker = workers_[w];
-    if (!worker.alive) return;
+  /// Hang up on a live worker, and SIGKILL and reap it too if we
+  /// spawned it.
+  static void terminate(WorkerLink& worker) {
     worker.alive = false;
     worker.transport->shutdown();
     if (worker.pid > 0) {
+      ::kill(worker.pid, SIGKILL);
       int status = 0;
       ::waitpid(worker.pid, &status, 0);
     }
+  }
+
+  /// A worker died or misbehaved: terminate it, reclaim its lease and
+  /// log the death.
+  void drop_worker(std::size_t w, const std::string& reason) {
+    WorkerLink& worker = workers_[w];
+    if (!worker.alive) return;
+    terminate(worker);
     report_.workers_lost += 1;
     // Reclaim BEFORE logging the death: in the event log a lease must
     // never outlive its holder (check::check_lease_exclusivity replays
@@ -608,15 +575,13 @@ class Run {
     log({.kind = "dead", .worker = w, .detail = reason});
   }
 
-  /// End a lease whose holder died or failed.  Its attempt file keeps
-  /// every record accepted so far, and the retry, scheduled behind
-  /// capped exponential backoff, resumes past them.
+  /// End a lease whose holder died or failed.  The journal keeps every
+  /// record accepted so far, and the retry, scheduled behind capped
+  /// exponential backoff, resumes past them.
   void reclaim(std::size_t s, std::size_t w, const std::string& reason) {
     StripeState& stripe = stripe_states_[s];
     const std::size_t attempt = stripe.attempts - 1;
     stripe.holder = npos;
-    stripe.writer.reset();
-    stripe.source = attempt;
     stripe.partial.clear();
     report_.reclaims += 1;
     log({.kind = "reclaim", .worker = w, .stripe = s, .attempt = attempt, .detail = reason});
@@ -648,8 +613,7 @@ class Run {
       // flow from a dedicated thread even during long cells).  An
       // accepted link that never even said HELLO gets its own label --
       // that is a port-scanner or a wedged client, not a lost worker.
-      terminate(worker);
-      on_worker_death(w, worker.hello ? "deadline" : "hello-timeout");
+      drop_worker(w, worker.hello ? "deadline" : "hello-timeout");
     }
   }
 
@@ -685,32 +649,20 @@ class Run {
   }
 
   void merge() {
-    std::vector<std::vector<std::string>> shards;
-    for (std::size_t s = 0; s < stripes_; ++s) {
-      std::ifstream in(stripe_final_path(options_.workdir, s));
-      if (!in) throw std::runtime_error("coordinate: stripe file missing for stripe " +
-                                        std::to_string(s));
-      sweep::ScanResult scanned = sweep::scan_records(in);
-      sweep::validate_records_for_grid(grid_, scanned.lines);
-      shards.push_back(std::move(scanned.lines));
-    }
-    const std::vector<std::string> merged = sweep::merge_records(shards);
-
+    std::ifstream in(journal_path());
+    sweep::ScanResult scanned = sweep::scan_records(in);
+    sweep::validate_records_for_grid(grid_, scanned.lines);
     // The merged run must cover the grid exactly: one record per
-    // (cell, backend), none missing, none duplicated (merge_records
-    // already collapsed byte-identical duplicates).
-    std::set<sweep::RecordKey> keys;
-    for (const std::string& line : merged) {
-      if (const auto key = sweep::record_key(line)) keys.insert(*key);
-    }
+    // (cell, backend), none missing (scan_records already rejected
+    // conflicting duplicates and dropped byte-identical ones).
     for (std::size_t index = 0; index < grid_.cells(); ++index) {
       const sweep::RecordKey key = cell_key(index);
-      if (!keys.contains(key)) {
+      if (!scanned.done.contains(key)) {
         throw std::runtime_error("coordinate: merged output is missing cell " +
                                  std::to_string(key.cell) + " (backend " + key.backend + ")");
       }
     }
-
+    const std::vector<std::string> merged = sweep::merge_records({std::move(scanned.lines)});
     sweep::write_lines_atomic(options_.out_path, merged);
     report_.merged_records = merged.size();
   }
@@ -721,43 +673,7 @@ class Run {
     return {index / grid_.backend_count(), std::string(sweep::cell_backend(grid_, index))};
   }
 
-  /// The records of attempt file `a` of stripe `s` that cover its owned
-  /// cells in order from the first: what a retry of the stripe skips.
-  [[nodiscard]] std::vector<std::string> held_records(std::size_t s, std::size_t a) const {
-    const std::string path = stripe_attempt_path(options_.workdir, s, a);
-    std::ifstream in(path);
-    sweep::ScanResult scanned;
-    try {
-      scanned = sweep::scan_records(in);
-      sweep::validate_records_for_grid(grid_, scanned.lines);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("coordinate: " + path + ": " + e.what());
-    }
-    const std::vector<std::size_t>& owned = stripe_states_[s].owned;
-    std::size_t n = 0;
-    while (n < scanned.lines.size() && n < owned.size() &&
-           sweep::record_key(scanned.lines[n]) == cell_key(owned[n])) {
-      ++n;
-    }
-    scanned.lines.resize(n);
-    return std::move(scanned.lines);
-  }
-
-  [[nodiscard]] bool stripe_file_complete(std::size_t s) const {
-    std::ifstream in(stripe_final_path(options_.workdir, s));
-    if (!in) return false;
-    sweep::ScanResult scanned;
-    try {
-      scanned = sweep::scan_records(in);
-      sweep::validate_records_for_grid(grid_, scanned.lines);
-    } catch (const std::exception&) {
-      return false;  // not adoptable; a retry will republish it
-    }
-    const std::vector<std::size_t>& owned = stripe_states_[s].owned;
-    return std::all_of(owned.begin(), owned.end(), [&](std::size_t index) {
-      return scanned.done.contains(cell_key(index));
-    });
-  }
+  [[nodiscard]] std::string journal_path() const { return options_.workdir + "/records.jsonl"; }
 
   void log(LeaseEvent event) {
     event.seq = next_seq_++;
@@ -773,6 +689,8 @@ class Run {
   std::unique_ptr<net::Listener> listener_;
   std::vector<WorkerLink> workers_;
   std::vector<StripeState> stripe_states_;
+  std::unique_ptr<sweep::ShardWriter> journal_;  ///< one record per cell, in arrival order
+  std::vector<bool> journaled_;  ///< by full cell index: the journal holds its record
   std::ofstream events_;
   std::size_t next_seq_ = 0;
   Clock::time_point last_live_;
@@ -780,6 +698,26 @@ class Run {
 };
 
 }  // namespace
+
+ShippedGrid load_shipped_grid(const std::string& spec_path, const std::string& backend) {
+  std::ifstream in(spec_path);
+  if (!in) throw std::invalid_argument("cannot open spec " + spec_path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  ShippedGrid shipped{buffer.str(), {}};
+  if (!backend.empty()) shipped.text += "\nbackend " + backend + "\n";
+  // Every worker's frame decoder refuses a longer frame, so such a
+  // grid could never be distributed, however often it is retried.
+  const std::size_t frame = encode(CoordinatorMsg(SpecMsg{shipped.text})).size();
+  if (frame > net::kMaxFramePayload) {
+    throw std::invalid_argument("spec " + spec_path + " is " + std::to_string(shipped.text.size()) +
+                                " bytes, too large to ship: its SPEC frame would be " +
+                                std::to_string(frame) + " bytes, over the frame limit of " +
+                                std::to_string(net::kMaxFramePayload));
+  }
+  shipped.grid = sweep::parse_grid(shipped.text);
+  return shipped;
+}
 
 Coordinator::Coordinator(CoordinatorOptions options) : options_(std::move(options)) {}
 

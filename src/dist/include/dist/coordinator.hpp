@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dist/protocol.hpp"
+#include "sweep/grid.hpp"
 
 namespace dist {
 
@@ -35,40 +36,48 @@ namespace dist {
 ///  - the data path: the holder streams each record as RECORD the
 ///    moment it commits it.  The coordinator accepts the stripe's
 ///    owned cells in canonical order only, checks each record against
-///    the grid, and appends it to the lease's attempt file through
-///    sweep::ShardWriter.  DONE must match the stream (record count,
-///    FNV-1a 64 digest, every owned cell held) before the attempt file
-///    is committed as the stripe file; any mismatch is a protocol
-///    death.
+///    the grid, and appends it to one append-only journal,
+///    `<workdir>/records.jsonl` (sweep::ShardWriter, one write(2) per
+///    record).  DONE must match the stream (record count, FNV-1a 64
+///    digest, every owned cell held); any mismatch is a protocol
+///    death.  The stripe is done only once the journal is fsynced.
 ///  - reclamation: one resume path serves every reclaim -- a spawned or
 ///    remote worker's death, a FAIL, or a coordinator restart.  The
-///    reclaimed attempt's file keeps every record received; the retry
-///    lease says how many owned cells are held, its attempt file starts
-///    as a copy of them, and the new worker computes only the rest.
+///    journal keeps every record received; the retry lease says how
+///    many of the stripe's owned cells, from the first in canonical
+///    order, are held, and the new worker computes only the rest.  A
+///    restart opens the journal with sweep::open_record_file, the
+///    resume path of `dls_sweep --out/--resume`, derives each stripe's
+///    held count from it -- under whatever `stripes` the new run uses
+///    -- and adopts the stripes it holds in full.  Under other stripes
+///    a journaled cell past a stripe's held prefix is computed again;
+///    the journal keeps the cell's first record.
 ///  - retry: reclaimed stripes go back to the pending pool gated by
 ///    capped exponential backoff (protocol.hpp backoff_delay) and are
 ///    re-leased to surviving workers, up to `max_attempts` per stripe
-///    -- exhaustion fails the whole run loudly.
-///  - merge: once every stripe is done, the stripe files are merged
-///    (sweep::merge_records) and checked to cover the grid, so the
-///    merged output of a sweep that lost k of n workers is bitwise
-///    identical to an uninterrupted serial run.
+///    in this coordinator run -- exhaustion fails the whole run loudly.
+///  - merge: once every stripe is done, the journal is scanned,
+///    checked against the grid, merged (sweep::merge_records) and
+///    checked to cover the grid, so the merged output of a sweep that
+///    lost k of n workers is bitwise identical to an uninterrupted
+///    serial run.
 ///
-/// Every decision is appended to a lease-event log (JSONL of
-/// protocol.hpp LeaseEvents) that check::check_lease_exclusivity (and
-/// the transport invariant in check/net.hpp) can replay.
+/// Every decision is appended to a lease-event log,
+/// `<workdir>/events.jsonl` (JSONL of protocol.hpp LeaseEvents), that
+/// check::check_lease_exclusivity (and the transport invariant in
+/// check/net.hpp) can replay.  The journal and the log are the only
+/// files in the workdir.
 struct CoordinatorOptions {
   std::string spec_path;  ///< grid spec file, shipped to workers as SPEC
   std::string out_path;   ///< merged output (written atomically at the end)
-  std::string workdir;    ///< stripe/attempt shard files + events log
-  std::string events_path;  ///< lease-event log ("" = <workdir>/events.jsonl)
-  std::string backend;      ///< backend override appended to the spec ("" = none)
+  std::string workdir;    ///< record journal + events log
+  std::string backend;    ///< backend override appended to the spec ("" = none)
   std::size_t workers = 2;
   std::size_t stripes = 0;  ///< lease granularity; 0 = min(4 * workers, cells)
   unsigned worker_threads = 0;  ///< forwarded SweepRunner width (0 = spec)
   std::chrono::milliseconds heartbeat_interval{200};
   std::chrono::milliseconds lease_deadline{2000};
-  std::size_t max_attempts = 5;  ///< lease attempts per stripe before giving up
+  std::size_t max_attempts = 5;  ///< lease attempts per stripe (this run) before giving up
   std::chrono::milliseconds backoff_base{250};
   std::chrono::milliseconds backoff_cap{5000};
   std::vector<ChaosKill> chaos;  ///< fault-injection directives, by worker index
@@ -99,12 +108,26 @@ struct CoordinatorReport {
   /// Records received from workers, every attempt counted: a cell
   /// computed (a retry never recomputes a record already received).
   std::size_t computed = 0;
-  std::size_t adopted = 0;         ///< stripes a previous run published, adopted at restart
+  std::size_t adopted = 0;         ///< stripes held in full by the journal at startup
   std::size_t reclaims = 0;        ///< leases taken back from dead/failed workers
   std::size_t retries = 0;         ///< retry leases granted
   std::size_t workers_lost = 0;    ///< worker processes/links that died or were killed
   std::size_t merged_records = 0;  ///< records in the final merged output
 };
+
+/// A grid spec as the coordinator ships it in SPEC: the spec file's
+/// text with the `backend` override (if any) appended, and its grid.
+struct ShippedGrid {
+  std::string text;
+  sweep::Grid grid;
+};
+
+/// Read and parse `spec_path` as the coordinator will.  Throws
+/// std::invalid_argument when the file cannot be read, does not parse,
+/// or its SPEC frame would exceed net::kMaxFramePayload (naming the
+/// spec's size and the limit): no worker could ever receive it.
+[[nodiscard]] ShippedGrid load_shipped_grid(const std::string& spec_path,
+                                            const std::string& backend);
 
 class Coordinator {
  public:
@@ -112,7 +135,8 @@ class Coordinator {
 
   /// Run the sweep to completion and write the merged output.  Throws
   /// std::runtime_error (after killing surviving workers) when the run
-  /// cannot complete: spec errors, every worker lost (or, serving, no
+  /// cannot complete: spec errors, an unreadable journal or one holding
+  /// records of another spec, every worker lost (or, serving, no
   /// worker for accept_grace), a stripe out of attempts, conflicting
   /// records, or a merged-output write failure.
   CoordinatorReport run();

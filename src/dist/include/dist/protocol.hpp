@@ -19,13 +19,14 @@ namespace dist {
 /// the TCP link a `work --connect` worker dials.  The worker is
 /// stateless: it writes no file, and sends each record as RECORD the
 /// moment it commits it.  The coordinator appends every record it
-/// accepts to the lease's attempt file in its own workdir
-/// (sweep::ShardWriter) and publishes the stripe when DONE checks out,
-/// so whatever a dead worker already sent is on the coordinator's
-/// disk, whoever and wherever the worker was.
+/// accepts to one record journal in its own workdir
+/// (`records.jsonl`, through sweep::ShardWriter) and finishes the
+/// stripe when DONE checks out and the journal is fsynced, so whatever
+/// a dead worker already sent is on the coordinator's disk, whoever and
+/// wherever the worker was.
 ///
 /// A session runs HELLO -> SPEC -> READY -> LEASE -> RECORD ... ->
-/// DONE -> verified commit, then the next LEASE, until QUIT.
+/// DONE -> verified and synced, then the next LEASE, until QUIT.
 ///
 /// Coordinator -> worker:
 ///   SPEC <spec bytes...>                     (the reply to HELLO)
@@ -49,9 +50,12 @@ namespace dist {
 /// Nothing on the wire assumes a shared filesystem: SPEC ships the
 /// grid down and RECORD streams the results up.  DONE closes the
 /// stream with its record count and FNV-1a 64 digest, which must match
-/// what arrived before the coordinator commits.  Nor does anything
-/// assume trust: HELLO carries a protocol version and a shared token,
-/// and anything else as a link's first message is a protocol death.
+/// what arrived before the coordinator accepts the stripe as done.
+/// SPEC is one frame, so a grid whose SPEC frame would exceed
+/// net::kMaxFramePayload is refused before any worker starts.  Nor
+/// does anything assume trust: HELLO carries a protocol version and a
+/// shared token, and anything else as a link's first message is a
+/// protocol death.
 /// SPEC and RECORD carry binary tails -- embedded newlines and
 /// arbitrary record bytes -- which is why the wire uses
 /// length-delimited frames rather than newline framing.  PING is
@@ -152,13 +156,11 @@ using WorkerMsg = std::variant<ReadyMsg, HeartbeatMsg, RecordMsg, DoneMsg, FailM
 [[nodiscard]] CoordinatorMsg parse_coordinator_msg(std::string_view line);
 [[nodiscard]] WorkerMsg parse_worker_msg(std::string_view line);
 
-/// Shard-file layout inside the coordinator's work directory.
-/// Published stripes are `stripe<k>.jsonl`; the records of attempt `a`
-/// land in `stripe<k>.attempt<a>.tmp` until commit renames it into
-/// place.
+/// `<dir>/stripe<k>.jsonl`.  The coordinator writes no stripe files
+/// (its records go to one journal); this name is kept only for the
+/// perfbench pass, which still reads it.
+// dls-lint: allow(callerless-api)
 [[nodiscard]] std::string stripe_final_path(std::string_view dir, std::size_t stripe);
-[[nodiscard]] std::string stripe_attempt_path(std::string_view dir, std::size_t stripe,
-                                              std::size_t attempt);
 
 /// Capped exponential backoff before retrying a reclaimed stripe:
 /// min(cap, base * 2^(attempt-1)) for attempt >= 1 (saturating, no
@@ -211,10 +213,10 @@ struct ChaosKill {
 ///   lease    worker stripe attempt          lease granted
 ///   done     worker stripe attempt          DONE verified against the
 ///                                           received records and the
-///                                           stripe committed
-///   adopt    stripe                         a stripe a previous run
-///                                           published, found complete
-///                                           at a coordinator restart
+///                                           journal fsynced
+///   adopt    stripe                         a stripe whose every owned
+///                                           cell the journal held at
+///                                           a coordinator restart
 ///   reclaim  worker stripe attempt detail   lease taken back (detail:
 ///                                           the death reason, or
 ///                                           fail: <message>)

@@ -147,11 +147,6 @@ std::string stripe_final_path(std::string_view dir, std::size_t stripe) {
   return std::string(dir) + "/stripe" + std::to_string(stripe) + ".jsonl";
 }
 
-std::string stripe_attempt_path(std::string_view dir, std::size_t stripe, std::size_t attempt) {
-  return std::string(dir) + "/stripe" + std::to_string(stripe) + ".attempt" +
-         std::to_string(attempt) + ".tmp";
-}
-
 std::chrono::milliseconds backoff_delay(std::size_t attempt, std::chrono::milliseconds base,
                                         std::chrono::milliseconds cap) {
   if (attempt == 0) return std::chrono::milliseconds(0);

@@ -307,8 +307,7 @@ void validate_records_for_grid(const Grid& grid, const std::vector<std::string>&
       throw std::invalid_argument(
           "resume: the record for cell " + std::to_string(key->cell) + " (backend " +
           key->backend +
-          ") was produced by a different experiment spec; refusing to mix results "
-          "(use --overwrite to discard the file)");
+          ") was produced by a different experiment spec; refusing to mix results");
     }
   }
 }
@@ -350,8 +349,9 @@ ScanResult scan_records(std::istream& in) {
                                   e.what());
     }
     if (const auto [it, inserted] = out.done.insert(*key); !inserted) {
-      // A duplicate can only come from a rewrite race; records are
-      // deterministic, so byte-identical duplicates are tolerated.
+      // A duplicate comes from a rewrite race or a cell recomputed
+      // into a coordinator's journal; records are deterministic, so
+      // byte-identical duplicates are tolerated.
       const auto existing = std::find_if(out.lines.begin(), out.lines.end(), [&](const auto& l) {
         return record_key(l) == key;
       });

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -40,7 +41,7 @@ void fsync_or_throw(int fd, const std::string& path) {
 }
 
 /// fsync the directory containing `path`, so the rename that published
-/// a shard is itself durable.
+/// a file is itself durable.
 void fsync_parent_dir(const std::string& path) {
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
@@ -87,73 +88,62 @@ struct ShardWriter::Buf final : std::streambuf {
   }
 };
 
-ShardWriter::ShardWriter(std::string final_path, std::string temp_path)
-    : final_path_(std::move(final_path)), temp_path_(std::move(temp_path)) {
-  buf_ = std::make_unique<Buf>();
-  buf_->path = temp_path_;
-  buf_->fd = ::open(temp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (buf_->fd < 0) throw std::runtime_error(errno_message("cannot open", temp_path_));
+ShardWriter::ShardWriter(std::string path) : buf_(std::make_unique<Buf>()) {
+  buf_->path = std::move(path);
+  buf_->fd = ::open(buf_->path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (buf_->fd < 0) throw std::runtime_error(errno_message("cannot open", buf_->path));
   stream_ = std::make_unique<std::ostream>(buf_.get());
-  open_ = true;
 }
 
-ShardWriter::ShardWriter(std::string final_path)
-    : ShardWriter(final_path, final_path + ".tmp") {}
-
-ShardWriter::~ShardWriter() { abort(); }
-
-std::ostream& ShardWriter::stream() {
-  if (!open_) throw std::runtime_error("ShardWriter: " + temp_path_ + " is already closed");
-  return *stream_;
-}
-
-const std::string& ShardWriter::last_error() const { return buf_->error; }
-
-void ShardWriter::append_line(std::string_view line) {
-  std::ostream& out = stream();
-  out << line << '\n' << std::flush;
-  if (!out) {
-    throw std::runtime_error("writing " + temp_path_ + " failed" +
-                             (buf_->error.empty() ? "" : ": " + buf_->error));
-  }
-}
-
-void ShardWriter::commit() {
-  if (!open_) throw std::runtime_error("ShardWriter: " + temp_path_ + " is already closed");
-  stream_->flush();
-  if (!*stream_) {
-    throw std::runtime_error("flushing " + temp_path_ + " failed" +
-                             (buf_->error.empty() ? "" : ": " + buf_->error));
-  }
-  fsync_or_throw(buf_->fd, temp_path_);
-  if (::close(buf_->fd) != 0) {
-    buf_->fd = -1;
-    open_ = false;
-    throw std::runtime_error(errno_message("closing", temp_path_));
-  }
-  buf_->fd = -1;
-  open_ = false;
-  if (std::rename(temp_path_.c_str(), final_path_.c_str()) != 0) {
-    throw std::runtime_error(errno_message("renaming " + temp_path_ + " over", final_path_));
-  }
-  fsync_parent_dir(final_path_);
-}
-
-void ShardWriter::abort() noexcept {
-  if (!open_) return;
-  open_ = false;
-  // Best-effort flush so a reclaimed attempt keeps every record that
-  // was handed to the stream; the temp file stays for the retry to
-  // resume from.
+ShardWriter::~ShardWriter() {
   stream_->flush();
   ::close(buf_->fd);
-  buf_->fd = -1;
+}
+
+std::ostream& ShardWriter::stream() { return *stream_; }
+
+void ShardWriter::append_line(std::string_view line) {
+  *stream_ << line << '\n' << std::flush;
+  if (!*stream_) {
+    throw std::runtime_error("writing " + buf_->path + " failed" +
+                             (buf_->error.empty() ? "" : ": " + buf_->error));
+  }
+}
+
+void ShardWriter::sync() {
+  stream_->flush();
+  if (!*stream_) {
+    throw std::runtime_error("flushing " + buf_->path + " failed" +
+                             (buf_->error.empty() ? "" : ": " + buf_->error));
+  }
+  fsync_or_throw(buf_->fd, buf_->path);
 }
 
 void write_lines_atomic(const std::string& path, const std::vector<std::string>& lines) {
-  ShardWriter writer(path);
-  for (const std::string& line : lines) writer.append_line(line);
-  writer.commit();
+  const std::string temp = path + ".tmp";
+  if (::unlink(temp.c_str()) != 0 && errno != ENOENT) {
+    throw std::runtime_error(errno_message("removing", temp));
+  }
+  {
+    ShardWriter writer(temp);
+    for (const std::string& line : lines) writer.append_line(line);
+    writer.sync();
+  }
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error(errno_message("renaming " + temp + " over", path));
+  }
+  fsync_parent_dir(path);
+}
+
+RecordFile open_record_file(const Grid& grid, const std::string& path, bool resume) {
+  RecordFile file;
+  if (std::ifstream existing(path); resume && existing) {
+    file.kept = scan_records(existing);
+    validate_records_for_grid(grid, file.kept.lines);
+  }
+  write_lines_atomic(path, file.kept.lines);
+  file.writer = std::make_unique<ShardWriter>(path);
+  return file;
 }
 
 }  // namespace sweep

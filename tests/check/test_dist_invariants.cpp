@@ -173,19 +173,4 @@ TEST(HelloBeforeLease, CleanCoordinateLogPassesEveryTransportCheck) {
   EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
 }
 
-TEST(AttemptConsistency, PassesIdenticalOverlapsAndCatchesDivergence) {
-  const std::vector<std::string> records = merged_lines(test_grid());
-  const std::vector<std::string> attempt0(records.begin(), records.begin() + 3);
-  std::vector<std::string> attempt1 = records;  // retry recomputed everything
-  EXPECT_EQ(check::check_attempt_consistency({attempt0, attempt1}), std::nullopt);
-
-  // The retry produced different bytes for an overlapping cell.
-  const auto seed = attempt1[1].find("\"seed\":");
-  ASSERT_NE(seed, std::string::npos);
-  attempt1[1][seed + 8] = attempt1[1][seed + 8] == '1' ? '2' : '1';
-  const auto violation = check::check_attempt_consistency({attempt0, attempt1});
-  ASSERT_TRUE(violation.has_value());
-  EXPECT_NE(violation->find("did not reproduce"), std::string::npos);
-}
-
 }  // namespace

@@ -11,9 +11,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -169,27 +171,84 @@ TEST(CoordinateTool, SeededChaosMatchesSerial) {
   EXPECT_EQ(read_file(out), serial_reference());
 }
 
+/// The files in `dir`, sorted.
+std::vector<std::string> list_dir(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Kill a first coordinator run early (chaos takes out its only worker
+/// after 3 records, so the coordinator fails loudly), then re-run on
+/// the same workdir with `restart_args`.  Returns the second run's
+/// stderr; `journal` receives the journal the first run left.
+std::string killed_then_restarted(const TempDir& dir, const std::string& restart_args,
+                                  const char* spec_text = kSpec, std::string* journal = nullptr) {
+  const std::string spec = write_spec(dir, spec_text);
+  const std::string common = "coordinate " + spec + " --out " + dir.path() +
+                             "/merged.jsonl --workdir " + dir.path() +
+                             "/wd --threads 1 --backoff-ms 10 ";
+  std::string err;
+  EXPECT_EQ(run_tool(common + "--workers 1 --stripes 4 --chaos 0:3:kill --quiet"), 1);
+  if (journal != nullptr) *journal = read_file(dir.path() + "/wd/records.jsonl");
+  EXPECT_EQ(run_tool(common + restart_args, &err), 0) << err;
+  return err;
+}
+
 TEST(CoordinateTool, RestartedCoordinatorAdoptsAndResumesPriorWork) {
-  // Kill the whole first run early (chaos takes out the only worker ->
-  // the coordinator fails loudly), then re-run with the same workdir:
-  // published stripes are adopted, partial attempts resumed, and the
-  // final output is still byte-identical.
+  // The restart adopts the stripes the journal holds in full and
+  // resumes the rest past the records it holds: the final output is
+  // still byte-identical, and no cell is computed twice.
   const TempDir dir;
-  const std::string spec = write_spec(dir);
-  const std::string out = dir.path() + "/merged.jsonl";
-  // Stripe count pinned across the two runs: lease identity is shard
-  // identity, so a restart must re-stripe the grid the same way.
-  EXPECT_EQ(run_tool("coordinate " + spec + " --out " + out + " --workdir " + dir.path() +
-                     "/wd --workers 1 --stripes 4 --threads 1 --quiet --chaos 0:3:kill "
-                     "--backoff-ms 10"),
-            1);
-  ASSERT_EQ(run_tool("coordinate " + spec + " --out " + out + " --workdir " + dir.path() +
-                     "/wd --workers 2 --stripes 4 --threads 1 --quiet --backoff-ms 10"),
-            0);
-  EXPECT_EQ(read_file(out), serial_reference());
+  const std::string err = killed_then_restarted(dir, "--workers 2 --stripes 4");
+  EXPECT_EQ(read_file(dir.path() + "/merged.jsonl"), serial_reference());
+  EXPECT_NE(err.find(": 5 cell(s) computed, 8 record(s) merged"), std::string::npos) << err;
   // The appended two-run log must still replay cleanly (seq resets).
   EXPECT_EQ(check::check_lease_exclusivity(read_events(dir.path() + "/wd/events.jsonl")),
             std::nullopt);
+  EXPECT_EQ(list_dir(dir.path() + "/wd"),
+            (std::vector<std::string>{"events.jsonl", "records.jsonl"}));
+}
+
+TEST(CoordinateTool, RestartWithOtherStripesMatchesSerial) {
+  // Held cells are derived from the journal under whatever striping the
+  // new run uses, so a restart need not repeat the killed run's
+  // --stripes.
+  const TempDir dir;
+  (void)killed_then_restarted(dir, "--workers 2 --stripes 3 --quiet");
+  EXPECT_EQ(read_file(dir.path() + "/merged.jsonl"), serial_reference());
+  EXPECT_EQ(check::check_lease_exclusivity(read_events(dir.path() + "/wd/events.jsonl")),
+            std::nullopt);
+  EXPECT_EQ(list_dir(dir.path() + "/wd"),
+            (std::vector<std::string>{"events.jsonl", "records.jsonl"}));
+}
+
+TEST(CoordinateTool, RestartWithOtherStripesKeepsTheJournaledRecords) {
+  // The new striping makes two journaled cells fall past their
+  // stripes' held prefixes, so they are computed again.  A wall-clock
+  // `runtime` cell does not reproduce its bytes, so the journal must
+  // keep each cell's first record: the merge covers the grid once,
+  // with every record the killed run received.
+  constexpr const char* kWallClockSpec =
+      "workload constant:0.00001\ntasks 64\nseed 1\nreplicas 2\nbackend runtime\n"
+      "technique SS\nsweep workers 1 2\nsweep h 0 0.5 1 1.5 2\n";  // 10 cells
+  const TempDir dir;
+  std::string journal;
+  (void)killed_then_restarted(dir, "--workers 2 --stripes 3 --quiet", kWallClockSpec, &journal);
+  const std::string merged = read_file(dir.path() + "/merged.jsonl");
+  std::vector<std::string> lines;
+  std::istringstream in(merged);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  EXPECT_EQ(check::check_merged_complete(sweep::parse_grid(kWallClockSpec), lines), std::nullopt);
+  std::istringstream first(journal);
+  std::size_t kept = 0;
+  for (std::string line; std::getline(first, line); ++kept) {
+    EXPECT_NE(merged.find(line + "\n"), std::string::npos) << line;
+  }
+  EXPECT_EQ(kept, 3u);
 }
 
 TEST(CoordinateTool, RecordLargerThanOneFrameCrossesTheWire) {
@@ -236,10 +295,11 @@ TEST(ServeTool, KilledRemoteWorkerIsResumedNotRecomputed) {
   const std::string log = read_file(dir.path() + "/serve.log");
   EXPECT_NE(log.find(": 8 cell(s) computed, 8 record(s) merged, 1 reclaim(s)"), std::string::npos)
       << log;
-  // The dead worker's 3 records are on the coordinator's disk, and
-  // the stripe was committed by the retry.
-  std::ifstream attempt0(dist::stripe_attempt_path(dir.path() + "/wd", 0, 0));
-  EXPECT_EQ(sweep::scan_records(attempt0).lines.size(), 3u);
+  // The dead worker's 3 records are in the coordinator's journal,
+  // followed by the retry's 5 and nothing else: with one stripe, the
+  // journal is the serial output itself.  The retry finished the
+  // stripe.
+  EXPECT_EQ(read_file(dir.path() + "/wd/records.jsonl"), serial_reference());
   std::vector<std::size_t> done_attempts;
   for (const dist::LeaseEvent& event : read_events(dir.path() + "/wd/events.jsonl")) {
     if (event.kind == "done") done_attempts.push_back(event.attempt);
@@ -304,6 +364,25 @@ TEST(CoordinateTool, UsageAndSpecErrorsExitTwo) {
             2);
   EXPECT_NE(err.find("0:2:hang"), std::string::npos) << err;
 
+  // A grid whose SPEC frame no worker could receive: refused before any
+  // worker is spawned or any port opened, naming its size and the limit.
+  {
+    std::string speeds = "1.0";
+    for (std::size_t i = 1; i < 1100000; ++i) speeds += ",1.0";
+    std::ofstream(dir.path() + "/huge.sweep")
+        << "workload constant:1.0\ntasks 4\nworkers 1100000\ntechnique SS\nspeeds " << speeds
+        << "\n";
+    const std::string size = std::to_string(std::filesystem::file_size(dir.path() + "/huge.sweep"));
+    for (std::string mode :
+         {"coordinate " + dir.path() + "/huge.sweep",
+          "serve " + dir.path() + "/huge.sweep --listen 127.0.0.1:0"}) {
+      mode += " --out " + dir.path() + "/huge.jsonl --workdir " + dir.path() + "/wd_huge";
+      EXPECT_EQ(run_tool(mode, &err), 2) << mode;
+      EXPECT_NE(err.find(size + " bytes"), std::string::npos) << err;
+      EXPECT_NE(err.find(std::to_string(net::kMaxFramePayload)), std::string::npos) << err;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir.path() + "/wd_huge"));
+  }
   // Liveness flags that would kill healthy workers: no heartbeat, or
   // a deadline no longer than one heartbeat interval.
   for (const std::string& mode : {"coordinate " + spec + " --out o --workdir w",

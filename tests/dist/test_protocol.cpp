@@ -86,7 +86,6 @@ TEST(Protocol, BackoffIsCappedExponentialAndSaturating) {
 
 TEST(Protocol, ShardFileLayout) {
   EXPECT_EQ(dist::stripe_final_path("wd", 3), "wd/stripe3.jsonl");
-  EXPECT_EQ(dist::stripe_attempt_path("wd", 3, 1), "wd/stripe3.attempt1.tmp");
 }
 
 TEST(Protocol, ChaosListParsesWorkerAfterAndMode) {

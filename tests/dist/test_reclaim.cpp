@@ -1,10 +1,12 @@
 // Lease expiry / reclamation edge cases (dist::Coordinator driving the
 // real dls_sweep binary as its workers).  Every scenario must converge
-// to a merged output byte-identical to an uninterrupted serial run:
-//  - a coordinator restarted over an attempt file whose last record
-//    is torn resumes past the complete records;
-//  - a coordinator restarted over a published stripe adopts it;
-//  - a stripe that can never be committed exhausts its attempts.
+// to a merged output byte-identical to an uninterrupted serial run, or
+// fail loudly:
+//  - a coordinator restarted over a journal whose last record is torn
+//    resumes past the complete records;
+//  - a coordinator restarted over a journal holding a whole stripe
+//    adopts it;
+//  - a stripe whose every holder dies exhausts its attempts.
 
 #include <gtest/gtest.h>
 
@@ -93,18 +95,22 @@ dist::CoordinatorOptions base_options(const TempDir& dir) {
   return options;
 }
 
+std::string journal_path(const dist::CoordinatorOptions& options) {
+  return options.workdir + "/records.jsonl";
+}
+
 TEST(Reclaim, TruncatedAttemptTailIsResumedNotRecomputed) {
-  // An attempt file a previous coordinator left holding one complete
-  // record and half of a second (a death mid-append) must resume past
-  // the complete record and drop the torn one -- the merged output
-  // stays byte-identical.
+  // A journal a previous coordinator left holding one complete record
+  // and half of a second (a death mid-append) must resume past the
+  // complete record and drop the torn one -- the merged output stays
+  // byte-identical.
   const sweep::Grid grid = sweep::parse_grid(kSpec);
   const TempDir dir;
   dist::CoordinatorOptions options = base_options(dir);
 
   const std::vector<std::string> stripe0 = shard_records(grid, 0, 2);  // 3 records
   ASSERT_GE(stripe0.size(), 2u);
-  write_file(dist::stripe_attempt_path(options.workdir, 0, 0),
+  write_file(journal_path(options),
              stripe0[0] + "\n" + stripe0[1].substr(0, stripe0[1].size() / 2));
 
   const dist::CoordinatorReport report = dist::Coordinator(options).run();
@@ -115,15 +121,16 @@ TEST(Reclaim, TruncatedAttemptTailIsResumedNotRecomputed) {
 }
 
 TEST(Reclaim, PublishedStripeIsAdoptedNeverRecomputed) {
-  // A coordinator killed after publishing a stripe leaves a complete
-  // stripe file; a restart must adopt it, not re-lease the stripe.
+  // A coordinator killed after a stripe's last record reached the
+  // journal leaves the whole stripe there; a restart must adopt it,
+  // not re-lease the stripe.
   const sweep::Grid grid = sweep::parse_grid(kSpec);
   const TempDir dir;
   dist::CoordinatorOptions options = base_options(dir);
 
   std::string published;
   for (const std::string& line : shard_records(grid, 0, 2)) published += line + "\n";
-  write_file(dist::stripe_final_path(options.workdir, 0), published);
+  write_file(journal_path(options), published);
 
   const dist::CoordinatorReport report = dist::Coordinator(options).run();
   EXPECT_EQ(read_file(options.out_path), serial_reference(grid));
@@ -145,15 +152,23 @@ TEST(Reclaim, ConflictingRetryBytesFailTheMergeLoudly) {
 }
 
 TEST(Reclaim, UnpublishableStripeExhaustsRetriesAndFailsLoudly) {
-  // A stripe that can never be committed (its final path is occupied
-  // by a directory, so every rename fails) must burn its attempts with
-  // backoff and then fail the whole run -- not spin forever.
+  // A stripe that can never be finished (every worker that leases it
+  // dies) must burn its attempts with backoff and then fail the whole
+  // run -- not spin forever.
   const TempDir dir;
   dist::CoordinatorOptions options = base_options(dir);
+  options.workers = 2;
+  options.stripes = 1;
   options.max_attempts = 2;
-  ASSERT_EQ(::mkdir(dist::stripe_final_path(options.workdir, 0).c_str(), 0755), 0);
+  options.chaos = {dist::ChaosKill{0, 1, dist::ChaosMode::kill},
+                   dist::ChaosKill{1, 1, dist::ChaosMode::kill}};
 
-  EXPECT_THROW((void)dist::Coordinator(options).run(), std::runtime_error);
+  try {
+    (void)dist::Coordinator(options).run();
+    ADD_FAILURE() << "the run succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("giving up"), std::string::npos) << e.what();
+  }
 
   // The events log must record the retry/giveup trail.
   const std::string events = read_file(options.workdir + "/events.jsonl");

@@ -13,8 +13,11 @@
 // (check/dist.hpp) instead of generating scenarios:
 //
 //   $ dls_check records merged.jsonl --spec grid.sweep
-//   $ dls_check records --attempts stripe2.attempt0.tmp stripe2.attempt1.tmp
 //   $ dls_check leases workdir/events.jsonl
+//
+// A coordinator's record journal needs no audit mode of its own: it is
+// a record file, and the coordinator's merge rejects conflicting
+// duplicates in it (sweep::scan_records) before writing --out.
 //
 // Exit codes: 0 = all invariants hold, 1 = violations found (or the
 // checker itself failed), 2 = bad command line.
@@ -33,7 +36,6 @@
 #include "dist/protocol.hpp"
 #include "support/flags.hpp"
 #include "sweep/grid.hpp"
-#include "sweep/record.hpp"
 
 namespace {
 
@@ -47,57 +49,30 @@ std::vector<std::string> read_lines(const std::string& path) {
 }
 
 // `dls_check records`: audit merged sweep outputs (no duplicate
-// (cell, backend); with --spec, exact grid coverage) or, with
-// --attempts, the attempt files of one stripe (overlapping records
-// byte-identical across attempts -- the reclaimed-stripe contract).
+// (cell, backend); with --spec, exact grid coverage).
 int records_mode(int argc, char** argv) {
   support::Flags flags;
   flags.define("spec", "", "grid spec; also check the merged output covers it exactly");
-  flags.define("attempts", "false",
-               "treat the files as attempt files of ONE stripe and check cross-attempt "
-               "byte consistency (torn tails tolerated via scan_records)");
   flags.define("help", "false", "print this help");
   std::vector<std::string> files;
-  bool attempts_mode = false;
   std::string spec_path;
   try {
     flags.parse(argc, argv);
     if (flags.get_bool("help")) {
       std::cout << "usage: dls_check records <merged.jsonl>... [--spec <grid>]\n"
-                   "       dls_check records --attempts <attempt-file>...\n"
                 << flags.usage();
       return EXIT_SUCCESS;
     }
     // positional()[0] is the mode word "records".
     files.assign(flags.positional().begin() + 1, flags.positional().end());
-    attempts_mode = flags.get_bool("attempts");
     spec_path = flags.get("spec");
     if (files.empty()) throw std::invalid_argument("records mode needs at least one file");
-    if (attempts_mode && !spec_path.empty()) {
-      throw std::invalid_argument("--attempts and --spec are mutually exclusive");
-    }
   } catch (const std::exception& e) {
     std::cerr << "dls_check: " << e.what() << "\n" << flags.usage();
     return 2;
   }
 
   try {
-    if (attempts_mode) {
-      std::vector<std::vector<std::string>> attempts;
-      for (const std::string& path : files) {
-        std::ifstream in(path);
-        if (!in) throw std::invalid_argument("cannot open " + path);
-        attempts.push_back(sweep::scan_records(in).lines);
-      }
-      if (const auto violation = check::check_attempt_consistency(attempts)) {
-        std::cerr << "dls_check: attempt_consistency: " << *violation << "\n";
-        return EXIT_FAILURE;
-      }
-      std::cout << "dls_check: " << files.size()
-                << " attempt file(s), attempt_consistency holds\n";
-      return EXIT_SUCCESS;
-    }
-
     sweep::Grid grid;
     if (!spec_path.empty()) {
       std::ifstream in(spec_path);

@@ -68,7 +68,7 @@ const std::map<std::string, std::string>& rule_catalog() {
       {"nondeterministic-rand",
        "simulation-path code must not draw entropy; use the seeded workload streams"},
       {"raw-shard-io",
-       "shard bytes must go through sweep::ShardWriter (tmp-write + fsync + rename), "
+       "shard bytes must go through sweep::ShardWriter (EINTR-safe write + fsync), "
        "never raw stdio/fd writes"},
       {"naked-net",
        "raw socket calls belong behind net::Transport; protocol code outside src/net "
@@ -405,13 +405,11 @@ void check(const std::string& path, const ScannedFile& scanned, std::vector<Find
     if (scope.sweep_io) {
       if (kRawIo.count(id) != 0 && free_call) {
         report(tokens[i], "raw-shard-io",
-               "'" + id + "()' bypasses sweep::ShardWriter; shard bytes go through the "
-               "writer's tmp+rename protocol");
+               "'" + id + "()' bypasses sweep::ShardWriter; shard bytes go through it");
       }
       if (id == "write" && call && global_qualified) {
         report(tokens[i], "raw-shard-io",
-               "'::write()' bypasses sweep::ShardWriter; shard bytes go through the "
-               "writer's tmp+rename protocol");
+               "'::write()' bypasses sweep::ShardWriter; shard bytes go through it");
       }
     }
     if (scope.net_free && kNet.count(id) != 0 && free_call) {

@@ -188,53 +188,35 @@ int run_mode(const support::Flags& flags) {
     return kExitUsageError;
   }
 
-  sweep::ScanResult previous;
+  sweep::RecordFile record_file;
   if (!out_path.empty()) {
-    std::ifstream existing(out_path);
-    if (existing) {
-      if (resume) {
-        try {
-          previous = sweep::scan_records(existing);
-          // Refuse to resume onto results of a different spec -- a
-          // wrong --out would otherwise silently keep stale records
-          // and skip their cells.
-          sweep::validate_records_for_grid(grid, previous.lines);
-        } catch (const std::exception& e) {
-          std::cerr << "dls_sweep: " << out_path << ": " << e.what() << "\n";
-          return kExitUsageError;
-        }
-        if (previous.dropped_partial_tail && !quiet) {
-          std::cerr << "dls_sweep: dropped a truncated final record (mid-write kill); "
-                       "its cell will be recomputed\n";
-        }
-      } else if (existing.peek() != std::ifstream::traits_type::eof() &&
-                 !flags.get_bool("overwrite")) {
-        std::cerr << "dls_sweep: " << out_path
-                  << " exists; pass --resume to continue it or --overwrite to discard it\n";
-        return kExitUsageError;
-      }
+    if (std::ifstream existing(out_path);
+        !resume && existing && existing.peek() != std::ifstream::traits_type::eof() &&
+        !flags.get_bool("overwrite")) {
+      std::cerr << "dls_sweep: " << out_path
+                << " exists; pass --resume to continue it or --overwrite to discard it\n";
+      return kExitUsageError;
     }
-  }
-
-  std::ofstream file;
-  if (!out_path.empty()) {
-    // Rewrite the surviving records (drops a truncated tail) in one
-    // atomic, durable step, so a crash during the rewrite cannot
-    // destroy the completed records -- "a kill loses at most the cell
-    // in flight" must hold for the rewrite window too.
+    // Records of a different spec are refused (a wrong --out would
+    // otherwise silently keep stale records and skip their cells); the
+    // survivors are rewritten in one atomic, durable step, so "a kill
+    // loses at most the cell in flight" holds for the rewrite too.
     try {
-      sweep::write_lines_atomic(out_path, previous.lines);
+      record_file = sweep::open_record_file(grid, out_path, resume);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "dls_sweep: " << out_path << ": " << e.what()
+                << " (use --overwrite to discard the file)\n";
+      return kExitUsageError;
     } catch (const std::exception& e) {
       std::cerr << "dls_sweep: " << out_path << ": " << e.what() << "\n";
       return kExitRunError;
     }
-    file.open(out_path, std::ios::app);
-    if (!file) {
-      std::cerr << "dls_sweep: cannot write " << out_path << "\n";
-      return kExitRunError;
+    if (record_file.kept.dropped_partial_tail && !quiet) {
+      std::cerr << "dls_sweep: dropped a truncated final record (mid-write kill); "
+                   "its cell will be recomputed\n";
     }
   }
-  std::ostream& out = out_path.empty() ? std::cout : file;
+  std::ostream& out = out_path.empty() ? std::cout : record_file.writer->stream();
 
   const bool progress = flags.get_bool("progress");
   std::size_t observed_computed = 0;
@@ -260,7 +242,7 @@ int run_mode(const support::Flags& flags) {
   try {
     const sweep::SweepRunner runner(options);
     owned_total = runner.owned_cells(grid);
-    const std::size_t computed = runner.run(grid, previous.done, out, observer);
+    const std::size_t computed = runner.run(grid, record_file.kept.done, out, observer);
     // The runner's committer checks the stream per record, but the last
     // records may still sit in the ostream buffer -- a full disk or a
     // yanked volume must not exit 0 with a silently short output.
@@ -272,7 +254,7 @@ int run_mode(const support::Flags& flags) {
     }
     if (!quiet) {
       std::cerr << "dls_sweep: computed " << computed << " cell(s), skipped "
-                << previous.done.size() << " of " << grid.cells() << "\n";
+                << record_file.kept.done.size() << " of " << grid.cells() << "\n";
     }
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep: " << e.what() << "\n";
@@ -391,7 +373,7 @@ int report_mode(const support::Flags& flags) {
 int coordinate_mode(int argc, char** argv, bool serve) {
   support::Flags flags;
   flags.define("out", "", "merged output file (required; written atomically at the end)");
-  flags.define("workdir", "", "stripe shard files + events log (required; created if missing)");
+  flags.define("workdir", "", "record journal + events log (required; created if missing)");
   if (serve) {
     flags.define("listen", "", "host:port to accept workers on (required; port 0 = kernel pick)");
     flags.define("token", "", "HELLO auth token workers must present (empty = accept any)");
@@ -407,7 +389,7 @@ int coordinate_mode(int argc, char** argv, bool serve) {
   flags.define("heartbeat-ms", "200", "worker heartbeat interval");
   flags.define("deadline-ms", "2000",
                "a worker silent past this is killed and its lease reclaimed");
-  flags.define("max-attempts", "5", "lease attempts per stripe before the run fails");
+  flags.define("max-attempts", "5", "lease attempts per stripe, per coordinator run, before the run fails");
   flags.define("backoff-ms", "250", "retry backoff base (doubles per attempt)");
   flags.define("backoff-cap-ms", "5000", "retry backoff cap");
   flags.define("chaos", "",
@@ -415,7 +397,6 @@ int coordinate_mode(int argc, char** argv, bool serve) {
                "(mode: kill|hang)");
   flags.define("chaos-seed", "0", "derive --chaos-kills directives from this seed");
   flags.define("chaos-kills", "0", "number of seeded workers to fault (with --chaos-seed)");
-  flags.define("events", "", "lease-event log path (default <workdir>/events.jsonl)");
   flags.define("backend", "", "fixed execution backend (appended to the spec workers get)");
   flags.define("quiet", "false", "suppress lease-event narration on stderr");
 
@@ -432,7 +413,6 @@ int coordinate_mode(int argc, char** argv, bool serve) {
     options.spec_path = flags.positional()[1];
     options.out_path = flags.get("out");
     options.workdir = flags.get("workdir");
-    options.events_path = flags.get("events");
     options.backend = flags.get("backend");
     if (options.out_path.empty() || options.workdir.empty()) {
       throw std::invalid_argument(mode + " needs --out and --workdir");
@@ -501,12 +481,10 @@ int coordinate_mode(int argc, char** argv, bool serve) {
                                          chaos_kills, options.workers, 3);
     }
     quiet = flags.get_bool("quiet");
-    // Parse the spec here too, so a bad spec is a usage error (exit 2,
-    // naming the offending line) like run mode, not a run error an
-    // hour of worker-spawning later.
-    std::string grid_text = read_input(options.spec_path);
-    if (!options.backend.empty()) grid_text += "\nbackend " + options.backend + "\n";
-    (void)sweep::parse_grid(grid_text);
+    // Load the spec here too, so a bad spec -- or one too large to
+    // ship -- is a usage error (exit 2, naming the offending line or
+    // the size) like run mode, not a run error after worker-spawning.
+    (void)dist::load_shipped_grid(options.spec_path, options.backend);
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep: " << e.what() << "\n";
     return kExitUsageError;
