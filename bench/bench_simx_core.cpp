@@ -30,6 +30,10 @@
 //   BM_HagerupReplica/P     one direct-simulator (hagerup) SS replica,
 //                           n = 65536, RunContext reused: one tree
 //                           update per task
+//   BM_GenerateInto/R       one exponential workload buffer, n = 65536,
+//                           drawn from RNG R (xoshiro or rand48) into a
+//                           reused vector: the draws and the inverse-CDF
+//                           log, items = tasks
 //
 // Record a baseline:
 //   bench_simx_core --benchmark_format=json > raw.json
@@ -40,6 +44,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -48,6 +53,7 @@
 #include "mw/config.hpp"
 #include "mw/simulation.hpp"
 #include "simx/event_queue.hpp"
+#include "workload/random_source.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -234,6 +240,22 @@ void BM_HagerupReplica(benchmark::State& state) {
   state.counters["workers"] = static_cast<double>(cfg.pes);
 }
 BENCHMARK(BM_HagerupReplica)->Unit(benchmark::kMillisecond)->Arg(2)->Arg(64)->Arg(1024);
+
+template <typename Source>
+void BM_GenerateInto(benchmark::State& state) {
+  const std::unique_ptr<workload::TaskTimeGenerator> gen = workload::exponential(1.0);
+  Source rng(20170529u);
+  std::vector<double> out;
+  const std::size_t n = 65536;
+  for (auto _ : state) {
+    gen->generate_into(out, n, rng);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_GenerateInto<workload::XoshiroSource>)->Name("BM_GenerateInto/xoshiro");
+BENCHMARK(BM_GenerateInto<workload::Rand48Source>)->Name("BM_GenerateInto/rand48");
 
 }  // namespace
 

@@ -61,8 +61,9 @@ class TaskTimeGenerator {
 
  protected:
   /// Bulk-fill hook: out[i] = sample(i, n, rng) for i in [0, n).
-  /// Hot generators override this with a devirtualized tight loop; the
-  /// values must be bit-identical to per-sample generation.
+  /// Hot generators override it: the one-draw-per-task ones draw the
+  /// buffer with RandomSource::fill_uniform01 and map it in a second
+  /// loop.  The values must be bit-identical to per-sample generation.
   virtual void do_generate_into(double* out, std::size_t n, RandomSource& rng) const;
 };
 

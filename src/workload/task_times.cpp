@@ -50,47 +50,65 @@ class Constant final : public TaskTimeGenerator {
   double value_;
 };
 
-class Uniform final : public TaskTimeGenerator {
+/// A generator that spends one uniform draw per task and maps it
+/// through `Map` (a small value type with `double operator()(double u)
+/// const`).  sample() and the bulk fill apply the same map, so their
+/// bits agree by construction.  The bulk fill draws the whole buffer
+/// first (one RandomSource dispatch), then maps it in a loop of its
+/// own, so the generator's state stays in registers while it draws.
+template <typename Map>
+class OneDrawPerTask : public TaskTimeGenerator {
  public:
-  Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
-    if (!(hi > lo) || !(lo >= 0.0)) throw std::invalid_argument("uniform: need 0 <= lo < hi");
-  }
-  double sample(std::size_t, std::size_t, RandomSource& rng) const override {
-    return lo_ + (hi_ - lo_) * rng.uniform01();
-  }
-  double mean() const override { return 0.5 * (lo_ + hi_); }
-  double stddev() const override { return (hi_ - lo_) / std::sqrt(12.0); }
-  std::string name() const override {
-    return "uniform(" + std::to_string(lo_) + "," + std::to_string(hi_) + ")";
-  }
-  std::string spec() const override {
-    return "uniform:" + support::fmt_shortest(lo_) + "," + support::fmt_shortest(hi_);
+  explicit OneDrawPerTask(Map map) : map_(map) {}
+  double sample(std::size_t, std::size_t, RandomSource& rng) const final {
+    return map_(rng.uniform01());
   }
 
- private:
-  double lo_, hi_;
+ protected:
+  void do_generate_into(double* out, std::size_t n, RandomSource& rng) const final {
+    rng.fill_uniform01(out, n);
+    const Map map = map_;  // a local copy: the stores to out cannot alias it
+    for (std::size_t i = 0; i < n; ++i) out[i] = map(out[i]);
+  }
+
+  Map map_;
 };
 
-class Exponential final : public TaskTimeGenerator {
- public:
-  explicit Exponential(double mu) : mu_(mu) { require_positive(mu, "exponential mean"); }
-  double sample(std::size_t, std::size_t, RandomSource& rng) const override {
-    // Inverse CDF; 1-u in (0,1] so log() never sees zero.
-    return -mu_ * std::log(1.0 - rng.uniform01());
-  }
-  void do_generate_into(double* out, std::size_t n, RandomSource& rng) const override {
-    // Same inverse-CDF arithmetic as sample(); only the per-element
-    // virtual dispatch is hoisted out of the loop.
-    const double mu = mu_;
-    for (std::size_t i = 0; i < n; ++i) out[i] = -mu * std::log(1.0 - rng.uniform01());
-  }
-  double mean() const override { return mu_; }
-  double stddev() const override { return mu_; }
-  std::string name() const override { return "exponential(" + std::to_string(mu_) + ")"; }
-  std::string spec() const override { return "exponential:" + support::fmt_shortest(mu_); }
+struct UniformMap {
+  double lo, hi;
+  double operator()(double u) const { return lo + (hi - lo) * u; }
+};
 
- private:
-  double mu_;
+class Uniform final : public OneDrawPerTask<UniformMap> {
+ public:
+  Uniform(double lo, double hi) : OneDrawPerTask({lo, hi}) {
+    if (!(hi > lo) || !(lo >= 0.0)) throw std::invalid_argument("uniform: need 0 <= lo < hi");
+  }
+  double mean() const override { return 0.5 * (map_.lo + map_.hi); }
+  double stddev() const override { return (map_.hi - map_.lo) / std::sqrt(12.0); }
+  std::string name() const override {
+    return "uniform(" + std::to_string(map_.lo) + "," + std::to_string(map_.hi) + ")";
+  }
+  std::string spec() const override {
+    return "uniform:" + support::fmt_shortest(map_.lo) + "," + support::fmt_shortest(map_.hi);
+  }
+};
+
+struct ExponentialMap {
+  double mu;
+  // Inverse CDF; 1-u in (0,1] so log() never sees zero.
+  double operator()(double u) const { return -mu * std::log(1.0 - u); }
+};
+
+class Exponential final : public OneDrawPerTask<ExponentialMap> {
+ public:
+  explicit Exponential(double mu) : OneDrawPerTask({mu}) {
+    require_positive(mu, "exponential mean");
+  }
+  double mean() const override { return map_.mu; }
+  double stddev() const override { return map_.mu; }
+  std::string name() const override { return "exponential(" + std::to_string(map_.mu) + ")"; }
+  std::string spec() const override { return "exponential:" + support::fmt_shortest(map_.mu); }
 };
 
 double sample_standard_normal(RandomSource& rng) {
@@ -194,58 +212,66 @@ class Lognormal final : public TaskTimeGenerator {
   double mean_, stddev_, mu_log_{}, sigma_log_{};
 };
 
-class Weibull final : public TaskTimeGenerator {
+struct WeibullMap {
+  double shape, scale;
+  double operator()(double draw) const {
+    const double u = 1.0 - draw;  // (0,1]
+    return scale * std::pow(-std::log(u), 1.0 / shape);
+  }
+};
+
+class Weibull final : public OneDrawPerTask<WeibullMap> {
  public:
-  Weibull(double shape, double scale) : shape_(shape), scale_(scale) {
+  Weibull(double shape, double scale) : OneDrawPerTask({shape, scale}) {
     require_positive(shape, "weibull shape");
     require_positive(scale, "weibull scale");
-    mean_ = scale_ * std::tgamma(1.0 + 1.0 / shape_);
-    const double m2 = scale_ * scale_ * std::tgamma(1.0 + 2.0 / shape_);
+    mean_ = scale * std::tgamma(1.0 + 1.0 / shape);
+    const double m2 = scale * scale * std::tgamma(1.0 + 2.0 / shape);
     stddev_ = std::sqrt(std::max(0.0, m2 - mean_ * mean_));
-  }
-  double sample(std::size_t, std::size_t, RandomSource& rng) const override {
-    const double u = 1.0 - rng.uniform01();  // (0,1]
-    return scale_ * std::pow(-std::log(u), 1.0 / shape_);
   }
   double mean() const override { return mean_; }
   double stddev() const override { return stddev_; }
   std::string name() const override {
-    return "weibull(" + std::to_string(shape_) + "," + std::to_string(scale_) + ")";
+    return "weibull(" + std::to_string(map_.shape) + "," + std::to_string(map_.scale) + ")";
   }
   std::string spec() const override {
-    return "weibull:" + support::fmt_shortest(shape_) + "," + support::fmt_shortest(scale_);
+    return "weibull:" + support::fmt_shortest(map_.shape) + "," +
+           support::fmt_shortest(map_.scale);
   }
 
  private:
-  double shape_, scale_, mean_{}, stddev_{};
+  double mean_{}, stddev_{};
 };
 
-class Bimodal final : public TaskTimeGenerator {
+struct BimodalMap {
+  double lo, hi, w;
+  double operator()(double u) const { return u < w ? hi : lo; }
+};
+
+class Bimodal final : public OneDrawPerTask<BimodalMap> {
  public:
-  Bimodal(double lo, double hi, double weight_hi) : lo_(lo), hi_(hi), w_(weight_hi) {
+  Bimodal(double lo, double hi, double weight_hi) : OneDrawPerTask({lo, hi, weight_hi}) {
     require_positive(lo, "bimodal lo");
     require_positive(hi, "bimodal hi");
-    if (!(w_ >= 0.0 && w_ <= 1.0)) throw std::invalid_argument("bimodal: weight in [0,1]");
+    if (!(weight_hi >= 0.0 && weight_hi <= 1.0)) {
+      throw std::invalid_argument("bimodal: weight in [0,1]");
+    }
   }
-  double sample(std::size_t, std::size_t, RandomSource& rng) const override {
-    return rng.uniform01() < w_ ? hi_ : lo_;
-  }
-  double mean() const override { return (1.0 - w_) * lo_ + w_ * hi_; }
+  double mean() const override { return (1.0 - map_.w) * map_.lo + map_.w * map_.hi; }
   double stddev() const override {
+    const auto [lo, hi, w] = map_;
     const double m = mean();
-    const double v = (1.0 - w_) * (lo_ - m) * (lo_ - m) + w_ * (hi_ - m) * (hi_ - m);
+    const double v = (1.0 - w) * (lo - m) * (lo - m) + w * (hi - m) * (hi - m);
     return std::sqrt(v);
   }
   std::string name() const override {
-    return "bimodal(" + std::to_string(lo_) + "," + std::to_string(hi_) + "," +
-           std::to_string(w_) + ")";
+    return "bimodal(" + std::to_string(map_.lo) + "," + std::to_string(map_.hi) + "," +
+           std::to_string(map_.w) + ")";
   }
   std::string spec() const override {
-    return "bimodal:" + support::fmt_shortest(lo_) + "," + support::fmt_shortest(hi_) + "," + support::fmt_shortest(w_);
+    return "bimodal:" + support::fmt_shortest(map_.lo) + "," + support::fmt_shortest(map_.hi) +
+           "," + support::fmt_shortest(map_.w);
   }
-
- private:
-  double lo_, hi_, w_;
 };
 
 class LinearRamp final : public TaskTimeGenerator {

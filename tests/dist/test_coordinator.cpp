@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "check/dist.hpp"
+#include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
@@ -112,22 +113,41 @@ TEST(CoordinateTool, LosingTwoOfFourWorkersStillMatchesSerial) {
   // sending a record.  Their leases must be reclaimed and retried, and
   // the merged output must be bitwise identical to the uninterrupted
   // serial run.
+  //
+  // Every victim must get a cell to compute, or it survives: one whose
+  // READY comes after the others took every fresh stripe gets a fully
+  // held retry or nothing.  So the coordinator runs in process and
+  // spawns its workers through a wrapper that holds the healthy two
+  // back until both victims hold a lease, and two-cell stripes leave a
+  // cell to compute even in a lease that is the other victim's retry.
   const TempDir dir;
-  const std::string spec = write_spec(dir);
-  const std::string out = dir.path() + "/merged.jsonl";
-  std::string err;
-  ASSERT_EQ(run_tool("coordinate " + spec + " --out " + out + " --workdir " + dir.path() +
-                         "/wd --workers 4 --threads 1 --chaos 0:1:kill,1:1:kill "
-                         "--backoff-ms 10",
-                     &err),
-            0)
-      << err;
-  EXPECT_EQ(read_file(out), serial_reference());
+  const std::string go = dir.path() + "/go";
+  dist::CoordinatorOptions options;
+  options.spec_path = write_spec(dir);
+  options.out_path = dir.path() + "/merged.jsonl";
+  options.workdir = dir.path() + "/wd";
+  options.workers = 4;
+  options.stripes = 4;
+  options.worker_threads = 1;
+  options.backoff_base = std::chrono::milliseconds(10);
+  options.chaos = dist::parse_chaos_list("0:1:kill,1:1:kill");
+  options.worker_command = {
+      "/bin/sh", "-c",
+      "case \" $* \" in *' --chaos-after '*) ;; *) until [ -e " + go +
+          " ]; do sleep 0.01; done ;; esac; exec " DLS_SWEEP_BIN " \"$@\"",
+      "sh"};
+  std::size_t leases = 0;
+  options.on_event = [&](const dist::LeaseEvent& event) {
+    if (event.kind == "lease" && ++leases == 2) std::ofstream{go};
+  };
+  const dist::CoordinatorReport report = dist::Coordinator(options).run();
+  EXPECT_EQ(read_file(options.out_path), serial_reference());
   // Both victims sent their record before dying, and no retry
   // computed it again: every cell was computed exactly once.
-  EXPECT_NE(err.find(": 8 cell(s) computed, 8 record(s) merged"), std::string::npos) << err;
+  EXPECT_EQ(report.computed, 8u);
+  EXPECT_EQ(report.merged_records, 8u);
 
-  const std::vector<dist::LeaseEvent> events = read_events(dir.path() + "/wd/events.jsonl");
+  const std::vector<dist::LeaseEvent> events = read_events(options.workdir + "/events.jsonl");
   EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
   std::size_t reclaims = 0;
   std::size_t dead = 0;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bbn/machine_model.hpp"
 #include "hagerup/simulator.hpp"
+#include "workload/random_source.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -84,6 +88,29 @@ TEST(HagerupSim, TaskConservation) {
                 }(),
                 1e-6)
         << dls::to_string(kind);
+  }
+}
+
+TEST(HagerupSim, TotalWorkIsTheLeftToRightSumOfTheTaskTimes) {
+  // run() adds each task time to total_work as its chunk takes it;
+  // that must equal, bit for bit, summing generate() from task 0 up.
+  for (Kind kind : {Kind::kSS, Kind::kGSS, Kind::kFAC, Kind::kStatic}) {
+    for (bool rand48 : {true, false}) {
+      hagerup::Config cfg = base_config(kind, 8, 1000);
+      cfg.workload = workload::exponential(1.0);
+      cfg.params.sigma = 1.0;
+      cfg.use_rand48 = rand48;
+      cfg.seed = 7;
+      const std::unique_ptr<workload::RandomSource> rng =
+          rand48 ? std::unique_ptr<workload::RandomSource>(
+                       std::make_unique<workload::Rand48Source>(7u))
+                 : std::make_unique<workload::XoshiroSource>(7u);
+      double sum = 0.0;
+      for (double t : cfg.workload->generate(cfg.tasks, *rng)) sum += t;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(hagerup::run(cfg).total_work),
+                std::bit_cast<std::uint64_t>(sum))
+          << dls::to_string(kind) << (rand48 ? ", rand48" : ", xoshiro");
+    }
   }
 }
 

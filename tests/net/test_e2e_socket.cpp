@@ -72,22 +72,35 @@ std::vector<dist::LeaseEvent> read_events(const std::string& path) {
 // via --port-file), then `workers` connect-mode worker processes, the
 // first `chaos` of them seeded to die after their first record.
 // Waits for everything and propagates the serve exit code.
+//
+// Every victim must get a cell to compute, or it survives: one whose
+// READY comes after the others took every fresh stripe gets a fully
+// held retry or nothing.  So the victims connect first and the healthy
+// workers only once the event log shows a lease per victim, and
+// two-cell stripes (8 cells, 4 stripes) leave a cell to compute even
+// in a lease that is the other victim's retry.
 std::string orchestration(const std::string& dir, const std::string& sweep_bin,
                           std::size_t workers, std::size_t chaos) {
   std::ostringstream script;
   script << "cd " << dir << "\n"
          << sweep_bin << " serve grid.sweep --listen 127.0.0.1:0 --port-file port.txt"
-         << " --out socket.jsonl --workdir wd_sock --workers " << workers
+         << " --out socket.jsonl --workdir wd_sock --workers " << workers << " --stripes 4"
          << " --token e2e --threads 1 --heartbeat-ms 50 --deadline-ms 2000 --backoff-ms 20"
          << " --quiet & SERVE=$!\n"
          << "for i in $(seq 1 100); do [ -f port.txt ] && break; sleep 0.1; done\n"
          << "PORT=$(cat port.txt)\n";
   for (std::size_t w = 0; w < workers; ++w) {
+    if (w == chaos && chaos > 0) {
+      script << "for i in $(seq 1 1500); do\n"
+             << "  n=$(grep -c '\"event\":\"lease\"' wd_sock/events.jsonl 2>/dev/null || true)\n"
+             << "  [ \"${n:-0}\" -ge " << chaos << " ] && break\n"
+             << "  sleep 0.01\n"
+             << "done\n";
+    }
     script << sweep_bin << " work --connect 127.0.0.1:$PORT --token e2e"
            << " --threads 1 --heartbeat-ms 50";
-    // Seeded chaos: both victims die after their first record.
-    if (chaos > 0 && w == 0) script << " --chaos-after 1 --chaos-mode kill";
-    if (chaos > 1 && w == 1) script << " --chaos-after 1 --chaos-mode kill";
+    // Seeded chaos: the victims die after their first record.
+    if (w < chaos) script << " --chaos-after 1 --chaos-mode kill";
     script << " 2>/dev/null &\n";
   }
   script << "wait $SERVE\n";

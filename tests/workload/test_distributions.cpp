@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "stats/summary.hpp"
 #include "workload/random_source.hpp"
@@ -10,6 +16,8 @@
 
 namespace {
 
+using workload::RandomSource;
+using workload::Rand48Source;
 using workload::TaskTimeGenerator;
 using workload::XoshiroSource;
 
@@ -156,6 +164,75 @@ TEST(Distributions, ExponentialMatchesInverseCdfShape) {
     if (gen->sample(i, n, rng) < median) ++below;
   }
   EXPECT_NEAR(static_cast<double>(below) / static_cast<double>(n), 0.5, 0.01);
+}
+
+// ---------------------------------------------------------------- bulk path
+
+// One spec per from_spec kind.
+constexpr const char* kEverySpecKind[] = {
+    "constant:1.5",    "uniform:0.5,1.5", "exponential:2",     "normal:1,0.3", "gamma:0.5,2",
+    "lognormal:1,0.5", "weibull:1.5,1.0", "bimodal:0.1,1,0.3", "ramp:2,0.1"};
+constexpr std::size_t kBulkSizes[] = {0, 1, 2, 7, 8, 9, 4097};
+
+/// A source that overrides only uniform01, so its fill_uniform01 is the
+/// interface's default loop.  It draws xoshiro's stream, so its values
+/// must also equal the "xoshiro" case's.
+class DefaultFillSource final : public RandomSource {
+ public:
+  explicit DefaultFillSource(std::uint64_t seed) : inner_(seed) {}
+  double uniform01() override { return inner_.uniform01(); }
+  std::uint64_t next_u64() override { return inner_.next_u64(); }
+  [[nodiscard]] std::unique_ptr<RandomSource> split(std::uint64_t index) const override {
+    return inner_.split(index);
+  }
+
+ private:
+  XoshiroSource inner_;
+};
+
+std::unique_ptr<RandomSource> make_rng(const char* kind, std::uint64_t seed) {
+  if (std::string_view(kind) == "rand48") {
+    return std::make_unique<Rand48Source>(static_cast<std::uint32_t>(seed));
+  }
+  if (std::string_view(kind) == "default-fill") return std::make_unique<DefaultFillSource>(seed);
+  return std::make_unique<XoshiroSource>(seed);
+}
+
+/// Bitwise: -0.0 vs 0.0 or two NaN payloads would count as different.
+void expect_same_bits(const std::vector<double>& got, const std::vector<double>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+        << where << ", task " << i;
+  }
+}
+
+TEST(BulkGeneration, EqualsPerSampleGenerationForEveryKindAndSource) {
+  for (const char* spec : kEverySpecKind) {
+    const auto gen = workload::from_spec(spec);
+    for (const char* kind : {"xoshiro", "rand48", "default-fill"}) {
+      for (const std::size_t n : kBulkSizes) {
+        const std::string where = std::string(spec) + ", " + kind + ", n " + std::to_string(n);
+        std::vector<double> per_sample;
+        const auto reference = make_rng(kind, 31);
+        for (std::size_t i = 0; i < n; ++i) per_sample.push_back(gen->sample(i, n, *reference));
+
+        const auto rng = make_rng(kind, 31);
+        std::vector<double> bulk{9.0};  // stale contents must not leak through
+        gen->generate_into(bulk, n, *rng);
+        expect_same_bits(bulk, per_sample, where + ", vector form");
+
+        const auto span_rng = make_rng(kind, 31);
+        std::vector<double> in_place(n, -1.0);
+        gen->generate_into(std::span<double>(in_place), *span_rng);
+        expect_same_bits(in_place, per_sample, where + ", span form");
+
+        // Both bulk forms leave the stream where per-sample generation does.
+        EXPECT_EQ(rng->next_u64(), reference->next_u64()) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

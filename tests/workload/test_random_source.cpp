@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "workload/random_source.hpp"
 
@@ -65,6 +67,25 @@ TYPED_TEST(RandomSourceContract, MeanIsCentered) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) sum += src->uniform01();
   EXPECT_NEAR(sum / n, 0.5, 0.01);
+}
+
+TYPED_TEST(RandomSourceContract, FillIsTheNextNDrawsAndLeavesTheStreamThere) {
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 8u, 9u, 4097u}) {
+    auto bulk = make_source<TypeParam>(77);
+    auto one_by_one = make_source<TypeParam>(77);
+    std::vector<double> filled(n);
+    bulk->fill_uniform01(filled.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(filled[i]),
+                std::bit_cast<std::uint64_t>(one_by_one->uniform01()))
+          << "n " << n << ", draw " << i;
+    }
+    // The stream continues where n uniform01() calls leave it.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk->uniform01()),
+              std::bit_cast<std::uint64_t>(one_by_one->uniform01()))
+        << "n " << n;
+    EXPECT_EQ(bulk->next_u64(), one_by_one->next_u64()) << "n " << n;
+  }
 }
 
 TEST(XoshiroSource, No64BitCollisionsInShortRun) {
