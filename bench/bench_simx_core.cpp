@@ -34,6 +34,12 @@
 //                           drawn from RNG R (xoshiro or rand48) into a
 //                           reused vector: the draws and the inverse-CDF
 //                           log, items = tasks
+//   BM_LogBatch/F           the log of 65536 generator inputs 1 - u in
+//                           place, F = libm (a std::log loop) or batch
+//                           (workload::log_batch: the AVX-512 kernel
+//                           where the CPU has it, with std::log for the
+//                           ~1/16 of results near a rounding midpoint),
+//                           items = logs
 //
 // Record a baseline:
 //   bench_simx_core --benchmark_format=json > raw.json
@@ -41,11 +47,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "hagerup/simulator.hpp"
@@ -53,6 +61,7 @@
 #include "mw/config.hpp"
 #include "mw/simulation.hpp"
 #include "simx/event_queue.hpp"
+#include "workload/log_batch.hpp"
 #include "workload/random_source.hpp"
 #include "workload/task_times.hpp"
 
@@ -256,6 +265,28 @@ void BM_GenerateInto(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateInto<workload::XoshiroSource>)->Name("BM_GenerateInto/xoshiro");
 BENCHMARK(BM_GenerateInto<workload::Rand48Source>)->Name("BM_GenerateInto/rand48");
+
+void log_libm(std::span<double> xs) {
+  for (double& x : xs) x = std::log(x);
+}
+
+void BM_LogBatch(benchmark::State& state, void (*log_fn)(std::span<double>)) {
+  const std::size_t n = 65536;
+  std::vector<double> inputs(n);
+  workload::XoshiroSource rng(20170529u);
+  rng.fill_uniform01(inputs.data(), n);
+  for (double& v : inputs) v = 1.0 - v;
+  std::vector<double> work(n);
+  for (auto _ : state) {
+    std::copy(inputs.begin(), inputs.end(), work.begin());
+    log_fn(work);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_LogBatch, libm, log_libm);
+BENCHMARK_CAPTURE(BM_LogBatch, batch, workload::log_batch);
 
 }  // namespace
 

@@ -64,12 +64,31 @@ TEST(PoolExecutor, SlotIdsAreStablePerThreadAcrossRegions) {
   pool::Executor executor(4);
   std::mutex mutex;
   std::map<std::thread::id, std::set<unsigned>> slots_seen;
+  // run_region does not promise that the caller claims an index (the
+  // workers may drain all 512 first), so the workers hold their items
+  // until the caller has run one: that makes the caller's slot-0 claim
+  // below deterministic.  A caller that never runs one fails the test
+  // after the deadline instead of hanging it.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::atomic<bool> caller_timed_out{false};
   for (int round = 0; round < 10; ++round) {
+    caller_ran.store(false);
     executor.parallel_for_slots(512, [&](std::size_t, unsigned slot) {
+      if (std::this_thread::get_id() == caller) {
+        caller_ran.store(true);
+      } else {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!caller_ran.load() && !caller_timed_out.load()) {
+          if (std::chrono::steady_clock::now() > deadline) caller_timed_out.store(true);
+          std::this_thread::yield();
+        }
+      }
       const std::scoped_lock lock(mutex);
       slots_seen[std::this_thread::get_id()].insert(slot);
     });
   }
+  ASSERT_FALSE(caller_timed_out.load()) << "the calling thread ran no item within 30 s";
   ASSERT_FALSE(slots_seen.empty());
   std::set<unsigned> all_slots;
   for (const auto& [id, slots] : slots_seen) {
