@@ -54,9 +54,9 @@ struct MachineModel {
 
 /// `config` run on the GP-1000: every dispatch holds the shared
 /// dispatcher for machine.dispatch_hold(technique, pes), executed task
-/// times are inflated by machine.inflation(), task times come from
-/// xoshiro, and h is accounted analytically, not charged to the
-/// workers' timelines.
+/// times are inflated by machine.inflation(), and task times come from
+/// xoshiro.  The overhead accounting is left as `config` has it (the
+/// Config default: h analytically, not on the workers' timelines).
 [[nodiscard]] hagerup::Config on_machine(hagerup::Config config,
                                          const MachineModel& machine = {});
 

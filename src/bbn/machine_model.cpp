@@ -14,7 +14,6 @@ hagerup::Config on_machine(hagerup::Config config, const MachineModel& machine) 
   config.dispatch_hold = machine.dispatch_hold(config.technique, config.pes);
   config.work_inflation = machine.inflation();
   config.use_rand48 = false;
-  config.charge_overhead_inline = false;
   return config;
 }
 

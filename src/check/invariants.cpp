@@ -352,6 +352,7 @@ std::optional<std::string> check_batch_determinism(const Scenario& scenario,
   job.config = scenario.config;
   job.config.record_chunk_log = false;
   job.replicas = replicas;
+  job.keep_values = true;
 
   // The threaded arm runs on its OWN executor: the fuzzer drives
   // scenarios from inside a shared-pool region, and a nested region on
@@ -365,7 +366,6 @@ std::optional<std::string> check_batch_determinism(const Scenario& scenario,
   auto run_with = [&](unsigned threads, pool::Executor* executor) {
     exec::BatchRunner::Options options;
     options.threads = threads;
-    options.keep_values = true;
     options.executor = executor;
     return exec::BatchRunner(options).run_one(job);
   };

@@ -81,6 +81,10 @@ struct Params {
   std::size_t rnd_min = 1;
   std::size_t rnd_max = 0;
   std::uint64_t rnd_seed = 1;
+
+  /// Every field compared, so a cache keyed on Params (the runtime
+  /// backend's executor) rebuilds whenever any scheduling knob changes.
+  friend bool operator==(const Params&, const Params&) = default;
 };
 
 /// Parameter-requirement bits reproducing paper Table II.

@@ -47,17 +47,6 @@ void reject_beyond_direct_model(std::string_view backend, const mw::Config& conf
   }
 }
 
-/// Field-wise equality of the Table I parameters (dls::Params has no
-/// operator==); the runtime executor cache must rebuild whenever any
-/// scheduling knob changes.
-bool params_equal(const dls::Params& a, const dls::Params& b) {
-  return a.p == b.p && a.n == b.n && a.h == b.h && a.mu == b.mu && a.sigma == b.sigma &&
-         a.css_chunk == b.css_chunk && a.gss_min_chunk == b.gss_min_chunk &&
-         a.tss_first == b.tss_first && a.tss_last == b.tss_last &&
-         a.tap_v_alpha == b.tap_v_alpha && a.weights == b.weights && a.rnd_min == b.rnd_min &&
-         a.rnd_max == b.rnd_max && a.rnd_seed == b.rnd_seed;
-}
-
 // ---------------------------------------------------------------------------
 // mw: the SimGrid-style message-passing master-worker simulation.  The
 // reference backend: full Config space, paper metrics.
@@ -90,7 +79,11 @@ BackendRun from_mw(const mw::Config& config, mw::RunResult result) {
 class MwBackend final : public Backend {
  public:
   [[nodiscard]] std::string_view name() const override { return "mw"; }
-  void validate(const mw::Config&) const override {}  // the full space
+  void validate(const mw::Config& config) const override {
+    // The full space but inline overhead, which needs a worker timeline
+    // that only the direct simulator has.
+    if (config.overhead_mode == mw::OverheadMode::kInline) reject("mw", "inline overhead");
+  }
   [[nodiscard]] bool virtual_time() const override { return true; }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
@@ -110,8 +103,9 @@ class MwBackend final : public Backend {
 // ---------------------------------------------------------------------------
 // hagerup and bbn: the one direct simulator, hagerup::run.  Single
 // timestep, homogeneous, failure-free; network parameters do not exist
-// in its model.  Overhead is accounted analytically
-// (charge_overhead_inline = false), matching mw's OverheadMode::kAnalytic.
+// in its model.  Overhead is accounted analytically, matching mw's
+// OverheadMode::kAnalytic, unless a hagerup spec asks for `overhead
+// inline` (charge_overhead_inline: h on the worker's timeline).
 //
 // "hagerup" is the replicated BOLD-publication simulator.  "bbn" runs
 // the same loop on the machine model of the TSS publication's BBN
@@ -182,6 +176,9 @@ class DirectBackend final : public Backend {
     if (bbn_ && config.use_rand48) {
       reject("bbn", "rand48 task times (the machine model draws from xoshiro)");
     }
+    if (bbn_ && config.overhead_mode == mw::OverheadMode::kInline) {
+      reject("bbn", "inline overhead (the machine model charges its own dispatch cost)");
+    }
   }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
@@ -205,7 +202,7 @@ class DirectBackend final : public Backend {
     config.workload = mc.workload;
     config.seed = mc.seed;
     config.use_rand48 = mc.use_rand48;
-    config.charge_overhead_inline = false;  // match mw's analytic accounting
+    config.charge_overhead_inline = mc.overhead_mode == mw::OverheadMode::kInline;
     return bbn_ ? bbn::on_machine(config) : config;
   }
 
@@ -273,7 +270,7 @@ class RuntimeBackend final : public Backend {
     executor_options.record_chunk_log = record_chunk_log;
     if (executor_ == nullptr || cached_technique_ != config.technique ||
         cached_threads_ != threads || cached_log_ != record_chunk_log ||
-        !params_equal(cached_params_, executor_options.params)) {
+        cached_params_ != executor_options.params) {
       executor_ = std::make_unique<runtime::DlsLoopExecutor>(executor_options);
       cached_technique_ = config.technique;
       cached_threads_ = threads;

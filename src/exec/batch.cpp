@@ -92,7 +92,7 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
     r.avg_wasted_time = stats::summarize(values[j].wasted);
     r.speedup = stats::summarize(values[j].speedup);
     r.chunks = stats::summarize(values[j].chunks);
-    if (options_.keep_values) {
+    if (jobs[j].keep_values) {
       r.makespan_values = std::move(values[j].makespan);
       r.wasted_values = std::move(values[j].wasted);
     }

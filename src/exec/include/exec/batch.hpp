@@ -29,6 +29,9 @@ struct BatchJob {
   /// reference simulator).  The runtime backend ignores the seed (real
   /// threads, wall clock), so its replicas measure run-to-run noise.
   std::string backend = "mw";
+  /// Retain the per-replica series in the result (a spec's `series
+  /// true`: the raw material of distribution plots like paper Figure 9).
+  bool keep_values = false;
 };
 
 /// Aggregated outcome of one BatchJob: summary statistics of the
@@ -38,8 +41,8 @@ struct BatchResult {
   stats::Summary avg_wasted_time;
   stats::Summary speedup;
   stats::Summary chunks;
-  /// Per-replica series, retained only with Options::keep_values (the
-  /// raw material of distribution plots like paper Figure 9).
+  /// Per-replica series, in replica order, retained only with
+  /// BatchJob::keep_values.
   std::vector<double> makespan_values;
   std::vector<double> wasted_values;
 };
@@ -72,9 +75,8 @@ struct BatchResult {
 class BatchRunner {
  public:
   struct Options {
-    unsigned threads = 0;      ///< 0 = the executor's width
-    bool keep_values = false;  ///< retain per-replica series in the results
-    BackendOptions backend;    ///< backend construction knobs
+    unsigned threads = 0;    ///< 0 = the executor's width
+    BackendOptions backend;  ///< backend construction knobs
     /// Externally-owned executor to run on (must outlive the runner);
     /// nullptr = pool::Executor::shared().
     pool::Executor* executor = nullptr;

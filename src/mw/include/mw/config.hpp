@@ -20,8 +20,14 @@ enum class OverheadMode {
   kAnalytic,
   /// The master's CPU is occupied for h seconds per scheduling
   /// operation inside the simulation, so overhead delays workers and
-  /// serializes on the master.  Used by the ablation study.
+  /// serializes on the master.
   kSimulated,
+  /// h occupies the requesting worker before its chunk executes: the
+  /// BOLD publication's simulator, where the overhead "was added
+  /// directly to the simulation times".  Only the hagerup backend has
+  /// that timeline (hagerup::Config::charge_overhead_inline); mw
+  /// refuses it.  The overhead ablation pairs it with kAnalytic.
+  kInline,
 };
 
 /// Complete description of one master-worker scheduling simulation:

@@ -695,6 +695,9 @@ void validate(const Config& cfg) {
   if (cfg.tasks == 0) throw std::invalid_argument("Config.tasks must be >= 1");
   if (cfg.timesteps == 0) throw std::invalid_argument("Config.timesteps must be >= 1");
   if (!cfg.workload) throw std::invalid_argument("Config.workload is not set");
+  if (cfg.overhead_mode == OverheadMode::kInline) {
+    throw std::invalid_argument("inline overhead is the hagerup simulator's accounting");
+  }
   if (!positive_finite(cfg.host_speed)) {
     throw std::invalid_argument("Config.host_speed must be finite and > 0");
   }

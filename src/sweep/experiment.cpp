@@ -145,6 +145,7 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
   std::map<std::size_t, simx::SpeedProfile> profiles;  // worker index -> profile
   std::map<std::size_t, std::size_t> profile_lines;    // worker index -> line number
   LineRef speeds_line;  // the 'speeds' line, checked against host_speed at the end
+  LineRef overhead_line;  // the 'overhead' line, checked against the backend at the end
 
   std::size_t line_no = 0;
   support::for_each_piece(text, '\n', [&](std::string_view raw) {
@@ -201,7 +202,9 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
     } else if (key == "overhead") {
       if (value == "analytic") cfg.overhead_mode = mw::OverheadMode::kAnalytic;
       else if (value == "simulated") cfg.overhead_mode = mw::OverheadMode::kSimulated;
-      else parse_error(line, "overhead must be 'analytic' or 'simulated'");
+      else if (value == "inline") cfg.overhead_mode = mw::OverheadMode::kInline;
+      else parse_error(line, "overhead must be 'analytic', 'simulated' or 'inline'");
+      overhead_line = line;
     } else if (key == "latency") {
       cfg.latency = to_finite_nonnegative(key, value, line);
     } else if (key == "bandwidth") {
@@ -264,11 +267,18 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
         parse_error(line, "unknown backend '" + std::string(value) + "' (known: " + known + ")");
       }
       spec.backend = value;
+    } else if (key == "series") {
+      spec.series = to_bool(value, line);
     } else {
       parse_error(line, "unknown key: " + std::string(key));
     }
   });
 
+  if (cfg.overhead_mode == mw::OverheadMode::kInline && spec.backend != "hagerup") {
+    parse_error(overhead_line, "overhead inline needs backend hagerup (the direct simulator "
+                               "charges h on the worker's timeline; backend is " +
+                                   spec.backend + ")");
+  }
   if (!cfg.workload) throw std::invalid_argument("experiment: missing 'workload'");
   if (cfg.tasks == 0) throw std::invalid_argument("experiment: missing 'tasks'");
   if (cfg.workers == 0) throw std::invalid_argument("experiment: missing 'workers'");
@@ -341,6 +351,7 @@ std::string serialize_experiment_spec(const ExperimentSpec& spec) {
   if (cfg.timesteps != 1) emit("timesteps", std::to_string(cfg.timesteps));
   emit("seed", std::to_string(cfg.seed));
   if (cfg.overhead_mode == mw::OverheadMode::kSimulated) emit("overhead", "simulated");
+  if (cfg.overhead_mode == mw::OverheadMode::kInline) emit("overhead", "inline");
   const mw::Config defaults;
   if (cfg.latency != defaults.latency) emit("latency", support::fmt_shortest(cfg.latency));
   if (cfg.bandwidth != defaults.bandwidth) emit("bandwidth", support::fmt_shortest(cfg.bandwidth));
@@ -378,6 +389,7 @@ std::string serialize_experiment_spec(const ExperimentSpec& spec) {
   if (spec.seed_stride != 1) emit("seed_stride", std::to_string(spec.seed_stride));
   if (spec.threads != 0) emit("threads", std::to_string(spec.threads));
   if (spec.backend != "mw") emit("backend", spec.backend);
+  if (spec.series) emit("series", "true");
   return out.str();
 }
 

@@ -207,6 +207,7 @@ exec::BatchJob batch_job(const Grid& grid, const Cell& cell) {
   job.replicas = cell.spec.replicas;
   job.seed_stride = cell.spec.seed_stride;
   job.backend = cell.spec.backend;
+  job.keep_values = cell.spec.series;
   if (grid.science_axes() > 0) {
     // Decorrelate the cells: with a shared base seed and the default
     // stride of 1, every cell would otherwise replay the same replica

@@ -25,7 +25,7 @@ namespace sweep {
 ///   sigma     1.0             # finite, >= 0; defaults to the workload stddev
 ///   timesteps 1               # >= 1
 ///   seed      42
-///   overhead  analytic        # or: simulated
+///   overhead  analytic        # or: simulated, inline (backend hagerup only)
 ///   latency   1e-12           # finite, >= 0
 ///   bandwidth 1e21            # > 0; inf means transfers cost only latency
 ///   css_chunk 0
@@ -35,6 +35,8 @@ namespace sweep {
 ///   seed_stride 1             # replica r runs with seed + seed_stride * r
 ///   threads   0               # pool width for the replicas (0 = hardware); fits unsigned
 ///   backend   mw              # execution vehicle: one of exec::backend_names()
+///   series    false           # true: the record carries every replica's
+///                             # avg_wasted_time (paper Figure 9)
 ///
 /// Tokenization (shared with sweep::parse_grid; support/text.hpp):
 /// lines end at '\n' (a last line without one counts); everything from
@@ -82,6 +84,8 @@ struct ExperimentSpec {
   /// Execution vehicle the experiment runs on (exec::backend_names();
   /// "mw" is the reference message-passing simulator).
   std::string backend = "mw";
+  /// Keep the per-replica avg_wasted_time series in the cell's record.
+  bool series = false;
 };
 
 /// Parse the format described above.  Unknown keys are an error (a

@@ -43,7 +43,9 @@ struct RecordKey {
 /// derived seed (and the backend key) applied -- paste it into
 /// `dls_sim -` to replay the cell.  Each summary object carries
 /// count/mean/stddev/min/max/median/p5/p95/ci95_lo/ci95_hi/nan_count
-/// (stats::Summary).  All doubles use shortest round-trip formatting,
+/// (stats::Summary).  A cell whose spec says `series true` appends
+/// `"avg_wasted_time_series":[...]`, every replica's value in replica
+/// order.  All doubles use shortest round-trip formatting,
 /// so re-running a cell on a deterministic backend renders a
 /// byte-identical record and shard merges are deterministic.  (The
 /// native `runtime` backend measures wall clock: its records resume and
@@ -88,6 +90,11 @@ class RecordRenderer {
 [[nodiscard]] std::optional<double> record_summary_field(std::string_view line,
                                                          std::string_view summary,
                                                          std::string_view field);
+
+/// The per-replica avg_wasted_time values of a record of a `series
+/// true` cell, exactly as rendered; nullopt if the line is not a
+/// complete record or carries no series.
+[[nodiscard]] std::optional<std::vector<double>> record_series(std::string_view line);
 
 /// The experiment echo a record of (full) cell `index` must carry (the
 /// serialized cell spec with the derived seed and backend applied --

@@ -33,6 +33,9 @@ struct FigureReport {
   /// the bbn machine model (paper Figures 3-4), else the
   /// `avg_wasted_time` mean (Figures 5-8).
   bool speedup = false;
+  /// For a pair whose sides run one backend: the keys it varies, e.g.
+  /// "overhead inline -> analytic" (empty for two backends).
+  std::string ablation;
   std::vector<std::string> curves;   ///< table columns, in pair and cell order
   std::vector<std::size_t> workers;  ///< table rows, in cell order
   std::vector<FigureCell> cells;
@@ -47,7 +50,11 @@ struct FigureReport {
 /// `rand48` -- the keys that make the two sides independent
 /// simulators -- plus `h`, `overhead`, `latency` and `bandwidth` when
 /// the original side is bbn, whose machine model has its own dispatch
-/// costs.  A curve is a (technique, gss_min) pair, so a pair of sweeps
+/// costs.  Two sides on the SAME backend are an ablation (Section
+/// III-B's overhead and network choices): besides `seed`,
+/// `seed_stride` and `rand48` they may differ in `overhead`, `latency`
+/// and `bandwidth`, by the same values in every cell, and
+/// FigureReport::ablation names them.  A curve is a (technique, gss_min) pair, so a pair of sweeps
 /// can add a curve a cartesian grid cannot express (GSS(80) beside
 /// GSS).  All pairs must agree on tasks, replicas, worker counts and
 /// backends.  Throws std::invalid_argument naming the offending cell
@@ -63,5 +70,14 @@ struct FigureReport {
 /// 5-8 its row of paper Table III), subfigures (a)-(d) and the summary
 /// line.  Tables are aligned ASCII, or CSV with `csv`.
 [[nodiscard]] std::string render_figure_report(const FigureReport& report, bool csv);
+
+/// Paper Figure 9's view of every record that carries a series (a
+/// `series true` cell): a histogram of its per-run average wasted
+/// times over [0, 400) s and a statistics table (runs, mean, median,
+/// p95, max, runs above the paper's 400 s cutoff, their share, the
+/// mean without them).  The mean is printed in shortest round-trip form, the
+/// same text as the record's own mean.  Throws std::invalid_argument
+/// when no record carries a series.
+[[nodiscard]] std::string render_series_report(const std::vector<std::string>& records);
 
 }  // namespace sweep

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "support/table.hpp"
+#include "support/text.hpp"
 #include "sweep/experiment.hpp"
 
 namespace sweep {
@@ -196,6 +197,14 @@ std::string RecordRenderer::render(const Cell& cell, const exec::BatchJob& job,
   out += ",\"avg_wasted_time\":" + summary_json(result.avg_wasted_time);
   out += ",\"speedup\":" + summary_json(result.speedup);
   out += ",\"chunks\":" + summary_json(result.chunks);
+  if (job.keep_values) {
+    out += ",\"avg_wasted_time_series\":[";
+    for (std::size_t r = 0; r < result.wasted_values.size(); ++r) {
+      if (r > 0) out += ',';
+      out += json_number(result.wasted_values[r]);
+    }
+    out += ']';
+  }
   out += '}';
   return out;
 }
@@ -282,6 +291,30 @@ std::optional<double> record_summary_field(std::string_view line, std::string_vi
   const auto [end, error] = std::from_chars(value.data(), value.data() + value.size(), out);
   if (error != std::errc{} || end != value.data() + value.size()) return std::nullopt;
   return out;
+}
+
+std::optional<std::vector<double>> record_series(std::string_view line) {
+  if (!looks_complete(line)) return std::nullopt;
+  constexpr std::string_view kOpen = "\"avg_wasted_time_series\":[";
+  const auto open = line.find(kOpen);
+  if (open == std::string_view::npos) return std::nullopt;
+  const std::size_t begin = open + kOpen.size();
+  const auto close = line.find(']', begin);
+  if (close == std::string_view::npos) return std::nullopt;
+  std::vector<double> values;
+  bool malformed = false;
+  support::for_each_piece(line.substr(begin, close - begin), ',', [&](std::string_view value) {
+    // json_number quotes the non-finite values ("nan", "inf", "-inf").
+    if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
+      value = value.substr(1, value.size() - 2);
+    }
+    double out = 0.0;
+    const auto [end, error] = std::from_chars(value.data(), value.data() + value.size(), out);
+    malformed |= error != std::errc{} || end != value.data() + value.size();
+    values.push_back(out);
+  });
+  if (malformed) return std::nullopt;
+  return values;
 }
 
 void validate_records_for_grid(const Grid& grid, const std::vector<std::string>& lines) {

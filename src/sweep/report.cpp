@@ -7,12 +7,17 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "stats/histogram.hpp"
 #include "stats/summary.hpp"
 #include "sweep/experiment.hpp"
 #include "sweep/record.hpp"
 
 namespace sweep {
 namespace {
+
+/// The per-run value above which paper Figure 9 counts a run an
+/// outlier [s] ("only 15 of 1000 values exceeded 400 s").
+constexpr double kFigure9Cutoff = 400.0;
 
 /// One side's records by scientific cell, checked to be a complete,
 /// single-backend run of one grid.
@@ -43,22 +48,49 @@ std::map<std::size_t, std::string> records_by_cell(const std::vector<std::string
 
 /// The experiment with the keys that may differ between the two sides
 /// reset, so the remaining text is the scientific cell itself.  Against
-/// a bbn original the simulation side's overhead and network keys are
-/// free too: the machine model replaces them with its own dispatch and
-/// remote-memory costs.
-std::string scientific_text(ExperimentSpec spec, bool bbn_original) {
+/// a bbn original the simulation side's h is free too, and so are the
+/// overhead and network keys (the machine model replaces them with its
+/// own dispatch and remote-memory costs); `ablation` frees only those
+/// three, the keys an ablation varies.
+std::string scientific_text(ExperimentSpec spec, bool bbn_original, bool ablation) {
   spec.config.seed = 0;
   spec.seed_stride = 1;
   spec.backend = "mw";
   spec.config.use_rand48 = false;
-  if (bbn_original) {
-    const mw::Config defaults;
-    spec.config.params.h = defaults.params.h;
+  const mw::Config defaults;
+  if (bbn_original) spec.config.params.h = defaults.params.h;
+  if (bbn_original || ablation) {
     spec.config.overhead_mode = defaults.overhead_mode;
     spec.config.latency = defaults.latency;
     spec.config.bandwidth = defaults.bandwidth;
   }
   return serialize_experiment_spec(spec);
+}
+
+std::string overhead_name(mw::OverheadMode mode) {
+  switch (mode) {
+    case mw::OverheadMode::kAnalytic: return "analytic";
+    case mw::OverheadMode::kSimulated: return "simulated";
+    case mw::OverheadMode::kInline: return "inline";
+  }
+  return "?";
+}
+
+/// What an ablation pair varies, as "key original -> simulation" per
+/// differing key ("overhead inline -> analytic"); empty when the sides
+/// agree on all three keys.
+std::string ablation_keys(const mw::Config& original, const mw::Config& simulation) {
+  std::string out;
+  const auto add = [&](const char* key, const std::string& o, const std::string& s) {
+    if (o == s) return;
+    out += (out.empty() ? "" : ", ") + std::string(key) + " " + o + " -> " + s;
+  };
+  add("overhead", overhead_name(original.overhead_mode), overhead_name(simulation.overhead_mode));
+  add("latency", support::fmt_shortest(original.latency),
+      support::fmt_shortest(simulation.latency));
+  add("bandwidth", support::fmt_shortest(original.bandwidth),
+      support::fmt_shortest(simulation.bandwidth));
+  return out;
 }
 
 /// A curve's column label: the technique, with its minimal GSS chunk
@@ -134,13 +166,24 @@ FigureReport reduce_pair(const std::vector<std::string>& original,
     const ExperimentSpec s_spec = experiment_of(s->second, "simulation " + where);
     const std::string name = cell_name(cell, s_spec);
     const bool bbn_original = o_spec.backend == "bbn";
-    if (const std::string o_text = scientific_text(o_spec, bbn_original),
-        s_text = scientific_text(s_spec, bbn_original);
+    // Two sides on one backend are an ablation: they may also differ
+    // in the overhead and network keys, the same way in every cell.
+    const bool ablation = o_spec.backend == s_spec.backend;
+    if (const std::string o_text = scientific_text(o_spec, bbn_original, ablation),
+        s_text = scientific_text(s_spec, bbn_original, ablation);
         o_text != s_text) {
       throw std::invalid_argument(
           name + ": the two sides differ beyond seed, seed_stride, backend" +
-          (bbn_original ? ", rand48, h, overhead, latency and bandwidth: " : " and rand48: ") +
+          (bbn_original ? ", rand48, h, overhead, latency and bandwidth: "
+                        : ablation ? ", rand48, overhead, latency and bandwidth: "
+                                   : " and rand48: ") +
           first_difference(o_text, s_text));
+    }
+    const std::string varied = ablation ? ablation_keys(o_spec.config, s_spec.config) : "";
+    if (cell > 0 && varied != report.ablation) {
+      throw std::invalid_argument(name + ": the sides differ in '" + varied + "', at cell 0 in '" +
+                                  report.ablation +
+                                  "'; an ablation varies the same keys in every cell");
     }
     if (cell == 0) {
       report.tasks = s_spec.config.tasks;
@@ -148,6 +191,7 @@ FigureReport reduce_pair(const std::vector<std::string>& original,
       report.original_backend = o_spec.backend;
       report.simulation_backend = s_spec.backend;
       report.speedup = bbn_original;
+      report.ablation = varied;
     } else if (s_spec.config.tasks != report.tasks || s_spec.replicas != report.replicas ||
                o_spec.backend != report.original_backend ||
                s_spec.backend != report.simulation_backend) {
@@ -252,7 +296,9 @@ std::string render_figure_report(const FigureReport& report, bool csv) {
                     ", n = " + std::to_string(report.tasks) + " tasks, " +
                     std::to_string(report.replicas) + " runs per cell and side ===\n";
   out += "sides: original = " + report.original_backend +
-         " records, simulation = " + report.simulation_backend + " records\n\n";
+         " records, simulation = " + report.simulation_backend + " records\n";
+  if (!report.ablation.empty()) out += "ablation: " + report.ablation + "\n";
+  out += "\n";
   const auto emit = [&](const std::string& title, const support::Table& table) {
     out += title + "\n" + (csv ? table.to_csv() : table.to_ascii()) + "\n";
   };
@@ -264,7 +310,8 @@ std::string render_figure_report(const FigureReport& report, bool csv) {
   }
   grid.add_row({std::to_string(report.tasks), pes, std::to_string(report.replicas)});
   // Paper Table III lists the BOLD experiments (Figures 5-8) only.
-  emit(report.speedup
+  emit(!report.ablation.empty() ? "this ablation's grid:"
+       : report.speedup
            ? "the TSS publication's experiment, this figure's grid:"
            : "paper Table III (overview of reproducibility experiments), this figure's row:",
        grid);
@@ -292,6 +339,53 @@ std::string render_figure_report(const FigureReport& report, bool csv) {
            support::fmt(max_rel_no_outlier, 1) + " %";
   }
   out += "\n";
+  return out;
+}
+
+std::string render_series_report(const std::vector<std::string>& records) {
+  std::string out;
+  for (const std::string& line : records) {
+    const std::optional<std::vector<double>> series = record_series(line);
+    if (!series) continue;
+    const std::optional<RecordKey> key = record_key(line);
+    const ExperimentSpec spec = experiment_of(line, "cell " + std::to_string(key->cell));
+    const mw::Config& cfg = spec.config;
+    const stats::Summary summary = stats::summarize(*series);
+    const stats::TrimmedMean trimmed = stats::mean_below(*series, kFigure9Cutoff);
+
+    if (!out.empty()) out += "\n";
+    out += "=== Figure 9 view: per-run average wasted time, " + curve_label(cfg) +
+           ", p = " + std::to_string(cfg.workers) + ", n = " + std::to_string(cfg.tasks) +
+           " ===\n";
+    out += "record: cell " + std::to_string(key->cell) + ", backend " + key->backend + ", " +
+           std::to_string(series->size()) + " runs, workload " + cfg.workload->spec() +
+           ", h = " + support::fmt_shortest(cfg.params.h) + " s\n\n";
+    stats::Histogram hist(0.0, kFigure9Cutoff, 8);
+    hist.add_all(*series);
+    out += "distribution of per-run values [s]:\n" + hist.to_ascii() + "\n";
+
+    support::Table table({"statistic", "value"});
+    table.add_row({"runs", std::to_string(summary.count)});
+    // Shortest round-trip form: the same text as the record's mean.
+    table.add_row({"mean [s]", support::fmt_shortest(summary.mean)});
+    table.add_row({"median [s]", support::fmt(summary.median, 2)});
+    table.add_row({"p95 [s]", support::fmt(summary.p95, 2)});
+    table.add_row({"max [s]", support::fmt(summary.max, 2)});
+    table.add_row(
+        {"values > " + support::fmt(kFigure9Cutoff, 0) + " s", std::to_string(trimmed.removed)});
+    table.add_row({"share > cutoff [%]",
+                   support::fmt(100.0 * static_cast<double>(trimmed.removed) /
+                                    static_cast<double>(summary.count),
+                                2)});
+    table.add_row({"trimmed mean [s]", support::fmt(trimmed.mean, 2)});
+    out += table.to_ascii();
+    if (cfg.technique == dls::Kind::kFAC && cfg.workers == 2 && cfg.tasks == 524288) {
+      out += "\npaper Figure 9: 15 of 1000 runs above 400 s (1.5%), trimmed mean 25.82 s.\n";
+    }
+  }
+  if (out.empty()) {
+    throw std::invalid_argument("no record carries a series (a spec's 'series true')");
+  }
   return out;
 }
 

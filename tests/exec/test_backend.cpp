@@ -193,6 +193,38 @@ TEST(HagerupBackend, RejectsWhatTheDirectSimulatorCannotExpress) {
   EXPECT_NO_THROW(backend->validate(near_null));
 }
 
+TEST(HagerupBackend, InlineOverheadIsTheSimulatorsInlineAccounting) {
+  // `overhead inline` selects the BOLD publication's accounting: h on
+  // the requesting worker's timeline, bit for bit hagerup::run's.
+  mw::Config cfg = comparable_config(Kind::kFAC2, 8, 2048);
+  cfg.use_rand48 = true;
+  cfg.overhead_mode = mw::OverheadMode::kInline;
+  hagerup::Config direct;
+  direct.technique = cfg.technique;
+  direct.params = cfg.params;
+  direct.pes = cfg.workers;
+  direct.tasks = cfg.tasks;
+  direct.workload = cfg.workload;
+  direct.seed = cfg.seed;
+  direct.charge_overhead_inline = true;
+  const hagerup::RunResult expected = hagerup::run(direct);
+  const exec::Measured m = exec::make_backend("hagerup")->measure(cfg);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.makespan), std::bit_cast<std::uint64_t>(expected.makespan));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.avg_wasted_time),
+            std::bit_cast<std::uint64_t>(expected.avg_wasted_time));
+  EXPECT_EQ(m.chunks, static_cast<double>(expected.chunk_count));
+  // Inline h lengthens the run; the analytic default adds it afterwards.
+  mw::Config analytic = cfg;
+  analytic.overhead_mode = mw::OverheadMode::kAnalytic;
+  EXPECT_GT(m.makespan, exec::make_backend("hagerup")->measure(analytic).makespan);
+
+  // Only the direct simulator has a worker timeline to charge.
+  mw::Config xoshiro = cfg;
+  xoshiro.use_rand48 = false;
+  EXPECT_THROW(exec::make_backend("bbn")->validate(xoshiro), std::invalid_argument);
+  EXPECT_THROW((void)exec::make_backend("mw")->measure(cfg), std::invalid_argument);
+}
+
 /// A Figure 3 cell: constant 110 us tasks on the BBN machine model.
 mw::Config bbn_config(Kind kind, std::size_t workers) {
   mw::Config cfg;
@@ -306,6 +338,26 @@ TEST(RuntimeBackend, RunsEveryTimestepAndCoversEachOne) {
   std::size_t served = 0;
   for (const mw::ChunkLogEntry& chunk : run.chunk_log) served += chunk.size;
   EXPECT_EQ(served, 600u * 3u);
+}
+
+TEST(RuntimeBackend, ChangedParamsRebuildTheExecutor) {
+  // One backend instance caches its executor; a changed Params field
+  // (here css_chunk) must rebuild it instead of reusing stale chunking.
+  exec::BackendOptions options;
+  options.runtime_max_threads = 2;
+  mw::Config cfg = comparable_config(Kind::kCSS, 2, 1000);
+  cfg.params.css_chunk = 16;
+  const auto backend = exec::make_backend("runtime", options);
+  const exec::BackendRun first = backend->run(cfg);
+  ASSERT_FALSE(first.chunk_log.empty());
+  EXPECT_EQ(first.chunk_log.front().size, 16u);
+  cfg.params.css_chunk = 64;
+  const exec::BackendRun second = backend->run(cfg);
+  ASSERT_EQ(second.chunk_log.size(), 16u);  // 15 of 64 and the last 40
+  for (std::size_t c = 0; c + 1 < second.chunk_log.size(); ++c) {
+    EXPECT_EQ(second.chunk_log[c].size, 64u) << "chunk " << c;
+  }
+  EXPECT_EQ(second.chunk_log.back().size, 1000u - 15u * 64u);
 }
 
 TEST(RuntimeBackend, ReplicasDoNotLeakAdaptiveStateAcrossRuns) {

@@ -39,14 +39,13 @@ exec::BatchJob make_job(Kind kind, std::size_t workers, std::size_t tasks, std::
   job.config.seed = seed;
   job.replicas = replicas;
   job.seed_stride = stride;
+  job.keep_values = true;
   return job;
 }
 
 TEST(BatchRunner, MatchesSequentialRuns) {
   const exec::BatchJob job = make_job(Kind::kFAC2, 4, 512, 8);
-  exec::BatchRunner::Options options;
-  options.keep_values = true;
-  const exec::BatchResult batched = exec::BatchRunner(options).run_one(job);
+  const exec::BatchResult batched = exec::BatchRunner().run_one(job);
 
   ASSERT_EQ(batched.makespan_values.size(), 8u);
   for (std::size_t r = 0; r < 8; ++r) {
@@ -67,8 +66,7 @@ TEST(BatchRunner, IndependentOfThreadCount) {
   auto run_with = [&](unsigned threads) {
     exec::BatchRunner::Options options;
     options.threads = threads;
-    options.keep_values = true;
-    return exec::BatchRunner(options).run(jobs);
+      return exec::BatchRunner(options).run(jobs);
   };
   const auto a = run_with(1);
   const auto b = run_with(4);
@@ -97,7 +95,9 @@ TEST(BatchRunner, AggregatesPerJob) {
 }
 
 TEST(BatchRunner, DropsValuesUnlessRequested) {
-  const exec::BatchResult r = exec::BatchRunner().run_one(make_job(Kind::kGSS, 2, 64, 3));
+  exec::BatchJob job = make_job(Kind::kGSS, 2, 64, 3);
+  job.keep_values = false;
+  const exec::BatchResult r = exec::BatchRunner().run_one(job);
   EXPECT_TRUE(r.makespan_values.empty());
   EXPECT_TRUE(r.wasted_values.empty());
   EXPECT_EQ(r.makespan.count, 3u);
@@ -124,10 +124,7 @@ TEST(BatchSeeding, SameSeedCellsReplayIdenticalReplicaSequences) {
   // BatchJob itself intentionally keeps the raw seed + stride * r rule.
   exec::BatchJob a = make_job(Kind::kFAC2, 4, 256, 6, /*seed=*/42, /*stride=*/1);
   exec::BatchJob b = a;  // a second cell of the same grid, same base seed
-  exec::BatchRunner::Options options;
-  options.keep_values = true;
-  const exec::BatchRunner runner(options);
-  const auto results = runner.run(std::vector<exec::BatchJob>{a, b});
+  const auto results = exec::BatchRunner().run(std::vector<exec::BatchJob>{a, b});
   EXPECT_EQ(results[0].makespan_values, results[1].makespan_values);
   EXPECT_EQ(results[0].wasted_values, results[1].wasted_values);
 }
@@ -168,9 +165,7 @@ TEST(BatchSeeding, SingleJobWithExplicitStrideIsUnchanged) {
   // through BatchRunner with an explicit stride still seeds replica r
   // with exactly seed + stride * r, bit-identical to isolated runs.
   const exec::BatchJob job = make_job(Kind::kGSS, 4, 256, 5, /*seed=*/1234, /*stride=*/1000003);
-  exec::BatchRunner::Options options;
-  options.keep_values = true;
-  const exec::BatchResult batched = exec::BatchRunner(options).run_one(job);
+  const exec::BatchResult batched = exec::BatchRunner().run_one(job);
   ASSERT_EQ(batched.makespan_values.size(), 5u);
   for (std::size_t r = 0; r < 5; ++r) {
     mw::Config cfg = job.config;
@@ -188,7 +183,6 @@ TEST(BatchRunner, ExternalExecutorAndRepeatedRunsAreDeterministic) {
   pool::Executor executor(4);
   exec::BatchRunner::Options options;
   options.executor = &executor;
-  options.keep_values = true;
   const exec::BatchRunner runner(options);
   const std::vector<exec::BatchJob> jobs = {make_job(Kind::kGSS, 4, 256, 6),
                                             make_job(Kind::kBOLD, 8, 512, 5)};
@@ -199,8 +193,7 @@ TEST(BatchRunner, ExternalExecutorAndRepeatedRunsAreDeterministic) {
     EXPECT_EQ(first[j].makespan_values, second[j].makespan_values);
     EXPECT_EQ(first[j].wasted_values, second[j].wasted_values);
   }
-  const auto shared_pool = exec::BatchRunner(exec::BatchRunner::Options{.keep_values = true})
-                               .run(jobs);
+  const auto shared_pool = exec::BatchRunner().run(jobs);
   for (std::size_t j = 0; j < first.size(); ++j) {
     EXPECT_EQ(first[j].makespan_values, shared_pool[j].makespan_values);
   }
@@ -275,9 +268,7 @@ TEST(BatchRunner, HagerupJobsMatchDirectHagerupRuns) {
   // replica, what hagerup::run reports for the converted config.
   exec::BatchJob job = make_job(Kind::kGSS, 4, 512, 5, /*seed=*/321, /*stride=*/13);
   job.backend = "hagerup";
-  exec::BatchRunner::Options options;
-  options.keep_values = true;
-  const exec::BatchResult batched = exec::BatchRunner(options).run_one(job);
+  const exec::BatchResult batched = exec::BatchRunner().run_one(job);
   ASSERT_EQ(batched.makespan_values.size(), 5u);
   for (std::size_t r = 0; r < 5; ++r) {
     hagerup::Config cfg;
@@ -306,8 +297,7 @@ TEST(BatchRunner, MixedBackendJobsRunSideBySide) {
   auto run_with = [&](unsigned threads) {
     exec::BatchRunner::Options options;
     options.threads = threads;
-    options.keep_values = true;
-    return exec::BatchRunner(options).run(
+      return exec::BatchRunner(options).run(
         std::vector<exec::BatchJob>{mw_job, hagerup_job, runtime_job});
   };
   const auto a = run_with(1);
@@ -329,7 +319,6 @@ TEST(BatchRunner, MixedWorkerCountsReuseContextsSafely) {
   };
   exec::BatchRunner::Options options;
   options.threads = 1;  // one thread -> one context sees every worker count
-  options.keep_values = true;
   const auto results = exec::BatchRunner(options).run(jobs);
   EXPECT_EQ(results[0].makespan_values, results[2].makespan_values);
   for (std::size_t r = 0; r < 3; ++r) {

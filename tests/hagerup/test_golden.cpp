@@ -63,6 +63,7 @@ hagerup::Config pinned_config(dls::Kind kind, std::size_t pes = 16) {
   cfg.params.sigma = 1.0;
   cfg.params.h = 0.2;
   cfg.seed = 4242;
+  cfg.charge_overhead_inline = true;  // the accounting these pins were taken with
   cfg.record_chunk_log = true;
   return cfg;
 }

@@ -23,6 +23,7 @@ hagerup::Config base_config(Kind kind, std::size_t pes, std::size_t tasks) {
   cfg.params.mu = 1.0;
   cfg.params.sigma = 0.0;
   cfg.params.h = 0.5;
+  cfg.charge_overhead_inline = true;  // the tests below pin h on the timeline
   return cfg;
 }
 
@@ -169,6 +170,7 @@ TEST(HagerupSim, ZeroMachineModelIsThePlainSimulator) {
     hagerup::Config on_zero = base_config(kind, 8, 2048);
     on_zero.workload = plain.workload;
     on_zero.params.sigma = 1.0;
+    on_zero.charge_overhead_inline = false;
     on_zero.record_chunk_log = true;
     on_zero = bbn::on_machine(on_zero, zero);
     EXPECT_EQ(on_zero.dispatch_hold, 0.0);

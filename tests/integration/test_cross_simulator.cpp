@@ -28,6 +28,7 @@ double mean_hagerup_wasted(Kind kind, std::size_t pes, std::size_t tasks, std::s
     cfg.params.mu = 1.0;
     cfg.params.sigma = 1.0;
     cfg.workload = workload::exponential(1.0);
+    cfg.charge_overhead_inline = true;  // the BOLD publication's accounting
     cfg.seed = 1000 + 13 * i;
     values[i] = hagerup::run(cfg).avg_wasted_time;
   });
@@ -95,6 +96,7 @@ TEST(CrossSimulator, ChunkCountsAgreeUnderConstantWorkload) {
     hcfg.params.mu = 1.0;
     hcfg.params.sigma = 0.0;
     hcfg.workload = workload::constant(1.0);
+    hcfg.charge_overhead_inline = true;
     const hagerup::RunResult hr = hagerup::run(hcfg);
 
     mw::Config mcfg;

@@ -1,7 +1,8 @@
 // Science tripwire: what the committed specs produce, pinned.
 //
-// Every committed spec -- bench/specs/*.sweep (paper Figures 3-8, the
-// adaptive extension, the e2e grid) and examples/*.sweep -- runs in
+// Every committed spec -- bench/specs/*.sweep (paper Figures 3-9, the
+// Section III-B ablations, the adaptive extension, the e2e grid) and
+// examples/*.sweep -- runs in
 // process with `replicas 2` appended to its text (the last assignment
 // of a key wins), and every record it writes is hashed with FNV-1a 64:
 // once whole, and once per top-level JSON field (cell, of, backend,

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -326,6 +327,36 @@ TEST(ExperimentFile, SerializeOmitsDefaults) {
   EXPECT_NE(text.find("seed 42"), std::string::npos);
 }
 
+TEST(ExperimentFile, SeriesAndInlineOverheadRoundTrip) {
+  const sweep::ExperimentSpec spec = sweep::parse_experiment_spec(
+      "technique FAC\ntasks 64\nworkers 2\nworkload constant:1\nbackend hagerup\n"
+      "overhead inline\nseries true\n");
+  EXPECT_TRUE(spec.series);
+  EXPECT_EQ(spec.config.overhead_mode, mw::OverheadMode::kInline);
+  const std::string text = sweep::serialize_experiment_spec(spec);
+  EXPECT_NE(text.find("\noverhead inline\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nseries true\n"), std::string::npos) << text;
+  EXPECT_EQ(sweep::serialize_experiment_spec(sweep::parse_experiment_spec(text)), text);
+
+  // Off by default, and then not echoed: no existing record changes.
+  EXPECT_EQ(sweep::serialize_experiment_spec(sweep::parse_experiment_spec(kValid)).find("series"),
+            std::string::npos);
+
+  // Inline overhead needs the direct simulator's worker timeline.
+  for (const char* backend : {"", "backend mw\n", "backend bbn\n", "backend runtime\n"}) {
+    try {
+      (void)sweep::parse_experiment_spec(std::string("technique SS\ntasks 8\nworkers 2\n"
+                                                     "workload constant:1\noverhead inline\n") +
+                                         backend);
+      ADD_FAILURE() << "accepted inline overhead with '" << backend << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("experiment line 5 ('overhead inline')"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ExperimentFile, SerializeRejectsInexpressibleSpecs) {
   sweep::ExperimentSpec spec;
   EXPECT_THROW((void)sweep::serialize_experiment_spec(spec), std::invalid_argument);
@@ -562,6 +593,17 @@ TEST(DlsChunks, OutOfRangeFlagsAreUsageErrors) {
       run_chunks("--technique SS --tasks 1 --pes 1 --h 0 --mu 0 --sigma 0 --css-chunk 0");
   EXPECT_EQ(edge.exit_code, 0) << edge.output;
   EXPECT_NE(edge.output.find("n = 1, p = 1: 1 chunks"), std::string::npos) << edge.output;
+}
+
+TEST(DlsChunks, TablesAreTheCommittedPaperTables) {
+  const Outcome run = run_chunks("--tables");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  std::ifstream in(std::string(DLS_SWEEP_SPEC_DIR) + "/../reports/tables.txt");
+  ASSERT_TRUE(in);
+  std::ostringstream committed;
+  committed << in.rdbuf();
+  EXPECT_EQ(run.output, committed.str());
+  EXPECT_EQ(run_chunks("--tables extra").exit_code, 2);
 }
 
 }  // namespace

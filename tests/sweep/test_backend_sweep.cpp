@@ -72,11 +72,10 @@ TEST(BackendSweep, HagerupCellsAreReplicaExactHagerupRuns) {
   // "hagerup" < "mw").
   const sweep::Cell c = sweep::cell(grid, 2);
   ASSERT_EQ(c.spec.backend, "hagerup");
-  const exec::BatchJob job = sweep::batch_job(grid, c);
+  exec::BatchJob job = sweep::batch_job(grid, c);
+  job.keep_values = true;
 
-  exec::BatchRunner::Options options;
-  options.keep_values = true;
-  const exec::BatchResult batched = exec::BatchRunner(options).run_one(job);
+  const exec::BatchResult batched = exec::BatchRunner().run_one(job);
   ASSERT_EQ(batched.makespan_values.size(), 4u);
   for (std::size_t r = 0; r < 4; ++r) {
     hagerup::Config cfg;

@@ -155,6 +155,18 @@ TEST(SweepCli, FailedResumeRewriteIsARunErrorThatKeepsTheRecords) {
   std::remove(out.c_str());
 }
 
+TEST(SweepCli, InlineOverheadNeedsTheHagerupBackend) {
+  // `overhead inline` is the direct simulator's accounting: on mw (the
+  // default) or bbn the spec is a usage error naming its line.
+  const std::string spec = "cli_inline.sweep";
+  std::ofstream(spec) << "technique SS\ntasks 64\nworkload constant:1.0\noverhead inline\n"
+                         "sweep workers 2 4\n";
+  expect_usage_errors({{spec + " --list", "experiment line 4 ('overhead inline')"},
+                       {spec + " --list --backend bbn", "experiment line 4 ('overhead inline')"}});
+  EXPECT_EQ(run_tool(spec + " --list --backend hagerup").exit_code, 0);
+  std::remove(spec.c_str());
+}
+
 TEST(SweepCli, ReportNeedsFilePairs) {
   expect_usage_errors({{"report", "pairs"},
                        {"report only_one.jsonl", "pairs"},

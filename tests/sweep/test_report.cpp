@@ -1,7 +1,9 @@
 // The figure reducer behind `dls_sweep report` (sweep/report.hpp), on
-// reduced copies of the committed Figure 5 and 8 spec pairs: n = 256,
-// PEs 2 4, SS FAC2 BOLD, 12 replicas.  Both sides run in process
-// through SweepRunner; reduce_figure pairs their records by cell.  The
+// reduced copies of the committed Figure 5 and ablation spec pairs:
+// n = 256, PEs 2 4, SS FAC2 BOLD (SS FAC2 for the ablations), 12
+// replicas.  Both sides run in process through SweepRunner;
+// reduce_figure pairs their records by cell.  Figure 9's series view
+// runs fig9.sweep at 20 replicas against its Figure 8 cell.  The
 // Figure 3-4 pairs are covered in tests/repro/test_tss_experiment.cpp.
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "sweep/record.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
+#include "support/table.hpp"
 
 namespace {
 
@@ -202,29 +205,108 @@ TEST(FigureReport, RejectsZeroReplicas) {
 }
 
 TEST(FigureReport, Figure9SeriesSummarizesToTheRecordMean) {
-  // bench_fig9_fac_outliers re-runs the FAC/p=2 cell of the Figure 8
-  // simulation side with keep_values: its series must be exactly the
-  // runs behind that cell's record.
-  const std::string spec = reduced("fig8_simulation", "FAC", "20");
-  const sweep::Grid grid = sweep::parse_grid(spec);
-  const std::vector<std::string> records = run_records(spec, 4);
-  std::size_t checked = 0;
-  for (std::size_t i = 0; i < grid.cells(); ++i) {
-    const sweep::Cell c = sweep::cell(grid, i);
-    if (c.spec.config.workers != 2) continue;
-    exec::BatchRunner::Options options;
-    options.keep_values = true;
-    const std::vector<double> series =
-        exec::BatchRunner(options).run_one(sweep::batch_job(grid, c)).wasted_values;
-    ASSERT_EQ(series.size(), 20u);
-    for (const double v : series) EXPECT_GT(v, 0.0);
-    const std::optional<double> record_mean =
-        sweep::record_summary_field(records.at(i), "avg_wasted_time", "mean");
-    ASSERT_TRUE(record_mean.has_value());
-    EXPECT_EQ(stats::summarize(series).mean, *record_mean);  // bit-for-bit
-    ++checked;
+  // fig9.sweep is the FAC/p=2 cell of fig8_simulation.sweep (cell 25)
+  // with `series true`: the same runs, so at any replica count its
+  // record's series summarizes to that cell's record mean, bit for bit.
+  const Overrides twenty = {{"replicas", "replicas 20"}};
+  const std::vector<std::string> fig9 = run_records(committed_spec("fig9", twenty), 4);
+  ASSERT_EQ(fig9.size(), 1u);
+  const std::optional<std::vector<double>> series = sweep::record_series(fig9.front());
+  ASSERT_TRUE(series.has_value());
+  ASSERT_EQ(series->size(), 20u);
+  for (const double v : *series) EXPECT_GT(v, 0.0);
+
+  const sweep::Grid fig8 = sweep::parse_grid(committed_spec("fig8_simulation", twenty));
+  const sweep::Cell c = sweep::cell(fig8, 25);
+  ASSERT_EQ(c.spec.config.technique, dls::Kind::kFAC);
+  ASSERT_EQ(c.spec.config.workers, 2u);
+  const exec::BatchJob job = sweep::batch_job(fig8, c);
+  const std::string fig8_record =
+      sweep::RecordRenderer(fig8).render(c, job, exec::BatchRunner().run_one(job));
+  const std::optional<double> fig8_mean =
+      sweep::record_summary_field(fig8_record, "avg_wasted_time", "mean");
+  ASSERT_TRUE(fig8_mean.has_value());
+  EXPECT_EQ(stats::summarize(*series).mean, *fig8_mean);  // bit for bit
+  EXPECT_EQ(sweep::record_summary_field(fig9.front(), "avg_wasted_time", "mean"), fig8_mean);
+
+  // The report's Figure 9 view prints that mean in the record's form.
+  const std::string view = sweep::render_series_report(fig9);
+  EXPECT_NE(view.find("=== Figure 9 view: per-run average wasted time, FAC, p = 2, n = 524288"),
+            std::string::npos)
+      << view;
+  EXPECT_NE(view.find("| runs               | 20 "), std::string::npos) << view;
+  EXPECT_NE(view.find("| " + support::fmt_shortest(*fig8_mean) + " "), std::string::npos)
+      << view;
+  EXPECT_NE(view.find("distribution of per-run values [s]:\n[0.0, 50.0) |"), std::string::npos)
+      << view;
+}
+
+TEST(FigureReport, SeriesReportRefusesRecordsWithoutASeries) {
+  EXPECT_THROW((void)sweep::render_series_report(fig5_records().simulation),
+               std::invalid_argument);
+}
+
+/// The reduced grid of one side of a committed ablation pair.
+std::string reduced_ablation(const std::string& name, const std::string& extra = "") {
+  return reduced(name, "SS FAC2") + extra;
+}
+
+TEST(FigureReport, SameBackendPairIsAnAblationNamingItsKeys) {
+  const sweep::FigureReport report = sweep::reduce_figure(
+      {run_records(reduced_ablation("ablation_overhead_original"), 4),
+       run_records(reduced_ablation("ablation_overhead_simulation"), 4)});
+  EXPECT_EQ(report.original_backend, "hagerup");
+  EXPECT_EQ(report.simulation_backend, "hagerup");
+  EXPECT_EQ(report.ablation, "overhead inline -> analytic");
+  ASSERT_EQ(report.cells.size(), 2u * 2u);
+  for (const sweep::FigureCell& c : report.cells) {
+    // Shared seeds: the accountings differ only by end effects, and the
+    // inline run can only be longer.
+    EXPECT_GT(c.original, 0.0);
+    EXPECT_GT(c.simulation, 0.0);
   }
-  EXPECT_EQ(checked, 1u);
+  const std::string text = sweep::render_figure_report(report, /*csv=*/false);
+  EXPECT_NE(text.find("\nablation: overhead inline -> analytic\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("this ablation's grid:"), std::string::npos) << text;
+
+  const sweep::FigureReport network = sweep::reduce_figure(
+      {run_records(reduced_ablation("ablation_network_original"), 4),
+       run_records(reduced_ablation("ablation_network_lan"), 4)});
+  EXPECT_EQ(network.ablation, "latency 1e-12 -> 5e-04, bandwidth 1e+21 -> 1.25e+08");
+  // Figure pairs on two backends name no ablation.
+  EXPECT_EQ(fig5_report().ablation, "");
+  EXPECT_EQ(sweep::render_figure_report(fig5_report(), false).find("ablation"),
+            std::string::npos);
+}
+
+TEST(FigureReport, AblationSidesMayNotDifferInTheScience) {
+  const std::vector<std::string> original =
+      run_records(reduced_ablation("ablation_overhead_original"), 4);
+  expect_rejected(original,
+                  run_records(reduced_ablation("ablation_overhead_simulation", "h 0.25\n"), 4),
+                  "cell 0 (SS, workers 2): the two sides differ beyond seed, seed_stride, "
+                  "backend, rand48, overhead, latency and bandwidth: 'h 0.5' vs 'h 0.25'");
+  expect_rejected(original,
+                  run_records(reduced_ablation("ablation_overhead_simulation", "tasks 512\n"), 4),
+                  "'tasks 256' vs 'tasks 512'");
+}
+
+TEST(FigureReport, AblationCellsMustVaryTheSameKeys) {
+  // Cell 0 of the simulation side varies latency only, the other cells
+  // latency and bandwidth: not one ablation.
+  std::vector<std::string> simulation =
+      run_records(reduced_ablation("ablation_network_cluster"), 4);
+  const std::vector<std::string> latency_only = run_records(
+      committed_spec("ablation_network_cluster", {{"tasks", "tasks 256"},
+                                                  {"replicas", "replicas 12"},
+                                                  {"sweep technique", "sweep technique SS FAC2"},
+                                                  {"sweep workers", "sweep workers 2 4"},
+                                                  {"bandwidth", ""}}),
+      4);
+  simulation.front() = latency_only.front();
+  expect_rejected(run_records(reduced_ablation("ablation_network_original"), 4), simulation,
+                  "cell 1 (SS, workers 4): the sides differ in 'latency 1e-12 -> 5e-05, "
+                  "bandwidth 1e+21 -> 1e+09', at cell 0 in 'latency 1e-12 -> 5e-05'");
 }
 
 TEST(RecordSummaryField, ReadsEveryFieldAndRejectsPartialLines) {

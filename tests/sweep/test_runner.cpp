@@ -19,10 +19,12 @@ sweep::RecordKey key(std::size_t cell, const char* backend = "mw") {
   return sweep::RecordKey{cell, backend};
 }
 
-sweep::Grid test_grid() {
+/// With `series`, every record also carries its per-replica values
+/// (the `series true` key behind paper Figure 9).
+sweep::Grid test_grid(bool series = false) {
   return sweep::parse_grid(
-      "workload exponential:1.0\ntasks 128\nh 0.5\nseed 42\nreplicas 4\n"
-      "sweep technique SS GSS TSS\nsweep workers 2 4\n");
+      std::string("workload exponential:1.0\ntasks 128\nh 0.5\nseed 42\nreplicas 4\n") +
+      (series ? "series true\n" : "") + "sweep technique SS GSS TSS\nsweep workers 2 4\n");
 }
 
 std::vector<std::string> lines_of(const std::string& text) {
@@ -44,68 +46,79 @@ TEST(SweepRunner, StreamsOneRecordPerCell) {
 }
 
 TEST(SweepRunner, InterruptedThenResumedMatchesUninterrupted) {
-  const sweep::Grid grid = test_grid();
-  std::ostringstream uninterrupted;
-  (void)sweep::SweepRunner().run(grid, {}, uninterrupted);
+  for (const bool series : {false, true}) {
+    SCOPED_TRACE(series ? "series records" : "plain records");
+    const sweep::Grid grid = test_grid(series);
+    std::ostringstream uninterrupted;
+    (void)sweep::SweepRunner().run(grid, {}, uninterrupted);
 
-  // "Kill" the sweep after 2 cells (the deterministic stand-in for a
-  // mid-sweep crash), then resume from what the output file holds.
-  sweep::SweepRunner::Options first_options;
-  first_options.max_cells = 2;
-  std::ostringstream first;
-  EXPECT_EQ(sweep::SweepRunner(first_options).run(grid, {}, first), 2u);
+    // "Kill" the sweep after 2 cells (the deterministic stand-in for a
+    // mid-sweep crash), then resume from what the output file holds.
+    sweep::SweepRunner::Options first_options;
+    first_options.max_cells = 2;
+    std::ostringstream first;
+    EXPECT_EQ(sweep::SweepRunner(first_options).run(grid, {}, first), 2u);
 
-  std::istringstream scan_input(first.str());
-  const sweep::ScanResult scanned = sweep::scan_records(scan_input);
-  EXPECT_EQ(scanned.done.size(), 2u);
+    std::istringstream scan_input(first.str());
+    const sweep::ScanResult scanned = sweep::scan_records(scan_input);
+    EXPECT_EQ(scanned.done.size(), 2u);
+    EXPECT_NO_THROW(sweep::validate_records_for_grid(grid, scanned.lines));
 
-  std::ostringstream resumed;
-  for (const std::string& line : scanned.lines) resumed << line << '\n';
-  EXPECT_EQ(sweep::SweepRunner().run(grid, scanned.done, resumed), 4u);
+    std::ostringstream resumed;
+    for (const std::string& line : scanned.lines) resumed << line << '\n';
+    EXPECT_EQ(sweep::SweepRunner().run(grid, scanned.done, resumed), 4u);
 
-  EXPECT_EQ(resumed.str(), uninterrupted.str());  // byte-identical
+    EXPECT_EQ(resumed.str(), uninterrupted.str());  // byte-identical
+    EXPECT_EQ(sweep::record_series(lines_of(resumed.str()).back()).has_value(), series);
+  }
 }
 
 TEST(SweepRunner, ResumeAfterTruncatedTailRecomputesOnlyThatCell) {
-  const sweep::Grid grid = test_grid();
-  std::ostringstream uninterrupted;
-  (void)sweep::SweepRunner().run(grid, {}, uninterrupted);
-  const std::vector<std::string> full = lines_of(uninterrupted.str());
+  for (const bool series : {false, true}) {
+    SCOPED_TRACE(series ? "series records" : "plain records");
+    const sweep::Grid grid = test_grid(series);
+    std::ostringstream uninterrupted;
+    (void)sweep::SweepRunner().run(grid, {}, uninterrupted);
+    const std::vector<std::string> full = lines_of(uninterrupted.str());
 
-  // A killed process left 2 complete records and half of a third.
-  std::stringstream damaged;
-  damaged << full[0] << '\n' << full[1] << '\n' << full[2].substr(0, full[2].size() / 2);
-  const sweep::ScanResult scanned = sweep::scan_records(damaged);
-  EXPECT_TRUE(scanned.dropped_partial_tail);
-  EXPECT_EQ(scanned.done, (std::set<sweep::RecordKey>{key(0), key(1)}));
+    // A killed process left 2 complete records and half of a third.
+    std::stringstream damaged;
+    damaged << full[0] << '\n' << full[1] << '\n' << full[2].substr(0, full[2].size() / 2);
+    const sweep::ScanResult scanned = sweep::scan_records(damaged);
+    EXPECT_TRUE(scanned.dropped_partial_tail);
+    EXPECT_EQ(scanned.done, (std::set<sweep::RecordKey>{key(0), key(1)}));
 
-  std::ostringstream resumed;
-  for (const std::string& line : scanned.lines) resumed << line << '\n';
-  EXPECT_EQ(sweep::SweepRunner().run(grid, scanned.done, resumed), 4u);
-  EXPECT_EQ(resumed.str(), uninterrupted.str());
+    std::ostringstream resumed;
+    for (const std::string& line : scanned.lines) resumed << line << '\n';
+    EXPECT_EQ(sweep::SweepRunner().run(grid, scanned.done, resumed), 4u);
+    EXPECT_EQ(resumed.str(), uninterrupted.str());
+  }
 }
 
 TEST(SweepRunner, ShardsPartitionTheGridAndMergeToTheFullSweep) {
-  const sweep::Grid grid = test_grid();
-  std::ostringstream uninterrupted;
-  (void)sweep::SweepRunner().run(grid, {}, uninterrupted);
+  for (const bool series : {false, true}) {
+    SCOPED_TRACE(series ? "series records" : "plain records");
+    const sweep::Grid grid = test_grid(series);
+    std::ostringstream uninterrupted;
+    (void)sweep::SweepRunner().run(grid, {}, uninterrupted);
 
-  std::vector<std::vector<std::string>> shards;
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < 3; ++s) {
-    sweep::SweepRunner::Options options;
-    options.shard_index = s;
-    options.shard_count = 3;
-    std::ostringstream out;
-    total += sweep::SweepRunner(options).run(grid, {}, out);
-    shards.push_back(lines_of(out.str()));
+    std::vector<std::vector<std::string>> shards;
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < 3; ++s) {
+      sweep::SweepRunner::Options options;
+      options.shard_index = s;
+      options.shard_count = 3;
+      std::ostringstream out;
+      total += sweep::SweepRunner(options).run(grid, {}, out);
+      shards.push_back(lines_of(out.str()));
+    }
+    EXPECT_EQ(total, grid.cells());  // a partition: no cell twice, none missing
+
+    const std::vector<std::string> merged = sweep::merge_records(shards);
+    std::string merged_text;
+    for (const std::string& line : merged) merged_text += line + '\n';
+    EXPECT_EQ(merged_text, uninterrupted.str());  // byte-identical modulo order
   }
-  EXPECT_EQ(total, grid.cells());  // a partition: no cell twice, none missing
-
-  const std::vector<std::string> merged = sweep::merge_records(shards);
-  std::string merged_text;
-  for (const std::string& line : merged) merged_text += line + '\n';
-  EXPECT_EQ(merged_text, uninterrupted.str());  // byte-identical modulo order
 }
 
 TEST(SweepRunner, RecordsAreIndependentOfThreadCount) {

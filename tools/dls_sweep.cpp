@@ -13,6 +13,7 @@
 //   dls_sweep grid.sweep --list                          # show the cells, don't run
 //   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # fixed execution backend
 //   dls_sweep report original.jsonl simulation.jsonl   # a figure's tables from its sweep pairs
+//   dls_sweep report f9.jsonl                          # Figure 9 view of `series true` records
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
 //   dls_sweep serve grid.sweep --listen :7070 --out all.jsonl --workdir wd
 //   dls_sweep work --connect host:7070   # one remote worker of `serve`
@@ -79,6 +80,7 @@ void print_usage(std::ostream& out, const support::Flags& flags) {
   out << "usage: dls_sweep <spec-file | -> [options]        run a grid\n"
          "       dls_sweep merge --out <file> <shard>...    merge shard outputs\n"
          "       dls_sweep report (<original.jsonl> <simulation.jsonl>)... [--csv]\n"
+         "       dls_sweep report <series.jsonl>             Figure 9 view of series records\n"
          "       dls_sweep coordinate <spec-file> --out <file> --workdir <dir> [options]\n"
          "       dls_sweep serve <spec-file> --listen host:port --out <file> --workdir <dir>\n"
          "       dls_sweep work --connect host:port   one remote worker (TCP)\n"
@@ -218,25 +220,19 @@ int run_mode(const support::Flags& flags) {
   }
   std::ostream& out = out_path.empty() ? std::cout : record_file.writer->stream();
 
-  const bool progress = flags.get_bool("progress");
   std::size_t observed_computed = 0;
   std::size_t observed_skipped = 0;
   std::size_t owned_total = 0;  // filled once the runner exists
   const auto observer = [&](const sweep::SweepRunner::CellEvent& event) {
     (event.skipped ? observed_skipped : observed_computed) += 1;
     if (quiet) return;
-    if (progress) {
-      // One stderr line per owned cell: computed/skipped/owned of this
-      // shard (the SweepRunner::Observer hook, satellite of the grid
-      // service).
-      std::cerr << "dls_sweep: shard " << options.shard_index << "/" << options.shard_count
-                << ": " << (observed_computed + observed_skipped) << "/" << owned_total
-                << " cells (" << observed_computed << " computed, " << observed_skipped
-                << " skipped)\n";
-      return;
-    }
+    // One stderr line per owned cell: the cell, then this shard's
+    // progress.
     std::cerr << "dls_sweep: cell " << event.cell << " [" << event.backend << "] of "
-              << event.cells_total << (event.skipped ? " already done\n" : " done\n");
+              << event.cells_total << (event.skipped ? " already done" : " done") << "; shard "
+              << options.shard_index << "/" << options.shard_count << ": "
+              << (observed_computed + observed_skipped) << "/" << owned_total << " cells ("
+              << observed_computed << " computed, " << observed_skipped << " skipped)\n";
   };
 
   try {
@@ -334,13 +330,16 @@ int merge_mode(const support::Flags& flags) {
   return EXIT_SUCCESS;
 }
 
-// `dls_sweep report`: the reducer of a figure's sweep pairs (see
+// `dls_sweep report`: the reducer of a figure's sweep pairs, or, over
+// one file, the Figure 9 view of its series records (see
 // sweep/report.hpp).  Unreadable, incomplete or mismatched record
 // files are usage errors, like the other modes' input errors.
 int report_mode(const support::Flags& flags) {
   const std::vector<std::string>& positional = flags.positional();
-  if (positional.size() < 3 || positional.size() % 2 == 0) {
-    std::cerr << "dls_sweep: report needs <original.jsonl> <simulation.jsonl> pairs\n";
+  constexpr const char* kUsage =
+      "report needs <original.jsonl> <simulation.jsonl> pairs, or one record file with series";
+  if (positional.size() < 2 || (positional.size() > 2 && positional.size() % 2 == 0)) {
+    std::cerr << "dls_sweep: " << kUsage << "\n";
     return kExitUsageError;
   }
   std::string text;
@@ -356,9 +355,14 @@ int report_mode(const support::Flags& flags) {
       }
       sides.push_back(std::move(scanned.lines));
     }
-    text = sweep::render_figure_report(sweep::reduce_figure(sides), flags.get_bool("csv"));
+    text = sides.size() == 1
+               ? sweep::render_series_report(sides.front())
+               : sweep::render_figure_report(sweep::reduce_figure(sides), flags.get_bool("csv"));
   } catch (const std::exception& e) {
-    std::cerr << "dls_sweep: report: " << e.what() << "\n";
+    std::cerr << "dls_sweep: report: " << e.what();
+    // One file may be a half-typed pair: say what report reads.
+    if (positional.size() == 2) std::cerr << " (" << kUsage << ")";
+    std::cerr << "\n";
     return kExitUsageError;
   }
   std::cout << text;
@@ -611,7 +615,6 @@ int main(int argc, char** argv) {
   flags.define("max-cells", "0", "stop after computing N new cells (0 = no limit)");
   flags.define("list", "false", "print the expanded cells (of this --shard) and exit");
   flags.define("quiet", "false", "suppress per-cell progress on stderr");
-  flags.define("progress", "false", "stderr progress line per cell (computed/skipped/owned)");
   std::string backends;
   for (const std::string& name : exec::backend_names()) {
     backends += (backends.empty() ? "" : " | ") + name;
