@@ -18,8 +18,9 @@ namespace hagerup {
 /// 3-4.
 ///
 /// The p workers' next-free times sit in a tournament tree
-/// (WorkerTree), which hands out the earliest-free worker, lowest index
-/// on ties.  Each step gives the technique its feedback at the pop
+/// (WorkerTree, one 128-bit integer key of time bits and worker index
+/// per node), which hands out the earliest-free worker, lowest index on
+/// ties, exactly as a binary heap on (time, worker) would.  Each step gives the technique its feedback at the pop
 /// time, then dispatches on the one shared dispatcher: the dispatch
 /// starts once both the worker and the dispatcher are free, holds the
 /// dispatcher for `dispatch_hold`, and ends with next_chunk.  A worker
@@ -94,8 +95,9 @@ struct RunResult {
 
 /// Reusable scratch state for run(): the task-time buffer (the dominant
 /// allocation of a replica at large n) is filled in place via workload
-/// generate_into instead of reallocated per run, and the worker tree and
-/// the per-worker last-chunk arrays keep their capacity across replicas.
+/// generate_into instead of reallocated per run, and the worker tree's
+/// node array (16 bytes per leaf, padded to a power of two) and the
+/// per-worker last-chunk arrays keep their capacity across replicas.
 /// Not thread-safe; use one context per thread (exec::BatchRunner keeps
 /// one inside each pooled hagerup backend).
 struct RunContext {

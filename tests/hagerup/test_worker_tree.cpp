@@ -3,11 +3,14 @@
 // pop exactly the heap's (time, worker) sequence.  The streams cover
 // heavy ties, negative and signed-zero keys, +inf keys, P = 1 and
 // non-power-of-two P, and one tree reused across every stream (reset()
-// growing and shrinking the same storage).
+// growing and shrinking the same storage).  One case drives the
+// extremes of the tree's integer key map (infinities, DBL_MAX,
+// subnormals, signed zeros) at P = 1 and around a power of two.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cfloat>
 #include <cstring>
 #include <limits>
 #include <queue>
@@ -158,6 +161,44 @@ TEST(WorkerTree, LiveInfinityPopsBeforeRetirement) {
   EXPECT_EQ(tree.top(), 2u);
   tree.retire_top();
   EXPECT_TRUE(tree.empty());
+}
+
+TEST(WorkerTree, KeyMapExtremesPopInHeapOrder) {
+  // Every extreme of the time-to-integer map: each negative must order
+  // below the zeros (the sign flip), -0 must tie +0, subnormals must
+  // sit next to zero, and a live +inf must pop before a retired worker.
+  // The first pops hand these out in mixed orders (worker 0 gets
+  // DBL_MAX, so ordering workers before times shows at once); every
+  // later pop retires, so the +inf workers pop last, among retired
+  // ones.  top_time() must return the bits replayed, -0 as +0.  (Two
+  // negatives never share the tree: a new one is always the top's.)
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMin = std::numeric_limits<double>::denorm_min();
+  static constexpr double kEdges[] = {DBL_MAX, -0.0, kInf,    -kMin, kMin,     -kInf, 0.0, -DBL_MAX,
+                                      -DBL_MAX, 0.0,  -kInf, kMin, -kMin, kInf, -0.0, DBL_MAX};
+  hagerup::WorkerTree tree;
+  for (const std::size_t p : {1u, 1024u, 1025u}) {
+    tree.reset(p);
+    Heap heap;
+    for (std::size_t w = 0; w < p; ++w) heap.push(Entry{0.0, w});
+    std::size_t pops = 0;
+    while (!heap.empty()) {
+      ASSERT_FALSE(tree.empty()) << "P " << p << " pop " << pops;
+      const Entry expected = heap.top();
+      heap.pop();
+      ASSERT_EQ(tree.top(), expected.worker) << "P " << p << " pop " << pops;
+      ASSERT_EQ(bits(tree.top_time()), bits(expected.time + 0.0)) << "P " << p << " pop " << pops;
+      if (pops < sizeof kEdges / sizeof kEdges[0]) {
+        tree.replace_top(kEdges[pops]);
+        heap.push(Entry{kEdges[pops], expected.worker});
+      } else {
+        tree.retire_top();
+      }
+      ++pops;
+    }
+    EXPECT_TRUE(tree.empty()) << "P " << p;
+    EXPECT_EQ(pops, p + sizeof kEdges / sizeof kEdges[0]);
+  }
 }
 
 TEST(WorkerTree, DefaultConstructedIsEmpty) {
