@@ -51,8 +51,7 @@ std::optional<std::string> check_merged_complete(const sweep::Grid& grid,
   std::set<sweep::RecordKey> present;
   for (const std::string& line : lines) present.insert(*sweep::record_key(line));
   for (std::size_t index = 0; index < grid.cells(); ++index) {
-    const sweep::RecordKey key{index / grid.backend_count(),
-                               std::string(sweep::cell_backend(grid, index))};
+    const sweep::RecordKey key{index, grid.backend};
     if (!present.erase(key)) {
       return key_name(key) + " is missing from the merged output (" +
              std::to_string(lines.size()) + " records for a " +

@@ -17,7 +17,9 @@ struct Scenario {
   mw::Config config;
 
   // Derived structural facts; recomputed by classify().
-  bool null_network = false;   ///< message delays are exactly zero
+  /// Message delays are exactly zero (check_worker_monotonicity's
+  /// regime; hagerup_comparable also admits near-null networks).
+  bool null_network = false;
   bool heterogeneous = false;  ///< speed factors or profiles present
   bool has_failures = false;   ///< some worker has a finite fail-stop time
   /// Technique consumes timing feedback (AWF*, AF) or wall-clock state
@@ -25,9 +27,10 @@ struct Scenario {
   /// differences between backends.
   bool timing_sensitive = false;
 
-  /// Replayable through hagerup::run with comparable decisions: single
-  /// timestep, null network, analytic overhead, homogeneous,
-  /// failure-free (the BOLD study's regime).
+  /// Replayable through hagerup::run with comparable decisions: exactly
+  /// the configs the hagerup backend's validate() accepts (single
+  /// timestep, a null or near-null network, no simulated overhead,
+  /// homogeneous, failure-free: the BOLD study's regime).
   [[nodiscard]] bool hagerup_comparable() const;
   /// Stricter: additionally not timing-sensitive and without per-PE
   /// weights, so the mw and hagerup chunk-size sequences must be

@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "exec/backend.hpp"
 #include "sweep/experiment.hpp"
 #include "workload/task_times.hpp"
 
@@ -61,11 +64,23 @@ bool is_timing_sensitive(dls::Kind kind) {
   }
 }
 
+/// validate() is const and reads no per-run state, so one instance
+/// serves every thread.
+const exec::Backend& hagerup_backend() {
+  static const std::unique_ptr<exec::Backend> backend = exec::make_backend("hagerup");
+  return *backend;
+}
+
 }  // namespace
 
 bool Scenario::hagerup_comparable() const {
-  return config.timesteps == 1 && null_network && !heterogeneous && !has_failures &&
-         config.overhead_mode == mw::OverheadMode::kAnalytic;
+  // One rule for what hagerup can run: its backend's own validate.
+  try {
+    hagerup_backend().validate(config);
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  return true;
 }
 
 bool Scenario::hagerup_identical() const {
@@ -126,16 +141,13 @@ Scenario generate_scenario(std::uint64_t seed, std::size_t index,
   if (cfg.technique == dls::Kind::kGSS && rng.chance(0.5)) {
     cfg.params.gss_min_chunk = rng.in(1, 8);
   }
-  if (cfg.technique == dls::Kind::kRND) {
-    cfg.params.rnd_seed = rng.next() % 100000;
-  }
   if (cfg.technique == dls::Kind::kWF && rng.chance(0.5)) {
     cfg.params.weights.resize(cfg.workers);
     for (double& w : cfg.params.weights) w = 0.25 + 1.75 * rng.unit();
   }
 
-  // Network: exactly-null half the time (the hagerup-comparable regime),
-  // otherwise the BOLD near-null defaults or a real star network.
+  // Network: exactly-null half the time, otherwise the BOLD near-null
+  // defaults (both hagerup-comparable) or a real star network.
   if (rng.chance(0.5)) {
     cfg.latency = 0.0;
     cfg.bandwidth = kInf;

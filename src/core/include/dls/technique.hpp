@@ -76,7 +76,6 @@ class Technique {
   [[nodiscard]] virtual unsigned required_mask() const = 0;
 
   /// Scheduling-state accessors (paper Table I quantities).
-  [[nodiscard]] std::size_t total_tasks() const { return params_.n; }
   [[nodiscard]] std::size_t remaining() const { return params_.n - allocated_; }      // r
   [[nodiscard]] std::size_t unfinished() const { return params_.n - completed_; }     // m
   [[nodiscard]] std::size_t allocated() const { return allocated_; }

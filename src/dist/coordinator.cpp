@@ -60,7 +60,7 @@ struct StripeState {
   std::size_t attempts = 0;   ///< lease attempts granted so far
   Clock::time_point ready_at;  ///< backoff gate for the next lease
   std::size_t holder = npos;
-  std::vector<std::size_t> owned;  ///< full cell indices, canonical order
+  std::vector<std::size_t> owned;  ///< cell indices, canonical order
   std::size_t held = 0;
 
   // The live lease's RECORD stream, which its DONE must match.
@@ -670,7 +670,7 @@ class Run {
   // ---- helpers -----------------------------------------------------
 
   [[nodiscard]] sweep::RecordKey cell_key(std::size_t index) const {
-    return {index / grid_.backend_count(), std::string(sweep::cell_backend(grid_, index))};
+    return {index, grid_.backend};
   }
 
   [[nodiscard]] std::string journal_path() const { return options_.workdir + "/records.jsonl"; }
@@ -690,7 +690,7 @@ class Run {
   std::vector<WorkerLink> workers_;
   std::vector<StripeState> stripe_states_;
   std::unique_ptr<sweep::ShardWriter> journal_;  ///< one record per cell, in arrival order
-  std::vector<bool> journaled_;  ///< by full cell index: the journal holds its record
+  std::vector<bool> journaled_;  ///< by cell index: the journal holds its record
   std::ofstream events_;
   std::size_t next_seq_ = 0;
   Clock::time_point last_live_;

@@ -94,10 +94,9 @@ class Heartbeat {
 [[nodiscard]] std::set<sweep::RecordKey> held_cells(const sweep::Grid& grid,
                                                     const LeaseMsg& lease) {
   std::set<sweep::RecordKey> held;
-  const std::size_t backends = grid.backend_count();
   sweep::for_each_owned_index(grid, lease.stripe, lease.stripe_count, [&](std::size_t index) {
     if (held.size() == lease.held) return false;
-    held.insert({index / backends, std::string(sweep::cell_backend(grid, index))});
+    held.insert({index, grid.backend});
     return true;
   });
   return held;

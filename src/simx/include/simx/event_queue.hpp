@@ -142,7 +142,6 @@ class CalendarQueue {
 
   /// Observability for tests/benches: current bucket-ring geometry.
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] double bucket_width() const { return width_; }
 
  private:
   static constexpr std::size_t kMinBuckets = 16;

@@ -1,6 +1,5 @@
 #include "sweep/grid.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -30,23 +29,6 @@ std::size_t Grid::cells() const {
   return product;
 }
 
-const Axis* Grid::backend_axis() const {
-  // Canonicalized by parse_grid: if present, the backend axis is last.
-  if (!axes.empty() && axes.back().key == "backend") return &axes.back();
-  return nullptr;
-}
-
-std::size_t Grid::backend_count() const {
-  const Axis* axis = backend_axis();
-  return axis != nullptr ? axis->values.size() : 1;
-}
-
-std::size_t Grid::science_cells() const { return cells() / backend_count(); }
-
-std::size_t Grid::science_axes() const {
-  return axes.size() - (backend_axis() != nullptr ? 1 : 0);
-}
-
 Grid parse_grid(std::string_view text) {
   Grid grid;
   std::size_t line_no = 0;
@@ -64,6 +46,11 @@ Grid parse_grid(std::string_view text) {
     axis.key = tokens.next();
     if (axis.key.empty()) grid_error(line_no, raw, "sweep directive is missing a key");
     if (axis.key == "sweep") grid_error(line_no, raw, "'sweep sweep' is not a key");
+    if (axis.key == "backend") {
+      grid_error(line_no, raw,
+                 "a grid runs on one backend; run the spec once per backend with "
+                 "--backend <name> and combine the outputs with 'dls_sweep merge'");
+    }
     for (std::string_view value = tokens.next(); !value.empty(); value = tokens.next()) {
       for (const std::string& existing : axis.values) {
         if (existing == value) {
@@ -87,22 +74,6 @@ Grid parse_grid(std::string_view text) {
     }
     grid.axes.push_back(std::move(axis));
   });
-
-  // Canonicalize the execution-vehicle dimension: the backend axis is
-  // always innermost (fastest-varying) with name-sorted values, so
-  // record order, shard assignment and merges do not depend on where or
-  // in which value order the axis was declared -- and the scientific
-  // cell index is simply index / backend_count().
-  for (std::size_t a = 0; a + 1 < grid.axes.size(); ++a) {
-    if (grid.axes[a].key == "backend") {
-      std::rotate(grid.axes.begin() + static_cast<std::ptrdiff_t>(a),
-                  grid.axes.begin() + static_cast<std::ptrdiff_t>(a) + 1, grid.axes.end());
-      break;
-    }
-  }
-  if (grid.backend_axis() != nullptr) {
-    std::sort(grid.axes.back().values.begin(), grid.axes.back().values.end());
-  }
 
   if (grid.cells() == 0) throw std::invalid_argument("sweep grid has no cells");
   // Validate every axis value now: parse the cell that combines value
@@ -129,14 +100,14 @@ Grid parse_grid(std::string_view text) {
                      "axis '" + grid.axes[a].key + "' value '" + grid.axes[a].values[v] + "'");
     }
   }
-  if (grid.backend_axis() == nullptr) grid.fixed_backend = first.spec.backend;
+  grid.backend = first.spec.backend;
   return grid;
 }
 
 namespace {
 
 /// Mixed-radix decode of `index`, last axis fastest (row-major in axis
-/// declaration order; the backend axis, if any, is canonically last).
+/// declaration order).
 std::vector<std::pair<std::string, std::string>> decode_assignment(const Grid& grid,
                                                                    std::size_t index) {
   const std::size_t total = grid.cells();
@@ -170,21 +141,9 @@ std::string cell_text(const Grid& grid, std::size_t index) {
 Cell cell(const Grid& grid, std::size_t index) {
   Cell out;
   out.index = index;
-  out.science_index = index / grid.backend_count();
   out.assignment = decode_assignment(grid, index);
   out.spec = parse_experiment_spec(cell_text(grid, index));
   return out;
-}
-
-std::string_view cell_backend(const Grid& grid, std::size_t index) {
-  if (index >= grid.cells()) {
-    throw std::out_of_range("sweep cell " + std::to_string(index) + " out of range (grid has " +
-                            std::to_string(grid.cells()) + " cells)");
-  }
-  if (const Axis* axis = grid.backend_axis()) {
-    return axis->values[index % axis->values.size()];
-  }
-  return grid.fixed_backend;
 }
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -208,13 +167,13 @@ exec::BatchJob batch_job(const Grid& grid, const Cell& cell) {
   job.seed_stride = cell.spec.seed_stride;
   job.backend = cell.spec.backend;
   job.keep_values = cell.spec.series;
-  if (grid.science_axes() > 0) {
+  if (!grid.axes.empty()) {
     // Decorrelate the cells: with a shared base seed and the default
     // stride of 1, every cell would otherwise replay the same replica
-    // seed sequence (see derive_cell_seed).  The scientific index
-    // drives the derivation, so every backend of a cell replays the
-    // cell on identical seeds -- the paper's cross-vehicle comparison.
-    job.config.seed = derive_cell_seed(cell.spec.config.seed, cell.science_index);
+    // seed sequence (see derive_cell_seed).  The backend plays no part,
+    // so each backend's run of a grid replays a cell on identical
+    // seeds -- the paper's cross-vehicle comparison.
+    job.config.seed = derive_cell_seed(cell.spec.config.seed, cell.index);
   }
   return job;
 }

@@ -14,12 +14,11 @@
 
 namespace sweep {
 
-/// Identity of one record: the scientific cell index plus the resolved
-/// execution backend.  A grid with a `backend` axis emits one record
-/// per (cell, backend); a grid without one resolves every record to its
-/// fixed backend ("mw" unless the spec says otherwise).  Ordering is
-/// (cell, backend name) -- exactly the canonical emission order of
-/// SweepRunner, so sorted merges reproduce an unsharded run's bytes.
+/// Identity of one record: the cell index plus the grid's backend ("mw"
+/// unless the spec says otherwise).  Ordering is (cell, backend name):
+/// the canonical emission order of SweepRunner, so sorted merges
+/// reproduce an unsharded run's bytes -- and merging one run per
+/// backend of the same spec interleaves the backends cell by cell.
 struct RecordKey {
   std::size_t cell = 0;
   std::string backend;
@@ -35,13 +34,11 @@ struct RecordKey {
 ///    "experiment":"technique GSS\n...","makespan":{...},
 ///    "avg_wasted_time":{...},"speedup":{...},"chunks":{...}}
 ///
-/// "cell"/"of" count *scientific* cells (the backend axis removed), so
-/// the mw slice of a backend sweep is bitwise identical to the same
-/// spec run without the axis; "backend" and "replicas" are explicit
-/// top-level fields.  The "sweep" object carries the scientific axis
-/// assignment only.  `experiment` is the serialized cell spec with the
-/// derived seed (and the backend key) applied -- paste it into
-/// `dls_sim -` to replay the cell.  Each summary object carries
+/// "cell"/"of" are the cell index and the grid size; "backend" and
+/// "replicas" are explicit top-level fields.  The "sweep" object
+/// carries the axis assignment.  `experiment` is the serialized cell
+/// spec with the derived seed (and the backend key) applied -- paste
+/// it into `dls_sim -` to replay the cell.  Each summary object carries
 /// count/mean/stddev/min/max/median/p5/p95/ci95_lo/ci95_hi/nan_count
 /// (stats::Summary).  A cell whose spec says `series true` appends
 /// `"avg_wasted_time_series":[...]`, every replica's value in replica
@@ -64,7 +61,7 @@ class RecordRenderer {
                                    const exec::BatchResult& result) const;
 
  private:
-  std::string of_fragment_;  ///< ",\"of\":<science cells>" -- invariant per grid
+  std::string of_fragment_;  ///< ",\"of\":<cells>" -- invariant per grid
 };
 
 /// The "backend" field of a record line; nullopt if the line is not a
@@ -75,7 +72,7 @@ class RecordRenderer {
 /// line is not a complete record (e.g. truncated by a mid-write kill).
 [[nodiscard]] std::optional<RecordKey> record_key(std::string_view line);
 
-/// The "of" field (scientific grid size) of a record line; nullopt if
+/// The "of" field (grid size) of a record line; nullopt if
 /// the line is not a complete record.
 [[nodiscard]] std::optional<std::size_t> record_grid_size(std::string_view line);
 
@@ -96,21 +93,21 @@ class RecordRenderer {
 /// complete record or carries no series.
 [[nodiscard]] std::optional<std::vector<double>> record_series(std::string_view line);
 
-/// The experiment echo a record of (full) cell `index` must carry (the
+/// The experiment echo a record of cell `index` must carry (the
 /// serialized cell spec with the derived seed and backend applied --
 /// what RecordRenderer embeds).
 [[nodiscard]] std::string cell_experiment_text(const Grid& grid, std::size_t index);
 
 /// Check that previously written records actually belong to `grid`:
-/// every record's grid size must equal grid.science_cells(), its cell
-/// index must be in range, its backend must be one the grid runs, and
+/// every record's grid size must equal grid.cells(), its cell index
+/// must be in range, its backend must be the grid's backend, and
 /// its experiment echo must be byte-identical to what the grid would
 /// run for that (cell, backend).  Throws std::invalid_argument
 /// otherwise -- resuming with the wrong spec (or onto the wrong output
 /// file) must fail loudly, not silently keep stale results.
 void validate_records_for_grid(const Grid& grid, const std::vector<std::string>& lines);
 
-/// The full cell index of `key` in `grid` (inverse of the record's
+/// The cell index of `key` in `grid` (inverse of the record's
 /// (cell, backend) identity).  Throws std::invalid_argument when the
 /// grid does not run `key`'s backend or the cell is out of range.
 [[nodiscard]] std::size_t grid_index_of(const Grid& grid, const RecordKey& key);

@@ -14,12 +14,11 @@
 namespace sweep {
 
 /// Shards a grid over exec::BatchRunner and streams one JSONL record
-/// per completed (cell, backend) (see sweep/record.hpp).  Cells are
-/// visited in canonical index order (backend axis innermost,
-/// name-sorted).
+/// per completed cell (see sweep/record.hpp).  Cells are visited in
+/// canonical index order.
 ///
 /// The owned worklist runs in windows of up to 1024 cells, and every
-/// (cell x backend x replica) of a window is flattened into ONE
+/// (cell x replica) of a window is flattened into ONE
 /// claimable index space on the persistent thread pool, so the pool
 /// parallelizes *across* cells, not just within one: the last replicas
 /// of cell k and the first replicas of cell k+1 run concurrently, and
@@ -45,14 +44,9 @@ class SweepRunner {
     /// is claimed from; 0 = the cell specs' `threads` key (which
     /// itself defaults to the hardware concurrency).
     unsigned threads = 0;
-    /// This process runs the cells with (science_index + backend
-    /// position) % shard_count == shard_index -- diagonal round-robin,
-    /// so every shard sees a mix of cheap and expensive cells of a
-    /// grid ordered by size AND, in a backend sweep, a mix of backends
-    /// (a plain `index % shard_count` would hand entire backend slices
-    /// to single shards whenever shard_count divides the backend
-    /// count, e.g. 2 shards x 2 backends).  Grids without a backend
-    /// axis shard exactly as before (index % shard_count).  See
+    /// This process runs the cells with index % shard_count ==
+    /// shard_index -- round-robin, so every shard sees a mix of cheap
+    /// and expensive cells of a grid ordered by size.  See
     /// sweep/stripe.hpp.
     std::size_t shard_index = 0;
     std::size_t shard_count = 1;
@@ -68,9 +62,9 @@ class SweepRunner {
   /// during the worklist scan; computed events fire in canonical cell
   /// order as records are committed.
   struct CellEvent {
-    std::size_t cell = 0;          ///< scientific cell index
-    std::string_view backend;      ///< resolved backend of this record
-    std::size_t cells_total = 0;   ///< grid size (records incl. backend axis)
+    std::size_t cell = 0;          ///< cell index
+    std::string_view backend;      ///< the grid's backend
+    std::size_t cells_total = 0;   ///< grid size
     bool skipped = false;          ///< already present in the output
   };
   using Observer = std::function<void(const CellEvent&)>;

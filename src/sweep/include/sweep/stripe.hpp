@@ -7,55 +7,28 @@
 namespace sweep {
 
 /// Shard striping -- the single definition of which shard owns which
-/// cell, shared by SweepRunner::owned_cells, SweepRunner::run and
-/// `dls_sweep --list`.
-///
-/// The assignment is diagonal: cell index (science s, backend b) is
-/// owned by shard (s + b) % shard_count, so a backend axis never
-/// degenerates into one-backend shards (a plain `index % count` hands
-/// entire backend slices to single shards whenever shard_count divides
-/// the backend count, e.g. 2 shards x 2 backends).  Grids without a
-/// backend axis stripe exactly as `index % count`.
-///
-/// Both helpers walk the owned set directly -- the owned backend
-/// positions of science cell s are b ≡ (shard_index - s) (mod
-/// shard_count) -- instead of recomputing a division and modulo for
-/// every one of the grid's cells per pass, which the resumable runner
-/// used to pay on every resume AND once more in owned_cells.
+/// cell, shared by SweepRunner::owned_cells, SweepRunner::run,
+/// `dls_sweep --list` and the dist coordinator's stripes: cell `index`
+/// is owned by shard `index % shard_count`, so every shard sees a mix
+/// of cheap and expensive cells of a grid ordered by size.
 
-/// Visit the full cell indices owned by (shard_index, shard_count) in
+/// Visit the cell indices owned by (shard_index, shard_count) in
 /// increasing canonical order.  `fn(index)` returns false to stop early
 /// (the max_cells truncation).
 template <typename Fn>
 void for_each_owned_index(const Grid& grid, std::size_t shard_index, std::size_t shard_count,
                           Fn&& fn) {
-  const std::size_t backends = grid.backend_count();
-  const std::size_t science = grid.science_cells();
-  for (std::size_t s = 0; s < science; ++s) {
-    // Smallest owned backend position: b0 ≡ shard_index - s (mod count).
-    const std::size_t b0 = (shard_index + shard_count - s % shard_count) % shard_count;
-    for (std::size_t b = b0; b < backends; b += shard_count) {
-      if (!fn(s * backends + b)) return;
-    }
+  const std::size_t cells = grid.cells();
+  for (std::size_t index = shard_index; index < cells; index += shard_count) {
+    if (!fn(index)) return;
   }
 }
 
-/// Number of cells the shard owns, in O(shard_count) -- the owned
-/// backend positions of science cell s depend only on s % shard_count,
-/// so count one residue class at a time.
+/// Number of cells the shard owns.
 [[nodiscard]] inline std::size_t owned_index_count(const Grid& grid, std::size_t shard_index,
                                                    std::size_t shard_count) {
-  const std::size_t backends = grid.backend_count();
-  const std::size_t science = grid.science_cells();
-  std::size_t owned = 0;
-  for (std::size_t r = 0; r < shard_count; ++r) {
-    const std::size_t members = r < science ? (science - 1 - r) / shard_count + 1 : 0;
-    if (members == 0) continue;
-    const std::size_t b0 = (shard_index + shard_count - r) % shard_count;
-    const std::size_t per_cell = b0 < backends ? (backends - 1 - b0) / shard_count + 1 : 0;
-    owned += members * per_cell;
-  }
-  return owned;
+  const std::size_t cells = grid.cells();
+  return shard_index < cells ? (cells - 1 - shard_index) / shard_count + 1 : 0;
 }
 
 }  // namespace sweep

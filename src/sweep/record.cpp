@@ -144,41 +144,30 @@ std::string cell_experiment_text(const Grid& grid, std::size_t index) {
 }
 
 std::size_t grid_index_of(const Grid& grid, const RecordKey& key) {
-  if (key.cell >= grid.science_cells()) {
+  if (key.cell >= grid.cells()) {
     throw std::invalid_argument("record for cell " + std::to_string(key.cell) +
-                                " is out of range (grid has " +
-                                std::to_string(grid.science_cells()) + " cells)");
+                                " is out of range (grid has " + std::to_string(grid.cells()) +
+                                " cells)");
   }
-  if (const Axis* axis = grid.backend_axis()) {
-    const auto it = std::find(axis->values.begin(), axis->values.end(), key.backend);
-    if (it == axis->values.end()) {
-      throw std::invalid_argument("record backend '" + key.backend +
-                                  "' is not part of this grid's backend axis");
-    }
-    return key.cell * axis->values.size() +
-           static_cast<std::size_t>(it - axis->values.begin());
-  }
-  if (key.backend != grid.fixed_backend) {
+  if (key.backend != grid.backend) {
     throw std::invalid_argument("record backend '" + key.backend +
-                                "' does not match this grid's backend '" + grid.fixed_backend +
-                                "'");
+                                "' does not match this grid's backend '" + grid.backend + "'");
   }
   return key.cell;
 }
 
 RecordRenderer::RecordRenderer(const Grid& grid)
-    : of_fragment_(",\"of\":" + std::to_string(grid.science_cells())) {}
+    : of_fragment_(",\"of\":" + std::to_string(grid.cells())) {}
 
 std::string RecordRenderer::render(const Cell& cell, const exec::BatchJob& job,
                                    const exec::BatchResult& result) const {
-  std::string out = "{\"cell\":" + std::to_string(cell.science_index);
+  std::string out = "{\"cell\":" + std::to_string(cell.index);
   out += of_fragment_;
   out += ",\"backend\":\"" + json_escape(job.backend) + '"';
   out += ",\"replicas\":" + std::to_string(job.replicas);
   out += ",\"sweep\":{";
   bool first = true;
   for (const auto& [key, value] : cell.assignment) {
-    if (key == "backend") continue;  // the vehicle is a top-level field, not a parameter
     if (!first) out += ',';
     first = false;
     out += '"' + json_escape(key) + "\":\"" + json_escape(value) + '"';
@@ -318,7 +307,7 @@ std::optional<std::vector<double>> record_series(std::string_view line) {
 }
 
 void validate_records_for_grid(const Grid& grid, const std::vector<std::string>& lines) {
-  const std::size_t total = grid.science_cells();
+  const std::size_t total = grid.cells();
   for (const std::string& line : lines) {
     const std::optional<RecordKey> key = record_key(line);
     const std::optional<std::size_t> of = record_grid_size(line);

@@ -24,17 +24,13 @@ namespace {
 /// in frontier order.
 class InOrderCommitter {
  public:
-  /// `cells`/`jobs`/`backends` are indexed by window slot and must
-  /// outlive the committer; `backends` carries the grid-owned views the
-  /// progress events expose.
-  InOrderCommitter(std::ostream& out, std::span<const Cell> cells,
-                   std::span<const exec::BatchJob> jobs,
-                   std::span<const std::string_view> backends,
+  /// `cells` is indexed by window slot and must outlive the committer;
+  /// `backend` is the grid-owned name the progress events expose.
+  InOrderCommitter(std::ostream& out, std::span<const Cell> cells, std::string_view backend,
                    const SweepRunner::Observer& observer, std::size_t total)
       : out_(&out),
         cells_(cells),
-        jobs_(jobs),
-        backends_(backends),
+        backend_(backend),
         observer_(observer),
         total_(total),
         rendered_(cells.size()),
@@ -52,17 +48,17 @@ class InOrderCommitter {
         // A full disk or write error must not let the sweep report
         // success over a truncated output.
         std::string what = "sweep: writing the record for cell ";
-        what += std::to_string(cells_[frontier_].science_index);
+        what += std::to_string(cells_[frontier_].index);
         what += " (backend ";
-        what += jobs_[frontier_].backend;
+        what += backend_;
         what += ") failed (disk full?)";
         throw std::runtime_error(what);
       }
       rendered_[frontier_].clear();
       rendered_[frontier_].shrink_to_fit();
       if (observer_) {
-        observer_(SweepRunner::CellEvent{cells_[frontier_].science_index, backends_[frontier_],
-                                         total_, /*skipped=*/false});
+        observer_(SweepRunner::CellEvent{cells_[frontier_].index, backend_, total_,
+                                         /*skipped=*/false});
       }
       ++frontier_;
     }
@@ -71,8 +67,7 @@ class InOrderCommitter {
  private:
   std::ostream* const out_ DLS_PT_GUARDED_BY(mutex_);
   const std::span<const Cell> cells_;
-  const std::span<const exec::BatchJob> jobs_;
-  const std::span<const std::string_view> backends_;
+  const std::string_view backend_;
   const SweepRunner::Observer& observer_;
   const std::size_t total_;
   support::Mutex mutex_;
@@ -112,20 +107,17 @@ exec::BatchRunner& SweepRunner::batch_runner(unsigned threads) const {
 std::size_t SweepRunner::run(const Grid& grid, const std::set<RecordKey>& done,
                              std::ostream& out, const Observer& observer) const {
   const std::size_t total = grid.cells();
-  const std::size_t backends = grid.backend_count();
 
   // Pass 1 -- build the worklist: walk the owned stripe in canonical
   // order, announce skips, and stop at the max_cells budget (at the
   // first *uncomputed* cell past it, exactly like the serial runner:
   // a resumed, previously truncated shard continues where it left off).
-  std::vector<std::size_t> work;  // full cell indices to compute
+  std::vector<std::size_t> work;  // cell indices to compute
   for_each_owned_index(grid, options_.shard_index, options_.shard_count,
                        [&](std::size_t index) {
-                         const std::string_view backend = cell_backend(grid, index);
-                         const std::size_t science = index / backends;
-                         if (done.contains(RecordKey{science, std::string(backend)})) {
+                         if (done.contains(RecordKey{index, grid.backend})) {
                            if (observer) {
-                             observer(CellEvent{science, backend, total, /*skipped=*/true});
+                             observer(CellEvent{index, grid.backend, total, /*skipped=*/true});
                            }
                            return true;
                          }
@@ -162,16 +154,13 @@ std::size_t SweepRunner::run(const Grid& grid, const std::set<RecordKey>& done,
     // Expand this window's cells and jobs (lazily -- see above).
     std::vector<Cell> cells;
     std::vector<exec::BatchJob> jobs;
-    std::vector<std::string_view> backends_by_slot;  // grid-owned views
     cells.reserve(count);
     jobs.reserve(count);
-    backends_by_slot.reserve(count);
     unsigned spec_threads = 0;
     bool any_default_threads = false;
     for (std::size_t w = window_begin; w < window_end; ++w) {
       cells.push_back(cell(grid, work[w]));
       jobs.push_back(batch_job(grid, cells.back()));
-      backends_by_slot.push_back(cell_backend(grid, work[w]));
       if (cells.back().spec.threads == 0) any_default_threads = true;
       spec_threads = std::max(spec_threads, cells.back().spec.threads);
     }
@@ -181,7 +170,7 @@ std::size_t SweepRunner::run(const Grid& grid, const std::set<RecordKey>& done,
     const unsigned threads =
         options_.threads != 0 ? options_.threads : (any_default_threads ? 0 : spec_threads);
 
-    InOrderCommitter committer(out, cells, jobs, backends_by_slot, observer, total);
+    InOrderCommitter committer(out, cells, grid.backend, observer, total);
     const auto commit = [&](std::size_t j, const exec::BatchResult& result) {
       committer.commit(j, renderer.render(cells[j], jobs[j], result));
     };

@@ -34,14 +34,12 @@ class RandomSource {
   }
   /// Uniformly distributed 64-bit value.
   virtual std::uint64_t next_u64() = 0;
-  /// Independent stream for run `index`; deterministic in (seed, index).
-  [[nodiscard]] virtual std::unique_ptr<RandomSource> split(std::uint64_t index) const = 0;
 };
 
 /// RandomSource view over the POSIX rand48 recurrence.
 class Rand48Source final : public RandomSource {
  public:
-  explicit Rand48Source(std::uint32_t seed) : gen_(seed), seed_(seed) {}
+  explicit Rand48Source(std::uint32_t seed) : gen_(seed) {}
 
   double uniform01() override { return gen_.drand48(); }
   void fill_uniform01(double* out, std::size_t n) override {
@@ -56,14 +54,9 @@ class Rand48Source final : public RandomSource {
     const auto lo = static_cast<std::uint32_t>(gen_.mrand48());
     return (static_cast<std::uint64_t>(hi) << 32) | lo;
   }
-  [[nodiscard]] std::unique_ptr<RandomSource> split(std::uint64_t index) const override {
-    return std::make_unique<Rand48Source>(
-        static_cast<std::uint32_t>(seed_ + 0x9E3779B9u * (index + 1)));
-  }
 
  private:
   Rand48 gen_;
-  std::uint32_t seed_;
 };
 
 /// xoshiro256** by Blackman & Vigna, seeded via splitmix64.
@@ -78,7 +71,6 @@ class XoshiroSource final : public RandomSource {
     for (int k = 0; k < 4; ++k) s_[k] = s[k];
   }
   std::uint64_t next_u64() override { return step(s_); }
-  [[nodiscard]] std::unique_ptr<RandomSource> split(std::uint64_t index) const override;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
@@ -101,7 +93,6 @@ class XoshiroSource final : public RandomSource {
   static double to_unit(std::uint64_t x) { return static_cast<double>(x >> 11) * 0x1p-53; }
 
   std::uint64_t s_[4];
-  std::uint64_t seed_;
 };
 
 }  // namespace workload

@@ -13,18 +13,12 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 }  // namespace
 
-XoshiroSource::XoshiroSource(std::uint64_t seed) : seed_(seed) {
+XoshiroSource::XoshiroSource(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& w : s_) w = splitmix64(sm);
   // A state of all zeros would be a fixed point; splitmix64 cannot
   // produce four zero words from any seed, but keep the guard explicit.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::unique_ptr<RandomSource> XoshiroSource::split(std::uint64_t index) const {
-  // Derive an independent stream by hashing (seed, index); splitmix64 in
-  // the constructor decorrelates nearby indices.
-  return std::make_unique<XoshiroSource>(seed_ ^ (0x9E3779B97f4A7C15ull * (index + 1)));
 }
 
 }  // namespace workload

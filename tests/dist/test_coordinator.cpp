@@ -162,17 +162,36 @@ TEST(CoordinateTool, LosingTwoOfFourWorkersStillMatchesSerial) {
 TEST(CoordinateTool, HungWorkerIsReclaimedByDeadline) {
   // A hung worker (alive, link open, heartbeat silenced) is invisible
   // to EOF detection -- only the lease deadline can reclaim it.
+  //
+  // The victim only hangs if it gets a second cell to compute, so (as
+  // in the two-victim test above) the healthy worker is held back until
+  // the victim holds a lease, and two-cell stripes leave it that cell.
   const TempDir dir;
-  const std::string spec = write_spec(dir);
-  const std::string out = dir.path() + "/merged.jsonl";
-  ASSERT_EQ(run_tool("coordinate " + spec + " --out " + out + " --workdir " + dir.path() +
-                     "/wd --workers 2 --threads 1 --quiet --chaos 1:1:hang "
-                     "--heartbeat-ms 30 --deadline-ms 300 --backoff-ms 10"),
-            0);
-  EXPECT_EQ(read_file(out), serial_reference());
+  const std::string go = dir.path() + "/go";
+  dist::CoordinatorOptions options;
+  options.spec_path = write_spec(dir);
+  options.out_path = dir.path() + "/merged.jsonl";
+  options.workdir = dir.path() + "/wd";
+  options.workers = 2;
+  options.stripes = 4;
+  options.worker_threads = 1;
+  options.heartbeat_interval = std::chrono::milliseconds(30);
+  options.lease_deadline = std::chrono::milliseconds(300);
+  options.backoff_base = std::chrono::milliseconds(10);
+  options.chaos = dist::parse_chaos_list("1:1:hang");
+  options.worker_command = {
+      "/bin/sh", "-c",
+      "case \" $* \" in *' --chaos-after '*) ;; *) until [ -e " + go +
+          " ]; do sleep 0.01; done ;; esac; exec " DLS_SWEEP_BIN " \"$@\"",
+      "sh"};
+  options.on_event = [&](const dist::LeaseEvent& event) {
+    if (event.kind == "lease") std::ofstream{go};
+  };
+  (void)dist::Coordinator(options).run();
+  EXPECT_EQ(read_file(options.out_path), serial_reference());
 
   bool deadline_reclaim = false;
-  for (const dist::LeaseEvent& event : read_events(dir.path() + "/wd/events.jsonl")) {
+  for (const dist::LeaseEvent& event : read_events(options.workdir + "/events.jsonl")) {
     deadline_reclaim |= event.kind == "dead" && event.detail == "deadline";
   }
   EXPECT_TRUE(deadline_reclaim);

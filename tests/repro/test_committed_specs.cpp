@@ -101,7 +101,7 @@ std::string hex(std::uint64_t value, int digits) {
 
 /// One record's row of the table.
 struct Row {
-  std::string cell;     ///< scientific cell index
+  std::string cell;     ///< cell index
   std::string backend;
   std::string record;   ///< digest of the whole line
   std::vector<std::string> names;

@@ -1,14 +1,19 @@
-// Cross-backend grids (the paper's execution-vehicle dimension as a
-// sweep axis).  The contracts under test:
-//   * the mw slice of a `sweep backend mw hagerup` grid is BITWISE
-//     identical to the same spec run without the backend axis;
+// Cross-backend comparisons (the paper's execution-vehicle dimension):
+// a grid runs on one backend, and the vehicles are compared by running
+// the spec once per backend and merging the outputs.  The contracts
+// under test:
+//   * the merged per-backend runs reproduce, byte for byte, the output
+//     a `sweep backend mw hagerup` axis produced before the axis was
+//     removed (a digest recorded from that implementation);
+//   * every backend runs a cell on the same derived seed;
 //   * hagerup cells really run the hagerup simulator (replica-exact),
 //     and on comparable cells the two vehicles issue the bitwise-same
 //     chunk sequences check::cross_backend demands;
-//   * cross-backend sweeps resume and shard-merge byte-identically.
+//   * per-backend runs resume and shard-merge byte-identically.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +21,7 @@
 
 #include "exec/backend.hpp"
 #include "hagerup/simulator.hpp"
+#include "net/frame.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
 
@@ -32,6 +38,16 @@ constexpr const char* kBase =
     "replicas 4\n"
     "sweep technique SS GSS TSS\n";
 
+/// FNV-1a 64 of the 6-record output of kBase plus `sweep backend mw
+/// hagerup`, as the backend axis wrote it (cells interleaved hagerup,
+/// mw per technique).  A change that moves any record byte of either
+/// backend, or the merge order, fails the pin.
+constexpr std::uint64_t kAxisOutputDigest = 0xb68c2af9fb9182f4ull;
+
+sweep::Grid grid_on(const std::string& backend) {
+  return sweep::parse_grid(std::string(kBase) + "backend " + backend + "\n");
+}
+
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> lines;
   std::istringstream is(text);
@@ -40,37 +56,50 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
+std::string text_of(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + '\n';
+  return text;
+}
+
 std::string run_grid(const sweep::Grid& grid, const std::set<sweep::RecordKey>& done = {}) {
   std::ostringstream out;
   (void)sweep::SweepRunner().run(grid, done, out);
   return out.str();
 }
 
-TEST(BackendSweep, MwSliceIsBitwiseIdenticalToABackendLessRun) {
-  const sweep::Grid with_axis =
-      sweep::parse_grid(std::string(kBase) + "sweep backend mw hagerup\n");
-  const sweep::Grid without_axis = sweep::parse_grid(kBase);
-  ASSERT_EQ(with_axis.cells(), 6u);
-  ASSERT_EQ(with_axis.science_cells(), 3u);
+TEST(BackendSweep, MergedPerBackendRunsReproduceTheAxisOutput) {
+  const std::vector<std::string> mw = lines_of(run_grid(grid_on("mw")));
+  const std::vector<std::string> hagerup = lines_of(run_grid(grid_on("hagerup")));
+  ASSERT_EQ(mw.size(), 3u);
+  ASSERT_EQ(hagerup.size(), 3u);
 
-  const std::vector<std::string> cross = lines_of(run_grid(with_axis));
-  const std::vector<std::string> plain = lines_of(run_grid(without_axis));
-  ASSERT_EQ(cross.size(), 6u);
-  ASSERT_EQ(plain.size(), 3u);
+  const std::string merged = text_of(sweep::merge_records({mw, hagerup}));
+  EXPECT_EQ(net::fnv1a64(merged), kAxisOutputDigest) << merged;
+  // The merge sorts on (cell, backend): argument order does not matter.
+  EXPECT_EQ(text_of(sweep::merge_records({hagerup, mw})), merged);
+}
 
-  std::vector<std::string> mw_slice;
-  for (const std::string& line : cross) {
-    ASSERT_TRUE(sweep::record_backend(line).has_value());
-    if (sweep::record_backend(line) == "mw") mw_slice.push_back(line);
+TEST(BackendSweep, EveryBackendRunsACellOnTheSameSeed) {
+  const sweep::Grid mw = grid_on("mw");
+  const sweep::Grid hagerup = grid_on("hagerup");
+  const sweep::Grid plain = sweep::parse_grid(kBase);
+  ASSERT_EQ(mw.cells(), hagerup.cells());
+  for (std::size_t index = 0; index < mw.cells(); ++index) {
+    const exec::BatchJob mw_job = sweep::batch_job(mw, sweep::cell(mw, index));
+    const exec::BatchJob hagerup_job = sweep::batch_job(hagerup, sweep::cell(hagerup, index));
+    EXPECT_EQ(mw_job.backend, "mw");
+    EXPECT_EQ(hagerup_job.backend, "hagerup");
+    EXPECT_EQ(hagerup_job.config.seed, mw_job.config.seed) << "cell " << index;
+    EXPECT_EQ(mw_job.config.seed, sweep::derive_cell_seed(42, index));
   }
-  EXPECT_EQ(mw_slice, plain);  // bytewise, including "cell"/"of"/seeds
+  // The default backend is mw, so an explicit `backend mw` changes no byte.
+  EXPECT_EQ(run_grid(mw), run_grid(plain));
 }
 
 TEST(BackendSweep, HagerupCellsAreReplicaExactHagerupRuns) {
-  const sweep::Grid grid = sweep::parse_grid(std::string(kBase) + "sweep backend mw hagerup\n");
-  // Cell (science 1, hagerup) = full index 2 (backend axis innermost,
-  // "hagerup" < "mw").
-  const sweep::Cell c = sweep::cell(grid, 2);
+  const sweep::Grid grid = grid_on("hagerup");
+  const sweep::Cell c = sweep::cell(grid, 1);
   ASSERT_EQ(c.spec.backend, "hagerup");
   exec::BatchJob job = sweep::batch_job(grid, c);
   job.keep_values = true;
@@ -95,13 +124,12 @@ TEST(BackendSweep, ComparableCellsIssueBitwiseIdenticalChunkSequences) {
   // The same conformance check::cross_backend enforces, driven straight
   // off the grid's cells: null network + analytic overhead +
   // homogeneous + non-adaptive techniques -> identical decisions.
-  const sweep::Grid grid = sweep::parse_grid(std::string(kBase) + "sweep backend mw hagerup\n");
-  for (std::size_t science = 0; science < grid.science_cells(); ++science) {
-    const exec::BatchJob job = sweep::batch_job(grid, sweep::cell(grid, 2 * science + 1));
-    ASSERT_EQ(job.backend, "mw");
+  const sweep::Grid grid = grid_on("mw");
+  for (std::size_t index = 0; index < grid.cells(); ++index) {
+    const exec::BatchJob job = sweep::batch_job(grid, sweep::cell(grid, index));
     const exec::BackendRun mw_run = exec::make_backend("mw")->run(job.config);
     const exec::BackendRun hagerup_run = exec::make_backend("hagerup")->run(job.config);
-    ASSERT_EQ(mw_run.chunk_log.size(), hagerup_run.chunk_log.size()) << "cell " << science;
+    ASSERT_EQ(mw_run.chunk_log.size(), hagerup_run.chunk_log.size()) << "cell " << index;
     for (std::size_t i = 0; i < mw_run.chunk_log.size(); ++i) {
       ASSERT_EQ(mw_run.chunk_log[i].first, hagerup_run.chunk_log[i].first);
       ASSERT_EQ(mw_run.chunk_log[i].size, hagerup_run.chunk_log[i].size);
@@ -109,11 +137,12 @@ TEST(BackendSweep, ComparableCellsIssueBitwiseIdenticalChunkSequences) {
   }
 }
 
-TEST(BackendSweep, ResumesPerBackendRecord) {
-  // A done set naming only one vehicle of a cell must skip exactly that
-  // record; the other vehicle still computes.
-  const sweep::Grid grid = sweep::parse_grid(std::string(kBase) + "sweep backend mw hagerup\n");
-  const std::string full = run_grid(grid);
+TEST(BackendSweep, ResumeSkipsOnlyTheGridsOwnBackend) {
+  // A done set naming cells of both vehicles: the hagerup run skips its
+  // own record only; the mw key is another run's business.
+  const sweep::Grid grid = grid_on("hagerup");
+  const std::vector<std::string> full = lines_of(run_grid(grid));
+  ASSERT_EQ(full.size(), 3u);
 
   const std::set<sweep::RecordKey> done = {sweep::RecordKey{0, "hagerup"},
                                            sweep::RecordKey{2, "mw"}};
@@ -123,60 +152,41 @@ TEST(BackendSweep, ResumesPerBackendRecord) {
       grid, done, resumed, [&](const sweep::SweepRunner::CellEvent& event) {
         if (event.skipped) ++skipped;
       });
-  EXPECT_EQ(computed, 4u);
-  EXPECT_EQ(skipped, 2u);
+  EXPECT_EQ(computed, 2u);
+  EXPECT_EQ(skipped, 1u);
 
-  // Completing the file (prepending the done records in canonical
-  // order) reproduces the uninterrupted bytes.
-  const std::vector<std::string> all = lines_of(full);
-  const std::vector<std::string> rest = lines_of(resumed.str());
-  ASSERT_EQ(rest.size(), 4u);
-  std::string stitched = all[0] + '\n';  // (0, hagerup) was already done
-  for (const std::string& line : rest) stitched += line + '\n';
-  stitched += all[5] + '\n';  // (2, mw) was already done
-  const std::vector<std::string> merged =
-      sweep::merge_records({lines_of(stitched)});
-  std::string canonical;
-  for (const std::string& line : merged) canonical += line + '\n';
-  EXPECT_EQ(canonical, full);
+  // The done record plus the resumed ones reproduce the uninterrupted bytes.
+  std::vector<std::string> stitched = lines_of(resumed.str());
+  stitched.push_back(full[0]);
+  EXPECT_EQ(sweep::merge_records({stitched}), full);
 }
 
-TEST(BackendSweep, ShardsMergeByteIdenticallyAcrossBackends) {
-  const sweep::Grid grid = sweep::parse_grid(std::string(kBase) + "sweep backend mw hagerup\n");
-  const std::string full = run_grid(grid);
-
+TEST(BackendSweep, ShardsOfEveryBackendMergeToTheAxisOutput) {
   std::vector<std::vector<std::string>> shards;
-  for (std::size_t s = 0; s < 2; ++s) {
-    sweep::SweepRunner::Options options;
-    options.shard_index = s;
-    options.shard_count = 2;
-    std::ostringstream out;
-    (void)sweep::SweepRunner(options).run(grid, {}, out);
-    shards.push_back(lines_of(out.str()));
-    // Diagonal sharding: even with shard_count == backend_count, each
-    // shard must see BOTH vehicles (a plain index % shard_count would
-    // hand shard 0 all hagerup cells and shard 1 all mw cells).
-    std::set<std::string> backends_seen;
-    for (const std::string& line : shards.back()) {
-      backends_seen.insert(*sweep::record_backend(line));
+  for (const char* backend : {"mw", "hagerup"}) {
+    const sweep::Grid grid = grid_on(backend);
+    for (std::size_t s = 0; s < 2; ++s) {
+      sweep::SweepRunner::Options options;
+      options.shard_index = s;
+      options.shard_count = 2;
+      std::ostringstream out;
+      (void)sweep::SweepRunner(options).run(grid, {}, out);
+      shards.push_back(lines_of(out.str()));
+      for (const std::string& line : shards.back()) {
+        EXPECT_EQ(sweep::record_key(line)->cell % 2, s) << backend << " shard " << s;
+      }
     }
-    EXPECT_EQ(backends_seen, (std::set<std::string>{"hagerup", "mw"})) << "shard " << s;
   }
-  const std::vector<std::string> merged = sweep::merge_records(shards);
-  std::string merged_text;
-  for (const std::string& line : merged) merged_text += line + '\n';
-  EXPECT_EQ(merged_text, full);
+  EXPECT_EQ(net::fnv1a64(text_of(sweep::merge_records(shards))), kAxisOutputDigest);
 }
 
 TEST(BackendSweep, ValidateRejectsRecordsOfAForeignBackend) {
-  const sweep::Grid grid = sweep::parse_grid(std::string(kBase) + "sweep backend mw hagerup\n");
-  const std::vector<std::string> lines = lines_of(run_grid(grid));
-  EXPECT_NO_THROW(sweep::validate_records_for_grid(grid, lines));
+  const sweep::Grid hagerup = grid_on("hagerup");
+  const std::vector<std::string> lines = lines_of(run_grid(hagerup));
+  EXPECT_NO_THROW(sweep::validate_records_for_grid(hagerup, lines));
 
-  // The same records do not validate against the backend-less grid:
-  // its resolved backend is mw only.
-  const sweep::Grid plain = sweep::parse_grid(kBase);
-  EXPECT_THROW(sweep::validate_records_for_grid(plain, lines), std::invalid_argument);
+  // The same records do not validate against the mw run of the spec.
+  EXPECT_THROW(sweep::validate_records_for_grid(grid_on("mw"), lines), std::invalid_argument);
 }
 
 }  // namespace

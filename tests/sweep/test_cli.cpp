@@ -1,7 +1,8 @@
 // dls_sweep's numeric flags, through the real binary (DLS_SWEEP_BIN):
 // a malformed shard or a negative count is a usage error (exit 2) that
 // names the flag, never a run on a misread value.  So is a swept spec
-// value that does not parse, and it leaves no record file behind.  Run-mode cases pass
+// value that does not parse, or a `sweep backend` line, and neither
+// leaves a record file behind.  Run-mode cases pass
 // --list, so a flag that slipped through would print cells and exit 0
 // instead of sweeping.  A --resume whose rewrite of the surviving
 // records fails is a run error (exit 1) that leaves them in place.
@@ -164,6 +165,33 @@ TEST(SweepCli, InlineOverheadNeedsTheHagerupBackend) {
   expect_usage_errors({{spec + " --list", "experiment line 4 ('overhead inline')"},
                        {spec + " --list --backend bbn", "experiment line 4 ('overhead inline')"}});
   EXPECT_EQ(run_tool(spec + " --list --backend hagerup").exit_code, 0);
+  std::remove(spec.c_str());
+}
+
+TEST(SweepCli, ABackendAxisIsAUsageErrorInEveryEntryPoint) {
+  // A grid runs on one backend: run, --list, coordinate and serve all
+  // refuse a `sweep backend` line, naming it and the per-backend runs
+  // plus merge that replace it, before writing any file.
+  const std::string spec = "cli_backend_axis.sweep";
+  std::ofstream(spec) << "technique SS\ntasks 64\nworkload constant:1.0\n"
+                         "sweep backend mw hagerup\n";
+  const std::string out = "cli_backend_axis.jsonl";
+  const std::string workdir = "cli_backend_axis_wd";
+  for (const std::string& args :
+       {spec + " --out " + out, spec + " --list", spec + " --list --backend hagerup",
+        "coordinate " + spec + " --out " + out + " --workdir " + workdir + " --workers 1",
+        "serve " + spec + " --listen 127.0.0.1:0 --out " + out + " --workdir " + workdir}) {
+    const Outcome outcome = run_tool(args);
+    EXPECT_EQ(outcome.exit_code, 2) << args << "\n" << outcome.output;
+    for (const char* needle : {"sweep line 4 ('sweep backend mw hagerup')", "--backend <name>",
+                               "dls_sweep merge"}) {
+      EXPECT_NE(outcome.output.find(needle), std::string::npos) << args << "\n"
+                                                                << outcome.output;
+    }
+  }
+  struct stat info {};
+  EXPECT_NE(::stat(out.c_str(), &info), 0) << out << " was written";
+  EXPECT_NE(::stat(workdir.c_str(), &info), 0) << workdir << " was created";
   std::remove(spec.c_str());
 }
 

@@ -7,6 +7,9 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sweep/grid.hpp"
 
@@ -129,65 +132,28 @@ TEST(SweepGrid, RejectsBadDirectives) {
   EXPECT_THROW((void)sweep::parse_grid("sweep workers 2 4\n"), std::invalid_argument);
 }
 
-TEST(SweepGridBackend, BackendAxisIsCanonicalizedInnermostAndSorted) {
-  // Declared outermost and in "mw hagerup" order; the parser moves the
-  // execution-vehicle axis innermost and sorts its values, so record
-  // order, sharding and merges are declaration-independent.
-  const sweep::Grid grid = sweep::parse_grid(
-      "workload constant:1\ntasks 64\nworkers 2\nseed 42\n"
-      "sweep backend mw hagerup\nsweep technique SS GSS\n");
-  ASSERT_EQ(grid.axes.size(), 2u);
-  EXPECT_EQ(grid.axes[0].key, "technique");
-  EXPECT_EQ(grid.axes[1].key, "backend");
-  EXPECT_EQ(grid.axes[1].values, (std::vector<std::string>{"hagerup", "mw"}));
-  EXPECT_EQ(grid.cells(), 4u);
-  EXPECT_EQ(grid.science_cells(), 2u);
-  EXPECT_EQ(grid.backend_count(), 2u);
-  EXPECT_EQ(grid.science_axes(), 1u);
-
-  // Enumeration: backend fastest -> (SS,hagerup), (SS,mw), (GSS,...).
-  EXPECT_EQ(sweep::cell(grid, 0).spec.backend, "hagerup");
-  EXPECT_EQ(sweep::cell(grid, 1).spec.backend, "mw");
-  EXPECT_EQ(sweep::cell(grid, 2).spec.config.technique, dls::Kind::kGSS);
-  EXPECT_EQ(sweep::cell_backend(grid, 2), "hagerup");
-  EXPECT_EQ(sweep::cell(grid, 3).science_index, 1u);
-}
-
-TEST(SweepGridBackend, BackendVariantsOfACellShareTheDerivedSeed) {
-  // The scientific index drives seed derivation, so every execution
-  // vehicle replays a cell on identical seeds -- and the mw slice is
-  // seeded exactly like the same grid without the backend axis.
-  const sweep::Grid with_axis = sweep::parse_grid(
-      "workload constant:1\ntasks 64\nworkers 2\nseed 42\n"
-      "sweep technique SS GSS TSS\nsweep backend mw hagerup\n");
-  const sweep::Grid without_axis = sweep::parse_grid(
-      "workload constant:1\ntasks 64\nworkers 2\nseed 42\n"
-      "sweep technique SS GSS TSS\n");
-  for (std::size_t science = 0; science < 3; ++science) {
-    const exec::BatchJob hagerup_job =
-        sweep::batch_job(with_axis, sweep::cell(with_axis, 2 * science));
-    const exec::BatchJob mw_job =
-        sweep::batch_job(with_axis, sweep::cell(with_axis, 2 * science + 1));
-    const exec::BatchJob plain_job =
-        sweep::batch_job(without_axis, sweep::cell(without_axis, science));
-    EXPECT_EQ(hagerup_job.backend, "hagerup");
-    EXPECT_EQ(mw_job.backend, "mw");
-    EXPECT_EQ(hagerup_job.config.seed, mw_job.config.seed) << "cell " << science;
-    EXPECT_EQ(mw_job.config.seed, plain_job.config.seed) << "cell " << science;
-    EXPECT_EQ(mw_job.config.seed, sweep::derive_cell_seed(42, science));
-  }
-}
-
-TEST(SweepGridBackend, PureBackendSweepKeepsTheSeedVerbatim) {
-  // No scientific axis -> no derivation, exactly like a plain file, so
-  // the vehicles compare on the spec's own seed.
-  const sweep::Grid grid = sweep::parse_grid(
-      "technique SS\ntasks 64\nworkers 2\nworkload constant:1\nseed 7\n"
-      "sweep backend mw hagerup\n");
-  EXPECT_EQ(grid.science_axes(), 0u);
-  EXPECT_EQ(grid.science_cells(), 1u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(sweep::batch_job(grid, sweep::cell(grid, i)).config.seed, 7u);
+TEST(SweepGridBackend, RejectsABackendAxis) {
+  // One backend per grid: a `sweep backend` line is an error naming the
+  // line and the per-backend run + merge that replaces it, wherever the
+  // line sits and however many values it lists.
+  const std::string base = "technique SS\ntasks 64\nworkers 2\nworkload constant:1\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {base + "sweep backend mw hagerup\n", "sweep line 5 ('sweep backend mw hagerup')"},
+      {base + "sweep h 0.1 0.5\nsweep backend bbn\n", "sweep line 6 ('sweep backend bbn')"},
+      {"sweep backend mw hagerup\n" + base + "sweep workers 2 4\n",
+       "sweep line 1 ('sweep backend mw hagerup')"},
+      {base + "sweep backend mw simgrid\n", "sweep line 5 ('sweep backend mw simgrid')"},
+  };
+  for (const auto& [text, where] : cases) {
+    try {
+      (void)sweep::parse_grid(text);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(where), std::string::npos) << what;
+      EXPECT_NE(what.find("--backend <name>"), std::string::npos) << what;
+      EXPECT_NE(what.find("dls_sweep merge"), std::string::npos) << what;
+    }
   }
 }
 
@@ -195,17 +161,11 @@ TEST(SweepGridBackend, FixedBackendKeyFlowsIntoEveryJob) {
   const sweep::Grid grid = sweep::parse_grid(
       "technique SS\ntasks 64\nworkers 2\nworkload constant:1\nbackend hagerup\n"
       "sweep h 0.1 0.5\n");
-  EXPECT_EQ(grid.backend_axis(), nullptr);
-  EXPECT_EQ(grid.fixed_backend, "hagerup");
-  EXPECT_EQ(sweep::cell_backend(grid, 1), "hagerup");
+  EXPECT_EQ(grid.backend, "hagerup");
   EXPECT_EQ(sweep::batch_job(grid, sweep::cell(grid, 1)).backend, "hagerup");
 }
 
 TEST(SweepGridBackend, RejectsUnknownBackendValues) {
-  EXPECT_THROW(
-      (void)sweep::parse_grid("technique SS\ntasks 64\nworkers 2\nworkload constant:1\n"
-                              "sweep backend mw simgrid\n"),
-      std::invalid_argument);
   EXPECT_THROW(
       (void)sweep::parse_grid("technique SS\ntasks 64\nworkers 2\nworkload constant:1\n"
                               "backend banana\n"),

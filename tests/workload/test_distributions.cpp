@@ -182,9 +182,6 @@ class DefaultFillSource final : public RandomSource {
   explicit DefaultFillSource(std::uint64_t seed) : inner_(seed) {}
   double uniform01() override { return inner_.uniform01(); }
   std::uint64_t next_u64() override { return inner_.next_u64(); }
-  [[nodiscard]] std::unique_ptr<RandomSource> split(std::uint64_t index) const override {
-    return inner_.split(index);
-  }
 
  private:
   XoshiroSource inner_;

@@ -43,24 +43,6 @@ TYPED_TEST(RandomSourceContract, DeterministicForSameSeed) {
   for (int i = 0; i < 200; ++i) ASSERT_EQ(a->next_u64(), b->next_u64());
 }
 
-TYPED_TEST(RandomSourceContract, SplitStreamsAreDeterministic) {
-  auto base = make_source<TypeParam>(5);
-  auto s1 = base->split(3);
-  auto s2 = base->split(3);
-  for (int i = 0; i < 100; ++i) ASSERT_EQ(s1->next_u64(), s2->next_u64());
-}
-
-TYPED_TEST(RandomSourceContract, SplitStreamsDiffer) {
-  auto base = make_source<TypeParam>(5);
-  auto s1 = base->split(1);
-  auto s2 = base->split(2);
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (s1->next_u64() == s2->next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
 TYPED_TEST(RandomSourceContract, MeanIsCentered) {
   auto src = make_source<TypeParam>(2025);
   double sum = 0.0;

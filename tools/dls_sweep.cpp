@@ -11,7 +11,7 @@
 //   dls_sweep grid.sweep --out s0.jsonl --shard 0/3      # machine 0 of 3
 //   dls_sweep merge --out all.jsonl s0.jsonl s1.jsonl s2.jsonl
 //   dls_sweep grid.sweep --list                          # show the cells, don't run
-//   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # fixed execution backend
+//   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # the grid's execution backend
 //   dls_sweep report original.jsonl simulation.jsonl   # a figure's tables from its sweep pairs
 //   dls_sweep report f9.jsonl                          # Figure 9 view of `series true` records
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
@@ -28,11 +28,11 @@
 // serial run of the same spec -- even with --chaos fault injection
 // killing workers at seeded points.
 //
-// `backend` is both an experiment key and a sweep axis: a spec line
-// `sweep backend mw hagerup` runs every scientific cell on both
-// execution vehicles (same derived seeds, so the vehicles are directly
-// comparable), and the mw records are bitwise identical to a run of
-// the same spec without the axis.
+// A grid runs on one execution backend (its `backend` key, or
+// --backend); `sweep backend ...` is an error.  To compare vehicles, run
+// the spec once per backend and merge the outputs: every backend runs
+// a cell on the same derived seed, and `merge` interleaves the records
+// cell by cell.
 //
 // Every cell gets a decorrelated base seed (sweep::derive_cell_seed,
 // splitmix64 over the cell index), so cells sharing the spec's base
@@ -145,9 +145,7 @@ int run_mode(const support::Flags& flags) {
   try {
     std::string text = read_input(flags.positional()[0]);
     if (const std::string backend = flags.get("backend"); !backend.empty()) {
-      // Appended last, so it overrides a fixed `backend` key in the
-      // spec; a `sweep backend ...` axis still wins (axis overrides
-      // are appended after the base text per cell).
+      // Appended last, so it overrides a `backend` key in the spec.
       text += "\nbackend " + backend + "\n";
     }
     grid = sweep::parse_grid(text);
@@ -173,9 +171,9 @@ int run_mode(const support::Flags& flags) {
         grid, options.shard_index, options.shard_count, [&](std::size_t i) {
           const sweep::Cell c = sweep::cell(grid, i);
           const exec::BatchJob job = sweep::batch_job(grid, c);
-          std::cout << "cell " << c.science_index;
+          std::cout << "cell " << c.index;
           for (const auto& [key, value] : c.assignment) std::cout << " " << key << "=" << value;
-          if (grid.backend_axis() == nullptr) std::cout << " backend=" << job.backend;
+          std::cout << " backend=" << job.backend;
           std::cout << " seed=" << job.config.seed << " replicas=" << job.replicas << "\n";
           return true;
         });
@@ -284,7 +282,7 @@ int merge_mode(const support::Flags& flags) {
     }
     merged = sweep::merge_records(shards);
     if (!merged.empty()) {
-      // Every record carries the scientific grid size.  An incomplete
+      // Every record carries its grid size.  An incomplete
       // merge is legitimate (shards still running) but must not look
       // complete: warn per observed backend (a backend whose slice is
       // missing ENTIRELY leaves no record at all, so only the grid
@@ -401,7 +399,7 @@ int coordinate_mode(int argc, char** argv, bool serve) {
                "(mode: kill|hang)");
   flags.define("chaos-seed", "0", "derive --chaos-kills directives from this seed");
   flags.define("chaos-kills", "0", "number of seeded workers to fault (with --chaos-seed)");
-  flags.define("backend", "", "fixed execution backend (appended to the spec workers get)");
+  flags.define("backend", "", "execution backend (appended to the spec workers get)");
   flags.define("quiet", "false", "suppress lease-event narration on stderr");
 
   const std::string mode = serve ? "serve" : "coordinate";
@@ -620,7 +618,7 @@ int main(int argc, char** argv) {
     backends += (backends.empty() ? "" : " | ") + name;
   }
   flags.define("backend", "",
-               "fixed execution backend (" + backends + "); a 'sweep backend ...' axis overrides");
+               "execution backend (" + backends + "); overrides the spec's 'backend' key");
   flags.define("csv", "false", "[report] emit the tables as CSV");
 
   for (int i = 1; i < argc; ++i) {
