@@ -57,8 +57,8 @@ struct ScenarioOptions {
 void classify(Scenario& scenario);
 
 /// The scenario as a replayable experiment file (sweep/experiment.hpp):
-/// feed it to `dls_sim` or sweep::parse_experiment_spec to reproduce
-/// the run.
+/// feed it to `dls_sweep -` or sweep::parse_experiment_spec to
+/// reproduce the run.
 [[nodiscard]] std::string to_experiment_text(const Scenario& scenario);
 
 }  // namespace check

@@ -242,7 +242,7 @@ bool print_report(const CheckReport& report, std::ostream& out) {
         << "    " << violation.message << "\n"
         << "    minimized replayable experiment:\n";
     // Indent the experiment text so a report with several violations
-    // stays scannable; the block still pastes cleanly into dls_sim.
+    // stays scannable; the block still pastes cleanly into dls_sweep -.
     std::size_t start = 0;
     while (start < violation.experiment_text.size()) {
       const std::size_t end = violation.experiment_text.find('\n', start);

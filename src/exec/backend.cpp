@@ -333,18 +333,21 @@ bool is_backend_name(std::string_view name) {
   return false;
 }
 
+std::string unknown_backend_message(std::string_view name) {
+  std::string known;
+  for (const std::string& n : backend_names()) {
+    if (!known.empty()) known += " | ";
+    known += n;
+  }
+  return "unknown backend '" + std::string(name) + "' (known: " + known + ")";
+}
+
 std::unique_ptr<Backend> make_backend(std::string_view name, const BackendOptions& options) {
   if (name == "mw") return std::make_unique<MwBackend>();
   if (name == "bbn") return std::make_unique<DirectBackend>(/*bbn=*/true);
   if (name == "hagerup") return std::make_unique<DirectBackend>(/*bbn=*/false);
   if (name == "runtime") return std::make_unique<RuntimeBackend>(options);
-  std::string known;
-  for (const std::string& n : backend_names()) {
-    if (!known.empty()) known += ", ";
-    known += n;
-  }
-  throw std::invalid_argument("unknown backend '" + std::string(name) + "' (known: " + known +
-                              ")");
+  throw std::invalid_argument(unknown_backend_message(name));
 }
 
 }  // namespace exec

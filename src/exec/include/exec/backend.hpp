@@ -106,6 +106,8 @@ struct BackendOptions {
 /// "bbn", "hagerup", "mw", "runtime".
 [[nodiscard]] const std::vector<std::string>& backend_names();
 [[nodiscard]] bool is_backend_name(std::string_view name);
+/// "unknown backend '<name>' (known: bbn | hagerup | mw | runtime)".
+[[nodiscard]] std::string unknown_backend_message(std::string_view name);
 
 /// Factory.  Throws std::invalid_argument listing the known names for
 /// an unknown `name`.

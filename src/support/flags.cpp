@@ -35,14 +35,17 @@ void Flags::parse(int argc, const char* const* argv) {
       throw std::invalid_argument("unknown flag --" + name + "\n" + usage());
     }
     if (!value) {
-      // `--flag value` form, unless the next token is another flag or the
-      // flag is boolean-like (declared with default "true"/"false").
+      // A boolean-like flag (declared with default "true"/"false") is a
+      // switch; any other takes the next token, which must not be
+      // another flag.
       const bool boolean_like =
           it->second.default_value == "true" || it->second.default_value == "false";
-      if (!boolean_like && i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--") {
+      if (boolean_like) {
+        value = "true";
+      } else if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
         value = argv[++i];
       } else {
-        value = "true";
+        throw std::invalid_argument("--" + name + " needs a value");
       }
     }
     it->second.value = std::move(value);

@@ -10,9 +10,11 @@
 
 namespace support {
 
-/// Minimal command-line flag parser used by the bench harnesses and
-/// examples.  Supports `--name=value`, `--name value`, and boolean
-/// switches `--name`.  Positional arguments are collected in order.
+/// Minimal command-line flag parser used by the tools and examples.
+/// Supports `--name=value`, `--name value`, and boolean switches
+/// `--name` (flags declared with default "true" or "false").  Any other
+/// flag needs a value: written last, or followed by another `--` token,
+/// it is an error.  Positional arguments are collected in order.
 ///
 /// The parser is intentionally strict: an unknown flag is an error, so a
 /// typo in an experiment sweep cannot silently fall back to defaults.
@@ -24,8 +26,8 @@ class Flags {
   /// Declaration order defines the order in `usage()`.
   void define(std::string name, std::string default_value, std::string help);
 
-  /// Parse argv; throws std::invalid_argument on unknown or malformed
-  /// flags.  `argv[0]` is retained as the program name for `usage()`.
+  /// Parse argv; throws std::invalid_argument on unknown flags and on
+  /// value flags without a value.  `argv[0]` is retained as the program name for `usage()`.
   void parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(std::string_view name) const;

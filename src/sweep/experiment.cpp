@@ -258,14 +258,7 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       if (threads > std::numeric_limits<unsigned>::max()) parse_error(line, "threads too large");
       spec.threads = static_cast<unsigned>(threads);
     } else if (key == "backend") {
-      if (!exec::is_backend_name(value)) {
-        std::string known;
-        for (const std::string& name : exec::backend_names()) {
-          if (!known.empty()) known += " | ";
-          known += name;
-        }
-        parse_error(line, "unknown backend '" + std::string(value) + "' (known: " + known + ")");
-      }
+      if (!exec::is_backend_name(value)) parse_error(line, exec::unknown_backend_message(value));
       spec.backend = value;
     } else if (key == "series") {
       spec.series = to_bool(value, line);

@@ -52,7 +52,7 @@ namespace sweep {
 /// experiment key: sweep::parse_grid expands the cartesian product of
 /// all sweep lines into one experiment per cell (tools/dls_sweep).
 /// parse_experiment_spec rejects it with a pointer at dls_sweep so a
-/// grid spec fed to dls_sim (a one-cell dls_sweep) fails loudly instead
+/// grid spec fed to the single-experiment parser fails loudly instead
 /// of dropping an axis.
 ///
 /// System-information extensions (the heterogeneity/resilience side of

@@ -108,7 +108,7 @@ struct Cell {
 /// (splitmix64 over the cell index, so every backend's run of a grid
 /// shares seeds); a plain experiment file without sweep directives
 /// keeps its seed verbatim, so a record's experiment echo replays the
-/// same seeds through `dls_sim -` (itself a one-cell grid).
+/// same seeds through `dls_sweep -` (a one-cell grid).
 [[nodiscard]] exec::BatchJob batch_job(const Grid& grid, const Cell& cell);
 
 }  // namespace sweep

@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exec/batch.hpp"
@@ -37,8 +38,8 @@ struct RecordKey {
 /// "cell"/"of" are the cell index and the grid size; "backend" and
 /// "replicas" are explicit top-level fields.  The "sweep" object
 /// carries the axis assignment.  `experiment` is the serialized cell
-/// spec with the derived seed (and the backend key) applied -- paste
-/// it into `dls_sim -` to replay the cell.  Each summary object carries
+/// spec with the derived seed (and the backend key) applied -- pipe
+/// it into `dls_sweep -` to replay the cell.  Each summary object carries
 /// count/mean/stddev/min/max/median/p5/p95/ci95_lo/ci95_hi/nan_count
 /// (stats::Summary).  A cell whose spec says `series true` appends
 /// `"avg_wasted_time_series":[...]`, every replica's value in replica
@@ -79,6 +80,12 @@ class RecordRenderer {
 /// The unescaped "experiment" echo of a record line; nullopt if the
 /// line is not a complete record.
 [[nodiscard]] std::optional<std::string> record_experiment(std::string_view line);
+
+/// The "sweep" object of a record line: (axis key, value) in axis
+/// order, empty for a spec without `sweep` lines; nullopt if the line
+/// is not a complete record.
+[[nodiscard]] std::optional<std::vector<std::pair<std::string, std::string>>>
+record_assignment(std::string_view line);
 
 /// The `field` (e.g. "mean") of the summary object `summary` (e.g.
 /// "avg_wasted_time") of a record line -- the exact double the record

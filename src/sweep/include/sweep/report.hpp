@@ -71,13 +71,17 @@ struct FigureReport {
 /// line.  Tables are aligned ASCII, or CSV with `csv`.
 [[nodiscard]] std::string render_figure_report(const FigureReport& report, bool csv);
 
-/// Paper Figure 9's view of every record that carries a series (a
-/// `series true` cell): a histogram of its per-run average wasted
-/// times over [0, 400) s and a statistics table (runs, mean, median,
-/// p95, max, runs above the paper's 400 s cutoff, their share, the
-/// mean without them).  The mean is printed in shortest round-trip form, the
-/// same text as the record's own mean.  Throws std::invalid_argument
-/// when no record carries a series.
-[[nodiscard]] std::string render_series_report(const std::vector<std::string>& records);
+/// `dls_sweep report` over one record file: a block per record, in
+/// file order.  A record that carries a series (a `series true` cell)
+/// gets paper Figure 9's view: a histogram of its per-run average
+/// wasted times over [0, 400) s and a statistics table (runs, mean,
+/// median, p95, max, runs above the paper's 400 s cutoff, their share,
+/// the mean without them); the mean is printed in shortest round-trip
+/// form, the same text as the record's own mean.  Any other record gets
+/// its cell: a line naming the cell, its sweep assignment and the
+/// experiment it ran, and the mean, stddev, min and max of its
+/// makespan, average wasted time, speedup and scheduling operations.
+/// Throws std::invalid_argument for a file without records.
+[[nodiscard]] std::string render_records_report(const std::vector<std::string>& records);
 
 }  // namespace sweep

@@ -128,6 +128,50 @@ bool looks_complete(std::string_view line) {
   return false;
 }
 
+/// The JSON string whose text starts at line[i] (just past its opening
+/// quote), unescaped; `i` ends just past its closing quote.  nullopt
+/// for an unterminated string or a malformed escape.
+std::optional<std::string> json_string(std::string_view line, std::size_t& i) {
+  std::string out;
+  bool escaped = false;
+  for (; i < line.size(); ++i) {
+    const char c = line[i];
+    if (!escaped) {
+      if (c == '\\') escaped = true;
+      else if (c == '"') {
+        ++i;
+        return out;
+      } else out += c;
+      continue;
+    }
+    escaped = false;
+    switch (c) {
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        // Only ASCII control escapes are ever emitted; decode the low
+        // byte, and treat anything non-hex as a malformed record
+        // (readers return nullopt, never throw).
+        if (i + 4 >= line.size()) return std::nullopt;
+        unsigned value = 0;
+        for (std::size_t d = 1; d <= 4; ++d) {
+          const char h = line[i + d];
+          if (h >= '0' && h <= '9') value = value * 16 + static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') value = value * 16 + static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') value = value * 16 + static_cast<unsigned>(h - 'A' + 10);
+          else return std::nullopt;
+        }
+        out += static_cast<char>(value & 0xff);
+        i += 4;
+        break;
+      }
+      default: out += c;  // '\\', '"', '/'
+    }
+  }
+  return std::nullopt;  // unterminated string
+}
+
 }  // namespace
 
 std::string cell_experiment_text(const Grid& grid, std::size_t index) {
@@ -218,45 +262,37 @@ std::optional<std::size_t> record_grid_size(std::string_view line) {
 
 std::optional<std::string> record_experiment(std::string_view line) {
   if (!looks_complete(line)) return std::nullopt;
-  const std::string needle = "\"experiment\":\"";
-  const auto start = line.find(needle);
+  constexpr std::string_view kNeedle = "\"experiment\":\"";
+  const auto start = line.find(kNeedle);
   if (start == std::string_view::npos) return std::nullopt;
-  std::string out;
-  bool escaped = false;
-  for (std::size_t i = start + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (!escaped) {
-      if (c == '\\') escaped = true;
-      else if (c == '"') return out;
-      else out += c;
-      continue;
-    }
-    escaped = false;
-    switch (c) {
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        // Only ASCII control escapes are ever emitted; decode the low
-        // byte, and treat anything non-hex as a malformed record
-        // (this function must return nullopt, never throw).
-        if (i + 4 >= line.size()) return std::nullopt;
-        unsigned value = 0;
-        for (std::size_t d = 1; d <= 4; ++d) {
-          const char h = line[i + d];
-          if (h >= '0' && h <= '9') value = value * 16 + static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') value = value * 16 + static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') value = value * 16 + static_cast<unsigned>(h - 'A' + 10);
-          else return std::nullopt;
-        }
-        out += static_cast<char>(value & 0xff);
-        i += 4;
-        break;
-      }
-      default: out += c;  // '\\', '"', '/'
-    }
-  }
-  return std::nullopt;  // unterminated string
+  std::size_t i = start + kNeedle.size();
+  return json_string(line, i);
+}
+
+std::optional<std::vector<std::pair<std::string, std::string>>> record_assignment(
+    std::string_view line) {
+  if (!looks_complete(line)) return std::nullopt;
+  constexpr std::string_view kOpen = "\"sweep\":{";
+  const auto open = line.find(kOpen);
+  if (open == std::string_view::npos) return std::nullopt;
+  std::size_t i = open + kOpen.size();
+  const auto take = [&](char c) {
+    if (i >= line.size() || line[i] != c) return false;
+    ++i;
+    return true;
+  };
+  std::vector<std::pair<std::string, std::string>> assignment;
+  if (take('}')) return assignment;
+  do {
+    if (!take('"')) return std::nullopt;
+    std::optional<std::string> key = json_string(line, i);
+    if (!key || !take(':') || !take('"')) return std::nullopt;
+    std::optional<std::string> value = json_string(line, i);
+    if (!value) return std::nullopt;
+    assignment.emplace_back(*std::move(key), *std::move(value));
+  } while (take(','));
+  if (!take('}')) return std::nullopt;
+  return assignment;
 }
 
 std::optional<double> record_summary_field(std::string_view line, std::string_view summary,

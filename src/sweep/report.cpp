@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
@@ -125,10 +126,12 @@ std::string first_difference(const std::string& a, const std::string& b) {
   }
 }
 
-double mean_of(const std::string& line, const std::string& field, const std::string& what) {
-  const std::optional<double> mean = record_summary_field(line, field, "mean");
-  if (!mean) throw std::invalid_argument(what + ": record has no " + field + " mean");
-  return *mean;
+/// The `stat` (e.g. "mean") of the record's `summary` object.
+double summary_of(const std::string& line, const std::string& summary, const std::string& stat,
+                  const std::string& what) {
+  const std::optional<double> value = record_summary_field(line, summary, stat);
+  if (!value) throw std::invalid_argument(what + ": record has no " + summary + " " + stat);
+  return *value;
 }
 
 ExperimentSpec experiment_of(const std::string& line, const std::string& what) {
@@ -207,8 +210,8 @@ FigureReport reduce_pair(const std::vector<std::string>& original,
     c.technique = s_spec.config.technique;
     c.workers = s_spec.config.workers;
     const std::string field = report.speedup ? "speedup" : "avg_wasted_time";
-    c.original = mean_of(o->second, field, "original " + name);
-    c.simulation = mean_of(s->second, field, "simulation " + name);
+    c.original = summary_of(o->second, field, "mean", "original " + name);
+    c.simulation = summary_of(s->second, field, "mean", "simulation " + name);
     const stats::Discrepancy d = stats::discrepancy(c.original, c.simulation);
     c.discrepancy = d.absolute;
     c.relative_percent = d.relative_percent;
@@ -342,49 +345,101 @@ std::string render_figure_report(const FigureReport& report, bool csv) {
   return out;
 }
 
-std::string render_series_report(const std::vector<std::string>& records) {
+namespace {
+
+/// Paper Figure 9's view of a record that carries a series.
+std::string series_block(const std::string& line, const RecordKey& key,
+                         const std::vector<double>& series) {
+  const ExperimentSpec spec = experiment_of(line, "cell " + std::to_string(key.cell));
+  const mw::Config& cfg = spec.config;
+  const stats::Summary summary = stats::summarize(series);
+  const stats::TrimmedMean trimmed = stats::mean_below(series, kFigure9Cutoff);
+
+  std::string out = "=== Figure 9 view: per-run average wasted time, " + curve_label(cfg) +
+                    ", p = " + std::to_string(cfg.workers) + ", n = " + std::to_string(cfg.tasks) +
+                    " ===\n";
+  out += "record: cell " + std::to_string(key.cell) + ", backend " + key.backend + ", " +
+         std::to_string(series.size()) + " runs, workload " + cfg.workload->spec() +
+         ", h = " + support::fmt_shortest(cfg.params.h) + " s\n\n";
+  stats::Histogram hist(0.0, kFigure9Cutoff, 8);
+  hist.add_all(series);
+  out += "distribution of per-run values [s]:\n" + hist.to_ascii() + "\n";
+
+  support::Table table({"statistic", "value"});
+  table.add_row({"runs", std::to_string(summary.count)});
+  // Shortest round-trip form: the same text as the record's mean.
+  table.add_row({"mean [s]", support::fmt_shortest(summary.mean)});
+  table.add_row({"median [s]", support::fmt(summary.median, 2)});
+  table.add_row({"p95 [s]", support::fmt(summary.p95, 2)});
+  table.add_row({"max [s]", support::fmt(summary.max, 2)});
+  table.add_row(
+      {"values > " + support::fmt(kFigure9Cutoff, 0) + " s", std::to_string(trimmed.removed)});
+  table.add_row({"share > cutoff [%]",
+                 support::fmt(100.0 * static_cast<double>(trimmed.removed) /
+                                  static_cast<double>(summary.count),
+                              2)});
+  table.add_row({"trimmed mean [s]", support::fmt(trimmed.mean, 2)});
+  out += table.to_ascii();
+  if (cfg.technique == dls::Kind::kFAC && cfg.workers == 2 && cfg.tasks == 524288) {
+    out += "\npaper Figure 9: 15 of 1000 runs above 400 s (1.5%), trimmed mean 25.82 s.\n";
+  }
+  return out;
+}
+
+/// Any other record: its cell, the experiment it ran, and the mean,
+/// stddev, min and max of its four summaries.
+std::string cell_block(const std::string& line, std::size_t cell) {
+  const std::string what = "cell " + std::to_string(cell);
+  const ExperimentSpec spec = experiment_of(line, what);
+  const mw::Config& cfg = spec.config;
+  std::string out = what;
+  if (const auto assignment = record_assignment(line); assignment && !assignment->empty()) {
+    std::string axes;
+    for (const auto& [key, value] : *assignment) {
+      axes += (axes.empty() ? "" : ", ") + key + "=" + value;
+    }
+    out += " (" + axes + ")";
+  }
+  out += ": technique " + dls::to_string(cfg.technique) + ", " + std::to_string(cfg.tasks) +
+         " tasks x " + std::to_string(cfg.timesteps) + " timesteps, " +
+         std::to_string(cfg.workers) + " workers, " + cfg.workload->name() + ", ";
+  if (spec.backend != "mw") out += spec.backend + " backend, ";
+  if (spec.replicas == 1) {
+    out += "1 replica (seed " + std::to_string(cfg.seed) + ")\n";
+  } else if (spec.seed_stride == 1) {
+    out += std::to_string(spec.replicas) + " replicas (seeds " + std::to_string(cfg.seed) + ".." +
+           std::to_string(cfg.seed + spec.replicas - 1) + ")\n";
+  } else {
+    out += std::to_string(spec.replicas) + " replicas (seeds " + std::to_string(cfg.seed) +
+           " + " + std::to_string(spec.seed_stride) + "*r)\n";
+  }
+
+  support::Table table({"measured value", "mean", "stddev", "min", "max"});
+  const auto row = [&](const char* name, const std::string& summary, int digits) {
+    std::vector<std::string> cells = {name};
+    for (const char* stat : {"mean", "stddev", "min", "max"}) {
+      cells.push_back(support::fmt(summary_of(line, summary, stat, what), digits));
+    }
+    table.add_row(std::move(cells));
+  };
+  row("makespan [s]", "makespan", 4);
+  row("average wasted time [s]", "avg_wasted_time", 4);
+  row("speedup", "speedup", 3);
+  row("scheduling operations", "chunks", 1);
+  return out + table.to_ascii();
+}
+
+}  // namespace
+
+std::string render_records_report(const std::vector<std::string>& records) {
+  if (records.empty()) throw std::invalid_argument("no records");
   std::string out;
   for (const std::string& line : records) {
-    const std::optional<std::vector<double>> series = record_series(line);
-    if (!series) continue;
     const std::optional<RecordKey> key = record_key(line);
-    const ExperimentSpec spec = experiment_of(line, "cell " + std::to_string(key->cell));
-    const mw::Config& cfg = spec.config;
-    const stats::Summary summary = stats::summarize(*series);
-    const stats::TrimmedMean trimmed = stats::mean_below(*series, kFigure9Cutoff);
-
+    if (!key) throw std::invalid_argument("malformed record line");
     if (!out.empty()) out += "\n";
-    out += "=== Figure 9 view: per-run average wasted time, " + curve_label(cfg) +
-           ", p = " + std::to_string(cfg.workers) + ", n = " + std::to_string(cfg.tasks) +
-           " ===\n";
-    out += "record: cell " + std::to_string(key->cell) + ", backend " + key->backend + ", " +
-           std::to_string(series->size()) + " runs, workload " + cfg.workload->spec() +
-           ", h = " + support::fmt_shortest(cfg.params.h) + " s\n\n";
-    stats::Histogram hist(0.0, kFigure9Cutoff, 8);
-    hist.add_all(*series);
-    out += "distribution of per-run values [s]:\n" + hist.to_ascii() + "\n";
-
-    support::Table table({"statistic", "value"});
-    table.add_row({"runs", std::to_string(summary.count)});
-    // Shortest round-trip form: the same text as the record's mean.
-    table.add_row({"mean [s]", support::fmt_shortest(summary.mean)});
-    table.add_row({"median [s]", support::fmt(summary.median, 2)});
-    table.add_row({"p95 [s]", support::fmt(summary.p95, 2)});
-    table.add_row({"max [s]", support::fmt(summary.max, 2)});
-    table.add_row(
-        {"values > " + support::fmt(kFigure9Cutoff, 0) + " s", std::to_string(trimmed.removed)});
-    table.add_row({"share > cutoff [%]",
-                   support::fmt(100.0 * static_cast<double>(trimmed.removed) /
-                                    static_cast<double>(summary.count),
-                                2)});
-    table.add_row({"trimmed mean [s]", support::fmt(trimmed.mean, 2)});
-    out += table.to_ascii();
-    if (cfg.technique == dls::Kind::kFAC && cfg.workers == 2 && cfg.tasks == 524288) {
-      out += "\npaper Figure 9: 15 of 1000 runs above 400 s (1.5%), trimmed mean 25.82 s.\n";
-    }
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("no record carries a series (a spec's 'series true')");
+    const std::optional<std::vector<double>> series = record_series(line);
+    out += series ? series_block(line, *key, *series) : cell_block(line, key->cell);
   }
   return out;
 }

@@ -21,7 +21,7 @@ TEST(CheckFuzz, BoundedScenarioSweepHoldsAllInvariants) {
   for (const check::Violation& violation : report.violations) {
     ADD_FAILURE() << "scenario " << violation.scenario_index << " violated '"
                   << violation.invariant << "': " << violation.message
-                  << "\nreplay with dls_sim:\n"
+                  << "\nreplay with dls_sweep -:\n"
                   << violation.experiment_text;
   }
 }

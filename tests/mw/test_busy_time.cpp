@@ -16,7 +16,7 @@ double busy_fraction(const mw::RunResult& r, const mw::WorkerStats& w) {
   return w.compute_time / r.makespan;
 }
 
-TEST(Trace, UtilizationNearOneForBalancedRun) {
+TEST(BusyTime, UtilizationNearOneForBalancedRun) {
   mw::Config cfg;
   cfg.technique = dls::Kind::kStatic;
   cfg.workers = 4;
@@ -31,7 +31,7 @@ TEST(Trace, UtilizationNearOneForBalancedRun) {
   }
 }
 
-TEST(Trace, UtilizationSeesIdleStraggler) {
+TEST(BusyTime, UtilizationSeesIdleStraggler) {
   // One giant task at the end of a STAT block starves the other PEs.
   auto values = std::vector<double>(100, 0.1);
   values[99] = 30.0;

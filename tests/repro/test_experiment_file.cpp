@@ -1,7 +1,8 @@
 // The experiment-file grammar (sweep/experiment.hpp) in process, and
-// dls_sim -- a one-cell dls_sweep -- through the real binary
-// (DLS_SIM_BIN), checked against the dls_sweep record of the same file.
-// dls_chunks (DLS_CHUNKS_BIN) holds its flags to the grammar's rules.
+// one experiment through the real dls_sweep binary (DLS_SWEEP_BIN):
+// `dls_sweep -` runs it as a one-cell grid and `dls_sweep report -`
+// shows the record's numbers.  dls_chunks (DLS_CHUNKS_BIN) holds its
+// flags to the grammar's rules.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -366,7 +367,7 @@ TEST(ExperimentFile, SerializeRejectsInexpressibleSpecs) {
 }
 
 // ---------------------------------------------------------------------------
-// dls_sim as a process.
+// One experiment through dls_sweep as a process.
 // ---------------------------------------------------------------------------
 
 struct Outcome {
@@ -388,14 +389,23 @@ Outcome run_command(const std::string& command) {
   return outcome;
 }
 
-/// Run `tool args` with `spec` on stdin (the tool reads '-').
-Outcome run_on_stdin(const std::string& tool, const std::string& spec,
-                     const std::string& args = "") {
-  return run_command(tool + " - " + args + " 2>&1 <<'EOF'\n" + spec + "EOF\n");
+/// Run `dls_sweep <args>` with `input` on stdin.
+Outcome run_sweep(const std::string& args, const std::string& input) {
+  return run_command(std::string(DLS_SWEEP_BIN) + " " + args + " 2>&1 <<'EOF'\n" + input +
+                     "EOF\n");
 }
 
-Outcome run_sim(const std::string& spec, const std::string& args = "") {
-  return run_on_stdin(DLS_SIM_BIN, spec, args);
+/// `dls_sweep - --quiet` on `spec`: its one record, or the error.
+Outcome run_spec(const std::string& spec, const std::string& args = "") {
+  return run_sweep("- --quiet " + args, spec);
+}
+
+/// `dls_sweep - --quiet | dls_sweep report -`, one step at a time so a
+/// failing run keeps its exit code.
+Outcome run_and_report(const std::string& spec, const std::string& args = "") {
+  const Outcome run = run_spec(spec, args);
+  if (run.exit_code != 0) return run;
+  return run_sweep("report -", run.output);
 }
 
 using Row = std::vector<std::string>;
@@ -418,29 +428,34 @@ Row row_of(const std::string& output, const std::string& label) {
   return {};
 }
 
-TEST(DlsSim, RunProducesMeasuredValues) {
+TEST(ExperimentCli, RunProducesMeasuredValues) {
   const Outcome run =
-      run_sim("technique STAT\ntasks 100\nworkers 4\nworkload constant:1.0\nh 0.5\n");
+      run_and_report("technique STAT\ntasks 100\nworkers 4\nworkload constant:1.0\nh 0.5\n");
   ASSERT_EQ(run.exit_code, 0) << run.output;
-  EXPECT_EQ(row_of(run.output, "makespan [s]"), (Row{"makespan [s]", "25.0000"}))
-      << run.output;  // 100 x 1 s on 4 workers
-  EXPECT_EQ(row_of(run.output, "technique"), (Row{"technique", "STAT"})) << run.output;
-  EXPECT_EQ(row_of(run.output, "speedup").size(), 2u) << run.output;
-  // The Tzen-Ni degrees are not record fields, so dls_sim has none.
+  // 100 x 1 s on 4 workers, one replica: stddev 0 and min = max = mean.
+  EXPECT_EQ(row_of(run.output, "makespan [s]"),
+            (Row{"makespan [s]", "25.0000", "0.0000", "25.0000", "25.0000"}))
+      << run.output;
+  EXPECT_EQ(run.output.rfind("cell 0: technique STAT, 100 tasks x 1 timesteps, 4 workers, ", 0),
+            0u)
+      << run.output;
+  EXPECT_NE(run.output.find("1 replica (seed 42)"), std::string::npos) << run.output;
+  EXPECT_EQ(row_of(run.output, "speedup").size(), 5u) << run.output;
+  // The Tzen-Ni degrees are not record fields, so the view has none.
   EXPECT_EQ(run.output.find("degree"), std::string::npos) << run.output;
 }
 
-TEST(DlsSim, DeterministicAcrossRuns) {
-  const Outcome a = run_sim(kValid);
+TEST(ExperimentCli, DeterministicAcrossRuns) {
+  const Outcome a = run_and_report(kValid);
   ASSERT_EQ(a.exit_code, 0) << a.output;
-  EXPECT_EQ(run_sim(kValid).output, a.output);
+  EXPECT_EQ(run_and_report(kValid).output, a.output);
 }
 
-TEST(DlsSim, ReplicatedRunRendersSummaryStatistics) {
+TEST(ExperimentCli, ReplicatedRunRendersSummaryStatistics) {
   const std::string base =
       "technique FAC2\ntasks 256\nworkers 4\nworkload exponential:1.0\nh 0.5\nseed 5\n"
       "replicas 8\n";
-  const Outcome two = run_sim(base + "threads 2\n");
+  const Outcome two = run_and_report(base + "threads 2\n");
   ASSERT_EQ(two.exit_code, 0) << two.output;
   EXPECT_NE(two.output.find("8 replicas (seeds 5..12)"), std::string::npos) << two.output;
   EXPECT_EQ(row_of(two.output, "measured value"),
@@ -450,32 +465,29 @@ TEST(DlsSim, ReplicatedRunRendersSummaryStatistics) {
   // Deterministic regardless of thread count (threads only appear in
   // the input, not the rendered output).
   for (const std::string threads : {"1", "4"}) {
-    const Outcome other = run_sim(base + "threads " + threads + "\n");
+    const Outcome other = run_and_report(base + "threads " + threads + "\n");
     EXPECT_EQ(other.exit_code, 0) << other.output;
     EXPECT_EQ(other.output, two.output) << "threads " << threads;
   }
 }
 
-TEST(DlsSim, UsageErrorsExitTwo) {
-  const auto exit_code = [](const std::string& args) {
-    const std::string command = std::string(DLS_SIM_BIN) + " " + args + " >/dev/null 2>&1";
-    const int status = std::system(command.c_str());
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  };
-  EXPECT_EQ(exit_code(""), 2);
-  EXPECT_EQ(exit_code("dls_sim_no_such_file.txt"), 2);
-  const Outcome backend = run_sim(kValid, "--backend nope");
+TEST(ExperimentCli, UsageErrorsExitTwo) {
+  EXPECT_EQ(run_command(std::string(DLS_SWEEP_BIN) + " 2>&1").exit_code, 2);
+  EXPECT_EQ(run_command(std::string(DLS_SWEEP_BIN) + " dls_sweep_no_such_file.txt 2>&1").exit_code,
+            2);
+  // A bad --backend names the flag, not a spec line the user never
+  // wrote.
+  const Outcome backend = run_spec(kValid, "--backend nope");
   EXPECT_EQ(backend.exit_code, 2) << backend.output;
-  EXPECT_NE(backend.output.find("unknown backend 'nope'"), std::string::npos) << backend.output;
-  EXPECT_EQ(run_sim(kValid, "--backend").exit_code, 2);
-
-  const Outcome grid = run_sim("technique SS\nsweep workers 2 4\ntasks 64\nworkload constant:1\n");
-  EXPECT_EQ(grid.exit_code, 2) << grid.output;
-  EXPECT_NE(grid.output.find("line 2"), std::string::npos) << grid.output;
-  EXPECT_NE(grid.output.find("dls_sweep"), std::string::npos) << grid.output;
+  EXPECT_NE(backend.output.find("--backend nope: unknown backend 'nope'"), std::string::npos)
+      << backend.output;
+  EXPECT_EQ(backend.output.find("line"), std::string::npos) << backend.output;
+  const Outcome bare = run_spec(kValid, "--backend");
+  EXPECT_EQ(bare.exit_code, 2) << bare.output;
+  EXPECT_NE(bare.output.find("--backend needs a value"), std::string::npos) << bare.output;
 }
 
-TEST(DlsSim, BadNumericValuesAreUsageErrors) {
+TEST(ExperimentCli, BadNumericValuesAreUsageErrors) {
   // Each of these once ran (NaN or negative results, FAC scheduling
   // every task as one chunk, a truncated thread count) or failed only
   // as a run error.  Each is now exit 2, naming its line.  The counts
@@ -487,34 +499,29 @@ TEST(DlsSim, BadNumericValuesAreUsageErrors) {
                                  "weights nan,1", "tasks 0", "workers 0", "tasks 1e300",
                                  "tasks 18446744073709551616", "tasks nan", "tasks inf",
                                  "seed nan", "seed inf"}) {
-    const Outcome run = run_sim(base + line + "\n");
+    const Outcome run = run_spec(base + line + "\n");
     EXPECT_EQ(run.exit_code, 2) << line << "\n" << run.output;
     EXPECT_NE(run.output.find("line 5 ('" + line + "')"), std::string::npos) << run.output;
   }
 }
 
-TEST(DlsSim, BackendRejectionIsARunError) {
+TEST(ExperimentCli, BackendRejectionIsARunError) {
   // hagerup has no simulated-overhead mode: the spec parses, the run
   // fails.
-  const Outcome run = run_sim(
+  const Outcome run = run_spec(
       "technique SS\ntasks 64\nworkers 2\nworkload constant:1\noverhead simulated\n",
       "--backend hagerup");
   EXPECT_EQ(run.exit_code, 1) << run.output;
 }
 
-/// dls_sim on `spec` prints the numbers of the record dls_sweep writes
-/// for the same input, at the digits of its table.
-void expect_sim_matches_record(const std::string& spec, const std::string& args = "") {
-  const Outcome sim = run_sim(spec, args);
-  ASSERT_EQ(sim.exit_code, 0) << sim.output;
-  const Outcome swept = run_on_stdin(DLS_SWEEP_BIN, spec, args + " --quiet");
+/// `report -` of the record dls_sweep writes for `spec` prints each of
+/// its summaries' mean, stddev, min and max at the view's digits.
+void expect_report_matches_record(const std::string& spec, const std::string& args = "") {
+  const Outcome swept = run_spec(spec, args);
   ASSERT_EQ(swept.exit_code, 0) << swept.output;
   const std::string record = swept.output.substr(0, swept.output.find('\n'));
-  const bool replicas =
-      sweep::record_experiment(record).value().find("replicas") != std::string::npos;
-  const std::vector<std::string> stats =
-      replicas ? std::vector<std::string>{"mean", "stddev", "min", "max"}
-               : std::vector<std::string>{"mean"};
+  const Outcome report = run_sweep("report -", swept.output);
+  ASSERT_EQ(report.exit_code, 0) << report.output;
   const struct {
     const char* label;
     const char* summary;
@@ -522,32 +529,48 @@ void expect_sim_matches_record(const std::string& spec, const std::string& args 
   } rows[] = {{"makespan [s]", "makespan", 4},
               {"average wasted time [s]", "avg_wasted_time", 4},
               {"speedup", "speedup", 3},
-              {"scheduling operations", "chunks", replicas ? 1 : 0}};
+              {"scheduling operations", "chunks", 1}};
   for (const auto& row : rows) {
     Row expected{row.label};
-    for (const std::string& stat : stats) {
+    for (const char* stat : {"mean", "stddev", "min", "max"}) {
       expected.push_back(
           support::fmt(sweep::record_summary_field(record, row.summary, stat).value(), row.digits));
     }
-    EXPECT_EQ(row_of(sim.output, row.label), expected) << sim.output << record;
+    EXPECT_EQ(row_of(report.output, row.label), expected) << report.output << record;
   }
 }
 
-TEST(DlsSim, NumbersEqualTheSweepRecord) {
-  // The two CI smoke inputs (one single run, one batch of replicas),
-  // then a null-network run on another backend.
-  expect_sim_matches_record(
+TEST(ExperimentCli, NumbersEqualTheSweepRecord) {
+  // One single run, one batch of replicas, then a null-network run on
+  // another backend.
+  expect_report_matches_record(
       "technique TSS\ntasks 10000\nworkers 8\nworkload constant:0.002\nh 1e-6\n"
       "overhead simulated\nlatency 2e-6\nbandwidth 1e8\n");
-  expect_sim_matches_record(
+  expect_report_matches_record(
       "technique BOLD\ntasks 8192\nworkers 64\nworkload exponential:1.0\nh 0.5\n"
       "rand48 true\nreplicas 20\nthreads 2\n");
-  expect_sim_matches_record(
+  expect_report_matches_record(
       "technique SS\ntasks 4096\nworkers 16\nworkload exponential:1\nh 0.5\n",
       "--backend hagerup");
 }
 
-TEST(DlsSim, OverflowingWorkerSpeedIsAUsageError) {
+TEST(ExperimentCli, QuickstartShowsItsWalkThroughNumbers) {
+  // examples/quickstart.sweep's reading guide quotes these values.
+  std::ifstream in(std::string(DLS_SWEEP_SPEC_DIR) + "/../../examples/quickstart.sweep");
+  ASSERT_TRUE(in);
+  std::ostringstream spec;
+  spec << in.rdbuf();
+  const Outcome run = run_and_report(spec.str());
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(row_of(run.output, "makespan [s]"),
+            (Row{"makespan [s]", "514.1434", "0.0000", "514.1434", "514.1434"}))
+      << run.output;
+  EXPECT_EQ(row_of(run.output, "average wasted time [s]")[1], "12.2331") << run.output;
+  EXPECT_EQ(row_of(run.output, "speedup")[1], "7.887") << run.output;
+  EXPECT_EQ(row_of(run.output, "scheduling operations")[1], "80.0") << run.output;
+}
+
+TEST(ExperimentCli, OverflowingWorkerSpeedIsAUsageError) {
   // host_speed * factor overflows to inf (or underflows to 0): this once
   // parsed, then failed as a run error.  Either line order names the
   // 'speeds' line and exits 2.
@@ -555,12 +578,12 @@ TEST(DlsSim, OverflowingWorkerSpeedIsAUsageError) {
   for (const std::string lines : {"host_speed 1e300\nspeeds 1e300,1\n",
                                   "speeds 1e300,1\nhost_speed 1e300\n",
                                   "host_speed 1e-300\nspeeds 1,1e-300\n"}) {
-    const Outcome run = run_sim(base + lines);
+    const Outcome run = run_spec(base + lines);
     EXPECT_EQ(run.exit_code, 2) << lines << run.output;
     EXPECT_NE(run.output.find("('speeds "), std::string::npos) << run.output;
   }
   // A finite product near the limit still runs.
-  const Outcome edge = run_sim(base + "host_speed 1e300\nspeeds 1e8,1\n");
+  const Outcome edge = run_spec(base + "host_speed 1e300\nspeeds 1e8,1\n");
   EXPECT_EQ(edge.exit_code, 0) << edge.output;
 }
 

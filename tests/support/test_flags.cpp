@@ -61,6 +61,21 @@ TEST(Flags, BooleanFlagDoesNotConsumeNextToken) {
   EXPECT_EQ(flags.positional()[0], "positional");
 }
 
+TEST(Flags, ValueFlagWithoutAValueThrows) {
+  // Last on the line, or followed by another flag: a value flag never
+  // falls back to the string "true".
+  for (const auto& args : {argv_of({"prog", "--label"}), argv_of({"prog", "--label", "--full"}),
+                           argv_of({"prog", "--runs", "--label", "x"})}) {
+    Flags flags = make_flags();
+    try {
+      flags.parse(static_cast<int>(args.size()), args.data());
+      ADD_FAILURE() << "accepted " << args[1] << " without a value";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "--" + std::string(args[1] + 2) + " needs a value");
+    }
+  }
+}
+
 TEST(Flags, UnknownFlagThrows) {
   Flags flags = make_flags();
   const auto args = argv_of({"prog", "--nope=1"});

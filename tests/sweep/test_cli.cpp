@@ -26,8 +26,9 @@ struct Outcome {
   std::string output;  ///< stdout and stderr
 };
 
-Outcome run_tool(const std::string& args) {
-  const std::string command = std::string(DLS_SWEEP_BIN) + " " + args + " 2>&1";
+/// Run the shell `command` with stderr folded into its output.
+Outcome run_tool_raw(const std::string& command_line) {
+  const std::string command = command_line + " 2>&1";
   Outcome outcome;
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return outcome;
@@ -38,6 +39,10 @@ Outcome run_tool(const std::string& args) {
   const int status = ::pclose(pipe);
   outcome.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return outcome;
+}
+
+Outcome run_tool(const std::string& args) {
+  return run_tool_raw(std::string(DLS_SWEEP_BIN) + " " + args);
 }
 
 const std::string kSpec = std::string(DLS_SWEEP_SPEC_DIR) + "/fig5_simulation.sweep";
@@ -195,10 +200,66 @@ TEST(SweepCli, ABackendAxisIsAUsageErrorInEveryEntryPoint) {
   std::remove(spec.c_str());
 }
 
-TEST(SweepCli, ReportNeedsFilePairs) {
+TEST(SweepCli, ReportReadsOneRecordFileOrPairs) {
   expect_usage_errors({{"report", "pairs"},
-                       {"report only_one.jsonl", "pairs"},
-                       {"report a.jsonl b.jsonl c.jsonl", "pairs"}});
+                       {"report a.jsonl b.jsonl c.jsonl", "pairs"},
+                       {"report cli_no_such_records.jsonl", "cannot open cli_no_such_records.jsonl"},
+                       {"report - </dev/null", "no records"}});
+  // One record file, here on stdin, shows each record's cell.
+  const std::string bin = DLS_SWEEP_BIN;
+  const Outcome run = run_tool_raw(
+      "printf 'technique SS\\ntasks 64\\nworkers 2\\nworkload constant:1.0\\nreplicas 3\\n' | " +
+      bin + " - --quiet | " + bin + " report -");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(run.output.rfind("cell 0: technique SS, 64 tasks x 1 timesteps, 2 workers, ", 0), 0u)
+      << run.output;
+  EXPECT_NE(run.output.find("3 replicas (seeds 42..44)"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("| makespan [s]            | 32.0000 | 0.0000 | 32.0000 | 32.0000 |"),
+            std::string::npos)
+      << run.output;
+}
+
+TEST(SweepCli, AValueFlagWithoutAValueIsAUsageError) {
+  // A value flag never falls back to the string "true" (`--out` alone
+  // would write the records to ./true): it exits 2 naming the flag,
+  // and the scratch directory it ran in stays empty.
+  char dir_template[] = "/tmp/dls_sweep_cli_XXXXXX";
+  const char* dir = ::mkdtemp(dir_template);
+  ASSERT_NE(dir, nullptr);
+  const std::string in_dir = "cd " + std::string(dir) + " && " + DLS_SWEEP_BIN + " ";
+  for (const auto& [args, flag] :
+       std::vector<Case>{{kSpec + " --list --out", "--out"},
+                         {kSpec + " --out --quiet", "--out"},
+                         {"merge --out", "--out"},
+                         {"coordinate " + kSpec + " --out o --workdir", "--workdir"}}) {
+    const Outcome outcome = run_tool_raw(in_dir + args);
+    EXPECT_EQ(outcome.exit_code, 2) << args << "\n" << outcome.output;
+    EXPECT_NE(outcome.output.find(flag + " needs a value"), std::string::npos)
+        << args << "\n" << outcome.output;
+  }
+  struct stat info {};
+  EXPECT_NE(::stat((std::string(dir) + "/true").c_str(), &info), 0) << "a file named true";
+  EXPECT_EQ(::rmdir(dir), 0) << dir << " is not empty";
+}
+
+TEST(SweepCli, AnUnknownBackendFlagNamesTheFlag) {
+  // Checked with the flags, in run, --list, coordinate and serve: the
+  // message names --backend, not a spec line appended behind the user's
+  // back.
+  const std::string expected =
+      "--backend nope: unknown backend 'nope' (known: bbn | hagerup | mw | runtime)";
+  for (const std::string& args :
+       {kSpec + " --backend nope", kSpec + " --list --backend nope",
+        "coordinate " + kSpec + " --out cli_never.jsonl --workdir cli_never_wd --backend nope",
+        "serve " + kSpec + " --listen 127.0.0.1:0 --out cli_never.jsonl --workdir cli_never_wd "
+                           "--backend nope"}) {
+    const Outcome outcome = run_tool(args);
+    EXPECT_EQ(outcome.exit_code, 2) << args << "\n" << outcome.output;
+    EXPECT_NE(outcome.output.find(expected), std::string::npos) << args << "\n" << outcome.output;
+    EXPECT_EQ(outcome.output.find("line"), std::string::npos) << args << "\n" << outcome.output;
+  }
+  struct stat info {};
+  EXPECT_NE(::stat("cli_never_wd", &info), 0) << "cli_never_wd was created";
 }
 
 }  // namespace

@@ -72,8 +72,8 @@ TEST(SweepGrid, CellsGetDecorrelatedDerivedSeeds) {
 }
 
 TEST(SweepGrid, PlainExperimentKeepsItsSeedVerbatim) {
-  // No sweep directive -> one cell, seed untouched, so dls_sweep and
-  // dls_sim agree on single experiments.
+  // No sweep directive -> one cell, seed untouched, so a record's
+  // experiment echo replays its own seeds through `dls_sweep -`.
   const sweep::Grid grid =
       sweep::parse_grid("technique SS\ntasks 100\nworkers 2\nworkload constant:1\nseed 7\n");
   EXPECT_TRUE(grid.axes.empty());

@@ -230,7 +230,7 @@ TEST(FigureReport, Figure9SeriesSummarizesToTheRecordMean) {
   EXPECT_EQ(sweep::record_summary_field(fig9.front(), "avg_wasted_time", "mean"), fig8_mean);
 
   // The report's Figure 9 view prints that mean in the record's form.
-  const std::string view = sweep::render_series_report(fig9);
+  const std::string view = sweep::render_records_report(fig9);
   EXPECT_NE(view.find("=== Figure 9 view: per-run average wasted time, FAC, p = 2, n = 524288"),
             std::string::npos)
       << view;
@@ -241,9 +241,31 @@ TEST(FigureReport, Figure9SeriesSummarizesToTheRecordMean) {
       << view;
 }
 
-TEST(FigureReport, SeriesReportRefusesRecordsWithoutASeries) {
-  EXPECT_THROW((void)sweep::render_series_report(fig5_records().simulation),
-               std::invalid_argument);
+TEST(FigureReport, RecordsReportShowsEveryCellAndRefusesOnlyAnEmptyFile) {
+  // One block per record, in file order: a record without a series
+  // shows its cell's sweep assignment, experiment and summaries.
+  const std::vector<std::string>& records = fig5_records().simulation;
+  const std::string view = sweep::render_records_report(records);
+  EXPECT_EQ(view.rfind("cell 0 (technique=SS, workers=2): technique SS, 256 tasks x 1 timesteps, "
+                       "2 workers, ",
+                       0),
+            0u)
+      << view;
+  EXPECT_NE(view.find("\ncell 5 (technique=BOLD, workers=4): technique BOLD, "), std::string::npos)
+      << view;
+  EXPECT_NE(view.find(", 12 replicas (seeds "), std::string::npos) << view;
+  EXPECT_EQ(view.find("Figure 9"), std::string::npos) << view;
+  std::size_t tables = 0;
+  for (std::size_t at = view.find("| measured value "); at != std::string::npos;
+       at = view.find("| measured value ", at + 1)) {
+    ++tables;
+  }
+  EXPECT_EQ(tables, records.size()) << view;
+  const std::string mean =
+      support::fmt(*sweep::record_summary_field(records[3], "avg_wasted_time", "mean"), 4);
+  EXPECT_NE(view.find("| average wasted time [s] | " + mean + " "), std::string::npos) << view;
+
+  EXPECT_THROW((void)sweep::render_records_report({}), std::invalid_argument);
 }
 
 /// The reduced grid of one side of a committed ablation pair.

@@ -1,8 +1,8 @@
 // bench_to_json: normalize google-benchmark JSON output into the
 // compact BENCH_*.json files tracked for the perf trajectory.
 //
-//   bench_e2e_sweep --benchmark_format=json > raw.json
-//   bench_to_json raw.json BENCH_e2e_sweep.json
+//   bench_simx_core --benchmark_format=json > raw.json
+//   bench_to_json raw.json BENCH_simx_core.json
 //   bench_to_json - BENCH_micro_chunks.json   # read stdin
 //
 // Only the fields that matter for trend tracking are kept: benchmark

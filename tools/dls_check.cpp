@@ -4,7 +4,8 @@
 // runs each through the applicable backends (mw message-passing
 // simulator, hagerup direct simulator, native runtime executor), and
 // checks the invariant catalog of check/invariants.hpp.  Violations
-// are reported as minimized experiment files replayable with dls_sim.
+// are reported as minimized experiment files replayable with
+// `dls_sweep -`.
 //
 //   $ dls_check --runs 500 --seed 1
 //   dls_check: 500 scenarios, all invariants hold

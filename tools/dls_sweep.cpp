@@ -13,7 +13,8 @@
 //   dls_sweep grid.sweep --list                          # show the cells, don't run
 //   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # the grid's execution backend
 //   dls_sweep report original.jsonl simulation.jsonl   # a figure's tables from its sweep pairs
-//   dls_sweep report f9.jsonl                          # Figure 9 view of `series true` records
+//   dls_sweep report results.jsonl                     # each record's cell (Figure 9 view for series)
+//   dls_sweep exp.txt --quiet | dls_sweep report -     # one experiment, run and shown
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
 //   dls_sweep serve grid.sweep --listen :7070 --out all.jsonl --workdir wd
 //   dls_sweep work --connect host:7070   # one remote worker of `serve`
@@ -80,7 +81,8 @@ void print_usage(std::ostream& out, const support::Flags& flags) {
   out << "usage: dls_sweep <spec-file | -> [options]        run a grid\n"
          "       dls_sweep merge --out <file> <shard>...    merge shard outputs\n"
          "       dls_sweep report (<original.jsonl> <simulation.jsonl>)... [--csv]\n"
-         "       dls_sweep report <series.jsonl>             Figure 9 view of series records\n"
+         "       dls_sweep report <records.jsonl | ->        each record's cell (Figure 9 view\n"
+         "                                                   for series records)\n"
          "       dls_sweep coordinate <spec-file> --out <file> --workdir <dir> [options]\n"
          "       dls_sweep serve <spec-file> --listen host:port --out <file> --workdir <dir>\n"
          "       dls_sweep work --connect host:port   one remote worker (TCP)\n"
@@ -103,6 +105,17 @@ std::string read_input(const std::string& path) {
     buffer << in.rdbuf();
   }
   return buffer.str();
+}
+
+/// The --backend flag: empty (the spec's own `backend` key) or a known
+/// backend name.
+std::string backend_flag(const support::Flags& flags) {
+  std::string backend = flags.get("backend");
+  if (!backend.empty() && !exec::is_backend_name(backend)) {
+    throw std::invalid_argument("--backend " + backend + ": " +
+                                exec::unknown_backend_message(backend));
+  }
+  return backend;
 }
 
 /// A count or duration flag: a non-negative integer that fits `T`.
@@ -143,8 +156,9 @@ void parse_shard(const std::string& text, sweep::SweepRunner::Options& options) 
 int run_mode(const support::Flags& flags) {
   sweep::Grid grid;
   try {
+    const std::string backend = backend_flag(flags);
     std::string text = read_input(flags.positional()[0]);
-    if (const std::string backend = flags.get("backend"); !backend.empty()) {
+    if (!backend.empty()) {
       // Appended last, so it overrides a `backend` key in the spec.
       text += "\nbackend " + backend + "\n";
     }
@@ -329,23 +343,21 @@ int merge_mode(const support::Flags& flags) {
 }
 
 // `dls_sweep report`: the reducer of a figure's sweep pairs, or, over
-// one file, the Figure 9 view of its series records (see
+// one record file (`-` = stdin), a block per record (see
 // sweep/report.hpp).  Unreadable, incomplete or mismatched record
 // files are usage errors, like the other modes' input errors.
 int report_mode(const support::Flags& flags) {
   const std::vector<std::string>& positional = flags.positional();
-  constexpr const char* kUsage =
-      "report needs <original.jsonl> <simulation.jsonl> pairs, or one record file with series";
   if (positional.size() < 2 || (positional.size() > 2 && positional.size() % 2 == 0)) {
-    std::cerr << "dls_sweep: " << kUsage << "\n";
+    std::cerr << "dls_sweep: report needs one record file (or -), or "
+                 "<original.jsonl> <simulation.jsonl> pairs\n";
     return kExitUsageError;
   }
   std::string text;
   try {
     std::vector<std::vector<std::string>> sides;
     for (std::size_t i = 1; i < positional.size(); ++i) {
-      std::ifstream in(positional[i]);
-      if (!in) throw std::invalid_argument("cannot open " + positional[i]);
+      std::istringstream in(read_input(positional[i]));
       sweep::ScanResult scanned = sweep::scan_records(in);
       if (scanned.dropped_partial_tail) {
         throw std::invalid_argument(positional[i] +
@@ -354,13 +366,10 @@ int report_mode(const support::Flags& flags) {
       sides.push_back(std::move(scanned.lines));
     }
     text = sides.size() == 1
-               ? sweep::render_series_report(sides.front())
+               ? sweep::render_records_report(sides.front())
                : sweep::render_figure_report(sweep::reduce_figure(sides), flags.get_bool("csv"));
   } catch (const std::exception& e) {
-    std::cerr << "dls_sweep: report: " << e.what();
-    // One file may be a half-typed pair: say what report reads.
-    if (positional.size() == 2) std::cerr << " (" << kUsage << ")";
-    std::cerr << "\n";
+    std::cerr << "dls_sweep: report: " << e.what() << "\n";
     return kExitUsageError;
   }
   std::cout << text;
@@ -415,7 +424,7 @@ int coordinate_mode(int argc, char** argv, bool serve) {
     options.spec_path = flags.positional()[1];
     options.out_path = flags.get("out");
     options.workdir = flags.get("workdir");
-    options.backend = flags.get("backend");
+    options.backend = backend_flag(flags);
     if (options.out_path.empty() || options.workdir.empty()) {
       throw std::invalid_argument(mode + " needs --out and --workdir");
     }
