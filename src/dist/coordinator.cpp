@@ -133,9 +133,7 @@ class Run {
     }
     journal_ = std::move(journal.writer);
     journaled_.resize(grid_.cells());
-    for (const sweep::RecordKey& key : journal.kept.done) {
-      journaled_[sweep::grid_index_of(grid_, key)] = true;
-    }
+    for (const std::size_t index : journal.done) journaled_[index] = true;
 
     stripe_states_.resize(stripes_);
     const Clock::time_point now = Clock::now();
@@ -495,15 +493,13 @@ class Run {
   }
 
   [[nodiscard]] bool accept_record(StripeState& stripe, std::string_view line) {
-    if (stripe.held == stripe.owned.size() ||
-        sweep::record_key(line) != cell_key(stripe.owned[stripe.held])) {
-      return false;
-    }
+    if (stripe.held == stripe.owned.size()) return false;
     try {
       sweep::validate_records_for_grid(grid_, {std::string(line)});
     } catch (const std::invalid_argument&) {
       return false;
     }
+    if (sweep::record_key(line)->cell != stripe.owned[stripe.held]) return false;
     // A restart under other stripes recomputes journaled cells past a
     // stripe's held prefix; the journal keeps each cell's first record,
     // as `dls_sweep --resume` keeps --out's (a wall-clock `runtime`
@@ -652,15 +648,14 @@ class Run {
     std::ifstream in(journal_path());
     sweep::ScanResult scanned = sweep::scan_records(in);
     sweep::validate_records_for_grid(grid_, scanned.lines);
-    // The merged run must cover the grid exactly: one record per
-    // (cell, backend), none missing (scan_records already rejected
-    // conflicting duplicates and dropped byte-identical ones).
-    for (std::size_t index = 0; index < grid_.cells(); ++index) {
-      const sweep::RecordKey key = cell_key(index);
-      if (!scanned.done.contains(key)) {
-        throw std::runtime_error("coordinate: merged output is missing cell " +
-                                 std::to_string(key.cell) + " (backend " + key.backend + ")");
-      }
+    // The merged run must cover the grid exactly: validation pins every
+    // record to a cell of the grid's backend, and scan_records rejected
+    // conflicting duplicates and dropped byte-identical ones, so the
+    // records cover it iff there is one per cell.
+    if (scanned.lines.size() != grid_.cells()) {
+      throw std::runtime_error("coordinate: merged output has " +
+                               std::to_string(scanned.lines.size()) + " of the grid's " +
+                               std::to_string(grid_.cells()) + " cells");
     }
     const std::vector<std::string> merged = sweep::merge_records({std::move(scanned.lines)});
     sweep::write_lines_atomic(options_.out_path, merged);
@@ -668,10 +663,6 @@ class Run {
   }
 
   // ---- helpers -----------------------------------------------------
-
-  [[nodiscard]] sweep::RecordKey cell_key(std::size_t index) const {
-    return {index, grid_.backend};
-  }
 
   [[nodiscard]] std::string journal_path() const { return options_.workdir + "/records.jsonl"; }
 

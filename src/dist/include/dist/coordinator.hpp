@@ -56,11 +56,12 @@ namespace dist {
 ///    capped exponential backoff (protocol.hpp backoff_delay) and are
 ///    re-leased to surviving workers, up to `max_attempts` per stripe
 ///    in this coordinator run -- exhaustion fails the whole run loudly.
-///  - merge: once every stripe is done, the journal is scanned,
-///    checked against the grid, merged (sweep::merge_records) and
-///    checked to cover the grid, so the merged output of a sweep that
-///    lost k of n workers is bitwise identical to an uninterrupted
-///    serial run.
+///  - merge: once every stripe is done, the journal is scanned and
+///    checked against the grid (every record a cell of the grid's one
+///    backend, duplicates byte-identical), must hold one record per
+///    cell, and is sorted by cell (sweep::merge_records), so the merged
+///    output of a sweep that lost k of n workers is bitwise identical
+///    to an uninterrupted serial run.
 ///
 /// Every decision is appended to a lease-event log,
 /// `<workdir>/events.jsonl` (JSONL of protocol.hpp LeaseEvents), that

@@ -16,7 +16,6 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "sweep/record.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/stripe.hpp"
 
@@ -91,12 +90,11 @@ class Heartbeat {
 }
 
 /// The cells a lease skips: the first `held` cells the stripe owns.
-[[nodiscard]] std::set<sweep::RecordKey> held_cells(const sweep::Grid& grid,
-                                                    const LeaseMsg& lease) {
-  std::set<sweep::RecordKey> held;
+[[nodiscard]] std::set<std::size_t> held_cells(const sweep::Grid& grid, const LeaseMsg& lease) {
+  std::set<std::size_t> held;
   sweep::for_each_owned_index(grid, lease.stripe, lease.stripe_count, [&](std::size_t index) {
     if (held.size() == lease.held) return false;
-    held.insert({index, grid.backend});
+    held.insert(index);
     return true;
   });
   return held;

@@ -8,33 +8,11 @@
 
 namespace exec {
 
-Backend& BatchRunner::slot_backend(unsigned slot, const std::string& name) const {
-  auto& cache = slots_[slot];
-  const auto it = cache.find(name);
-  if (it != cache.end()) return *it->second;
-  return *cache.emplace(name, make_backend(name, options_.backend)).first->second;
-}
-
 std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
                                           const JobCallback& on_complete) const {
-  pool::Executor& executor =
-      options_.executor != nullptr ? *options_.executor : pool::Executor::shared();
-  const unsigned threads = options_.threads != 0 ? options_.threads : executor.width();
-  // Slot 0 (the calling thread) always exists; the wall-clock probe
-  // and the serial path below use it before the pool is sized.
-  if (slots_.empty()) slots_.resize(1);
-
-  // Wall-clock backends (runtime) stay out of the parallel pool: their
-  // replicas spawn their own worker threads and measure real time, so
-  // co-running replicas would measure contention instead of run-to-run
-  // noise.  The probe goes through the slot-0 cache, so the probe
-  // instance is the one the serial path reuses.  `widest` is the
-  // largest stretch of consecutive virtual-time replicas: the most one
-  // pool region can claim.
+  if (jobs.empty()) return {};
+  const std::string& backend = jobs.front().backend;
   std::vector<std::size_t> offsets(jobs.size() + 1, 0);
-  std::vector<bool> wall_clock(jobs.size(), false);
-  std::size_t stretch = 0;
-  std::size_t widest = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (jobs[j].replicas == 0) {
       // Reject rather than return an all-zero Summary that renders as
@@ -42,27 +20,37 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
       throw std::invalid_argument("BatchJob.replicas must be >= 1 (job " + std::to_string(j) +
                                   ")");
     }
-    if (!is_backend_name(jobs[j].backend)) {
-      throw std::invalid_argument("BatchJob.backend '" + jobs[j].backend +
-                                  "' is not a known backend (job " + std::to_string(j) + ")");
+    if (jobs[j].backend != backend) {
+      throw std::invalid_argument("BatchJob.backend '" + jobs[j].backend + "' (job " +
+                                  std::to_string(j) + ") differs from '" + backend +
+                                  "' (job 0): a batch runs on one backend");
     }
-    wall_clock[j] = !slot_backend(0, jobs[j].backend).virtual_time();
     offsets[j + 1] = offsets[j] + jobs[j].replicas;
-    stretch = wall_clock[j] ? 0 : stretch + jobs[j].replicas;
-    widest = std::max(widest, stretch);
+  }
+  // Slot 0 (the calling thread) always exists and tells which backend
+  // the caches hold; make_backend rejects an unknown name.
+  if (slots_.empty() || slots_.front()->name() != backend) {
+    slots_.clear();
+    slots_.push_back(make_backend(backend));
   }
 
-  // Size the pool -- and the per-slot backend caches -- only for what
-  // this batch can actually use: min(threads, widest region).  A
-  // run_one() on a big machine must not spawn (and park forever) a
-  // full-width worker set for a region that will run inline; the lazy
-  // pool stays lazy for small batches.  The caches must cover every
-  // slot the pool can hand out (slot IDs are stable per thread, not
-  // per region) and are sized BEFORE the regions, with slots_.size()
-  // passed as each region's slot cap; existing entries -- and their
-  // cached engines -- survive across run() calls.
-  executor.reserve(static_cast<unsigned>(std::min<std::size_t>(threads, widest)));
-  if (slots_.size() < executor.slot_count()) slots_.resize(executor.slot_count());
+  pool::Executor& executor =
+      options_.executor != nullptr ? *options_.executor : pool::Executor::shared();
+  const unsigned threads = options_.threads != 0 ? options_.threads : executor.width();
+  const bool wall_clock = !slots_.front()->virtual_time();
+  if (!wall_clock) {
+    // Size the pool -- and the per-slot caches -- only for what this
+    // batch can use: min(threads, replicas).  A run_one() on a big
+    // machine must not spawn (and park forever) a full-width worker set
+    // for a region that will run inline; the lazy pool stays lazy for
+    // small batches.  The caches must cover every slot the pool can
+    // hand out (slot IDs are stable per thread, not per region) and are
+    // sized BEFORE the region, with slots_.size() passed as its slot
+    // cap; existing entries -- and their cached engines -- survive
+    // across run() calls.
+    executor.reserve(static_cast<unsigned>(std::min<std::size_t>(threads, offsets.back())));
+    if (slots_.size() < executor.slot_count()) slots_.resize(executor.slot_count());
+  }
 
   struct PerReplica {
     std::vector<double> makespan;
@@ -105,7 +93,9 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
     cfg.seed = job.config.seed + job.seed_stride * replica;
     // A run resets every piece of cached state it reuses when it
     // starts, so the cached instance stays safe to reuse after a throw.
-    const Measured measured = slot_backend(slot, job.backend).measure(cfg);
+    std::unique_ptr<Backend>& engine = slots_[slot];
+    if (engine == nullptr) engine = make_backend(backend);
+    const Measured measured = engine->measure(cfg);
 
     PerReplica& out = values[job_index];
     out.makespan[replica] = measured.makespan;
@@ -117,37 +107,27 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
     }
   };
 
-  // Jobs run in job order.  Each maximal stretch of consecutive
-  // virtual-time jobs is one pool region over its flattened (job,
-  // replica) indices, so threads stay busy across job boundaries; a
-  // wall-clock job runs its replicas one at a time, in place, on the
-  // calling thread (slot 0).
-  std::size_t begin = 0;
-  while (begin < jobs.size()) {
-    if (wall_clock[begin]) {
-      for (std::size_t replica = 0; replica < jobs[begin].replicas; ++replica) {
-        run_replica(begin, replica, /*slot=*/0);
+  if (wall_clock) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (std::size_t replica = 0; replica < jobs[j].replicas; ++replica) {
+        run_replica(j, replica, /*slot=*/0);
       }
-      ++begin;
-      continue;
     }
-    std::size_t end = begin + 1;
-    while (end < jobs.size() && !wall_clock[end]) ++end;
-    executor.parallel_for_slots(
-        offsets[end] - offsets[begin],
-        [&](std::size_t i, unsigned slot) {
-          const std::size_t flat = offsets[begin] + i;
-          const std::size_t job_index = static_cast<std::size_t>(
-              std::upper_bound(offsets.begin(), offsets.end(), flat) - offsets.begin() - 1);
-          run_replica(job_index, flat - offsets[job_index], slot);
-        },
-        threads, /*grain=*/1,
-        // Cap the region at the slots the caches cover: another thread
-        // may grow the pool between the resize above and this region.
-        static_cast<unsigned>(slots_.size()));
-    begin = end;
+    return results;
   }
-
+  // One pool region over the flattened (job, replica) indices, so
+  // threads stay busy across job boundaries.
+  executor.parallel_for_slots(
+      offsets.back(),
+      [&](std::size_t flat, unsigned slot) {
+        const std::size_t job_index = static_cast<std::size_t>(
+            std::upper_bound(offsets.begin(), offsets.end(), flat) - offsets.begin() - 1);
+        run_replica(job_index, flat - offsets[job_index], slot);
+      },
+      threads, /*grain=*/1,
+      // Cap the region at the slots the caches cover: another thread
+      // may grow the pool between the resize above and this region.
+      static_cast<unsigned>(slots_.size()));
   return results;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,15 +18,15 @@ namespace exec {
 /// `config` on the named execution backend, where replica r runs with
 /// seed `config.seed + seed_stride * r`.  This is the repetition
 /// dimension of every reproduced experiment (e.g. 1000 runs per cell in
-/// the BOLD study, paper Section III-B), now crossed with the paper's
-/// execution-vehicle dimension.
+/// the BOLD study, paper Section III-B).
 struct BatchJob {
   mw::Config config;
   std::size_t replicas = 1;
   std::uint64_t seed_stride = 1;
   /// Execution vehicle: any exec::backend_names() entry ("mw" is the
-  /// reference simulator).  The runtime backend ignores the seed (real
-  /// threads, wall clock), so its replicas measure run-to-run noise.
+  /// reference simulator); the jobs of one batch all name the same one.
+  /// The runtime backend ignores the seed (real threads, wall clock),
+  /// so its replicas measure run-to-run noise.
   std::string backend = "mw";
   /// Retain the per-replica series in the result (a spec's `series
   /// true`: the raw material of distribution plots like paper Figure 9).
@@ -51,39 +50,38 @@ struct BatchResult {
 /// runner, tools and benches route "run this grid of
 /// configurations N times each" through.
 ///
-/// The replicas of all virtual-time jobs are flattened into one index
-/// space and claimed from a persistent pool::Executor (an external one
-/// via Options::executor, else the process-wide shared pool -- no
-/// per-call thread spawn).  Every executor slot keeps one
-/// exec::Backend *per backend name*, and those caches live for the
-/// runner's lifetime: consecutive run() calls (e.g. the consecutive
-/// cells of a sweep) reuse the backends' engines and buffers
-/// (mw::RunContext, hagerup::RunContext, the cached runtime executor)
-/// instead of reallocating them.  Jobs run in job order: each maximal
-/// stretch of consecutive virtual-time jobs is one pool region, and a
-/// wall-clock job (runtime) runs between them, one replica at a time on
-/// the calling thread -- each replica spawns its own worker threads and
-/// its timings ARE the measurement, so co-running replicas would
-/// measure contention, not run-to-run noise.  So a wall-clock job
-/// completes after every earlier job and before any later one.
-/// Results are deterministic for virtual-time backends: each
-/// replica is seeded purely by (job, replica index), independent of
-/// thread scheduling.
+/// A batch runs on ONE backend: every job names the same
+/// BatchJob::backend (run() throws otherwise).  On a virtual-time
+/// backend the replicas of all jobs are flattened into one index space
+/// and claimed from a persistent pool::Executor (an external one via
+/// Options::executor, else the process-wide shared pool -- no per-call
+/// thread spawn).  A wall-clock backend (runtime) runs every replica in
+/// job order on the calling thread instead: each replica spawns its own
+/// worker threads and its timings ARE the measurement, so co-running
+/// replicas would measure contention, not run-to-run noise.
+///
+/// Every executor slot keeps one exec::Backend, and those caches live
+/// for the runner's lifetime: consecutive run() calls (e.g. the
+/// consecutive windows of a sweep) reuse the backend's engines and
+/// buffers (mw::RunContext, hagerup::RunContext, the cached runtime
+/// executor) instead of reallocating them.  A run() on another backend
+/// than the last one rebuilds the caches.  Results are deterministic
+/// for virtual-time backends: each replica is seeded purely by (job,
+/// replica index), independent of thread scheduling.
 ///
 /// A BatchRunner is NOT thread-safe: one run() at a time per instance
 /// (the slot caches assume a single driving thread per region).
 class BatchRunner {
  public:
   struct Options {
-    unsigned threads = 0;    ///< 0 = the executor's width
-    BackendOptions backend;  ///< backend construction knobs
+    unsigned threads = 0;  ///< 0 = the executor's width
     /// Externally-owned executor to run on (must outlive the runner);
     /// nullptr = pool::Executor::shared().
     pool::Executor* executor = nullptr;
   };
 
   BatchRunner() = default;
-  explicit BatchRunner(Options options) : options_(std::move(options)) {}
+  explicit BatchRunner(Options options) : options_(options) {}
 
   [[nodiscard]] const Options& options() const { return options_; }
 
@@ -97,22 +95,21 @@ class BatchRunner {
   using JobCallback = std::function<void(std::size_t job, const BatchResult& result)>;
 
   /// Run all jobs; result i aggregates jobs[i].  Throws
-  /// std::invalid_argument for zero-replica jobs and unknown backends
-  /// before running anything.
+  /// std::invalid_argument for zero-replica jobs, an unknown backend
+  /// and jobs naming different backends, before running anything.
   [[nodiscard]] std::vector<BatchResult> run(std::span<const BatchJob> jobs,
                                              const JobCallback& on_complete = {}) const;
   /// Convenience for a single job.
   [[nodiscard]] BatchResult run_one(const BatchJob& job) const;
 
  private:
-  [[nodiscard]] Backend& slot_backend(unsigned slot, const std::string& name) const;
-
   Options options_;
-  /// Per-slot Backend instances, keyed by backend name; slot s is only
-  /// ever touched by the executor participant holding slot ID s, so no
-  /// lock is needed.  mutable: the caches are perf state, not results
-  /// -- run() stays const for the many `const BatchRunner` call sites.
-  mutable std::vector<std::map<std::string, std::unique_ptr<Backend>, std::less<>>> slots_;
+  /// Per-slot Backend instances of the last run's backend (slot 0's
+  /// name() says which); slot s is only ever touched by the executor
+  /// participant holding slot ID s, so no lock is needed.  mutable: the
+  /// caches are perf state, not results -- run() stays const for the
+  /// many `const BatchRunner` call sites.
+  mutable std::vector<std::unique_ptr<Backend>> slots_;
 };
 
 }  // namespace exec

@@ -43,7 +43,9 @@ struct Axis {
 /// a sweep axis -- parse_grid rejects `sweep backend ...`.  To compare
 /// backends, run the spec once per backend and combine the outputs
 /// with `dls_sweep merge` (sweep::merge_records): every backend runs a
-/// cell on the same derived seed, and records key on (cell, backend).
+/// cell on the same derived seed, and the merge keys records on
+/// (cell, backend).  Within one grid a cell index is a record's
+/// identity.
 struct Grid {
   /// The spec text with the sweep directives removed; every cell is
   /// this text plus one `key value` override line per axis (the

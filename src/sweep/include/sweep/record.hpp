@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -15,11 +14,14 @@
 
 namespace sweep {
 
-/// Identity of one record: the cell index plus the grid's backend ("mw"
-/// unless the spec says otherwise).  Ordering is (cell, backend name):
-/// the canonical emission order of SweepRunner, so sorted merges
-/// reproduce an unsharded run's bytes -- and merging one run per
-/// backend of the same spec interleaves the backends cell by cell.
+/// Identity of one record in a file that may hold several backends'
+/// runs of one spec: the cell index plus the record's backend ("mw"
+/// unless the spec says otherwise).  Only the readers where such runs
+/// meet key on it -- scan_records, merge_records and the report views;
+/// a sweep resumes a grid (one backend) by cell index.  Ordering is
+/// (cell, backend name): merging one run per backend of the same spec
+/// interleaves the backends cell by cell, and sorted merges reproduce
+/// an unsharded run's bytes.
 struct RecordKey {
   std::size_t cell = 0;
   std::string backend;
@@ -109,19 +111,13 @@ record_assignment(std::string_view line);
 /// every record's grid size must equal grid.cells(), its cell index
 /// must be in range, its backend must be the grid's backend, and
 /// its experiment echo must be byte-identical to what the grid would
-/// run for that (cell, backend).  Throws std::invalid_argument
+/// run for that cell.  Throws std::invalid_argument
 /// otherwise -- resuming with the wrong spec (or onto the wrong output
 /// file) must fail loudly, not silently keep stale results.
 void validate_records_for_grid(const Grid& grid, const std::vector<std::string>& lines);
 
-/// The cell index of `key` in `grid` (inverse of the record's
-/// (cell, backend) identity).  Throws std::invalid_argument when the
-/// grid does not run `key`'s backend or the cell is out of range.
-[[nodiscard]] std::size_t grid_index_of(const Grid& grid, const RecordKey& key);
-
 /// What a resume scan found in an existing output file.
 struct ScanResult {
-  std::set<RecordKey> done;         ///< (cell, backend) with a complete record
   std::vector<std::string> lines;   ///< the complete records, in file order
   bool dropped_partial_tail = false;  ///< a truncated final line was discarded
 };

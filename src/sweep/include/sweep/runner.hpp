@@ -5,38 +5,38 @@
 #include <iosfwd>
 #include <memory>
 #include <set>
-#include <string_view>
 
 #include "exec/batch.hpp"
 #include "sweep/grid.hpp"
-#include "sweep/record.hpp"
 
 namespace sweep {
 
 /// Shards a grid over exec::BatchRunner and streams one JSONL record
 /// per completed cell (see sweep/record.hpp).  Cells are visited in
-/// canonical index order.
+/// canonical index order.  A grid runs on one backend (Grid::backend),
+/// so a cell index is a record's whole identity here.
 ///
 /// The owned worklist runs in windows of up to 1024 cells, and every
-/// (cell x replica) of a window is flattened into ONE
-/// claimable index space on the persistent thread pool, so the pool
-/// parallelizes *across* cells, not just within one: the last replicas
-/// of cell k and the first replicas of cell k+1 run concurrently, and
-/// one BatchRunner (with its per-slot backend engine caches) serves
-/// the entire pass.  Wall-clock `runtime` cells run in cell order with
-/// their replicas serialized (their timings are the measurement; see
-/// exec::BatchRunner).
+/// (cell x replica) of a window is one exec::BatchRunner batch: on a
+/// virtual-time backend it is flattened into ONE claimable index space
+/// on the persistent thread pool, so the pool parallelizes *across*
+/// cells, not just within one: the last replicas of cell k and the
+/// first replicas of cell k+1 run concurrently, and one BatchRunner
+/// (with its per-slot backend engines) serves the entire pass.  On the
+/// wall-clock `runtime` backend the batch runs its cells in cell order
+/// with their replicas serialized (their timings are the measurement;
+/// see exec::BatchRunner).
 ///
 /// Output order is untouched by the parallelism: an in-order committer
 /// buffers out-of-order cell completions and writes each record in
 /// canonical order, flushed as soon as its turn arrives -- so a
 /// multi-threaded sweep's output stream is byte-identical to the
 /// single-threaded run of the same spec, and the resume/shard/merge
-/// invariants hold unchanged.  Combined with scan_records this makes a
-/// sweep resumable: pass the scanned `done` set and completed cells
-/// are skipped instead of recomputed.  (A kill now loses the cells in
-/// flight -- up to the thread count -- instead of exactly one; resume
-/// recomputes them.)
+/// invariants hold unchanged.  Combined with open_record_file this
+/// makes a sweep resumable: pass the kept cells (RecordFile::done) and
+/// completed cells are skipped instead of recomputed.  (A kill now
+/// loses the cells in flight -- up to the thread count -- instead of
+/// exactly one; resume recomputes them.)
 class SweepRunner {
  public:
   struct Options {
@@ -63,7 +63,6 @@ class SweepRunner {
   /// order as records are committed.
   struct CellEvent {
     std::size_t cell = 0;          ///< cell index
-    std::string_view backend;      ///< the grid's backend
     std::size_t cells_total = 0;   ///< grid size
     bool skipped = false;          ///< already present in the output
   };
@@ -78,12 +77,12 @@ class SweepRunner {
   /// denominator of a per-shard progress display).
   [[nodiscard]] std::size_t owned_cells(const Grid& grid) const;
 
-  /// Run the grid, skipping records in `done` (and cells owned by
-  /// other shards); append one record line per computed cell to `out`.
-  /// Returns the number of cells computed.  Consecutive run() calls on
-  /// one SweepRunner reuse the same BatchRunner, so the per-slot
-  /// backend engines stay warm across passes.
-  std::size_t run(const Grid& grid, const std::set<RecordKey>& done, std::ostream& out,
+  /// Run the grid, skipping the cell indices in `done` (and cells owned
+  /// by other shards); append one record line per computed cell to
+  /// `out`.  Returns the number of cells computed.  Consecutive run()
+  /// calls on one SweepRunner reuse the same BatchRunner, so the
+  /// per-slot backend engines stay warm across passes of one backend.
+  std::size_t run(const Grid& grid, const std::set<std::size_t>& done, std::ostream& out,
                   const Observer& observer = {}) const;
 
  private:
@@ -91,7 +90,8 @@ class SweepRunner {
 
   Options options_;
   /// The persistent batch runner (per-slot backend caches live here);
-  /// rebuilt only when the resolved thread count changes.
+  /// rebuilt only when the resolved thread count changes (and its
+  /// caches when the grid's backend does).
   mutable std::unique_ptr<exec::BatchRunner> batch_;
   mutable unsigned batch_threads_ = 0;
 };

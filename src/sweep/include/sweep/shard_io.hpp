@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <ostream>
+#include <set>
 #include <streambuf>
 #include <string>
 #include <string_view>
@@ -64,6 +65,7 @@ void write_lines_atomic(const std::string& path, const std::vector<std::string>&
 /// A record file opened for appending, and the records it kept.
 struct RecordFile {
   ScanResult kept;
+  std::set<std::size_t> done;  ///< the cell indices of the kept records
   std::unique_ptr<ShardWriter> writer;
 };
 
@@ -72,7 +74,8 @@ struct RecordFile {
 /// journal.  With `resume`, the records `path` already holds are kept:
 /// scan_records, then validate_records_for_grid (std::invalid_argument
 /// for a malformed middle line, conflicting duplicates or a record of
-/// another spec); without, the file is emptied.  The kept records are
+/// another spec), and their cells fill `done`, the set SweepRunner::run
+/// skips; without, the file is emptied.  The kept records are
 /// rewritten with write_lines_atomic, which drops a torn tail and
 /// cannot lose them to a crash mid-rewrite, and the file is then opened
 /// for append.  I/O failures throw std::runtime_error.

@@ -1,6 +1,5 @@
 #include "sweep/record.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -187,19 +186,6 @@ std::string cell_experiment_text(const Grid& grid, std::size_t index) {
   return serialize_experiment_spec(echo);
 }
 
-std::size_t grid_index_of(const Grid& grid, const RecordKey& key) {
-  if (key.cell >= grid.cells()) {
-    throw std::invalid_argument("record for cell " + std::to_string(key.cell) +
-                                " is out of range (grid has " + std::to_string(grid.cells()) +
-                                " cells)");
-  }
-  if (key.backend != grid.backend) {
-    throw std::invalid_argument("record backend '" + key.backend +
-                                "' does not match this grid's backend '" + grid.backend + "'");
-  }
-  return key.cell;
-}
-
 RecordRenderer::RecordRenderer(const Grid& grid)
     : of_fragment_(",\"of\":" + std::to_string(grid.cells())) {}
 
@@ -354,14 +340,17 @@ void validate_records_for_grid(const Grid& grid, const std::vector<std::string>&
                                   "-cell grid does not belong to this spec (" +
                                   std::to_string(total) + " cells)");
     }
-    std::size_t index = 0;
-    try {
-      index = grid_index_of(grid, *key);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(std::string("resume: ") + e.what());
+    if (key->cell >= total) {
+      throw std::invalid_argument("resume: record for cell " + std::to_string(key->cell) +
+                                  " is out of range (grid has " + std::to_string(total) +
+                                  " cells)");
+    }
+    if (key->backend != grid.backend) {
+      throw std::invalid_argument("resume: record backend '" + key->backend +
+                                  "' does not match this grid's backend '" + grid.backend + "'");
     }
     const std::optional<std::string> echo = record_experiment(line);
-    if (!echo || *echo != cell_experiment_text(grid, index)) {
+    if (!echo || *echo != cell_experiment_text(grid, key->cell)) {
       throw std::invalid_argument(
           "resume: the record for cell " + std::to_string(key->cell) + " (backend " +
           key->backend +
@@ -372,6 +361,7 @@ void validate_records_for_grid(const Grid& grid, const std::vector<std::string>&
 
 ScanResult scan_records(std::istream& in) {
   ScanResult out;
+  std::map<RecordKey, std::size_t> kept;  // key -> its index in out.lines
   std::string line;
   std::size_t line_no = 0;
   std::optional<std::size_t> pending_bad_line;  // only fatal if not the last line
@@ -406,14 +396,11 @@ ScanResult scan_records(std::istream& in) {
                                   ": experiment echo does not re-parse (corrupted record): " +
                                   e.what());
     }
-    if (const auto [it, inserted] = out.done.insert(*key); !inserted) {
+    if (const auto [it, inserted] = kept.try_emplace(*key, out.lines.size()); !inserted) {
       // A duplicate comes from a rewrite race or a cell recomputed
       // into a coordinator's journal; records are deterministic, so
       // byte-identical duplicates are tolerated.
-      const auto existing = std::find_if(out.lines.begin(), out.lines.end(), [&](const auto& l) {
-        return record_key(l) == key;
-      });
-      if (existing == out.lines.end() || *existing != line) {
+      if (out.lines[it->second] != line) {
         throw std::invalid_argument("sweep output line " + std::to_string(line_no) +
                                     ": conflicting duplicate record for cell " +
                                     std::to_string(key->cell) + " (backend " + key->backend +

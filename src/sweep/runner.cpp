@@ -5,10 +5,10 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "support/thread_annotations.hpp"
+#include "sweep/record.hpp"
 #include "sweep/stripe.hpp"
 
 namespace sweep {
@@ -24,13 +24,11 @@ namespace {
 /// in frontier order.
 class InOrderCommitter {
  public:
-  /// `cells` is indexed by window slot and must outlive the committer;
-  /// `backend` is the grid-owned name the progress events expose.
-  InOrderCommitter(std::ostream& out, std::span<const Cell> cells, std::string_view backend,
+  /// `cells` is indexed by window slot and must outlive the committer.
+  InOrderCommitter(std::ostream& out, std::span<const Cell> cells,
                    const SweepRunner::Observer& observer, std::size_t total)
       : out_(&out),
         cells_(cells),
-        backend_(backend),
         observer_(observer),
         total_(total),
         rendered_(cells.size()),
@@ -47,18 +45,14 @@ class InOrderCommitter {
       if (!*out_) {
         // A full disk or write error must not let the sweep report
         // success over a truncated output.
-        std::string what = "sweep: writing the record for cell ";
-        what += std::to_string(cells_[frontier_].index);
-        what += " (backend ";
-        what += backend_;
-        what += ") failed (disk full?)";
-        throw std::runtime_error(what);
+        throw std::runtime_error("sweep: writing the record for cell " +
+                                 std::to_string(cells_[frontier_].index) +
+                                 " failed (disk full?)");
       }
       rendered_[frontier_].clear();
       rendered_[frontier_].shrink_to_fit();
       if (observer_) {
-        observer_(SweepRunner::CellEvent{cells_[frontier_].index, backend_, total_,
-                                         /*skipped=*/false});
+        observer_(SweepRunner::CellEvent{cells_[frontier_].index, total_, /*skipped=*/false});
       }
       ++frontier_;
     }
@@ -67,7 +61,6 @@ class InOrderCommitter {
  private:
   std::ostream* const out_ DLS_PT_GUARDED_BY(mutex_);
   const std::span<const Cell> cells_;
-  const std::string_view backend_;
   const SweepRunner::Observer& observer_;
   const std::size_t total_;
   support::Mutex mutex_;
@@ -104,7 +97,7 @@ exec::BatchRunner& SweepRunner::batch_runner(unsigned threads) const {
   return *batch_;
 }
 
-std::size_t SweepRunner::run(const Grid& grid, const std::set<RecordKey>& done,
+std::size_t SweepRunner::run(const Grid& grid, const std::set<std::size_t>& done,
                              std::ostream& out, const Observer& observer) const {
   const std::size_t total = grid.cells();
 
@@ -115,10 +108,8 @@ std::size_t SweepRunner::run(const Grid& grid, const std::set<RecordKey>& done,
   std::vector<std::size_t> work;  // cell indices to compute
   for_each_owned_index(grid, options_.shard_index, options_.shard_count,
                        [&](std::size_t index) {
-                         if (done.contains(RecordKey{index, grid.backend})) {
-                           if (observer) {
-                             observer(CellEvent{index, grid.backend, total, /*skipped=*/true});
-                           }
+                         if (done.contains(index)) {
+                           if (observer) observer(CellEvent{index, total, /*skipped=*/true});
                            return true;
                          }
                          if (options_.max_cells != 0 && work.size() >= options_.max_cells) {
@@ -141,8 +132,7 @@ std::size_t SweepRunner::run(const Grid& grid, const std::set<RecordKey>& done,
   // rendered-record buffers stay O(window), not O(owned cells) -- a
   // million-cell shard must not materialize a million ExperimentSpecs
   // before its first record lands.  Wall-clock (runtime) cells need no
-  // window of their own: the batch runner runs jobs in job order, so
-  // they never hold back the commit frontier.
+  // window of their own: the batch runner completes them in job order.
   constexpr std::size_t kWindowCells = 1024;
   const RecordRenderer renderer(grid);
 
@@ -170,7 +160,7 @@ std::size_t SweepRunner::run(const Grid& grid, const std::set<RecordKey>& done,
     const unsigned threads =
         options_.threads != 0 ? options_.threads : (any_default_threads ? 0 : spec_threads);
 
-    InOrderCommitter committer(out, cells, grid.backend, observer, total);
+    InOrderCommitter committer(out, cells, observer, total);
     const auto commit = [&](std::size_t j, const exec::BatchResult& result) {
       committer.commit(j, renderer.render(cells[j], jobs[j], result));
     };

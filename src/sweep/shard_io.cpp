@@ -140,6 +140,7 @@ RecordFile open_record_file(const Grid& grid, const std::string& path, bool resu
   if (std::ifstream existing(path); resume && existing) {
     file.kept = scan_records(existing);
     validate_records_for_grid(grid, file.kept.lines);
+    for (const std::string& line : file.kept.lines) file.done.insert(record_key(line)->cell);
   }
   write_lines_atomic(path, file.kept.lines);
   file.writer = std::make_unique<ShardWriter>(path);

@@ -2,8 +2,9 @@
 // contract under test: results are aggregated per job, deterministic in
 // (job, replica) regardless of thread count, identical to running the
 // replicas one by one through run_simulation (for the mw backend) or
-// hagerup::run (for the hagerup backend), the backend field routes each
-// job to its execution vehicle, and jobs run in job order.
+// hagerup::run (for the hagerup backend), a batch runs on the one
+// backend its jobs name (a runner reused on another backend rebuilds
+// its engines), and jobs on the wall-clock backend run in job order.
 // Plus the grid seeding contract: BatchJob replica seeding is exactly
 // seed + stride * r (unchanged), and sweep::derive_cell_seed gives grid
 // layers decorrelated, collision-free per-cell seeds.
@@ -13,6 +14,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/batch.hpp"
@@ -235,26 +237,83 @@ TEST(BatchRunner, SerialRunsInvokeTheCallbackInJobOrder) {
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
 }
 
-TEST(BatchRunner, WallClockJobCompletesInJobOrder) {
-  // A wall-clock job runs in place between the pool regions of the
-  // virtual-time jobs around it, so it completes after job 0 and before
-  // job 2 at any width: the sweep's in-order committer never waits on
-  // it.
-  exec::BatchJob runtime_job = make_job(Kind::kSS, 2, 64, 2);
-  runtime_job.backend = "runtime";
-  const std::vector<exec::BatchJob> jobs = {make_job(Kind::kFAC2, 4, 256, 3), runtime_job,
-                                            make_job(Kind::kGSS, 4, 256, 3)};
+TEST(BatchRunner, RuntimeBatchCompletesInJobOrderOnTheCallingThread) {
+  // Wall-clock replicas never co-run: at any width a runtime batch runs
+  // every replica in job order on the calling thread, so its jobs
+  // complete in job order there and the sweep's in-order committer
+  // never waits.
+  std::vector<exec::BatchJob> jobs = {make_job(Kind::kSS, 2, 64, 2),
+                                      make_job(Kind::kGSS, 2, 64, 3),
+                                      make_job(Kind::kFAC2, 2, 64, 2)};
+  for (exec::BatchJob& job : jobs) job.backend = "runtime";
   for (const unsigned threads : {1u, 3u}) {
     exec::BatchRunner::Options options;
     options.threads = threads;
-    std::mutex mutex;
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
-    (void)exec::BatchRunner(options).run(jobs, [&](std::size_t j, const exec::BatchResult&) {
-      const std::scoped_lock lock(mutex);
-      order.push_back(j);
-    });
+    std::vector<std::thread::id> completed_on;
+    const auto results =
+        exec::BatchRunner(options).run(jobs, [&](std::size_t j, const exec::BatchResult&) {
+          order.push_back(j);
+          completed_on.push_back(std::this_thread::get_id());
+        });
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2})) << threads << " threads";
+    EXPECT_EQ(completed_on, std::vector<std::thread::id>(3, caller)) << threads << " threads";
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_EQ(results[j].makespan.count, jobs[j].replicas);
+      for (const double v : results[j].makespan_values) EXPECT_GE(v, 0.0);
+    }
   }
+}
+
+TEST(BatchRunner, RejectsJobsNamingDifferentBackends) {
+  // A batch runs on one backend; a mixed batch is refused before any
+  // replica runs, whichever job is the odd one out.
+  exec::BatchJob hagerup_job = make_job(Kind::kFAC2, 4, 256, 3);
+  hagerup_job.backend = "hagerup";
+  const exec::BatchJob mw_job = make_job(Kind::kFAC2, 4, 256, 3);
+  bool ran = false;
+  const auto on_complete = [&](std::size_t, const exec::BatchResult&) { ran = true; };
+  const exec::BatchRunner runner;
+  EXPECT_THROW((void)runner.run(std::vector<exec::BatchJob>{mw_job, hagerup_job}, on_complete),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)runner.run(std::vector<exec::BatchJob>{hagerup_job, mw_job, mw_job}, on_complete),
+      std::invalid_argument);
+  EXPECT_FALSE(ran);
+  // The refusal leaves the runner usable.
+  EXPECT_EQ(runner.run_one(mw_job).makespan_values,
+            exec::BatchRunner().run_one(mw_job).makespan_values);
+}
+
+TEST(BatchRunner, AReusedRunnerSwitchesBackends) {
+  // mw, then hagerup, then mw again on one runner: each run rebuilds
+  // the slot engines for its backend and matches a fresh runner.
+  const std::vector<exec::BatchJob> mw_jobs = {make_job(Kind::kGSS, 4, 256, 5),
+                                               make_job(Kind::kFAC2, 8, 512, 4)};
+  const std::vector<exec::BatchJob> hagerup_jobs = [&] {
+    std::vector<exec::BatchJob> jobs = mw_jobs;
+    for (exec::BatchJob& job : jobs) job.backend = "hagerup";
+    return jobs;
+  }();
+  exec::BatchRunner::Options options;
+  options.threads = 3;
+  const exec::BatchRunner reused(options);
+  for (const auto* jobs : {&mw_jobs, &hagerup_jobs, &mw_jobs}) {
+    const auto got = reused.run(*jobs);
+    const auto fresh = exec::BatchRunner(options).run(*jobs);
+    ASSERT_EQ(got.size(), fresh.size());
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].makespan_values, fresh[j].makespan_values)
+          << jobs->front().backend << " job " << j;
+      EXPECT_EQ(got[j].wasted_values, fresh[j].wasted_values)
+          << jobs->front().backend << " job " << j;
+    }
+  }
+  // The two vehicles really differ on these cells, so a runner that
+  // kept mw engines for the hagerup run would fail above.
+  EXPECT_NE(reused.run(hagerup_jobs)[1].wasted_values,
+            exec::BatchRunner(options).run(mw_jobs)[1].wasted_values);
 }
 
 TEST(BatchRunner, RejectsUnknownBackends) {
@@ -284,29 +343,6 @@ TEST(BatchRunner, HagerupJobsMatchDirectHagerupRuns) {
     EXPECT_DOUBLE_EQ(batched.makespan_values[r], result.makespan) << "replica " << r;
     EXPECT_DOUBLE_EQ(batched.wasted_values[r], result.avg_wasted_time) << "replica " << r;
   }
-}
-
-TEST(BatchRunner, MixedBackendJobsRunSideBySide) {
-  // One batch, three vehicles: the pool keys contexts by backend name,
-  // and deterministic backends stay thread-count independent.
-  exec::BatchJob mw_job = make_job(Kind::kFAC2, 4, 256, 3);
-  exec::BatchJob hagerup_job = mw_job;
-  hagerup_job.backend = "hagerup";
-  exec::BatchJob runtime_job = make_job(Kind::kSS, 2, 128, 2);
-  runtime_job.backend = "runtime";
-  auto run_with = [&](unsigned threads) {
-    exec::BatchRunner::Options options;
-    options.threads = threads;
-      return exec::BatchRunner(options).run(
-        std::vector<exec::BatchJob>{mw_job, hagerup_job, runtime_job});
-  };
-  const auto a = run_with(1);
-  const auto b = run_with(3);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(a[0].makespan_values, b[0].makespan_values);  // mw deterministic
-  EXPECT_EQ(a[1].makespan_values, b[1].makespan_values);  // hagerup deterministic
-  EXPECT_EQ(a[2].makespan.count, 2u);                     // runtime ran (wall clock)
-  for (const double v : a[2].makespan_values) EXPECT_GE(v, 0.0);
 }
 
 TEST(BatchRunner, MixedWorkerCountsReuseContextsSafely) {

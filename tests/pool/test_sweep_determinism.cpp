@@ -31,7 +31,7 @@ std::string grid_text(std::uint64_t seed, const std::string& backend) {
 constexpr const char* kBackends[] = {"mw", "hagerup"};
 
 std::string run_threaded(const sweep::Grid& grid, unsigned threads,
-                         const std::set<sweep::RecordKey>& done = {}) {
+                         const std::set<std::size_t>& done = {}) {
   sweep::SweepRunner::Options options;
   options.threads = threads;
   std::ostringstream out;
@@ -88,20 +88,22 @@ TEST(PooledSweepDeterminism, ThreadedResumeContinuesByteIdentically) {
 
     std::istringstream rescan(first.str());
     const sweep::ScanResult scanned = sweep::scan_records(rescan);
-    EXPECT_EQ(scanned.done.size(), 5u);
     sweep::validate_records_for_grid(grid, scanned.lines);
+    std::set<std::size_t> done;
+    for (const std::string& line : scanned.lines) done.insert(sweep::record_key(line)->cell);
+    EXPECT_EQ(done, (std::set<std::size_t>{0, 1, 2, 3, 4}));
 
     std::ostringstream resumed;
     for (const std::string& line : scanned.lines) resumed << line << '\n';
     sweep::SweepRunner::Options rest;
     rest.threads = 4;
-    (void)sweep::SweepRunner(rest).run(grid, scanned.done, resumed);
+    (void)sweep::SweepRunner(rest).run(grid, done, resumed);
     EXPECT_EQ(resumed.str(), reference) << backend;
   }
 }
 
 TEST(PooledSweepDeterminism, WallClockCellsCommitInCanonicalOrder) {
-  // The wall-clock backend at 4 threads: runtime cells run their
+  // The wall-clock backend at 1 and 4 threads: runtime cells run their
   // replicas serialized, and records still stream in canonical order
   // (runtime records are wall-clock measurements and not
   // byte-reproducible, so only their presence and order are pinned).
@@ -109,16 +111,19 @@ TEST(PooledSweepDeterminism, WallClockCellsCommitInCanonicalOrder) {
       "workload constant:0.0001\ntasks 256\nworkers 2\nh 0.0001\nseed 7\nreplicas 2\n"
       "backend runtime\nsweep technique SS GSS TSS\n");
 
-  std::istringstream is(run_threaded(grid, 4));
-  std::vector<sweep::RecordKey> keys;
-  for (std::string line; std::getline(is, line);) {
-    const auto key = sweep::record_key(line);
-    ASSERT_TRUE(key.has_value());
-    keys.push_back(*key);
-  }
-  ASSERT_EQ(keys.size(), grid.cells());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(keys[i], (sweep::RecordKey{i, "runtime"}));
+  for (const unsigned threads : {1u, 4u}) {
+    std::istringstream is(run_threaded(grid, threads));
+    std::vector<sweep::RecordKey> keys;
+    for (std::string line; std::getline(is, line);) {
+      const auto key = sweep::record_key(line);
+      ASSERT_TRUE(key.has_value());
+      EXPECT_EQ(sweep::record_grid_size(line), grid.cells());
+      keys.push_back(*key);
+    }
+    ASSERT_EQ(keys.size(), grid.cells()) << threads << " threads";
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(keys[i], (sweep::RecordKey{i, "runtime"})) << threads << " threads";
+    }
   }
 }
 

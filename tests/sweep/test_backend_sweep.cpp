@@ -9,11 +9,20 @@
 //   * hagerup cells really run the hagerup simulator (replica-exact),
 //     and on comparable cells the two vehicles issue the bitwise-same
 //     chunk sequences check::cross_backend demands;
-//   * per-backend runs resume and shard-merge byte-identically.
+//   * per-backend runs resume and shard-merge byte-identically;
+//   * the same holds through the real binary (DLS_SWEEP_BIN): one
+//     `--backend` run per vehicle, bbn included, and a `merge` whose
+//     output does not depend on the order of its arguments.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -62,7 +71,7 @@ std::string text_of(const std::vector<std::string>& lines) {
   return text;
 }
 
-std::string run_grid(const sweep::Grid& grid, const std::set<sweep::RecordKey>& done = {}) {
+std::string run_grid(const sweep::Grid& grid, const std::set<std::size_t>& done = {}) {
   std::ostringstream out;
   (void)sweep::SweepRunner().run(grid, done, out);
   return out.str();
@@ -137,28 +146,32 @@ TEST(BackendSweep, ComparableCellsIssueBitwiseIdenticalChunkSequences) {
   }
 }
 
-TEST(BackendSweep, ResumeSkipsOnlyTheGridsOwnBackend) {
-  // A done set naming cells of both vehicles: the hagerup run skips its
-  // own record only; the mw key is another run's business.
+TEST(BackendSweep, AResumedBackendRunReproducesItsBytes) {
+  // A per-backend run resumes like any grid: its kept records validate
+  // against the grid's backend only (the mw run of the spec refuses
+  // them), and their cells are skipped.
   const sweep::Grid grid = grid_on("hagerup");
   const std::vector<std::string> full = lines_of(run_grid(grid));
   ASSERT_EQ(full.size(), 3u);
+  const std::vector<std::string> kept = {full[0]};
+  EXPECT_NO_THROW(sweep::validate_records_for_grid(grid, kept));
+  EXPECT_THROW(sweep::validate_records_for_grid(grid_on("mw"), kept), std::invalid_argument);
 
-  const std::set<sweep::RecordKey> done = {sweep::RecordKey{0, "hagerup"},
-                                           sweep::RecordKey{2, "mw"}};
   std::ostringstream resumed;
   std::size_t skipped = 0;
   const std::size_t computed = sweep::SweepRunner().run(
-      grid, done, resumed, [&](const sweep::SweepRunner::CellEvent& event) {
+      grid, {0}, resumed, [&](const sweep::SweepRunner::CellEvent& event) {
         if (event.skipped) ++skipped;
       });
   EXPECT_EQ(computed, 2u);
   EXPECT_EQ(skipped, 1u);
 
-  // The done record plus the resumed ones reproduce the uninterrupted bytes.
+  // The kept record plus the resumed ones reproduce the uninterrupted
+  // bytes, and resuming a complete run computes nothing.
   std::vector<std::string> stitched = lines_of(resumed.str());
   stitched.push_back(full[0]);
   EXPECT_EQ(sweep::merge_records({stitched}), full);
+  EXPECT_EQ(run_grid(grid, {0, 1, 2}), "");
 }
 
 TEST(BackendSweep, ShardsOfEveryBackendMergeToTheAxisOutput) {
@@ -187,6 +200,80 @@ TEST(BackendSweep, ValidateRejectsRecordsOfAForeignBackend) {
 
   // The same records do not validate against the mw run of the spec.
   EXPECT_THROW(sweep::validate_records_for_grid(grid_on("mw"), lines), std::invalid_argument);
+}
+
+/// Run dls_sweep with `args`; its exit code (-1 if it did not exit).
+int run_tool(const std::string& args) {
+  const int status = std::system((std::string(DLS_SWEEP_BIN) + " " + args).c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The `"seed"` field (the cell's derived base seed) of a record.
+std::string seed_of(const std::string& line) {
+  const auto at = line.find("\"seed\":");
+  return line.substr(at, line.find(',', at) - at);
+}
+
+TEST(BackendSweep, PerBackendBinaryRunsMergeInAnyArgumentOrder) {
+  // Comparing vehicles end to end: one `dls_sweep --backend` run per
+  // vehicle, then `dls_sweep merge`.
+  char dir_template[] = "/tmp/dls_backend_sweep_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  const std::string spec = dir + "/grid.sweep";
+  std::ofstream(spec) << kBase;
+  const std::vector<std::string> backends = {"bbn", "hagerup", "mw"};
+
+  std::vector<std::vector<std::string>> runs;
+  for (const std::string& backend : backends) {
+    const std::string out = dir + "/" + backend + ".jsonl";
+    ASSERT_EQ(run_tool(spec + " --backend " + backend + " --out " + out + " --quiet"), 0)
+        << backend;
+    runs.push_back(lines_of(read_file(out)));
+    ASSERT_EQ(runs.back().size(), 3u) << backend;
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(sweep::record_key(runs.back()[c]), (sweep::RecordKey{c, backend}));
+      // Every backend runs a cell on the same derived seed.
+      EXPECT_EQ(seed_of(runs.back()[c]), seed_of(runs.front()[c])) << backend << " cell " << c;
+    }
+  }
+  // The in-process run of each backend writes the same bytes.
+  EXPECT_EQ(text_of(runs[1]), run_grid(grid_on("hagerup")));
+  EXPECT_EQ(text_of(runs[2]), run_grid(grid_on("mw")));
+
+  const std::string merged = dir + "/merged.jsonl";
+  const std::string reversed = dir + "/reversed.jsonl";
+  ASSERT_EQ(run_tool("merge --out " + merged + " " + dir + "/mw.jsonl " + dir +
+                     "/hagerup.jsonl " + dir + "/bbn.jsonl 2>/dev/null"),
+            0);
+  ASSERT_EQ(run_tool("merge --out " + reversed + " " + dir + "/bbn.jsonl " + dir +
+                     "/hagerup.jsonl " + dir + "/mw.jsonl 2>/dev/null"),
+            0);
+  EXPECT_EQ(read_file(merged), read_file(reversed));
+  const std::vector<std::string> lines = lines_of(read_file(merged));
+  ASSERT_EQ(lines.size(), 9u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    // Cell by cell, the backends in name order.
+    EXPECT_EQ(sweep::record_key(lines[i]), (sweep::RecordKey{i / 3, backends[i % 3]}));
+  }
+
+  // The mw + hagerup merge is the pinned axis output.
+  const std::string pair = dir + "/pair.jsonl";
+  ASSERT_EQ(run_tool("merge --out " + pair + " " + dir + "/hagerup.jsonl " + dir +
+                     "/mw.jsonl 2>/dev/null"),
+            0);
+  EXPECT_EQ(net::fnv1a64(read_file(pair)), kAxisOutputDigest);
+
+  for (const char* name : {"/grid.sweep", "/bbn.jsonl", "/hagerup.jsonl", "/mw.jsonl",
+                           "/merged.jsonl", "/reversed.jsonl", "/pair.jsonl"}) {
+    EXPECT_EQ(std::remove((dir + name).c_str()), 0) << name;
+  }
+  EXPECT_EQ(::rmdir(dir.c_str()), 0) << dir << " is not empty";
 }
 
 }  // namespace

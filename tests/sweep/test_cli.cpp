@@ -2,7 +2,8 @@
 // a malformed shard or a negative count is a usage error (exit 2) that
 // names the flag, never a run on a misread value.  So is a swept spec
 // value that does not parse, or a `sweep backend` line, and neither
-// leaves a record file behind.  Run-mode cases pass
+// leaves a record file behind; merge and report refuse flags of the
+// other modes.  Run-mode cases pass
 // --list, so a flag that slipped through would print cells and exit 0
 // instead of sweeping.  A --resume whose rewrite of the surviving
 // records fails is a run error (exit 1) that leaves them in place.
@@ -260,6 +261,50 @@ TEST(SweepCli, AnUnknownBackendFlagNamesTheFlag) {
   }
   struct stat info {};
   EXPECT_NE(::stat("cli_never_wd", &info), 0) << "cli_never_wd was created";
+}
+
+TEST(SweepCli, MergeAndReportRefuseFlagsOfOtherModes) {
+  // merge takes only --out and report only --csv.  Any other flag exits
+  // 2 naming it, before anything is written: a report asked for
+  // `--out x` would otherwise print to stdout and write no x.  --csv is
+  // no run-mode flag either.
+  char dir_template[] = "/tmp/dls_sweep_cli_XXXXXX";
+  const char* dir = ::mkdtemp(dir_template);
+  ASSERT_NE(dir, nullptr);
+  const std::string in_dir = "cd " + std::string(dir) + " && " + DLS_SWEEP_BIN + " ";
+  const Outcome run = run_tool_raw(
+      "cd " + std::string(dir) +
+      " && printf 'technique SS\\ntasks 64\\nworkers 2\\nworkload constant:1.0\\n' | " +
+      DLS_SWEEP_BIN + " - --quiet --out r.jsonl");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  for (const auto& [args, flag] :
+       std::vector<Case>{{"report r.jsonl --out x", "unknown flag --out"},
+                         {"report r.jsonl --threads 3 --resume", "unknown flag --threads"},
+                         {"report r.jsonl r.jsonl --backend mw", "unknown flag --backend"},
+                         {"merge --threads 3 r.jsonl", "unknown flag --threads"},
+                         {"merge --out x --csv r.jsonl", "unknown flag --csv"},
+                         {"merge --out x --resume r.jsonl", "unknown flag --resume"},
+                         {"r.jsonl --list --csv", "unknown flag --csv"}}) {
+    const Outcome outcome = run_tool_raw(in_dir + args);
+    EXPECT_EQ(outcome.exit_code, 2) << args << "\n" << outcome.output;
+    EXPECT_NE(outcome.output.find(flag), std::string::npos) << args << "\n" << outcome.output;
+  }
+  struct stat info {};
+  EXPECT_NE(::stat((std::string(dir) + "/x").c_str(), &info), 0) << "x was written";
+
+  // Each mode's own flag still works.
+  EXPECT_EQ(run_tool_raw(in_dir + "merge --out m.jsonl r.jsonl").exit_code, 0);
+  std::ifstream merged(std::string(dir) + "/m.jsonl");
+  std::ifstream records(std::string(dir) + "/r.jsonl");
+  EXPECT_EQ(std::string((std::istreambuf_iterator<char>(merged)), {}),
+            std::string((std::istreambuf_iterator<char>(records)), {}));
+  const Outcome csv = run_tool_raw(in_dir + "report r.jsonl r.jsonl --csv");
+  EXPECT_EQ(csv.exit_code, 0) << csv.output;
+  EXPECT_NE(csv.output.find("\nPEs,SS\n2,"), std::string::npos) << csv.output;
+  for (const char* name : {"/r.jsonl", "/m.jsonl"}) {
+    EXPECT_EQ(std::remove((std::string(dir) + name).c_str()), 0) << name;
+  }
+  EXPECT_EQ(::rmdir(dir), 0) << dir << " is not empty";
 }
 
 }  // namespace

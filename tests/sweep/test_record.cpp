@@ -101,9 +101,28 @@ TEST(SweepRecord, ScanCollectsCompleteRecords) {
   std::stringstream file;
   file << record_of(grid, 0) << "\n" << record_of(grid, 2) << "\n";
   const sweep::ScanResult scanned = sweep::scan_records(file);
-  EXPECT_EQ(scanned.done, (std::set<sweep::RecordKey>{key(0), key(2)}));
-  EXPECT_EQ(scanned.lines.size(), 2u);
+  ASSERT_EQ(scanned.lines.size(), 2u);
+  EXPECT_EQ(sweep::record_key(scanned.lines[0]), key(0));
+  EXPECT_EQ(sweep::record_key(scanned.lines[1]), key(2));
   EXPECT_FALSE(scanned.dropped_partial_tail);
+}
+
+TEST(SweepRecord, ScanCollapsesIdenticalDuplicatesAndKeysOnTheBackend) {
+  // A byte-identical duplicate (a cell recomputed into a journal) is
+  // kept once, at its first position; the same cell of another backend
+  // -- a merged per-backend file -- is a different record.
+  const sweep::Grid grid = small_grid();
+  const sweep::Grid hagerup = sweep::parse_grid(
+      "workload constant:1.0\ntasks 64\nh 0.1\nseed 42\nreplicas 3\nbackend hagerup\n"
+      "sweep technique SS GSS\nsweep workers 2 4\n");
+  const std::string r0 = record_of(grid, 0);
+  const std::string r1 = record_of(grid, 1);
+  const std::string h0 = record_of(hagerup, 0);
+  std::stringstream file;
+  file << r0 << "\n" << r1 << "\n" << r0 << "\n" << h0 << "\n" << r1 << "\n";
+  const sweep::ScanResult scanned = sweep::scan_records(file);
+  EXPECT_EQ(scanned.lines, (std::vector<std::string>{r0, r1, h0}));
+  EXPECT_EQ(sweep::record_key(h0), key(0, "hagerup"));
 }
 
 TEST(SweepRecord, ScanDropsTruncatedFinalLine) {
@@ -114,7 +133,7 @@ TEST(SweepRecord, ScanDropsTruncatedFinalLine) {
   std::stringstream file;
   file << full << "\n" << partial;  // no trailing newline either
   const sweep::ScanResult scanned = sweep::scan_records(file);
-  EXPECT_EQ(scanned.done, (std::set<sweep::RecordKey>{key(0)}));
+  EXPECT_EQ(scanned.lines, (std::vector<std::string>{full}));
   EXPECT_TRUE(scanned.dropped_partial_tail);
 }
 

@@ -35,6 +35,13 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
+/// The cell indices of scanned records: the done set of a resume.
+std::set<std::size_t> cells_of(const sweep::ScanResult& scanned) {
+  std::set<std::size_t> cells;
+  for (const std::string& line : scanned.lines) cells.insert(sweep::record_key(line)->cell);
+  return cells;
+}
+
 TEST(SweepRunner, StreamsOneRecordPerCell) {
   const sweep::Grid grid = test_grid();
   std::ostringstream out;
@@ -61,12 +68,12 @@ TEST(SweepRunner, InterruptedThenResumedMatchesUninterrupted) {
 
     std::istringstream scan_input(first.str());
     const sweep::ScanResult scanned = sweep::scan_records(scan_input);
-    EXPECT_EQ(scanned.done.size(), 2u);
+    EXPECT_EQ(cells_of(scanned), (std::set<std::size_t>{0, 1}));
     EXPECT_NO_THROW(sweep::validate_records_for_grid(grid, scanned.lines));
 
     std::ostringstream resumed;
     for (const std::string& line : scanned.lines) resumed << line << '\n';
-    EXPECT_EQ(sweep::SweepRunner().run(grid, scanned.done, resumed), 4u);
+    EXPECT_EQ(sweep::SweepRunner().run(grid, cells_of(scanned), resumed), 4u);
 
     EXPECT_EQ(resumed.str(), uninterrupted.str());  // byte-identical
     EXPECT_EQ(sweep::record_series(lines_of(resumed.str()).back()).has_value(), series);
@@ -86,11 +93,11 @@ TEST(SweepRunner, ResumeAfterTruncatedTailRecomputesOnlyThatCell) {
     damaged << full[0] << '\n' << full[1] << '\n' << full[2].substr(0, full[2].size() / 2);
     const sweep::ScanResult scanned = sweep::scan_records(damaged);
     EXPECT_TRUE(scanned.dropped_partial_tail);
-    EXPECT_EQ(scanned.done, (std::set<sweep::RecordKey>{key(0), key(1)}));
+    EXPECT_EQ(cells_of(scanned), (std::set<std::size_t>{0, 1}));
 
     std::ostringstream resumed;
     for (const std::string& line : scanned.lines) resumed << line << '\n';
-    EXPECT_EQ(sweep::SweepRunner().run(grid, scanned.done, resumed), 4u);
+    EXPECT_EQ(sweep::SweepRunner().run(grid, cells_of(scanned), resumed), 4u);
     EXPECT_EQ(resumed.str(), uninterrupted.str());
   }
 }
@@ -137,7 +144,7 @@ TEST(SweepRunner, ObserverSeesSkipsAndCompletions) {
   const sweep::Grid grid = test_grid();
   std::size_t skipped = 0, completed = 0;
   std::ostringstream out;
-  (void)sweep::SweepRunner().run(grid, {key(1), key(4)}, out,
+  (void)sweep::SweepRunner().run(grid, {1, 4}, out,
                                  [&](const sweep::SweepRunner::CellEvent& event) {
                                    (event.skipped ? skipped : completed) += 1;
                                    EXPECT_EQ(event.cells_total, 6u);
@@ -163,7 +170,7 @@ TEST(SweepRunner, MaxCellsTruncationResumesAtTheFirstUncomputedCell) {
   sweep::SweepRunner::Options truncated = shard_options;
   truncated.max_cells = 1;
   std::ostringstream out;
-  std::set<sweep::RecordKey> done;
+  std::set<std::size_t> done;
   for (const std::size_t expected_cell : {0u, 2u, 4u}) {
     std::vector<std::size_t> computed_cells;
     const std::size_t computed = sweep::SweepRunner(truncated).run(
@@ -174,7 +181,7 @@ TEST(SweepRunner, MaxCellsTruncationResumesAtTheFirstUncomputedCell) {
     ASSERT_EQ(computed_cells.size(), 1u);
     EXPECT_EQ(computed_cells.front(), expected_cell);
     std::istringstream scan_input(out.str());
-    done = sweep::scan_records(scan_input).done;
+    done = cells_of(sweep::scan_records(scan_input));
   }
   EXPECT_EQ(done.size(), 3u);
   // A fourth truncated pass has nothing left to compute.

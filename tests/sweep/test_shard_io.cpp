@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -208,7 +209,7 @@ TEST(OpenRecordFile, ResumeKeepsTheCompleteRecordsAndAppendsAfterThem) {
 
   sweep::RecordFile file = sweep::open_record_file(grid, path, /*resume=*/true);
   EXPECT_EQ(file.kept.lines, std::vector<std::string>{records[0]});
-  EXPECT_EQ(file.kept.done.size(), 1u);
+  EXPECT_EQ(file.done, std::set<std::size_t>{0});
   EXPECT_TRUE(file.kept.dropped_partial_tail);
   EXPECT_EQ(read_file(path), records[0] + "\n");  // the torn tail is gone from disk too
   file.writer->append_line(records[1]);
@@ -222,6 +223,7 @@ TEST(OpenRecordFile, WithoutResumeTheFileIsEmptied) {
   const sweep::RecordFile file =
       sweep::open_record_file(sweep::parse_grid(kSpec), path, /*resume=*/false);
   EXPECT_TRUE(file.kept.lines.empty());
+  EXPECT_TRUE(file.done.empty());
   EXPECT_EQ(read_file(path), "");
 }
 

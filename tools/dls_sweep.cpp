@@ -3,8 +3,8 @@
 // Expands `sweep <key> <v1> <v2> ...` directives in an experiment file
 // (see sweep/experiment.hpp and sweep/grid.hpp) into the cartesian
 // product of batched experiments, runs each cell through
-// exec::BatchRunner on the cell's execution backend, and streams one
-// JSONL record per completed (cell, backend).
+// exec::BatchRunner on the grid's execution backend, and streams one
+// JSONL record per completed cell.
 //
 //   dls_sweep grid.sweep --out results.jsonl             # run a grid
 //   dls_sweep grid.sweep --out results.jsonl --resume    # continue a killed sweep
@@ -12,7 +12,7 @@
 //   dls_sweep merge --out all.jsonl s0.jsonl s1.jsonl s2.jsonl
 //   dls_sweep grid.sweep --list                          # show the cells, don't run
 //   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # the grid's execution backend
-//   dls_sweep report original.jsonl simulation.jsonl   # a figure's tables from its sweep pairs
+//   dls_sweep report original.jsonl simulation.jsonl --csv  # a figure's tables, as CSV
 //   dls_sweep report results.jsonl                     # each record's cell (Figure 9 view for series)
 //   dls_sweep exp.txt --quiet | dls_sweep report -     # one experiment, run and shown
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
@@ -42,8 +42,10 @@
 // produce byte-identical records, so `merge` output is independent of
 // how the grid was split.
 //
-// Exit codes: 0 = success, 1 = a simulation/run error, 2 = a parse or
-// usage error (parse errors name the offending line).
+// Each mode takes only its own flags (merge: --out; report: --csv); any
+// other flag is a usage error.  Exit codes: 0 = success, 1 = a
+// simulation/run error, 2 = a parse or usage error (parse errors name
+// the offending line, flag errors the flag).
 
 #include <algorithm>
 #include <charconv>
@@ -79,7 +81,7 @@ constexpr int kExitUsageError = 2;
 
 void print_usage(std::ostream& out, const support::Flags& flags) {
   out << "usage: dls_sweep <spec-file | -> [options]        run a grid\n"
-         "       dls_sweep merge --out <file> <shard>...    merge shard outputs\n"
+         "       dls_sweep merge [--out <file>] <shard>...  merge shard outputs\n"
          "       dls_sweep report (<original.jsonl> <simulation.jsonl>)... [--csv]\n"
          "       dls_sweep report <records.jsonl | ->        each record's cell (Figure 9 view\n"
          "                                                   for series records)\n"
@@ -92,7 +94,20 @@ void print_usage(std::ostream& out, const support::Flags& flags) {
          "With --resume, cells already in --out are skipped (a truncated final\n"
          "line from a mid-write kill is dropped and recomputed).\n"
          "\n"
+         "Options of a run (merge takes only --out, report only --csv):\n"
       << flags.usage();
+}
+
+/// Parse the flag set of one mode.  A flag the mode does not define is
+/// a usage error naming it, never silently ignored.
+bool parse_flags(support::Flags& flags, int argc, char** argv) {
+  try {
+    flags.parse(argc, argv);
+    return true;
+  } catch (const std::exception& e) {
+    std::cerr << "dls_sweep: " << e.what() << "\n";
+    return false;
+  }
 }
 
 std::string read_input(const std::string& path) {
@@ -240,7 +255,7 @@ int run_mode(const support::Flags& flags) {
     if (quiet) return;
     // One stderr line per owned cell: the cell, then this shard's
     // progress.
-    std::cerr << "dls_sweep: cell " << event.cell << " [" << event.backend << "] of "
+    std::cerr << "dls_sweep: cell " << event.cell << " [" << grid.backend << "] of "
               << event.cells_total << (event.skipped ? " already done" : " done") << "; shard "
               << options.shard_index << "/" << options.shard_count << ": "
               << (observed_computed + observed_skipped) << "/" << owned_total << " cells ("
@@ -250,7 +265,7 @@ int run_mode(const support::Flags& flags) {
   try {
     const sweep::SweepRunner runner(options);
     owned_total = runner.owned_cells(grid);
-    const std::size_t computed = runner.run(grid, record_file.kept.done, out, observer);
+    const std::size_t computed = runner.run(grid, record_file.done, out, observer);
     // The runner's committer checks the stream per record, but the last
     // records may still sit in the ostream buffer -- a full disk or a
     // yanked volume must not exit 0 with a silently short output.
@@ -262,7 +277,7 @@ int run_mode(const support::Flags& flags) {
     }
     if (!quiet) {
       std::cerr << "dls_sweep: computed " << computed << " cell(s), skipped "
-                << record_file.kept.done.size() << " of " << grid.cells() << "\n";
+                << record_file.done.size() << " of " << grid.cells() << "\n";
     }
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep: " << e.what() << "\n";
@@ -271,7 +286,10 @@ int run_mode(const support::Flags& flags) {
   return EXIT_SUCCESS;
 }
 
-int merge_mode(const support::Flags& flags) {
+int merge_mode(int argc, char** argv) {
+  support::Flags flags;
+  flags.define("out", "", "merged output file (written atomically; empty = stdout)");
+  if (!parse_flags(flags, argc, argv)) return kExitUsageError;
   const std::vector<std::string>& positional = flags.positional();
   if (positional.size() < 2) {
     std::cerr << "dls_sweep: merge needs at least one shard file\n";
@@ -346,7 +364,10 @@ int merge_mode(const support::Flags& flags) {
 // one record file (`-` = stdin), a block per record (see
 // sweep/report.hpp).  Unreadable, incomplete or mismatched record
 // files are usage errors, like the other modes' input errors.
-int report_mode(const support::Flags& flags) {
+int report_mode(int argc, char** argv) {
+  support::Flags flags;
+  flags.define("csv", "false", "emit a figure's tables as CSV");
+  if (!parse_flags(flags, argc, argv)) return kExitUsageError;
   const std::vector<std::string>& positional = flags.positional();
   if (positional.size() < 2 || (positional.size() > 2 && positional.size() % 2 == 0)) {
     std::cerr << "dls_sweep: report needs one record file (or -), or "
@@ -602,17 +623,16 @@ int work_mode(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // coordinate/serve/work carry their own flag sets; dispatch before
-  // the run-mode flags can reject them.
-  if (argc > 1 && std::strcmp(argv[1], "coordinate") == 0) {
-    return coordinate_mode(argc, argv, /*serve=*/false);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    return coordinate_mode(argc, argv, /*serve=*/true);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "work") == 0) return work_mode(argc, argv);
+  // Every mode word carries its own flag set; dispatch before the
+  // run-mode flags can reject its flags, or accept run-mode flags that
+  // do not apply to it (merge and report after `--help`, which prints
+  // the usage of them all).
+  const std::string_view mode = argc > 1 ? argv[1] : "";
+  if (mode == "coordinate") return coordinate_mode(argc, argv, /*serve=*/false);
+  if (mode == "serve") return coordinate_mode(argc, argv, /*serve=*/true);
+  if (mode == "work") return work_mode(argc, argv);
   support::Flags flags;
-  flags.define("out", "", "output file (JSONL for run/merge; empty = stdout)");
+  flags.define("out", "", "output file (JSONL; empty = stdout)");
   flags.define("resume", "false", "skip cells already present in --out");
   flags.define("overwrite", "false", "discard an existing --out instead of refusing");
   flags.define("shard", "0/1", "own the cells with index mod count == index (e.g. 1/4)");
@@ -628,7 +648,6 @@ int main(int argc, char** argv) {
   }
   flags.define("backend", "",
                "execution backend (" + backends + "); overrides the spec's 'backend' key");
-  flags.define("csv", "false", "[report] emit the tables as CSV");
 
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -636,18 +655,13 @@ int main(int argc, char** argv) {
       return EXIT_SUCCESS;
     }
   }
-  try {
-    flags.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "dls_sweep: " << e.what() << "\n";
-    return kExitUsageError;
-  }
+  if (mode == "merge") return merge_mode(argc, argv);
+  if (mode == "report") return report_mode(argc, argv);
+  if (!parse_flags(flags, argc, argv)) return kExitUsageError;
   if (flags.positional().empty()) {
     print_usage(std::cerr, flags);
     return kExitUsageError;
   }
-  if (flags.positional()[0] == "merge") return merge_mode(flags);
-  if (flags.positional()[0] == "report") return report_mode(flags);
   if (flags.positional().size() != 1) {
     std::cerr << "dls_sweep: expected exactly one spec file\n";
     return kExitUsageError;
